@@ -67,24 +67,6 @@ def test_per_batch_shards_match_sequential_engine(benchmark):
     assert sharded.delivered == 20_000
 
 
-def test_sharded_engine_behind_controller(benchmark):
-    """engine="sharded" through the controller: same stats as
-    engine="batch" when faults fire at batch boundaries."""
-    pairs = make_pattern(256, "uniform", 30_000, np.random.default_rng(9))
-    batches = np.array_split(pairs, 6)
-
-    def both():
-        a = ReconfigurationController(2, 8, 1, engine="batch")
-        sa = a.run_workload([b.copy() for b in batches])
-        b = ReconfigurationController(2, 8, 1, engine="sharded", workers=2)
-        sb = b.run_workload([x.copy() for x in batches])
-        return sa, sb
-
-    sa, sb = once(benchmark, both)
-    assert sa == sb
-    assert sa.delivered == 30_000
-
-
 def test_warm_pool_reuses_workers_across_sweeps(benchmark):
     """One persistent WorkerPool rides three back-to-back sweeps: every
     repeat's statistics are bit-identical to the cold (ephemeral-pool)

@@ -1,4 +1,4 @@
-"""A reliability sweep on the sharded multi-process driver.
+"""A reliability sweep on the multi-process worker pool.
 
 The question a dependability study asks: how does delivered traffic and
 latency degrade as faults accumulate, across machine sizes and traffic

@@ -287,9 +287,9 @@ def _load_run_input(path: str):
 
 def _install_signal_handlers() -> None:
     """Make SIGTERM behave like Ctrl-C: the KeyboardInterrupt unwinds
-    through the pool's context manager, which force-closes — busy
-    workers are terminated and owned /dev/shm segments unlinked — so a
-    ``kill`` leaves neither orphan processes nor leaked segments."""
+    through the pool's context manager, which force-closes and
+    terminates busy workers, so a ``kill`` leaves no orphan
+    processes."""
     import signal
 
     def _raise(signum, frame):

@@ -11,7 +11,7 @@ simulation experiments:
 * :class:`ExperimentGrid` — a declarative sweep (sizes x patterns x
   loads/rates x fault sets x seeds) that expands to specs; handing a
   stream grid to :func:`run_grid` executes a saturation *surface*
-  (offered rate x machine size x fault count) as one sharded sweep.
+  (offered rate x machine size x fault count) as one sweep.
 * :func:`run_grid` — the multi-process executor (re-exported from
   :mod:`repro.simulator.shard_driver`); accepts specs, grids, and the
   legacy scenario types alike.

@@ -72,7 +72,6 @@ from repro.simulator.faults import (
     realize_fault_model,
     validate_fault_model,
 )
-from repro.simulator.metrics import PacketArrays
 from repro.simulator.shard_driver import ExperimentResult, ShardStats
 from repro.simulator.sources import SOURCES, TrafficSource, make_source
 from repro.simulator.traffic import PATTERNS, make_pattern
@@ -89,19 +88,6 @@ __all__ = [
 #: batches and drains them; ``"stream"`` offers open-loop arrivals per
 #: cycle from a seeded source.
 LOOPS = ("closed", "stream")
-
-#: Engines a spec may name: specs execute inside pool workers (a nested
-#: ``"sharded"`` engine would spawn pools-within-pools and has no
-#: packet records to reduce) — grid parallelism comes from the sweep.
-_SPEC_ENGINES = ("object", "batch")
-
-
-def _records_of(sim) -> PacketArrays:
-    """Structure-of-arrays packet records from either in-process engine."""
-    if hasattr(sim, "packet_records"):
-        return sim.packet_records()
-    return PacketArrays.from_packets(sim.packets)
-
 
 def _spare_demand(faults, repairs) -> int:
     """Peak number of *concurrently* faulty distinct nodes over a fixed
@@ -147,8 +133,9 @@ class ExperimentSpec:
         :data:`~repro.simulator.faults.CONTROLLERS` (``reconfig`` — the
         paper's remap, or ``detour`` — the spare-less baseline).
     ``engine``
-        ``"object"`` or ``"batch"`` (specs run inside pool workers, so
-        the sharded engine is not a cell-level choice).
+        One of :data:`~repro.simulator.engines.ENGINES`: ``"object"`` or
+        ``"batch"``.  Parallelism comes from the grid, ``replicas`` and
+        ``shards``, never from inside a cell.
     ``route_mode``
         Detour routing backend, one of
         :data:`~repro.simulator.faults.ROUTE_MODES`; ignored by
@@ -246,13 +233,6 @@ class ExperimentSpec:
         ROUTE_MODES.validate(self.route_mode)
         SOURCES.validate(self.source)
         ENGINES.validate(self.engine)
-        if self.engine not in _SPEC_ENGINES:
-            raise ParameterError(
-                f"ExperimentSpec.engine must be 'object' or 'batch', got "
-                f"{self.engine!r} (specs run inside pool workers; grid "
-                f"parallelism comes from the sweep, and streaming "
-                f"interleaves per-cycle arrivals the sharded engine cannot)"
-            )
         if self.fault_model is not None:
             if self.faults:
                 raise ParameterError(
@@ -557,7 +537,7 @@ class ExperimentSpec:
         t0 = time.perf_counter()
         ctrl.run_workload(batches, **kwargs)
         seconds = time.perf_counter() - t0
-        stats = ShardStats.from_arrays(_records_of(ctrl.sim), ctrl.sim.cycle)
+        stats = ShardStats.from_arrays(ctrl.sim.packet_records(), ctrl.sim.cycle)
         return ExperimentResult(
             spec=self,
             stats=stats,
@@ -601,7 +581,7 @@ class ExperimentGrid:
     mutually exclusive.  A stream grid with several sizes, rates and
     fault sets *is* a saturation surface, and
     :func:`repro.simulator.shard_driver.run_grid` executes the whole
-    thing as one sharded sweep.
+    thing as one sweep.
 
     >>> grid = ExperimentGrid(mhk=[(2, 4, 1)], loop="stream",
     ...                       rates=[1.0, 4.0], fault_sets=[(), ((0, 3),)])

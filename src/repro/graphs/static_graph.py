@@ -32,8 +32,8 @@ Everything else is derived: ``degrees() == diff(row_offsets)``,
 ``indices`` alias ``row_offsets`` / ``col_indices``.  The per-node dict
 adjacency survives only as the lazily-built :meth:`adjacency_dict`
 compatibility view; every hot path (frontier gathers, routing-table
-compiles, the batch engine's queue registry, the shared-memory plane)
-consumes the flat arrays directly.
+compiles, the batch engine's queue registry) consumes the flat arrays
+directly.
 
 Conventions
 -----------
@@ -97,7 +97,7 @@ class StaticGraph:
 
     __slots__ = (
         "_n", "_indptr", "_indices", "_edge_count", "_hash", "_edge_keys",
-        "_edge_ids", "_adj", "_shm",
+        "_edge_ids", "_adj",
     )
 
     def __init__(self, num_nodes: int, edges: Iterable | np.ndarray = ()):
@@ -140,7 +140,6 @@ class StaticGraph:
         self._edge_keys: np.ndarray | None = None
         self._edge_ids: np.ndarray | None = None
         self._adj: dict[int, list[int]] | None = None
-        self._shm = None  # keep-alive handle when CSR lives in shared memory
 
     @classmethod
     def from_csr(
@@ -473,71 +472,16 @@ class StaticGraph:
             return True
         return bool(other.has_edges(e[:, 0], e[:, 1]).all())
 
-    # -- shared-memory plane -----------------------------------------------
-
-    def to_shm(self, *, name: str | None = None):
-        """Export the canonical CSR arrays into one shared-memory segment.
-
-        Exactly ``row_offsets`` and ``col_indices`` cross the boundary —
-        no conversion, no derived caches (attachers rebuild ``edge_ids``
-        and friends lazily, like any other graph).  Returns the owning
-        :class:`repro.shm.ShmBlock`; any process can rebuild a zero-copy
-        view of this graph from its ``.name`` via :meth:`from_shm`.  The
-        caller owns the segment's lifecycle — ``unlink()`` it once no
-        worker needs the graph (see :mod:`repro.shm` for the ownership
-        contract).  Raises :class:`repro.shm.ShmError` where shared
-        memory is unavailable; gate on :func:`repro.shm.shm_available`
-        and fall back to pickling the graph itself.
-        """
-        from repro.shm import export_arrays
-
-        return export_arrays(
-            {"row_offsets": self._indptr, "col_indices": self._indices},
-            name=name,
-        )
-
-    @classmethod
-    def from_shm(cls, name: str) -> "StaticGraph":
-        """Attach to a graph exported by :meth:`to_shm` — zero copy.
-
-        The returned graph's CSR arrays are read-only views straight
-        into the shared segment (the graph holds the mapping alive);
-        everything else (``node_count``, ``edge_count``) is derived from
-        the array shapes, so attaching is O(1) regardless of graph size.
-        """
-        from repro.shm import attach_arrays
-
-        arrays, block = attach_arrays(name)
-        g = cls.from_csr(
-            int(arrays["row_offsets"].shape[0]) - 1,
-            arrays["row_offsets"],
-            arrays["col_indices"],
-        )
-        g._shm = block
-        return g
-
-    def close_shm(self) -> None:
-        """Drop an attached mapping (no-op for ordinary graphs).  The
-        CSR views become invalid once the segment is also unlinked."""
-        if self._shm is not None:
-            self._shm.close()
-            self._shm = None
-
     # -- pickling ----------------------------------------------------------
 
     def __getstate__(self):
         # pickle only the canonical arrays: derived caches rebuild lazily
-        # on the receiving side, and a shm-attached graph pickles by value
-        # (a worker cannot assume the receiver sees the segment)
+        # on the receiving side
         state = {s: getattr(self, s) for s in StaticGraph.__slots__}
         state["_hash"] = None
         state["_edge_keys"] = None
         state["_edge_ids"] = None
         state["_adj"] = None
-        if state["_shm"] is not None:
-            state["_indptr"] = np.array(self._indptr)
-            state["_indices"] = np.array(self._indices)
-            state["_shm"] = None
         return (None, state)
 
     def __setstate__(self, state):

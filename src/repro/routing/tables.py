@@ -300,52 +300,6 @@ class RouteTable:
         :func:`table_routes_batch_masked`."""
         return table_routes_batch_masked(self.table, srcs, dsts)
 
-    # -- shared-memory plane -------------------------------------------
-
-    def to_shm(self, *, name: str | None = None):
-        """Export the dense table into one shared-memory segment.
-
-        Returns the owning :class:`repro.shm.ShmBlock` — the caller
-        unlinks it when no worker needs the table anymore.  An ``(n, n)``
-        table is the biggest per-epoch artifact the shard plumbing
-        ships, so attaching (:meth:`from_shm`) instead of pickling it
-        per task is the difference between O(1) and O(n²) per dispatch.
-        """
-        from repro.shm import export_arrays
-
-        return export_arrays({"table": self.table}, name=name)
-
-    @classmethod
-    def from_shm(cls, name: str) -> "RouteTable":
-        """Attach to a table exported by :meth:`to_shm` — zero copy.
-
-        The returned table's array is a read-only view into the shared
-        segment; the instance keeps the mapping alive.  Pickling such a
-        table materializes the array (the receiver may not see the
-        segment), matching :meth:`StaticGraph.from_shm` semantics.
-        """
-        from repro.shm import attach_arrays
-
-        arrays, block = attach_arrays(name)
-        rt = cls(arrays["table"])
-        object.__setattr__(rt, "_shm", block)
-        return rt
-
-    def close_shm(self) -> None:
-        """Drop an attached mapping (no-op for ordinary tables)."""
-        block = getattr(self, "_shm", None)
-        if block is not None:
-            block.close()
-            object.__setattr__(self, "_shm", None)
-
-    def __getstate__(self):
-        if getattr(self, "_shm", None) is not None:
-            return {"table": np.array(self.table)}
-        return {"table": self.table}
-
-    def __setstate__(self, state):
-        object.__setattr__(self, "table", state["table"])
-
 
 def table_path(table: np.ndarray, source: int, dest: int) -> list[int]:
     """Follow a routing table from ``source`` to ``dest``."""

@@ -183,8 +183,7 @@ class ExperimentService:
 
     def close(self, *, force: bool = False) -> None:
         """Stop accepting, stop the runner, shut the pool down.  With
-        ``force`` (the interrupt path) busy workers are terminated and
-        owned shared-memory segments unlinked — see
+        ``force`` (the interrupt path) busy workers are terminated — see
         :meth:`WorkerPool.close`."""
         self.httpd.shutdown()
         self.httpd.server_close()

@@ -1,6 +1,6 @@
 """Cycle-accurate interconnect simulator: links, buses, traffic, faults.
 
-Three interchangeable engines implement the store-and-forward model:
+Two interchangeable engines implement the store-and-forward model:
 
 * :class:`NetworkSimulator` — the object engine: one Python
   :class:`Packet` per message, one deque per link.  The semantic
@@ -10,16 +10,14 @@ Three interchangeable engines implement the store-and-forward model:
   calendar queue so each packet is touched only when it moves.  1–2
   orders of magnitude faster on heavy traffic, golden-tested to match
   the object engine packet-for-packet.
-* :class:`ShardedEngine` — multi-process on top of the batch engine:
-  injection batches drain as parallel waves of ``BatchEngine`` shards,
-  merged by the exact :class:`ShardStats` reducer (fault timing
-  coarsens to batch boundaries; see :mod:`repro.simulator.shard_driver`).
 
 The fault controllers (:class:`ReconfigurationController`,
-:class:`DetourController`) accept ``engine="object" | "batch" |
-"sharded"``.  Scenario *sweeps* — grids over sizes, patterns, fault
-sets and seeds — run multi-process through :func:`run_grid` /
-:class:`ScenarioGrid` (also the CLI ``sweep`` subcommand).
+:class:`DetourController`) accept ``engine="object" | "batch"``.  There
+is one layer of parallelism: :func:`run_grid` maps independent tasks —
+grid cells, Monte-Carlo replicas, and the per-batch ``shards`` of a
+closed-loop spec — over one :class:`WorkerPool` and merges closed-loop
+results exactly through :class:`ShardStats` (see
+:mod:`repro.simulator.shard_driver`).
 
 Two ways to load the machine:
 
@@ -68,15 +66,13 @@ from repro.simulator.faults import (
     realize_fault_model,
     validate_fault_model,
 )
-from repro.simulator.pool import GraphHandle, WorkerPool
+from repro.simulator.pool import WorkerPool
 from repro.simulator.shard_driver import (
     ExperimentResult,
     GridResult,
     Scenario,
     ScenarioGrid,
     ScenarioResult,
-    ShardDriver,
-    ShardedEngine,
     ShardStats,
     run_grid,
 )
@@ -147,13 +143,10 @@ __all__ = [
     "realize_fault_model",
     "validate_fault_model",
     "ExperimentResult",
-    "GraphHandle",
     "GridResult",
     "Scenario",
     "ScenarioGrid",
     "ScenarioResult",
-    "ShardDriver",
-    "ShardedEngine",
     "ShardStats",
     "WorkerPool",
     "run_grid",

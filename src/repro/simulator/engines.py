@@ -1,7 +1,7 @@
 """The ``ENGINES`` registry: simulation-engine factories by name.
 
 Every engine shares the injection/step/stats contract the controllers
-drive (see :mod:`repro.simulator` for the trio's semantics); this module
+drive (see :mod:`repro.simulator` for the pair's semantics); this module
 is where a *name* becomes an instance.  The fault controllers, the
 experiment runner and the CLI all resolve ``engine="..."`` strings here,
 so adding an engine is one decorated factory — no dispatch chain to
@@ -9,9 +9,9 @@ edit, and an unknown name raises a :class:`~repro.errors.ParameterError`
 naming the valid choices at lookup (or spec-validation) time instead of
 a ``KeyError`` inside a worker process.
 
-A factory's signature is ``(graph, link_capacity, workers) -> engine``;
-``workers`` is meaningful only to the multi-process engine and ignored
-by the in-process ones.
+A factory's signature is ``(graph, link_capacity) -> engine``.  Both
+engines run in-process; parallelism lives one level up, in
+:func:`~repro.simulator.shard_driver.run_grid`.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ ENGINES = Registry("engine")
 
 
 @ENGINES.register("object")
-def _object_engine(graph, link_capacity: int, workers=None):
+def _object_engine(graph, link_capacity: int):
     """Reference engine: one Python object per packet."""
     from repro.simulator.network import NetworkSimulator
 
@@ -32,27 +32,17 @@ def _object_engine(graph, link_capacity: int, workers=None):
 
 
 @ENGINES.register("batch")
-def _batch_engine(graph, link_capacity: int, workers=None):
+def _batch_engine(graph, link_capacity: int):
     """Vectorized structure-of-arrays engine — use for heavy traffic."""
     from repro.simulator.batch_engine import BatchEngine
 
     return BatchEngine(graph, link_capacity)
 
 
-@ENGINES.register("sharded")
-def _sharded_engine(graph, link_capacity: int, workers=None):
-    """Multi-process waves on top of the batch engine (fault timing
-    coarsens to batch boundaries)."""
-    # local import: shard_driver imports the controllers for its workers
-    from repro.simulator.shard_driver import ShardedEngine
-
-    return ShardedEngine(graph, link_capacity, workers=workers)
-
-
-def make_engine(name: str, graph, link_capacity: int = 1, workers=None):
+def make_engine(name: str, graph, link_capacity: int = 1):
     """Build the engine registered under ``name``.
 
     Raises :class:`~repro.errors.ParameterError` (a ``ValueError``)
     naming the valid choices when ``name`` is unknown.
     """
-    return ENGINES.get(name)(graph, link_capacity, workers)
+    return ENGINES.get(name)(graph, link_capacity)

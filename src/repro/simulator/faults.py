@@ -45,14 +45,14 @@ silently postpones them).  ``fault_log`` records the ``(cycle, node)``
 pairs as they actually fired (``repair_log`` likewise for repairs), so
 tests can pin the timeline.
 
-Both controllers drive any of the simulation engines: ``engine="object"``
-(:class:`NetworkSimulator`, one Python object per packet),
+Both controllers drive either simulation engine: ``engine="object"``
+(:class:`NetworkSimulator`, one Python object per packet) or
 ``engine="batch"`` (:class:`BatchEngine`, vectorized structure-of-arrays
-— use it for heavy traffic) or ``engine="sharded"``
-(:class:`repro.simulator.shard_driver.ShardedEngine`, multi-process on
-top of the batch engine; fault timing coarsens to batch boundaries).
-The object and batch engines are golden-tested semantic twins; the
-sharded engine is bit-identical whenever no fault fires mid-drain.
+— use it for heavy traffic).  The two are golden-tested semantic twins,
+mid-drain faults included.  Parallelism lives one level up: independent
+cells, replicas and per-batch ``shards`` of an
+:class:`~repro.experiments.ExperimentSpec` fan out through
+:func:`~repro.simulator.shard_driver.run_grid`.
 """
 
 from __future__ import annotations
@@ -89,7 +89,7 @@ __all__ = [
 ]
 
 #: Registry of fault-controller builders with the uniform signature
-#: ``(m, h, k, *, engine, link_capacity, route_mode, workers) -> controller``
+#: ``(m, h, k, *, engine, link_capacity, route_mode) -> controller``
 #: — the experiment spec layer builds controllers through it, and a new
 #: strategy (a different spare layout, an adaptive router) registers here
 #: instead of growing another string switch.
@@ -425,25 +425,20 @@ class ReconfigurationController:
     m, h, k:
         Construction parameters of the underlying ``B^k_{m,h}``.
     engine:
-        ``"object"`` (reference engine), ``"batch"`` (vectorized; use for
-        heavy traffic) or ``"sharded"`` (multi-process on top of the
-        batch engine; faults fire at batch boundaries — see
-        :class:`repro.simulator.shard_driver.ShardedEngine`).
+        ``"object"`` (reference engine) or ``"batch"`` (vectorized; use
+        for heavy traffic).
     link_capacity:
         Packets one directed link may move per cycle.
-    workers:
-        Worker-process count for ``engine="sharded"`` (``None`` = one per
-        CPU core); ignored by the in-process engines.
     """
 
     def __init__(self, m: int, h: int, k: int, *, engine: str = "object",
-                 link_capacity: int = 1, workers: int | None = None):
+                 link_capacity: int = 1):
         self.m, self.h, self.k = int(m), int(h), int(k)
         self.target = debruijn(m, h)
         self.ft = ft_debruijn(m, h, k)
         self.rec = Reconfigurator(self.ft.node_count, self.target.node_count)
         self.engine = engine
-        self.sim = make_engine(engine, self.ft, link_capacity, workers)
+        self.sim = make_engine(engine, self.ft, link_capacity)
         self.events = EventQueue()
         self.lost_to_faults = 0
         self.fault_log: list[tuple[int, int]] = []
@@ -528,19 +523,7 @@ class ReconfigurationController:
         packets queued in the failed router (counted in
         ``lost_to_faults``).  Events scheduled beyond the last simulated
         cycle never fire.
-
-        With ``engine="sharded"`` the batches are drained across the
-        worker pool instead: consecutive batches with no pending event are
-        injected together and drained as one parallel wave (bit-identical
-        statistics to ``engine="batch"``), while pending events force
-        batch-at-a-time draining with faults applied at batch boundaries
-        (mid-drain timing is deferred to the end of the draining batch —
-        see :class:`repro.simulator.shard_driver.ShardedEngine`).
         """
-        if self.engine == "sharded":
-            return self._run_workload_sharded(
-                batches, cycles_per_batch=cycles_per_batch, max_cycles=max_cycles
-            )
         for i, batch in enumerate(batches):
             if i and cycles_per_batch:
                 for _ in range(cycles_per_batch):
@@ -566,30 +549,6 @@ class ReconfigurationController:
         from repro.simulator.streaming import run_stream
 
         return run_stream(self, source, **kwargs)
-
-    def _run_workload_sharded(self, batches: list[np.ndarray], *,
-                              cycles_per_batch: int,
-                              max_cycles: int) -> RunStats:
-        """Sharded twin of :meth:`run_workload`: greedily inject every
-        batch that no pending event could precede, then drain the wave in
-        parallel.  Any pending event (even one due far past the end of the
-        run — drain durations are unknown up front) conservatively forces
-        batch-at-a-time draining so its boundary position is preserved."""
-        i, n = 0, len(batches)
-        while i < n:
-            if i and cycles_per_batch:
-                self.sim.cycle += cycles_per_batch  # idle gap, spent at once
-            self.fire_due_events()
-            self._inject(batches[i])
-            i += 1
-            while i < n and not len(self.events):
-                if cycles_per_batch:
-                    self.sim.cycle += cycles_per_batch
-                self._inject(batches[i])
-                i += 1
-            self.sim.drain(max_cycles=max_cycles)
-        self.fire_due_events()
-        return self.sim.stats()
 
 
 class DetourController:
@@ -624,13 +583,12 @@ class DetourController:
     """
 
     def __init__(self, m: int, h: int, *, engine: str = "object",
-                 link_capacity: int = 1, workers: int | None = None,
-                 route_mode: str = "bfs"):
+                 link_capacity: int = 1, route_mode: str = "bfs"):
         self.m, self.h = int(m), int(h)
         self.target = debruijn(m, h)
         self.engine = engine
         self.route_mode = ROUTE_MODES.validate(route_mode)
-        self.sim = make_engine(engine, self.target, link_capacity, workers)
+        self.sim = make_engine(engine, self.target, link_capacity)
         self.faults: set[int] = set()
         self.unreachable_pairs = 0
         self.lost_to_faults = 0
@@ -764,19 +722,11 @@ class DetourController:
         """Route (via the configured backend) and drain each batch,
         firing scheduled fault events at batch boundaries (the detour
         baseline drains whole batches, so that is its event granularity;
-        events due past the last simulated cycle never fire).
-        ``engine="sharded"`` defers the drains and runs them as one
-        parallel wave — with a fixed fault set the batches are
-        independent and the merged statistics are bit-identical to the
-        sequential engines."""
-        sharded = self.engine == "sharded"
+        events due past the last simulated cycle never fire)."""
         for batch in batches:
             self.fire_due_events()
             flat, offsets, _ = self.detour_routes_batch(batch)
             self.sim.inject_routes(flat, offsets, validate=False)
-            if not sharded:
-                self.sim.run(max_cycles)
-        if sharded:
             self.sim.run(max_cycles)
         self.fire_due_events()
         return self.sim.stats()
@@ -792,20 +742,20 @@ ROUTE_MODES.register("table")(DetourController._table_routes)
 
 @CONTROLLERS.register("reconfig")
 def _build_reconfig(m, h, k, *, engine="batch", link_capacity=1,
-                    route_mode="bfs", workers=None):
+                    route_mode="bfs"):
     """The paper's machine: ``B^k_{m,h}`` + monotone remap (``route_mode``
     does not apply — reconfigured routes are lifted shift-register paths)."""
     return ReconfigurationController(
-        m, h, k, engine=engine, link_capacity=link_capacity, workers=workers
+        m, h, k, engine=engine, link_capacity=link_capacity
     )
 
 
 @CONTROLLERS.register("detour")
 def _build_detour(m, h, k, *, engine="batch", link_capacity=1,
-                  route_mode="bfs", workers=None):
+                  route_mode="bfs"):
     """The spare-less baseline on the bare target graph (``k`` does not
     apply — there are no spares to configure)."""
     return DetourController(
         m, h, engine=engine, link_capacity=link_capacity,
-        route_mode=route_mode, workers=workers,
+        route_mode=route_mode,
     )

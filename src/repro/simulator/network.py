@@ -34,7 +34,7 @@ import numpy as np
 
 from repro.errors import SimulationError
 from repro.graphs.static_graph import StaticGraph
-from repro.simulator.metrics import RunStats, summarize
+from repro.simulator.metrics import PacketArrays, RunStats, summarize
 from repro.simulator.packets import Packet
 
 __all__ = ["NetworkSimulator"]
@@ -266,6 +266,11 @@ class NetworkSimulator:
                 )
             self.step()
         return self.stats()
+
+    def packet_records(self) -> PacketArrays:
+        """Structure-of-arrays view of every packet injected so far (the
+        same accessor :meth:`BatchEngine.packet_records` offers)."""
+        return PacketArrays.from_packets(self.packets)
 
     def stats(self) -> RunStats:
         """Aggregate statistics over everything injected so far."""

@@ -1,17 +1,16 @@
-"""Persistent warm worker pool and the zero-copy graph task payload.
+"""Persistent warm worker pool: the one layer of parallelism.
 
-Before this module, every :meth:`ShardDriver.map` call built a process
-pool from scratch: spawn workers, ship tasks, join, tear down.  One grid
-cell or one saturation-ladder rung paid the full pool-startup tax, and
-every task carried its graph by pickle.  :class:`WorkerPool` keeps the
-workers *alive across map calls*:
+:func:`~repro.simulator.shard_driver.run_grid` sends every kind of
+independent work through one :class:`WorkerPool` — spec cells,
+Monte-Carlo replicas and the per-batch ``shards`` of a closed-loop
+spec.  The pool keeps its workers *alive across map calls*:
 
 * **long-lived workers** — processes start once (lazily, up to the
   pool's target), then sit on the shared task queue; a second ``map``
   reuses them with zero spawn cost;
-* **chunked work stealing** — same dispatch discipline as the ephemeral
-  pool: tasks go onto one queue in chunks, idle workers pull the next
-  chunk, so a slow scenario delays the pool by one chunk at most;
+* **chunked work stealing** — tasks go onto one queue in chunks, idle
+  workers pull the next chunk, so a slow scenario delays the pool by
+  one chunk at most;
 * **generations** — each ``map`` call is a tagged generation, so
   leftovers of an aborted call (a failed task, a killed worker) are
   recognized and dropped instead of corrupting the next call;
@@ -23,19 +22,17 @@ workers *alive across map calls*:
   one sentinel per worker, joins, and terminates stragglers; workers are
   daemons, so even an abandoned pool cannot outlive the parent.
 
-:class:`~repro.simulator.shard_driver.ShardDriver` is a thin facade over
-this class: it either *borrows* a caller-supplied pool (the warm path —
-``run_grid``/``load_sweep``/``find_saturation`` thread one pool through
-a whole sweep) or manages an ephemeral one per ``map`` call
-(bit-identical to the historical behavior).
+``run_grid`` either borrows a caller's warm pool (``pool=`` — the path
+``repro run``, ``repro serve`` and ``repro report`` take, one pool per
+process) or opens an ephemeral one for a single sweep.
 
-The zero-copy side: :class:`GraphHandle` is the task payload that names
-a :meth:`StaticGraph.to_shm` segment instead of carrying the pickled
-graph.  Workers :meth:`~GraphHandle.attach` to the segment — a zero-copy
-O(1) mapping, cached per worker process so a thousand shards of the same
-graph map it exactly once.  When shared memory is unavailable
-(:func:`repro.shm.shm_available` is ``False``), callers keep passing the
-graph itself and nothing changes — the pickle fallback.
+Why not ``concurrent.futures.ProcessPoolExecutor``: this pool keeps
+chunk granularity, result ordering, the inline ``workers<=1`` reference
+path and the failure contract (a :class:`SimulationError` naming the
+failed task, dead workers detected by claim/finish accounting) in
+explicit lines that the tests pin down.  The trade is that rarer hazards
+the stdlib hardens against (a worker dying *while holding* the
+task-queue lock) are accepted as out of scope.
 """
 
 from __future__ import annotations
@@ -44,19 +41,11 @@ import os
 import queue as _queue
 import traceback
 import weakref
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from repro.errors import SimulationError, WorkerDiedError
-from repro.graphs.static_graph import StaticGraph
 
-__all__ = ["WorkerPool", "GraphHandle", "resolve_graph"]
-
-
-def _resolve_workers(workers: int | None, n_tasks: int) -> int:
-    if workers is None:
-        workers = os.cpu_count() or 1
-    return max(0, min(int(workers), n_tasks))
+__all__ = ["WorkerPool"]
 
 
 def _map_inline(func: Callable, tasks: Sequence) -> list:
@@ -75,76 +64,6 @@ def _map_inline(func: Callable, tasks: Sequence) -> list:
 
 
 # ---------------------------------------------------------------------------
-# worker-side shared-memory attachments
-# ---------------------------------------------------------------------------
-
-#: Per-process cache of attached shared graphs, keyed by segment name.
-#: Workers are persistent, so the first shard naming a segment maps it
-#: and every later shard reuses the mapping — the whole point of the
-#: zero-copy plane.  Bounded: a sweep only ever has a handful of live
-#: segments, so the cache is flushed wholesale if it somehow grows.
-_ATTACH_CACHE: dict[str, StaticGraph] = {}
-_ATTACH_CACHE_MAX = 16
-
-
-def _clear_attach_cache() -> None:
-    while _ATTACH_CACHE:
-        _, g = _ATTACH_CACHE.popitem()
-        try:
-            g.close_shm()
-        except Exception:  # pragma: no cover - unmapped at process exit anyway
-            pass
-
-
-@dataclass(frozen=True)
-class GraphHandle:
-    """A task payload that *names* a shared-memory graph.
-
-    Shards carrying a handle pickle as a few dozen bytes regardless of
-    graph size; the worker side :meth:`attach`\\ es to the segment
-    zero-copy (cached per process).  The segment holds exactly the
-    graph's canonical CSR planes (``row_offsets``/``col_indices``) — no
-    conversion on export, and the attached graph's arrays are views
-    straight into the mapping.  The exporting side — e.g.
-    :class:`~repro.simulator.shard_driver.ShardedEngine` — owns the
-    segment and unlinks it when the sweep is over.
-    """
-
-    name: str
-    nodes: int
-    edges: int
-
-    @classmethod
-    def export(cls, graph: StaticGraph) -> tuple["GraphHandle", "object"]:
-        """Export ``graph`` and return ``(handle, owning ShmBlock)``.
-        The caller keeps the block and unlinks it after the last worker
-        task that may attach has finished."""
-        block = graph.to_shm()
-        return (
-            cls(name=block.name, nodes=graph.node_count, edges=graph.edge_count),
-            block,
-        )
-
-    def attach(self) -> StaticGraph:
-        """The shared graph, as a zero-copy read-only view (cached)."""
-        g = _ATTACH_CACHE.get(self.name)
-        if g is None:
-            if len(_ATTACH_CACHE) >= _ATTACH_CACHE_MAX:
-                _clear_attach_cache()
-            g = StaticGraph.from_shm(self.name)
-            _ATTACH_CACHE[self.name] = g
-        return g
-
-
-def resolve_graph(payload: "StaticGraph | GraphHandle") -> StaticGraph:
-    """Turn a task's graph payload — pickled graph or shared-memory
-    handle — into a usable :class:`StaticGraph` (worker side)."""
-    if isinstance(payload, GraphHandle):
-        return payload.attach()
-    return payload
-
-
-# ---------------------------------------------------------------------------
 # the persistent pool
 # ---------------------------------------------------------------------------
 
@@ -159,28 +78,25 @@ def _pool_worker(worker_seq: int, task_q, result_q) -> None:
     reported per task; KeyboardInterrupt/SystemExit propagate so Ctrl-C
     actually stops the worker.
     """
-    try:
-        while True:
+    while True:
+        try:
+            item = task_q.get()
+        except (EOFError, OSError):  # parent closed the queue
+            return
+        if item is None:
+            return
+        gen, chunk_id, func, items = item
+        result_q.put(("claim", gen, chunk_id, worker_seq))
+        for idx, task in items:
             try:
-                item = task_q.get()
-            except (EOFError, OSError):  # parent closed the queue
-                return
-            if item is None:
-                return
-            gen, chunk_id, func, items = item
-            result_q.put(("claim", gen, chunk_id, worker_seq))
-            for idx, task in items:
-                try:
-                    result_q.put(("done", gen, idx, True, func(task)))
-                except Exception as exc:
-                    result_q.put(
-                        ("done", gen, idx, False,
-                         f"{type(exc).__name__}: {exc}\n"
-                         f"{traceback.format_exc()}")
-                    )
-            result_q.put(("fin", gen, chunk_id, worker_seq))
-    finally:
-        _clear_attach_cache()
+                result_q.put(("done", gen, idx, True, func(task)))
+            except Exception as exc:
+                result_q.put(
+                    ("done", gen, idx, False,
+                     f"{type(exc).__name__}: {exc}\n"
+                     f"{traceback.format_exc()}")
+                )
+        result_q.put(("fin", gen, chunk_id, worker_seq))
 
 
 def _terminate_procs(procs: list) -> None:
@@ -199,11 +115,10 @@ class WorkerPool:
     calls — :attr:`spawned` counts total process launches, so a grid of
     200 cells over 4 workers reports 4, not 800.
 
-    ``map`` semantics match the historical ephemeral pool bit-for-bit:
-    results in task order, task failures re-raised as
-    :class:`SimulationError` naming the task, dead workers detected
-    instead of hanging, and ``min(workers, len(tasks)) <= 1`` running
-    inline in-process with zero spawns.
+    The ``map`` contract: results in task order, task failures
+    re-raised as :class:`SimulationError` naming the task, dead workers
+    detected instead of hanging, and ``min(workers, len(tasks)) <= 1``
+    running inline in-process with zero spawns.
 
     Parameters
     ----------
@@ -213,17 +128,15 @@ class WorkerPool:
     chunk_size:
         Tasks per steal; ``None`` picks ``ceil(n / (workers * 4))`` per
         map call.
-    start_method:
-        ``multiprocessing`` start method; ``None`` prefers ``fork``
-        (cheap, Linux) and falls back to ``spawn``.
+
+    Workers start with ``fork`` where the platform has it (cheap,
+    Linux) and ``spawn`` elsewhere.
     """
 
     def __init__(self, workers: int | None = None, *,
-                 chunk_size: int | None = None,
-                 start_method: str | None = None):
+                 chunk_size: int | None = None):
         self.workers = workers
         self.chunk_size = chunk_size
-        self.start_method = start_method
         self.spawned = 0          # total processes ever launched (tests/benches)
         self._procs: list = []    # mutated in place: the finalizer sees updates
         self._ctx = None
@@ -245,7 +158,7 @@ class WorkerPool:
     def resolve_workers(self, n_tasks: int) -> int:
         """Process count a ``map`` of ``n_tasks`` tasks would use
         (``<= 1`` means inline)."""
-        return _resolve_workers(self.workers, n_tasks)
+        return min(self.target_workers, n_tasks)
 
     @property
     def closed(self) -> bool:
@@ -261,10 +174,10 @@ class WorkerPool:
     def _make_context(self):
         import multiprocessing as mp
 
-        if self.start_method is not None:
-            return mp.get_context(self.start_method)
-        methods = mp.get_all_start_methods()
-        return mp.get_context("fork" if "fork" in methods else "spawn")
+        try:
+            return mp.get_context("fork")
+        except ValueError:  # pragma: no cover - platforms without fork
+            return mp.get_context("spawn")
 
     def _ensure_workers(self, n: int) -> None:
         """Prune dead workers and spawn until ``n`` are live."""
@@ -422,11 +335,8 @@ class WorkerPool:
 
         ``force=True`` is the interrupt path (Ctrl-C mid-``map``,
         SIGTERM): workers may be busy and will never reach their
-        sentinel, so the undispatched backlog is drained, every worker
-        is terminated outright with a short join, and any shared-memory
-        segment this process still owns is unlinked —
-        :func:`repro.shm.unlink_owned` — because the exception unwound
-        past whoever held the owning handle.
+        sentinel, so the undispatched backlog is drained and every
+        worker is terminated outright with a short join.
         """
         if self._closed:
             return
@@ -460,10 +370,6 @@ class WorkerPool:
                 q.close()
                 q.cancel_join_thread()
         self._task_q = self._result_q = None
-        if force:
-            from repro import shm
-
-            shm.unlink_owned()
 
     def __enter__(self) -> "WorkerPool":
         return self

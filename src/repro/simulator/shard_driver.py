@@ -1,9 +1,9 @@
-"""Sharded multi-process simulation driver on top of :class:`BatchEngine`.
+"""Grid execution on the worker pool, and the exact statistics merge.
 
 The reliability claims of the paper only become measurable at scale —
-millions of packets across many fault scenarios — and a single process
-is the wall right after vectorization.  This module partitions
-*independent* workloads across a pool of worker processes:
+millions of packets across many fault scenarios.  :func:`run_grid` is
+the one dispatch path: it flattens a grid into independent tasks and
+maps them over one :class:`~repro.simulator.pool.WorkerPool`:
 
 * **per experiment** — every cell of an
   :class:`~repro.experiments.ExperimentGrid` (a declarative sweep over
@@ -11,26 +11,23 @@ is the wall right after vectorization.  This module partitions
   and seed replicas) is an independent simulation — closed-loop drains
   and open-loop streams alike, so a saturation surface (rate x size x
   faults) runs as one sweep;
-* **per seed** — replicas are just another grid axis;
-* **per batch** — one closed-loop experiment's injection batches are
-  independent too, because the engines fully drain between batches:
-  batch ``i + 1`` starts on an empty network, so simulating each batch
+* **per replica** — a Monte-Carlo cell's ``replicas`` are realized in
+  the submitting process and run as one task each;
+* **per batch** — a closed-loop spec's ``shards`` split its injection
+  batches into tasks.  The engines fully drain between batches, so
+  batch ``i + 1`` starts on an empty network, and simulating each batch
   in a fresh engine and merging the records is *bit-identical* to
   draining them sequentially in one engine (see :class:`ShardStats` for
   why the merge is exact).
 
+Every task runs a real ``engine="object"`` or ``engine="batch"``
+simulation, so faults fire at exactly the cycle they come due.
+
 Results come back as :class:`ShardStats` — a mergeable, pickle-friendly
 twin of :class:`RunStats` that carries exact counts plus latency/hop
-histograms, so N shards reduce to the same ``RunStats`` a single-process
+histograms, so N tasks reduce to the same ``RunStats`` a single-process
 run would have produced (bit-identical floats included; the property
 tests in ``tests/test_shard_driver.py`` enforce this).
-
-Dispatch is *chunked work stealing*: tasks sit on one shared queue and
-idle workers pull the next chunk, so a skewed scenario (a hotspot drain
-that runs 10x longer than its neighbors) never staggers the pool the way
-a static pre-partition would.  ``chunk_size=1`` (the default for small
-grids) is pure dynamic balancing; larger chunks amortize IPC when
-scenarios are tiny and plentiful.
 
 Entry points
 ------------
@@ -39,17 +36,14 @@ Entry points
                            :class:`~repro.experiments.ExperimentSpec`
                            lists, and the legacy scenario types; pass
                            ``pool=`` to reuse warm workers)
-:class:`ShardDriver`       the dispatch facade: borrows a warm
-                           :class:`~repro.simulator.pool.WorkerPool` or
-                           manages an ephemeral one per ``map`` call
 :class:`WorkerPool`        the persistent chunked work-stealing pool
                            (re-exported from
                            :mod:`repro.simulator.pool`)
-:class:`ShardedEngine`     ``engine="sharded"`` for the fault controllers
 :class:`ShardStats`        the mergeable statistics record
 :class:`ExperimentResult`  one executed spec's outcome (the legacy
                            ``ScenarioResult``/``StreamPointResult``
                            names alias it)
+:class:`GridResult`        a sweep's per-spec results and aggregate
 
 The legacy :class:`Scenario` dataclass remains as a deprecation shim
 that builds an :class:`~repro.experiments.ExperimentSpec` internally and
@@ -69,23 +63,15 @@ from __future__ import annotations
 import itertools
 import time
 import warnings
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro.errors import ParameterError, SimulationError
-from repro.graphs.static_graph import StaticGraph
-from repro.shm import shm_available
-from repro.simulator.batch_engine import BatchEngine, validate_injection
+from repro.errors import ParameterError
 from repro.simulator.metrics import PacketArrays, RunStats
-from repro.simulator.pool import (
-    GraphHandle,
-    WorkerPool,
-    _map_inline,
-    _resolve_workers,
-    resolve_graph,
-)
+from repro.simulator.pool import WorkerPool
 
 __all__ = [
     "ShardStats",
@@ -94,8 +80,6 @@ __all__ = [
     "ScenarioGrid",
     "ScenarioResult",
     "GridResult",
-    "ShardDriver",
-    "ShardedEngine",
     "WorkerPool",
     "run_grid",
 ]
@@ -276,13 +260,6 @@ class ShardStats:
             mean_hops=mean_hops,
             throughput=delivered / cycles if cycles else 0.0,
         )
-
-
-def _records_of(sim) -> PacketArrays:
-    """Structure-of-arrays packet records from either in-process engine."""
-    if hasattr(sim, "packet_records"):
-        return sim.packet_records()
-    return PacketArrays.from_packets(sim.packets)
 
 
 # ---------------------------------------------------------------------------
@@ -611,88 +588,6 @@ class ScenarioGrid:
 
 
 # ---------------------------------------------------------------------------
-# the driver facade over the persistent pool
-# ---------------------------------------------------------------------------
-
-class ShardDriver:
-    """Dispatch facade for independent simulation tasks.
-
-    The actual chunked work-stealing process pool lives in
-    :class:`~repro.simulator.pool.WorkerPool`; a driver either *borrows*
-    a caller-supplied persistent pool (``pool=``) — the warm path, where
-    one set of workers serves a whole grid or saturation ladder — or
-    manages an ephemeral one per :meth:`map` call, which reproduces the
-    historical spawn-per-call behavior bit-for-bit (same chunking, same
-    result ordering, same failure contract).
-
-    Why not ``concurrent.futures.ProcessPoolExecutor``: the bespoke pool
-    keeps chunk granularity, result ordering, the inline ``workers<=1``
-    reference path and the failure contract (a :class:`SimulationError`
-    naming the failed task, dead workers detected by claim/finish
-    accounting) in explicit lines that the tests pin down.  The trade is
-    that rarer hazards the stdlib hardens against (a worker dying *while
-    holding* the task-queue lock) are accepted as out of scope.
-
-    Parameters
-    ----------
-    workers:
-        Process count.  ``None`` = ``os.cpu_count()`` capped by the task
-        count; ``0``/``1`` = run inline in this process (identical code
-        path, no pool — the reference the equivalence tests use).
-        Ignored when ``pool`` is given (the pool sizes itself).
-    chunk_size:
-        Tasks per steal.  ``None`` picks ``ceil(n / (workers * 4))`` —
-        four steals per worker on average, amortizing queue IPC while
-        keeping the straggler bound tight.
-    start_method:
-        ``multiprocessing`` start method; ``None`` prefers ``fork``
-        (cheap, Linux) and falls back to ``spawn``.
-    pool:
-        A warm :class:`~repro.simulator.pool.WorkerPool` to borrow.  The
-        driver never closes a borrowed pool — lifecycle stays with the
-        caller (use the pool as a context manager around the sweep).
-    """
-
-    def __init__(self, workers: int | None = None, *,
-                 chunk_size: int | None = None,
-                 start_method: str | None = None,
-                 pool: WorkerPool | None = None):
-        self.workers = workers
-        self.chunk_size = chunk_size
-        self.start_method = start_method
-        self.pool = pool
-
-    def resolve_workers(self, n_tasks: int) -> int:
-        """The process count :meth:`map` would use for ``n_tasks`` tasks
-        (``None`` resolves to ``os.cpu_count()`` capped by the task
-        count; ``<= 1`` means inline).  Callers publishing results
-        record this so curves carry their provenance."""
-        if self.pool is not None:
-            return self.pool.resolve_workers(n_tasks)
-        return _resolve_workers(self.workers, n_tasks)
-
-    def map(self, func: Callable, tasks: Sequence) -> list:
-        """Run ``func`` over every task, preserving input order in the
-        result list.  Exceptions — in a worker or inline — re-raise as
-        :class:`SimulationError` naming the failed task; a worker process
-        dying without reporting (OOM kill, segfault) is detected and
-        raised instead of hanging."""
-        tasks = list(tasks)
-        if not tasks:
-            return []
-        if self.pool is not None:
-            return self.pool.map(func, tasks)
-        workers = _resolve_workers(self.workers, len(tasks))
-        if workers <= 1:
-            return _map_inline(func, tasks)
-        with WorkerPool(
-            workers=workers, chunk_size=self.chunk_size,
-            start_method=self.start_method,
-        ) as ephemeral:
-            return ephemeral.map(func, tasks)
-
-
-# ---------------------------------------------------------------------------
 # grid execution
 # ---------------------------------------------------------------------------
 
@@ -822,7 +717,6 @@ def run_grid(
     *,
     workers: int | None = None,
     chunk_size: int | None = None,
-    driver: ShardDriver | None = None,
     pool: WorkerPool | None = None,
 ) -> GridResult:
     """Sweep an experiment grid across a worker pool and reduce the
@@ -833,7 +727,7 @@ def run_grid(
     :class:`~repro.experiments.ExperimentSpec` cells (legacy
     ``Scenario``/``StreamScenario`` shims are converted).  Closed-loop
     and stream cells mix freely — a stream grid over rates x sizes x
-    fault sets *is* a saturation surface executed as one sharded sweep.
+    fault sets *is* a saturation surface executed as one sweep.
 
     The per-spec results come back in grid order regardless of which
     worker finished first, and the merged closed-loop aggregate is
@@ -841,14 +735,19 @@ def run_grid(
     reducer is exact.
 
     ``pool`` borrows a warm :class:`~repro.simulator.pool.WorkerPool`
-    for the sweep (the caller keeps lifecycle); ``driver`` overrides the
-    whole dispatch facade and wins over ``pool``/``workers``.
+    for the sweep and never closes it (the caller keeps lifecycle);
+    without one, ``workers`` and ``chunk_size`` size an ephemeral pool
+    that lives for this call only.
     """
     specs = _as_specs(grid)
     tasks, owners = _expand_tasks(specs)
-    drv = driver or ShardDriver(workers=workers, chunk_size=chunk_size, pool=pool)
+    ephemeral = pool is None
+    runner = WorkerPool(workers=workers, chunk_size=chunk_size) if ephemeral else pool
     t0 = time.perf_counter()
-    raw = drv.map(_run_spec_task, tasks)
+    # an ephemeral pool closes on exit (force-closing on an interrupt);
+    # a borrowed one stays open for the caller
+    with runner if ephemeral else nullcontext():
+        raw = runner.map(_run_spec_task, tasks)
     seconds = time.perf_counter() - t0
 
     by_owner: dict[int, list[ExperimentResult]] = {}
@@ -864,292 +763,5 @@ def run_grid(
     return GridResult(
         results=merged,
         seconds=seconds,
-        workers=drv.resolve_workers(len(tasks)),
+        workers=runner.resolve_workers(len(tasks)),
     )
-
-
-# ---------------------------------------------------------------------------
-# engine="sharded": drop-in engine for the fault controllers
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class _RouteShard:
-    """A pre-routed injection batch, frozen with the fault state it was
-    validated against — everything a worker needs to drain it.
-
-    ``graph`` is either the graph itself (pickled across the process
-    boundary) or a :class:`~repro.simulator.pool.GraphHandle` naming a
-    shared-memory segment the worker attaches to zero-copy."""
-
-    graph: "StaticGraph | GraphHandle"
-    link_capacity: int
-    flat: np.ndarray
-    offsets: np.ndarray
-    dead_nodes: tuple[int, ...]
-    dead_links: tuple[tuple[int, int], ...]
-    validate: bool
-    max_cycles: int = 1_000_000
-
-
-def _run_route_shard(shard: _RouteShard) -> ShardStats:
-    """Drain one route shard in a fresh :class:`BatchEngine` (worker side)."""
-    be = BatchEngine(resolve_graph(shard.graph), shard.link_capacity)
-    for v in shard.dead_nodes:
-        be.disable_node(v)
-    for u, v in shard.dead_links:
-        be.disable_link(u, v)
-    be.inject_routes(shard.flat, shard.offsets, validate=shard.validate)
-    if be.in_flight:
-        be.run(max_cycles=shard.max_cycles)
-    return ShardStats.from_arrays(be.packet_records(), be.cycle)
-
-
-class ShardedEngine:
-    """The ``engine="sharded"`` backend for the fault controllers.
-
-    Each :meth:`inject_routes` call records one *shard* — an injection
-    batch frozen with the current fault state — instead of simulating it.
-    :meth:`drain` (or :meth:`run`/:meth:`step`) then drains every pending
-    shard in a fresh :class:`BatchEngine` across the worker pool and
-    merges the :class:`ShardStats`.
-
-    Equivalence contract: because the controllers fully drain between
-    batches, the merged statistics are bit-identical to ``engine="batch"``
-    on the same workload *as long as no fault fires mid-drain*.  A fault
-    scheduled mid-drain is deferred to the end of the draining batch
-    (batch-boundary granularity) and drops nothing in flight — the
-    controllers go batch-at-a-time while events are pending precisely to
-    bound that skew.  Use ``engine="batch"`` when exact mid-drain fault
-    timing is the point of the experiment.
-
-    ``payload`` picks how shards carry the graph to the workers:
-    ``"shm"`` exports the CSR arrays once into a shared-memory segment
-    and ships a :class:`~repro.simulator.pool.GraphHandle` (zero-copy
-    attach per worker process); ``"pickle"`` ships the graph by value,
-    the historical behavior; ``"auto"`` (default) uses shared memory
-    when the platform supports it *and* the driver would actually cross
-    a process boundary, pickle otherwise.  Both payloads produce
-    bit-identical statistics — the property tests enforce it.  Close the
-    engine (or let it be garbage collected) to unlink the segment.
-    """
-
-    def __init__(self, graph: StaticGraph, link_capacity: int = 1, *,
-                 workers: int | None = None,
-                 driver: ShardDriver | None = None,
-                 payload: str = "auto"):
-        if link_capacity < 1:
-            raise SimulationError("link_capacity must be >= 1")
-        if payload not in ("auto", "shm", "pickle"):
-            raise ParameterError(
-                f"payload must be 'auto', 'shm' or 'pickle', got {payload!r}"
-            )
-        self.graph = graph
-        self.link_capacity = int(link_capacity)
-        self.payload = payload
-        self.cycle = 0
-        self.driver = driver or ShardDriver(workers=workers)
-        self._n = graph.node_count
-        self._dead = np.zeros(self._n, dtype=bool)
-        self._dead_link_keys = np.zeros(0, dtype=_I64)  # sorted u * n + v
-        self._pending: list[_RouteShard] = []
-        self._pending_packets = 0
-        self._done: list[ShardStats] = []
-        self._injected = 0
-        self._graph_export = None       # owning ShmBlock once exported
-        self._graph_handle: GraphHandle | None = None
-
-    # -- graph payload ------------------------------------------------------
-
-    def _use_shm(self) -> bool:
-        if self.payload == "shm":
-            return True
-        if self.payload == "pickle":
-            return False
-        # "auto": zero-copy only pays when a process boundary exists —
-        # resolve_workers(2) > 1 means the driver would parallelize given
-        # enough shards (inline runs read self.graph directly anyway)
-        return shm_available() and self.driver.resolve_workers(2) > 1
-
-    def _graph_payload(self) -> "StaticGraph | GraphHandle":
-        """What a freshly recorded shard carries as its graph: a shm
-        handle (exported lazily, once) or the graph itself."""
-        if not self._use_shm():
-            return self.graph
-        if self._graph_handle is None:
-            # forced payload="shm" raises ShmError here when unavailable
-            self._graph_handle, self._graph_export = GraphHandle.export(self.graph)
-        return self._graph_handle
-
-    def close(self) -> None:
-        """Unlink the exported graph segment, if any (idempotent).  The
-        owning block's GC finalizer is the backstop, but sweeps should
-        close explicitly — shared-memory segments outlive processes."""
-        if self._graph_export is not None:
-            self._graph_export.unlink()
-            self._graph_export = None
-            self._graph_handle = None
-
-    def __enter__(self) -> "ShardedEngine":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    # -- fault state --------------------------------------------------------
-
-    @property
-    def dead_nodes(self) -> frozenset[int]:
-        return frozenset(int(v) for v in np.flatnonzero(self._dead))
-
-    def _dead_link_pairs(self) -> tuple[tuple[int, int], ...]:
-        """The dead directed links as plain pairs (shard snapshots)."""
-        return tuple(
-            (int(k) // self._n, int(k) % self._n) for k in self._dead_link_keys
-        )
-
-    def disable_node(self, v: int) -> int:
-        """Mark a node dead for everything injected from now on.  Pending
-        shards were injected before the fault, so they drain first (the
-        batch-boundary timing contract); nothing is ever dropped mid-queue
-        here, hence the constant 0."""
-        v = int(v)
-        if not 0 <= v < self._n:
-            raise SimulationError(
-                f"cannot disable node {v}: not a node of the graph [0, {self._n})"
-            )
-        if self._pending:
-            self.drain()
-        self._dead[v] = True
-        return 0
-
-    def enable_node(self, v: int) -> None:
-        """Return a disabled node to service for everything injected from
-        now on (pending shards drain first, mirroring the batch-boundary
-        timing of :meth:`disable_node`)."""
-        v = int(v)
-        if not 0 <= v < self._n:
-            raise SimulationError(
-                f"cannot enable node {v}: not a node of the graph [0, {self._n})"
-            )
-        if not self._dead[v]:
-            raise SimulationError(f"cannot enable node {v}: it is not disabled")
-        if self._pending:
-            self.drain()
-        self._dead[v] = False
-
-    def disable_link(self, u: int, v: int) -> int:
-        """Fail the undirected link ``{u, v}`` for future injections."""
-        u, v = int(u), int(v)
-        if not (0 <= u < self._n and 0 <= v < self._n):
-            raise SimulationError(
-                f"cannot disable link ({u}, {v}): endpoint out of range "
-                f"[0, {self._n})"
-            )
-        if not self.graph.has_edge(u, v):
-            raise SimulationError(
-                f"cannot disable link ({u}, {v}): not an edge of the graph"
-            )
-        if self._pending:
-            self.drain()
-        keys = np.array([u * self._n + v, v * self._n + u], dtype=_I64)
-        self._dead_link_keys = np.unique(
-            np.concatenate([self._dead_link_keys, keys])
-        )
-        return 0
-
-    # -- injection ----------------------------------------------------------
-
-    def inject_route(self, route: Sequence[int], *, validate: bool = True) -> int:
-        arr = np.array([int(v) for v in route], dtype=_I64)
-        if arr.size < 1:
-            raise SimulationError("route must contain at least the source")
-        pids = self.inject_routes(
-            arr, np.array([0, arr.size], dtype=_I64), validate=validate
-        )
-        return int(pids[0])
-
-    def inject_routes(
-        self, flat: np.ndarray, offsets: np.ndarray, *, validate: bool = True
-    ) -> np.ndarray:
-        """Record one shard.  Validation runs *now*, against the current
-        fault state, through the engines' shared
-        :func:`repro.simulator.batch_engine.validate_injection` — so a bad
-        route raises at the same program point as the other engines."""
-        flat, offsets, _, _, lens = validate_injection(
-            self.graph, flat, offsets, validate=validate,
-            dead_mask=self._dead, dead_link_keys=self._dead_link_keys,
-        )
-        if lens.size == 0:
-            return np.zeros(0, dtype=_I64)
-
-        self._pending.append(
-            _RouteShard(
-                graph=self._graph_payload(),
-                link_capacity=self.link_capacity,
-                flat=flat.copy(),
-                offsets=offsets.copy(),
-                dead_nodes=tuple(
-                    int(v) for v in np.flatnonzero(self._dead)
-                ),
-                dead_links=self._dead_link_pairs(),
-                validate=False,  # validated above; workers skip the re-check
-            )
-        )
-        count = int(lens.size)
-        pids = np.arange(self._injected, self._injected + count, dtype=_I64)
-        self._injected += count
-        self._pending_packets += count
-        return pids
-
-    # -- execution ----------------------------------------------------------
-
-    @property
-    def in_flight(self) -> int:
-        """Packets injected but not yet drained."""
-        return self._pending_packets
-
-    @property
-    def injected(self) -> int:
-        """Total packets recorded so far (pending shards included)."""
-        return self._injected
-
-    def drain(self, max_cycles: int = 1_000_000) -> int:
-        """Drain every pending shard across the pool; advances the cycle
-        clock by the summed drain durations (the sequential timeline) and
-        returns the number of packets delivered in the wave."""
-        if not self._pending:
-            return 0
-        shards = [replace(s, max_cycles=max_cycles) for s in self._pending]
-        self._pending = []
-        self._pending_packets = 0
-        stats = self.driver.map(_run_route_shard, shards)
-        self._done.extend(stats)
-        self.cycle += sum(s.cycles for s in stats)
-        return sum(s.delivered for s in stats)
-
-    def step(self) -> int:
-        """One controller-visible step: drain the pending wave if there is
-        one, else spend an idle cycle."""
-        if self._pending:
-            return self.drain()
-        self.cycle += 1
-        return 0
-
-    def run(self, max_cycles: int = 1_000_000) -> RunStats:
-        """Drain everything pending and return the aggregate statistics
-        (the other engines' ``run`` contract)."""
-        self.drain(max_cycles=max_cycles)
-        return self.stats()
-
-    # -- records ------------------------------------------------------------
-
-    def shard_stats(self) -> ShardStats:
-        """Merged mergeable statistics over every drained shard."""
-        return ShardStats.merge(self._done)
-
-    def stats(self) -> RunStats:
-        """Aggregate statistics (drains pending shards first, so the
-        numbers always cover everything injected)."""
-        if self._pending:
-            self.drain()
-        return self.shard_stats().to_run_stats(cycles=self.cycle)

@@ -20,8 +20,8 @@ Entry points
     rate, faults, horizon) — the unit the multi-process plumbing ships
     to workers.
 :func:`load_sweep`
-    Evaluate one scenario at many offered rates across a
-    :class:`repro.simulator.shard_driver.ShardDriver` worker pool.
+    Evaluate one scenario at many offered rates as one
+    :func:`~repro.simulator.shard_driver.run_grid` sweep.
 :func:`find_saturation`
     Sweep a rate ladder, bracket the saturation point, and bisect it —
     the producer of offered-load vs delivered-throughput curves (CLI:
@@ -60,9 +60,9 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.errors import ParameterError, SimulationError
-from repro.simulator.metrics import PacketArrays, StreamStats, stream_summary
-from repro.simulator.shard_driver import ExperimentResult, ShardDriver
+from repro.errors import ParameterError
+from repro.simulator.metrics import StreamStats, stream_summary
+from repro.simulator.shard_driver import ExperimentResult, run_grid
 from repro.simulator.sources import TrafficSource
 
 __all__ = [
@@ -75,12 +75,6 @@ __all__ = [
 ]
 
 _I64 = np.int64
-
-
-def _records_of(sim) -> PacketArrays:
-    if hasattr(sim, "packet_records"):
-        return sim.packet_records()
-    return PacketArrays.from_packets(sim.packets)
 
 
 def run_stream(
@@ -97,9 +91,8 @@ def run_stream(
     ----------
     ctrl:
         A :class:`~repro.simulator.faults.ReconfigurationController` or
-        :class:`~repro.simulator.faults.DetourController` with
-        ``engine="object"`` or ``engine="batch"`` (the sharded engine
-        drains in waves and cannot interleave per-cycle arrivals).
+        :class:`~repro.simulator.faults.DetourController` on either
+        engine.
     source:
         The arrival process; ``source.n`` must match the controller's
         logical node count.  The source is consulted once
@@ -136,12 +129,6 @@ def run_stream(
         raise ParameterError("run_stream needs cycles >= 1")
     if not 0 <= warmup < cycles:
         raise ParameterError("run_stream needs 0 <= warmup < cycles")
-    if getattr(ctrl, "engine", None) == "sharded":
-        raise SimulationError(
-            "run_stream requires engine='object' or 'batch': the sharded "
-            "engine drains whole waves and cannot interleave per-cycle "
-            "arrivals"
-        )
     sim = ctrl.sim
     target_n = ctrl.target.node_count
     if source.n != target_n:
@@ -247,7 +234,7 @@ def run_stream(
     # close the last epoch: every remaining refusal's cycle has passed
     cur_un = finalize_unadmitted(t_end)
     return stream_summary(
-        _records_of(sim), start=t0, cycles=cycles, warmup=warmup,
+        sim.packet_records(), start=t0, cycles=cycles, warmup=warmup,
         window=window,
         unadmitted_times=(
             np.concatenate(unadmitted) if unadmitted else None
@@ -359,36 +346,28 @@ def _as_stream_spec(base):
     return spec
 
 
-def _run_stream_point(sc) -> ExperimentResult:
-    """Module-level worker entry point (must be picklable by name)."""
-    return sc.run()
-
-
 def load_sweep(
     base,
     rates,
     *,
     workers: int | None = None,
-    driver: ShardDriver | None = None,
     pool=None,
 ) -> list[ExperimentResult]:
     """Evaluate ``base`` at every offered rate in ``rates``.
 
     ``base`` is a stream :class:`~repro.experiments.ExperimentSpec` (or
     the legacy ``StreamScenario`` shim).  Points are independent
-    simulations, so they fan out across a
-    :class:`~repro.simulator.shard_driver.ShardDriver` worker pool
-    (``workers=0`` runs inline — results are identical either way).
-    ``pool`` borrows a warm :class:`~repro.simulator.pool.WorkerPool`
-    so repeated sweeps reuse the same workers; ``driver`` overrides the
-    whole facade and wins.  Returns one
+    simulations, so they run as one
+    :func:`~repro.simulator.shard_driver.run_grid` sweep (``workers=0``
+    runs inline — results are identical either way; ``pool`` borrows a
+    warm :class:`~repro.simulator.pool.WorkerPool` so repeated sweeps
+    reuse the same workers).  Returns one
     :class:`~repro.simulator.shard_driver.ExperimentResult` per rate,
     in input order.
     """
     base = _as_stream_spec(base)
     specs = [base.with_rate(float(r)) for r in rates]
-    drv = driver or ShardDriver(workers=workers, pool=pool)
-    return drv.map(_run_stream_point, specs)
+    return list(run_grid(specs, workers=workers, pool=pool).results)
 
 
 # ---------------------------------------------------------------------------
@@ -463,7 +442,6 @@ def find_saturation(
     bisect: int = 5,
     threshold: float = 0.95,
     workers: int | None = None,
-    driver: ShardDriver | None = None,
     pool=None,
 ) -> SaturationResult:
     """Locate the saturation point of one machine/fault scenario.
@@ -491,9 +469,10 @@ def find_saturation(
     rates = sorted(float(r) for r in rates)
     if not rates:
         raise ParameterError("find_saturation needs at least one rate")
-    drv = driver or ShardDriver(workers=workers, pool=pool)
-    resolved_workers = drv.resolve_workers(len(rates))
-    points = list(load_sweep(base, rates, driver=drv))
+    ladder = run_grid(
+        [base.with_rate(r) for r in rates], workers=workers, pool=pool
+    )
+    points = list(ladder.results)
 
     lo, hi, bracketed, saturation = _bracket_first_crossing(points, threshold)
     if bracketed:
@@ -515,5 +494,5 @@ def find_saturation(
         threshold=float(threshold),
         bracketed=bracketed,
         points=tuple(points),
-        workers=resolved_workers,
+        workers=ladder.workers,
     )

@@ -7,8 +7,8 @@ output of the bit-parallel routing compiler must be **bit-identical** to
 re-implementation too naive to share bugs with the array code.  The
 checks run over every registered graph builder and over
 hypothesis-generated random edge soups (duplicates, self-loops,
-reversed pairs included), and the compiled tables are driven through all
-three engines to prove the stats they induce are identical.
+reversed pairs included), and the compiled tables are driven through
+both engines to prove the stats they induce are identical.
 """
 
 from __future__ import annotations
@@ -190,9 +190,9 @@ class TestRandomGraphs:
 
 
 class TestCrossEngine:
-    """CSR-compiled tables drive all three engines to identical stats."""
+    """CSR-compiled tables drive both engines to identical stats."""
 
-    @pytest.mark.parametrize("engine_name", ["object", "batch", "sharded"])
+    @pytest.mark.parametrize("engine_name", ["object", "batch"])
     def test_full_delivery_and_table_hops(self, engine_name):
         g = debruijn(2, 4)
         n = g.node_count
@@ -203,7 +203,7 @@ class TestCrossEngine:
         srcs = rng.integers(0, n, 64).astype(np.int64)
         dsts = rng.integers(0, n, 64).astype(np.int64)
         flat, offsets = table_routes_batch(table, srcs, dsts)
-        engine = make_engine(engine_name, g, 1, workers=0)
+        engine = make_engine(engine_name, g, 1)
         engine.inject_routes(flat, offsets)
         stats = engine.run()
         # every pair is reachable on the intact machine: full delivery,
@@ -226,8 +226,8 @@ class TestCrossEngine:
         ok = table[srcs, dsts] != UNREACHABLE
         flat, offsets = table_routes_batch(table, srcs[ok], dsts[ok])
         results = []
-        for engine_name in ("object", "batch", "sharded"):
-            engine = make_engine(engine_name, g, 1, workers=0)
+        for engine_name in ("object", "batch"):
+            engine = make_engine(engine_name, g, 1)
             for v in faults:
                 engine.disable_node(int(v))
             engine.inject_routes(flat, offsets)
@@ -235,4 +235,4 @@ class TestCrossEngine:
             results.append(
                 (stats.injected, stats.delivered, stats.dropped, stats.mean_hops)
             )
-        assert results[0] == results[1] == results[2]
+        assert results[0] == results[1]

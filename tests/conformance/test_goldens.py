@@ -6,15 +6,11 @@ refactors (a faster compile, a different frontier order, a new engine)
 cannot silently move the outputs the repo publishes:
 
 * ``workload_table.json`` — closed-loop batches with faults at cycle 0:
-  per-packet records bit-identical on ``engine="object"`` and
-  ``engine="batch"``, and the drained :class:`RunStats` bit-identical on
-  all three engines (``"sharded"`` included — static fault sets are its
-  exactness regime).
+  per-packet records and the drained :class:`RunStats` bit-identical on
+  ``engine="object"`` and ``engine="batch"``.
 * ``workload_table_midrun.json`` — a fault that comes due *between*
   batches: the detour epoch cache must recompile at the batch boundary.
-  Per-packet records pinned for the per-cycle engines (the sharded
-  engine defers whole waves, so mid-run fault timing is out of its
-  contract — see ``docs/faults-and-detours.md``).
+  Per-packet records pinned for both engines.
 * ``stream_table.json`` — open-loop streaming with a *mid-stream* fault
   epoch: per-packet records, the fault log, and the refusal accounting
   pinned bit-identically for both per-cycle engines.
@@ -52,10 +48,7 @@ STREAM_RATE = 10.0  # hot enough that the cycle-60 fault drops queued packets
 
 
 def _records(ctrl) -> PacketArrays:
-    sim = ctrl.sim
-    if hasattr(sim, "packet_records"):
-        return sim.packet_records()
-    return PacketArrays.from_packets(sim.packets)
+    return ctrl.sim.packet_records()
 
 
 def _records_payload(rec: PacketArrays) -> dict:
@@ -73,8 +66,7 @@ def _workload_batches():
 
 
 def run_workload_case(engine: str, faults) -> tuple[DetourController, object]:
-    ctrl = DetourController(M, H, engine=engine, route_mode="table",
-                            workers=0 if engine == "sharded" else None)
+    ctrl = DetourController(M, H, engine=engine, route_mode="table")
     ctrl.schedule(FaultScenario([tuple(f) for f in faults]))
     stats = ctrl.run_workload([b.copy() for b in _workload_batches()])
     return ctrl, stats
@@ -154,7 +146,7 @@ class TestWorkloadGoldens:
         assert ctrl.unreachable_pairs == golden["unreachable_pairs"]
         assert [list(f) for f in ctrl.fault_log] == golden["fault_log"]
 
-    @pytest.mark.parametrize("engine", ["object", "batch", "sharded"])
+    @pytest.mark.parametrize("engine", ["object", "batch"])
     def test_run_stats_pinned_all_engines(self, engine):
         golden = _load("workload_table.json")
         ctrl, stats = run_workload_case(engine, WORKLOAD_FAULTS)

@@ -22,7 +22,6 @@ import pytest
 from repro.simulator import (
     DetourController,
     FaultScenario,
-    PacketArrays,
     PoissonSource,
     ShardStats,
     make_pattern,
@@ -36,7 +35,6 @@ FAULTS = [3, 20]
 def _controller(mode, engine, capacity=1):
     ctrl = DetourController(
         M, H, engine=engine, route_mode=mode, link_capacity=capacity,
-        workers=0 if engine == "sharded" else None,
     )
     for v in FAULTS:
         ctrl.fail_node(v)
@@ -49,18 +47,11 @@ def _batches(packets=400, pattern="uniform", seed=5):
 
 
 def _shard_stats(ctrl) -> ShardStats:
-    sim = ctrl.sim
-    if hasattr(sim, "shard_stats"):
-        return sim.shard_stats()
-    if hasattr(sim, "packet_records"):
-        rec = sim.packet_records()
-    else:
-        rec = PacketArrays.from_packets(sim.packets)
-    return ShardStats.from_arrays(rec, sim.cycle)
+    return ShardStats.from_arrays(ctrl.sim.packet_records(), ctrl.sim.cycle)
 
 
 class TestClosedLoopEquivalence:
-    @pytest.mark.parametrize("engine", ["object", "batch", "sharded"])
+    @pytest.mark.parametrize("engine", ["object", "batch"])
     @pytest.mark.parametrize("pattern", ["uniform", "hotspot", "descend"])
     def test_counts_and_hop_histograms_match(self, engine, pattern):
         results = {}

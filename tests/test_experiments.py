@@ -76,7 +76,7 @@ class TestRegistry:
             reg.register("a")(2)
 
     def test_live_registries_contents(self):
-        assert set(ENGINES.names()) == {"object", "batch", "sharded"}
+        assert set(ENGINES.names()) == {"object", "batch"}
         assert set(CONTROLLERS.names()) == {"reconfig", "detour"}
         assert set(ROUTE_MODES.names()) == {"bfs", "table"}
         assert {"poisson", "onoff", "deterministic"} <= set(SOURCES.names())
@@ -110,7 +110,10 @@ class TestSpecValidation:
             ExperimentSpec(m=2, h=4, loop="moebius")
 
     def test_sharded_engine_not_a_cell_choice(self):
-        with pytest.raises(ParameterError, match="'object' or 'batch'"):
+        with pytest.raises(
+            ParameterError,
+            match="unknown engine 'sharded'; valid choices: object, batch",
+        ):
             ExperimentSpec(m=2, h=4, engine="sharded")
 
     def test_spare_budget_checked(self):
@@ -324,12 +327,33 @@ class TestLegacyEquivalence:
     def test_per_batch_sharding_still_exact(self):
         from dataclasses import replace
 
+        from repro.simulator import (
+            FaultScenario,
+            ReconfigurationController,
+            WorkerPool,
+        )
+
         spec = ExperimentSpec(m=2, h=5, k=1, packets=600, batches=4,
                              shards=4, seed=2)
         sharded = run_grid([spec], workers=2).results[0].run_stats
         single = run_grid([replace(spec, shards=1)],
                           workers=0).results[0].run_stats
         assert sharded == single
+
+        # a fixed fault at cycle 0: the four shards on a warm pool merge
+        # to what one engine="batch" controller reports after draining
+        # every batch in sequence, inline
+        faulted = replace(spec, fault_model={"name": "fixed",
+                                             "faults": [[0, 7]]})
+        with WorkerPool(workers=2) as pool:
+            pooled = run_grid([faulted], pool=pool).results[0]
+            assert pool.spawned == 2
+        ctrl = ReconfigurationController(2, 5, 1, engine="batch")
+        ctrl.schedule(FaultScenario([(0, 7)]))
+        inline = ctrl.run_workload(faulted.injection_batches())
+        assert ctrl.fault_log == [(0, 7)]
+        assert pooled.run_stats == inline
+        assert pooled.lost_to_faults == ctrl.lost_to_faults
 
     def test_mixed_loop_grid_runs(self):
         closed = ExperimentSpec(m=2, h=4, packets=100)
@@ -444,6 +468,11 @@ class TestRunCli:
         assert main(["run", spec]) == 1
         err = capsys.readouterr().err
         assert "warp" in err and "object" in err
+        # the removed multi-process engine is just another unknown name
+        spec = self._write(tmp_path, {"m": 2, "h": 4, "engine": "sharded"})
+        assert main(["run", spec]) == 1
+        assert ("unknown engine 'sharded'; valid choices: object, batch"
+                in capsys.readouterr().err)
 
     def test_wrapper_form_rejects_sibling_keys(self, capsys, tmp_path):
         """Fields misplaced next to the {"grid"/"experiment": ...}

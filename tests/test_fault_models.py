@@ -23,7 +23,6 @@ from repro.simulator import (
     realize_fault_model,
     validate_fault_model,
 )
-from repro.simulator.shard_driver import ShardedEngine
 
 
 def _run_stats(ctrl, pairs, batches=2):
@@ -124,23 +123,6 @@ class TestFixedModelEquivalence:
             assert rl.stats == rd.stats
             assert rl.lost_to_faults == rd.lost_to_faults
 
-    def test_sharded_engine_bit_identical(self):
-        faults = ((0, 3), (0, 9))
-        pairs = ExperimentSpec(m=2, h=4, k=2, packets=160, seed=2).traffic()
-        stats = []
-        for schedule in (
-            FaultScenario(list(faults)),
-            realize_fault_model(
-                {"name": "fixed", "faults": [list(p) for p in faults]},
-                n=16, cycles=1, rng=np.random.default_rng(0),
-            ),
-        ):
-            ctrl = ReconfigurationController(2, 4, 2, engine="sharded",
-                                             workers=0)
-            ctrl.schedule(schedule)
-            stats.append(_run_stats(ctrl, pairs))
-        assert stats[0] == stats[1]
-
     def test_fixed_ignores_rng(self):
         model = {"name": "fixed", "faults": [[0, 1], [5, 2]]}
         a = realize_fault_model(model, n=16, cycles=10,
@@ -225,8 +207,7 @@ class TestEnableNode:
     @pytest.mark.parametrize("make", [
         lambda g: NetworkSimulator(g),
         lambda g: BatchEngine(g),
-        lambda g: ShardedEngine(g, workers=0),
-    ], ids=["object", "batch", "sharded"])
+    ], ids=["object", "batch"])
     def test_enable_reverses_disable(self, make):
         sim = make(debruijn(2, 4))
         sim.disable_node(3)
@@ -237,8 +218,7 @@ class TestEnableNode:
     @pytest.mark.parametrize("make", [
         lambda g: NetworkSimulator(g),
         lambda g: BatchEngine(g),
-        lambda g: ShardedEngine(g, workers=0),
-    ], ids=["object", "batch", "sharded"])
+    ], ids=["object", "batch"])
     def test_enable_rejects_bad_targets(self, make):
         sim = make(debruijn(2, 4))
         with pytest.raises(SimulationError, match="not a node"):

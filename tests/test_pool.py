@@ -1,4 +1,4 @@
-"""Tests for the persistent worker pool and the zero-copy shm plane.
+"""Tests for the persistent worker pool.
 
 Three load-bearing contracts:
 
@@ -6,41 +6,21 @@ Three load-bearing contracts:
   (whole grids, whole saturation ladders) without respawning; the
   ``spawned`` counter proves it.
 * **no leaks** — ``close()`` leaves no orphan worker (including after
-  task failures and hard worker deaths), and every exported
-  shared-memory segment is unlinked by the owner's ``close()``/GC.
-* **bit-identity** — shm-attached graphs produce byte-identical
-  ``ShardStats`` to the pickled path, across patterns, faults and
-  seeds (hypothesis explores the space).
+  task failures and hard worker deaths).
+* **one contract inline and pooled** — results in task order and
+  failures naming their task, whether ``map`` runs in-process or across
+  workers; ``run_grid`` borrows a warm pool or opens its own.
 """
 
 from __future__ import annotations
 
 import os
-import pickle
 
-import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.core import debruijn
 from repro.errors import SimulationError
-from repro.routing import RouteTable
-from repro.shm import ShmError, attach_arrays, export_arrays, shm_available
-from repro.simulator import (
-    GraphHandle,
-    ReconfigurationController,
-    ShardDriver,
-    ShardedEngine,
-    WorkerPool,
-    make_pattern,
-    run_grid,
-)
+from repro.simulator import WorkerPool, run_grid
 from repro.simulator.streaming import find_saturation
-
-shm_only = pytest.mark.skipif(
-    not shm_available(), reason="POSIX shared memory unavailable"
-)
 
 
 def _square(x):
@@ -55,17 +35,6 @@ def _die_hard(x):
     os._exit(13)  # no exception, no result message — a hard crash
 
 
-def _segment_gone(name: str) -> bool:
-    from multiprocessing import shared_memory
-
-    try:
-        seg = shared_memory.SharedMemory(name=name)
-    except FileNotFoundError:
-        return True
-    seg.close()
-    return False
-
-
 def _grid(cells: int = 4):
     from repro.experiments import ExperimentGrid
 
@@ -73,96 +42,6 @@ def _grid(cells: int = 4):
         mhk=[(2, 4, 1)], loop="closed", patterns=["uniform"],
         loads=[60], seeds=list(range(cells)),
     )
-
-
-# ---------------------------------------------------------------------------
-# the shared-memory plane
-# ---------------------------------------------------------------------------
-
-@shm_only
-class TestShmPlane:
-    def test_export_attach_roundtrip(self):
-        arrays = {
-            "a": np.arange(17, dtype=np.int64),
-            "b": np.linspace(0, 1, 7).reshape(1, 7),
-            "c": np.array([], dtype=np.int32),
-        }
-        block = export_arrays(arrays)
-        try:
-            out, handle = attach_arrays(block.name)
-            assert set(out) == set(arrays)
-            for k, v in arrays.items():
-                assert out[k].dtype == v.dtype
-                assert out[k].shape == v.shape
-                assert np.array_equal(out[k], v)
-                assert not out[k].flags.writeable
-            del out
-            handle.close()
-        finally:
-            block.unlink()
-        assert _segment_gone(block.name)
-
-    def test_attach_missing_segment_raises(self):
-        with pytest.raises(ShmError, match="does not exist"):
-            attach_arrays("repro_no_such_segment")
-
-    def test_unlink_is_idempotent_and_owner_only(self):
-        block = export_arrays({"x": np.ones(3)})
-        _, handle = attach_arrays(block.name)
-        handle.unlink()  # attacher: a no-op, the segment survives
-        assert not _segment_gone(block.name)
-        handle.close()
-        block.unlink()
-        block.unlink()
-        assert _segment_gone(block.name)
-
-    def test_graph_shm_roundtrip_and_pickle_fallback(self):
-        g = debruijn(2, 5)
-        block = g.to_shm()
-        try:
-            from repro.graphs.static_graph import StaticGraph
-
-            h = StaticGraph.from_shm(block.name)
-            assert h.node_count == g.node_count
-            assert h.edge_count == g.edge_count
-            assert hash(h) == hash(g)
-            assert list(h.neighbors(0)) == list(g.neighbors(0))
-            # a shm-attached graph must survive pickling (it materializes
-            # its arrays rather than trying to pickle the mapping)
-            h2 = pickle.loads(pickle.dumps(h))
-            assert hash(h2) == hash(g)
-            h.close_shm()
-        finally:
-            block.unlink()
-        assert _segment_gone(block.name)
-
-    def test_route_table_shm_roundtrip(self):
-        g = debruijn(2, 4)
-        rt = RouteTable.compile(g)
-        block = rt.to_shm()
-        try:
-            rt2 = RouteTable.from_shm(block.name)
-            assert np.array_equal(rt2.table, rt.table)
-            rt3 = pickle.loads(pickle.dumps(rt2))
-            assert np.array_equal(rt3.table, rt.table)
-            rt2.close_shm()
-        finally:
-            block.unlink()
-        assert _segment_gone(block.name)
-
-    def test_graph_handle_attach_caches(self):
-        g = debruijn(2, 4)
-        handle, block = GraphHandle.export(g)
-        try:
-            a = handle.attach()
-            assert a is handle.attach()  # per-process cache hit
-            assert hash(a) == hash(g)
-        finally:
-            from repro.simulator.pool import _clear_attach_cache
-
-            _clear_attach_cache()
-            block.unlink()
-        assert _segment_gone(block.name)
 
 
 # ---------------------------------------------------------------------------
@@ -174,6 +53,21 @@ class TestWorkerPool:
         with WorkerPool(workers=0) as pool:
             assert pool.map(_square, [1, 2, 3]) == [1, 4, 9]
             assert pool.spawned == 0
+
+    def test_inline_errors_use_the_same_contract(self):
+        """workers<=1 wraps failures exactly like the pool does."""
+        with WorkerPool(workers=0) as pool:
+            with pytest.raises(SimulationError,
+                               match=r"failed on task 0 .*ValueError: boom"):
+                pool.map(_explode, [1])
+
+    def test_pool_map_matches_inline(self):
+        tasks = list(range(23))
+        with WorkerPool(workers=0) as inline:
+            expect = inline.map(_square, tasks)
+        with WorkerPool(workers=2, chunk_size=3) as pool:
+            assert pool.map(_square, tasks) == expect
+            assert pool.spawned == 2
 
     def test_empty_tasks(self):
         with WorkerPool(workers=2) as pool:
@@ -248,95 +142,22 @@ class TestWorkerPool:
             assert pool.spawned <= 2
 
     def test_driver_borrows_pool_without_closing_it(self):
+        """run_grid(pool=...) dispatches on the caller's workers and
+        leaves the pool open for the next sweep."""
         with WorkerPool(workers=2) as pool:
-            drv = ShardDriver(pool=pool)
-            assert drv.map(_square, list(range(6))) == [x * x for x in range(6)]
+            res = run_grid(_grid(4), pool=pool)
+            assert res.workers == pool.resolve_workers(4) == 2
             assert not pool.closed
-            assert drv.resolve_workers(6) == pool.resolve_workers(6)
+            assert pool.map(_square, [2, 3]) == [4, 9]
+            assert pool.spawned == 2
 
     def test_ephemeral_driver_matches_inline(self):
-        tasks = list(range(11))
-        inline = ShardDriver(workers=0).map(_square, tasks)
-        pooled = ShardDriver(workers=2).map(_square, tasks)
-        assert inline == pooled
-
-
-# ---------------------------------------------------------------------------
-# shm payload equivalence + lifecycle in the sharded engine
-# ---------------------------------------------------------------------------
-
-def _engine_stats(payload: str, pattern: str, faults, seed: int):
-    from repro.simulator import DetourController
-
-    ctrl = DetourController(2, 5, engine="sharded", workers=0)
-    eng = ctrl.sim
-    eng.payload = payload  # force, regardless of worker count / platform
-    for v in faults:
-        ctrl.fail_node(v)
-    pairs = make_pattern(32, pattern, 240, np.random.default_rng(seed))
-    batches = np.array_split(pairs, 3)
-    stats = ctrl.run_workload([b.copy() for b in batches])
-    shard = eng.shard_stats()
-    eng.close()
-    return stats, shard
-
-
-@shm_only
-class TestShmPayloadEquivalence:
-    @settings(max_examples=15, deadline=None)
-    @given(
-        pattern=st.sampled_from(["uniform", "bit-reversal", "hotspot"]),
-        faults=st.lists(st.integers(min_value=0, max_value=31),
-                        max_size=2, unique=True),
-        seed=st.integers(min_value=0, max_value=2**16),
-    )
-    def test_shm_stats_bit_identical_to_pickle(self, pattern, faults, seed):
-        s_shm, m_shm = _engine_stats("shm", pattern, faults, seed)
-        s_pkl, m_pkl = _engine_stats("pickle", pattern, faults, seed)
-        assert s_shm == s_pkl
-        assert m_shm == m_pkl
-
-    def test_multiprocess_shm_matches_inline_pickle(self):
-        pairs = make_pattern(32, "uniform", 300, np.random.default_rng(3))
-        batches = np.array_split(pairs, 3)
-        a = ReconfigurationController(2, 5, 1, engine="sharded", workers=0)
-        a.sim.payload = "pickle"
-        sa = a.run_workload([b.copy() for b in batches])
-        b = ReconfigurationController(2, 5, 1, engine="sharded", workers=2)
-        b.sim.payload = "shm"
-        sb = b.run_workload([x.copy() for x in batches])
-        name = b.sim._graph_export.name
-        b.sim.close()
-        a.sim.close()
-        assert sa == sb
-        assert _segment_gone(name)
-
-    def test_engine_close_unlinks_segment(self):
-        g = debruijn(2, 5)
-        eng = ShardedEngine(g, payload="shm")
-        pairs = make_pattern(g.node_count, "uniform", 50,
-                             np.random.default_rng(0))
-        from repro.routing import lifted_routes_batch
-
-        phi = np.arange(g.node_count, dtype=np.int64)
-        flat, offsets = lifted_routes_batch(2, 5, phi, pairs[:, 0], pairs[:, 1])
-        eng.inject_routes(flat, offsets)
-        name = eng._graph_export.name
-        assert not _segment_gone(name)
-        eng.run()
-        eng.close()
-        eng.close()  # idempotent
-        assert _segment_gone(name)
-
-    def test_auto_payload_inline_skips_export(self):
-        """workers=0 never crosses a process boundary, so auto picks the
-        plain graph and exports nothing."""
-        eng = ShardedEngine(debruijn(2, 4), workers=0)
-        assert eng._graph_payload() is eng.graph
-        assert eng._graph_export is None
-
-    def test_payload_validated(self):
-        from repro.errors import ParameterError
-
-        with pytest.raises(ParameterError, match="payload"):
-            ShardedEngine(debruijn(2, 4), payload="carrier-pigeon")
+        """Without a pool, run_grid(workers=2) runs on an ephemeral pool
+        of its own and matches the inline run bit for bit."""
+        inline = run_grid(_grid(4), workers=0)
+        pooled = run_grid(_grid(4), workers=2)
+        assert pooled.workers == 2 and inline.workers == 0
+        assert [r.stats for r in pooled.results] == [
+            r.stats for r in inline.results
+        ]
+        assert pooled.aggregate_stats == inline.aggregate_stats

@@ -87,6 +87,12 @@ class TestValidation:
         )
         assert code == 400
         assert "carrier-pigeon" in error and "uniform" in error
+        code, error = _request_error(
+            service.port, "/experiments",
+            json.dumps({"m": 2, "h": 4, "engine": "sharded"}).encode(),
+        )
+        assert code == 400
+        assert "unknown engine 'sharded'; valid choices: object, batch" in error
         # the door did its job before any worker was touched
         assert service.pool.spawned == 0
 

@@ -1,16 +1,14 @@
-"""Tests for the sharded multi-process simulation driver.
+"""Tests for grid execution on the worker pool and the exact merge.
 
 The load-bearing property: merged ``ShardStats`` from N shards is
 *bit-identical* to a single-process ``BatchEngine`` run draining the
 concatenated workload batch by batch — across traffic patterns, fault
 scenarios, link capacities and arbitrary shard splits (hypothesis
-explores the split space).  Everything else (grid expansion, the pool,
-the sharded engine, error propagation) builds on that.
+explores the split space).  Everything else (grid expansion, per-batch
+shards through ``run_grid``) builds on that.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 import pytest
@@ -27,14 +25,11 @@ from repro.simulator import (
     ReconfigurationController,
     Scenario,
     ScenarioGrid,
-    ShardDriver,
     ShardStats,
-    ShardedEngine,
     make_pattern,
     pack_routes,
     run_grid,
 )
-from repro.simulator.shard_driver import _RouteShard, _run_route_shard
 from repro.simulator.traffic import PATTERN_NAMES
 
 
@@ -193,22 +188,6 @@ class TestShardStatsMerge:
         assert ShardStats.merge([s, s]).to_run_stats().throughput == 0.0
 
 
-class TestRouteShardWorker:
-    def test_route_shard_runs_and_pickles(self):
-        import pickle
-
-        g = debruijn(2, 4)
-        pairs = make_pattern(16, "uniform", 50, np.random.default_rng(1))
-        flat, off = lifted_routes_batch(2, 4, _identity_phi(16), pairs[:, 0],
-                                        pairs[:, 1])
-        shard = _RouteShard(
-            graph=g, link_capacity=1, flat=flat, offsets=off,
-            dead_nodes=(), dead_links=(), validate=True,
-        )
-        stats = _run_route_shard(pickle.loads(pickle.dumps(shard)))
-        assert stats.delivered == 50
-
-
 class TestScenarioGrid:
     def test_expansion_order_and_size(self):
         grid = ScenarioGrid(
@@ -251,52 +230,10 @@ class TestScenarioGrid:
             Scenario(m=2, h=4, shards=2, batches=2, faults=((4, 1),))
         with pytest.raises(ParameterError, match="spares"):
             Scenario(m=2, h=4, k=1, faults=((0, 1), (0, 2)))
-        with pytest.raises(ParameterError, match="'object' or 'batch'"):
+        with pytest.raises(ParameterError, match="unknown engine 'sharded'"):
             Scenario(m=2, h=4, engine="sharded")
         with pytest.raises(ParameterError, match="detour"):
             Scenario(m=2, h=4, controller="detour", cycles_per_batch=3)
-
-
-class TestShardDriver:
-    def test_inline_map_preserves_order(self):
-        drv = ShardDriver(workers=0)
-        assert drv.map(lambda x: x * x, [3, 1, 2]) == [9, 1, 4]
-
-    def test_pool_map_matches_inline(self):
-        tasks = list(range(23))
-        inline = ShardDriver(workers=0).map(_square, tasks)
-        pooled = ShardDriver(workers=2, chunk_size=3).map(_square, tasks)
-        assert pooled == inline
-
-    def test_pool_propagates_worker_errors(self):
-        with pytest.raises(SimulationError, match="boom"):
-            ShardDriver(workers=2).map(_explode, [1, 2, 3])
-
-    def test_inline_errors_use_the_same_contract(self):
-        """workers<=1 wraps failures exactly like the pool does."""
-        with pytest.raises(SimulationError, match="boom"):
-            ShardDriver(workers=0).map(_explode, [1])
-
-    def test_dead_worker_detected_not_hung(self):
-        """A worker killed without reporting (simulated os._exit) raises
-        instead of blocking forever."""
-        with pytest.raises(SimulationError, match="died without reporting"):
-            ShardDriver(workers=2, chunk_size=1).map(_die_hard, [1, 2, 3, 4])
-
-    def test_empty_task_list(self):
-        assert ShardDriver(workers=2).map(_square, []) == []
-
-
-def _square(x):
-    return x * x
-
-
-def _explode(x):
-    raise ValueError("boom")
-
-
-def _die_hard(x):
-    os._exit(13)  # no exception, no result message — a hard crash
 
 
 class TestRunGrid:
@@ -359,103 +296,18 @@ class TestRunGrid:
 
 
 class TestShardedEngine:
-    def test_matches_batch_engine_multi_batch(self):
-        pairs = make_pattern(64, "uniform", 900, np.random.default_rng(5))
-        batches = np.array_split(pairs, 3)
-        a = ReconfigurationController(2, 6, 1, engine="batch")
-        sa = a.run_workload([b.copy() for b in batches])
-        b = ReconfigurationController(2, 6, 1, engine="sharded", workers=2)
-        sb = b.run_workload([x.copy() for x in batches])
-        assert sa == sb
-
-    def test_matches_batch_engine_with_idle_gaps(self):
-        pairs = make_pattern(64, "uniform", 400, np.random.default_rng(6))
-        batches = np.array_split(pairs, 4)
-        a = ReconfigurationController(2, 6, 1, engine="batch")
-        sa = a.run_workload([b.copy() for b in batches], cycles_per_batch=9)
-        b = ReconfigurationController(2, 6, 1, engine="sharded", workers=0)
-        sb = b.run_workload([x.copy() for x in batches], cycles_per_batch=9)
-        assert sa == sb
-
-    def test_matches_batch_engine_boundary_faults(self):
-        """Faults at cycle 0 fire before any injection in both engines."""
-        pairs = make_pattern(64, "uniform", 500, np.random.default_rng(7))
-        batches = np.array_split(pairs, 2)
-        scenario = FaultScenario([(0, 5), (0, 30)])
-        a = ReconfigurationController(2, 6, 2, engine="batch")
-        a.schedule(scenario)
-        sa = a.run_workload([b.copy() for b in batches])
-        b = ReconfigurationController(2, 6, 2, engine="sharded", workers=0)
-        b.schedule(FaultScenario([(0, 5), (0, 30)]))
-        sb = b.run_workload([x.copy() for x in batches])
-        assert sa == sb
-        assert [n for _, n in a.fault_log] == [n for _, n in b.fault_log]
-
-    def test_mid_drain_fault_defers_to_boundary(self):
-        """The documented divergence: a mid-drain fault drops packets in
-        the batch engine but defers (dropping none) in the sharded one —
-        conservation still holds."""
-        pairs = make_pattern(32, "uniform", 400, np.random.default_rng(8))
-        ctrl = ReconfigurationController(2, 5, 1, engine="sharded", workers=0)
-        ctrl.schedule(FaultScenario([(3, 7)]))
-        stats = ctrl.run_workload([pairs[:200], pairs[200:]])
-        assert ctrl.lost_to_faults == 0
-        assert stats.delivered + stats.dropped == stats.injected
-        assert ctrl.fault_log and ctrl.fault_log[0][1] == 7
-
-    def test_detour_controller_sharded(self):
-        pairs = make_pattern(16, "uniform", 300, np.random.default_rng(2))
-        batches = np.array_split(pairs, 3)
-        a = DetourController(2, 4, engine="batch")
-        a.fail_node(3)
-        sa = a.run_workload([b.copy() for b in batches])
-        b = DetourController(2, 4, engine="sharded", workers=2)
-        b.fail_node(3)
-        sb = b.run_workload([x.copy() for x in batches])
-        assert sa == sb
-        assert a.unreachable_pairs == b.unreachable_pairs
-
-    def test_validation_matches_batch_engine(self):
-        g = debruijn(2, 4)
-        eng = ShardedEngine(g)
-        with pytest.raises(SimulationError):
-            eng.inject_route([])
-        with pytest.raises(SimulationError):
-            eng.inject_route([0, 9])  # not an edge
-        eng.disable_node(3)
-        with pytest.raises(SimulationError):
-            eng.inject_route([1, 3])  # dead node
-        with pytest.raises(SimulationError):
-            eng.disable_node(99)
-        with pytest.raises(SimulationError):
-            eng.disable_link(0, 9)
-        eng.disable_link(0, 1)
-        with pytest.raises(SimulationError):
-            eng.inject_route([0, 1])  # dead link
-        # a clean route still works end to end
-        pid = eng.inject_route([1, 2, 4])
-        assert pid == 0
-        assert eng.in_flight == 1
-        stats = eng.stats()
-        assert stats.delivered == 1
-        assert eng.in_flight == 0
-
-    def test_stats_drains_pending(self):
-        g = debruijn(2, 4)
-        eng = ShardedEngine(g, workers=0)
-        eng.inject_route([0, 1, 2])
-        assert eng.injected == 1
-        st_ = eng.stats()
-        assert st_.delivered == 1 and st_.cycles == 2
-
-    def test_self_delivery(self):
-        g = debruijn(2, 3)
-        eng = ShardedEngine(g, workers=0)
-        eng.inject_route([4])
-        assert eng.stats().delivered == 1
-        assert eng.stats().mean_latency == 0.0
+    """``engine="sharded"`` is gone: the registry refuses it like any
+    other unregistered name, before any worker is touched."""
 
     def test_unknown_engine_rejected(self):
         # registry lookups raise a ValueError subclass naming the choices
-        with pytest.raises(ParameterError, match="engine.*object.*batch"):
-            ReconfigurationController(2, 4, 1, engine="warp")
+        for name in ("warp", "sharded"):
+            for build in (
+                lambda: ReconfigurationController(2, 4, 1, engine=name),
+                lambda: DetourController(2, 4, engine=name),
+            ):
+                with pytest.raises(ParameterError) as exc:
+                    build()
+                assert str(exc.value) == (
+                    f"unknown engine {name!r}; valid choices: object, batch"
+                )

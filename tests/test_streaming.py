@@ -6,7 +6,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.errors import ParameterError, SimulationError
+from repro.errors import ParameterError
 from repro.simulator import (
     DetourController,
     FaultScenario,
@@ -22,10 +22,7 @@ from repro.simulator import (
 
 
 def _records(ctrl) -> PacketArrays:
-    sim = ctrl.sim
-    if hasattr(sim, "packet_records"):
-        return sim.packet_records()
-    return PacketArrays.from_packets(sim.packets)
+    return ctrl.sim.packet_records()
 
 
 def _stream(engine, faults=(), *, controller="reconfig", rate=2.0,
@@ -269,9 +266,10 @@ class TestWindowAccounting:
 
 class TestValidation:
     def test_sharded_engine_rejected(self):
-        ctrl = ReconfigurationController(2, 5, 1, engine="sharded", workers=0)
-        with pytest.raises(SimulationError, match="sharded"):
-            run_stream(ctrl, PoissonSource(32, 1.0), cycles=10)
+        """The removed multi-process engine cannot reach run_stream: the
+        controller refuses the name at construction."""
+        with pytest.raises(ParameterError, match="unknown engine 'sharded'"):
+            ReconfigurationController(2, 5, 1, engine="sharded")
 
     def test_source_size_mismatch(self):
         ctrl = ReconfigurationController(2, 5, 1, engine="batch")

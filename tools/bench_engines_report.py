@@ -16,8 +16,8 @@ Two row kinds:
   ``ReconfigurationController`` with a mid-run fault schedule (routing
   is shared and vectorized for both, so the ratio isolates pure
   simulation speed under honest fault timing).
-* ``driver="sweep"`` — a multi-scenario grid through the sharded
-  multi-process driver vs the same grid single-process: records the
+* ``driver="sweep"`` — a multi-scenario grid through the multi-process
+  ``run_grid`` dispatch vs the same grid single-process: records the
   wall-clock speedup of ``repro.simulator.shard_driver.run_grid`` and
   checks the merged aggregate is bit-identical.  The speedup scales with
   physical cores; single-core machines report ~1x or below (the workers
@@ -41,13 +41,6 @@ Two row kinds:
   and aggregate statistics across both sides, and ``spawned_warm``
   records how many processes the warm pool ever forked (the reuse
   proof).
-* ``driver="shm"`` — the sharded engine's two graph payloads raced on
-  one workload: ``payload="pickle"`` ships the graph by value with
-  every shard, ``payload="shm"`` exports its CSR arrays once into a
-  shared-memory segment and ships a zero-copy handle.  The generic
-  columns hold (pickle, shm) seconds; ``identical_stats`` is bit-equal
-  ``RunStats`` *and* merged ``ShardStats``.  On platforms without
-  POSIX shared memory both sides run pickled and the row says so.
 * ``driver="montecarlo"`` — one declarative Monte-Carlo cell (an
   ``ExperimentSpec`` with an ``iid`` fault universe and ``replicas``
   seeded realizations) executed twice: sequentially inline
@@ -123,7 +116,6 @@ FULL_SUITE = [
     ("controller", "uniform", 2, 8, 2, 20_000, [(5, 40)]),
     ("sweep", "uniform", 2, 9, 1, 40_000, [(0, 40)]),
     ("pool", "uniform", 2, 8, 1, 2_000, [(0, 40)]),
-    ("shm", "uniform", 2, 9, 1, 40_000, [(0, 40)]),
     ("detour", "uniform", 2, 8, 1, 20_000, [3, 40]),
     ("montecarlo", "uniform", 2, 9, 1, 10_000, []),
     ("compile", "uniform", 2, 12, 1, 0, [3, 40]),
@@ -134,7 +126,6 @@ QUICK_SUITE = [
     ("controller", "uniform", 2, 6, 1, 4_000, [(3, 9)]),
     ("sweep", "uniform", 2, 7, 1, 4_000, [(0, 9)]),
     ("pool", "uniform", 2, 6, 1, 600, [(0, 9)]),
-    ("shm", "uniform", 2, 7, 1, 4_000, [(0, 9)]),
     ("detour", "uniform", 2, 6, 1, 3_000, [9]),
     ("montecarlo", "uniform", 2, 6, 1, 2_000, []),
     ("compile", "uniform", 2, 7, 1, 0, [9]),
@@ -201,8 +192,9 @@ def run_controller_row(pattern, m, h, k, packets, faults, seed=0):
 
 
 def run_sweep_row(pattern, m, h, k, packets, faults, seed=0, workers=None):
-    """Race the sharded multi-process driver against a single-process run
-    of the same scenario grid; the merged aggregates must be bit-identical."""
+    """Race the multi-process ``run_grid`` sweep against a single-process
+    run of the same scenario grid; the merged aggregates must be
+    bit-identical."""
     from repro.simulator.shard_driver import ScenarioGrid, run_grid
 
     grid = ScenarioGrid(
@@ -276,44 +268,6 @@ def run_pool_row(pattern, m, h, k, packets, faults, seed=0, workers=None,
         "spawned_warm": spawned,
         "cold_seconds": round(t_cold, 4),
         "warm_seconds": round(t_warm, 4),
-    }
-
-
-def run_shm_row(pattern, m, h, k, packets, faults, seed=0, workers=None):
-    """Race the sharded engine's pickled graph payload against the
-    zero-copy shared-memory handle on one mid-run-fault workload; the
-    statistics must be bit-identical both as ``RunStats`` and as merged
-    ``ShardStats``."""
-    from repro.shm import shm_available
-    from repro.simulator.shard_driver import ShardStats  # noqa: F401
-
-    workers = 2 if workers is None else max(2, workers)
-    n = m ** h
-    pairs = make_pattern(n, pattern, packets, np.random.default_rng(seed))
-    batches = np.array_split(pairs, 4)
-    payloads = ("pickle", "shm") if shm_available() else ("pickle", "pickle")
-    times, stats, shard = {}, {}, {}
-    for side, payload in zip(("pickle", "shm"), payloads):
-        ctrl = ReconfigurationController(m, h, k, engine="sharded",
-                                         workers=workers)
-        ctrl.sim.payload = payload
-        ctrl.schedule(FaultScenario([tuple(f) for f in faults]))
-        t0 = time.perf_counter()
-        stats[side] = ctrl.run_workload([b.copy() for b in batches])
-        times[side] = time.perf_counter() - t0
-        shard[side] = ctrl.sim.shard_stats()
-        ctrl.sim.close()
-    identical = (
-        stats["pickle"] == stats["shm"] and shard["pickle"] == shard["shm"]
-    )
-    return times["pickle"], times["shm"], stats["shm"], identical, int(
-        pairs.shape[0]
-    ), {
-        "payloads": list(payloads),
-        "workers": workers,
-        "batches": len(batches),
-        "pickle_seconds": round(times["pickle"], 4),
-        "shm_seconds": round(times["shm"], 4),
     }
 
 
@@ -524,10 +478,6 @@ def run_config(driver, pattern, m, h, k, packets, faults, seed=0, workers=None):
         t_obj, t_bat, st, identical, count, extra = run_pool_row(
             pattern, m, h, k, packets, faults, seed, workers
         )
-    elif driver == "shm":
-        t_obj, t_bat, st, identical, count, extra = run_shm_row(
-            pattern, m, h, k, packets, faults, seed, workers
-        )
     elif driver == "detour":
         t_obj, t_bat, st, identical, count, extra = run_detour_row(
             pattern, m, h, k, packets, faults, seed
@@ -577,7 +527,7 @@ def main(argv=None) -> int:
         row = run_config(*cfg, workers=args.workers)
         rows.append(row)
         sides = {"sweep": ("single", "sharded"), "pool": ("cold", "warm"),
-                 "shm": ("pickle", "shm"), "detour": ("bfs", "table"),
+                 "detour": ("bfs", "table"),
                  "montecarlo": ("sequential", "pool"),
                  "compile": ("frontier", "bitset"),
                  "csr": ("dict", "csr")}
