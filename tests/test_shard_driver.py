@@ -10,6 +10,8 @@ shards through ``run_grid``) builds on that.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -30,6 +32,7 @@ from repro.simulator import (
     pack_routes,
     run_grid,
 )
+from repro.simulator.shard_driver import WorkerPool
 from repro.simulator.traffic import PATTERN_NAMES
 
 
@@ -234,6 +237,43 @@ class TestScenarioGrid:
             Scenario(m=2, h=4, engine="sharded")
         with pytest.raises(ParameterError, match="detour"):
             Scenario(m=2, h=4, controller="detour", cycles_per_batch=3)
+
+
+class TestShardDriver:
+    """The map contract ``run_grid`` dispatches on, through the
+    ``WorkerPool`` this module re-exports."""
+
+    def test_inline_map_preserves_order(self):
+        with WorkerPool(workers=0) as pool:
+            assert pool.map(lambda x: x * x, [3, 1, 2]) == [9, 1, 4]
+
+    def test_pool_propagates_worker_errors(self):
+        with WorkerPool(workers=2) as pool:
+            with pytest.raises(SimulationError, match="boom"):
+                pool.map(_explode, [1, 2, 3])
+
+    def test_dead_worker_detected_not_hung(self):
+        """A worker killed without reporting (simulated os._exit) raises
+        instead of blocking forever."""
+        with WorkerPool(workers=2, chunk_size=1) as pool:
+            with pytest.raises(SimulationError, match="died without reporting"):
+                pool.map(_die_hard, [1, 2, 3, 4])
+
+    def test_empty_task_list(self):
+        with WorkerPool(workers=2) as pool:
+            assert pool.map(_square, []) == []
+
+
+def _square(x):
+    return x * x
+
+
+def _explode(x):
+    raise ValueError("boom")
+
+
+def _die_hard(x):
+    os._exit(13)  # no exception, no result message — a hard crash
 
 
 class TestRunGrid:
