@@ -9,8 +9,9 @@ says nothing should change), and the spare-less baseline detouring
 around the dead node.
 
 Run:  PYTHONPATH=src python examples/saturation_curves.py
-CLI:  save a stream spec JSON and run
-      PYTHONPATH=src python -m repro run spec.json --rates 2,4,8,12,16
+CLI:  the reconfigured machine's spec is saved as saturation_ladder.json
+      PYTHONPATH=src python -m repro run examples/saturation_ladder.json \
+          --rates 2,4,8,12,16
 """
 
 from __future__ import annotations

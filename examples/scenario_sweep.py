@@ -50,7 +50,7 @@ def main() -> None:
     print("-" * len(header))
     for r in result.results:
         s = r.run_stats
-        print(f"{r.scenario.label:<38} {s.delivered:>9} {s.dropped:>7} "
+        print(f"{r.spec.label:<38} {s.delivered:>9} {s.dropped:>7} "
               f"{s.mean_latency:>7.2f} {s.p95_latency:>6.1f}")
 
     agg = result.aggregate_stats

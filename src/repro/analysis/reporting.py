@@ -632,8 +632,8 @@ def exp_sealg() -> Report:
 
 
 def exp_sweep() -> Report:
-    """SWEEP: a reliability-sweep slice on the sharded scenario driver —
-    sizes x fault sets x seeds reduced through the exact shard merger."""
+    """SWEEP: a reliability-sweep slice through ``run_grid`` — sizes x
+    fault sets x seeds reduced through the exact shard merger."""
     from repro.experiments import ExperimentGrid
     from repro.simulator.shard_driver import run_grid
 
@@ -662,8 +662,8 @@ def exp_sweep() -> Report:
     conserved = agg.delivered + agg.dropped == agg.injected
     return Report(
         "SWEEP",
-        "Scenario sweep on the sharded driver: sizes x fault sets x seeds, "
-        "exact shard-merged aggregate",
+        "Experiment-grid sweep through run_grid: sizes x fault sets x "
+        "seeds, exact shard-merged aggregate",
         body,
         metrics={
             "scenarios": len(grid),

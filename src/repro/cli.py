@@ -15,10 +15,8 @@ Commands
                   fault universes (``fault_model`` + ``replicas``) —
                   through one front door (see :mod:`repro.experiments`
                   and docs/experiments.md)
-``sweep``         deprecated: closed-loop grid sweep by flags (use
-                  ``run`` with a grid JSON)
-``saturate``      deprecated: open-loop rate ladder by flags (use
-                  ``run`` with a stream spec JSON and ``--rates``)
+``serve``         accept the same spec/grid JSON over HTTP on one
+                  persistent worker pool (docs/service.md)
 """
 
 from __future__ import annotations
@@ -245,43 +243,25 @@ def _cmd_bench_engines(args: argparse.Namespace) -> int:
     return 0 if identical else 1
 
 
-def _parse_mhk(spec: str) -> tuple[int, int, int]:
-    try:
-        m, h, k = (int(x) for x in spec.split(","))
-        return m, h, k
-    except ValueError:
-        raise ReproError(f"--mhk expects M,H,K (e.g. 2,8,1), got {spec!r}") from None
-
-
-def _parse_fault_set(spec: str) -> tuple[tuple[int, int], ...]:
-    spec = spec.strip()
-    if not spec or spec == "none":
-        return ()
-    out = []
-    for part in spec.split(","):
-        try:
-            cycle_s, node_s = part.split(":")
-            out.append((int(cycle_s), int(node_s)))
-        except ValueError:
-            raise ReproError(
-                f"--fault-set expects CYCLE:NODE[,CYCLE:NODE...], got {spec!r}"
-            ) from None
-    return tuple(out)
-
-
 def _load_run_input(path: str):
     """Parse a ``repro run`` JSON file into a spec or grid.
 
     Accepted shapes: a bare :class:`~repro.experiments.ExperimentSpec`
     field object, ``{"experiment": {...}}``, or ``{"grid": {...}}`` for
-    an :class:`~repro.experiments.ExperimentGrid`.
+    an :class:`~repro.experiments.ExperimentGrid`.  A file that cannot
+    be read, or is not JSON, raises :class:`ReproError` naming the path.
     """
     import json
 
     from repro.experiments import parse_run_payload
 
-    with open(path) as fh:
-        payload = json.load(fh)
+    try:
+        with open(path) as fh:
+            payload = json.load(fh)
+    except OSError as exc:
+        raise ReproError(f"{path}: {exc.strerror or exc}") from None
+    except ValueError as exc:  # JSONDecodeError, or bytes that are not text
+        raise ReproError(f"{path}: not JSON: {exc}") from None
     return parse_run_payload(payload, origin=path)
 
 
@@ -311,8 +291,15 @@ def _cmd_run(args: argparse.Namespace) -> int:
     from repro.simulator.streaming import find_saturation
 
     _install_signal_handlers()
+    rates = None
+    if args.rates:
+        try:
+            rates = [float(x) for x in args.rates.split(",")]
+        except ValueError:
+            print(f"error: --rates expects comma-separated numbers, got "
+                  f"{args.rates!r}", file=sys.stderr)
+            return 2
     target, kind = _load_run_input(args.spec)
-    rates = [float(x) for x in args.rates.split(",")] if args.rates else None
     if rates is not None and (kind != "experiment" or target.loop != "stream"):
         print("error: --rates applies to a single stream experiment "
               "(use a grid with a `rates` axis for surfaces)", file=sys.stderr)
@@ -447,192 +434,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                  chunk_size=args.chunk_size, max_retries=args.max_retries)
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    import json
-    import time
-    import warnings
-
-    from repro.analysis.reporting import format_table
-    from repro.simulator.shard_driver import ScenarioGrid, run_grid
-
-    # the stderr note is what a terminal user actually sees (Python's
-    # default filters hide DeprecationWarning outside __main__); the
-    # warning is what test suites and -W error catch
-    print("warning: `repro sweep` is deprecated; use `repro run "
-          "<spec.json>` with a grid JSON (see docs/experiments.md)",
-          file=sys.stderr)
-    warnings.warn(
-        "`repro sweep` is deprecated; use `repro run <spec.json>` with a "
-        "grid JSON (see docs/experiments.md)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    grid = ScenarioGrid(
-        mhk=[_parse_mhk(s) for s in (args.mhk or ["2,8,1"])],
-        patterns=args.pattern or ["uniform"],
-        loads=args.packets or [1000],
-        fault_sets=[_parse_fault_set(s) for s in (args.fault_set or [""])],
-        seeds=list(range(args.seeds)),
-        link_capacity=args.capacity,
-        batches=args.batches,
-        cycles_per_batch=args.cycles_per_batch,
-        controller=args.controller,
-        engine=args.engine,
-        route_mode=args.route_mode,
-        shards=args.shards,
-    )
-    print(f"scenario grid: {len(grid)} scenarios "
-          f"({len(grid.mhk)} sizes x {len(grid.patterns)} patterns x "
-          f"{len(grid.loads)} loads x {len(grid.fault_sets)} fault sets x "
-          f"{len(grid.seeds)} seeds)")
-    result = run_grid(grid, workers=args.workers, chunk_size=args.chunk_size)
-    rows = result.rows()
-    display = [
-        {k: r[k] for k in ("scenario", "cycles", "delivered", "dropped",
-                           "mean_latency", "p95_latency", "seconds")}
-        for r in rows
-    ]
-    print(format_table(display))
-    agg = result.aggregate_stats
-    print(f"\naggregate over {len(rows)} scenarios: {agg}")
-    print(f"wall clock: {result.seconds:.3f} s on {result.workers} worker(s)")
-
-    check_failed = False
-    if args.check_single:
-        t0 = time.perf_counter()
-        single = run_grid(grid, workers=0)
-        t_single = time.perf_counter() - t0
-        identical = single.aggregate_stats == agg
-        check_failed = not identical
-        print(f"single-process reference: {t_single:.3f} s, "
-              f"speedup {t_single / result.seconds:.2f}x, "
-              f"identical aggregate: {identical}")
-    if args.json:
-        # record engine + workers so published curves state what produced
-        # them (reproducibility: rerunning the JSON spec must match)
-        payload = {
-            "grid": grid.to_dict(),
-            "engine": grid.engine,
-            "route_mode": grid.route_mode,
-            "workers": result.workers,
-            "seconds": round(result.seconds, 4),
-            "scenarios": rows,
-            "aggregate": {
-                "cycles": agg.cycles, "injected": agg.injected,
-                "delivered": agg.delivered, "dropped": agg.dropped,
-                "mean_latency": agg.mean_latency,
-                "p95_latency": agg.p95_latency,
-                "max_latency": agg.max_latency,
-                "mean_hops": agg.mean_hops,
-                "throughput": agg.throughput,
-            },
-        }
-        with open(args.json, "w") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
-        print(f"wrote {args.json}")
-    return 1 if check_failed else 0
-
-
-def _cmd_saturate(args: argparse.Namespace) -> int:
-    import json
-    import warnings
-
-    from repro.analysis.reporting import format_table
-    from repro.experiments import ExperimentSpec
-    from repro.simulator.streaming import find_saturation
-
-    print("warning: `repro saturate` is deprecated; use `repro run "
-          "<spec.json>` with a stream spec and --rates (see "
-          "docs/experiments.md)", file=sys.stderr)
-    warnings.warn(
-        "`repro saturate` is deprecated; use `repro run <spec.json>` with "
-        "a stream spec and --rates (see docs/experiments.md)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    m, h, k = _parse_mhk(args.mhk)
-    n = m ** h
-    if args.rates:
-        rates = [float(x) for x in args.rates.split(",")]
-    else:
-        # geometric ladder up to the machine's aggregate link budget;
-        # uniform traffic on B_{m,h} saturates well inside it
-        top = n * args.capacity
-        rates = [top / 16, top / 8, top / 4, top / 2, float(top)]
-    warmup = args.warmup if args.warmup >= 0 else args.cycles // 5
-    window = args.window if args.window >= 0 else max(1, args.cycles // 15)
-    fault_sets = [_parse_fault_set(s) for s in (args.fault_set or [""])]
-
-    curves = []
-    for fs in fault_sets:
-        base = ExperimentSpec(
-            m=m, h=h, k=k, loop="stream", source=args.source,
-            pattern=args.pattern,
-            cycles=args.cycles, warmup=warmup, window=window,
-            faults=fs, seed=args.seed, link_capacity=args.capacity,
-            controller=args.controller, engine=args.engine,
-            route_mode=args.route_mode,
-        )
-        res = find_saturation(
-            base, rates, bisect=args.bisect, threshold=args.threshold,
-            workers=args.workers,
-        )
-        label = f"faults {list(fs)}" if fs else "fault-free"
-        print(f"\n{base.label} — {label}")
-        print(format_table(res.curve()))
-        if res.bracketed:
-            print(f"saturation ~ {res.saturation_rate:.3f} pkt/cycle "
-                  f"(stable {res.stable_rate:.3f}, "
-                  f"unstable {res.unstable_rate:.3f}, "
-                  f"threshold {res.threshold})")
-        else:
-            bound = "lower" if res.stable_rate else "upper"
-            print(f"saturation not bracketed by the rate ladder; "
-                  f"{bound} bound ~ {res.saturation_rate:.3f} pkt/cycle")
-        curves.append((fs, res))
-
-    if args.json:
-        payload = {
-            "machine": {"m": m, "h": h, "k": k},
-            "source": args.source,
-            "pattern": args.pattern,
-            "cycles": args.cycles,
-            "warmup": warmup,
-            "window": window,
-            "link_capacity": args.capacity,
-            "controller": args.controller,
-            # reproducibility: published curves record what produced them
-            # (the pool size the ladder actually resolved to; bisection
-            # probes always run inline)
-            "engine": args.engine,
-            "route_mode": args.route_mode,
-            "workers": curves[0][1].workers,
-            "threshold": args.threshold,
-            "rates": rates,
-            "seed": args.seed,
-            "curves": [
-                {
-                    "fault_set": [list(f) for f in fs],
-                    "saturation_rate": res.saturation_rate,
-                    "stable_rate": res.stable_rate,
-                    "unstable_rate": (
-                        None if res.unstable_rate == float("inf")
-                        else res.unstable_rate
-                    ),
-                    "bracketed": res.bracketed,
-                    "points": res.curve(),
-                }
-                for fs, res in curves
-            ],
-        }
-        with open(args.json, "w") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
-        print(f"wrote {args.json}")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="repro",
@@ -701,12 +502,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     d = sub.add_parser("demo", help="thirty-second tour")
     d.set_defaults(func=_cmd_demo)
-
-    # live registry views: patterns/sources registered after import
-    # (the documented extension path) must appear in choices= too
-    from repro.simulator.traffic import PATTERNS
-
-    pattern_names = PATTERNS.names()
 
     rn = sub.add_parser(
         "run",
@@ -792,7 +587,11 @@ def build_parser() -> argparse.ArgumentParser:
     be.add_argument("--m", type=int, default=2)
     be.add_argument("--h", type=int, default=8)
     be.add_argument("--k", type=int, default=1)
-    be.add_argument("--pattern", choices=pattern_names, default="uniform")
+    # a live registry view: patterns registered after import (the
+    # documented extension path) must appear in choices= too
+    from repro.simulator.traffic import PATTERNS
+
+    be.add_argument("--pattern", choices=PATTERNS.names(), default="uniform")
     be.add_argument("--packets", type=int, default=20_000)
     be.add_argument("--batches", type=int, default=1,
                     help="split the workload into this many injection batches")
@@ -802,112 +601,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="schedule a node fault (repeatable)")
     be.add_argument("--seed", type=int, default=0)
     be.set_defaults(func=_cmd_bench_engines)
-
-    sw = sub.add_parser(
-        "sweep",
-        help="deprecated: run a closed-loop scenario grid by flags "
-             "(use `run` with a grid JSON)",
-        description="Declarative scenario sweep: the cartesian product of "
-                    "--mhk x --pattern x --packets x --fault-set x seeds "
-                    "runs across a chunked work-stealing process pool; "
-                    "per-scenario results and the exact merged aggregate "
-                    "are printed (and optionally written as JSON).  "
-                    "Worker-count guidance: one worker per physical core "
-                    "(the default) — workers are processes, so "
-                    "oversubscribing cores buys nothing.",
-    )
-    sw.add_argument("--mhk", action="append", default=None, metavar="M,H,K",
-                    help="graph size, repeatable (default 2,8,1)")
-    sw.add_argument("--pattern", action="append", choices=pattern_names,
-                    default=None, help="traffic pattern, repeatable")
-    sw.add_argument("--packets", action="append", type=int, default=None,
-                    help="packets per scenario, repeatable")
-    sw.add_argument("--fault-set", action="append", default=None,
-                    metavar="CYCLE:NODE[,...]",
-                    help="fault schedule, repeatable ('' = fault-free)")
-    sw.add_argument("--seeds", type=int, default=1,
-                    help="seed replicas per cell (seeds 0..N-1)")
-    sw.add_argument("--capacity", type=int, default=1)
-    sw.add_argument("--batches", type=int, default=1)
-    sw.add_argument("--cycles-per-batch", type=int, default=0)
-    sw.add_argument("--controller", choices=["reconfig", "detour"],
-                    default="reconfig")
-    sw.add_argument("--engine", choices=["object", "batch"], default="batch",
-                    help="simulation engine per scenario (recorded in the "
-                    "JSON so published curves are reproducible)")
-    sw.add_argument("--route-mode", choices=["bfs", "table"], default="bfs",
-                    help="detour-baseline routing backend: per-pair BFS "
-                    "(reference) or a table compiled once per fault epoch "
-                    "(vectorized; conformance-tested hop-equivalent); "
-                    "ignored by --controller reconfig")
-    sw.add_argument("--shards", type=int, default=1,
-                    help="split each scenario's batches over this many tasks")
-    sw.add_argument("--workers", type=int, default=None,
-                    help="worker processes (default: one per CPU core; "
-                    "0 = run inline)")
-    sw.add_argument("--chunk-size", type=int, default=None,
-                    help="tasks per work-stealing chunk (default: auto)")
-    sw.add_argument("--check-single", action="store_true",
-                    help="also run single-process and verify the merged "
-                    "aggregate is bit-identical")
-    sw.add_argument("--json", default=None, metavar="PATH",
-                    help="write per-scenario rows + aggregate as JSON")
-    sw.set_defaults(func=_cmd_sweep)
-
-    from repro.simulator.sources import SOURCES
-
-    source_names = SOURCES.names()
-
-    st = sub.add_parser(
-        "saturate",
-        help="deprecated: offered-load vs delivered-throughput curves "
-             "by flags (use `run` with a stream spec and --rates)",
-        description="Open-loop load sweep: a seeded traffic source "
-                    "streams arrivals per cycle at each rung of a rate "
-                    "ladder (in parallel across worker processes), the "
-                    "saturation point is bracketed and bisected, and "
-                    "one curve is emitted per --fault-set.  Rates are "
-                    "aggregate packets per cycle; a point counts as "
-                    "stable while delivered/offered stays above "
-                    "--threshold inside the measurement window.",
-    )
-    st.add_argument("--mhk", default="2,6,1", metavar="M,H,K",
-                    help="machine size (default 2,6,1)")
-    st.add_argument("--source", choices=source_names, default="poisson")
-    st.add_argument("--pattern", choices=pattern_names, default="uniform")
-    st.add_argument("--rates", default=None, metavar="R1,R2,...",
-                    help="offered-load ladder in pkt/cycle (default: a "
-                    "geometric ladder up to n * capacity)")
-    st.add_argument("--cycles", type=int, default=1500,
-                    help="injection horizon per point (cycles)")
-    st.add_argument("--warmup", type=int, default=-1,
-                    help="cycles excluded from measurement "
-                    "(default: cycles/5)")
-    st.add_argument("--window", type=int, default=-1,
-                    help="window-series granularity "
-                    "(default: cycles/15; 0 disables)")
-    st.add_argument("--fault-set", action="append", default=None,
-                    metavar="CYCLE:NODE[,...]",
-                    help="fault schedule, repeatable ('' = fault-free); "
-                    "one saturation curve per set")
-    st.add_argument("--bisect", type=int, default=5,
-                    help="bisection refinements after bracketing")
-    st.add_argument("--threshold", type=float, default=0.95,
-                    help="delivered/offered ratio above which a point "
-                    "counts as stable")
-    st.add_argument("--capacity", type=int, default=1)
-    st.add_argument("--controller", choices=["reconfig", "detour"],
-                    default="reconfig")
-    st.add_argument("--engine", choices=["object", "batch"], default="batch")
-    st.add_argument("--route-mode", choices=["bfs", "table"], default="bfs",
-                    help="detour-baseline routing backend (see sweep)")
-    st.add_argument("--seed", type=int, default=0)
-    st.add_argument("--workers", type=int, default=None,
-                    help="worker processes for the ladder phase "
-                    "(default: one per CPU core; 0 = inline)")
-    st.add_argument("--json", default=None, metavar="PATH",
-                    help="write the curves + saturation points as JSON")
-    st.set_defaults(func=_cmd_saturate)
     return p
 
 

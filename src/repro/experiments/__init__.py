@@ -13,8 +13,8 @@ simulation experiments:
   stream grid to :func:`run_grid` executes a saturation *surface*
   (offered rate x machine size x fault count) as one sweep.
 * :func:`run_grid` — the multi-process executor (re-exported from
-  :mod:`repro.simulator.shard_driver`); accepts specs, grids, and the
-  legacy scenario types alike.
+  :mod:`repro.simulator.shard_driver`); accepts a grid or a sequence
+  of specs.
 * The backend registries — :data:`ENGINES`, :data:`CONTROLLERS`,
   :data:`SOURCES`, :data:`PATTERNS`, :data:`ROUTE_MODES`,
   :data:`FAULT_MODELS` — where every name a spec can carry is
@@ -22,9 +22,8 @@ simulation experiments:
   routing mode) is one decorated factory; every spec, grid, CLI
   ``choices=`` list and error message picks it up automatically.
 
-CLI: ``python -m repro run spec.json`` executes any spec or grid JSON.
-The legacy ``Scenario`` / ``StreamScenario`` classes are deprecation
-shims over :class:`ExperimentSpec` and return bit-identical statistics.
+CLI: ``python -m repro run spec.json`` executes any spec or grid JSON;
+``python -m repro serve`` accepts the same JSON over HTTP.
 """
 
 from repro.registry import Registry

@@ -1,11 +1,10 @@
 """The unified experiment specification: one declarative, serializable
 record that drives every kind of run.
 
-:class:`ExperimentSpec` subsumes the two scenario systems that grew in
-parallel — the closed-loop ``Scenario`` (inject fixed batches, drain to
-completion) and the open-loop ``StreamScenario`` (a seeded arrival
-process at a target rate over a fixed horizon).  One frozen dataclass
-now describes either, selected by ``loop="closed" | "stream"``, with
+:class:`ExperimentSpec` describes both kinds of run — a closed loop
+(inject fixed batches, drain to completion) and an open-loop stream (a
+seeded arrival process at a target rate over a fixed horizon) — as one
+frozen dataclass, selected by ``loop="closed" | "stream"``, with
 
 * **registry-validated fields** — ``pattern``, ``source``, ``engine``,
   ``controller`` and ``route_mode`` are checked against the live
@@ -41,8 +40,7 @@ now describes either, selected by ``loop="closed" | "stream"``, with
 Running a spec (:meth:`ExperimentSpec.run`) returns an
 :class:`ExperimentResult`: closed-loop runs carry mergeable
 :class:`~repro.simulator.shard_driver.ShardStats`, stream runs carry
-:class:`~repro.simulator.metrics.StreamStats`; the legacy result names
-(``ScenarioResult``, ``StreamPointResult``) are aliases of it.
+:class:`~repro.simulator.metrics.StreamStats`.
 
 >>> spec = ExperimentSpec(m=2, h=4, k=1, loop="closed", packets=40)
 >>> ExperimentSpec.from_json(spec.to_json()) == spec
@@ -180,8 +178,8 @@ class ExperimentSpec:
 
     Every field is validated in ``__post_init__`` — registry names
     against the live registries, cross-field constraints (spare budget,
-    shard preconditions, warmup bounds) with the same messages the
-    legacy classes raised — so an invalid spec never reaches a worker.
+    shard preconditions, warmup bounds) — so an invalid spec never
+    reaches a worker.
     """
 
     m: int
@@ -323,8 +321,8 @@ class ExperimentSpec:
 
     @property
     def label(self) -> str:
-        """Human-readable cell label (matches the legacy scenario labels,
-        so published sweep rows read the same)."""
+        """Human-readable cell label — the ``"scenario"`` column of
+        result rows."""
         parts = [f"B^{self.k}_{{{self.m},{self.h}}}"]
         if self.loop == "stream":
             parts.append(f"{self.source}({self.rate:g}/cy)")
@@ -766,22 +764,32 @@ def parse_run_payload(payload, *, origin: str = "request"):
     /experiments``): both validate against the backend registries at
     construction time and reject a malformed payload with the exact
     :class:`~repro.errors.ParameterError` message before any worker is
-    touched.  ``origin`` names the payload in error messages (the file
-    path, or the request route).
+    touched.  A value the field coercion cannot take (``"m": "two"``, a
+    fault pair with one element) is refused the same way.  ``origin``
+    names the payload in error messages (the file path, or the request
+    route).
     """
     if not isinstance(payload, dict):
         raise ParameterError(f"{origin}: expected a JSON object")
-    for wrapper, cls in (("grid", ExperimentGrid), ("experiment", ExperimentSpec)):
-        if wrapper in payload:
-            # the wrapper form must wrap *only* — a field that drifted up
-            # to the top level (a misplaced axis, a typo'd sibling) would
-            # otherwise be dropped silently and the run would use defaults
-            extras = sorted(set(payload) - {wrapper})
-            if extras:
-                raise ParameterError(
-                    f"{origin}: unexpected keys {extras} next to "
-                    f"{wrapper!r} — every field belongs inside the "
-                    f"{wrapper!r} object"
-                )
-            return cls.from_dict(payload[wrapper]), wrapper
-    return ExperimentSpec.from_dict(payload), "experiment"
+    try:
+        for wrapper, cls in (("grid", ExperimentGrid), ("experiment", ExperimentSpec)):
+            if wrapper in payload:
+                # the wrapper form must wrap *only* — a field that drifted
+                # up to the top level (a misplaced axis, a typo'd sibling)
+                # would otherwise be dropped silently and the run would
+                # use defaults
+                extras = sorted(set(payload) - {wrapper})
+                if extras:
+                    raise ParameterError(
+                        f"{origin}: unexpected keys {extras} next to "
+                        f"{wrapper!r} — every field belongs inside the "
+                        f"{wrapper!r} object"
+                    )
+                return cls.from_dict(payload[wrapper]), wrapper
+        return ExperimentSpec.from_dict(payload), "experiment"
+    except ParameterError:
+        raise
+    except (TypeError, ValueError) as exc:
+        # field coercion (int("two"), unpacking a one-element fault
+        # pair) raises plain TypeError/ValueError
+        raise ParameterError(f"{origin}: malformed field value: {exc}") from None

@@ -28,8 +28,7 @@ The canonical storage is three flat int64 arrays (the Seastar
   the same lazy-cache pattern.
 
 Everything else is derived: ``degrees() == diff(row_offsets)``,
-``edge_count == len(col_indices) // 2``.  The legacy names ``indptr`` /
-``indices`` alias ``row_offsets`` / ``col_indices``.  The per-node dict
+``edge_count == len(col_indices) // 2``.  The per-node dict
 adjacency survives only as the lazily-built :meth:`adjacency_dict`
 compatibility view; every hot path (frontier gathers, routing-table
 compiles, the batch engine's queue registry) consumes the flat arrays
@@ -243,16 +242,6 @@ class StaticGraph:
             und = lo * self._n + hi
             self._edge_ids = np.searchsorted(np.unique(und), und)
         return self._readonly(self._edge_ids)
-
-    @property
-    def indptr(self) -> np.ndarray:
-        """Alias of :attr:`row_offsets` (legacy name)."""
-        return self.row_offsets
-
-    @property
-    def indices(self) -> np.ndarray:
-        """Alias of :attr:`col_indices` (legacy name)."""
-        return self.col_indices
 
     @property
     def directed_edge_keys(self) -> np.ndarray:

@@ -108,7 +108,7 @@ def compile_routing_table_frontier(g: StaticGraph) -> np.ndarray:
     """
     n = g.node_count
     table = np.full((n, n), UNREACHABLE, dtype=np.int64)
-    indptr, indices = g.indptr, g.indices
+    indptr, indices = g.row_offsets, g.col_indices
     deg = np.diff(indptr)
     for d in range(n):
         parent = np.full(n, -1, dtype=np.int64)

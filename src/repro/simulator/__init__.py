@@ -24,8 +24,8 @@ Two ways to load the machine:
 * **closed loop** — inject fixed batches and drain them
   (``run_workload``); measures makespan and per-batch latency;
 * **open loop** — stream arrivals per cycle from a seeded
-  :class:`TrafficSource` (``run_stream`` / :func:`load_sweep` /
-  :func:`find_saturation`; CLI ``saturate``); measures sustained
+  :class:`TrafficSource` (``run_stream`` / :func:`find_saturation`;
+  CLI ``repro run spec.json --rates ...``); measures sustained
   throughput, backlog growth, and the saturation point.
 """
 
@@ -70,9 +70,6 @@ from repro.simulator.pool import WorkerPool
 from repro.simulator.shard_driver import (
     ExperimentResult,
     GridResult,
-    Scenario,
-    ScenarioGrid,
-    ScenarioResult,
     ShardStats,
     run_grid,
 )
@@ -87,10 +84,7 @@ from repro.simulator.sources import (
 )
 from repro.simulator.streaming import (
     SaturationResult,
-    StreamPointResult,
-    StreamScenario,
     find_saturation,
-    load_sweep,
     run_stream,
 )
 
@@ -103,12 +97,9 @@ __all__ = [
     "TrafficSource",
     "make_source",
     "SaturationResult",
-    "StreamPointResult",
-    "StreamScenario",
     "StreamStats",
     "WindowSeries",
     "find_saturation",
-    "load_sweep",
     "run_stream",
     "stream_summary",
     "window_series",
@@ -144,9 +135,6 @@ __all__ = [
     "validate_fault_model",
     "ExperimentResult",
     "GridResult",
-    "Scenario",
-    "ScenarioGrid",
-    "ScenarioResult",
     "ShardStats",
     "WorkerPool",
     "run_grid",

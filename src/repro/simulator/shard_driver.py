@@ -31,23 +31,17 @@ tests in ``tests/test_shard_driver.py`` enforce this).
 
 Entry points
 ------------
-:func:`run_grid`           sweep specs/grids across workers (accepts
-                           :class:`~repro.experiments.ExperimentGrid`,
+:func:`run_grid`           sweep specs/grids across workers (accepts an
+                           :class:`~repro.experiments.ExperimentGrid` or
+                           a sequence of
                            :class:`~repro.experiments.ExperimentSpec`
-                           lists, and the legacy scenario types; pass
-                           ``pool=`` to reuse warm workers)
+                           cells; pass ``pool=`` to reuse warm workers)
 :class:`WorkerPool`        the persistent chunked work-stealing pool
                            (re-exported from
                            :mod:`repro.simulator.pool`)
 :class:`ShardStats`        the mergeable statistics record
-:class:`ExperimentResult`  one executed spec's outcome (the legacy
-                           ``ScenarioResult``/``StreamPointResult``
-                           names alias it)
+:class:`ExperimentResult`  one executed spec's outcome
 :class:`GridResult`        a sweep's per-spec results and aggregate
-
-The legacy :class:`Scenario` dataclass remains as a deprecation shim
-that builds an :class:`~repro.experiments.ExperimentSpec` internally and
-returns bit-identical statistics.
 
 Picking a worker count
 ----------------------
@@ -60,9 +54,7 @@ which is also the reference the equivalence tests compare against.
 
 from __future__ import annotations
 
-import itertools
 import time
-import warnings
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
@@ -76,9 +68,6 @@ from repro.simulator.pool import WorkerPool
 __all__ = [
     "ShardStats",
     "ExperimentResult",
-    "Scenario",
-    "ScenarioGrid",
-    "ScenarioResult",
     "GridResult",
     "WorkerPool",
     "run_grid",
@@ -263,7 +252,7 @@ class ShardStats:
 
 
 # ---------------------------------------------------------------------------
-# experiment results and the legacy Scenario shim
+# experiment results
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -274,10 +263,7 @@ class ExperimentResult:
     ``stats`` is loop-shaped: closed-loop runs carry mergeable
     :class:`ShardStats` (so shards of one spec reduce exactly — see
     :meth:`merged_with`), stream runs carry
-    :class:`~repro.simulator.metrics.StreamStats`.  The legacy names
-    ``ScenarioResult`` and ``StreamPointResult`` are aliases of this
-    class, and :attr:`scenario` aliases :attr:`spec`, so existing call
-    sites keep reading.
+    :class:`~repro.simulator.metrics.StreamStats`.
     """
 
     spec: "object"          # ExperimentSpec (kept untyped: layering)
@@ -285,11 +271,6 @@ class ExperimentResult:
     seconds: float
     lost_to_faults: int = 0
     unreachable_pairs: int = 0
-
-    @property
-    def scenario(self):
-        """Legacy-name alias of :attr:`spec`."""
-        return self.spec
 
     @property
     def run_stats(self) -> RunStats:
@@ -325,10 +306,10 @@ class ExperimentResult:
         )
 
     def row(self) -> dict:
-        """JSON-friendly summary row, loop-shaped to match the rows the
-        legacy paths published (sweep rows for closed loops,
-        saturation-curve rows for stream points).  Declarative cells add
-        ``fault_model`` (and ``replicas`` when > 1) columns; legacy
+        """JSON-friendly summary row, loop-shaped: sweep columns (led by
+        the ``"scenario"`` cell label) for closed loops, saturation-curve
+        columns for stream points.  Declarative cells add
+        ``fault_model`` (and ``replicas`` when > 1) columns; literal-fault
         cells' rows are unchanged."""
         if isinstance(self.stats, ShardStats):
             sc, st = self.spec, self.run_stats
@@ -371,220 +352,11 @@ def _fault_model_columns(spec) -> dict:
     """Extra row columns for declarative fault universes — empty for
     legacy literal-fault specs, keeping their published rows stable."""
     out: dict = {}
-    model = getattr(spec, "fault_model", None)
-    if model is not None:
-        out["fault_model"] = dict(model)
-    if getattr(spec, "replicas", 1) > 1:
+    if spec.fault_model is not None:
+        out["fault_model"] = dict(spec.fault_model)
+    if spec.replicas > 1:
         out["replicas"] = spec.replicas
     return out
-
-
-#: Legacy alias — scenario-era call sites keep importing this name.
-ScenarioResult = ExperimentResult
-
-
-@dataclass(frozen=True)
-class Scenario:
-    """Deprecated: the closed-loop scenario record, now a thin shim over
-    :class:`repro.experiments.ExperimentSpec`.
-
-    Constructing one emits a :class:`DeprecationWarning` and builds the
-    equivalent spec (``loop="closed"``) internally — same fields, same
-    validation, and :meth:`run` returns bit-identical statistics, so
-    existing call sites keep working while they migrate.  New code
-    should construct ``ExperimentSpec(loop="closed", ...)`` directly.
-    """
-
-    m: int
-    h: int
-    k: int = 1
-    pattern: str = "uniform"
-    packets: int = 1000
-    faults: tuple[tuple[int, int], ...] = ()
-    seed: int = 0
-    link_capacity: int = 1
-    batches: int = 1
-    cycles_per_batch: int = 0
-    controller: str = "reconfig"
-    engine: str = "batch"
-    route_mode: str = "bfs"
-    shards: int = 1
-    max_cycles: int = 1_000_000
-
-    def __post_init__(self):
-        object.__setattr__(
-            self,
-            "faults",
-            tuple((int(c), int(v)) for c, v in self.faults),
-        )
-        # validation lives in the spec; an invalid Scenario raises the
-        # same ParameterError the spec would (before the deprecation
-        # warning, so error-path callers see no noise)
-        object.__setattr__(self, "_spec", self.to_spec())
-        warnings.warn(
-            "Scenario is deprecated; use "
-            "repro.experiments.ExperimentSpec(loop='closed', ...) — same "
-            "fields, exact JSON round-trip, and `repro run` support",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-
-    def to_spec(self):
-        """The equivalent :class:`~repro.experiments.ExperimentSpec`."""
-        from repro.experiments.spec import ExperimentSpec
-
-        return ExperimentSpec(
-            m=self.m, h=self.h, k=self.k, loop="closed",
-            pattern=self.pattern, packets=self.packets, faults=self.faults,
-            seed=self.seed, link_capacity=self.link_capacity,
-            batches=self.batches, cycles_per_batch=self.cycles_per_batch,
-            controller=self.controller, engine=self.engine,
-            route_mode=self.route_mode, shards=self.shards,
-            max_cycles=self.max_cycles,
-        )
-
-    @property
-    def label(self) -> str:
-        return self._spec.label
-
-    def traffic(self) -> np.ndarray:
-        """The scenario's (src, dst) pairs — deterministic in ``seed``."""
-        return self._spec.traffic()
-
-    def injection_batches(self) -> list[np.ndarray]:
-        return self._spec.injection_batches()
-
-    def build_controller(self, engine: str | None = None):
-        """Fresh controller with this scenario's faults wired in."""
-        return self._spec.build_controller(engine)
-
-    def run(self, batch_slice: slice | None = None) -> "ExperimentResult":
-        """Run (a shard of) this scenario in the current process —
-        delegates to the spec; the result's ``scenario`` attribute holds
-        the spec."""
-        return self._spec.run(batch_slice)
-
-
-@dataclass(frozen=True)
-class ScenarioGrid:
-    """Declarative closed-loop sweep specification: the cartesian product
-    of every axis, expanded in a stable documented order.
-
-    Superseded by :class:`repro.experiments.ExperimentGrid` (which adds
-    the stream loop and an offered-rate axis); this class remains as a
-    compatible front end — :func:`run_grid` converts it via
-    :meth:`to_experiment_grid`, and every number comes out bit-identical.
-
-    Axes (in product order): ``mhk`` x ``patterns`` x ``loads`` x
-    ``fault_sets`` x ``seeds``.  Scalars (``link_capacity``, ``batches``,
-    ``cycles_per_batch``, ``controller``, ``engine``, ``route_mode``,
-    ``shards``) apply to every cell; ``engine`` and ``route_mode`` are
-    recorded per row in published sweeps so curves state what produced
-    them.
-
-    >>> grid = ScenarioGrid(mhk=[(2, 4, 1)], patterns=["uniform"],
-    ...                     loads=[100], seeds=[0, 1])
-    >>> len(grid)
-    2
-    """
-
-    mhk: tuple[tuple[int, int, int], ...]
-    patterns: tuple[str, ...] = ("uniform",)
-    loads: tuple[int, ...] = (1000,)
-    fault_sets: tuple[tuple[tuple[int, int], ...], ...] = ((),)
-    seeds: tuple[int, ...] = (0,)
-    link_capacity: int = 1
-    batches: int = 1
-    cycles_per_batch: int = 0
-    controller: str = "reconfig"
-    engine: str = "batch"
-    route_mode: str = "bfs"
-    shards: int = 1
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "mhk", tuple((int(m), int(h), int(k)) for m, h, k in self.mhk)
-        )
-        object.__setattr__(self, "patterns", tuple(self.patterns))
-        object.__setattr__(self, "loads", tuple(int(p) for p in self.loads))
-        object.__setattr__(
-            self,
-            "fault_sets",
-            tuple(
-                tuple((int(c), int(v)) for c, v in fs) for fs in self.fault_sets
-            ),
-        )
-        object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
-        if not self.mhk:
-            raise ParameterError("ScenarioGrid needs at least one (m, h, k)")
-
-    def __len__(self) -> int:
-        return (
-            len(self.mhk) * len(self.patterns) * len(self.loads)
-            * len(self.fault_sets) * len(self.seeds)
-        )
-
-    def to_experiment_grid(self):
-        """The equivalent :class:`~repro.experiments.ExperimentGrid`
-        (``loop="closed"``) — the form :func:`run_grid` executes."""
-        from repro.experiments.spec import ExperimentGrid
-
-        return ExperimentGrid(
-            mhk=self.mhk, loop="closed", patterns=self.patterns,
-            loads=self.loads, fault_sets=self.fault_sets, seeds=self.seeds,
-            link_capacity=self.link_capacity, batches=self.batches,
-            cycles_per_batch=self.cycles_per_batch,
-            controller=self.controller, engine=self.engine,
-            route_mode=self.route_mode, shards=self.shards,
-        )
-
-    def scenarios(self) -> list[Scenario]:
-        """Expand the grid into concrete :class:`Scenario` cells (the
-        deprecated shim type — each construction warns; prefer
-        ``to_experiment_grid().expand()``)."""
-        out = []
-        for (m, h, k), pattern, load, faults, seed in itertools.product(
-            self.mhk, self.patterns, self.loads, self.fault_sets, self.seeds
-        ):
-            out.append(
-                Scenario(
-                    m=m, h=h, k=k, pattern=pattern, packets=load,
-                    faults=faults, seed=seed,
-                    link_capacity=self.link_capacity,
-                    batches=self.batches,
-                    cycles_per_batch=self.cycles_per_batch,
-                    controller=self.controller,
-                    engine=self.engine,
-                    route_mode=self.route_mode,
-                    shards=self.shards,
-                )
-            )
-        return out
-
-    def to_dict(self) -> dict:
-        """JSON-friendly form (the CLI round-trips grids through this)."""
-        return {
-            "mhk": [list(t) for t in self.mhk],
-            "patterns": list(self.patterns),
-            "loads": list(self.loads),
-            "fault_sets": [[list(f) for f in fs] for fs in self.fault_sets],
-            "seeds": list(self.seeds),
-            "link_capacity": self.link_capacity,
-            "batches": self.batches,
-            "cycles_per_batch": self.cycles_per_batch,
-            "controller": self.controller,
-            "engine": self.engine,
-            "route_mode": self.route_mode,
-            "shards": self.shards,
-        }
-
-    @classmethod
-    def from_dict(cls, spec: dict) -> "ScenarioGrid":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(spec) - known
-        if unknown:
-            raise ParameterError(f"unknown ScenarioGrid keys: {sorted(unknown)}")
-        return cls(**spec)
 
 
 # ---------------------------------------------------------------------------
@@ -609,23 +381,17 @@ def _run_spec_task(task: _SpecTask) -> ExperimentResult:
 
 
 def _as_specs(grid) -> list:
-    """Normalize any accepted grid/cell form into a flat spec list."""
+    """Normalize a grid or a sequence of spec cells into a flat spec
+    list."""
     from repro.experiments.spec import ExperimentGrid, ExperimentSpec
 
     if isinstance(grid, ExperimentGrid):
         return grid.expand()
-    if isinstance(grid, ScenarioGrid):
-        return grid.to_experiment_grid().expand()
-    specs = []
-    for cell in grid:
-        if isinstance(cell, ExperimentSpec):
-            specs.append(cell)
-        elif hasattr(cell, "to_spec"):  # legacy Scenario/StreamScenario shims
-            specs.append(cell.to_spec())
-        else:
+    specs = list(grid)
+    for cell in specs:
+        if not isinstance(cell, ExperimentSpec):
             raise ParameterError(
-                f"run_grid expects ExperimentSpec cells (or the legacy "
-                f"Scenario/StreamScenario shims), got {cell!r}"
+                f"run_grid expects ExperimentSpec cells, got {cell!r}"
             )
     return specs
 
@@ -641,7 +407,7 @@ def _expand_tasks(specs: Sequence) -> tuple[list[_SpecTask], list[int]]:
     tasks: list[_SpecTask] = []
     owners: list[int] = []
     for si, sp in enumerate(specs):
-        if getattr(sp, "replicas", 1) > 1:
+        if sp.replicas > 1:
             for i in range(sp.replicas):
                 tasks.append(_SpecTask(sp.realize_replica(i)))
                 owners.append(si)
@@ -688,7 +454,7 @@ class GridResult:
 
     def rows(self) -> list[dict]:
         """JSON-friendly per-spec rows (reporting/CI artifacts).
-        Closed-loop rows keep the legacy sweep columns bit-identical;
+        Closed-loop rows are :meth:`ExperimentResult.row` verbatim;
         stream rows prepend the cell identity to the saturation-curve
         columns."""
         out = []
@@ -722,11 +488,10 @@ def run_grid(
     """Sweep an experiment grid across a worker pool and reduce the
     shards.
 
-    ``grid`` may be an :class:`~repro.experiments.ExperimentGrid`, a
-    legacy :class:`ScenarioGrid`, or any sequence of
-    :class:`~repro.experiments.ExperimentSpec` cells (legacy
-    ``Scenario``/``StreamScenario`` shims are converted).  Closed-loop
-    and stream cells mix freely — a stream grid over rates x sizes x
+    ``grid`` may be an :class:`~repro.experiments.ExperimentGrid` or
+    any sequence of :class:`~repro.experiments.ExperimentSpec` cells;
+    anything else raises :class:`~repro.errors.ParameterError` before a
+    worker is touched.  Closed-loop and stream cells mix freely — a stream grid over rates x sizes x
     fault sets *is* a saturation surface executed as one sweep.
 
     The per-spec results come back in grid order regardless of which

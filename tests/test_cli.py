@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.cli import main
@@ -79,80 +81,102 @@ class TestBenchEngines:
         assert "speedup" in out
 
 
-class TestSweep:
-    def test_sweep_inline_with_check(self, capsys, tmp_path):
-        out = tmp_path / "sweep.json"
-        assert main([
-            "sweep", "--mhk", "2,4,1", "--mhk", "2,5,1",
-            "--pattern", "uniform", "--packets", "150",
-            "--fault-set", "", "--fault-set", "0:3",
-            "--seeds", "2", "--workers", "0",
-            "--check-single", "--json", str(out),
-        ]) == 0
-        text = capsys.readouterr().out
-        assert "scenario grid: 8 scenarios" in text
-        assert "identical aggregate: True" in text
-        assert out.exists()
-        import json
+def _write_json(tmp_path, payload, name="spec.json") -> str:
+    path = tmp_path / name
+    path.write_text(json.dumps(payload))
+    return str(path)
 
+
+def _refused(capsys) -> str:
+    """The one-line refusal ``repro run`` prints for a malformed input:
+    an ``error:`` line on stderr and no traceback."""
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+    return err
+
+
+SWEEP_GRID = {"grid": {
+    "mhk": [[2, 4, 1], [2, 5, 1]], "loop": "closed",
+    "patterns": ["uniform"], "loads": [150],
+    "fault_sets": [[], [[0, 3]]], "seeds": [0, 1],
+}}
+
+
+class TestSweep:
+    """Closed-loop grid sweeps through ``repro run``."""
+
+    def test_sweep_inline_with_check(self, capsys, tmp_path):
+        spec = _write_json(tmp_path, SWEEP_GRID)
+        out = tmp_path / "sweep.json"
+        assert main(["run", spec, "--workers", "0", "--check-single",
+                     "--json", str(out)]) == 0
+        text = capsys.readouterr().out
+        assert "experiment grid: 8 cells (loop=closed)" in text
+        assert "identical stats: True" in text
         payload = json.loads(out.read_text())
-        assert len(payload["scenarios"]) == 8
+        assert len(payload["rows"]) == 8
         assert payload["aggregate"]["injected"] == 8 * 150
         # published curves must record what produced them
-        assert payload["engine"] == "batch"
         assert payload["grid"]["engine"] == "batch"
         assert payload["workers"] == 0
-        assert all(r["engine"] == "batch" for r in payload["scenarios"])
+        assert all(r["engine"] == "batch" for r in payload["rows"])
 
-    def test_sweep_multiprocess(self, capsys):
-        assert main([
-            "sweep", "--mhk", "2,4,1", "--packets", "100",
-            "--seeds", "2", "--workers", "2",
-        ]) == 0
-        assert "aggregate over 2 scenarios" in capsys.readouterr().out
+    def test_sweep_multiprocess(self, capsys, tmp_path):
+        spec = _write_json(tmp_path, SWEEP_GRID)
+        assert main(["run", spec, "--workers", "2"]) == 0
+        text = capsys.readouterr().out
+        assert "aggregate over 8 closed-loop cell(s)" in text
+        assert "on 2 worker(s)" in text
 
-    def test_sweep_bad_mhk(self, capsys):
-        assert main(["sweep", "--mhk", "nope"]) == 1
-        assert "error" in capsys.readouterr().err
+    def test_sweep_bad_mhk(self, capsys, tmp_path):
+        spec = _write_json(tmp_path, {"grid": {"mhk": ["nope"]}})
+        assert main(["run", spec]) == 1
+        assert f"{spec}: malformed field value" in _refused(capsys)
 
-    def test_sweep_bad_fault_set(self, capsys):
-        assert main(["sweep", "--mhk", "2,4,1", "--fault-set", "xx"]) == 1
-        assert "error" in capsys.readouterr().err
+    def test_sweep_bad_fault_set(self, capsys, tmp_path):
+        spec = _write_json(tmp_path, {"m": 2, "h": 4, "faults": [[0]]})
+        assert main(["run", spec]) == 1
+        assert f"{spec}: malformed field value" in _refused(capsys)
 
 
 class TestSaturate:
+    """Open-loop rate ladders through ``repro run --rates``."""
+
     def test_curve_and_saturation_point(self, capsys, tmp_path):
-        out = tmp_path / "sat.json"
-        assert main([
-            "saturate", "--mhk", "2,4,1", "--cycles", "300",
-            "--rates", "1,4,16", "--bisect", "2",
-            "--fault-set", "", "--fault-set", "0:5",
-            "--workers", "0", "--json", str(out),
-        ]) == 0
-        text = capsys.readouterr().out
-        assert "fault-free" in text and "faults [(0, 5)]" in text
-        assert "saturation ~" in text
-        import json
-
-        payload = json.loads(out.read_text())
-        assert payload["engine"] == "batch" and payload["workers"] == 0
-        assert len(payload["curves"]) == 2
-        for curve in payload["curves"]:
-            assert curve["bracketed"]
-            rates = [p["rate"] for p in curve["points"]]
+        fault_free = {"m": 2, "h": 4, "k": 1, "loop": "stream",
+                      "cycles": 300, "warmup": 60}
+        faulted = dict(fault_free,
+                       fault_model={"name": "fixed", "faults": [[0, 5]]})
+        for name, experiment in (("free", fault_free), ("fault", faulted)):
+            spec = _write_json(tmp_path, {"experiment": experiment},
+                               f"{name}.json")
+            out = tmp_path / f"{name}-sat.json"
+            assert main(["run", spec, "--rates", "1,4,16", "--bisect", "2",
+                         "--workers", "0", "--json", str(out)]) == 0
+            assert "saturation ~" in capsys.readouterr().out
+            payload = json.loads(out.read_text())
+            assert payload["experiment"]["engine"] == "batch"
+            assert payload["workers"] == 0
+            assert payload["bracketed"]
+            rates = [p["rate"] for p in payload["points"]]
             assert rates == sorted(rates) and len(rates) >= 5
+        assert payload["experiment"]["fault_model"]["faults"] == [[0, 5]]
 
-    def test_detour_controller(self, capsys):
-        assert main([
-            "saturate", "--mhk", "2,4,1", "--cycles", "200",
-            "--rates", "0.5", "--bisect", "0", "--controller", "detour",
-            "--fault-set", "0:5", "--workers", "0",
-        ]) == 0
+    def test_detour_controller(self, capsys, tmp_path):
+        spec = _write_json(tmp_path, {"experiment": {
+            "m": 2, "h": 4, "k": 1, "loop": "stream", "cycles": 200,
+            "warmup": 40, "controller": "detour",
+            "fault_model": {"name": "fixed", "faults": [[0, 5]]},
+        }})
+        assert main(["run", spec, "--rates", "0.5", "--bisect", "0",
+                     "--workers", "0"]) == 0
         assert "unadmitted" in capsys.readouterr().out
 
-    def test_bad_mhk(self, capsys):
-        assert main(["saturate", "--mhk", "nope"]) == 1
-        assert "error" in capsys.readouterr().err
+    def test_bad_mhk(self, capsys, tmp_path):
+        spec = _write_json(tmp_path, {"m": "two", "h": 4})
+        assert main(["run", spec, "--rates", "1,4"]) == 1
+        assert f"{spec}: malformed field value" in _refused(capsys)
 
 
 class TestMisc:

@@ -1,24 +1,24 @@
 """Tests for the unified experiment API: spec round-trips, registry
-validation, grid-expansion equivalence against the legacy scenario
-paths, deprecation shims, and the ``repro run`` CLI.
+validation, grid expansion, execution-path equivalence, and the
+``repro run`` CLI.
 
 The load-bearing claims:
 
 * ``ExperimentSpec`` JSON round-trips *exactly* (spec -> json -> spec
   equality, every field);
-* the legacy ``Scenario``/``StreamScenario``/``ScenarioGrid`` paths and
-  the new ``ExperimentSpec``/``ExperimentGrid`` paths produce
+* pooled, sharded and inline execution of the same specs produce
   bit-identical ``RunStats``/``StreamStats``;
 * registry lookups fail at spec construction with a ``ValueError``
   subclass naming the bad value and the valid choices — never a
   ``KeyError`` inside a worker;
-* the shims warn with ``DeprecationWarning``.
+* ``repro run`` refuses a malformed file, spec value or flag with one
+  ``error:`` line, never a traceback.
 """
 
 from __future__ import annotations
 
 import json
-import warnings
+import pathlib
 
 import numpy as np
 import pytest
@@ -39,12 +39,7 @@ from repro.experiments import (
     run_grid,
 )
 
-
-def _quiet(fn, *args, **kwargs):
-    """Run a deprecated constructor without warning noise."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        return fn(*args, **kwargs)
+EXAMPLES = pathlib.Path(__file__).parent.parent / "examples"
 
 
 # ---------------------------------------------------------------------------
@@ -125,6 +120,8 @@ class TestSpecValidation:
             ExperimentSpec(m=2, h=4, controller="detour", cycles_per_batch=3)
         with pytest.raises(ParameterError, match="shards"):
             ExperimentSpec(m=2, h=4, shards=3, batches=2)
+        with pytest.raises(ParameterError, match="cycles_per_batch"):
+            ExperimentSpec(m=2, h=4, shards=2, batches=2, cycles_per_batch=5)
         with pytest.raises(ParameterError, match="cycle 0"):
             ExperimentSpec(m=2, h=4, shards=2, batches=2, faults=((4, 1),))
 
@@ -233,74 +230,32 @@ class TestExperimentGrid:
 
     def test_bad_cell_fails_at_grid_construction(self):
         """Expansion validates every cell up front — a bad name cannot
-        survive to a worker process."""
+        survive to a worker process, and neither can an empty grid."""
         with pytest.raises(ParameterError, match="rnig"):
             ExperimentGrid(mhk=[(2, 4, 1)], patterns=["rnig"])
+        with pytest.raises(ParameterError, match="at least one"):
+            ExperimentGrid(mhk=[])
 
 
 # ---------------------------------------------------------------------------
-# equivalence with the legacy paths (bit-identical stats)
+# equivalence across execution paths (bit-identical stats)
 # ---------------------------------------------------------------------------
 
 class TestLegacyEquivalence:
-    def test_scenario_grid_vs_experiment_grid(self):
-        """Old ScenarioGrid and new ExperimentGrid describe the same
-        sweep -> bit-identical per-cell RunStats and aggregate."""
-        from repro.simulator import ScenarioGrid
-
-        kwargs = dict(
-            mhk=[(2, 4, 1), (2, 5, 1)], patterns=["uniform"],
-            loads=[120], fault_sets=[(), ((0, 3),)], seeds=[0, 1],
-        )
-        old = run_grid(ScenarioGrid(**kwargs), workers=0)
-        new = run_grid(ExperimentGrid(**kwargs), workers=0)
-        assert old.aggregate_stats == new.aggregate_stats
-        for a, b in zip(old.results, new.results):
-            assert a.run_stats == b.run_stats
-            assert a.spec == b.spec
-
-    def test_scenario_shim_runs_bit_identical(self):
-        from repro.simulator import Scenario
-
-        sc = _quiet(Scenario, m=2, h=5, k=1, packets=200,
-                    faults=((0, 3),), seed=4, batches=2)
-        spec = ExperimentSpec(m=2, h=5, k=1, packets=200,
-                             faults=((0, 3),), seed=4, batches=2)
-        assert sc.to_spec() == spec
-        assert sc.label == spec.label
-        assert sc.run().run_stats == spec.run().run_stats
-
-    def test_stream_scenario_shim_runs_bit_identical(self):
-        from repro.simulator import StreamScenario
-
-        sc = _quiet(StreamScenario, m=2, h=4, k=1, rate=3.0, cycles=250,
-                    warmup=50, window=50, faults=((0, 5),), seed=2)
-        spec = ExperimentSpec(m=2, h=4, k=1, loop="stream", rate=3.0,
-                             cycles=250, warmup=50, window=50,
-                             faults=((0, 5),), seed=2)
-        assert sc.to_spec() == spec
-        assert sc.label == spec.label
-        assert sc.run().stats == spec.run().stats  # full StreamStats
-
-    def test_load_sweep_accepts_both(self):
-        from repro.simulator import StreamScenario
-        from repro.simulator.streaming import load_sweep
-
-        spec = ExperimentSpec(m=2, h=4, k=1, loop="stream", cycles=200,
-                             warmup=40, faults=((0, 5),))
-        legacy = _quiet(StreamScenario, m=2, h=4, k=1, cycles=200,
-                        warmup=40, faults=((0, 5),))
-        a = load_sweep(spec, [0.5, 8.0], workers=0)
-        b = load_sweep(legacy, [0.5, 8.0], workers=0)
-        for pa, pb in zip(a, b):
-            assert pa.stats == pb.stats
-            assert pa.spec == pb.spec
-
-    def test_load_sweep_rejects_closed_spec(self):
-        from repro.simulator.streaming import load_sweep
+    def test_find_saturation_rejects_closed_spec(self):
+        from repro.simulator.streaming import find_saturation
 
         with pytest.raises(ParameterError, match="stream"):
-            load_sweep(ExperimentSpec(m=2, h=4), [1.0], workers=0)
+            find_saturation(ExperimentSpec(m=2, h=4), [1.0], workers=0)
+
+        class _ConvertsToSpec:
+            """Duck-types a spec conversion; the base must be a spec."""
+
+            def to_spec(self):
+                return ExperimentSpec(m=2, h=4, loop="stream")
+
+        with pytest.raises(ParameterError, match="stream"):
+            find_saturation(_ConvertsToSpec(), [1.0], workers=0)
 
     def test_saturation_surface_as_one_sharded_sweep(self):
         """The headline: rate x size x faults through run_grid, pooled
@@ -364,42 +319,6 @@ class TestLegacyEquivalence:
         assert res.results[1].stats.offered > 0
         # aggregate covers only the closed cell
         assert res.aggregate_stats.injected == 100
-
-
-# ---------------------------------------------------------------------------
-# deprecation shims warn
-# ---------------------------------------------------------------------------
-
-class TestDeprecationWarnings:
-    def test_scenario_warns(self):
-        from repro.simulator import Scenario
-
-        with pytest.warns(DeprecationWarning, match="ExperimentSpec"):
-            Scenario(m=2, h=4)
-
-    def test_stream_scenario_warns(self):
-        from repro.simulator import StreamScenario
-
-        with pytest.warns(DeprecationWarning, match="ExperimentSpec"):
-            StreamScenario(m=2, h=4)
-
-    def test_sweep_cli_warns(self):
-        with pytest.warns(DeprecationWarning, match="repro run"):
-            assert main(["sweep", "--mhk", "2,4,1", "--packets", "50",
-                         "--workers", "0"]) == 0
-
-    def test_saturate_cli_warns(self):
-        with pytest.warns(DeprecationWarning, match="repro run"):
-            assert main(["saturate", "--mhk", "2,4,1", "--cycles", "100",
-                         "--rates", "0.5", "--bisect", "0",
-                         "--workers", "0"]) == 0
-
-    def test_shim_results_alias_experiment_result(self):
-        from repro.simulator import ExperimentResult, ScenarioResult
-        from repro.simulator.streaming import StreamPointResult
-
-        assert ScenarioResult is ExperimentResult
-        assert StreamPointResult is ExperimentResult
 
 
 # ---------------------------------------------------------------------------
@@ -482,19 +401,31 @@ class TestRunCli:
         assert main(["run", spec]) == 1
         assert "seeds" in capsys.readouterr().err
 
-    def test_deprecated_commands_print_visible_notice(self, capsys):
-        """DeprecationWarning is hidden by default filters outside
-        __main__, so the CLI shims must also say it on stderr."""
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            assert main(["sweep", "--mhk", "2,4,1", "--packets", "40",
-                         "--workers", "0"]) == 0
-        assert "deprecated" in capsys.readouterr().err
+    def test_missing_spec_file_reported(self, capsys, tmp_path):
+        missing = str(tmp_path / "nope.json")
+        assert main(["run", missing]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {missing}: ")
+        assert "Traceback" not in err
+
+    def test_non_json_spec_file_reported(self, capsys, tmp_path):
+        path = tmp_path / "broken.json"
+        path.write_text('{"m": 2,')
+        assert main(["run", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: not JSON")
+        assert "Traceback" not in err
+
+    def test_non_numeric_rates_rejected(self, capsys, tmp_path):
+        spec = self._write(tmp_path, {"m": 2, "h": 4, "loop": "stream"})
+        assert main(["run", spec, "--rates", "1,x"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --rates ") and "'1,x'" in err
 
     def test_registered_pattern_reaches_cli_choices(self, capsys):
         """The documented extension recipe end-to-end: a pattern
         registered after import is accepted by spec validation AND by
-        the CLI's live choices= lists."""
+        the CLI's live choices= list (``bench-engines --pattern``)."""
         from repro.simulator.traffic import PATTERNS
 
         if "test-ring" not in PATTERNS:
@@ -507,20 +438,16 @@ class TestRunCli:
 
         spec = ExperimentSpec(m=2, h=4, pattern="test-ring", packets=32)
         assert spec.run().run_stats.delivered == 32
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            assert main(["sweep", "--mhk", "2,4,1", "--packets", "32",
-                         "--pattern", "test-ring", "--workers", "0"]) == 0
-        assert "test-ring" not in capsys.readouterr().err
+        assert main(["bench-engines", "--h", "4", "--packets", "32",
+                     "--pattern", "test-ring"]) == 0
+        captured = capsys.readouterr()
+        assert "workload: test-ring, 32 packets" in captured.out
+        assert "test-ring" not in captured.err
 
     def test_sample_spec_file_runs(self, capsys, tmp_path):
         """The checked-in examples/experiment_spec.json (the CI artifact)
         must stay runnable."""
-        import pathlib
-
-        sample = pathlib.Path(__file__).parent.parent / "examples"
-        sample = sample / "experiment_spec.json"
-        payload = json.loads(sample.read_text())
+        payload = json.loads((EXAMPLES / "experiment_spec.json").read_text())
         # shrink the horizon so the smoke test stays fast
         payload["grid"]["cycles"] = 120
         payload["grid"]["warmup"] = 20
@@ -528,3 +455,21 @@ class TestRunCli:
         spec = self._write(tmp_path, payload)
         assert main(["run", spec, "--workers", "0"]) == 0
         assert "wall clock" in capsys.readouterr().out
+
+    def test_saturation_ladder_file_runs(self, capsys, tmp_path):
+        """The checked-in examples/saturation_ladder.json (the CI
+        saturation artifact) must stay runnable as a --rates ladder."""
+        payload = json.loads(
+            (EXAMPLES / "saturation_ladder.json").read_text()
+        )
+        # shrink the horizon so the smoke test stays fast
+        payload["experiment"]["cycles"] = 150
+        payload["experiment"]["warmup"] = 30
+        spec = self._write(tmp_path, payload)
+        out = tmp_path / "saturation.json"
+        assert main(["run", spec, "--rates", "2,16", "--bisect", "1",
+                     "--workers", "0", "--json", str(out)]) == 0
+        assert "offered-load ladder" in capsys.readouterr().out
+        result = json.loads(out.read_text())
+        assert result["experiment"]["fault_model"]["name"] == "fixed"
+        assert [p["rate"] for p in result["points"]][:1] == [2.0]

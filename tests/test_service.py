@@ -96,6 +96,21 @@ class TestValidation:
         # the door did its job before any worker was touched
         assert service.pool.spawned == 0
 
+    @pytest.mark.parametrize("body", [
+        {"m": "two", "h": 4},
+        {"grid": {"mhk": ["nope"]}},
+        {"m": 2, "h": 4, "faults": [[0]]},
+    ], ids=["non-int-m", "short-mhk", "short-fault-pair"])
+    def test_malformed_values_rejected(self, service, body):
+        """A value field coercion cannot take is a 400 naming the
+        route, not a dropped connection."""
+        code, error = _request_error(
+            service.port, "/experiments", json.dumps(body).encode()
+        )
+        assert code == 400
+        assert error.startswith("POST /experiments: malformed field value: ")
+        assert service.pool.spawned == 0
+
     def test_wrapper_with_siblings_rejected(self, service):
         code, error = _request_error(
             service.port, "/experiments",

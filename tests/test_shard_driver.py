@@ -19,14 +19,13 @@ from hypothesis import strategies as st
 
 from repro.core import debruijn, ft_debruijn
 from repro.errors import ParameterError, SimulationError
+from repro.experiments import ExperimentGrid, ExperimentSpec
 from repro.routing import lifted_routes_batch
 from repro.simulator import (
     BatchEngine,
     DetourController,
     FaultScenario,
     ReconfigurationController,
-    Scenario,
-    ScenarioGrid,
     ShardStats,
     make_pattern,
     pack_routes,
@@ -191,54 +190,6 @@ class TestShardStatsMerge:
         assert ShardStats.merge([s, s]).to_run_stats().throughput == 0.0
 
 
-class TestScenarioGrid:
-    def test_expansion_order_and_size(self):
-        grid = ScenarioGrid(
-            mhk=[(2, 4, 1), (2, 5, 1)],
-            patterns=["uniform", "hotspot"],
-            loads=[10, 20],
-            fault_sets=[(), ((0, 1),)],
-            seeds=[0, 1, 2],
-        )
-        cells = grid.scenarios()
-        assert len(cells) == len(grid) == 2 * 2 * 2 * 2 * 3
-        # seeds vary fastest, mhk slowest (documented product order)
-        assert [c.seed for c in cells[:3]] == [0, 1, 2]
-        assert cells[0].m == cells[len(cells) // 2 - 1].m == 2
-        assert cells[0].h == 4 and cells[-1].h == 5
-
-    def test_dict_round_trip(self):
-        grid = ScenarioGrid(mhk=[(2, 4, 1)], fault_sets=[((3, 7),)],
-                            seeds=[5], batches=2)
-        assert ScenarioGrid.from_dict(grid.to_dict()) == grid
-
-    def test_from_dict_rejects_unknown_keys(self):
-        with pytest.raises(ParameterError):
-            ScenarioGrid.from_dict({"mhk": [[2, 4, 1]], "nope": 1})
-
-    def test_empty_grid_rejected(self):
-        with pytest.raises(ParameterError):
-            ScenarioGrid(mhk=[])
-
-    def test_scenario_validation(self):
-        with pytest.raises(ParameterError):
-            Scenario(m=2, h=4, pattern="nope")
-        with pytest.raises(ParameterError):
-            Scenario(m=2, h=4, controller="nope")
-        with pytest.raises(ParameterError):
-            Scenario(m=2, h=4, shards=3, batches=2)
-        with pytest.raises(ParameterError):
-            Scenario(m=2, h=4, shards=2, batches=2, cycles_per_batch=5)
-        with pytest.raises(ParameterError):
-            Scenario(m=2, h=4, shards=2, batches=2, faults=((4, 1),))
-        with pytest.raises(ParameterError, match="spares"):
-            Scenario(m=2, h=4, k=1, faults=((0, 1), (0, 2)))
-        with pytest.raises(ParameterError, match="unknown engine 'sharded'"):
-            Scenario(m=2, h=4, engine="sharded")
-        with pytest.raises(ParameterError, match="detour"):
-            Scenario(m=2, h=4, controller="detour", cycles_per_batch=3)
-
-
 class TestShardDriver:
     """The map contract ``run_grid`` dispatches on, through the
     ``WorkerPool`` this module re-exports."""
@@ -278,7 +229,7 @@ def _die_hard(x):
 
 class TestRunGrid:
     def test_multiprocess_matches_inline(self):
-        grid = ScenarioGrid(
+        grid = ExperimentGrid(
             mhk=[(2, 4, 1), (2, 5, 1)],
             patterns=["uniform"],
             loads=[150],
@@ -290,11 +241,11 @@ class TestRunGrid:
         assert inline.aggregate_stats == pooled.aggregate_stats
         for a, b in zip(inline.results, pooled.results):
             assert a.run_stats == b.run_stats
-            assert a.scenario == b.scenario
+            assert a.spec == b.spec
 
     def test_per_batch_shards_match_single_process(self):
-        sc = Scenario(m=2, h=5, k=1, pattern="uniform", packets=600,
-                      batches=4, shards=4, seed=2)
+        sc = ExperimentSpec(m=2, h=5, k=1, pattern="uniform", packets=600,
+                            batches=4, shards=4, seed=2)
         sharded = run_grid([sc], workers=2).results[0].run_stats
         ctrl = ReconfigurationController(2, 5, 1, engine="batch")
         pairs = make_pattern(32, "uniform", 600, np.random.default_rng(2))
@@ -302,7 +253,7 @@ class TestRunGrid:
         assert sharded == single
 
     def test_detour_scenarios(self):
-        grid = ScenarioGrid(
+        grid = ExperimentGrid(
             mhk=[(2, 4, 1)], loads=[100], fault_sets=[((0, 3),)],
             controller="detour", seeds=[0],
         )
@@ -314,8 +265,8 @@ class TestRunGrid:
     def test_mid_run_faults_run_on_honest_timeline(self):
         """Grid cells run engine='batch' inside the worker, so mid-run
         faults keep exact timing — equal to a direct controller run."""
-        sc = Scenario(m=2, h=4, k=2, pattern="uniform", packets=300,
-                      faults=((2, 5), (6, 11)), seed=9)
+        sc = ExperimentSpec(m=2, h=4, k=2, pattern="uniform", packets=300,
+                            faults=((2, 5), (6, 11)), seed=9)
         via_grid = run_grid([sc], workers=2).results[0].run_stats
         ctrl = ReconfigurationController(2, 4, 2, engine="batch")
         ctrl.schedule(FaultScenario([(2, 5), (6, 11)]))
@@ -325,7 +276,7 @@ class TestRunGrid:
     def test_rows_are_json_friendly(self):
         import json
 
-        res = run_grid(ScenarioGrid(mhk=[(2, 4, 1)], loads=[50]), workers=0)
+        res = run_grid(ExperimentGrid(mhk=[(2, 4, 1)], loads=[50]), workers=0)
         text = json.dumps(res.rows())
         assert "B^1_{2,4}" in text
         assert res.workers == 0
@@ -333,6 +284,15 @@ class TestRunGrid:
     def test_rejects_non_scenarios(self):
         with pytest.raises(ParameterError):
             run_grid([object()], workers=0)
+
+        class _ConvertsToSpec:
+            """Duck-types a spec conversion; run_grid takes specs only."""
+
+            def to_spec(self):
+                return ExperimentSpec(m=2, h=4, packets=10)
+
+        with pytest.raises(ParameterError, match="ExperimentSpec cells"):
+            run_grid([_ConvertsToSpec()], workers=0)
 
 
 class TestShardedEngine:

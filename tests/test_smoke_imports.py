@@ -50,11 +50,18 @@ def _subcommands() -> list[str]:
     return sorted(actions[0].choices)
 
 
-def test_expected_subcommands_present():
+def test_expected_subcommands_present(capsys):
     subs = _subcommands()
     for cmd in ("build", "verify", "report", "route", "demo",
-                "bench-engines", "sweep"):
+                "bench-engines", "run", "serve"):
         assert cmd in subs
+    # `run` is the one front door: the flag-driven commands are gone
+    for cmd in ("sweep", "saturate"):
+        assert cmd not in subs
+        with pytest.raises(SystemExit) as exc:
+            main([cmd])
+        assert exc.value.code == 2
+        assert f"invalid choice: '{cmd}'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", _subcommands())
@@ -69,4 +76,4 @@ def test_top_level_help(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--help"])
     assert exc.value.code == 0
-    assert "sweep" in capsys.readouterr().out
+    assert "serve" in capsys.readouterr().out

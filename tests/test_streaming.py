@@ -7,16 +7,16 @@ import numpy as np
 import pytest
 
 from repro.errors import ParameterError
+from repro.experiments import ExperimentSpec
 from repro.simulator import (
     DetourController,
     FaultScenario,
     PacketArrays,
     PoissonSource,
     ReconfigurationController,
-    StreamScenario,
     TraceSource,
     find_saturation,
-    load_sweep,
+    run_grid,
     run_stream,
 )
 
@@ -283,21 +283,26 @@ class TestValidation:
 
     def test_scenario_validates(self):
         with pytest.raises(ParameterError):
-            StreamScenario(m=2, h=4, k=1, faults=((0, 1), (0, 2)))
+            ExperimentSpec(m=2, h=4, k=1, loop="stream",
+                           faults=((0, 1), (0, 2)))
         with pytest.raises(ParameterError):
-            StreamScenario(m=2, h=4, source="nope")
+            ExperimentSpec(m=2, h=4, loop="stream", source="nope")
         with pytest.raises(ParameterError):
-            StreamScenario(m=2, h=4, engine="sharded")
+            ExperimentSpec(m=2, h=4, loop="stream", engine="sharded")
 
 
 class TestSaturation:
     """Saturation-curve smoke test on a tiny machine with one fault."""
 
-    BASE = StreamScenario(m=2, h=4, k=1, cycles=400, warmup=80,
-                          faults=((0, 5),), seed=0)
+    BASE = ExperimentSpec(m=2, h=4, k=1, loop="stream", cycles=400,
+                          warmup=80, faults=((0, 5),), seed=0)
+
+    def _ladder(self, rates, workers):
+        specs = [self.BASE.with_rate(r) for r in rates]
+        return run_grid(specs, workers=workers).results
 
     def test_low_rate_is_stable_high_rate_is_not(self):
-        points = load_sweep(self.BASE, [0.5, 16.0], workers=0)
+        points = self._ladder([0.5, 16.0], workers=0)
         assert points[0].stable(0.95)
         assert not points[1].stable(0.95)
         # past saturation the backlog explodes
@@ -330,8 +335,8 @@ class TestSaturation:
 
     def test_sweep_parallel_matches_inline(self):
         """The shard-driver plumbing must not change any number."""
-        inline = load_sweep(self.BASE, [1.0, 4.0], workers=0)
-        pooled = load_sweep(self.BASE, [1.0, 4.0], workers=2)
+        inline = self._ladder([1.0, 4.0], workers=0)
+        pooled = self._ladder([1.0, 4.0], workers=2)
         for a, b in zip(inline, pooled):
             assert a.stats == b.stats
 
@@ -347,7 +352,7 @@ class TestBracketing:
         def __init__(self, rate, ratio):
             from types import SimpleNamespace
 
-            self.scenario = SimpleNamespace(rate=rate)
+            self.spec = SimpleNamespace(rate=rate)
             self._ratio = ratio
 
         def stable(self, threshold):

@@ -195,9 +195,9 @@ def run_sweep_row(pattern, m, h, k, packets, faults, seed=0, workers=None):
     """Race the multi-process ``run_grid`` sweep against a single-process
     run of the same scenario grid; the merged aggregates must be
     bit-identical."""
-    from repro.simulator.shard_driver import ScenarioGrid, run_grid
+    from repro.experiments import ExperimentGrid, run_grid
 
-    grid = ScenarioGrid(
+    grid = ExperimentGrid(
         mhk=[(m, h, k), (m, h - 1, k)],
         patterns=[pattern, "hotspot"],
         loads=[packets],
@@ -229,13 +229,13 @@ def run_pool_row(pattern, m, h, k, packets, faults, seed=0, workers=None,
     """Dispatch the same grid ``repeats`` times, cold (fresh ephemeral
     pool per ``run_grid``) vs warm (one persistent pool for the lot);
     every repeat's statistics must be bit-identical across both sides."""
+    from repro.experiments import ExperimentGrid, run_grid
     from repro.simulator import WorkerPool
-    from repro.simulator.shard_driver import ScenarioGrid, run_grid
 
     # force real processes: the row measures spawn amortization, which
     # an inline (workers<=1) dispatch would silently skip on 1-CPU boxes
     workers = 2 if workers is None else max(2, workers)
-    grid = ScenarioGrid(
+    grid = ExperimentGrid(
         mhk=[(m, h, k)],
         patterns=[pattern],
         loads=[packets],
