@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from repro.core import debruijn, ft_debruijn, rank_remap
 from repro.graphs import StaticGraph
-from repro.routing import compile_routing_table, shift_route
+from repro.routing import RouteTable, shift_route
 from repro.simulator import NetworkSimulator, uniform_traffic
 
 
@@ -44,8 +44,8 @@ def test_kernel_rank_remap(benchmark, rng):
 
 def test_kernel_routing_table(benchmark):
     g = debruijn(2, 8)
-    t = benchmark(compile_routing_table, g)
-    assert t.shape == (256, 256)
+    rt = benchmark(RouteTable.compile, g)
+    assert rt.table.shape == (256, 256)
 
 
 def test_kernel_shift_route(benchmark):

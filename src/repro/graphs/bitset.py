@@ -5,23 +5,39 @@ primitive: advance *every* BFS frontier in lockstep, one graph sweep per
 level.  Here each node carries a **reach bitset** — row ``v`` of an
 ``(n, ceil(n/64))`` uint64 matrix, bit ``d`` set when ``v`` has reached
 ``d`` — so one level of *all n* BFS trees is a handful of vectorized
-OR-gathers instead of ``n`` separate traversals.  Word-level parallelism
-does 64 destinations per integer op, and every gather runs over the
-contiguous CSR stream (no Python-level per-node structures; see the
-vectorization guidance in the HPC guides).
+row gathers instead of ``n`` separate traversals.  Word-level
+parallelism does 64 destinations per integer op.
 
-The level sweep iterates over neighbor *ranks* (``max_deg`` passes of
-``reach[col_indices[row_offsets[rows] + r]]``), which is why this kernel
-shines exactly where the paper lives: constant-degree de Bruijn /
-shuffle-exchange machines, where ``max_deg`` is 4 regardless of size.
+The level sweep iterates over neighbor *ranks*: ``nbr[r, v]`` is the
+rank-``r`` entry of ``v``'s CSR row, and one level is ``max_deg``
+gathers of ``reach[nbr[r]]``.  That is why this kernel shines exactly
+where the paper lives: constant-degree de Bruijn / shuffle-exchange
+machines, where ``max_deg`` is 4 regardless of size.  Rows without a
+rank-``r`` neighbor still gather (the pad row), so a graph with one hub
+of degree ~n, like ``star(n)``, pays ``n`` full gathers per level.
+
+Survivor graphs need no masked CSR.  A node outside the ``alive`` mask
+gets no seed bit, and every slot that touches it gathers an all-zero pad
+row, so it neither reaches nor is reached, and ranks keep indexing the
+unmasked rows.
 
 Everything in this module is pure NumPy over ``(num_nodes, row_offsets,
 col_indices)`` triples — the canonical :class:`~repro.graphs.static_graph.
 StaticGraph` planes — and never imports the graph or routing layers.
 
+Rank tables
+-----------
+:func:`hop_rank_table` stores each next hop as the neighbor's slot rank
+in its CSR row.  The dtype is ``np.min_scalar_type(max_deg + 1)`` and
+the unreachable sentinel is that dtype's max value: ``uint8`` for every
+de Bruijn and shuffle-exchange machine, ``uint16`` for a hub like
+``star(300)``.  While the sweep runs, claims accumulate in
+``ceil(log2 max_deg)`` bit-planes — never more bytes than the table
+itself — and are unpacked into the table in row blocks at the end.
+
 Tie-breaking contract
 ---------------------
-:func:`hop_parent_table` resolves equal-length parents to the **lowest CSR
+:func:`hop_rank_table` resolves equal-length parents to the **lowest CSR
 rank**, i.e. the smallest neighbor id (rows are sorted ascending).  The
 dict reference in ``tests/conformance/harness.py`` implements the same
 rule, and the differential suite pins the two bit-identical.
@@ -32,156 +48,113 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "CLAIMS_BUDGET_BYTES",
-    "NO_PARENT",
     "all_pairs_distances",
-    "hop_parent_table",
-    "mask_nodes_csr",
+    "hop_rank_table",
 ]
 
-#: Sentinel for "no parent / unreachable" — numerically identical to
-#: :data:`repro.routing.tables.UNREACHABLE` (asserted there).
-NO_PARENT = -1
-
-#: Ceiling on the deferred-claims workspace of :func:`hop_parent_table`
-#: (``max_deg * n * ceil(n/64) * 8`` bytes).  Under it, parent claims
-#: accumulate across levels and are extracted once at the end (the fast
-#: path — one unpack per rank total); over it — high-degree graphs like
-#: large complete graphs — the kernel extracts claims per level instead,
-#: trading a little speed for bounded memory.  Both paths produce
-#: bit-identical tables (the conformance suite forces and checks the
-#: fallback).
-CLAIMS_BUDGET_BYTES = 256 * 2**20
+#: Unpacked bytes per row block when decoding bit-planes into a table.
+_DECODE_BLOCK_BYTES = 4 * 2**20
 
 
-def _seed_reach(n: int) -> np.ndarray:
-    """Identity reach matrix: node ``v`` starts having reached only ``v``."""
-    reach = np.zeros((n, (n + 63) >> 6), dtype=np.uint64)
-    ar = np.arange(n)
-    reach[ar, ar >> 6] = np.uint64(1) << (ar & 63).astype(np.uint64)
-    return reach
+def _unpack(bits: np.ndarray, n: int) -> np.ndarray:
+    """Bitset rows -> ``(rows, n)`` uint8 matrix of 0/1."""
+    return np.unpackbits(bits.view(np.uint8), axis=1, count=n, bitorder="little")
 
 
-def _level_or(
-    reach: np.ndarray,
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    deg: np.ndarray,
-    max_deg: int,
-    out: np.ndarray,
-) -> np.ndarray:
-    """OR of every node's neighbors' reach rows: one full BFS level."""
-    out[:] = 0
-    for r in range(max_deg):
-        rows = np.flatnonzero(deg > r)
-        out[rows] |= reach[indices[indptr[rows] + r]]
-    return out
-
-
-def mask_nodes_csr(
-    num_nodes: int,
+def _sweep(
+    n: int,
     row_offsets: np.ndarray,
     col_indices: np.ndarray,
-    alive: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Drop every edge incident to a non-``alive`` node, keeping all rows.
-
-    This is survivor-graph construction as pure array slicing: the node
-    set (and so the id space) is unchanged — dead nodes simply become
-    isolated, their neighbor slices empty.  Surviving slices keep their
-    relative order, so sortedness is preserved and the result is again a
-    canonical CSR pair.
-    """
-    n = int(num_nodes)
-    indptr = np.asarray(row_offsets, dtype=np.int64)
-    indices = np.asarray(col_indices, dtype=np.int64)
-    src = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
-    keep = alive[src] & alive[indices]
-    out_indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src[keep], minlength=n), out=out_indptr[1:])
-    return out_indptr, indices[keep]
-
-
-def hop_parent_table(
-    num_nodes: int,
-    row_offsets: np.ndarray,
-    col_indices: np.ndarray,
+    alive: np.ndarray | None = None,
     *,
-    claims_budget: int | None = None,
+    planes=(),
+    on_level=None,
 ) -> np.ndarray:
-    """All-pairs hop-optimal next-hop matrix in one bit-parallel sweep.
+    """Advance all ``n`` BFS trees in lockstep; return the final reach
+    bitsets, ``(n, ceil(n/64))`` uint64.
 
-    Returns an ``(n, n)`` int64 matrix ``T`` where ``T[v, d]`` is the
-    neighbor of ``v`` that begins a shortest ``v → d`` path (the
-    *parent* of ``v`` in the BFS tree rooted at ``d``), ``T[d, d] == d``,
-    and :data:`NO_PARENT` marks unreachable pairs.  Ties go to the
-    smallest neighbor id (lowest CSR rank) — see the module docstring.
+    Each level, rank ``r`` gathers the neighbors' *previous-level* reach
+    rows and claims every bit no lower rank (and no earlier level) has
+    claimed, so each reachable ``(v, d)`` pair is claimed exactly once,
+    by the lowest-rank hop-optimal neighbor, and is OR-ed into the
+    ``planes`` that hold the set bits of its rank.  ``on_level``
+    is called as ``on_level(level, newly)`` with the pairs first reached
+    at each level.
+    """
+    W = (n + 63) >> 6
+    deg = np.diff(row_offsets)
+    src = np.repeat(np.arange(n), deg)
+    cols = col_indices
+    if alive is not None:
+        cols = np.where(alive[src] & alive[cols], cols, n)
+    nbr = np.full((int(deg.max(initial=0)), n), n, dtype=np.intp)
+    nbr[np.arange(src.size) - row_offsets[src], src] = cols
 
-    The algorithm: seed each node's reach bitset with itself; per level,
-    compute every node's neighbor-OR, find the newly-reached bits, and
-    let neighbors *claim* them in rank order against the previous level's
-    reach (``claim = pending & reach_prev[w]``) so each ``(v, d)`` pair
-    is claimed exactly once, by the lowest-rank hop-optimal parent.
-    Claims accumulate per rank and are unpacked into the table at the
-    end, or per level when the workspace would exceed ``claims_budget``
-    (default :data:`CLAIMS_BUDGET_BYTES`).
+    reach = np.zeros((n + 1, W), dtype=np.uint64)  # row n: the zero pad
+    seeds = np.arange(n) if alive is None else np.flatnonzero(alive)
+    reach[seeds, seeds >> 6] = np.uint64(1) << (seeds & 63).astype(np.uint64)
+    unseen = ~reach[:n]
+    claim = np.empty((n, W), dtype=np.uint64)
+    rank_planes = [
+        [plane for b, plane in enumerate(planes) if r >> b & 1]
+        for r in range(len(nbr))
+    ]
+    level = 0
+    while True:
+        level += 1
+        for row, targets in zip(nbr, rank_planes):
+            np.take(reach, row, axis=0, out=claim, mode="clip")
+            claim &= unseen
+            unseen ^= claim
+            for plane in targets:
+                plane |= claim
+        newly = np.invert(unseen, out=claim)
+        newly ^= reach[:n]
+        if not newly.any():
+            return reach[:n]
+        reach[:n] |= newly
+        if on_level is not None:
+            on_level(level, newly)
+
+
+def hop_rank_table(
+    num_nodes: int,
+    row_offsets: np.ndarray,
+    col_indices: np.ndarray,
+    alive: np.ndarray | None = None,
+) -> np.ndarray:
+    """All-pairs hop-optimal next-hop ranks in one bit-parallel sweep.
+
+    Returns an ``(n, n)`` matrix ``T`` where ``T[v, d]`` is the CSR slot
+    rank (within ``v``'s row of the given, unmasked planes) of the
+    neighbor that begins a shortest ``v -> d`` path in the graph
+    restricted to ``alive`` (default: every node).  The next hop is
+    ``col_indices[row_offsets[v] + T[v, d]]``.  ``T[d, d]`` is 0 for a
+    live ``d``, and the sentinel — the dtype's max value — marks
+    unreachable pairs, including every row, column and diagonal entry
+    of a node outside ``alive``.  Ties go to the lowest rank (the
+    smallest neighbor id); see the module docstring for the dtype rule.
     """
     n = int(num_nodes)
-    table = np.full((n, n), NO_PARENT, dtype=np.int64)
-    if n == 0:
-        return table
     indptr = np.ascontiguousarray(row_offsets, dtype=np.int64)
     indices = np.ascontiguousarray(col_indices, dtype=np.int64)
-    np.fill_diagonal(table, np.arange(n))
-    deg = np.diff(indptr)
-    max_deg = int(deg.max(initial=0))
-    if max_deg == 0:
-        return table
-    if claims_budget is None:
-        claims_budget = CLAIMS_BUDGET_BYTES
-    W = (n + 63) >> 6
-    accumulate = max_deg * n * W * 8 <= claims_budget
-    claims = np.zeros((max_deg, n, W), dtype=np.uint64) if accumulate else None
-    reach = _seed_reach(n)
-    nbr_or = np.empty_like(reach)
-    flat = table.ravel()
-    while True:
-        _level_or(reach, indptr, indices, deg, max_deg, nbr_or)
-        pending = nbr_or & ~reach
-        if not pending.any():
-            break
-        # claim in rank order against the PREVIOUS level's reach, so every
-        # winning parent is hop-optimal and the lowest rank wins ties
-        for r in range(max_deg):
-            rows = np.flatnonzero((deg > r) & pending.any(axis=1))
-            if rows.size == 0:
-                break
-            w = indices[indptr[rows] + r]
-            claim = pending[rows] & reach[w]
-            pending[rows] &= ~claim
-            if accumulate:
-                claims[r][rows] |= claim
-            else:
-                cb = np.unpackbits(
-                    claim.view(np.uint8), axis=1, count=n, bitorder="little"
-                )
-                idx = np.flatnonzero(cb.view(bool).ravel())
-                if idx.size:
-                    ri = idx // n
-                    flat[rows[ri] * n + (idx - ri * n)] = w[ri]
-        reach |= nbr_or
-    if accumulate:
-        wcol = np.empty(n, dtype=np.int64)
-        starts = indptr[:-1]
-        for r in range(max_deg):
-            has = deg > r
-            wcol[has] = indices[starts[has] + r]  # rows without rank r have
-            cb = np.unpackbits(                   # all-zero claims anyway
-                claims[r].view(np.uint8), axis=1, count=n, bitorder="little"
-            )
-            idx = np.flatnonzero(cb.view(bool).ravel())
-            if idx.size:
-                flat[idx] = wcol[idx // n]
+    max_deg = int(np.diff(indptr).max(initial=0))
+    dtype = np.min_scalar_type(max_deg + 1)
+    planes = np.zeros(
+        (max(max_deg - 1, 0).bit_length(), n, (n + 63) >> 6), dtype=np.uint64
+    )
+    reach = _sweep(n, indptr, indices, alive, planes=planes)
+    table = np.empty((n, n), dtype=dtype)
+    sentinel = np.iinfo(dtype).max
+    rows = max(1, _DECODE_BLOCK_BYTES // max(n, 1))
+    buf = np.empty((min(rows, n), n), dtype=dtype)
+    for a in range(0, n, rows):
+        blk, part = table[a: a + rows], buf[: min(rows, n - a)]
+        blk[...] = 0
+        for p, plane in enumerate(planes):
+            np.left_shift(_unpack(plane[a: a + rows], n), p, out=part, dtype=dtype)
+            blk |= part
+        np.copyto(blk, sentinel, where=_unpack(reach[a: a + rows], n) == 0)
     return table
 
 
@@ -198,28 +171,16 @@ def all_pairs_distances(
     """
     n = int(num_nodes)
     dist = np.full((n, n), -1, dtype=np.int64)
-    if n == 0:
-        return dist
-    indptr = np.ascontiguousarray(row_offsets, dtype=np.int64)
-    indices = np.ascontiguousarray(col_indices, dtype=np.int64)
     np.fill_diagonal(dist, 0)
-    deg = np.diff(indptr)
-    max_deg = int(deg.max(initial=0))
-    if max_deg == 0:
-        return dist
-    reach = _seed_reach(n)
-    nbr_or = np.empty_like(reach)
     flat = dist.ravel()
-    level = 0
-    while True:
-        level += 1
-        _level_or(reach, indptr, indices, deg, max_deg, nbr_or)
-        newly = nbr_or & ~reach
-        if not newly.any():
-            break
-        cb = np.unpackbits(
-            newly.view(np.uint8), axis=1, count=n, bitorder="little"
-        )
-        flat[np.flatnonzero(cb.view(bool).ravel())] = level
-        reach |= nbr_or
+
+    def record(level: int, newly: np.ndarray) -> None:
+        flat[np.flatnonzero(_unpack(newly, n).view(bool))] = level
+
+    _sweep(
+        n,
+        np.ascontiguousarray(row_offsets, dtype=np.int64),
+        np.ascontiguousarray(col_indices, dtype=np.int64),
+        on_level=record,
+    )
     return dist

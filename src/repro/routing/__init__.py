@@ -10,9 +10,12 @@ directly (single paths as node lists, batches as flattened
   (:func:`shift_route_batch`) forms.
 * **BFS shortest paths** (:mod:`~repro.routing.shortest_path`) — exact
   hop-optimal paths and the parent trees tables compile from.
-* **compiled tables** (:mod:`~repro.routing.tables`) — dense pickle-safe
-  next-hop arrays (:class:`RouteTable`): compile once per fault epoch,
-  ship to shard workers, extract whole batches vectorized.
+* **compiled tables** (:mod:`~repro.routing.tables`) — pickle-safe
+  all-pairs next-hop tables (:class:`RouteTable`) that store each hop
+  as a ``uint8`` CSR slot rank (``n**2`` bytes on every de Bruijn and
+  shuffle-exchange machine): compile once per fault epoch, extract
+  whole batches vectorized; :meth:`RouteTable.next_hops` decodes the
+  int64 node-id view.
 * **fault routing** (:mod:`~repro.routing.fault_routing`) — the paper's
   reconfigured lift (:class:`ReconfiguredRouter`,
   :func:`lifted_routes_batch`: route on the intact logical graph, lift
@@ -38,10 +41,6 @@ from repro.routing.tables import (
     UNREACHABLE,
     RouteTable,
     compile_routing_table,
-    table_path,
-    table_reachable,
-    table_routes_batch,
-    table_routes_batch_masked,
     validate_routing_table,
 )
 from repro.routing.fault_routing import (
@@ -66,10 +65,6 @@ __all__ = [
     "UNREACHABLE",
     "RouteTable",
     "compile_routing_table",
-    "table_path",
-    "table_reachable",
-    "table_routes_batch",
-    "table_routes_batch_masked",
     "validate_routing_table",
     "ReconfiguredRouter",
     "detour_route",

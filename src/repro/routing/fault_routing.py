@@ -138,11 +138,11 @@ def survivor_route_table(g: StaticGraph, faults) -> "RouteTable":
     survivor graph of ``g`` under ``faults``, in *original* node ids.
 
     The table keeps all ``n`` rows/columns (so batch extraction needs no
-    id remapping) but is compiled on the graph with every fault-incident
-    edge removed: a faulty or disconnected endpoint simply yields the
-    :data:`~repro.routing.tables.UNREACHABLE` sentinel — including a
-    faulty node's *diagonal*, so ``table_reachable`` refuses even the
-    trivial self-route to a dead endpoint.  Routes are
+    id remapping) and its ranks index ``g``'s own CSR rows, but it is
+    compiled as if every faulty node were absent: a faulty or
+    disconnected endpoint simply yields the rank sentinel — including a
+    faulty node's *diagonal*, so :meth:`RouteTable.reachable` refuses
+    even the trivial self-route to a dead endpoint.  Routes are
     hop-optimal in the survivor graph — the same lengths
     :func:`detour_route`'s per-pair BFS produces, though tie-breaking
     between equal-length paths may differ (the conformance suite pins
@@ -153,15 +153,12 @@ def survivor_route_table(g: StaticGraph, faults) -> "RouteTable":
     epoch when ``route_mode="table"`` — the cache keys on the frozen
     fault set, so both fault *and* repair events (churn universes)
     invalidate it and the next routed batch recompiles against the
-    current survivors.
-
-    The masking happens as array slicing on the canonical CSR planes
-    inside :func:`~repro.routing.tables.compile_routing_table` — no
-    survivor :class:`StaticGraph` is ever materialized.
+    current survivors.  It is :meth:`RouteTable.compile` with
+    ``faulty=faults``: no survivor graph or masked CSR is ever built.
     """
-    from repro.routing.tables import RouteTable, compile_routing_table
+    from repro.routing.tables import RouteTable
 
-    return RouteTable(compile_routing_table(g, faulty=faults))
+    return RouteTable.compile(g, faulty=faults)
 
 
 def detour_route(g: StaticGraph, faults, src: int, dst: int) -> list[int]:

@@ -677,8 +677,8 @@ class DetourController:
         routable.  Unreachable pairs (faulty endpoint or disconnected
         survivors) are skipped and — when ``record`` is true — counted
         in ``unreachable_pairs``; the open-loop streaming driver passes
-        ``record=False`` and accounts per injected epoch instead, so a
-        mid-stream re-route of the same tail never double-counts."""
+        ``record=False`` and charges each refusal itself once its arrival
+        cycle has passed, so no refusal is counted twice."""
         pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
         flat, offsets, kept = ROUTE_MODES.get(self.route_mode)(self, pairs)
         if record:
@@ -702,7 +702,7 @@ class DetourController:
     def _table_routes(self, pairs: np.ndarray):
         """Compiled backend: one cached table per epoch, vectorized
         extraction.  The survivor table encodes endpoint liveness too
-        (a faulty node's diagonal is the UNREACHABLE sentinel), so one
+        (a faulty node's diagonal holds the rank sentinel), so one
         masked extraction decides admission and emits every route."""
         rt = self.survivor_table()
         if pairs.shape[0] == 0:

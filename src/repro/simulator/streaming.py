@@ -29,13 +29,15 @@ A stream spec at many rates without the bisection is one
 How the hot path stays fast
 ---------------------------
 The source's arrival calendar is structure-of-arrays: one sorted
-``times`` array plus one ``(total, 2)`` pairs array per horizon.  All
-routes are computed in one vectorized batch per *routing epoch* (the
-stretch between faults), so per-cycle injection is a slice of a
-pre-routed ``(flat, offsets)`` block handed straight to
-``inject_routes``.  On the :class:`~repro.simulator.batch_engine.BatchEngine`
-the driver never iterates idle cycles: it jumps the clock between
-arrival cycles, scheduled fault events, and the engine's own
+``times`` array plus one ``(total, 2)`` pairs array per horizon.  Routes
+depend only on the fault state, and only scheduled events change it, so
+the driver routes one *segment* at a time — the arrivals before the next
+scheduled event — in one vectorized batch: every arrival is routed
+exactly once, and per-cycle injection is a slice of a pre-routed
+``(flat, offsets)`` block handed straight to ``inject_routes``.  On the
+:class:`~repro.simulator.batch_engine.BatchEngine` the driver never
+iterates idle cycles: it jumps the clock between arrival cycles,
+segment ends, scheduled fault events, and the engine's own
 departure-slot calendar (:meth:`BatchEngine.next_departure_cycle`), so
 total work stays O(hops traversed + arrival groups), matching the
 closed-loop batch path.
@@ -110,15 +112,16 @@ def run_stream(
     Per-cycle semantics (the cross-engine contract): at each cycle the
     controller first fires scheduled fault events due that cycle, then
     injects that cycle's arrivals (routes lifted through the *current*
-    φ — a fault re-routes every not-yet-injected arrival), then the
-    engine steps one cycle.  Faults therefore take down the packets
+    φ — arrivals are routed one segment between scheduled events at a
+    time, so none is routed on a stale fault state), then the engine
+    steps one cycle.  Faults therefore take down the packets
     queued in the failed router mid-stream, exactly as in
     :meth:`~repro.simulator.faults.ReconfigurationController.run_workload`.
     ``node_repair`` events (churn universes) ride the same clock: a
     repair bumps the controller's ``routing_epoch`` like a fault does,
-    so the not-yet-injected tail is re-routed through the healed
-    machine — under ``route_mode="table"`` every repair epoch compiles
-    a fresh survivor table, one per distinct fault set.
+    so the next segment is routed through the healed machine — under
+    ``route_mode="table"`` every repair epoch compiles a fresh survivor
+    table, one per distinct fault set.
     """
     if cycles < 1:
         raise ParameterError("run_stream needs cycles >= 1")
@@ -139,24 +142,32 @@ def run_stream(
 
     unadmitted: list[np.ndarray] = []   # finalized (epoch-closed) chunks
     _empty = np.zeros(0, dtype=_I64)
+    events = getattr(ctrl, "events", None)
 
-    def route_tail(i0: int):
-        """Route pairs[i0:] under the current fault state; returns the
-        kept packets' injection cycles, their flattened routes, and the
-        arrival cycles of unroutable pairs (detour baseline).  The
-        unadmitted times stay *provisional* until their cycle passes: a
-        later fault epoch re-routes the not-yet-injected tail, so only
-        the driver knows when a refusal is final — that is also why the
+    def route_segment(i0: int):
+        """Route pairs[i0:i1] under the current fault state, where i1 is
+        the first arrival at or after the next scheduled event: routes
+        depend only on the fault state and only events change it, so
+        every arrival is routed once.  Returns the kept packets'
+        injection cycles, their flattened routes, the arrival cycles of
+        unroutable pairs (detour baseline) and i1.  The unadmitted
+        times stay *provisional* until their cycle passes, so only the
+        driver knows when a refusal is final — that is also why the
         controller's own ``unreachable_pairs`` counter is deferred
         (``record=False``) to the driver's epoch accounting."""
-        sub = pairs[i0:]
+        ne = events.peek_cycle() if events is not None else None
+        i1 = times.size if ne is None else int(
+            np.searchsorted(times, ne, side="left")
+        )
+        sub = pairs[i0:i1]
         if is_reconfig:
             flat, offsets = ctrl.physical_routes_batch(sub[:, 0], sub[:, 1])
-            return times[i0:], flat, offsets, _empty
+            return times[i0:i1], flat, offsets, _empty, i1
         flat, offsets, kept = ctrl.detour_routes_batch(sub, record=False)
         keep_mask = np.zeros(sub.shape[0], dtype=bool)
         keep_mask[kept] = True
-        return times[i0:][kept], flat, offsets, times[i0:][~keep_mask]
+        seg = times[i0:i1]
+        return seg[kept], flat, offsets, seg[~keep_mask], i1
 
     def finalize_unadmitted(before: int) -> np.ndarray:
         """Close out the current epoch's refusals with arrival cycles
@@ -167,33 +178,35 @@ def run_stream(
             ctrl.unreachable_pairs += int(done.size)
         return cur_un[cur_un >= before]
 
-    events = getattr(ctrl, "events", None)
     if events is not None:
         # fire events already due at the start cycle *before* the first
         # routing pass — otherwise a cycle-0 fault (the common scheduled
-        # shape) would have the whole tail routed on the pre-fault state
-        # only to be discarded and re-routed one line into the loop.
-        # Observationally identical: the reference order at t0 is still
-        # fire -> inject -> step.
+        # shape) would have the first segment routed on the pre-fault
+        # state only to be discarded and re-routed one line into the
+        # loop.  Observationally identical: the reference order at t0 is
+        # still fire -> inject -> step.
         ctrl.fire_due_events(t0)
-    ktimes, flat, offsets, cur_un = route_tail(0)
-    p = 0          # pointer into the routed tail (packets injected so far)
+    ktimes, flat, offsets, cur_un, i1 = route_segment(0)
+    p = 0          # pointer into the routed segment (packets injected so far)
     epoch = getattr(ctrl, "routing_epoch", 0)
     fast = hasattr(sim, "next_departure_cycle")
     t_end = t0 + int(cycles)
 
     t = t0
     while t < t_end:
-        # 1. fire fault events due at t
+        # 1. fire fault events due at t; route the next segment when the
+        # epoch moved or the clock reached the routed segment's end
         if events is not None:
             ctrl.fire_due_events(t)
-            if ctrl.routing_epoch != epoch:
+            if ctrl.routing_epoch != epoch or (
+                i1 < times.size and times[i1] <= t
+            ):
                 epoch = ctrl.routing_epoch
                 # everything with an arrival cycle < t is already
-                # injected (or finally refused); the rest re-routes
-                # under the new fault state
+                # injected (or finally refused); the rest routes under
+                # the current fault state
                 cur_un = finalize_unadmitted(t)
-                ktimes, flat, offsets, cur_un = route_tail(
+                ktimes, flat, offsets, cur_un, i1 = route_segment(
                     int(np.searchsorted(times, t, side="left"))
                 )
                 p = 0
@@ -205,11 +218,13 @@ def run_stream(
                 flat[lo:hi], offsets[p: q + 1] - lo, validate=is_reconfig
             )
             p = q
-        # 3. advance the clock
+        # 3. advance the clock, never past the routed segment's end
         if fast:
             visit = t_end
             if p < ktimes.size:
                 visit = min(visit, int(ktimes[p]))
+            if i1 < times.size:
+                visit = min(visit, int(times[i1]))
             if events is not None:
                 ne = events.peek_cycle()
                 if ne is not None:

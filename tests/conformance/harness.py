@@ -16,9 +16,12 @@ implementation detail), it has to prove
 4. **pinned outputs** — the candidate's own results are frozen in golden
    files across every engine, so refactors cannot silently move it.
 
-This module holds the checkers the suite's test files share.  It is
-imported as ``tests.conformance.harness`` (namespace package rooted at
-the repo checkout, the same idiom as ``tests.conftest``).
+This module holds the checkers the suite's test files share, and the
+two reference compilers the shipped rank kernel is checked against: the
+pure-dict :class:`DictGraph` and the frontier-at-a-time
+:func:`compile_routing_table_frontier`.  It is imported as
+``tests.conformance.harness`` (namespace package rooted at the repo
+checkout, the same idiom as ``tests.conftest``).
 """
 
 from __future__ import annotations
@@ -30,6 +33,8 @@ from repro.graphs.static_graph import StaticGraph
 
 __all__ = [
     "DictGraph",
+    "compile_routing_table_frontier",
+    "mask_nodes_csr",
     "survivor_on_full_node_set",
     "iter_routes",
     "assert_valid_survivor_routes",
@@ -51,7 +56,7 @@ class DictGraph:
     ``(min, max)`` endpoint pair in lexicographic order, and routing
     parents tie-broken to the *smallest hop-optimal neighbor id* — the
     contract rule all compilers implement (see
-    :func:`repro.routing.tables.compile_routing_table`).
+    :meth:`repro.routing.tables.RouteTable.compile`).
     """
 
     def __init__(self, num_nodes: int, edges=()):
@@ -117,8 +122,8 @@ class DictGraph:
         """Reference next-hop table: ``table[v][d]`` is the smallest
         neighbor of ``v`` one hop closer to ``d`` (``-1`` unreachable,
         ``table[d][d] == d``; faulty diagonals forced to ``-1``).  Must
-        be bit-identical to
-        :func:`repro.routing.tables.compile_routing_table`.
+        be bit-identical to the decoded view
+        :func:`repro.routing.tables.compile_routing_table` returns.
         """
         dead = frozenset(int(v) for v in faulty)
         table = [[-1] * self.n for _ in range(self.n)]
@@ -137,6 +142,78 @@ class DictGraph:
             if d not in dead:
                 table[d][d] = d
         return table
+
+
+def mask_nodes_csr(
+    num_nodes: int,
+    row_offsets: np.ndarray,
+    col_indices: np.ndarray,
+    alive: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Drop every edge incident to a non-``alive`` node, keeping all rows.
+
+    Survivor-graph construction as pure array slicing: the node set (and
+    so the id space) is unchanged — dead nodes simply become isolated,
+    their neighbor slices empty.  Surviving slices keep their relative
+    order, so the result is again a canonical CSR pair.
+    """
+    n = int(num_nodes)
+    indptr = np.asarray(row_offsets, dtype=np.int64)
+    indices = np.asarray(col_indices, dtype=np.int64)
+    src = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+    keep = alive[src] & alive[indices]
+    out_indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src[keep], minlength=n), out=out_indptr[1:])
+    return out_indptr, indices[keep]
+
+
+def compile_routing_table_frontier(g: StaticGraph) -> np.ndarray:
+    """Next-hop table via one frontier-at-a-time reverse BFS per destination.
+
+    The third witness the differential suite checks bit-for-bit against
+    :func:`repro.routing.tables.compile_routing_table`, and the reference
+    arm of the ``compile`` bench row.  Each BFS level is one vectorized
+    gather over the CSR arrays, with the first occurrence in gather
+    order claiming the parent — the frontier is sorted ascending, so
+    that is the smallest hop-optimal neighbor id, the *same* tie-break
+    as the bitset kernel.  Returns the decoded int64 view: ``-1``
+    unreachable, ``table[d, d] == d``.
+    """
+    n = g.node_count
+    table = np.full((n, n), -1, dtype=np.int64)
+    indptr, indices = g.row_offsets, g.col_indices
+    deg = np.diff(indptr)
+    for d in range(n):
+        parent = np.full(n, -1, dtype=np.int64)
+        parent[d] = d
+        frontier = np.array([d], dtype=np.int64)
+        while frontier.size:
+            counts = deg[frontier]
+            total = int(counts.sum())
+            if total == 0:
+                break
+            # gather every frontier node's neighbor slice in one shot:
+            # base[i] repeats the slice start, inner[i] counts 0..c-1
+            # within each slice
+            starts = indptr[frontier]
+            base = np.repeat(starts, counts)
+            ends = np.cumsum(counts)
+            inner = np.arange(total, dtype=np.int64) - np.repeat(
+                ends - counts, counts
+            )
+            nbrs = indices[base + inner]
+            owners = np.repeat(frontier, counts)
+            fresh = parent[nbrs] == -1
+            if not fresh.any():
+                break
+            nbrs, owners = nbrs[fresh], owners[fresh]
+            # first occurrence in gather order claims the parent
+            frontier, first = np.unique(nbrs, return_index=True)
+            parent[frontier] = owners[first]
+        reachable = parent >= 0
+        table[reachable, d] = parent[reachable]
+        table[d, d] = d
+    return table
 
 
 def survivor_on_full_node_set(g: StaticGraph, faults) -> StaticGraph:

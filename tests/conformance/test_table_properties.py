@@ -18,14 +18,7 @@ from hypothesis import strategies as st
 from repro.errors import RoutingError
 from repro.graphs.properties import bfs_distances
 from repro.graphs.static_graph import StaticGraph
-from repro.routing import (
-    UNREACHABLE,
-    RouteTable,
-    survivor_route_table,
-    table_reachable,
-    table_routes_batch,
-    table_routes_batch_masked,
-)
+from repro.routing import UNREACHABLE, RouteTable, survivor_route_table
 from tests.conftest import random_graph
 from tests.conformance.harness import (
     assert_valid_survivor_routes,
@@ -80,7 +73,7 @@ class TestTableRoutesProperty:
         cell either names a real neighbor (or the destination itself on
         the diagonal) or is exactly the UNREACHABLE sentinel."""
         g = random_graph(n, p, np.random.default_rng(seed))
-        t = RouteTable.compile(g).table
+        t = RouteTable.compile(g).next_hops()
         for v in range(n):
             nbrs = set(g.neighbors(v).tolist())
             for d in range(n):
@@ -100,7 +93,7 @@ class TestDisconnectedSentinel:
 
     def test_compile_marks_cross_component_pairs_unreachable(self):
         rt = survivor_route_table(self.PATH, [3])
-        t = rt.table
+        t = rt.next_hops()
         assert int(t[0, 5]) == UNREACHABLE
         assert int(t[4, 1]) == UNREACHABLE
         assert int(t[0, 2]) == 1          # same-component pairs still route
@@ -113,17 +106,15 @@ class TestDisconnectedSentinel:
         srcs = np.array([0, 0, 4])
         dsts = np.array([2, 5, 5])
         with pytest.raises(RoutingError, match="no route"):
-            table_routes_batch(rt.table, srcs, dsts)
-        flat, offsets, kept = table_routes_batch_masked(rt.table, srcs, dsts)
+            rt.routes_batch(srcs, dsts)
+        flat, offsets, kept = rt.routes_batch_masked(srcs, dsts)
         assert kept.tolist() == [0, 2]
         assert flat.tolist() == [0, 1, 2, 4, 5]
         assert offsets.tolist() == [0, 3, 5]
 
     def test_reachable_mask(self):
         rt = survivor_route_table(self.PATH, [3])
-        ok = table_reachable(
-            rt.table, np.array([0, 0, 4, 5]), np.array([2, 5, 4, 4])
-        )
+        ok = rt.reachable(np.array([0, 0, 4, 5]), np.array([2, 5, 4, 4]))
         assert ok.tolist() == [True, False, True, True]
 
     def test_single_route_raises_cleanly(self):

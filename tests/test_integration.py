@@ -25,7 +25,7 @@ from repro.core import (
     sp_reconfigure,
 )
 from repro.graphs import is_connected, verify_embedding
-from repro.routing import ReconfiguredRouter, compile_routing_table, table_path
+from repro.routing import ReconfiguredRouter, RouteTable
 from repro.simulator import (
     FaultScenario,
     NetworkSimulator,
@@ -80,8 +80,7 @@ class TestFullStack:
         e = se.edges()
         image = StaticGraph(ft.node_count, np.column_stack([nm[e[:, 0]], nm[e[:, 1]]]))
         # the image is connected on its support; route between two hosts
-        table = compile_routing_table(image)
-        p = table_path(table, int(nm[0]), int(nm[13]))
+        p = RouteTable.compile(image).route(int(nm[0]), int(nm[13]))
         assert p[0] == int(nm[0]) and p[-1] == int(nm[13])
         for a, b in zip(p, p[1:]):
             assert image.has_edge(a, b)

@@ -7,7 +7,7 @@ import pytest
 
 from repro.core import debruijn
 from repro.errors import ParameterError, RoutingError
-from repro.graphs import StaticGraph, cycle, path
+from repro.graphs import StaticGraph, cycle, path, star
 from repro.graphs.properties import distance_matrix
 from repro.routing import (
     RouteTable,
@@ -20,10 +20,20 @@ from repro.routing import (
     route_length_matrix,
     shift_route,
     shortest_path,
-    table_path,
-    table_routes_batch,
     validate_routing_table,
 )
+
+
+def follow_next_hops(next_hops: np.ndarray, src: int, dst: int) -> list[int]:
+    """Walk a decoded next-hop view pair by pair — an independent
+    scalar check on the vectorized rank walker."""
+    route = [src]
+    while route[-1] != dst:
+        nxt = int(next_hops[route[-1], dst])
+        if nxt < 0 or len(route) > next_hops.shape[0]:
+            raise RoutingError(f"no route from {src} to {dst}")
+        route.append(nxt)
+    return route
 
 
 class TestShiftRegisterRouting:
@@ -118,11 +128,11 @@ class TestRoutingTables:
 
     def test_paths_are_hop_optimal(self):
         g = debruijn(2, 4)
-        t = compile_routing_table(g)
+        rt = RouteTable.compile(g)
         d = distance_matrix(g)
         for s in range(0, 16, 3):
             for dd in range(0, 16, 5):
-                p = table_path(t, s, dd)
+                p = rt.route(s, dd)
                 assert len(p) - 1 == d[s, dd]
 
     def test_table_self_entries(self):
@@ -136,7 +146,7 @@ class TestRoutingTables:
         t = compile_routing_table(g)
         assert t[0, 3] == -1
         with pytest.raises(RoutingError):
-            table_path(t, 0, 3)
+            RouteTable.compile(g).route(0, 3)
 
     def test_bad_table_shape(self):
         g = cycle(5)
@@ -145,8 +155,9 @@ class TestRoutingTables:
 
 
 class TestRouteTableBatch:
-    """The pickle-safe batch artifact behaves exactly like per-pair
-    table_path, in-process and across a process boundary."""
+    """The pickle-safe batch artifact behaves exactly like a per-pair
+    walk of its decoded next hops, in-process and across a process
+    boundary."""
 
     def test_batch_matches_per_pair(self):
         g = debruijn(2, 5)
@@ -155,9 +166,10 @@ class TestRouteTableBatch:
         srcs = rng.integers(0, 32, size=200)
         dsts = rng.integers(0, 32, size=200)
         flat, off = rt.routes_batch(srcs, dsts)
+        nh = rt.next_hops()
         for i in range(200):
             got = flat[off[i]: off[i + 1]].tolist()
-            assert got == table_path(rt.table, int(srcs[i]), int(dsts[i]))
+            assert got == follow_next_hops(nh, int(srcs[i]), int(dsts[i]))
 
     def test_self_pairs_and_empty_batch(self):
         rt = RouteTable.compile(cycle(6))
@@ -176,11 +188,31 @@ class TestRouteTableBatch:
         with pytest.raises(RoutingError):
             rt.routes_batch(np.array([0]), np.array([9]))
         with pytest.raises(RoutingError):
-            table_routes_batch(rt.table, np.array([0, 1]), np.array([1]))
+            rt.routes_batch(np.array([0, 1]), np.array([1]))
+        # the single-pair path refuses the same inputs, instead of
+        # wrapping a negative index into a bogus route
+        for src, dst in [(-1, 2), (0, 9), (0, -1)]:
+            with pytest.raises(RoutingError, match="endpoint out of range"):
+                rt.route(src, dst)
 
     def test_rejects_non_square(self):
         with pytest.raises(RoutingError):
-            RouteTable(np.zeros((2, 3), dtype=np.int64))
+            RouteTable(
+                np.zeros((2, 3), dtype=np.uint8),
+                np.zeros(3, dtype=np.int64),
+                np.zeros(0, dtype=np.int64),
+            )
+
+    def test_rank_dtype_rule(self):
+        """Ranks use the smallest unsigned dtype that holds max_deg + 1
+        values; the sentinel is its max and decodes to UNREACHABLE."""
+        db = RouteTable.compile(debruijn(2, 5), faulty=[3])
+        assert db.table.dtype == np.uint8 and db.sentinel == 255
+        assert db.table[3, 3] == 255 and db.next_hops()[3, 3] == -1
+        hub = RouteTable.compile(star(300), faulty=[7])
+        assert hub.table.dtype == np.uint16 and hub.sentinel == 65535
+        assert hub.table[0, 299] == 298  # the hub's last CSR slot
+        assert hub.route(299, 1) == [299, 0, 1]
 
     def test_pickle_round_trip(self):
         import pickle

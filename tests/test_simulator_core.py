@@ -8,7 +8,7 @@ import pytest
 from repro.core import debruijn
 from repro.errors import SimulationError
 from repro.graphs import StaticGraph, cycle, path
-from repro.routing import compile_routing_table, table_path
+from repro.routing import RouteTable
 from repro.simulator import EventQueue, NetworkSimulator, Packet
 
 
@@ -168,8 +168,7 @@ class TestNetworkSimulator:
     def test_determinism(self, rng):
         """Identical inputs give identical stats."""
         g = debruijn(2, 4)
-        t = compile_routing_table(g)
-        router = lambda s, d: table_path(t, s, d)
+        router = RouteTable.compile(g).route
         pairs = [(int(a), int(b)) for a, b in
                  np.column_stack([rng.integers(0, 16, 50), rng.integers(0, 16, 50)])
                  if a != b]

@@ -333,11 +333,11 @@ class TestCsrPlanes:
         from repro.routing.tables import UNREACHABLE
 
         g = StaticGraph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
-        rt = survivor_route_table(g, [2])
-        assert (rt.table[2, :] == UNREACHABLE).all()
-        assert (rt.table[:, 2] == UNREACHABLE).all()
-        assert rt.table[2, 2] == UNREACHABLE  # dead diagonal too
-        assert rt.table[0, 4] == 4  # survivors still route around
+        nh = survivor_route_table(g, [2]).next_hops()
+        assert (nh[2, :] == UNREACHABLE).all()
+        assert (nh[:, 2] == UNREACHABLE).all()
+        assert nh[2, 2] == UNREACHABLE  # dead diagonal too
+        assert nh[0, 4] == 4  # survivors still route around
 
     def test_induced_subgraph_preserves_canonical_form(self):
         g = random_graph(15, 0.4, np.random.default_rng(9))

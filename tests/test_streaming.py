@@ -47,7 +47,11 @@ class TestGoldenEquivalence:
     """Object and batch engines must agree packet-for-packet on the same
     seeded streaming workload — the tentpole's exactness contract."""
 
-    @pytest.mark.parametrize("faults", [(), ((50, 9),), ((40, 3), (120, 17))])
+    @pytest.mark.parametrize("faults", [
+        (), ((50, 9),), ((40, 3), (120, 17)),
+        # events on consecutive cycles, and one past the horizon
+        ((70, 9), (71, 17), (400, 3)),
+    ])
     def test_bit_identical_records(self, faults):
         co, so = _stream("object", faults)
         cb, sb = _stream("batch", faults)
@@ -211,6 +215,35 @@ class TestDetourTableCache:
         # compiles: lazily per routed epoch, consecutive sets distinct
         assert len(calls) >= 3
         assert all(a != b for a, b in zip(calls, calls[1:]))
+
+    @pytest.mark.parametrize("engine", ["object", "batch"])
+    def test_churn_stream_routes_each_arrival_once(self, engine, monkeypatch):
+        """run_stream routes one segment between scheduled events at a
+        time, so the pairs handed to the detour backend sum to the
+        source's arrivals: no fault or repair epoch re-routes arrivals
+        already routed."""
+        from repro.simulator import realize_fault_model
+
+        routed: list[int] = []
+        real = DetourController.detour_routes_batch
+
+        def spy(self, pairs, **kwargs):
+            routed.append(len(pairs))
+            return real(self, pairs, **kwargs)
+
+        monkeypatch.setattr(DetourController, "detour_routes_batch", spy)
+        scenario = realize_fault_model(
+            {"name": "churn", "p": 0.9, "mean_downtime": 20, "rounds": 2,
+             "window": [0, 240]},
+            n=32, cycles=300, rng=np.random.default_rng([17, 0]),
+        )
+        ctrl = DetourController(2, 5, engine=engine, route_mode="table")
+        ctrl.schedule(scenario)
+        source = PoissonSource(32, 2.0, seed=3)
+        run_stream(ctrl, source, cycles=300)
+        arrivals = source.schedule(300)[0].size
+        assert len(routed) > 3  # one call per segment between events
+        assert sum(routed) == arrivals
 
     def test_object_batch_identical_under_repair(self):
         """The repair path keeps the engines semantic twins: identical

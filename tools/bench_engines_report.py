@@ -51,21 +51,23 @@ Two row kinds:
   that replica realization happens in the submitting process and is
   independent of where each task runs.
 * ``driver="compile"`` — the per-epoch survivor-table *compile* itself:
-  the retained frontier-at-a-time per-destination compiler (the PR-5
-  vectorization, one BFS per destination) vs the shipped bit-parallel
-  reach-bitset kernel that advances all destinations at once
-  (``repro.graphs.bitset``).  The generic columns hold (frontier,
+  the frontier-at-a-time per-destination compiler (one BFS per
+  destination; it lives in ``tests/conformance/harness.py`` as the
+  differential suite's third witness) vs the shipped bit-parallel rank
+  kernel that advances all destinations at once
+  (``survivor_route_table``).  The generic columns hold (frontier,
   bitset) seconds; because both implement the same smallest-neighbor
   tie-break, ``identical_stats`` here is full **bit-equality** of the
-  two tables.  ``packets`` counts the reachable pairs; the simulation
-  columns are zero (no traffic runs).
+  frontier table and the rank table's decoded ``next_hops()`` (decoded
+  outside the timed span).  ``packets`` counts the reachable pairs;
+  the simulation columns are zero (no traffic runs).
 * ``driver="csr"`` — the CSR core's frontier-expansion primitive raced
   against its own dict-view fallback: BFS distance sweeps from a fixed
   source sample, once walking the lazily-built ``adjacency_dict()``
   compatibility view in python, once through the canonical-array path
   (``StaticGraph.neighbors_batch``).  The generic columns hold (dict,
   csr) seconds; ``identical_stats`` is bit-equal distance vectors, and
-  the extra ``compile_seconds`` records one full bitset table compile
+  the extra ``compile_seconds`` records one full ``RouteTable.compile``
   on the same machine for the trajectory.
 
 The report exits nonzero — naming each offending workload on stderr —
@@ -88,7 +90,9 @@ import time
 
 import numpy as np
 
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
+_ROOT = pathlib.Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(_ROOT / "src"))
+sys.path.insert(1, str(_ROOT))  # the compile row's witness: tests.conformance
 
 from repro.core import ft_debruijn  # noqa: E402
 from repro.core.reconfiguration import Reconfigurator  # noqa: E402
@@ -357,17 +361,22 @@ def run_montecarlo_row(pattern, m, h, k, packets, faults, seed=0,
 
 
 def run_compile_row(pattern, m, h, k, packets, fault_nodes, seed=0):
-    """Race the retained frontier-at-a-time per-destination compiler
-    against the bit-parallel reach-bitset kernel on one fault epoch.
-    Both implement the smallest-hop-optimal-neighbor tie-break, so the
-    check is full bit-equality of the two survivor tables."""
+    """Race the frontier-at-a-time per-destination compiler (the
+    conformance harness's third witness) against the shipped
+    bit-parallel rank kernel on one fault epoch.  Both implement the
+    smallest-hop-optimal-neighbor tie-break, so the check is full
+    bit-equality of the frontier table and the rank table's decoded
+    next hops (decoded outside the timed span)."""
     from types import SimpleNamespace
 
     from repro.core.debruijn import debruijn
-    from repro.graphs.bitset import mask_nodes_csr
     from repro.graphs.static_graph import StaticGraph
     from repro.routing.fault_routing import survivor_route_table
-    from repro.routing.tables import UNREACHABLE, compile_routing_table_frontier
+    from repro.routing.tables import UNREACHABLE
+    from tests.conformance.harness import (
+        compile_routing_table_frontier,
+        mask_nodes_csr,
+    )
 
     g = debruijn(m, h)
     n = g.node_count
@@ -389,9 +398,10 @@ def run_compile_row(pattern, m, h, k, packets, fault_nodes, seed=0):
     frontier_table = frontier_compile()
     t_frontier = time.perf_counter() - t0
     t0 = time.perf_counter()
-    bitset_table = survivor_route_table(g, faults).table
+    rt = survivor_route_table(g, faults)
     t_bitset = time.perf_counter() - t0
 
+    bitset_table = rt.next_hops()
     identical = np.array_equal(frontier_table, bitset_table)
     reachable = int(np.count_nonzero(bitset_table != UNREACHABLE))
     st = SimpleNamespace(cycles=0, delivered=0, dropped=0)
@@ -408,13 +418,13 @@ def run_csr_row(pattern, m, h, k, packets, fault_nodes, seed=0, sources=32):
     on the frontier-expansion primitive: BFS distance sweeps from a
     fixed source sample, python-walking ``adjacency_dict()`` vs the
     vectorized ``neighbors_batch`` gather.  Distances must be bit-equal;
-    ``compile_seconds`` additionally records one full bitset table
-    compile on the same machine."""
+    ``compile_seconds`` additionally records one full
+    :meth:`RouteTable.compile` on the same machine."""
     from types import SimpleNamespace
 
     from repro.core.debruijn import debruijn
     from repro.graphs.properties import bfs_distances
-    from repro.routing.tables import compile_routing_table
+    from repro.routing.tables import RouteTable
 
     g = debruijn(m, h)
     n = g.node_count
@@ -448,7 +458,7 @@ def run_csr_row(pattern, m, h, k, packets, fault_nodes, seed=0, sources=32):
         d.tolist() == ref for d, ref in zip(csr_dists, dict_dists)
     )
     t0 = time.perf_counter()
-    compile_routing_table(g)
+    RouteTable.compile(g)
     t_compile = time.perf_counter() - t0
     st = SimpleNamespace(cycles=0, delivered=0, dropped=0)
     return t_dict, t_csr, st, identical, int(srcs.size) * n, {
@@ -549,7 +559,7 @@ def main(argv=None) -> int:
     print(f"generated {time.strftime('%Y-%m-%d %H:%M:%S')} (not in payload)")
     out_path = pathlib.Path(
         args.out
-        or pathlib.Path(__file__).resolve().parent.parent / "BENCH_engines.json"
+        or _ROOT / "BENCH_engines.json"
     )
     out_path.write_text(json.dumps(report, indent=2) + "\n")
     print(f"wrote {out_path}")
