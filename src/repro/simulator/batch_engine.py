@@ -186,7 +186,7 @@ class BatchEngine:
         self._q_next_slot = np.zeros(n_queues, dtype=_I64)
         self._q_used = np.zeros(n_queues, dtype=_I64)
         # calendar: depart cycle -> list of (pid, ptr, queue_key, seq) chunks,
-        # plus a lazily-pruned min-heap of scheduled cycles for run()
+        # plus a min-heap holding each bucket's cycle exactly once
         self._buckets: dict[int, list[tuple[np.ndarray, ...]]] = {}
         self._bucket_heap: list[int] = []
         self._seq = 0                                 # global FIFO tiebreaker
@@ -205,8 +205,9 @@ class BatchEngine:
 
     def _drop_queues(self, predicate) -> int:
         """Drop every scheduled packet whose *current* queue satisfies
-        ``predicate(u, v)``.  Whole queues die at once, so the surviving
-        departure schedules stay exact."""
+        ``predicate(u, v)`` and empty those queues' schedules.  Whole
+        queues die at once, so the surviving departure schedules stay
+        exact."""
         dropped = 0
         for cyc in list(self._buckets):
             new_chunks = []
@@ -229,6 +230,17 @@ class BatchEngine:
                 self._buckets[cyc] = new_chunks
             else:
                 del self._buckets[cyc]
+        # one heap entry per live bucket (a sorted list is a heap)
+        self._bucket_heap[:] = sorted(self._buckets)
+        # a killed queue is empty, like the object engine's deleted deque:
+        # a packet joining it after a repair must not wait behind the
+        # schedule of packets that were dropped
+        keys = self._eid_keys
+        if self._extra_ids:
+            keys = np.concatenate([keys, np.fromiter(self._extra_ids, dtype=_I64)])
+        killed = predicate(keys // self._n, keys % self._n)
+        self._q_next_slot[killed] = 0
+        self._q_used[killed] = 0
         self._in_flight -= dropped
         return dropped
 
@@ -505,12 +517,9 @@ class BatchEngine:
         packet departs its current link exactly then, so a caller may
         jump the clock straight to ``returned - 1`` and :meth:`step` once
         without skipping any work (both :meth:`run` and the streaming
-        driver in :mod:`repro.simulator.streaming` rely on this).  Stale
-        heap entries (buckets already drained) are pruned lazily here.
+        driver in :mod:`repro.simulator.streaming` rely on this).
         """
         heap = self._bucket_heap
-        while heap and heap[0] not in self._buckets:
-            heapq.heappop(heap)  # bucket already processed via step()
         return heap[0] if heap else None
 
     def step(self) -> int:
@@ -521,6 +530,10 @@ class BatchEngine:
 
         * every in-flight packet sits in exactly one future bucket, keyed
           by its precomputed departure cycle;
+        * the bucket heap holds each live bucket's cycle exactly once, so
+          no kernel can take a bucket twice;
+        * a killed queue (dead node or link) has an empty schedule, so a
+          queue revived by :meth:`enable_node` starts with no backlog;
         * a bucket is processed in ``(queue_key, seq)`` order — the
           object engine's sorted-key service order, FIFO within a queue;
         * continuing packets re-enter the calendar via one segmented
@@ -530,6 +543,7 @@ class BatchEngine:
         chunks = self._buckets.pop(self.cycle, None)
         if not chunks:
             return 0
+        heapq.heappop(self._bucket_heap)  # it was the earliest bucket
         if len(chunks) == 1:
             pid, ptr, key, seq = chunks[0]
             if pid.size > 1:
@@ -564,7 +578,7 @@ class BatchEngine:
             self._join(pid[cont], ptr[cont], node[cont] * self._n + nxt[cont])
         return delivered
 
-    def _coalesce_terminal_tail(self, start: int, max_cycles: int) -> int:
+    def _coalesce_terminal_tail(self, stop: int) -> int:
         """Settle the whole calendar in one pass iff every remaining
         packet is terminal (delivers or drops on its next departure).
 
@@ -582,14 +596,15 @@ class BatchEngine:
         tests enforce it.
 
         Returns ``-1`` when applied.  Otherwise the calendar still holds
-        a continuer (or a bucket beyond the ``max_cycles`` budget, which
-        must raise through the normal loop) and the probe bails on the
-        spot — a failed probe costs one chunk scan, not a calendar walk.
+        a continuer, or a bucket past ``stop`` (the budget or the
+        caller's ``until``, which the normal loop must honor), and the
+        probe bails on the spot — a failed probe costs one chunk scan,
+        not a calendar walk.
         """
         settled = []  # (cycle, pid, deliver-mask) per chunk
-        last = start
+        last = self.cycle
         for cyc, chunk_list in self._buckets.items():
-            if cyc - start > max_cycles:
+            if cyc > stop:
                 return 1
             if cyc > last:
                 last = cyc
@@ -623,8 +638,7 @@ class BatchEngine:
         self._bucket_heap.clear()
         return -1
 
-    def _step_coalesced(self, start: int, max_cycles: int,
-                        limit: int = 64) -> int:
+    def _step_coalesced(self, stop: int, limit: int = 64) -> int:
         """Process up to ``limit`` upcoming calendar buckets in one
         vectorized pass, bit-identical to stepping them one at a time.
 
@@ -647,22 +661,47 @@ class BatchEngine:
         Buckets are verified in cycle order against the full window's
         last cycle, so a failing bucket only shrinks the window to the
         verified prefix (checked against a *later* cycle, hence still
-        safe).  Returns the number of buckets processed, or ``0`` when
-        fewer than two buckets were safe (caller falls back to
-        :meth:`step`; popped heap entries are pushed back).
+        safe).  No bucket past ``stop`` (the budget or the caller's
+        ``until``) is taken.  Returns the number of buckets processed,
+        or ``0`` when fewer than two buckets were safe (caller falls
+        back to :meth:`step`; the calendar is left as it was).
         """
         heap = self._bucket_heap
+        if len(heap) < 2:
+            return 0
+        # the second bucket is the smaller child of the heap's root
+        second = heap[1] if len(heap) == 2 else min(heap[1], heap[2])
+        if second > stop:
+            return 0
+        n = self._n
+        # cheap front gate, before anything is popped: when the first
+        # bucket already holds a continuer whose join lands by the second
+        # cycle, no window is possible at all (the full check would
+        # shrink to taken < 2), so bail for roughly the cost of one step.
+        # This is the common failure in both regimes — uncongested queues
+        # re-join one cycle out, and a shrunk window leaves its offender
+        # at the front.
+        first = self._buckets[heap[0]]
+        if len(first) == 1:
+            pid0, ptr10 = first[0][0], first[0][1] + 1
+        else:
+            pid0 = np.concatenate([ch[0] for ch in first])
+            ptr10 = np.concatenate([ch[1] for ch in first]) + 1
+        node0 = self._flat[ptr10]
+        cont0 = (ptr10 != self._off[pid0 + 1] - 1) & ~self._dead[node0]
+        if cont0.any():
+            nxt0 = self._flat[np.where(cont0, ptr10 + 1, ptr10)]
+            cont0 &= ~(self._dead[nxt0] | self._links_dead(node0, nxt0))
+            live0 = np.flatnonzero(cont0)
+            if live0.size:
+                eids0 = self._queue_ids(node0[live0] * n + nxt0[live0])
+                if (self._q_next_slot[eids0] <= second).any():
+                    return 0
         cycles: list[int] = []
         pids, ptrs, buckets, sizes = [], [], [], []
         total = 0
-        while heap and len(cycles) < limit and total < 4096:
-            c = heap[0]
-            if c not in self._buckets:
-                heapq.heappop(heap)  # stale: bucket already processed
-                continue
-            if c - start > max_cycles:
-                break  # over budget: the normal loop must raise
-            heapq.heappop(heap)
+        while heap and len(cycles) < limit and total < 4096 and heap[0] <= stop:
+            c = heapq.heappop(heap)
             cycles.append(c)
             bucket = self._buckets[c]
             sz = 0
@@ -673,33 +712,10 @@ class BatchEngine:
             buckets.append(bucket)
             sizes.append(sz)
             total += sz
-        if len(cycles) < 2:
-            for c in cycles:
-                heapq.heappush(heap, c)
+        if len(cycles) < 2:  # a first bucket of 4096+ packets
+            heapq.heappush(heap, cycles[0])
             return 0
         last = cycles[-1]
-        n = self._n
-        # cheap front gate: when the first bucket already holds a
-        # continuer whose join lands by the second cycle, no window is
-        # possible at all (the full check would shrink to taken < 2), so
-        # bail for roughly the cost of one step.  This is the common
-        # failure in both regimes — uncongested queues re-join one cycle
-        # out, and a shrunk window leaves its offender at the front.
-        k0 = len(buckets[0])
-        pid0 = pids[0] if k0 == 1 else np.concatenate(pids[:k0])
-        ptr10 = (ptrs[0] if k0 == 1 else np.concatenate(ptrs[:k0])) + 1
-        node0 = self._flat[ptr10]
-        cont0 = (ptr10 != self._off[pid0 + 1] - 1) & ~self._dead[node0]
-        if cont0.any():
-            nxt0 = self._flat[np.where(cont0, ptr10 + 1, ptr10)]
-            cont0 &= ~(self._dead[nxt0] | self._links_dead(node0, nxt0))
-            live0 = np.flatnonzero(cont0)
-            if live0.size:
-                eids0 = self._queue_ids(node0[live0] * n + nxt0[live0])
-                if (self._q_next_slot[eids0] <= cycles[1]).any():
-                    for c in cycles:
-                        heapq.heappush(heap, c)
-                    return 0
         # safety pass over the bare minimum (pid/ptr, bucket-major order):
         # queue keys, seqs, and the service-order sort wait until the
         # window is known safe, so a deep failed probe costs under a step
@@ -763,11 +779,24 @@ class BatchEngine:
             self._join(pid[sel], ptr1[sel], node[sel] * n + nxt[sel])
         return taken
 
-    def run(self, max_cycles: int = 1_000_000) -> RunStats:
+    def run(self, max_cycles: int = 1_000_000, *,
+            until: int | None = None) -> RunStats:
         """Step until all traffic drains (delivered or dropped), skipping
         straight over cycles where nothing is scheduled to move.
 
-        The drain loop periodically probes
+        With ``until``, process exactly the departures at cycles
+        ``<= until``: the clock ends at ``until`` while traffic remains,
+        or at the last departure if the calendar empties first, and
+        ``until <= cycle`` is a no-op.  This is how a driver stops on the
+        cycle of its next scheduled event and keeps the kernels below
+        for everything in between.  :class:`SimulationError` is raised
+        when the clock would have to pass cycle ``start + max_cycles``
+        with traffic still in flight — the condition the object engine's
+        per-cycle loop raises under.
+
+        After its first 32 steps (a shorter run never probes: the first
+        buckets of a fresh drain carry the injected bulk, which never
+        coalesces), the drain loop periodically probes
         :meth:`_coalesce_terminal_tail`: once every remaining packet is
         on its final hop (the contention tail), the rest of the calendar
         settles in one vectorized pass instead of one :meth:`step` per
@@ -778,14 +807,17 @@ class BatchEngine:
         condition fails (early drain, uncongested queues).
         """
         start = self.cycle
-        retry_after = 0
+        if until is not None and until <= start:
+            return self.stats()
+        limit = start + max_cycles
+        stop = limit if until is None else min(until, limit)
+        retry_after = window_after = 32
         backoff = 4
-        window_after = 0
         wbackoff = 8
-        wfails = 0
+        retry = False
         while self._in_flight:
             if retry_after <= 0:
-                if self._coalesce_terminal_tail(start, max_cycles) < 0:
+                if self._coalesce_terminal_tail(stop) < 0:
                     break
                 # exponential backoff between probes: early in a drain
                 # the calendar always holds a continuer and the probe
@@ -794,31 +826,36 @@ class BatchEngine:
                 retry_after = backoff
                 backoff = min(backoff * 2, 256)
             if window_after <= 0:
-                done = self._step_coalesced(start, max_cycles)
+                done = self._step_coalesced(stop)
                 if done:
                     retry_after -= done
                     wbackoff = 8
-                    wfails = 0
+                    retry = True
                     continue
                 # in a congested drain a window usually fails on one
                 # offending front bucket that the next step clears, so
-                # the first failure gets a free retry; repeated failures
-                # (early drain, uncongested queues — every window has a
-                # join landing inside it) back off exponentially
-                wfails += 1
-                if wfails >= 2:
+                # the first failure after a window gets a free retry;
+                # other failures (early drain, uncongested queues — every
+                # window has a join landing inside it) back off
+                # exponentially
+                if retry:
+                    retry = False
+                else:
                     window_after = wbackoff
                     wbackoff = min(wbackoff * 2, 256)
-                    wfails = 0
-            upcoming = self.next_departure_cycle()
-            if upcoming - start > max_cycles:
-                raise SimulationError(
-                    f"simulation did not drain within {max_cycles} cycles"
-                )
+            upcoming = self._bucket_heap[0]
+            if upcoming > stop:
+                break
             self.cycle = upcoming - 1
             self.step()
             retry_after -= 1
             window_after -= 1
+        if self._in_flight:
+            if until is None or until > limit:
+                raise SimulationError(
+                    f"simulation did not drain within {max_cycles} cycles"
+                )
+            self.cycle = until
         return self.stats()
 
     # -- records ------------------------------------------------------------

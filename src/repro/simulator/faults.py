@@ -36,14 +36,19 @@ experiment spec layer (:class:`repro.experiments.ExperimentSpec`) does
 both, deriving each Monte-Carlo replica's RNG from
 ``(spec.seed, replica_index)`` so every realization is reproducible.
 
-Fault timing is honest: the workload driver advances the simulator one
-cycle at a time and fires every scheduled event at exactly the cycle it
-comes due — including in the middle of draining a batch, where a failing
-node takes its queued packets down with it (the dynamic-dependability
-regime; contrast with firing faults only at batch boundaries, which
-silently postpones them).  ``fault_log`` records the ``(cycle, node)``
-pairs as they actually fired (``repair_log`` likewise for repairs), so
-tests can pin the timeline.
+Fault timing is honest: every scheduled event fires at exactly the
+cycle it comes due — including in the middle of draining a batch, where
+a failing node takes its queued packets down with it (the
+dynamic-dependability regime; contrast with firing faults only at batch
+boundaries, which silently postpones them).  The drivers do not advance
+one cycle at a time to get there.
+:meth:`ReconfigurationController.run_workload` drains with
+``sim.run(budget, until=<next event's cycle>)``, which processes exactly
+the departures up to that cycle, then fires the event; the streaming
+driver keeps its own loop, which on the batch engine jumps the clock
+between arrivals, events and departures.  ``fault_log`` records the
+``(cycle, node)`` pairs as they actually fired (``repair_log`` likewise
+for repairs), so tests can pin the timeline.
 
 Both controllers drive either simulation engine: ``engine="object"``
 (:class:`NetworkSimulator`, one Python object per packet) or
@@ -461,8 +466,9 @@ class ReconfigurationController:
         """Fire every scheduled event due at or before ``cycle`` (default:
         the simulator's current cycle); returns the count fired.  The
         workload drivers — :meth:`run_workload` and
-        :func:`repro.simulator.streaming.run_stream` — call this at the
-        top of every simulated cycle so faults land exactly on time."""
+        :func:`repro.simulator.streaming.run_stream` — stop the clock on
+        each event's cycle and call this there, so faults land exactly
+        on time."""
         due = self.sim.cycle if cycle is None else int(cycle)
         return self.events.run_handlers(due, self._handlers)
 
@@ -505,11 +511,6 @@ class ReconfigurationController:
         flat, offsets = self.physical_routes_batch(batch[:, 0], batch[:, 1])
         self.sim.inject_routes(flat, offsets, validate=True)
 
-    def _step_and_fire(self) -> None:
-        """One cycle of simulated time, then any events that came due."""
-        self.sim.step()
-        self.fire_due_events()
-
     def run_workload(self, batches: list[np.ndarray], *, cycles_per_batch: int = 0,
                      max_cycles: int = 1_000_000) -> RunStats:
         """Inject each batch (logical pairs), draining between batches and
@@ -523,22 +524,37 @@ class ReconfigurationController:
         packets queued in the failed router (counted in
         ``lost_to_faults``).  Events scheduled beyond the last simulated
         cycle never fire.
+
+        A drain calls ``sim.run(budget, until=<next event's cycle>)``
+        once per event that falls inside it, plus once for the rest, so
+        the batch engine's calendar jumps and coalesced windows serve the
+        whole drain; ``max_cycles`` bounds each batch's drain as a
+        per-cycle loop would.
         """
+        sim, events = self.sim, self.events
         for i, batch in enumerate(batches):
             if i and cycles_per_batch:
-                for _ in range(cycles_per_batch):
-                    self._step_and_fire()
+                # nothing is in flight in the gap: jump the clock to each
+                # event due inside it, then to the gap's end
+                end = sim.cycle + cycles_per_batch
+                while (due := events.peek_cycle()) is not None and due <= end:
+                    sim.cycle = due
+                    self.fire_due_events()
+                sim.cycle = end
             self.fire_due_events()
             self._inject(batch)
-            start = self.sim.cycle
-            while self.sim.in_flight:
-                if self.sim.cycle - start >= max_cycles:
+            deadline = sim.cycle + max_cycles
+            while sim.in_flight:
+                # drain up to the next event's cycle, then fire it there
+                try:
+                    sim.run(deadline - sim.cycle, until=events.peek_cycle())
+                except SimulationError:  # report the caller's budget
                     raise SimulationError(
                         f"simulation did not drain within {max_cycles} cycles"
-                    )
-                self._step_and_fire()
+                    ) from None
+                self.fire_due_events()
         self.fire_due_events()
-        return self.sim.stats()
+        return sim.stats()
 
     def run_stream(self, source, **kwargs):
         """Drive this controller open-loop from a

@@ -256,10 +256,14 @@ class NetworkSimulator:
                 self._enqueue(pkt, hop)
         return delivered
 
-    def run(self, max_cycles: int = 1_000_000) -> RunStats:
-        """Step until all traffic drains (delivered or dropped)."""
+    def run(self, max_cycles: int = 1_000_000, *,
+            until: int | None = None) -> RunStats:
+        """Step until all traffic drains (delivered or dropped) or, with
+        ``until``, while traffic is in flight and ``cycle < until``.
+        Raises :class:`SimulationError` when traffic is still in flight
+        after cycle ``start + max_cycles``."""
         start = self.cycle
-        while self.in_flight:
+        while self.in_flight and (until is None or self.cycle < until):
             if self.cycle - start >= max_cycles:
                 raise SimulationError(
                     f"simulation did not drain within {max_cycles} cycles"

@@ -12,9 +12,12 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import debruijn
 from repro.errors import SimulationError
+from repro.experiments import ExperimentSpec
 from repro.graphs import path
 from repro.routing import shift_route
 from repro.simulator import (
@@ -23,6 +26,7 @@ from repro.simulator import (
     NetworkSimulator,
     PacketArrays,
     ReconfigurationController,
+    hotspot_traffic,
     make_pattern,
     pack_routes,
     summarize,
@@ -86,6 +90,62 @@ class TestGoldenEquivalenceGrid:
         assert a.fault_log == b.fault_log
         assert a.lost_to_faults == b.lost_to_faults
         assert_twins(a.sim, b.sim)
+
+
+class TestControllerEventTiming:
+    """The reconfiguration controller drains through ``run(until=...)``
+    on both engines; events must still fire on their exact cycle."""
+
+    pairs = uniform_traffic(16, 80, np.random.default_rng(4))
+    batches = [pairs[:40], pairs[40:]]
+
+    def _run(self, engine, scenario, **kwargs):
+        ctrl = ReconfigurationController(2, 4, 2, engine=engine)
+        ctrl.schedule(scenario)
+        stats = ctrl.run_workload([b.copy() for b in self.batches], **kwargs)
+        return ctrl, stats
+
+    def test_event_landings_object_equals_batch(self):
+        # node 2 carries traffic at cycle 2 (occupied); spare node 17 has
+        # nothing queued at cycle 3 (an idle router mid-drain)
+        early = [(2, 2), (3, 17)]
+        probe = ReconfigurationController(2, 4, 2, engine="batch")
+        probe.schedule(FaultScenario(early))
+        probe.run_workload([self.batches[0].copy()])
+        last = probe.sim.cycle  # batch 1's last departure
+        gap = 4
+        end = last + gap  # batch 2 is injected here
+        scenario = FaultScenario(
+            early + [(end + 2, 5), (10_000, 9)],  # mid-drain, never fires
+            [(last, 2), (last + 2, 17)],  # on the last departure, in the gap
+        )
+        runs = [self._run(e, scenario, cycles_per_batch=gap)
+                for e in ("object", "batch")]
+        (a, sa), (b, sb) = runs
+        assert sa == sb
+        assert_twins(a.sim, b.sim)
+        assert a.lost_to_faults == b.lost_to_faults > 0
+        for ctrl in (a, b):
+            assert ctrl.fault_log == [(2, 2), (3, 17), (end + 2, 5)]
+            assert ctrl.repair_log == [(last, 2), (last + 2, 17)]
+            assert ctrl.sim.cycle > end + 2  # the last fault was mid-drain
+
+    @pytest.mark.parametrize("engine", ["object", "batch"])
+    def test_max_cycles_still_raises(self, engine):
+        scenario = FaultScenario([(2, 2)])
+        with pytest.raises(SimulationError, match="did not drain within 4 "):
+            self._run(engine, scenario, max_cycles=4)
+        ctrl, _ = self._run(engine, scenario, max_cycles=40)
+        assert ctrl.fault_log == [(2, 2)]
+
+    def test_repair_spec_object_equals_batch(self):
+        spec = dict(m=2, h=3, k=1, packets=200, seed=0, pattern="uniform",
+                    fault_model={"name": "fixed", "faults": [[3, 2]],
+                                 "repairs": [[6, 2]]})
+        a = ExperimentSpec(engine="object", **spec).run()
+        b = ExperimentSpec(engine="batch", **spec).run()
+        assert a.stats == b.stats
+        assert a.lost_to_faults == b.lost_to_faults
 
 
 class TestEngineDirectEquivalence:
@@ -159,6 +219,33 @@ class TestEngineDirectEquivalence:
         be.run()
         assert_twins(sim, be)
 
+    def test_repaired_node_queues_start_empty(self):
+        # the dropped backlog on link (1, 2) must not delay a packet that
+        # joins the link after node 2 is repaired
+        g = debruijn(2, 3)
+        sim, be = NetworkSimulator(g), BatchEngine(g)
+        for engine in (sim, be):
+            engine.inject_routes(*pack_routes([[1, 2]] * 4))
+            assert engine.disable_node(2) == 4
+            engine.enable_node(2)
+            engine.inject_routes(*pack_routes([[1, 2]]))
+            engine.run()
+        assert_twins(sim, be)
+        assert be.delivered_at[4] == 1
+
+    def test_emptied_bucket_is_taken_once(self):
+        # disable_node empties the cycle-1 bucket; refilling that cycle
+        # must not give the calendar a second entry for it
+        g = debruijn(2, 3)
+        sim, be = NetworkSimulator(g), BatchEngine(g)
+        for engine in (sim, be):
+            engine.inject_routes(*pack_routes([[6, 4]]))
+            engine.disable_node(4)
+            engine.inject_routes(*pack_routes([[6, 5], [3, 6, 5, 2]]))
+            engine.run()
+        assert_twins(sim, be)
+        assert be.delivered_at.tolist() == [-1, 1, 3]
+
     def test_self_delivery_and_single_hop(self):
         g = path(3)
         sim, be = NetworkSimulator(g), BatchEngine(g)
@@ -170,6 +257,140 @@ class TestEngineDirectEquivalence:
         be.run()
         assert_twins(sim, be)
         assert be.delivered_at[0] == 0  # degenerate self-delivery at cycle 0
+
+
+class TestRunUntil:
+    """``run(until=c)`` processes exactly the departures at cycles
+    ``<= c`` on both engines."""
+
+    @pytest.mark.parametrize("engine", [NetworkSimulator, BatchEngine])
+    def test_until_contract(self, engine):
+        sim = engine(debruijn(2, 3))
+        sim.inject_routes(*pack_routes([[0, 1, 2, 4]]))
+        sim.run(until=0)
+        assert (sim.cycle, sim.in_flight) == (0, 1)  # until <= cycle: no-op
+        sim.run(until=2)
+        assert (sim.cycle, sim.in_flight) == (2, 1)  # stops on until
+        sim.run(until=9)
+        assert (sim.cycle, sim.in_flight) == (3, 0)  # drained first
+        sim.run(until=9)
+        assert sim.cycle == 3  # nothing in flight: the clock stays
+
+    def test_until_cuts_a_coalesced_drain(self):
+        # a long hotspot drain where the batch engine settles coalesced
+        # windows and the terminal tail: no kernel may run past a stop
+        g = debruijn(2, 5)
+        pairs = hotspot_traffic(32, 600, np.random.default_rng(2),
+                                hotspot=5, heat=0.9)
+        routes = pack_routes([shift_route(int(s), int(d), 2, 5) for s, d in pairs])
+        sim, be = NetworkSimulator(g), BatchEngine(g)
+        for engine in (sim, be):
+            engine.inject_routes(*routes)
+        for until in (60, 133, 200, 271, 340):
+            for engine in (sim, be):
+                engine.run(until=until)
+            assert_twins(sim, be)
+            if until == 133:
+                assert sim.disable_node(9) == be.disable_node(9)
+        sim.run()
+        be.run()
+        assert_twins(sim, be)
+
+    @pytest.mark.parametrize("engine", [NetworkSimulator, BatchEngine])
+    def test_until_within_budget_does_not_raise(self, engine):
+        sim = engine(debruijn(2, 3))
+        sim.inject_routes(*pack_routes([[0, 1, 2, 4]]))
+        sim.run(2, until=2)
+        assert sim.cycle == 2
+        with pytest.raises(SimulationError, match="did not drain within 0"):
+            sim.run(0, until=3)
+
+    @pytest.mark.parametrize("engine", [NetworkSimulator, BatchEngine])
+    def test_budget_past_until_raises(self, engine):
+        sim = engine(debruijn(2, 3))
+        sim.inject_routes(*pack_routes([[0, 1, 2, 4]]))
+        with pytest.raises(SimulationError, match="did not drain within 1"):
+            sim.run(1, until=5)
+
+
+# one engine operation: (kind, a, b) on the 8 nodes of B_{2,3}; see
+# TestRunUntilDifferential.  Injections aim a share of their packets at
+# one hot node so that queues back up before faults and repairs hit them.
+_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("inject"), st.integers(0, 2**16), st.integers(1, 40)),
+        st.tuples(st.just("step"), st.just(0), st.just(0)),
+        st.tuples(st.just("disable_node"), st.integers(0, 7), st.just(0)),
+        st.tuples(st.just("enable_node"), st.integers(0, 7), st.just(0)),
+        st.tuples(st.just("disable_link"), st.integers(0, 10**6), st.just(0)),
+        st.tuples(st.just("run"), st.integers(-2, 16), st.integers(0, 40)),
+    ),
+    min_size=1, max_size=16,
+)
+
+
+class TestRunUntilDifferential:
+    """Random inject / step / fault / repair / ``run(until=c)``
+    sequences: both engines keep identical packet records and clocks
+    after every operation."""
+
+    @staticmethod
+    def _records(sim):
+        r = sim.packet_records()
+        return (sim.cycle, sim.in_flight, r.injected_at.tolist(),
+                r.delivered_at.tolist(), r.dropped.tolist())
+
+    @settings(max_examples=100, deadline=None)
+    @given(ops=_ops, capacity=st.integers(1, 2))
+    def test_engines_agree(self, ops, capacity):
+        g = debruijn(2, 3)
+        edges = [tuple(map(int, e)) for e in g.edges()]
+        engines = (NetworkSimulator(g, capacity), BatchEngine(g, capacity))
+        dead, dead_links = set(), set()
+        for kind, a, b in ops:
+            if kind == "inject":
+                pairs = hotspot_traffic(8, b, np.random.default_rng(a),
+                                        hotspot=a % 8, heat=0.6)
+                routes = [shift_route(int(s), int(d), 2, 3) for s, d in pairs]
+                routes = [
+                    r for r in routes
+                    if not dead.intersection(r)
+                    and not dead_links.intersection(zip(r, r[1:]))
+                ]
+                for sim in engines:
+                    sim.inject_routes(*pack_routes(routes))
+            elif kind == "step":
+                for sim in engines:
+                    sim.step()
+            elif kind == "disable_node":
+                assert len({sim.disable_node(a) for sim in engines}) == 1
+                dead.add(a)
+            elif kind == "enable_node":
+                if dead:
+                    v = sorted(dead)[a % len(dead)]
+                    for sim in engines:
+                        sim.enable_node(v)
+                    dead.discard(v)
+            elif kind == "disable_link":
+                u, v = edges[a % len(edges)]
+                assert len({sim.disable_link(u, v) for sim in engines}) == 1
+                dead_links.update({(u, v), (v, u)})
+            else:
+                until = engines[0].cycle + a
+                raised = set()
+                for sim in engines:
+                    try:
+                        sim.run(b, until=until)
+                        raised.add(False)
+                    except SimulationError:
+                        raised.add(True)
+                assert len(raised) == 1
+                if raised == {True}:
+                    return  # both ran out of budget: clocks may differ
+            assert self._records(engines[0]) == self._records(engines[1])
+        for sim in engines:
+            sim.run()
+        assert self._records(engines[0]) == self._records(engines[1])
 
 
 class TestBatchEngineValidation:

@@ -15,7 +15,9 @@ Two row kinds:
 * ``driver="controller"`` — both engines behind the same
   ``ReconfigurationController`` with a mid-run fault schedule (routing
   is shared and vectorized for both, so the ratio isolates pure
-  simulation speed under honest fault timing).
+  simulation speed under honest fault timing).  The controller drains
+  through ``run(until=<next event>)``; the hotspot row is the long,
+  congested drain where the batch engine's coalesced kernels pay.
 * ``driver="sweep"`` — a multi-scenario grid through the multi-process
   ``run_grid`` dispatch vs the same grid single-process: records the
   wall-clock speedup of ``repro.simulator.shard_driver.run_grid`` and
@@ -118,6 +120,7 @@ FULL_SUITE = [
     ("engine", "hotspot", 2, 8, 1, 20_000, []),
     ("engine", "descend", 2, 9, 1, 50_000, []),
     ("controller", "uniform", 2, 8, 2, 20_000, [(5, 40)]),
+    ("controller", "hotspot", 2, 8, 2, 20_000, [(5, 40)]),
     ("sweep", "uniform", 2, 9, 1, 40_000, [(0, 40)]),
     ("pool", "uniform", 2, 8, 1, 2_000, [(0, 40)]),
     ("detour", "uniform", 2, 8, 1, 20_000, [3, 40]),
@@ -128,6 +131,7 @@ FULL_SUITE = [
 QUICK_SUITE = [
     ("engine", "uniform", 2, 7, 1, 5_000, []),
     ("controller", "uniform", 2, 6, 1, 4_000, [(3, 9)]),
+    ("controller", "hotspot", 2, 6, 1, 4_000, [(3, 9)]),
     ("sweep", "uniform", 2, 7, 1, 4_000, [(0, 9)]),
     ("pool", "uniform", 2, 6, 1, 600, [(0, 9)]),
     ("detour", "uniform", 2, 6, 1, 3_000, [9]),
