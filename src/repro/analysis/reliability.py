@@ -16,8 +16,9 @@ turns that into the reliability numbers a systems audience asks for:
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-from scipy import stats as sstats
 
 from repro.errors import ParameterError
 
@@ -32,12 +33,23 @@ __all__ = [
 
 def survival_probability(n_target: int, k: int, q: float) -> float:
     """P(at most k of n_target + k nodes fail), nodes failing i.i.d. with
-    probability ``q`` — the FT machine's survival probability."""
+    probability ``q`` — the FT machine's survival probability: the
+    binomial CDF, summed term by term in log space so that large
+    machines neither overflow the binomial coefficient nor underflow
+    the powers."""
     if not 0.0 <= q <= 1.0:
         raise ParameterError(f"failure probability must be in [0,1], got {q}")
     if k < 0 or n_target <= 0:
         raise ParameterError("need n_target > 0 and k >= 0")
-    return float(sstats.binom.cdf(k, n_target + k, q))
+    if q in (0.0, 1.0):
+        return 1.0 - q  # nothing fails, or everything does (k < n_target + k)
+    n = n_target + k
+    log_q, log_p = math.log(q), math.log1p(-q)
+    tail = math.fsum(
+        math.exp(math.log(math.comb(n, i)) + i * log_q + (n - i) * log_p)
+        for i in range(k + 1)
+    )
+    return min(tail, 1.0)
 
 
 def bare_survival_probability(n_target: int, q: float) -> float:

@@ -23,28 +23,34 @@ How it works: departure slots are exact
 In the object engine a directed link's deque serves up to
 ``link_capacity`` packets per cycle, FIFO, and arrivals only ever append
 to the tail.  That makes every packet's departure cycle computable *at
-the moment it joins the queue*: if the queue's service schedule has
-filled slots up to ``(next_slot, used)``, the joiner at cycle ``t``
-departs at ``max(t + 1, next_slot)`` plus however many whole slots the
-backlog ahead of it occupies.  Two facts keep this exact under faults:
+the moment it joins the queue*.  Counting a queue's service slots in
+``1 / link_capacity`` cycles, with ``free`` its next free slot, the
+joiners of cycle ``t`` take the slots from
+``max((t + 1) * link_capacity, free)`` on, in FIFO order, and slot ``s``
+departs at cycle ``s // link_capacity``.  Two facts keep this exact
+under faults:
 
 * later arrivals cannot affect earlier ones (FIFO tail appends), and
 * faults never shorten a queue partially — ``disable_node`` /
   ``disable_link`` kill entire queues, so surviving schedules never
   shift.
 
-The engine therefore keeps a calendar of *buckets*: ``bucket[c]`` holds
-every packet scheduled to depart its current link at cycle ``c``, stored
-as parallel arrays ``(pid, ptr, queue_key, seq)``.  A :meth:`step` to
-cycle ``c`` pops the bucket, orders it by ``(queue_key, seq)`` — exactly
-the object engine's sorted-key, FIFO-within-queue service order — and
-processes all arrivals vectorized: dead-node/dead-link boolean masks
-decide drops, destination hits record delivery, and continuing packets
-are grouped by their next queue for one segmented slot computation that
-schedules their departures into future buckets.  Per-queue schedule
-state is indexed densely by directed-edge id (CSR order, which preserves
-key order); rare non-edge hops injected with ``validate=False`` get
-overflow ids on demand.
+Each hop's queue is resolved once, at injection: a per-hop array beside
+the routes holds the queue id of the hop leaving every route position
+(``-1`` at a route's end).  Graph edges use their CSR slot; rare non-edge
+hops injected with ``validate=False`` get overflow ids.  A per-queue
+*blocked* mask (dead endpoint or dead link) replaces any per-step fault
+search.
+
+A packet's place in the calendar is one int64 key,
+``depart << 32 | (rank * link_capacity + place)``: its departure cycle,
+its queue's service rank (the queue's position in ``u * n + v`` order)
+and its FIFO place among the queue's departures that cycle.  Ascending
+key order is therefore exactly the object engine's service order.  The
+calendar is a few key-sorted *runs*; a :meth:`step` to cycle ``c``
+takes every run's prefix of keys departing at ``c``, processes the
+arrivals vectorized (the blocked mask decides drops, the route's end
+decides delivery), and files all continuers as one new sorted run.
 
 Work is O(total hops actually traversed), not
 O(in-flight × cycles) — idle packets cost nothing, and :meth:`run`
@@ -60,32 +66,23 @@ packet count is large (≳ a few thousand).  The controllers in
 
 from __future__ import annotations
 
-import heapq
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from repro.errors import SimulationError
 from repro.graphs.static_graph import StaticGraph
-from repro.routing.shift_register import route_hop_pairs
 from repro.simulator.metrics import PacketArrays, RunStats, summarize_arrays
 
 __all__ = ["BatchEngine", "pack_routes", "validate_injection"]
 
 _I64 = np.int64
-
-
-def _dead_links_mask(
-    dead_keys: np.ndarray, n: int, us: np.ndarray, vs: np.ndarray
-) -> np.ndarray:
-    """Boolean mask: is directed link ``(us[i], vs[i])`` in the sorted
-    dead-link key array (keys are ``u * n + v``)?"""
-    if dead_keys.size == 0:
-        return np.zeros(us.shape, dtype=bool)
-    q = us * n + vs
-    pos = np.searchsorted(dead_keys, q)
-    safe = np.minimum(pos, dead_keys.size - 1)
-    return (pos < dead_keys.size) & (dead_keys[safe] == q)
+# calendar key split: departure cycle in the high bits, service slot
+# ``rank * link_capacity + place`` in the low 32
+_LOW = 32
+_LOW_MASK = (1 << _LOW) - 1
+_MAX_SLOTS = 1 << _LOW          # queues x link_capacity must fit the low bits
+_MAX_DEPART = (1 << 31) - 1     # latest departure cycle a key can hold
 
 
 def validate_injection(
@@ -95,18 +92,21 @@ def validate_injection(
     *,
     validate: bool,
     dead_mask: np.ndarray,
-    dead_link_keys: np.ndarray,
+    dead_links: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The engines' shared injection-time validation, fully vectorized.
 
     Normalizes the ``(flat, offsets)`` batch and applies exactly the
     checks :meth:`BatchEngine.inject_routes` documents: malformed batch,
     empty routes, node range, edge existence (gated by ``validate``),
-    dead links, dead nodes — raising :class:`SimulationError` on the
-    first offender.  Returns ``(flat, offsets, a, b, lens)`` where
-    ``(a, b)`` are the per-hop endpoint arrays.  Every engine funnels
-    through here so a route is rejected identically no matter which
-    engine it was offered to.
+    dead links (``dead_links`` is a mask over CSR slots), dead nodes —
+    raising :class:`SimulationError` on the first offender.  Returns
+    ``(flat, offsets, lens, hop, stray)``: ``hop[i]`` is the CSR slot of
+    the hop leaving position ``i`` (one search answers both the edge
+    check and the queue id), ``-1`` at each route's end and at non-edge
+    hops, whose positions ``stray`` lists (empty unless ``validate`` is
+    off).  Every engine funnels through here so a route is rejected
+    identically no matter which engine it was offered to.
     """
     flat = np.ascontiguousarray(np.asarray(flat, dtype=_I64).ravel())
     offsets = np.asarray(offsets, dtype=_I64).ravel()
@@ -118,21 +118,26 @@ def validate_injection(
     n = graph.node_count
     if flat.size and (flat.min() < 0 or flat.max() >= n):
         raise SimulationError("route node id out of range")
-    a, b = route_hop_pairs(flat, offsets)
-    if validate and a.size:
-        ok = graph.has_edges(a, b)
-        if not ok.all():
-            i = int(np.flatnonzero(~ok)[0])
-            raise SimulationError(f"route hop ({a[i]}, {b[i]}) is not an edge")
-    if a.size:
-        dead_link = _dead_links_mask(dead_link_keys, n, a, b)
+    hop = np.full(flat.size, -1, dtype=_I64)
+    if flat.size > 1:
+        hop[:-1] = graph.directed_edge_slots(flat[:-1], flat[1:])
+    ends = offsets[1:] - 1
+    hop[ends] = -1
+    miss = hop < 0
+    miss[ends] = False
+    stray = np.flatnonzero(miss)
+    if validate and stray.size:
+        i = int(stray[0])
+        raise SimulationError(f"route hop ({flat[i]}, {flat[i + 1]}) is not an edge")
+    if dead_links.any():
+        dead_link = (hop >= 0) & dead_links[np.maximum(hop, 0)]
         if dead_link.any():
             i = int(np.flatnonzero(dead_link)[0])
-            raise SimulationError(f"route uses dead link ({a[i]}, {b[i]})")
+            raise SimulationError(f"route uses dead link ({flat[i]}, {flat[i + 1]})")
     if flat.size and dead_mask[flat].any():
         v = int(flat[np.flatnonzero(dead_mask[flat])[0]])
         raise SimulationError(f"route passes dead node {v}")
-    return flat, offsets, a, b, lens
+    return flat, offsets, lens, hop, stray
 
 
 def pack_routes(routes: Iterable[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
@@ -172,28 +177,40 @@ class BatchEngine:
         self._n_packets = 0
         self._flat_len = 0
         self._flat = np.zeros(0, dtype=_I64)          # all routes, concatenated
+        self._hop = np.zeros(0, dtype=_I64)           # queue id leaving each position
         self._off = np.zeros(1, dtype=_I64)           # per-packet offsets into _flat
         self._injected_at = np.zeros(0, dtype=_I64)
         self._delivered_at = np.zeros(0, dtype=_I64)  # -1 == not delivered
         self._dropped = np.zeros(0, dtype=bool)
-        # directed-link registry: the graph's canonical directed-key plane
-        # (CSR order == sorted (u*n + v) key order), shared with has_edges
-        self._eid_keys = graph.directed_edge_keys
-        self._extra_ids: dict[int, int] = {}          # non-edge queues (rare)
-        n_queues = self._eid_keys.size
-        # per-queue service schedule: next slot with free capacity + packets
-        # already placed in it
-        self._q_next_slot = np.zeros(n_queues, dtype=_I64)
-        self._q_used = np.zeros(n_queues, dtype=_I64)
-        # calendar: depart cycle -> list of (pid, ptr, queue_key, seq) chunks,
-        # plus a min-heap holding each bucket's cycle exactly once
-        self._buckets: dict[int, list[tuple[np.ndarray, ...]]] = {}
-        self._bucket_heap: list[int] = []
-        self._seq = 0                                 # global FIFO tiebreaker
-        self._in_flight = 0
-        # fault state
+        # queue registry: ids below the edge count are CSR slots (whose
+        # order is the u*n + v key order); overflow ids for non-edge hops
+        # follow in creation order, and _rank then maps ids to key order
+        self._qkey = graph.directed_edge_keys
+        self._extra_ids: dict[int, int] = {}
+        self._rank: np.ndarray | None = None          # None: ids are ranks
+        n_queues = self._qkey.size
+        self._check_slots(n_queues)
+        # per-queue service schedule: the next free slot, counted in
+        # 1/link_capacity cycles (slot s departs at cycle s // capacity)
+        self._q_free = np.zeros(n_queues, dtype=_I64)
+        # fault state; _blocked has one extra True entry, so hop -1 (a
+        # route's end) never continues
         self._dead = np.zeros(self._n, dtype=bool)
-        self._dead_link_keys = np.zeros(0, dtype=_I64)
+        self._link_dead = np.zeros(n_queues, dtype=bool)
+        self._blocked = np.zeros(n_queues + 1, dtype=bool)
+        self._blocked[-1] = True
+        # calendar: size-tiered (3, k) arrays of (key, pid, ptr) columns,
+        # each sorted by key (see _push)
+        self._runs: list[np.ndarray] = []
+        self._in_flight = 0
+
+    def _check_slots(self, n_queues: int) -> None:
+        """Refuse more queue slots than the calendar key's low bits hold."""
+        if n_queues * self.link_capacity > _MAX_SLOTS:
+            raise SimulationError(
+                f"{n_queues} queues x link_capacity {self.link_capacity} "
+                f"exceed the calendar key's limit of 2**{_LOW} service slots"
+            )
 
     # -- configuration ------------------------------------------------------
 
@@ -203,44 +220,34 @@ class BatchEngine:
         injection and their queued packets were dropped)."""
         return frozenset(int(v) for v in np.flatnonzero(self._dead))
 
-    def _drop_queues(self, predicate) -> int:
-        """Drop every scheduled packet whose *current* queue satisfies
-        ``predicate(u, v)`` and empty those queues' schedules.  Whole
-        queues die at once, so the surviving departure schedules stay
-        exact."""
+    def _reblock(self) -> tuple[np.ndarray, np.ndarray]:
+        """Recompute the blocked mask (dead endpoint or dead link) from
+        the fault state; returns the queues' endpoint arrays."""
+        u, w = np.divmod(self._qkey, self._n)
+        self._blocked[:-1] = self._dead[u] | self._dead[w] | self._link_dead
+        return u, w
+
+    def _drop_queues(self, killed: np.ndarray) -> int:
+        """Drop every scheduled packet whose *current* queue is marked in
+        ``killed`` and empty those queues' schedules.  Whole queues die
+        at once, so the surviving departure schedules stay exact, and
+        filtering a sorted run keeps it sorted."""
         dropped = 0
-        for cyc in list(self._buckets):
-            new_chunks = []
-            for pid, ptr, key, seq in self._buckets[cyc]:
-                u = self._flat[ptr]
-                w = self._flat[ptr + 1]
-                hit = predicate(u, w)
-                count = int(np.count_nonzero(hit))
-                if count:
-                    dropped += count
-                    self._dropped[pid[hit]] = True
-                    keep = ~hit
-                    if keep.any():
-                        new_chunks.append(
-                            (pid[keep], ptr[keep], key[keep], seq[keep])
-                        )
-                else:
-                    new_chunks.append((pid, ptr, key, seq))
-            if new_chunks:
-                self._buckets[cyc] = new_chunks
-            else:
-                del self._buckets[cyc]
-        # one heap entry per live bucket (a sorted list is a heap)
-        self._bucket_heap[:] = sorted(self._buckets)
+        runs = []
+        for run in self._runs:
+            hit = killed[self._hop[run[2]]]
+            count = int(np.count_nonzero(hit))
+            if count:
+                dropped += count
+                self._dropped[run[1, hit]] = True
+                run = run.compress(~hit, axis=1)
+            if run.shape[1]:
+                runs.append(run)
+        self._runs = runs
         # a killed queue is empty, like the object engine's deleted deque:
         # a packet joining it after a repair must not wait behind the
         # schedule of packets that were dropped
-        keys = self._eid_keys
-        if self._extra_ids:
-            keys = np.concatenate([keys, np.fromiter(self._extra_ids, dtype=_I64)])
-        killed = predicate(keys // self._n, keys % self._n)
-        self._q_next_slot[killed] = 0
-        self._q_used[killed] = 0
+        self._q_free[killed] = 0
         self._in_flight -= dropped
         return dropped
 
@@ -254,7 +261,8 @@ class BatchEngine:
                 f"cannot disable node {v}: not a node of the graph [0, {self._n})"
             )
         self._dead[v] = True
-        return self._drop_queues(lambda u, w: (u == v) | (w == v))
+        u, w = self._reblock()
+        return self._drop_queues((u == v) | (w == v))
 
     def enable_node(self, v: int) -> None:
         """Return a disabled node to service (a ``node_repair`` event):
@@ -269,6 +277,7 @@ class BatchEngine:
         if not self._dead[v]:
             raise SimulationError(f"cannot enable node {v}: it is not disabled")
         self._dead[v] = False
+        self._reblock()
 
     def disable_link(self, u: int, v: int) -> int:
         """Fail the undirected link ``{u, v}`` mid-run; drop everything
@@ -283,17 +292,11 @@ class BatchEngine:
             raise SimulationError(
                 f"cannot disable link ({u}, {v}): not an edge of the graph"
             )
-        keys = np.array([u * self._n + v, v * self._n + u], dtype=_I64)
-        self._dead_link_keys = np.unique(
-            np.concatenate([self._dead_link_keys, keys])
-        )
-        return self._drop_queues(
-            lambda a, b: ((a == u) & (b == v)) | ((a == v) & (b == u))
-        )
-
-    def _links_dead(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
-        """Boolean mask: is directed link ``(us[i], vs[i])`` dead?"""
-        return _dead_links_mask(self._dead_link_keys, self._n, us, vs)
+        killed = np.zeros(self._link_dead.size, dtype=bool)
+        killed[self.graph.directed_edge_slots([u, v], [v, u])] = True
+        self._link_dead |= killed
+        self._reblock()
+        return self._drop_queues(killed)
 
     # -- injection ----------------------------------------------------------
 
@@ -321,13 +324,26 @@ class BatchEngine:
         :meth:`NetworkSimulator.inject_route`).  Validation is
         all-or-nothing: on error, no packet of the batch is injected
         (``NetworkSimulator.inject_routes`` matches).
+
+        A queue never idles while it holds a packet, so no departure
+        lies further out than the current cycle plus the hops injected
+        so far; a batch that could push one past the calendar key's
+        latest cycle is refused with :class:`SimulationError`.
         """
-        flat, offsets, a, b, lens = validate_injection(
+        flat, offsets, lens, hop, stray = validate_injection(
             self.graph, flat, offsets, validate=validate,
-            dead_mask=self._dead, dead_link_keys=self._dead_link_keys,
+            dead_mask=self._dead, dead_links=self._link_dead,
         )
         if lens.size == 0:
             return np.zeros(0, dtype=_I64)
+        if self.cycle + self._flat_len + flat.size > _MAX_DEPART:
+            raise SimulationError(
+                f"departures past cycle {_MAX_DEPART} (2**31 - 1) do not fit "
+                f"the calendar key: cycle {self.cycle} with "
+                f"{self._flat_len + flat.size} route positions"
+            )
+        if stray.size:
+            hop[stray] = self._overflow_ids(flat[stray] * self._n + flat[stray + 1])
 
         count = lens.size
         pid0 = self._n_packets
@@ -335,6 +351,8 @@ class BatchEngine:
         pids = np.arange(pid0, pid0 + count, dtype=_I64)
         self._flat = self._ensure(self._flat, base_flat, flat.size)
         self._flat[base_flat: base_flat + flat.size] = flat
+        self._hop = self._ensure(self._hop, base_flat, flat.size)
+        self._hop[base_flat: base_flat + flat.size] = hop
         self._off = self._ensure(self._off, pid0 + 1, count)
         self._off[pid0 + 1: pid0 + 1 + count] = offsets[1:] + base_flat
         self._injected_at = self._ensure(self._injected_at, pid0, count)
@@ -349,10 +367,9 @@ class BatchEngine:
         self._flat_len += flat.size
         multi = lens > 1
         if multi.any():
-            mpid = pids[multi]
-            ptr = self._off[mpid]
-            key = self._flat[ptr] * self._n + self._flat[ptr + 1]
-            self._join(mpid, ptr, key)
+            start = offsets[:-1][multi]
+            # the first row is a placeholder for the key _join writes
+            self._join(np.stack([start, pids[multi], start + base_flat]), hop[start])
         return pids
 
     @staticmethod
@@ -369,138 +386,75 @@ class BatchEngine:
 
     # -- queue schedule ------------------------------------------------------
 
-    def _queue_ids(self, keys: np.ndarray) -> np.ndarray:
-        """Dense ids for directed-link keys ``u * n + v``.  Graph edges map
-        to their CSR position (which preserves key order); non-edge queues
-        (only reachable via ``validate=False``) get stable overflow ids."""
-        ek = self._eid_keys
-        if ek.size:
-            pos = np.searchsorted(ek, keys)
-            safe = np.minimum(pos, ek.size - 1)
-            ok = ek[safe] == keys
-        else:
-            safe = np.zeros(keys.shape, dtype=_I64)
-            ok = np.zeros(keys.shape, dtype=bool)
-        if ok.all():
-            return safe
-        eid = safe.copy()
-        grow = 0
-        for i in np.flatnonzero(~ok):
-            k = int(keys[i])
-            ident = self._extra_ids.get(k)
-            if ident is None:
-                ident = ek.size + len(self._extra_ids)
-                self._extra_ids[k] = ident
-                grow += 1
-            eid[i] = ident
-        if grow:
-            self._q_next_slot = np.concatenate(
-                [self._q_next_slot, np.zeros(grow, dtype=_I64)]
-            )
-            self._q_used = np.concatenate([self._q_used, np.zeros(grow, dtype=_I64)])
-        return eid
-
-    def _join(self, pid: np.ndarray, ptr: np.ndarray, key: np.ndarray) -> None:
-        """Enqueue packets (in FIFO processing order) on the queues named
-        by ``key`` at the current cycle: one segmented pass computes every
-        packet's exact departure cycle and files it in the calendar."""
-        if key.size == 1:  # scalar fast path (long drain tails are all 1s)
-            eid = int(self._queue_ids(key)[0])
-            next_slot = int(self._q_next_slot[eid])
-            base = max(self.cycle + 1, next_slot)
-            used = int(self._q_used[eid]) if next_slot == base else 0
-            self._q_next_slot[eid] = base + (used + 1) // self.link_capacity
-            self._q_used[eid] = (used + 1) % self.link_capacity
-            seq = np.array([self._seq], dtype=_I64)
-            self._seq += 1
-            self._in_flight += 1
-            self._file(base, (pid, ptr, key, seq))
-            return
-        if key.size <= 8:
-            # small-batch path: the congested phase of a drain joins a
-            # handful of packets per cycle, where the segmented pass
-            # below is all fixed overhead.  Replaying the scalar update
-            # sequentially in stable key order assigns the identical
-            # slots and seqs (the group formulas are its closed form).
-            ko = key.tolist()
-            order = sorted(range(key.size), key=ko.__getitem__)
-            eids = self._queue_ids(key)
-            earliest = self.cycle + 1
+    def _overflow_ids(self, keys: np.ndarray) -> np.ndarray:
+        """Stable queue ids for non-edge hops (only reachable via
+        ``validate=False``), keyed by ``u * n + v``.  New queues take
+        service ranks in key order among all queues, so creating one
+        rekeys the calendar; the rank map is monotone, which keeps every
+        run sorted."""
+        keys = keys.tolist()
+        fresh = [k for k in dict.fromkeys(keys) if k not in self._extra_ids]
+        if fresh:
+            base = self._qkey.size
+            n_queues = base + len(fresh)
+            self._check_slots(n_queues)
+            self._extra_ids.update(zip(fresh, range(base, n_queues)))
+            grow = np.zeros(len(fresh), dtype=_I64)
+            self._qkey = np.concatenate([self._qkey, np.array(fresh, dtype=_I64)])
+            self._q_free = np.concatenate([self._q_free, grow])
+            self._link_dead = np.concatenate([self._link_dead, grow.astype(bool)])
+            self._blocked = np.ones(n_queues + 1, dtype=bool)
+            self._reblock()
+            old = np.arange(base, dtype=_I64) if self._rank is None else self._rank
+            self._rank = np.empty(n_queues, dtype=_I64)
+            self._rank[np.argsort(self._qkey, kind="stable")] = np.arange(n_queues)
+            remap = np.empty(base, dtype=_I64)
+            remap[old] = self._rank[:base]
             cap = self.link_capacity
-            ns, qu = self._q_next_slot, self._q_used
-            seq0 = self._seq
-            for rank, i in enumerate(order):
-                e = int(eids[i])
-                next_slot = int(ns[e])
-                base = next_slot if next_slot > earliest else earliest
-                used = int(qu[e]) if next_slot == base else 0
-                ns[e] = base + (used + 1) // cap
-                qu[e] = (used + 1) % cap
-                self._file(base, (
-                    pid[i:i + 1], ptr[i:i + 1], key[i:i + 1],
-                    np.array([seq0 + rank], dtype=_I64),
-                ))
-            self._seq += key.size
-            self._in_flight += key.size
-            return
-        order = np.argsort(key, kind="stable")
-        pid, ptr, key = pid[order], ptr[order], key[order]
-        size = key.size
+            for run in self._runs:
+                rank, place = np.divmod(run[0] & _LOW_MASK, cap)
+                run[0] = (run[0] & ~_LOW_MASK) | (remap[rank] * cap + place)
+        return np.array([self._extra_ids[k] for k in keys], dtype=_I64)
+
+    def _join(self, moved: np.ndarray, q: np.ndarray) -> None:
+        """Enqueue packets on queues ``q`` at the current cycle.
+        ``moved`` is a ``(3, k)`` array whose pid/ptr rows list them in
+        FIFO processing order (its key row is overwritten): one segmented
+        pass computes every packet's exact departure slot, and all
+        joiners enter the calendar as one key-sorted run."""
+        size = q.size
+        idx = np.arange(size, dtype=_I64)
+        # group by queue, FIFO within: the index breaks ties, so the fast
+        # unstable sort applies
+        order = np.argsort(q << _LOW | idx)
+        q = q[order]
         first = np.empty(size, dtype=bool)
         first[0] = True
-        np.not_equal(key[1:], key[:-1], out=first[1:])
-        starts = np.flatnonzero(first)
+        np.not_equal(q[1:], q[:-1], out=first[1:])
+        starts = first.nonzero()[0]
         group = np.cumsum(first) - 1
-        offs = np.arange(size, dtype=_I64) - starts[group]
-        eid = self._queue_ids(key[starts])
+        eid = q[starts]
         cap = self.link_capacity
-        earliest = self.cycle + 1
-        next_slot = self._q_next_slot[eid]
-        base = np.maximum(earliest, next_slot)
-        used = np.where(next_slot == base, self._q_used[eid], 0)
-        depart = base[group] + (used[group] + offs) // cap
-        sizes = np.empty(starts.size, dtype=_I64)
-        sizes[:-1] = np.diff(starts)
-        sizes[-1] = size - starts[-1]
-        total = used + sizes
-        self._q_next_slot[eid] = base + total // cap
-        self._q_used[eid] = total % cap
-        seq = self._seq + np.arange(size, dtype=_I64)
-        self._seq += size
+        base = np.maximum((self.cycle + 1) * cap, self._q_free[eid])
+        self._q_free[eid] = base + np.bincount(group)
+        rank = eid if self._rank is None else self._rank[eid]
+        depart, place = np.divmod((base - starts)[group] + idx, cap)
+        key = (depart << _LOW) + (rank * cap)[group] + place
+        korder = np.argsort(key)
+        run = moved.take(order[korder], axis=1)
+        run[0] = key[korder]
         self._in_flight += size
+        self._push(run)
 
-        d_order = np.argsort(depart, kind="stable")
-        ds = depart[d_order]
-        if ds[0] == ds[-1]:  # single bucket: stable sort kept the order
-            self._file(int(ds[0]), (pid, ptr, key, seq))
-            return
-        pid, ptr, key, seq = pid[d_order], ptr[d_order], key[d_order], seq[d_order]
-        dfirst = np.empty(size, dtype=bool)
-        dfirst[0] = True
-        np.not_equal(ds[1:], ds[:-1], out=dfirst[1:])
-        bounds = np.flatnonzero(dfirst).tolist()
-        cycs = ds[bounds].tolist()
-        bounds.append(size)
-        buckets = self._buckets
-        heap = self._bucket_heap
-        for i, cyc in enumerate(cycs):
-            lo, hi = bounds[i], bounds[i + 1]
-            chunk = (pid[lo:hi], ptr[lo:hi], key[lo:hi], seq[lo:hi])
-            bucket = buckets.get(cyc)
-            if bucket is None:
-                buckets[cyc] = [chunk]
-                heapq.heappush(heap, cyc)
-            else:
-                bucket.append(chunk)
-
-    def _file(self, cyc: int, chunk: tuple[np.ndarray, ...]) -> None:
-        """Append a chunk to the calendar bucket for ``cyc``."""
-        bucket = self._buckets.get(cyc)
-        if bucket is None:
-            self._buckets[cyc] = [chunk]
-            heapq.heappush(self._bucket_heap, cyc)
-        else:
-            bucket.append(chunk)
+    def _push(self, run: np.ndarray) -> None:
+        """File a key-sorted run, merging it into the runs before it
+        while they are no more than twice its size: the runs stay
+        size-tiered, so a calendar of N packets holds O(log N) of them."""
+        runs = self._runs
+        while runs and runs[-1].shape[1] <= 2 * run.shape[1]:
+            run = np.concatenate([runs.pop(), run], axis=1)
+            run = run.take(np.argsort(run[0], kind="stable"), axis=1)
+        runs.append(run)
 
     # -- execution ----------------------------------------------------------
 
@@ -519,8 +473,50 @@ class BatchEngine:
         without skipping any work (both :meth:`run` and the streaming
         driver in :mod:`repro.simulator.streaming` rely on this).
         """
-        heap = self._bucket_heap
-        return heap[0] if heap else None
+        if not self._runs:
+            return None
+        return min(int(run[0, 0]) for run in self._runs) >> _LOW
+
+    def _take(self, last: int) -> np.ndarray | None:
+        """Remove every calendar entry departing at or before ``last``
+        and return them as one ``(3, k)`` array in key order — the
+        object engine's service order: cycle, queue, FIFO."""
+        bound = (last << _LOW) | _LOW_MASK
+        parts, keep = [], []
+        for run in self._runs:
+            j = run[0].searchsorted(bound, "right") if run[0, 0] <= bound else 0
+            if j:
+                parts.append(run[:, :j])
+            if j < run.shape[1]:
+                keep.append(run[:, j:])
+        self._runs = keep
+        if len(parts) < 2:
+            return parts[0] if parts else None
+        due = np.concatenate(parts, axis=1)
+        return due.take(np.argsort(due[0], kind="stable"), axis=1)
+
+    def _settle(self, due: np.ndarray) -> int:
+        """Process taken departures ``due`` (key order): stamp deliveries
+        with each packet's departure cycle, mark drops, join the
+        continuers, and leave the clock on the last departure.  Returns
+        the delivery count."""
+        pid, ptr = due[1], due[2] + 1
+        q = self._hop[ptr]
+        deliver = (q < 0) & ~self._dead[self._flat[ptr]]
+        cont = ~self._blocked[q]
+        delivered = int(np.count_nonzero(deliver))
+        if delivered:
+            self._delivered_at[pid[deliver]] = due[0, deliver] >> _LOW
+        drop = ~(deliver | cont)
+        if drop.any():
+            self._dropped[pid[drop]] = True
+        self._in_flight -= pid.size  # taken; continuers re-add via _join
+        self.cycle = int(due[0, -1] >> _LOW)
+        if cont.any():
+            moved = due.compress(cont, axis=1)
+            moved[2] += 1
+            self._join(moved, q[cont])
+        return delivered
 
     def step(self) -> int:
         """Advance one cycle; returns the number of packets delivered.
@@ -528,256 +524,71 @@ class BatchEngine:
         Calendar invariants the implementation maintains (see the module
         docstring for why these make departure slots exact):
 
-        * every in-flight packet sits in exactly one future bucket, keyed
-          by its precomputed departure cycle;
-        * the bucket heap holds each live bucket's cycle exactly once, so
-          no kernel can take a bucket twice;
+        * every in-flight packet holds exactly one key, in exactly one
+          run, and no key departs before the clock;
+        * ascending key order is the object engine's service order —
+          cycle, then ``u * n + v`` queue key, then FIFO — so a step
+          takes each run's due prefix and needs no sort beyond merging
+          them;
         * a killed queue (dead node or link) has an empty schedule, so a
           queue revived by :meth:`enable_node` starts with no backlog;
-        * a bucket is processed in ``(queue_key, seq)`` order — the
-          object engine's sorted-key service order, FIFO within a queue;
+        * the blocked mask equals "dead endpoint or dead link" for every
+          queue, so one gather decides which arrivals continue;
         * continuing packets re-enter the calendar via one segmented
           :meth:`_join` pass that consumes capacity slots per queue.
         """
         self.cycle += 1
-        chunks = self._buckets.pop(self.cycle, None)
-        if not chunks:
+        due = self._take(self.cycle)
+        if due is None:
             return 0
-        heapq.heappop(self._bucket_heap)  # it was the earliest bucket
-        if len(chunks) == 1:
-            pid, ptr, key, seq = chunks[0]
-            if pid.size > 1:
-                order = np.lexsort((seq, key))
-                pid, ptr = pid[order], ptr[order]
-        else:
-            pid = np.concatenate([c[0] for c in chunks])
-            ptr = np.concatenate([c[1] for c in chunks])
-            key = np.concatenate([c[2] for c in chunks])
-            seq = np.concatenate([c[3] for c in chunks])
-            # the object engine serves queues in sorted key order, FIFO within
-            order = np.lexsort((seq, key))
-            pid, ptr = pid[order], ptr[order]
-        ptr = ptr + 1
-        node = self._flat[ptr]
-        node_dead = self._dead[node]
-        at_dst = ptr == self._off[pid + 1] - 1
-        deliver = at_dst & ~node_dead
-        cont = ~at_dst & ~node_dead
-        if cont.any():
-            nxt = self._flat[np.where(cont, ptr + 1, ptr)]
-            blocked = cont & (self._dead[nxt] | self._links_dead(node, nxt))
-            cont &= ~blocked
-        drop = ~deliver & ~cont
-        delivered = int(np.count_nonzero(deliver))
-        if delivered:
-            self._delivered_at[pid[deliver]] = self.cycle
-        if drop.any():
-            self._dropped[pid[drop]] = True
-        self._in_flight -= pid.size  # popped; continuers re-add via _join
-        if cont.any():
-            self._join(pid[cont], ptr[cont], node[cont] * self._n + nxt[cont])
-        return delivered
+        return self._settle(due)
 
-    def _coalesce_terminal_tail(self, stop: int) -> int:
-        """Settle the whole calendar in one pass iff every remaining
-        packet is terminal (delivers or drops on its next departure).
-
-        The contention tail of a drain — a hotspot queue emptying
-        ``link_capacity`` packets per cycle — leaves thousands of tiny
-        buckets, and :meth:`step` pays its fixed NumPy overhead per
-        bucket.  But a terminal packet never calls :meth:`_join`: it
-        touches no queue state, consumes no future capacity slot, and
-        its outcome is independent of every other packet's processing
-        order.  So once *nothing* left in the calendar can continue, the
-        per-cycle loop is pure overhead and the tail can be settled
-        wholesale: stamp each delivery with its (already exact)
-        departure cycle, mark the drops, advance the clock to the last
-        bucket.  Bit-identical to stepping — the property and golden
-        tests enforce it.
-
-        Returns ``-1`` when applied.  Otherwise the calendar still holds
-        a continuer, or a bucket past ``stop`` (the budget or the
-        caller's ``until``, which the normal loop must honor), and the
-        probe bails on the spot — a failed probe costs one chunk scan,
-        not a calendar walk.
-        """
-        settled = []  # (cycle, pid, deliver-mask) per chunk
-        last = self.cycle
-        for cyc, chunk_list in self._buckets.items():
-            if cyc > stop:
-                return 1
-            if cyc > last:
-                last = cyc
-            for pid, ptr, _key, _seq in chunk_list:
-                ptr1 = ptr + 1
-                node = self._flat[ptr1]
-                node_dead = self._dead[node]
-                at_dst = ptr1 == self._off[pid + 1] - 1
-                cand = ~at_dst & ~node_dead
-                if cand.any():
-                    nxt = self._flat[np.where(cand, ptr1 + 1, ptr1)]
-                    if (cand & ~self._dead[nxt]
-                            & ~self._links_dead(node, nxt)).any():
-                        return 1  # a genuine continuer: bail now
-                settled.append((cyc, pid, at_dst & ~node_dead))
-        if not settled:
-            return 1
-        pid = np.concatenate([s[1] for s in settled])
-        deliver = np.concatenate([s[2] for s in settled])
-        cycs = np.repeat(
-            np.array([s[0] for s in settled], dtype=_I64),
-            np.array([s[1].size for s in settled], dtype=_I64),
-        )
-        self._delivered_at[pid[deliver]] = cycs[deliver]
-        drop = ~deliver
-        if drop.any():
-            self._dropped[pid[drop]] = True
-        self._in_flight -= pid.size
-        self.cycle = int(last)
-        self._buckets.clear()
-        self._bucket_heap.clear()
-        return -1
-
-    def _step_coalesced(self, stop: int, limit: int = 64) -> int:
-        """Process up to ``limit`` upcoming calendar buckets in one
-        vectorized pass, bit-identical to stepping them one at a time.
+    def _step_coalesced(self, stop: int, limit: int = 64) -> bool:
+        """Process the departures of up to ``limit`` upcoming cycles in
+        one vectorized pass, bit-identical to stepping them one at a
+        time.
 
         The contention phase of a hotspot drain schedules thousands of
-        near-empty buckets — a handful of packets per cycle trickling
-        out of a few backlogged queues — and :meth:`step` pays its fixed
-        NumPy overhead for every one of them.  A window of consecutive
-        buckets can be settled wholesale exactly when no packet in it
-        can interact with a *later bucket inside the window*: every
-        continuer's next queue must already be scheduled past the
-        window's last cycle (``next_slot > last``), so each join lands
-        strictly after the window, per-queue FIFO order is untouched,
-        and the slot arithmetic reduces to the same segmented
-        :meth:`_join` the per-bucket path runs.  Terminal packets
-        (deliver or drop) never touch queue state and are always safe.
-        In a congested drain the condition holds by construction — the
-        hot queues are backlogged far beyond any 64-bucket window — so
-        the window replaces up to ``limit`` steps with one pass.
+        near-empty cycles — a handful of packets trickling out of a few
+        backlogged queues — and :meth:`step` pays its fixed NumPy
+        overhead for every one of them.  A window of cycles can be
+        settled wholesale exactly when no packet in it can interact with
+        a *later cycle inside the window*: every continuer's next queue
+        must already be booked through the window's last cycle (its next
+        free service slot ``_q_free[q]``, counted in ``link_capacity``
+        slots per cycle, is ``>= (last + 1) * link_capacity``), so each
+        join lands strictly after the window, per-queue FIFO order is
+        untouched, and the slot
+        arithmetic reduces to the same segmented :meth:`_join` the
+        per-cycle path runs — in key order, which is cycle-major service
+        order.  Terminal packets (deliver or drop) never touch queue
+        state and are always safe.
 
-        Buckets are verified in cycle order against the full window's
-        last cycle, so a failing bucket only shrinks the window to the
-        verified prefix (checked against a *later* cycle, hence still
-        safe).  No bucket past ``stop`` (the budget or the caller's
-        ``until``) is taken.  Returns the number of buckets processed,
-        or ``0`` when fewer than two buckets were safe (caller falls
-        back to :meth:`step`; the calendar is left as it was).
+        The window is cut before the cycle of its first offender and
+        the rest goes back to the calendar as one run; when the first
+        cycle itself holds an offender, that cycle alone is processed,
+        exactly as :meth:`step` would.  No departure past ``stop`` (the
+        budget or the caller's ``until``) is taken, and at most about
+        4096 packets are.  Returns whether a window of more than the
+        first cycle was settled.
         """
-        heap = self._bucket_heap
-        if len(heap) < 2:
-            return 0
-        # the second bucket is the smaller child of the heap's root
-        second = heap[1] if len(heap) == 2 else min(heap[1], heap[2])
-        if second > stop:
-            return 0
-        n = self._n
-        # cheap front gate, before anything is popped: when the first
-        # bucket already holds a continuer whose join lands by the second
-        # cycle, no window is possible at all (the full check would
-        # shrink to taken < 2), so bail for roughly the cost of one step.
-        # This is the common failure in both regimes — uncongested queues
-        # re-join one cycle out, and a shrunk window leaves its offender
-        # at the front.
-        first = self._buckets[heap[0]]
-        if len(first) == 1:
-            pid0, ptr10 = first[0][0], first[0][1] + 1
-        else:
-            pid0 = np.concatenate([ch[0] for ch in first])
-            ptr10 = np.concatenate([ch[1] for ch in first]) + 1
-        node0 = self._flat[ptr10]
-        cont0 = (ptr10 != self._off[pid0 + 1] - 1) & ~self._dead[node0]
-        if cont0.any():
-            nxt0 = self._flat[np.where(cont0, ptr10 + 1, ptr10)]
-            cont0 &= ~(self._dead[nxt0] | self._links_dead(node0, nxt0))
-            live0 = np.flatnonzero(cont0)
-            if live0.size:
-                eids0 = self._queue_ids(node0[live0] * n + nxt0[live0])
-                if (self._q_next_slot[eids0] <= second).any():
-                    return 0
-        cycles: list[int] = []
-        pids, ptrs, buckets, sizes = [], [], [], []
-        total = 0
-        while heap and len(cycles) < limit and total < 4096 and heap[0] <= stop:
-            c = heapq.heappop(heap)
-            cycles.append(c)
-            bucket = self._buckets[c]
-            sz = 0
-            for ch in bucket:
-                pids.append(ch[0])
-                ptrs.append(ch[1])
-                sz += ch[0].size
-            buckets.append(bucket)
-            sizes.append(sz)
-            total += sz
-        if len(cycles) < 2:  # a first bucket of 4096+ packets
-            heapq.heappush(heap, cycles[0])
-            return 0
-        last = cycles[-1]
-        # safety pass over the bare minimum (pid/ptr, bucket-major order):
-        # queue keys, seqs, and the service-order sort wait until the
-        # window is known safe, so a deep failed probe costs under a step
-        pid = np.concatenate(pids)
-        ptr1 = np.concatenate(ptrs) + 1
-        bidx = np.repeat(
-            np.arange(len(cycles), dtype=_I64), np.array(sizes, dtype=_I64)
-        )
-        node = self._flat[ptr1]
-        node_dead = self._dead[node]
-        at_dst = ptr1 == self._off[pid + 1] - 1
-        deliver = at_dst & ~node_dead
-        cont = ~at_dst & ~node_dead
-        nxt = None
-        taken = len(cycles)
-        if cont.any():
-            nxt = self._flat[np.where(cont, ptr1 + 1, ptr1)]
-            cont &= ~(self._dead[nxt] | self._links_dead(node, nxt))
-            live = np.flatnonzero(cont)
-            if live.size:
-                eids = self._queue_ids(node[live] * n + nxt[live])
-                bad = np.flatnonzero(self._q_next_slot[eids] <= last)
-                if bad.size:
-                    # a join could land inside the window: shrink to the
-                    # verified prefix of buckets before the first offender
-                    # (its checks ran against a later cycle — stricter)
-                    taken = int(bidx[live[bad[0]]])
-                    if taken < 2:
-                        for c in cycles:
-                            heapq.heappush(heap, c)
-                        return 0
-                    cut = int(np.searchsorted(bidx, taken))
-                    pid, ptr1, bidx = pid[:cut], ptr1[:cut], bidx[:cut]
-                    deliver, cont = deliver[:cut], cont[:cut]
-                    node, nxt = node[:cut], nxt[:cut]
-        for c in cycles[taken:]:
-            heapq.heappush(heap, c)
-        cycles, buckets = cycles[:taken], buckets[:taken]
-        for c in cycles:
-            del self._buckets[c]
-        # terminal packets never touch queue state, so their settlement
-        # is order-independent and runs on the unsorted bucket-major data
-        if deliver.any():
-            cyc = np.array(cycles, dtype=_I64)[bidx]
-            self._delivered_at[pid[deliver]] = cyc[deliver]
-        drop = ~deliver & ~cont
-        if drop.any():
-            self._dropped[pid[drop]] = True
-        self._in_flight -= pid.size  # popped; continuers re-add via _join
-        # advance to the window's last bucket *before* joining: every
-        # verified next_slot exceeds it, so _join's max(cycle + 1, slot)
-        # resolves to the queue schedule exactly as per-bucket steps would
-        self.cycle = int(cycles[-1])
-        if cont.any():
-            # only the continuers need the object engine's service order:
-            # bucket-major, then (queue_key, seq) within each bucket
-            keys = np.concatenate([ch[2] for b in buckets for ch in b])
-            seqs = np.concatenate([ch[3] for b in buckets for ch in b])
-            order = np.lexsort((seqs, keys, bidx))
-            sel = order[cont[order]]
-            self._join(pid[sel], ptr1[sel], node[sel] * n + nxt[sel])
-        return taken
+        first = self.next_departure_cycle()
+        due = self._take(min(first + limit - 1, stop, _MAX_DEPART))
+        # whole cycles up to the 4096th packet
+        last = int(due[0, min(due.shape[1], 4096) - 1] >> _LOW)
+        q = self._hop[due[2] + 1]
+        booked = self._q_free[q] >= (last + 1) * self.link_capacity
+        late = np.flatnonzero(~(self._blocked[q] | booked))
+        if late.size and (bad := int(due[0, late[0]] >> _LOW)) <= last:
+            # shrink to the cycles before the first offender's (their
+            # checks ran against a later cycle — stricter); with the
+            # offender in the first cycle, settle that cycle as a step
+            last = bad - 1 if bad > first else first
+        cut = int(due[0].searchsorted((last << _LOW) | _LOW_MASK, "right"))
+        if cut < due.shape[1]:
+            self._push(due[:, cut:])
+        self._settle(due[:, :cut])
+        return last > first
 
     def run(self, max_cycles: int = 1_000_000, *,
             until: int | None = None) -> RunStats:
@@ -795,61 +606,43 @@ class BatchEngine:
         per-cycle loop raises under.
 
         After its first 32 steps (a shorter run never probes: the first
-        buckets of a fresh drain carry the injected bulk, which never
-        coalesces), the drain loop periodically probes
-        :meth:`_coalesce_terminal_tail`: once every remaining packet is
-        on its final hop (the contention tail), the rest of the calendar
-        settles in one vectorized pass instead of one :meth:`step` per
-        occupied cycle — same statistics, bit for bit.  Before that
-        point, :meth:`_step_coalesced` batches windows of consecutive
-        buckets whose joins provably land past the window (the congested
-        middle of a drain), with its own short backoff while the
-        condition fails (early drain, uncongested queues).
+        cycles of a fresh drain carry the injected bulk, which never
+        coalesces), the drain loop tries :meth:`_step_coalesced`, which
+        batches windows of consecutive cycles whose joins provably land
+        past the window (the congested middle and the contention tail of
+        a drain), with a short exponential backoff while the condition
+        fails (early drain, uncongested queues).
         """
         start = self.cycle
         if until is not None and until <= start:
             return self.stats()
         limit = start + max_cycles
         stop = limit if until is None else min(until, limit)
-        retry_after = window_after = 32
-        backoff = 4
+        window_after = 32
         wbackoff = 8
         retry = False
         while self._in_flight:
-            if retry_after <= 0:
-                if self._coalesce_terminal_tail(stop) < 0:
-                    break
-                # exponential backoff between probes: early in a drain
-                # the calendar always holds a continuer and the probe
-                # fails fast; capping the backoff bounds the steps a
-                # tail that turns fully terminal between probes pays
-                retry_after = backoff
-                backoff = min(backoff * 2, 256)
-            if window_after <= 0:
-                done = self._step_coalesced(stop)
-                if done:
-                    retry_after -= done
-                    wbackoff = 8
-                    retry = True
-                    continue
+            upcoming = self.next_departure_cycle()
+            if upcoming > stop:
+                break
+            if window_after > 0:
+                window_after -= 1
+                self.cycle = upcoming - 1
+                self.step()
+            elif self._step_coalesced(stop):
+                wbackoff = 8
+                retry = True
+            elif retry:
                 # in a congested drain a window usually fails on one
-                # offending front bucket that the next step clears, so
+                # offending front cycle that the failed call settled, so
                 # the first failure after a window gets a free retry;
                 # other failures (early drain, uncongested queues — every
                 # window has a join landing inside it) back off
                 # exponentially
-                if retry:
-                    retry = False
-                else:
-                    window_after = wbackoff
-                    wbackoff = min(wbackoff * 2, 256)
-            upcoming = self._bucket_heap[0]
-            if upcoming > stop:
-                break
-            self.cycle = upcoming - 1
-            self.step()
-            retry_after -= 1
-            window_after -= 1
+                retry = False
+            else:
+                window_after = wbackoff
+                wbackoff = min(wbackoff * 2, 256)
         if self._in_flight:
             if until is None or until > limit:
                 raise SimulationError(

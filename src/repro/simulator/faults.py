@@ -452,10 +452,6 @@ class ReconfigurationController:
         #: driver's pre-routed arrival calendar) re-lift through φ when
         #: it moves
         self.routing_epoch = 0
-        self._handlers = {
-            "node_fault": self._on_fault,
-            "node_repair": self._on_repair,
-        }
 
     def schedule(self, scenario: FaultScenario) -> None:
         """Add a :class:`FaultScenario`'s events to the controller's queue
@@ -470,7 +466,11 @@ class ReconfigurationController:
         each event's cycle and call this there, so faults land exactly
         on time."""
         due = self.sim.cycle if cycle is None else int(cycle)
-        return self.events.run_handlers(due, self._handlers)
+        # built per call: a map of bound methods kept on self would be a
+        # reference cycle, leaving a finished controller (and its
+        # engine's per-packet arrays) to the cyclic collector
+        handlers = {"node_fault": self._on_fault, "node_repair": self._on_repair}
+        return self.events.run_handlers(due, handlers)
 
     def _on_fault(self, ev) -> None:
         node = int(ev.payload)
@@ -614,10 +614,6 @@ class DetourController:
         #: ReconfigurationController — streaming route caches key on it
         self.routing_epoch = 0
         self.events = EventQueue()
-        self._handlers = {
-            "node_fault": self._on_fault,
-            "node_repair": self._on_repair,
-        }
         # route_mode="table" epoch cache: one compiled table per frozen
         # fault set, invalidated by fail_node and repair_node (every
         # fault and repair event funnels through them)
@@ -633,7 +629,9 @@ class DetourController:
         """Fire every scheduled event due at or before ``cycle`` (default:
         the simulator's current cycle); returns the count fired."""
         due = self.sim.cycle if cycle is None else int(cycle)
-        return self.events.run_handlers(due, self._handlers)
+        # built per call: kept on self, this map would be a reference cycle
+        handlers = {"node_fault": self._on_fault, "node_repair": self._on_repair}
+        return self.events.run_handlers(due, handlers)
 
     def _on_fault(self, ev) -> None:
         node = int(ev.payload)

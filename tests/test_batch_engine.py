@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from repro.core import debruijn
 from repro.errors import SimulationError
 from repro.experiments import ExperimentSpec
-from repro.graphs import path
+from repro.graphs import StaticGraph, path
 from repro.routing import shift_route
 from repro.simulator import (
     BatchEngine,
@@ -246,6 +246,20 @@ class TestEngineDirectEquivalence:
         assert_twins(sim, be)
         assert be.delivered_at.tolist() == [-1, 1, 3]
 
+    def test_same_cycle_departures_into_one_node(self):
+        # (0, 2) and (1, 2) are rank-adjacent queues into node 2: all four
+        # packets leave them in cycle 1, and the three from (0, 2) must
+        # join (2, 3) ahead of the one from (1, 2), as the service order
+        # (cycle, then u * n + v, then FIFO) says
+        g = StaticGraph(4, [(0, 2), (1, 2), (2, 3)])
+        routes = [[1, 2, 3]] + [[0, 2, 3]] * 3
+        sim, be = NetworkSimulator(g, 3), BatchEngine(g, 3)
+        for engine in (sim, be):
+            engine.inject_routes(*pack_routes(routes))
+            engine.run()
+        assert_twins(sim, be)
+        assert be.delivered_at.tolist() == [3, 2, 2, 2]
+
     def test_self_delivery_and_single_hop(self):
         g = path(3)
         sim, be = NetworkSimulator(g), BatchEngine(g)
@@ -315,10 +329,13 @@ class TestRunUntil:
 
 # one engine operation: (kind, a, b) on the 8 nodes of B_{2,3}; see
 # TestRunUntilDifferential.  Injections aim a share of their packets at
-# one hot node so that queues back up before faults and repairs hit them.
+# one hot node so that queues back up before faults and repairs hit them;
+# raw injections walk random nodes with validate=False, so their
+# non-edge hops open overflow queues mid-run.
 _ops = st.lists(
     st.one_of(
         st.tuples(st.just("inject"), st.integers(0, 2**16), st.integers(1, 40)),
+        st.tuples(st.just("inject_raw"), st.integers(0, 2**16), st.integers(1, 12)),
         st.tuples(st.just("step"), st.just(0), st.just(0)),
         st.tuples(st.just("disable_node"), st.integers(0, 7), st.just(0)),
         st.tuples(st.just("enable_node"), st.integers(0, 7), st.just(0)),
@@ -340,8 +357,26 @@ class TestRunUntilDifferential:
         return (sim.cycle, sim.in_flight, r.injected_at.tolist(),
                 r.delivered_at.tolist(), r.dropped.tolist())
 
+    @staticmethod
+    def _raw_routes(seed, count, dead, dead_links):
+        """Random walks of distinct consecutive nodes that avoid dead
+        nodes and dead links; most of their hops are not edges."""
+        rng = np.random.default_rng(seed)
+        live = [v for v in range(8) if v not in dead]
+        routes = []
+        for _ in range(count if live else 0):
+            route = [int(rng.choice(live))]
+            for _ in range(int(rng.integers(1, 6))):
+                nxt = [v for v in live
+                       if v != route[-1] and (route[-1], v) not in dead_links]
+                if not nxt:
+                    break
+                route.append(int(rng.choice(nxt)))
+            routes.append(route)
+        return routes
+
     @settings(max_examples=100, deadline=None)
-    @given(ops=_ops, capacity=st.integers(1, 2))
+    @given(ops=_ops, capacity=st.integers(1, 3))
     def test_engines_agree(self, ops, capacity):
         g = debruijn(2, 3)
         edges = [tuple(map(int, e)) for e in g.edges()]
@@ -359,6 +394,10 @@ class TestRunUntilDifferential:
                 ]
                 for sim in engines:
                     sim.inject_routes(*pack_routes(routes))
+            elif kind == "inject_raw":
+                routes = self._raw_routes(a, b, dead, dead_links)
+                for sim in engines:
+                    sim.inject_routes(*pack_routes(routes), validate=False)
             elif kind == "step":
                 for sim in engines:
                     sim.step()
@@ -391,6 +430,33 @@ class TestRunUntilDifferential:
         for sim in engines:
             sim.run()
         assert self._records(engines[0]) == self._records(engines[1])
+
+
+class TestCalendarKeyLimits:
+    """Values the int64 calendar key cannot hold are refused up front."""
+
+    def test_queue_slots_refused_at_construction(self):
+        # path(3) has 4 directed links: 4 * 2**31 slots exceed 2**32
+        with pytest.raises(SimulationError, match=r"2\*\*32 service slots"):
+            BatchEngine(path(3), link_capacity=2**31)
+        BatchEngine(path(3), link_capacity=2**30)  # exactly 2**32 fits
+
+    def test_overflow_queue_past_the_slot_limit_refused(self):
+        be = BatchEngine(path(3), link_capacity=2**30)
+        with pytest.raises(SimulationError, match=r"5 queues .* 2\*\*32"):
+            be.inject_route([0, 2], validate=False)  # a fifth queue
+        assert be.injected == 0 and be.in_flight == 0
+
+    def test_departure_past_the_cycle_limit_refused(self):
+        be = BatchEngine(path(3))
+        be.cycle = 2**31 - 3
+        with pytest.raises(SimulationError, match=r"2\*\*31 - 1"):
+            be.inject_route([0, 1, 2])
+        assert be.injected == 0
+        be.cycle = 2**31 - 4
+        be.inject_route([0, 1, 2])
+        be.run()
+        assert be.delivered_at.tolist() == [2**31 - 2]
 
 
 class TestBatchEngineValidation:

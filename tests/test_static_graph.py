@@ -326,6 +326,15 @@ class TestCsrPlanes:
         assert (slots[:4] >= 0).all()
         assert slots[4] == -1  # (0, 3) is not an edge
         assert (g.col_indices[slots[:4]] == vs[:4]).all()
+        # a route-sized batch in random order, with repeats and non-edges
+        g = random_graph(40, 0.2, np.random.default_rng(3))
+        rng = np.random.default_rng(4)
+        us, vs = rng.integers(0, 40, 1000), rng.integers(0, 40, 1000)
+        slots = g.directed_edge_slots(us, vs)
+        for u, v, s in zip(us.tolist(), vs.tolist(), slots.tolist()):
+            row = g.col_indices[g.row_offsets[u]: g.row_offsets[u + 1]].tolist()
+            want = int(g.row_offsets[u]) + row.index(v) if v in row else -1
+            assert s == want
 
     def test_faulted_node_sentinel_rows(self):
         # masking faults keeps all n rows; dead rows compile to sentinels
