@@ -88,22 +88,33 @@ __all__ = [
 LOOPS = ("closed", "stream")
 
 def _spare_demand(faults, repairs) -> int:
-    """Peak number of *concurrently* faulty distinct nodes over a fixed
-    schedule — the spare budget a ``reconfig`` run actually needs.  With
-    no repairs this is the distinct-node count (a schedule that fails the
-    same node twice still occupies one spare), and interleaved repairs
-    return spares to the pool (repairs fire before faults within a
-    cycle, matching :meth:`FaultScenario.schedule_into`)."""
+    """Walk a fixed schedule in firing order (repairs before faults
+    within a cycle, matching :meth:`FaultScenario.schedule_into`) and
+    return the peak number of *concurrently* faulty nodes — the spare
+    budget a ``reconfig`` run needs; repairs return spares to the pool.
+    A repair of a node that is not faulty at its cycle, or a fault of a
+    node that already is, raises :class:`ParameterError`: neither
+    controller can run that schedule."""
     events = sorted(
         [(int(c), 0, int(v)) for c, v in repairs]
         + [(int(c), 1, int(v)) for c, v in faults]
     )
     live: set[int] = set()
     peak = 0
-    for _, kind, v in events:
+    for cycle, kind, v in events:
         if kind == 0:
+            if v not in live:
+                raise ParameterError(
+                    f"scenario repairs node {v} at cycle {cycle}, but it "
+                    f"is not faulty then"
+                )
             live.discard(v)
         else:
+            if v in live:
+                raise ParameterError(
+                    f"scenario fails node {v} at cycle {cycle}, but it is "
+                    f"already faulty then"
+                )
             live.add(v)
             peak = max(peak, len(live))
     return peak
@@ -139,17 +150,17 @@ class ExperimentSpec:
         :data:`~repro.simulator.faults.ROUTE_MODES`; ignored by
         ``reconfig``.
     ``faults``
-        ``(cycle, node)`` pairs.  Closed-loop ``reconfig`` fires them on
-        the honest timeline and ``detour`` at batch boundaries; stream
-        runs fire both exactly on cycle.  Deprecated in serialized specs
-        — prefer ``fault_model={"name": "fixed", "faults": [...]}``,
-        which is bit-identical; passing both raises.
+        ``(cycle, node)`` pairs.  Both controllers fire them on exactly
+        their cycle, in closed-loop and stream runs alike.  Deprecated
+        in serialized specs — prefer ``fault_model={"name": "fixed",
+        "faults": [...]}``, which is bit-identical; passing both raises.
     ``fault_model``
         A declarative fault universe: ``{"name": ..., **params}`` with
         the name one of :data:`~repro.simulator.faults.FAULT_MODELS`
         (``fixed``, ``iid``, ``burst``, ``churn``), validated and
-        canonicalized at construction.  Probabilistic models are
-        *realized* into a concrete schedule per replica from
+        canonicalized at construction; a ``fixed`` schedule that repairs
+        a live node or fails a dead one is refused there.  Probabilistic
+        models are *realized* into a concrete schedule per replica from
         ``rng([seed, replica_index])``; stream specs default the arrival
         window to ``[0, cycles)``, closed specs to ``[0, 1)`` (every
         fault at cycle 0 — the static random-fault universe of the
@@ -164,9 +175,8 @@ class ExperimentSpec:
     Closed-loop fields
     ------------------
     ``packets, batches, cycles_per_batch, shards, max_cycles`` — the
-    workload size, its injection batching, idle gaps between batches
-    (``reconfig`` only), per-batch sharding across pool tasks, and the
-    drain watchdog.
+    workload size, its injection batching, idle gaps between batches,
+    per-batch sharding across pool tasks, and the drain watchdog.
 
     Stream fields
     -------------
@@ -255,18 +265,17 @@ class ExperimentSpec:
                     "fan-out already parallelizes the cell"
                 )
         known = self._fixed_faults()
-        if self.controller == "reconfig" and known is not None:
-            demand = _spare_demand(*known)
-            if demand > self.k:
-                # fail at spec time with a readable message instead of a
-                # FaultSetError traceback out of a worker process
-                # mid-sweep (probabilistic models re-check here when each
-                # replica is realized into a fixed schedule)
-                raise ParameterError(
-                    f"scenario schedules {demand} concurrently faulty "
-                    f"nodes but B^{self.k}_{{{self.m},{self.h}}} has only "
-                    f"{self.k} spares"
-                )
+        demand = 0 if known is None else _spare_demand(*known)
+        if self.controller == "reconfig" and demand > self.k:
+            # fail at spec time with a readable message instead of a
+            # FaultSetError traceback out of a worker process mid-sweep
+            # (probabilistic models re-check here when each replica is
+            # realized into a fixed schedule)
+            raise ParameterError(
+                f"scenario schedules {demand} concurrently faulty "
+                f"nodes but B^{self.k}_{{{self.m},{self.h}}} has only "
+                f"{self.k} spares"
+            )
         if self.loop == "closed":
             self._validate_closed()
         else:
@@ -275,11 +284,6 @@ class ExperimentSpec:
     def _validate_closed(self) -> None:
         if self.batches < 1 or self.shards < 1:
             raise ParameterError("batches and shards must be >= 1")
-        if self.controller == "detour" and self.cycles_per_batch:
-            raise ParameterError(
-                "controller='detour' does not support cycles_per_batch "
-                "(the detour baseline has no idle-gap timeline)"
-            )
         if self.shards > 1:
             if self.batches < self.shards:
                 raise ParameterError(
@@ -529,19 +533,17 @@ class ExperimentSpec:
         if batch_slice is not None:
             batches = batches[batch_slice]
         ctrl = self.build_controller()
-        kwargs = {"max_cycles": self.max_cycles}
-        if self.cycles_per_batch:
-            kwargs["cycles_per_batch"] = self.cycles_per_batch
         t0 = time.perf_counter()
-        ctrl.run_workload(batches, **kwargs)
+        ctrl.run_workload(batches, cycles_per_batch=self.cycles_per_batch,
+                          max_cycles=self.max_cycles)
         seconds = time.perf_counter() - t0
         stats = ShardStats.from_arrays(ctrl.sim.packet_records(), ctrl.sim.cycle)
         return ExperimentResult(
             spec=self,
             stats=stats,
             seconds=seconds,
-            lost_to_faults=getattr(ctrl, "lost_to_faults", 0),
-            unreachable_pairs=getattr(ctrl, "unreachable_pairs", 0),
+            lost_to_faults=ctrl.lost_to_faults,
+            unreachable_pairs=ctrl.unreachable_pairs,
         )
 
     def _run_stream(self) -> "ExperimentResult":
@@ -558,8 +560,8 @@ class ExperimentSpec:
             spec=self,
             stats=stats,
             seconds=time.perf_counter() - t0,
-            lost_to_faults=getattr(ctrl, "lost_to_faults", 0),
-            unreachable_pairs=getattr(ctrl, "unreachable_pairs", 0),
+            lost_to_faults=ctrl.lost_to_faults,
+            unreachable_pairs=ctrl.unreachable_pairs,
         )
 
 

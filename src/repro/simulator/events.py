@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator
+from typing import Any, Callable
 
 from repro.errors import SimulationError
 
@@ -38,7 +38,10 @@ class EventQueue:
     >>> q = EventQueue()
     >>> q.schedule(5, "fault", 3)
     >>> q.schedule(2, "fault", 1)
-    >>> [e.cycle for e in q.drain_until(10)]
+    >>> fired = []
+    >>> q.run_handlers(10, {"fault": fired.append})
+    2
+    >>> [e.cycle for e in fired]
     [2, 5]
     """
 
@@ -49,11 +52,6 @@ class EventQueue:
 
     def __len__(self) -> int:
         return len(self._heap)
-
-    @property
-    def now(self) -> int:
-        """Latest cycle passed to :meth:`drain_until` (monotone)."""
-        return self._now
 
     def schedule(self, cycle: int, kind: str, payload: Any = None) -> None:
         """Add an event; scheduling in the past is a protocol error."""
@@ -67,15 +65,6 @@ class EventQueue:
     def peek_cycle(self) -> int | None:
         """Cycle of the next pending event, or ``None``."""
         return self._heap[0].cycle if self._heap else None
-
-    def drain_until(self, cycle: int) -> Iterator[Event]:
-        """Yield (and remove) all events with ``event.cycle <= cycle``, in
-        stable order, advancing the queue clock."""
-        if cycle < self._now:
-            raise SimulationError("drain_until cycle moved backwards")
-        self._now = int(cycle)
-        while self._heap and self._heap[0].cycle <= cycle:
-            yield heapq.heappop(self._heap)
 
     def run_handlers(self, cycle: int, handlers: dict[str, Callable[[Event], None]]) -> int:
         """Dispatch due events to per-kind handlers; unknown kinds raise.

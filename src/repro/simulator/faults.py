@@ -36,13 +36,12 @@ experiment spec layer (:class:`repro.experiments.ExperimentSpec`) does
 both, deriving each Monte-Carlo replica's RNG from
 ``(spec.seed, replica_index)`` so every realization is reproducible.
 
-Fault timing is honest: every scheduled event fires at exactly the
-cycle it comes due — including in the middle of draining a batch, where
-a failing node takes its queued packets down with it (the
-dynamic-dependability regime; contrast with firing faults only at batch
-boundaries, which silently postpones them).  The drivers do not advance
-one cycle at a time to get there.
-:meth:`ReconfigurationController.run_workload` drains with
+Fault timing is honest, and the same for both controllers: they share
+one event clock and one pair of workload drivers, so every scheduled
+event fires at exactly the cycle it comes due — including in the middle
+of draining a batch, where a failing node takes its queued packets down
+with it (the dynamic-dependability regime).  The drivers do not advance
+one cycle at a time to get there.  ``run_workload`` drains with
 ``sim.run(budget, until=<next event's cycle>)``, which processes exactly
 the departures up to that cycle, then fires the event; the streaming
 driver keeps its own loop, which on the batch engine jumps the clock
@@ -416,41 +415,32 @@ def _realize_churn(params, *, n, cycles, rng, graph=None) -> FaultScenario:
     return FaultScenario(faults, repairs)
 
 
-class ReconfigurationController:
-    """The paper's machine: an ``B^k_{m,h}`` interconnect plus the monotone
-    remap.  Messages address *logical* target nodes; the controller routes
-    them on the intact logical de Bruijn graph and lifts through φ.
+class _FaultController:
+    """The event clock and the workload drivers both controllers share.
 
-    Usage: :meth:`run_workload` drives batches of logical (src, dst) pairs
-    on the true cycle timeline, firing scheduled faults at exactly the
-    cycle they come due.
-
-    Parameters
-    ----------
-    m, h, k:
-        Construction parameters of the underlying ``B^k_{m,h}``.
-    engine:
-        ``"object"`` (reference engine) or ``"batch"`` (vectorized; use
-        for heavy traffic).
-    link_capacity:
-        Packets one directed link may move per cycle.
+    A subclass sets ``target`` (the machine its (src, dst) pairs
+    address), hands its physical graph to ``__init__`` (which builds the
+    engine, ``sim``) and supplies :meth:`fail_node` / :meth:`repair_node`
+    (each moves ``routing_epoch``; a failure adds the packets it drops to
+    ``lost_to_faults``), the route hook ``_route(pairs) -> (flat,
+    offsets, kept)`` and whether the engine validates those routes
+    (``_validate_routes``).  Everything else — scheduling, firing,
+    the logs, refusal accounting, the closed-loop drain and the
+    open-loop stream — lives here once.
     """
 
-    def __init__(self, m: int, h: int, k: int, *, engine: str = "object",
-                 link_capacity: int = 1):
-        self.m, self.h, self.k = int(m), int(h), int(k)
-        self.target = debruijn(m, h)
-        self.ft = ft_debruijn(m, h, k)
-        self.rec = Reconfigurator(self.ft.node_count, self.target.node_count)
+    _validate_routes = False
+
+    def __init__(self, graph, engine: str, link_capacity: int):
         self.engine = engine
-        self.sim = make_engine(engine, self.ft, link_capacity)
+        self.sim = make_engine(engine, graph, link_capacity)
         self.events = EventQueue()
         self.lost_to_faults = 0
+        self.unreachable_pairs = 0
         self.fault_log: list[tuple[int, int]] = []
         self.repair_log: list[tuple[int, int]] = []
         #: bumped on every fault or repair; route caches (the streaming
-        #: driver's pre-routed arrival calendar) re-lift through φ when
-        #: it moves
+        #: driver's pre-routed arrival calendar) re-route when it moves
         self.routing_epoch = 0
 
     def schedule(self, scenario: FaultScenario) -> None:
@@ -474,52 +464,25 @@ class ReconfigurationController:
 
     def _on_fault(self, ev) -> None:
         node = int(ev.payload)
-        self.rec.fail_node(node)
-        self.lost_to_faults += self.sim.disable_node(node)
+        self.fail_node(node)
         self.fault_log.append((self.sim.cycle, node))
-        self.routing_epoch += 1
 
     def _on_repair(self, ev) -> None:
-        """A repaired node rejoins service: the reconfigurator reclaims
-        its spare, the engine accepts its traffic again, and the remap
-        epoch moves so later injections re-lift through the new φ."""
         node = int(ev.payload)
-        self.rec.repair_node(node)
-        self.sim.enable_node(node)
+        self.repair_node(node)
         self.repair_log.append((self.sim.cycle, node))
-        self.routing_epoch += 1
-
-    def physical_router(self):
-        """Current lifted router (closure over the live φ)."""
-        phi = self.rec.phi()
-
-        def route(src: int, dst: int) -> list[int]:
-            logical = shift_route(src, dst, self.m, self.h)
-            return [int(phi[v]) for v in logical]
-
-        return route
-
-    def physical_routes_batch(
-        self, srcs: np.ndarray, dsts: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Lifted routes for a whole batch of logical pairs as
-        ``(flat, offsets)`` arrays — the engines' shared injection format."""
-        return lifted_routes_batch(self.m, self.h, self.rec.phi(), srcs, dsts)
-
-    def _inject(self, batch: np.ndarray) -> None:
-        batch = np.asarray(batch, dtype=np.int64).reshape(-1, 2)
-        flat, offsets = self.physical_routes_batch(batch[:, 0], batch[:, 1])
-        self.sim.inject_routes(flat, offsets, validate=True)
 
     def run_workload(self, batches: list[np.ndarray], *, cycles_per_batch: int = 0,
                      max_cycles: int = 1_000_000) -> RunStats:
-        """Inject each batch (logical pairs), draining between batches and
-        firing each scheduled fault at exactly the cycle it comes due —
-        before the injection it precedes, or mid-drain, never a batch late.
+        """Route and inject each batch of (src, dst) pairs, draining
+        between batches and firing each scheduled event at exactly the
+        cycle it comes due — before the injection it precedes, or
+        mid-drain, never a batch late.  Pairs the route hook refuses are
+        counted in ``unreachable_pairs``.
 
         ``cycles_per_batch`` > 0 inserts that many idle cycles *before*
         each batch after the first, so the documented fixed timeline is
-        honored even when batches drain quickly.  Faults that fall in an
+        honored even when batches drain quickly.  Events that fall in an
         idle gap fire inside the gap; faults that fall mid-drain drop the
         packets queued in the failed router (counted in
         ``lost_to_faults``).  Events scheduled beyond the last simulated
@@ -542,7 +505,10 @@ class ReconfigurationController:
                     self.fire_due_events()
                 sim.cycle = end
             self.fire_due_events()
-            self._inject(batch)
+            pairs = np.asarray(batch, dtype=np.int64).reshape(-1, 2)
+            flat, offsets, kept = self._route(pairs)
+            self.unreachable_pairs += pairs.shape[0] - kept.size
+            sim.inject_routes(flat, offsets, validate=self._validate_routes)
             deadline = sim.cycle + max_cycles
             while sim.in_flight:
                 # drain up to the next event's cycle, then fire it there
@@ -567,7 +533,83 @@ class ReconfigurationController:
         return run_stream(self, source, **kwargs)
 
 
-class DetourController:
+class ReconfigurationController(_FaultController):
+    """The paper's machine: an ``B^k_{m,h}`` interconnect plus the monotone
+    remap.  Messages address *logical* target nodes; the controller routes
+    them on the intact logical de Bruijn graph and lifts through φ.
+
+    Usage: :meth:`run_workload` drives batches of logical (src, dst) pairs
+    on the true cycle timeline, firing scheduled faults at exactly the
+    cycle they come due.
+
+    Parameters
+    ----------
+    m, h, k:
+        Construction parameters of the underlying ``B^k_{m,h}``.
+    engine:
+        ``"object"`` (reference engine) or ``"batch"`` (vectorized; use
+        for heavy traffic).
+    link_capacity:
+        Packets one directed link may move per cycle.
+    """
+
+    # the lifted routes are checked against the physical graph at
+    # injection: a lifted hop off the graph would break Theorems 1/2
+    _validate_routes = True
+
+    def __init__(self, m: int, h: int, k: int, *, engine: str = "object",
+                 link_capacity: int = 1):
+        self.m, self.h, self.k = int(m), int(h), int(k)
+        self.target = debruijn(m, h)
+        self.ft = ft_debruijn(m, h, k)
+        self.rec = Reconfigurator(self.ft.node_count, self.target.node_count)
+        super().__init__(self.ft, engine, link_capacity)
+
+    # bound in each class's own namespace: perfbench/layers.py patches
+    # these per class
+    fire_due_events = _FaultController.fire_due_events
+    run_workload = _FaultController.run_workload
+
+    def fail_node(self, node: int) -> None:
+        """Kill a physical processor: the reconfigurator remaps its
+        logical node onto a spare (raising
+        :class:`~repro.core.reconfiguration.FaultSetError` past ``k``
+        concurrent faults), and packets queued in the failed router drop
+        (counted in ``lost_to_faults``)."""
+        node = int(node)
+        self.rec.fail_node(node)
+        self.lost_to_faults += self.sim.disable_node(node)
+        self.routing_epoch += 1
+
+    def repair_node(self, node: int) -> None:
+        """A repaired node rejoins service: the reconfigurator reclaims
+        its spare, the engine accepts its traffic again, and the remap
+        epoch moves so later injections re-lift through the new φ."""
+        node = int(node)
+        self.rec.repair_node(node)
+        self.sim.enable_node(node)
+        self.routing_epoch += 1
+
+    def physical_router(self):
+        """Current lifted router (closure over the live φ)."""
+        phi = self.rec.phi()
+
+        def route(src: int, dst: int) -> list[int]:
+            logical = shift_route(src, dst, self.m, self.h)
+            return [int(phi[v]) for v in logical]
+
+        return route
+
+    def _route(self, pairs: np.ndarray):
+        """Route hook: every logical pair's shift-register route lifted
+        through the live φ — every pair is routable."""
+        flat, offsets = lifted_routes_batch(
+            self.m, self.h, self.rec.phi(), pairs[:, 0], pairs[:, 1]
+        )
+        return flat, offsets, np.arange(pairs.shape[0])
+
+
+class DetourController(_FaultController):
     """The spare-less baseline: the bare target graph with survivor-graph
     detours.
 
@@ -591,57 +633,31 @@ class DetourController:
       validity equivalence and pins table-mode outputs with goldens.
 
     Faults arrive two ways: :meth:`fail_node` kills a node immediately,
-    and :meth:`schedule` queues a :class:`FaultScenario` on the
-    controller's event clock — the workload drivers fire due events at
-    batch boundaries (:meth:`run_workload`) or exactly on cycle
-    (:func:`repro.simulator.streaming.run_stream`), so mid-stream fault
-    epochs recompile the detour table before the next arrival batch.
+    and :meth:`schedule` queues a :class:`FaultScenario` on the event
+    clock both controllers share, so the workload drivers fire each
+    event on exactly its cycle — mid-drain and inside idle gaps in
+    :meth:`run_workload`, mid-stream in
+    :func:`repro.simulator.streaming.run_stream` — and the next pairs
+    routed see the new fault epoch.
     """
 
     def __init__(self, m: int, h: int, *, engine: str = "object",
                  link_capacity: int = 1, route_mode: str = "bfs"):
         self.m, self.h = int(m), int(h)
         self.target = debruijn(m, h)
-        self.engine = engine
         self.route_mode = ROUTE_MODES.validate(route_mode)
-        self.sim = make_engine(engine, self.target, link_capacity)
+        super().__init__(self.target, engine, link_capacity)
         self.faults: set[int] = set()
-        self.unreachable_pairs = 0
-        self.lost_to_faults = 0
-        self.fault_log: list[tuple[int, int]] = []
-        self.repair_log: list[tuple[int, int]] = []
-        #: bumped on every fault or repair, mirroring
-        #: ReconfigurationController — streaming route caches key on it
-        self.routing_epoch = 0
-        self.events = EventQueue()
         # route_mode="table" epoch cache: one compiled table per frozen
         # fault set, invalidated by fail_node and repair_node (every
         # fault and repair event funnels through them)
         self._table = None
         self._table_faults: frozenset[int] | None = None
 
-    def schedule(self, scenario: FaultScenario) -> None:
-        """Add a :class:`FaultScenario`'s events to the controller's queue
-        (cumulative: scheduling twice fires every event twice)."""
-        scenario.schedule_into(self.events)
-
-    def fire_due_events(self, cycle: int | None = None) -> int:
-        """Fire every scheduled event due at or before ``cycle`` (default:
-        the simulator's current cycle); returns the count fired."""
-        due = self.sim.cycle if cycle is None else int(cycle)
-        # built per call: kept on self, this map would be a reference cycle
-        handlers = {"node_fault": self._on_fault, "node_repair": self._on_repair}
-        return self.events.run_handlers(due, handlers)
-
-    def _on_fault(self, ev) -> None:
-        node = int(ev.payload)
-        self.fail_node(node)
-        self.fault_log.append((self.sim.cycle, node))
-
-    def _on_repair(self, ev) -> None:
-        node = int(ev.payload)
-        self.repair_node(node)
-        self.repair_log.append((self.sim.cycle, node))
+    # bound in each class's own namespace: perfbench/layers.py patches
+    # these per class
+    fire_due_events = _FaultController.fire_due_events
+    run_workload = _FaultController.run_workload
 
     def repair_node(self, node: int) -> None:
         """Return a failed node to service: survivors stop detouring
@@ -681,23 +697,22 @@ class DetourController:
         return self._table
 
     def detour_routes_batch(
-        self, pairs: np.ndarray, *, record: bool = True
+        self, pairs: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Detour routes for a batch of (src, dst) pairs under the
-        current fault set, via the configured ``route_mode`` backend.
+        current fault set, via the configured ``route_mode`` backend —
+        the controller's route hook.
 
         Returns ``(flat, offsets, kept)``: the engines' shared flattened
         route layout plus the indices of the pairs that are actually
         routable.  Unreachable pairs (faulty endpoint or disconnected
-        survivors) are skipped and — when ``record`` is true — counted
-        in ``unreachable_pairs``; the open-loop streaming driver passes
-        ``record=False`` and charges each refusal itself once its arrival
-        cycle has passed, so no refusal is counted twice."""
+        survivors) are skipped, not counted: the workload drivers charge
+        them to ``unreachable_pairs`` — the closed loop at injection, the
+        stream once each refusal's arrival cycle has passed."""
         pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-        flat, offsets, kept = ROUTE_MODES.get(self.route_mode)(self, pairs)
-        if record:
-            self.unreachable_pairs += int(pairs.shape[0] - kept.size)
-        return flat, offsets, kept
+        return ROUTE_MODES.get(self.route_mode)(self, pairs)
+
+    _route = detour_routes_batch
 
     def _bfs_routes(self, pairs: np.ndarray):
         """Reference backend: per-pair BFS in the survivor graph."""
@@ -723,27 +738,6 @@ class DetourController:
             z = np.zeros(0, dtype=np.int64)
             return z, np.zeros(1, dtype=np.int64), z
         return rt.routes_batch_masked(pairs[:, 0], pairs[:, 1])
-
-    def run_stream(self, source, **kwargs):
-        """Open-loop twin of :meth:`run_workload` — see
-        :func:`repro.simulator.streaming.run_stream`."""
-        from repro.simulator.streaming import run_stream
-
-        return run_stream(self, source, **kwargs)
-
-    def run_workload(self, batches: list[np.ndarray], *,
-                     max_cycles: int = 1_000_000) -> RunStats:
-        """Route (via the configured backend) and drain each batch,
-        firing scheduled fault events at batch boundaries (the detour
-        baseline drains whole batches, so that is its event granularity;
-        events due past the last simulated cycle never fire)."""
-        for batch in batches:
-            self.fire_due_events()
-            flat, offsets, _ = self.detour_routes_batch(batch)
-            self.sim.inject_routes(flat, offsets, validate=False)
-            self.sim.run(max_cycles)
-        self.fire_due_events()
-        return self.sim.stats()
 
 
 # ---------------------------------------------------------------------------

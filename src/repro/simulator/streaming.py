@@ -138,11 +138,10 @@ def run_stream(
     t0 = int(sim.cycle)
     rel_times, pairs = source.schedule(int(cycles))
     times = rel_times + t0
-    is_reconfig = hasattr(ctrl, "physical_routes_batch")
+    events = ctrl.events
 
     unadmitted: list[np.ndarray] = []   # finalized (epoch-closed) chunks
     _empty = np.zeros(0, dtype=_I64)
-    events = getattr(ctrl, "events", None)
 
     def route_segment(i0: int):
         """Route pairs[i0:i1] under the current fault state, where i1 is
@@ -150,23 +149,19 @@ def run_stream(
         depend only on the fault state and only events change it, so
         every arrival is routed once.  Returns the kept packets'
         injection cycles, their flattened routes, the arrival cycles of
-        unroutable pairs (detour baseline) and i1.  The unadmitted
-        times stay *provisional* until their cycle passes, so only the
-        driver knows when a refusal is final — that is also why the
-        controller's own ``unreachable_pairs`` counter is deferred
-        (``record=False``) to the driver's epoch accounting."""
-        ne = events.peek_cycle() if events is not None else None
+        refused pairs (detour baseline) and i1.  The refused times stay
+        *provisional* until their cycle passes, so only the driver knows
+        when a refusal is final and charges ``unreachable_pairs``."""
+        ne = events.peek_cycle()
         i1 = times.size if ne is None else int(
             np.searchsorted(times, ne, side="left")
         )
-        sub = pairs[i0:i1]
-        if is_reconfig:
-            flat, offsets = ctrl.physical_routes_batch(sub[:, 0], sub[:, 1])
-            return times[i0:i1], flat, offsets, _empty, i1
-        flat, offsets, kept = ctrl.detour_routes_batch(sub, record=False)
-        keep_mask = np.zeros(sub.shape[0], dtype=bool)
-        keep_mask[kept] = True
         seg = times[i0:i1]
+        flat, offsets, kept = ctrl._route(pairs[i0:i1])
+        if kept.size == seg.size:
+            return seg, flat, offsets, _empty, i1
+        keep_mask = np.zeros(seg.size, dtype=bool)
+        keep_mask[kept] = True
         return seg[kept], flat, offsets, seg[~keep_mask], i1
 
     def finalize_unadmitted(before: int) -> np.ndarray:
@@ -178,17 +173,16 @@ def run_stream(
             ctrl.unreachable_pairs += int(done.size)
         return cur_un[cur_un >= before]
 
-    if events is not None:
-        # fire events already due at the start cycle *before* the first
-        # routing pass — otherwise a cycle-0 fault (the common scheduled
-        # shape) would have the first segment routed on the pre-fault
-        # state only to be discarded and re-routed one line into the
-        # loop.  Observationally identical: the reference order at t0 is
-        # still fire -> inject -> step.
-        ctrl.fire_due_events(t0)
+    # fire events already due at the start cycle *before* the first
+    # routing pass — otherwise a cycle-0 fault (the common scheduled
+    # shape) would have the first segment routed on the pre-fault state
+    # only to be discarded and re-routed one line into the loop.
+    # Observationally identical: the reference order at t0 is still
+    # fire -> inject -> step.
+    ctrl.fire_due_events(t0)
     ktimes, flat, offsets, cur_un, i1 = route_segment(0)
     p = 0          # pointer into the routed segment (packets injected so far)
-    epoch = getattr(ctrl, "routing_epoch", 0)
+    epoch = ctrl.routing_epoch
     fast = hasattr(sim, "next_departure_cycle")
     t_end = t0 + int(cycles)
 
@@ -196,26 +190,26 @@ def run_stream(
     while t < t_end:
         # 1. fire fault events due at t; route the next segment when the
         # epoch moved or the clock reached the routed segment's end
-        if events is not None:
-            ctrl.fire_due_events(t)
-            if ctrl.routing_epoch != epoch or (
-                i1 < times.size and times[i1] <= t
-            ):
-                epoch = ctrl.routing_epoch
-                # everything with an arrival cycle < t is already
-                # injected (or finally refused); the rest routes under
-                # the current fault state
-                cur_un = finalize_unadmitted(t)
-                ktimes, flat, offsets, cur_un, i1 = route_segment(
-                    int(np.searchsorted(times, t, side="left"))
-                )
-                p = 0
+        ctrl.fire_due_events(t)
+        if ctrl.routing_epoch != epoch or (
+            i1 < times.size and times[i1] <= t
+        ):
+            epoch = ctrl.routing_epoch
+            # everything with an arrival cycle < t is already injected
+            # (or finally refused); the rest routes under the current
+            # fault state
+            cur_un = finalize_unadmitted(t)
+            ktimes, flat, offsets, cur_un, i1 = route_segment(
+                int(np.searchsorted(times, t, side="left"))
+            )
+            p = 0
         # 2. inject arrivals due at t (a pre-routed contiguous slice)
         if p < ktimes.size and ktimes[p] == t:
             q = int(np.searchsorted(ktimes, t, side="right"))
             lo, hi = int(offsets[p]), int(offsets[q])
             sim.inject_routes(
-                flat[lo:hi], offsets[p: q + 1] - lo, validate=is_reconfig
+                flat[lo:hi], offsets[p: q + 1] - lo,
+                validate=ctrl._validate_routes,
             )
             p = q
         # 3. advance the clock, never past the routed segment's end
@@ -225,10 +219,9 @@ def run_stream(
                 visit = min(visit, int(ktimes[p]))
             if i1 < times.size:
                 visit = min(visit, int(times[i1]))
-            if events is not None:
-                ne = events.peek_cycle()
-                if ne is not None:
-                    visit = min(visit, ne)
+            ne = events.peek_cycle()
+            if ne is not None:
+                visit = min(visit, ne)
             while True:
                 b = sim.next_departure_cycle()
                 if b is None or b > visit:

@@ -16,12 +16,13 @@ implementation detail), it has to prove
 4. **pinned outputs** — the candidate's own results are frozen in golden
    files across every engine, so refactors cannot silently move it.
 
-This module holds the checkers the suite's test files share, and the
-two reference compilers the shipped rank kernel is checked against: the
+This module holds the checkers the suite's test files share, the two
+reference compilers the shipped rank kernel is checked against (the
 pure-dict :class:`DictGraph` and the frontier-at-a-time
-:func:`compile_routing_table_frontier`.  It is imported as
-``tests.conformance.harness`` (namespace package rooted at the repo
-checkout, the same idiom as ``tests.conftest``).
+:func:`compile_routing_table_frontier`), and the per-cycle drain
+:func:`per_cycle_workload` that fault timing is checked against.  It is
+imported as ``tests.conformance.harness`` (namespace package rooted at
+the repo checkout, the same idiom as ``tests.conftest``).
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ __all__ = [
     "iter_routes",
     "assert_valid_survivor_routes",
     "hop_histogram",
+    "per_cycle_workload",
 ]
 
 
@@ -288,3 +290,34 @@ def hop_histogram(offsets: np.ndarray) -> dict[int, int]:
     lens = np.diff(np.asarray(offsets, dtype=np.int64)) - 1
     values, counts = np.unique(lens, return_counts=True)
     return {int(v): int(c) for v, c in zip(values, counts)}
+
+
+def per_cycle_workload(ctrl, batches, *, cycles_per_batch: int = 0) -> int:
+    """The fault-timing witness: a controller's ``run_workload`` with no
+    clock jumps and no bounded runs.
+
+    Before each batch it fires the due events, then routes the batch
+    through the controller's route hook and injects it.  It then calls
+    ``step()`` and ``fire_due_events()`` once per cycle until the batch
+    drains.  The idle gap of ``cycles_per_batch`` cycles before each
+    later batch is stepped the same way, one cycle at a time.  Records,
+    logs and ``lost_to_faults`` land on ``ctrl``.  Returns the number of
+    refused pairs, the count ``run_workload`` charges to
+    ``unreachable_pairs``.
+    """
+    sim = ctrl.sim
+    refused = 0
+    for i, batch in enumerate(batches):
+        for _ in range(cycles_per_batch if i else 0):
+            sim.step()
+            ctrl.fire_due_events()
+        ctrl.fire_due_events()
+        pairs = np.asarray(batch, dtype=np.int64).reshape(-1, 2)
+        flat, offsets, kept = ctrl._route(pairs)
+        refused += pairs.shape[0] - kept.size
+        sim.inject_routes(flat, offsets, validate=True)
+        while sim.in_flight:
+            sim.step()
+            ctrl.fire_due_events()
+    ctrl.fire_due_events()
+    return refused

@@ -8,16 +8,19 @@ cannot silently move the outputs the repo publishes:
 * ``workload_table.json`` — closed-loop batches with faults at cycle 0:
   per-packet records and the drained :class:`RunStats` bit-identical on
   ``engine="object"`` and ``engine="batch"``.
-* ``workload_table_midrun.json`` — a fault that comes due *between*
-  batches: the detour epoch cache must recompile at the batch boundary.
-  Per-packet records pinned for both engines.
+* ``workload_table_midrun.json`` — a fault that comes due *mid-drain*
+  of the first batch: it fires on its cycle, takes the packets queued in
+  the failed router down with it, and the later batches route on a
+  recompiled survivor table.  Per-packet records pinned for both
+  engines, and equal to the per-cycle drain witness
+  (:func:`tests.conformance.harness.per_cycle_workload`).
 * ``stream_table.json`` — open-loop streaming with a *mid-stream* fault
   epoch: per-packet records, the fault log, and the refusal accounting
   pinned bit-identically for both per-cycle engines.
 
 Regenerate (after an *intentional* change only) with::
 
-    PYTHONPATH=src python tests/conformance/test_goldens.py --regen
+    PYTHONPATH=src:. python tests/conformance/test_goldens.py --regen
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ from repro.simulator import (
     make_pattern,
     run_stream,
 )
+from tests.conformance.harness import per_cycle_workload
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "goldens"
 
@@ -125,7 +129,7 @@ def _load(name: str) -> dict:
     if not path.exists():  # pragma: no cover - only before first regen
         pytest.fail(
             f"golden file {path} missing — run "
-            f"PYTHONPATH=src python tests/conformance/test_goldens.py --regen"
+            f"PYTHONPATH=src:. python tests/conformance/test_goldens.py --regen"
         )
     return json.loads(path.read_text())
 
@@ -155,17 +159,33 @@ class TestWorkloadGoldens:
 
     @pytest.mark.parametrize("engine", ["object", "batch"])
     def test_midrun_fault_epoch_pinned(self, engine):
-        """The fault comes due between batches: the compiled-table cache
-        must be invalidated at the boundary and the later batches routed
+        """The fault comes due mid-drain: it fires on its own cycle, the
+        compiled-table cache is invalidated, and the later batches route
         on the new survivor graph — pinned packet-for-packet."""
         golden = _load("workload_table_midrun.json")
         ctrl, stats = run_workload_case(engine, MIDRUN_FAULTS)
         _assert_records_match(_records(ctrl), golden["records"])
         assert dataclasses.asdict(stats) == golden["run_stats"]
         assert ctrl.unreachable_pairs == golden["unreachable_pairs"]
-        # both faults actually fired, the second one mid-run
+        # both faults fired on their scheduled cycles, the second one
+        # mid-drain, where it dropped queued packets
         assert [list(f) for f in ctrl.fault_log] == golden["fault_log"]
-        assert ctrl.fault_log[1][0] > 0
+        assert ctrl.fault_log == [tuple(f) for f in MIDRUN_FAULTS]
+        assert ctrl.lost_to_faults > 0
+
+    @pytest.mark.parametrize("engine", ["object", "batch"])
+    def test_midrun_golden_is_the_per_cycle_witness(self, engine):
+        """The golden is what a per-cycle ``step()`` +
+        ``fire_due_events()`` drain produces, not merely what the
+        event-bounded drain produced when it was last regenerated."""
+        golden = _load("workload_table_midrun.json")
+        ref = DetourController(M, H, engine=engine, route_mode="table")
+        ref.schedule(FaultScenario([tuple(f) for f in MIDRUN_FAULTS]))
+        refused = per_cycle_workload(ref, _workload_batches())
+        _assert_records_match(_records(ref), golden["records"])
+        assert dataclasses.asdict(ref.sim.stats()) == golden["run_stats"]
+        assert refused == golden["unreachable_pairs"]
+        assert [list(f) for f in ref.fault_log] == golden["fault_log"]
 
 
 class TestStreamGoldens:

@@ -22,6 +22,7 @@ from repro.graphs import StaticGraph, path
 from repro.routing import shift_route
 from repro.simulator import (
     BatchEngine,
+    DetourController,
     FaultScenario,
     NetworkSimulator,
     PacketArrays,
@@ -33,6 +34,7 @@ from repro.simulator import (
     uniform_traffic,
 )
 from repro.simulator.traffic import PATTERN_NAMES
+from tests.conformance.harness import per_cycle_workload
 
 
 def object_records(sim: NetworkSimulator) -> tuple[np.ndarray, np.ndarray]:
@@ -93,42 +95,78 @@ class TestGoldenEquivalenceGrid:
 
 
 class TestControllerEventTiming:
-    """The reconfiguration controller drains through ``run(until=...)``
-    on both engines; events must still fire on their exact cycle."""
+    """Both controllers drain through one ``run(until=...)`` loop on
+    both engines; events must still fire on their exact cycle, as in
+    the per-cycle witness.  :class:`TestDetourEventTiming` re-runs every
+    test on the detour baseline."""
 
     pairs = uniform_traffic(16, 80, np.random.default_rng(4))
     batches = [pairs[:40], pairs[40:]]
+    controller = "reconfig"
+    #: the second early fault: a spare with nothing queued at cycle 3
+    #: (an idle router mid-drain)
+    idle = 17
+
+    def _make(self, engine):
+        if self.controller == "reconfig":
+            return ReconfigurationController(2, 4, 2, engine=engine)
+        return DetourController(2, 4, engine=engine)
 
     def _run(self, engine, scenario, **kwargs):
-        ctrl = ReconfigurationController(2, 4, 2, engine=engine)
+        ctrl = self._make(engine)
         ctrl.schedule(scenario)
         stats = ctrl.run_workload([b.copy() for b in self.batches], **kwargs)
         return ctrl, stats
 
-    def test_event_landings_object_equals_batch(self):
-        # node 2 carries traffic at cycle 2 (occupied); spare node 17 has
-        # nothing queued at cycle 3 (an idle router mid-drain)
-        early = [(2, 2), (3, 17)]
-        probe = ReconfigurationController(2, 4, 2, engine="batch")
+    def _scenario(self, gap):
+        """Events mid-drain (node 2 carries traffic at cycle 2), on the
+        last departure, inside the idle gap, and one that never fires."""
+        early = [(2, 2), (3, self.idle)]
+        probe = self._make("batch")
         probe.schedule(FaultScenario(early))
         probe.run_workload([self.batches[0].copy()])
         last = probe.sim.cycle  # batch 1's last departure
-        gap = 4
         end = last + gap  # batch 2 is injected here
         scenario = FaultScenario(
             early + [(end + 2, 5), (10_000, 9)],  # mid-drain, never fires
-            [(last, 2), (last + 2, 17)],  # on the last departure, in the gap
+            [(last, 2), (last + 2, self.idle)],  # last departure, gap
         )
+        return scenario, early, last, end
+
+    def test_event_landings_object_equals_batch(self):
+        gap = 4
+        scenario, early, last, end = self._scenario(gap)
         runs = [self._run(e, scenario, cycles_per_batch=gap)
                 for e in ("object", "batch")]
         (a, sa), (b, sb) = runs
         assert sa == sb
         assert_twins(a.sim, b.sim)
         assert a.lost_to_faults == b.lost_to_faults > 0
+        assert a.unreachable_pairs == b.unreachable_pairs
         for ctrl in (a, b):
-            assert ctrl.fault_log == [(2, 2), (3, 17), (end + 2, 5)]
-            assert ctrl.repair_log == [(last, 2), (last + 2, 17)]
+            assert ctrl.fault_log == early + [(end + 2, 5)]
+            assert ctrl.repair_log == [(last, 2), (last + 2, self.idle)]
             assert ctrl.sim.cycle > end + 2  # the last fault was mid-drain
+
+    @pytest.mark.parametrize("engine", ["object", "batch"])
+    @pytest.mark.parametrize("gap", [0, 4])
+    def test_drain_matches_per_cycle_witness(self, engine, gap):
+        scenario, *_ = self._scenario(gap)
+        ctrl, stats = self._run(engine, scenario, cycles_per_batch=gap)
+        ref = self._make(engine)
+        ref.schedule(scenario)
+        refused = per_cycle_workload(
+            ref, [b.copy() for b in self.batches], cycles_per_batch=gap
+        )
+        assert stats == ref.sim.stats()
+        assert ctrl.sim.cycle == ref.sim.cycle
+        got, want = ctrl.sim.packet_records(), ref.sim.packet_records()
+        for name in ("injected_at", "delivered_at", "hops", "dropped"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+        assert ctrl.fault_log == ref.fault_log
+        assert ctrl.repair_log == ref.repair_log
+        assert ctrl.lost_to_faults == ref.lost_to_faults
+        assert ctrl.unreachable_pairs == refused
 
     @pytest.mark.parametrize("engine", ["object", "batch"])
     def test_max_cycles_still_raises(self, engine):
@@ -140,12 +178,20 @@ class TestControllerEventTiming:
 
     def test_repair_spec_object_equals_batch(self):
         spec = dict(m=2, h=3, k=1, packets=200, seed=0, pattern="uniform",
+                    controller=self.controller,
                     fault_model={"name": "fixed", "faults": [[3, 2]],
                                  "repairs": [[6, 2]]})
         a = ExperimentSpec(engine="object", **spec).run()
         b = ExperimentSpec(engine="batch", **spec).run()
         assert a.stats == b.stats
         assert a.lost_to_faults == b.lost_to_faults
+
+
+class TestDetourEventTiming(TestControllerEventTiming):
+    """The same event landings on the spare-less baseline."""
+
+    controller = "detour"
+    idle = 12  # any second node: the baseline has no spares
 
 
 class TestEngineDirectEquivalence:

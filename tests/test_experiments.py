@@ -115,9 +115,49 @@ class TestSpecValidation:
         with pytest.raises(ParameterError, match="spares"):
             ExperimentSpec(m=2, h=4, k=1, faults=((0, 1), (0, 2)))
 
+    @pytest.mark.parametrize("loop", ["closed", "stream"])
+    @pytest.mark.parametrize("controller", ["reconfig", "detour"])
+    @pytest.mark.parametrize("model,match", [
+        # a repair before the node ever fails
+        ({"faults": [[5, 2]], "repairs": [[3, 2]]},
+         "repairs node 2 at cycle 3, but it is not faulty"),
+        # a second repair of a node already back in service
+        ({"faults": [[1, 2]], "repairs": [[3, 2], [6, 2]]},
+         "repairs node 2 at cycle 6, but it is not faulty"),
+        # a fault of a node that is still down
+        ({"faults": [[0, 3], [4, 3]]},
+         "fails node 3 at cycle 4, but it is already faulty"),
+    ], ids=["repair-before-fault", "double-repair", "double-fault"])
+    def test_unrunnable_fixed_schedule_refused(self, loop, controller,
+                                               model, match):
+        with pytest.raises(ParameterError, match=match):
+            ExperimentSpec(m=2, h=4, k=2, loop=loop, controller=controller,
+                           fault_model={"name": "fixed", **model})
+
+    @pytest.mark.parametrize("loop", ["closed", "stream"])
+    @pytest.mark.parametrize("controller", ["reconfig", "detour"])
+    def test_fail_repair_fail_schedule_accepted(self, loop, controller):
+        # repairs fire before faults within a cycle, so node 2 may heal
+        # and fail again on cycle 6; one spare covers it throughout
+        spec = ExperimentSpec(
+            m=2, h=4, k=1, loop=loop, controller=controller, cycles=40,
+            warmup=0, packets=60, batches=2, cycles_per_batch=4,
+            fault_model={"name": "fixed", "faults": [[1, 2], [6, 2]],
+                         "repairs": [[6, 2]]},
+        )
+        spec.run()
+
     def test_closed_loop_constraints(self):
-        with pytest.raises(ParameterError, match="detour"):
-            ExperimentSpec(m=2, h=4, controller="detour", cycles_per_batch=3)
+        # idle gaps run on the detour baseline too, engine-independently
+        spec = dict(m=2, h=4, controller="detour", packets=120, batches=3,
+                    cycles_per_batch=3,
+                    fault_model={"name": "fixed", "faults": [[2, 5], [9, 11]]})
+        a = ExperimentSpec(engine="object", **spec).run()
+        b = ExperimentSpec(engine="batch", **spec).run()
+        assert a.stats == b.stats
+        assert (a.lost_to_faults, a.unreachable_pairs) == \
+               (b.lost_to_faults, b.unreachable_pairs)
+        assert a.unreachable_pairs > 0
         with pytest.raises(ParameterError, match="shards"):
             ExperimentSpec(m=2, h=4, shards=3, batches=2)
         with pytest.raises(ParameterError, match="cycles_per_batch"):

@@ -17,6 +17,7 @@ The load-bearing contracts:
 from __future__ import annotations
 
 import json
+import os
 import threading
 import time
 import urllib.error
@@ -26,7 +27,7 @@ import pytest
 
 from repro.experiments import parse_run_payload
 from repro.service import TERMINAL, ExperimentService, JobQueue
-from repro.simulator.shard_driver import ShardStats, run_grid
+from repro.simulator.shard_driver import ShardStats, _SpecTask, run_grid
 
 GRID = {
     "grid": {
@@ -191,35 +192,54 @@ class TestLifecycle:
 
 
 class TestRetry:
-    def test_worker_killed_mid_job_completes_via_retry(self):
+    def test_worker_killed_mid_job_completes_via_retry(self, tmp_path,
+                                                       monkeypatch):
         """Acceptance: kill the pool's workers while a job's cell is in
         flight; the job still completes — with a retry count > 0 — and
         its stats are identical to an undisturbed run."""
         spec = {"m": 2, "h": 6, "k": 1, "packets": 4000, "shards": 8,
                 "batches": 8}
+        # the first task any pool worker starts marks itself in flight
+        # and hangs until killed, so the kill provably lands mid-chunk
+        # however fast the job is; every later task (the retried attempt
+        # included) runs normally.  Workers fork from this process, so
+        # they inherit the patch.
+        marker = tmp_path / "in-flight"
+        parent = os.getpid()
+        real_run = _SpecTask.run
+
+        def run_or_hang(task):
+            if os.getpid() != parent:
+                try:
+                    os.close(os.open(marker, os.O_CREAT | os.O_EXCL))
+                except FileExistsError:
+                    pass
+                else:
+                    time.sleep(600)
+            return real_run(task)
+
+        monkeypatch.setattr(_SpecTask, "run", run_or_hang)
         with ExperimentService(workers=2, max_retries=3) as svc:
             status, body = _request(svc.port, "/experiments", spec)
             job_id = body["job"]["id"]
-
-            # keep killing the workers until a death lands mid-chunk and
-            # the runner records a retry (a kill that lands *between*
-            # chunks is absorbed by the pool's graceful respawn path);
-            # then stop, so the retried attempt runs undisturbed
             job = svc.queue.get(job_id)
             deadline = time.time() + 60
-            while (time.time() < deadline and job.retries == 0
-                   and job.state not in TERMINAL):
-                for p in svc.pool._procs:
-                    if p.is_alive():
-                        p.terminate()
-                time.sleep(0.05)
-            assert job.retries > 0, \
-                f"no kill ever landed mid-chunk (job {job.state})"
+            while not marker.exists():
+                assert time.time() < deadline and job.state not in TERMINAL, \
+                    f"no task ever started in a pool worker (job {job.state})"
+                time.sleep(0.01)
+            # the worker announced its chunk before starting the task;
+            # give that claim time to reach the runner, then kill
+            time.sleep(0.2)
+            for p in svc.pool._procs:
+                if p.is_alive():
+                    p.terminate()
 
             lines = _stream_lines(svc.port, job_id, timeout=120)
             summary = lines[-1]["job"]
             assert summary["state"] == "done", summary
             assert summary["retries"] > 0
+            assert job.retries > 0
             assert svc.pool.spawned > 2  # the respawn actually happened
 
             status, result = _request(svc.port, f"/jobs/{job_id}/result")

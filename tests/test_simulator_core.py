@@ -18,28 +18,31 @@ class TestEventQueue:
         q.schedule(5, "a")
         q.schedule(2, "b")
         q.schedule(5, "c")
-        evs = list(q.drain_until(10))
-        assert [e.kind for e in evs] == ["b", "a", "c"]  # stable within cycle
+        seen = []
+        q.run_handlers(10, dict.fromkeys("abc", seen.append))
+        assert [e.kind for e in seen] == ["b", "a", "c"]  # stable within cycle
 
     def test_drain_partial(self):
         q = EventQueue()
         q.schedule(1, "x")
         q.schedule(9, "y")
-        assert [e.kind for e in q.drain_until(5)] == ["x"]
+        seen = []
+        assert q.run_handlers(5, dict.fromkeys("xy", seen.append)) == 1
+        assert [e.kind for e in seen] == ["x"]
         assert len(q) == 1
         assert q.peek_cycle() == 9
 
     def test_past_scheduling_rejected(self):
         q = EventQueue()
-        list(q.drain_until(10))
+        q.run_handlers(10, {})
         with pytest.raises(SimulationError):
             q.schedule(5, "late")
 
     def test_backwards_drain_rejected(self):
         q = EventQueue()
-        list(q.drain_until(10))
+        q.run_handlers(10, {})
         with pytest.raises(SimulationError):
-            list(q.drain_until(3))
+            q.run_handlers(3, {})
 
     def test_run_handlers(self):
         q = EventQueue()

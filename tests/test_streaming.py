@@ -219,19 +219,19 @@ class TestDetourTableCache:
     @pytest.mark.parametrize("engine", ["object", "batch"])
     def test_churn_stream_routes_each_arrival_once(self, engine, monkeypatch):
         """run_stream routes one segment between scheduled events at a
-        time, so the pairs handed to the detour backend sum to the
-        source's arrivals: no fault or repair epoch re-routes arrivals
-        already routed."""
+        time, so the pairs handed to the controller's route hook sum to
+        the source's arrivals: no fault or repair epoch re-routes
+        arrivals already routed."""
         from repro.simulator import realize_fault_model
 
         routed: list[int] = []
-        real = DetourController.detour_routes_batch
+        real = DetourController._route
 
-        def spy(self, pairs, **kwargs):
+        def spy(self, pairs):
             routed.append(len(pairs))
-            return real(self, pairs, **kwargs)
+            return real(self, pairs)
 
-        monkeypatch.setattr(DetourController, "detour_routes_batch", spy)
+        monkeypatch.setattr(DetourController, "_route", spy)
         scenario = realize_fault_model(
             {"name": "churn", "p": 0.9, "mean_downtime": 20, "rounds": 2,
              "window": [0, 240]},
