@@ -4,6 +4,8 @@ DIL: all-pairs route dilation — the reconfigured machine is provably at
 zero, the bare machine stretches and disconnects.
 SEALG: normal algorithms executed on shuffle-exchange edges only
 (degree 3), including through faults via the φ∘ψ composition.
+
+The tables are ``dil`` and ``sealg`` of the ``paper-figures`` report.
 """
 
 from __future__ import annotations
@@ -16,28 +18,14 @@ from repro.algorithms import (
     fft,
 )
 from repro.analysis import dilation_profile
-from repro.analysis.reporting import exp_dil, exp_sealg
 
 from benchmarks.conftest import once
-
-
-def test_dil_full_experiment(benchmark):
-    """DIL: zero dilation for reconfiguration, losses for detours."""
-    rep = once(benchmark, exp_dil)
-    assert rep.metrics["reconfig_zero_dilation"]
-    assert rep.metrics["worst_bare_unreachable"] > 0
 
 
 def test_dil_profile_speed(benchmark):
     """DIL (cost probe): all-pairs profile at h=5 (992 pairs x 2 machines)."""
     rec, det = benchmark(dilation_profile, 5, 2, [3, 17])
     assert rec.max_dilation == 0
-
-
-def test_sealg_full_experiment(benchmark):
-    """SEALG: sort + FFT on SE, correct through 2 faults."""
-    rep = once(benchmark, exp_sealg)
-    assert rep.metrics["all_correct"]
 
 
 def test_sealg_sort_speed(benchmark):

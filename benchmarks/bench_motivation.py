@@ -3,14 +3,14 @@
 A 32-node de Bruijn machine loses two processors.  The bare machine
 drops every message to/from the dead nodes and stretches detoured paths;
 the fault-tolerant machine reconfigures and delivers everything with
-unchanged hop counts.
+unchanged hop counts.  The three-machine table is ``motiv`` of the
+``paper-figures`` report.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.analysis.reporting import exp_motiv
 from repro.simulator import (
     DetourController,
     FaultScenario,
@@ -19,13 +19,6 @@ from repro.simulator import (
 )
 
 from benchmarks.conftest import once
-
-
-def test_motiv_full_experiment(benchmark):
-    """MOTIV: FT delivers 900/900 after 2 faults; bare machine cannot."""
-    rep = once(benchmark, exp_motiv)
-    assert rep.metrics["ft_delivers_all"]
-    assert rep.metrics["bare_unreachable"] > 0
 
 
 def test_motiv_zero_dilation_hops(benchmark):

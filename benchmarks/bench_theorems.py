@@ -1,13 +1,14 @@
 """Benches THM1/THM2/COR14: exhaustive tolerance verification.
 
 These time the full ``C(N+k, k)``-fault-set sweeps that make Theorems 1
-and 2 executable, and check the corollaries' node/degree numbers.
+and 2 executable, and check the corollaries' node/degree numbers.  The
+small-parameter batteries are ``thm1``, ``thm2`` and ``cor14`` of the
+``paper-figures`` report.
 """
 
 from __future__ import annotations
 
 
-from repro.analysis.reporting import exp_cor14, exp_thm1, exp_thm2
 from repro.core import (
     debruijn,
     exhaustive_tolerance_check,
@@ -17,12 +18,6 @@ from repro.core import (
 )
 
 from benchmarks.conftest import once
-
-
-def test_thm1_exhaustive_suite(benchmark):
-    """THM1: the full small-parameter battery."""
-    rep = once(benchmark, exp_thm1)
-    assert rep.metrics["all_ok"]
 
 
 def test_thm1_largest_exhaustive_case(benchmark):
@@ -41,24 +36,12 @@ def test_thm1_randomized_large(benchmark, rng):
     assert rep.ok
 
 
-def test_thm2_exhaustive_suite(benchmark):
-    """THM2: base-m battery (m up to 5)."""
-    rep = once(benchmark, exp_thm2)
-    assert rep.metrics["all_ok"]
-
-
 def test_thm2_base3_k2(benchmark):
     """THM2 (cost probe): m=3, h=3, k=2 — C(29,2) = 406 fault sets."""
     ft = ft_debruijn(3, 3, 2)
     g = debruijn(3, 3)
     rep = benchmark(exhaustive_tolerance_check, ft, g, 2)
     assert rep.ok
-
-
-def test_cor14_degree_bounds(benchmark):
-    """COR14: all measured degrees within the corollary bounds."""
-    rep = once(benchmark, exp_cor14)
-    assert rep.metrics["violations"] == 0
 
 
 def test_cor2_tightness(benchmark):

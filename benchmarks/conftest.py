@@ -1,8 +1,9 @@
 """Shared benchmark fixtures.
 
-Every bench regenerates one paper artifact (see DESIGN.md §3) and asserts
-its metrics, so ``pytest benchmarks/ --benchmark-only`` doubles as the
-full reproduction run; timings quantify construction/verification cost.
+The benches time the constructions, checks and simulations behind the
+paper's artifacts and assert what they compute.  The artifacts
+themselves are the ``paper-figures`` report (``repro report
+paper-figures``), whose facts tier-1 asserts.
 """
 
 from __future__ import annotations

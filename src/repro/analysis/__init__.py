@@ -1,4 +1,5 @@
-"""Analysis layer: comparisons, ablations, reliability, report generation."""
+"""Analysis layer: comparisons, ablations, reliability, dilation and
+degree profiles."""
 
 from repro.analysis.comparison import (
     ComparisonRow,
@@ -26,12 +27,6 @@ from repro.analysis.degree_profile import (
     degree_profile,
 )
 from repro.analysis.dilation import DilationProfile, dilation_profile
-from repro.analysis.reporting import (
-    Report,
-    all_experiment_ids,
-    format_table,
-    run_experiment,
-)
 
 __all__ = [
     "ComparisonRow",
@@ -48,10 +43,6 @@ __all__ = [
     "extra_spare_search",
     "generalized_ft_graph",
     "window_necessity",
-    "Report",
-    "all_experiment_ids",
-    "format_table",
-    "run_experiment",
     "DilationProfile",
     "dilation_profile",
     "DegreeProfile",

@@ -1,9 +1,9 @@
 """The paper's §I comparison, measured.
 
-Builds the ours-vs-Samatham–Pradhan table (TAB1/TAB2 in DESIGN.md) with
-*measured* node counts and degrees from actually-constructed graphs next
-to the closed-form values the paper quotes, plus the FT shuffle-exchange
-and bus rows.
+Builds the ours-vs-Samatham–Pradhan tables (``tab1``/``tab2`` of the
+``paper-figures`` report) with *measured* node counts and degrees from
+actually-constructed graphs next to the closed-form values the paper
+quotes, plus the FT shuffle-exchange and bus rows.
 """
 
 from __future__ import annotations

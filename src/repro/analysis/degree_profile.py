@@ -4,7 +4,7 @@ Corollaries 1–4 bound the *maximum* degree; real machines also care about
 the distribution (port count per node drives cost).  This module profiles
 the degree histograms of the constructions, identifies the extremal nodes,
 and locates the smallest ``h`` at which each bound becomes tight — the
-"bound attainment frontier" quoted in EXPERIMENTS.md.
+"bound attainment frontier".
 """
 
 from __future__ import annotations

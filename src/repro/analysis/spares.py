@@ -57,7 +57,8 @@ class WindowResult:
 def window_necessity(h: int, k: int) -> list[WindowResult]:
     """Remove each offset of ``{-k .. k+1}`` in turn and exhaustively
     re-check (k, B_{2,h})-tolerance.  The paper's window is *irredundant*
-    iff every removal breaks it (measured fact recorded in EXPERIMENTS.md)."""
+    iff every removal breaks it (measured: the ``abl-win`` table of the
+    ``paper-figures`` report)."""
     target = debruijn(2, h)
     full = list(range(-k, k + 2))
     out: list[WindowResult] = []

@@ -4,7 +4,8 @@ Commands
 --------
 ``build``    construct a graph family member and print its vitals
 ``verify``   run a (k, G)-tolerance check (exhaustive or sampled)
-``report``   regenerate paper figures/tables (delegates to the registry)
+``report``   build registered reports: the paper's figures and tables,
+             the dependability surface, with optional bundles
 ``route``         show a logical route and its lift under a fault set
 ``demo``          thirty-second tour: construct, fail, reconfigure, verify
 ``bench-engines`` race the object vs. batch simulation engines on one
@@ -38,7 +39,7 @@ from repro.core import (
     samatham_pradhan,
     shuffle_exchange,
 )
-from repro.errors import ReproError
+from repro.errors import ParameterError, ReproError
 
 __all__ = ["main", "build_parser"]
 
@@ -100,43 +101,32 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    from repro.reports import REPORTS
-
-    if args.list:
-        from repro.analysis.reporting import all_experiment_ids
-
-        print("registered reports (bundle-capable, see docs/reports.md):")
-        for name in REPORTS.names():
-            print(f"  {name}")
-        print("legacy analysis ids (paper figures/tables):")
-        for exp_id in all_experiment_ids():
-            print(f"  {exp_id}")
-        return 0
-
-    ids = list(args.ids or [])
-    registered = [i for i in ids if i in REPORTS]
-    if not registered:
-        # legacy figure/table path — unchanged, including "no ids = all"
-        from repro.analysis.reporting import main as report_main
-
-        return report_main(ids or None)
-    if len(registered) != len(ids):
-        legacy = sorted(set(ids) - set(registered))
-        print(f"error: cannot mix registered reports {registered} with "
-              f"legacy analysis ids {legacy} in one invocation",
-              file=sys.stderr)
-        return 2
-
     import os
 
-    from repro.analysis.reporting import format_table
-    from repro.reports import build_report, write_report_bundle
+    from repro.reports import (
+        REPORTS,
+        build_report,
+        format_table,
+        write_report_bundle,
+    )
     from repro.simulator.pool import WorkerPool
+
+    if args.list:
+        print("\n".join(REPORTS.names()))
+        return 0
+    # refuse every bad name before a pool opens or a report builds, so a
+    # refusal never leaves a half-written bundle behind
+    if not args.names:
+        raise ParameterError("name at least one report (see --list)")
+    for name in args.names:
+        REPORTS.validate(name)
+        if args.names.count(name) > 1:
+            raise ParameterError(f"report {name!r} is named twice")
 
     _install_signal_handlers()
     with WorkerPool(workers=args.workers,
                     chunk_size=args.chunk_size) as report_pool:
-        for name in registered:
+        for name in args.names:
             run = build_report(name, quick=args.quick, pool=report_pool)
             print(f"{run.plan.title}")
             print(f"{len(run.plan.cells)} cells on {run.workers} worker(s), "
@@ -150,7 +140,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
                 ]
                 print(format_table(display))
             if args.bundle:
-                out = (args.bundle if len(registered) == 1
+                out = (args.bundle if len(args.names) == 1
                        else os.path.join(args.bundle, name))
                 manifest = write_report_bundle(run, out)
                 print(f"\nwrote bundle: {out} "
@@ -284,8 +274,8 @@ def _install_signal_handlers() -> None:
 def _cmd_run(args: argparse.Namespace) -> int:
     import json
 
-    from repro.analysis.reporting import format_table
     from repro.experiments import run_grid
+    from repro.reports import format_table
     from repro.simulator.pool import WorkerPool
     from repro.simulator.shard_driver import ShardStats
     from repro.simulator.streaming import find_saturation
@@ -461,24 +451,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     r = sub.add_parser(
         "report",
-        help="build a registered report (with an optional reproducibility "
-             "bundle) or regenerate legacy paper figures/tables",
+        help="build registered reports, with an optional reproducibility "
+             "bundle",
         description="Names from the REPORTS registry (e.g. "
-                    "dependability-surface, paper-tables) execute their "
-                    "experiment grids on one warm worker pool, print the "
-                    "aggregated tables, and with --bundle emit a "
-                    "self-describing, byte-identical-on-regeneration "
-                    "bundle (manifest.json + raw per-cell results + "
-                    "CSV/JSON tables + markdown summary).  Legacy "
-                    "analysis ids keep their old behavior; --list shows "
-                    "both groups.  See docs/reports.md.",
+                    "paper-figures, dependability-surface, paper-tables) "
+                    "execute their experiment grids on one warm worker "
+                    "pool, print the aggregated tables, and with --bundle "
+                    "emit a self-describing, byte-identical-on-"
+                    "regeneration bundle (manifest.json + raw per-cell "
+                    "results + CSV/JSON tables + markdown summary).  "
+                    "Every name is checked before anything runs.  See "
+                    "docs/reports.md.",
     )
-    r.add_argument("ids", nargs="*",
-                   help="report names or legacy experiment ids "
-                   "(default: all legacy figures)")
+    r.add_argument("names", nargs="*", metavar="NAME",
+                   help="registered report names (see --list)")
     r.add_argument("--bundle", default=None, metavar="DIR",
                    help="write the reproducibility bundle into DIR "
-                   "(must be empty/nonexistent; registered reports only)")
+                   "(must be empty/nonexistent; one subdirectory per "
+                   "report when several are named)")
     r.add_argument("--quick", action="store_true",
                    help="build the QUICK-sized parameterization "
                    "(CI/test scale) instead of the full surface")
@@ -488,7 +478,7 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--chunk-size", type=int, default=None,
                    help="tasks per work-stealing chunk (default: auto)")
     r.add_argument("--list", action="store_true",
-                   help="list registered reports and legacy ids, then exit")
+                   help="list registered report names, then exit")
     r.set_defaults(func=_cmd_report)
 
     rt = sub.add_parser("route", help="route with reconfiguration")

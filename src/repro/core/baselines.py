@@ -14,7 +14,8 @@
   so they are covered by the de Bruijn FT window; exchange edges
   ``y = x ± 1`` need an extra near-diagonal band ``|φ(x) - φ(y)| <= k+1``).
   Our derivation gives degree at most ``6k + 6`` (the paper's prose says
-  ``6k + 4``; the two-unit gap is documented in EXPERIMENTS.md) — either
+  ``6k + 4``; the ``senat`` table of the ``paper-figures`` report
+  measures the gap) — either
   way it loses to the ``4k + 4`` of the ψ-relabeled construction.
 """
 
@@ -110,8 +111,8 @@ def natural_ft_se_degree_bound(k: int) -> int:
     """Our derived bound for the natural-labeling FT-SE: ``6k + 6``
     (= ``4k + 4`` shuffle-type + ``2k + 2`` exchange-type edges).
 
-    The paper's §I remark quotes ``6k + 4``; see EXPERIMENTS.md (SENAT) for
-    the measured values and discussion.
+    The paper's §I remark quotes ``6k + 4``; the ``senat`` table of the
+    ``paper-figures`` report holds the measured values.
     """
     if k < 0:
         raise ParameterError(f"k must be >= 0, got {k}")

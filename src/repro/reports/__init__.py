@@ -10,8 +10,8 @@ bundle:
   and aggregate them into tables;
 * :func:`write_report_bundle` / :func:`write_run_bundle` — emit the
   self-describing bundle (manifest + raw cells + tables + summary);
-* the shipped reports — ``dependability-surface`` and ``paper-tables``
-  (:mod:`repro.reports.definitions`).
+* the shipped reports — ``dependability-surface``, ``paper-tables`` and
+  ``paper-figures`` (:mod:`repro.reports.definitions`).
 
 See docs/reports.md for the bundle layout and the recipe for
 registering a new report.
@@ -36,6 +36,7 @@ from repro.reports.plan import (
 from repro.reports import definitions  # noqa: F401  (registers the reports)
 from repro.reports.tables import (
     delivery_columns,
+    format_table,
     pooled_delivery,
     render_csv,
     render_markdown,
@@ -52,6 +53,7 @@ __all__ = [
     "canonical_json",
     "cell_payload",
     "delivery_columns",
+    "format_table",
     "pooled_delivery",
     "registry_versions",
     "render_csv",

@@ -32,7 +32,7 @@ from repro.experiments import ExperimentGrid
 from repro.reports.plan import REPORTS, ReportCell, ReportPlan, ReportTable
 from repro.reports.tables import delivery_columns, pooled_delivery
 
-__all__ = ["dependability_surface", "paper_tables"]
+__all__ = ["dependability_surface", "paper_figures", "paper_tables"]
 
 #: Spare budgets sized so an i.i.d. draw overflowing the spares is
 #: astronomically unlikely (>= 5 sigma above the mean fault count at the
@@ -279,4 +279,26 @@ def paper_tables(*, quick: bool = False) -> ReportPlan:
         grids=grids,
         cells=cells,
         aggregate=_aggregate_paper,
+    )
+
+
+def _aggregate_figures(plan, results):
+    # the constructions pull in the analysis, algorithm and rendering
+    # layers; importing them here keeps `import repro.reports` free of them
+    from repro.reports.paper_figures import paper_figure_tables
+
+    return paper_figure_tables()
+
+
+@REPORTS.register("paper-figures")
+def paper_figures(*, quick: bool = False) -> ReportPlan:
+    """The source paper's figures, tables and theorem checks, rebuilt from
+    the constructions: no cells, no grids, and ``quick`` changes nothing."""
+    return ReportPlan(
+        name="paper-figures",
+        title="The paper's figures, tables and theorem checks",
+        quick=quick,
+        grids={},
+        cells=(),
+        aggregate=_aggregate_figures,
     )

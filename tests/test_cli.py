@@ -186,8 +186,8 @@ class TestMisc:
         assert "fails" in out and "OK" in out
 
     def test_report_single(self, capsys):
-        assert main(["report", "FIG4"]) == 0
-        assert "Bus implementation" in capsys.readouterr().out
+        assert main(["report", "paper-tables", "--quick", "--workers", "0"]) == 0
+        assert "Fixed-fault tables" in capsys.readouterr().out
 
     def test_no_command(self, capsys):
         with pytest.raises(SystemExit):

@@ -349,15 +349,44 @@ def test_paper_tables_quick_zero_dilation():
 
 def test_cli_report_list(capsys):
     assert main(["report", "--list"]) == 0
-    out = capsys.readouterr().out
+    out = capsys.readouterr().out.split()
     assert "dependability-surface" in out
     assert "paper-tables" in out
-    assert "FIG3" in out  # legacy ids still listed
+    assert "paper-figures" in out
+    assert out == list(REPORTS.names())  # registry names only
 
 
-def test_cli_report_rejects_mixing_registered_and_legacy(capsys):
-    assert main(["report", "paper-tables", "FIG3"]) == 2
-    assert "cannot mix" in capsys.readouterr().err
+def test_cli_report_rejects_mixing_registered_and_legacy(tmp_path, capsys):
+    # an old figure id is now an unknown name, refused before the
+    # registered report named ahead of it builds
+    out = tmp_path / "bundle"
+    assert main(["report", "paper-tables", "FIG3", "--bundle", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "error: unknown report 'FIG3'; valid choices: "
+        + ", ".join(REPORTS.names()) + "\n"
+    )
+    assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "names, message",
+    [
+        (["paper-tables", "paper-tables"], "report 'paper-tables' is named twice"),
+        ([], "name at least one report"),
+    ],
+    ids=["duplicate", "none"],
+)
+def test_cli_report_refuses_bad_names_at_the_door(names, message, tmp_path,
+                                                   capsys):
+    out = tmp_path / "bundle"
+    assert main(["report", *names, "--workers", "0", "--bundle", str(out)]) == 1
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {message}")
+    assert captured.out == ""  # nothing built
+    assert not out.exists()
 
 
 def test_cli_report_builds_bundle(tmp_path, capsys):

@@ -8,8 +8,11 @@ cheap insurance the CI matrix runs on every Python version.
 from __future__ import annotations
 
 import importlib
+import os
 import pathlib
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -30,6 +33,30 @@ ALL_MODULES = sorted(
 @pytest.mark.parametrize("module", ALL_MODULES)
 def test_module_imports(module):
     importlib.import_module(module)
+
+
+def test_reports_import_loads_no_analysis_layer():
+    """``import repro.reports`` (what the benchmark's bundle workload
+    loads) must not pull in the analysis, algorithm or rendering layers:
+    an unused import moves every pool worker's heap and its peak RSS.
+    The ``paper-figures`` report imports them inside its aggregate."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(SRC_ROOT.parent), env.get("PYTHONPATH")])
+    )
+    loaded = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, repro.reports; print(*sorted(sys.modules))"],
+        capture_output=True, text=True, check=True, env=env,
+    ).stdout.split()
+    assert "repro.reports.definitions" in loaded
+    heavy = [
+        name for name in loaded
+        if name.split(".")[:2] in (["repro", "analysis"],
+                                   ["repro", "algorithms"],
+                                   ["repro", "viz"])
+    ]
+    assert heavy == []
 
 
 def test_module_walk_found_the_tree():
