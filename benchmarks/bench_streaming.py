@@ -1,10 +1,11 @@
 """Bench STREAM: open-loop streaming injection and saturation search.
 
 Measures the two claims the streaming subsystem makes: (1) the batch
-engine's clock-jumping streaming driver stays within a small constant of
-its closed-loop drain speed (per-cycle injection must not reintroduce a
-per-cycle Python loop over idle cycles), and (2) the cross-engine golden
-holds under sustained load, so saturation curves are engine-independent.
+engine's epoch drain (timed injection, then ``run(until=)``) stays
+within a small constant of its closed-loop drain speed (per-cycle
+arrivals must not reintroduce a per-cycle Python loop over idle
+cycles), and (2) the cross-engine golden holds under sustained load, so
+saturation curves are engine-independent.
 """
 
 from __future__ import annotations

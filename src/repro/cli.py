@@ -316,6 +316,17 @@ def _cmd_run(args: argparse.Namespace) -> int:
             bound = "lower" if res.stable_rate else "upper"
             print(f"saturation not bracketed by the rate ladder; "
                   f"{bound} bound ~ {res.saturation_rate:.3f} pkt/cycle")
+        check_failed = False
+        if args.check_single:
+            single = find_saturation(
+                target, rates, bisect=args.bisect, threshold=args.threshold,
+                workers=0,
+            )
+            identical = len(single.points) == len(res.points) and all(
+                a.stats == b.stats for a, b in zip(res.points, single.points)
+            )
+            check_failed = not identical
+            print(f"single-process reference: identical stats: {identical}")
         if args.out:
             from repro.reports import write_run_bundle
 
@@ -344,7 +355,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 json.dump(payload, fh, indent=2)
                 fh.write("\n")
             print(f"wrote {args.json}")
-        return 0
+        return 1 if check_failed else 0
 
     specs = [target] if kind == "experiment" else target
     if kind == "grid":
@@ -534,7 +545,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="tasks per work-stealing chunk (default: auto)")
     rn.add_argument("--check-single", action="store_true",
                     help="also run single-process and verify every "
-                    "cell's stats are bit-identical")
+                    "cell's stats (with --rates: every ladder and "
+                    "bisection point's) are bit-identical")
     rn.add_argument("--json", default=None, metavar="PATH",
                     help="write rows + aggregate (or the saturation "
                     "curve) as JSON")

@@ -56,6 +56,13 @@ Work is O(total hops actually traversed), not
 O(in-flight × cycles) — idle packets cost nothing, and :meth:`run`
 skips straight across cycles where no packet moves.
 
+An open-loop stream injects a whole fault epoch's arrivals at once with
+``inject_routes(..., at=cycles)``: they are validated and recorded then,
+and those due after the clock wait outside the calendar in a *pending*
+block.  The step to cycle ``c`` joins the arrivals due at ``c`` behind
+that cycle's continuers in the same :meth:`_join`, which is the order of
+injecting them at ``c`` after stepping there.
+
 When to use which engine
 ------------------------
 Use ``NetworkSimulator`` for small workloads, debugging, or when you
@@ -74,7 +81,7 @@ from repro.errors import SimulationError
 from repro.graphs.static_graph import StaticGraph
 from repro.simulator.metrics import PacketArrays, RunStats, summarize_arrays
 
-__all__ = ["BatchEngine", "pack_routes", "validate_injection"]
+__all__ = ["BatchEngine", "pack_routes", "validate_arrivals", "validate_injection"]
 
 _I64 = np.int64
 # calendar key split: departure cycle in the high bits, service slot
@@ -83,6 +90,48 @@ _LOW = 32
 _LOW_MASK = (1 << _LOW) - 1
 _MAX_SLOTS = 1 << _LOW          # queues x link_capacity must fit the low bits
 _MAX_DEPART = (1 << 31) - 1     # latest departure cycle a key can hold
+
+
+def validate_arrivals(
+    at, count: int, *, cycle: int, pending: int | None
+) -> np.ndarray | None:
+    """The engines' shared check of a timed injection's arrival cycles.
+
+    ``at`` holds one arrival cycle per route of a ``count``-route batch
+    (``None``: every route arrives at the clock, ``cycle``); ``pending``
+    is the latest timed arrival cycle while one is still ahead of the
+    clock or waiting to join (a single-node route's included), or
+    ``None``.  The cycles must be sorted, none before the clock and none
+    before a pending arrival, so packet ids stay in arrival order; a
+    non-empty batch without ``at`` is therefore refused while arrivals
+    are pending.  Raises :class:`SimulationError`; returns ``at`` as
+    int64.
+    """
+    if at is None:
+        if count and pending is not None:
+            raise SimulationError(
+                f"injection at cycle {cycle} precedes the pending arrival "
+                f"at cycle {pending}"
+            )
+        return None
+    at = np.asarray(at, dtype=_I64).ravel()
+    if at.size != count:
+        raise SimulationError(
+            f"at= holds {at.size} arrival cycles for {count} routes"
+        )
+    if count:
+        if (at[1:] < at[:-1]).any():
+            raise SimulationError("at= arrival cycles must be sorted")
+        if at[0] < cycle:
+            raise SimulationError(
+                f"arrival cycle {at[0]} is before the clock (cycle {cycle})"
+            )
+        if pending is not None and at[0] < pending:
+            raise SimulationError(
+                f"arrival cycle {at[0]} precedes the pending arrival at "
+                f"cycle {pending}"
+            )
+    return at
 
 
 def validate_injection(
@@ -203,6 +252,11 @@ class BatchEngine:
         # each sorted by key (see _push)
         self._runs: list[np.ndarray] = []
         self._in_flight = 0
+        # timed multi-hop arrivals due after the clock: (3, k) columns of
+        # (arrival cycle, pid, ptr) sorted by arrival, or None
+        self._pending: np.ndarray | None = None
+        # latest timed arrival cycle, single-node routes included
+        self._last_arrival = -1
 
     def _check_slots(self, n_queues: int) -> None:
         """Refuse more queue slots than the calendar key's low bits hold."""
@@ -219,6 +273,23 @@ class BatchEngine:
         """Nodes disabled so far (routes touching them are rejected at
         injection and their queued packets were dropped)."""
         return frozenset(int(v) for v in np.flatnonzero(self._dead))
+
+    def _pending_until(self) -> int | None:
+        """The latest timed arrival cycle while arrivals are pending (one
+        is after the clock or waiting to join), else ``None``."""
+        if self._pending is None and self._last_arrival <= self.cycle:
+            return None
+        return self._last_arrival
+
+    def _refuse_if_pending(self, what: str) -> None:
+        """Refuse a fault operation while timed arrivals are pending:
+        their routes were validated against the fault state at injection."""
+        until = self._pending_until()
+        if until is not None:
+            raise SimulationError(
+                f"cannot {what} while arrivals are pending (until cycle "
+                f"{until})"
+            )
 
     def _reblock(self) -> tuple[np.ndarray, np.ndarray]:
         """Recompute the blocked mask (dead endpoint or dead link) from
@@ -254,12 +325,13 @@ class BatchEngine:
     def disable_node(self, v: int) -> int:
         """Mark a node dead mid-run; drop everything queued on its links.
         Returns the drop count.  Raises :class:`SimulationError` for a
-        node id outside the graph."""
+        node id outside the graph or while arrivals are pending."""
         v = int(v)
         if not 0 <= v < self._n:
             raise SimulationError(
                 f"cannot disable node {v}: not a node of the graph [0, {self._n})"
             )
+        self._refuse_if_pending(f"disable node {v}")
         self._dead[v] = True
         u, w = self._reblock()
         return self._drop_queues((u == v) | (w == v))
@@ -268,7 +340,8 @@ class BatchEngine:
         """Return a disabled node to service (a ``node_repair`` event):
         routes through ``v`` validate again from the next injection on.
         Packets dropped while it was dead stay dropped.  Raises
-        :class:`SimulationError` for an out-of-range or live node id."""
+        :class:`SimulationError` for an out-of-range or live node id, or
+        while arrivals are pending."""
         v = int(v)
         if not 0 <= v < self._n:
             raise SimulationError(
@@ -276,13 +349,15 @@ class BatchEngine:
             )
         if not self._dead[v]:
             raise SimulationError(f"cannot enable node {v}: it is not disabled")
+        self._refuse_if_pending(f"enable node {v}")
         self._dead[v] = False
         self._reblock()
 
     def disable_link(self, u: int, v: int) -> int:
         """Fail the undirected link ``{u, v}`` mid-run; drop everything
         queued on either direction and return the drop count.  Raises
-        :class:`SimulationError` when ``{u, v}`` is not a graph edge."""
+        :class:`SimulationError` when ``{u, v}`` is not a graph edge or
+        while arrivals are pending."""
         u, v = int(u), int(v)
         if not (0 <= u < self._n and 0 <= v < self._n):
             raise SimulationError(
@@ -292,6 +367,7 @@ class BatchEngine:
             raise SimulationError(
                 f"cannot disable link ({u}, {v}): not an edge of the graph"
             )
+        self._refuse_if_pending(f"disable link ({u}, {v})")
         killed = np.zeros(self._link_dead.size, dtype=bool)
         killed[self.graph.directed_edge_slots([u, v], [v, u])] = True
         self._link_dead |= killed
@@ -313,7 +389,8 @@ class BatchEngine:
         return int(pids[0])
 
     def inject_routes(
-        self, flat: np.ndarray, offsets: np.ndarray, *, validate: bool = True
+        self, flat: np.ndarray, offsets: np.ndarray, *, validate: bool = True,
+        at: np.ndarray | None = None,
     ) -> np.ndarray:
         """Inject a whole batch of packets at once.
 
@@ -325,27 +402,45 @@ class BatchEngine:
         all-or-nothing: on error, no packet of the batch is injected
         (``NetworkSimulator.inject_routes`` matches).
 
+        ``at`` gives each packet an arrival cycle (see
+        :func:`validate_arrivals`: sorted, none before the clock or a
+        pending arrival).  Every packet is validated and recorded now,
+        with its arrival cycle as ``injected_at``; a single-node route
+        is delivered at its arrival cycle.  Packets arriving at the clock
+        join now, and the rest are *pending* until :meth:`step` reaches
+        their cycle.  ``disable_node``, ``enable_node`` and
+        ``disable_link`` are refused while arrivals are pending, that is
+        until the clock reaches the latest arrival cycle (a single-node
+        route's too).
+
         A queue never idles while it holds a packet, so no departure
-        lies further out than the current cycle plus the hops injected
-        so far; a batch that could push one past the calendar key's
-        latest cycle is refused with :class:`SimulationError`.
+        lies further out than the latest arrival cycle (the clock,
+        without ``at``) plus the hops injected so far; a batch that
+        could push one past the calendar key's latest cycle is refused
+        with :class:`SimulationError`.
         """
         flat, offsets, lens, hop, stray = validate_injection(
             self.graph, flat, offsets, validate=validate,
             dead_mask=self._dead, dead_links=self._link_dead,
         )
-        if lens.size == 0:
+        count = lens.size
+        at = validate_arrivals(
+            at, count, cycle=self.cycle, pending=self._pending_until()
+        )
+        if count == 0:
             return np.zeros(0, dtype=_I64)
-        if self.cycle + self._flat_len + flat.size > _MAX_DEPART:
+        latest = self.cycle if at is None else int(at[-1])
+        if latest + self._flat_len + flat.size > _MAX_DEPART:
             raise SimulationError(
                 f"departures past cycle {_MAX_DEPART} (2**31 - 1) do not fit "
-                f"the calendar key: cycle {self.cycle} with "
+                f"the calendar key: arrivals until cycle {latest} with "
                 f"{self._flat_len + flat.size} route positions"
             )
         if stray.size:
             hop[stray] = self._overflow_ids(flat[stray] * self._n + flat[stray + 1])
+        if at is not None:
+            self._last_arrival = latest
 
-        count = lens.size
         pid0 = self._n_packets
         base_flat = self._flat_len
         pids = np.arange(pid0, pid0 + count, dtype=_I64)
@@ -356,31 +451,45 @@ class BatchEngine:
         self._off = self._ensure(self._off, pid0 + 1, count)
         self._off[pid0 + 1: pid0 + 1 + count] = offsets[1:] + base_flat
         self._injected_at = self._ensure(self._injected_at, pid0, count)
-        self._injected_at[pid0: pid0 + count] = self.cycle
+        self._injected_at[pid0: pid0 + count] = self.cycle if at is None else at
         self._delivered_at = self._ensure(self._delivered_at, pid0, count)
         dv = self._delivered_at[pid0: pid0 + count]
         dv[:] = -1
-        dv[lens == 1] = self.cycle  # degenerate self-delivery
+        single = lens == 1  # degenerate self-delivery
+        dv[single] = self.cycle if at is None else at[single]
         self._dropped = self._ensure(self._dropped, pid0, count)
         self._dropped[pid0: pid0 + count] = False
         self._n_packets += count
         self._flat_len += flat.size
-        multi = lens > 1
+        multi = ~single
         if multi.any():
             start = offsets[:-1][multi]
-            # the first row is a placeholder for the key _join writes
-            self._join(np.stack([start, pids[multi], start + base_flat]), hop[start])
+            # the first row is a placeholder for the key _join writes; a
+            # pending block keeps the arrival cycles there
+            block = np.stack([start, pids[multi], start + base_flat])
+            now = block.shape[1]
+            if at is not None:
+                block[0] = at[multi]
+                now = int(block[0].searchsorted(self.cycle, "right"))
+                if now < block.shape[1]:
+                    later = block[:, now:]
+                    self._pending = later if self._pending is None else (
+                        np.concatenate([self._pending, later], axis=1)
+                    )
+            if now:
+                self._join(block[:, :now], hop[start[:now]])
         return pids
 
     @staticmethod
     def _ensure(arr: np.ndarray, used: int, extra: int) -> np.ndarray:
         """Grow ``arr`` (first ``used`` entries live) to hold ``extra``
-        more, doubling capacity so repeated injections stay amortized
-        linear."""
+        more.  Capacities are powers of two (at least 1024): repeated
+        injections stay amortized linear, and the records take the same
+        memory whether they arrive a cycle or a fault epoch at a time."""
         need = used + extra
         if need <= arr.size:
             return arr
-        out = np.empty(max(need, 2 * arr.size, 1024), dtype=arr.dtype)
+        out = np.empty(1 << max(need - 1, 1023).bit_length(), dtype=arr.dtype)
         out[:used] = arr[:used]
         return out
 
@@ -460,7 +569,8 @@ class BatchEngine:
 
     @property
     def in_flight(self) -> int:
-        """Packets currently queued on some link."""
+        """Packets currently queued on some link (pending arrivals join
+        a queue only at their arrival cycle)."""
         return self._in_flight
 
     def next_departure_cycle(self) -> int | None:
@@ -468,14 +578,26 @@ class BatchEngine:
         ``None`` when nothing is in flight.
 
         This is the calendar's read side: a cycle is returned iff some
-        packet departs its current link exactly then, so a caller may
-        jump the clock straight to ``returned - 1`` and :meth:`step` once
-        without skipping any work (both :meth:`run` and the streaming
-        driver in :mod:`repro.simulator.streaming` rely on this).
+        packet departs its current link exactly then.  Pending arrivals
+        wait outside the calendar, so a caller may jump the clock
+        straight to ``returned - 1`` and :meth:`step` once without
+        skipping any work only if no arrival is pending before the
+        returned cycle; :meth:`run` checks both.
         """
         if not self._runs:
             return None
         return min(int(run[0, 0]) for run in self._runs) >> _LOW
+
+    def _arrivals(self) -> np.ndarray | None:
+        """Pop the pending arrivals due at the clock: a ``(3, k)`` array
+        of (arrival cycle, pid, ptr) columns in injection order, or
+        ``None`` when none is due."""
+        pend = self._pending
+        if pend[0, 0] > self.cycle:
+            return None
+        j = int(pend[0].searchsorted(self.cycle, "right"))
+        self._pending = pend[:, j:] if j < pend.shape[1] else None
+        return pend[:, :j]
 
     def _take(self, last: int) -> np.ndarray | None:
         """Remove every calendar entry departing at or before ``last``
@@ -495,11 +617,12 @@ class BatchEngine:
         due = np.concatenate(parts, axis=1)
         return due.take(np.argsort(due[0], kind="stable"), axis=1)
 
-    def _settle(self, due: np.ndarray) -> int:
+    def _settle(self, due: np.ndarray, fresh: np.ndarray | None = None) -> int:
         """Process taken departures ``due`` (key order): stamp deliveries
         with each packet's departure cycle, mark drops, join the
-        continuers, and leave the clock on the last departure.  Returns
-        the delivery count."""
+        continuers and then ``fresh`` (this cycle's arrivals, see
+        :meth:`_arrivals`) behind them, and leave the clock on the last
+        departure.  Returns the delivery count."""
         pid, ptr = due[1], due[2] + 1
         q = self._hop[ptr]
         deliver = (q < 0) & ~self._dead[self._flat[ptr]]
@@ -515,7 +638,13 @@ class BatchEngine:
         if cont.any():
             moved = due.compress(cont, axis=1)
             moved[2] += 1
-            self._join(moved, q[cont])
+            q = q[cont]
+            if fresh is not None:
+                moved = np.concatenate([moved, fresh], axis=1)
+                q = np.concatenate([q, self._hop[fresh[2]]])
+            self._join(moved, q)
+        elif fresh is not None:
+            self._join(fresh, self._hop[fresh[2]])
         return delivered
 
     def step(self) -> int:
@@ -535,13 +664,20 @@ class BatchEngine:
         * the blocked mask equals "dead endpoint or dead link" for every
           queue, so one gather decides which arrivals continue;
         * continuing packets re-enter the calendar via one segmented
-          :meth:`_join` pass that consumes capacity slots per queue.
+          :meth:`_join` pass that consumes capacity slots per queue,
+          followed in the same pass by the arrivals pending for this
+          cycle;
+        * pending arrivals hold no key: each is due after the clock, and
+          no fault changes the state their routes were validated in.
         """
         self.cycle += 1
         due = self._take(self.cycle)
+        fresh = None if self._pending is None else self._arrivals()
         if due is None:
+            if fresh is not None:
+                self._join(fresh, self._hop[fresh[2]])
             return 0
-        return self._settle(due)
+        return self._settle(due, fresh)
 
     def _step_coalesced(self, stop: int, limit: int = 64) -> bool:
         """Process the departures of up to ``limit`` upcoming cycles in
@@ -568,9 +704,9 @@ class BatchEngine:
         the rest goes back to the calendar as one run; when the first
         cycle itself holds an offender, that cycle alone is processed,
         exactly as :meth:`step` would.  No departure past ``stop`` (the
-        budget or the caller's ``until``) is taken, and at most about
-        4096 packets are.  Returns whether a window of more than the
-        first cycle was settled.
+        budget, the caller's ``until`` or the cycle before a pending
+        arrival) is taken, and at most about 4096 packets are.  Returns
+        whether a window of more than the first cycle was settled.
         """
         first = self.next_departure_cycle()
         due = self._take(min(first + limit - 1, stop, _MAX_DEPART))
@@ -594,16 +730,19 @@ class BatchEngine:
             until: int | None = None) -> RunStats:
         """Step until all traffic drains (delivered or dropped), skipping
         straight over cycles where nothing is scheduled to move.
+        Pending arrivals are traffic too: the run steps to each arrival
+        cycle, where they join.
 
-        With ``until``, process exactly the departures at cycles
-        ``<= until``: the clock ends at ``until`` while traffic remains,
-        or at the last departure if the calendar empties first, and
-        ``until <= cycle`` is a no-op.  This is how a driver stops on the
-        cycle of its next scheduled event and keeps the kernels below
-        for everything in between.  :class:`SimulationError` is raised
-        when the clock would have to pass cycle ``start + max_cycles``
-        with traffic still in flight — the condition the object engine's
-        per-cycle loop raises under.
+        With ``until``, process exactly the departures and arrivals at
+        cycles ``<= until``: the clock ends at ``until`` while traffic
+        remains, or at the last departure if the calendar empties (and no
+        arrival is pending) first, and ``until <= cycle`` is a no-op.
+        This is how a driver stops on the cycle of its next scheduled
+        event and keeps the kernels below for everything in between.
+        :class:`SimulationError` is raised when the clock would have to
+        pass cycle ``start + max_cycles`` with traffic still in flight or
+        pending — the condition the object engine's per-cycle loop
+        raises under.
 
         After its first 32 steps (a shorter run never probes: the first
         cycles of a fresh drain carry the injected bulk, which never
@@ -611,7 +750,9 @@ class BatchEngine:
         batches windows of consecutive cycles whose joins provably land
         past the window (the congested middle and the contention tail of
         a drain), with a short exponential backoff while the condition
-        fails (early drain, uncongested queues).
+        fails (early drain, uncongested queues).  A window ends before
+        the next pending arrival, and an arrival cycle is always a
+        :meth:`step`.
         """
         start = self.cycle
         if until is not None and until <= start:
@@ -621,15 +762,25 @@ class BatchEngine:
         window_after = 32
         wbackoff = 8
         retry = False
-        while self._in_flight:
+        while self._in_flight or self._pending is not None:
             upcoming = self.next_departure_cycle()
+            wstop = stop
+            if self._pending is not None:
+                arrive = int(self._pending[0, 0])
+                if upcoming is None or arrive <= upcoming:
+                    if arrive > stop:
+                        break
+                    self.cycle = arrive - 1
+                    self.step()
+                    continue
+                wstop = min(stop, arrive - 1)
             if upcoming > stop:
                 break
             if window_after > 0:
                 window_after -= 1
                 self.cycle = upcoming - 1
                 self.step()
-            elif self._step_coalesced(stop):
+            elif self._step_coalesced(wstop):
                 wbackoff = 8
                 retry = True
             elif retry:
@@ -643,7 +794,7 @@ class BatchEngine:
             else:
                 window_after = wbackoff
                 wbackoff = min(wbackoff * 2, 256)
-        if self._in_flight:
+        if self._in_flight or self._pending is not None:
             if until is None or until > limit:
                 raise SimulationError(
                     f"simulation did not drain within {max_cycles} cycles"
@@ -669,7 +820,8 @@ class BatchEngine:
         return self._dropped[: self._n_packets].copy()
 
     def packet_records(self) -> PacketArrays:
-        """Structure-of-arrays view of every packet injected so far."""
+        """Structure-of-arrays view of every packet injected so far
+        (pending arrivals included, stamped with their arrival cycle)."""
         n = self._n_packets
         return PacketArrays(
             injected_at=self._injected_at[:n].copy(),

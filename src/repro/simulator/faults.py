@@ -41,13 +41,14 @@ one event clock and one pair of workload drivers, so every scheduled
 event fires at exactly the cycle it comes due — including in the middle
 of draining a batch, where a failing node takes its queued packets down
 with it (the dynamic-dependability regime).  The drivers do not advance
-one cycle at a time to get there.  ``run_workload`` drains with
+one cycle at a time to get there: both run the engine with
 ``sim.run(budget, until=<next event's cycle>)``, which processes exactly
-the departures up to that cycle, then fires the event; the streaming
-driver keeps its own loop, which on the batch engine jumps the clock
-between arrivals, events and departures.  ``fault_log`` records the
-``(cycle, node)`` pairs as they actually fired (``repair_log`` likewise
-for repairs), so tests can pin the timeline.
+the departures (and, in a stream, the timed arrivals) up to that cycle,
+then fire the event.  ``run_workload`` does so per batch;
+``run_stream`` per fault epoch, after injecting the epoch's arrivals
+once with their cycles (``inject_routes(..., at=...)``).
+``fault_log`` records the ``(cycle, node)`` pairs as they actually fired
+(``repair_log`` likewise for repairs), so tests can pin the timeline.
 
 Both controllers drive either simulation engine: ``engine="object"``
 (:class:`NetworkSimulator`, one Python object per packet) or
@@ -421,8 +422,8 @@ class _FaultController:
     A subclass sets ``target`` (the machine its (src, dst) pairs
     address), hands its physical graph to ``__init__`` (which builds the
     engine, ``sim``) and supplies :meth:`fail_node` / :meth:`repair_node`
-    (each moves ``routing_epoch``; a failure adds the packets it drops to
-    ``lost_to_faults``), the route hook ``_route(pairs) -> (flat,
+    (a failure adds the packets it drops to ``lost_to_faults``), the
+    route hook ``_route(pairs) -> (flat,
     offsets, kept)`` and whether the engine validates those routes
     (``_validate_routes``).  Everything else — scheduling, firing,
     the logs, refusal accounting, the closed-loop drain and the
@@ -439,9 +440,6 @@ class _FaultController:
         self.unreachable_pairs = 0
         self.fault_log: list[tuple[int, int]] = []
         self.repair_log: list[tuple[int, int]] = []
-        #: bumped on every fault or repair; route caches (the streaming
-        #: driver's pre-routed arrival calendar) re-route when it moves
-        self.routing_epoch = 0
 
     def schedule(self, scenario: FaultScenario) -> None:
         """Add a :class:`FaultScenario`'s events to the controller's queue
@@ -579,16 +577,14 @@ class ReconfigurationController(_FaultController):
         node = int(node)
         self.rec.fail_node(node)
         self.lost_to_faults += self.sim.disable_node(node)
-        self.routing_epoch += 1
 
     def repair_node(self, node: int) -> None:
         """A repaired node rejoins service: the reconfigurator reclaims
-        its spare, the engine accepts its traffic again, and the remap
-        epoch moves so later injections re-lift through the new φ."""
+        its spare and the engine accepts its traffic again, so later
+        injections re-lift through the new φ."""
         node = int(node)
         self.rec.repair_node(node)
         self.sim.enable_node(node)
-        self.routing_epoch += 1
 
     def physical_router(self):
         """Current lifted router (closure over the live φ)."""
@@ -662,8 +658,8 @@ class DetourController(_FaultController):
     def repair_node(self, node: int) -> None:
         """Return a failed node to service: survivors stop detouring
         around it and it can send/receive again from the next routed
-        batch on.  Moves the routing epoch, so the compiled-table cache
-        (keyed on the frozen fault set) recompiles on next use."""
+        batch on.  The compiled-table cache (keyed on the frozen fault
+        set) recompiles on next use."""
         node = int(node)
         if node not in self.faults:
             raise SimulationError(
@@ -671,7 +667,6 @@ class DetourController(_FaultController):
             )
         self.sim.enable_node(node)
         self.faults.discard(node)
-        self.routing_epoch += 1
 
     def fail_node(self, node: int) -> None:
         """Kill a physical node: survivors detour around it from now on;
@@ -684,7 +679,6 @@ class DetourController(_FaultController):
         node = int(node)
         self.lost_to_faults += self.sim.disable_node(node)
         self.faults.add(node)
-        self.routing_epoch += 1
 
     def survivor_table(self):
         """The current fault epoch's compiled detour

@@ -34,6 +34,7 @@ import numpy as np
 
 from repro.errors import SimulationError
 from repro.graphs.static_graph import StaticGraph
+from repro.simulator.batch_engine import validate_arrivals
 from repro.simulator.metrics import PacketArrays, RunStats, summarize
 from repro.simulator.packets import Packet
 
@@ -62,8 +63,29 @@ class NetworkSimulator:
         self._dead: set[int] = set()
         self._dead_links: set[tuple[int, int]] = set()
         self._next_pid = 0
+        # timed multi-hop arrivals due after the clock, in arrival order
+        self._pending: deque[tuple[int, Packet]] = deque()
+        # latest timed arrival cycle, single-node routes included
+        self._last_arrival = -1
 
     # -- configuration ------------------------------------------------------
+
+    def _pending_until(self) -> int | None:
+        """The latest timed arrival cycle while arrivals are pending (one
+        is after the clock or waiting to join), else ``None``."""
+        if not self._pending and self._last_arrival <= self.cycle:
+            return None
+        return self._last_arrival
+
+    def _refuse_if_pending(self, what: str) -> None:
+        """Refuse a fault operation while timed arrivals are pending:
+        their routes were validated against the fault state at injection."""
+        until = self._pending_until()
+        if until is not None:
+            raise SimulationError(
+                f"cannot {what} while arrivals are pending (until cycle "
+                f"{until})"
+            )
 
     def disable_node(self, v: int) -> int:
         """Mark a node dead mid-run.  All packets currently queued on links
@@ -72,13 +94,14 @@ class NetworkSimulator:
 
         Raises :class:`SimulationError` when ``v`` is not a node of the
         graph, so a typo'd fault scenario fails loudly instead of silently
-        doing nothing."""
+        doing nothing, and while arrivals are pending."""
         v = int(v)
         if not 0 <= v < self.graph.node_count:
             raise SimulationError(
                 f"cannot disable node {v}: not a node of the graph "
                 f"[0, {self.graph.node_count})"
             )
+        self._refuse_if_pending(f"disable node {v}")
         self._dead.add(v)
         dropped = 0
         for (a, b), q in list(self._queues.items()):
@@ -96,7 +119,8 @@ class NetworkSimulator:
         not resurrection.
 
         Raises :class:`SimulationError` when ``v`` is out of range or was
-        never disabled, so a mis-scheduled repair fails loudly."""
+        never disabled, so a mis-scheduled repair fails loudly, and while
+        arrivals are pending."""
         v = int(v)
         if not 0 <= v < self.graph.node_count:
             raise SimulationError(
@@ -105,6 +129,7 @@ class NetworkSimulator:
             )
         if v not in self._dead:
             raise SimulationError(f"cannot enable node {v}: it is not disabled")
+        self._refuse_if_pending(f"enable node {v}")
         self._dead.discard(v)
 
     @property
@@ -120,7 +145,8 @@ class NetworkSimulator:
         on either direction are dropped; returns the drop count.
 
         Raises :class:`SimulationError` when ``{u, v}`` is not an edge of
-        the graph (a typo'd fault scenario would otherwise pass untested)."""
+        the graph (a typo'd fault scenario would otherwise pass untested)
+        and while arrivals are pending."""
         u, v = int(u), int(v)
         n = self.graph.node_count
         if not (0 <= u < n and 0 <= v < n):
@@ -131,6 +157,7 @@ class NetworkSimulator:
             raise SimulationError(
                 f"cannot disable link ({u}, {v}): not an edge of the graph"
             )
+        self._refuse_if_pending(f"disable link ({u}, {v})")
         self._dead_links.add((u, v))
         self._dead_links.add((v, u))
         dropped = 0
@@ -158,12 +185,15 @@ class NetworkSimulator:
             if v in self._dead:
                 raise SimulationError(f"route passes dead node {v}")
 
-    def _commit_route(self, route: list[int]) -> Packet:
-        pkt = Packet(self._next_pid, route, self.cycle)
+    def _commit_route(self, route: list[int], at: int | None = None) -> Packet:
+        arrive = self.cycle if at is None else at
+        pkt = Packet(self._next_pid, route, arrive)
         self._next_pid += 1
         self.packets.append(pkt)
         if len(route) == 1:
-            pkt.delivered_at = self.cycle  # degenerate self-delivery
+            pkt.delivered_at = arrive  # degenerate self-delivery
+        elif arrive > self.cycle:
+            self._pending.append((arrive, pkt))
         else:
             self._enqueue(pkt, 0)
         return pkt
@@ -178,6 +208,7 @@ class NetworkSimulator:
         :class:`Packet` record."""
         route = [int(v) for v in route]
         self._validate_route(route, validate)
+        validate_arrivals(None, 1, cycle=self.cycle, pending=self._pending_until())
         return self._commit_route(route)
 
     def inject(
@@ -194,7 +225,8 @@ class NetworkSimulator:
         ]
 
     def inject_routes(
-        self, flat: np.ndarray, offsets: np.ndarray, *, validate: bool = True
+        self, flat: np.ndarray, offsets: np.ndarray, *, validate: bool = True,
+        at: np.ndarray | None = None,
     ) -> list[Packet]:
         """Inject a batch of packets in the flattened ``(flat, offsets)``
         layout shared with :class:`repro.simulator.batch_engine.BatchEngine`
@@ -202,18 +234,29 @@ class NetworkSimulator:
 
         Validation is all-or-nothing, matching the batch engine: the whole
         batch is checked before the first packet is injected, so an invalid
-        route leaves no partial state behind."""
+        route leaves no partial state behind.  ``at`` gives each packet an
+        arrival cycle, with the batch engine's rules: packets arriving
+        after the clock are pending, and :meth:`step` enqueues them at
+        their cycle behind that cycle's continuers."""
         flat = np.asarray(flat, dtype=np.int64)
         offsets = np.asarray(offsets, dtype=np.int64)
         if offsets.size < 1 or offsets[0] != 0 or offsets[-1] != flat.size:
             raise SimulationError("malformed (flat, offsets) route batch")
+        count = offsets.size - 1
         routes = [
             [int(v) for v in flat[offsets[i]: offsets[i + 1]]]
-            for i in range(offsets.size - 1)
+            for i in range(count)
         ]
         for route in routes:
             self._validate_route(route, validate)
-        return [self._commit_route(route) for route in routes]
+        at = validate_arrivals(
+            at, count, cycle=self.cycle, pending=self._pending_until()
+        )
+        if at is None:
+            return [self._commit_route(route) for route in routes]
+        if count:
+            self._last_arrival = int(at[-1])
+        return [self._commit_route(r, int(c)) for r, c in zip(routes, at)]
 
     def _enqueue(self, pkt: Packet, hop_index: int) -> None:
         key = (pkt.route[hop_index], pkt.route[hop_index + 1])
@@ -223,11 +266,14 @@ class NetworkSimulator:
 
     @property
     def in_flight(self) -> int:
-        """Packets currently queued on some link."""
+        """Packets currently queued on some link (pending arrivals join
+        a queue only at their arrival cycle)."""
         return sum(len(q) for q in self._queues.values())
 
     def step(self) -> int:
-        """Advance one cycle; returns the number of packets delivered."""
+        """Advance one cycle; returns the number of packets delivered.
+        The arrivals pending for the new cycle join their first queue
+        last, behind the cycle's continuers."""
         self.cycle += 1
         delivered = 0
         moved: list[tuple[Packet, int]] = []
@@ -254,16 +300,20 @@ class NetworkSimulator:
                     pkt.dropped = True
                     continue
                 self._enqueue(pkt, hop)
+        while self._pending and self._pending[0][0] <= self.cycle:
+            self._enqueue(self._pending.popleft()[1], 0)
         return delivered
 
     def run(self, max_cycles: int = 1_000_000, *,
             until: int | None = None) -> RunStats:
         """Step until all traffic drains (delivered or dropped) or, with
-        ``until``, while traffic is in flight and ``cycle < until``.
-        Raises :class:`SimulationError` when traffic is still in flight
-        after cycle ``start + max_cycles``."""
+        ``until``, while traffic is in flight or pending and
+        ``cycle < until``.  Raises :class:`SimulationError` when traffic
+        is still in flight or pending after cycle ``start + max_cycles``."""
         start = self.cycle
-        while self.in_flight and (until is None or self.cycle < until):
+        while (self.in_flight or self._pending) and (
+            until is None or self.cycle < until
+        ):
             if self.cycle - start >= max_cycles:
                 raise SimulationError(
                     f"simulation did not drain within {max_cycles} cycles"

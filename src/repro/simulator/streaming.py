@@ -31,16 +31,15 @@ How the hot path stays fast
 The source's arrival calendar is structure-of-arrays: one sorted
 ``times`` array plus one ``(total, 2)`` pairs array per horizon.  Routes
 depend only on the fault state, and only scheduled events change it, so
-the driver routes one *segment* at a time — the arrivals before the next
-scheduled event — in one vectorized batch: every arrival is routed
-exactly once, and per-cycle injection is a slice of a pre-routed
-``(flat, offsets)`` block handed straight to ``inject_routes``.  On the
-:class:`~repro.simulator.batch_engine.BatchEngine` the driver never
-iterates idle cycles: it jumps the clock between arrival cycles,
-segment ends, scheduled fault events, and the engine's own
-departure-slot calendar (:meth:`BatchEngine.next_departure_cycle`), so
-total work stays O(hops traversed + arrival groups), matching the
-closed-loop batch path.
+the driver is the same drain as the closed loop's ``run_workload``, on
+one path for both engines.  Per fault epoch it routes the arrivals
+before the next scheduled event in one vectorized batch, injects them
+once with their arrival cycles (``inject_routes(..., at=times)``), lets
+``sim.run(until=<next event or horizon>)`` carry them in and move the
+traffic, and fires the event on its cycle.  Every arrival is routed and
+validated exactly once, and no Python loop runs per cycle: the batch
+engine joins each cycle's arrivals in the step to that cycle and jumps
+the clock over idle ones.
 
 Exactness contract
 ------------------
@@ -48,9 +47,11 @@ For the same controller parameters and the same seeded source, the
 object and batch engines produce bit-identical packet records —
 identical delivery cycles, drop decisions, and fault logs.  The
 per-cycle reference order is: **fire due events, inject due arrivals,
-step** — and the batch driver's clock-jumping is constructed to be
-observationally identical to that loop (``tests/test_streaming.py``
-pins this with goldens).
+step** — and the epoch drain is observationally identical to that
+loop: an arrival pending for cycle ``c`` joins its first queue behind
+the packets the step to ``c`` moved (``tests/test_streaming.py`` pins
+this with goldens, and ``per_cycle_stream`` in
+``tests/conformance/harness.py`` is the one-cycle-at-a-time witness).
 """
 
 from __future__ import annotations
@@ -70,8 +71,6 @@ __all__ = [
     "SaturationResult",
     "find_saturation",
 ]
-
-_I64 = np.int64
 
 
 def run_stream(
@@ -112,14 +111,18 @@ def run_stream(
     Per-cycle semantics (the cross-engine contract): at each cycle the
     controller first fires scheduled fault events due that cycle, then
     injects that cycle's arrivals (routes lifted through the *current*
-    φ — arrivals are routed one segment between scheduled events at a
-    time, so none is routed on a stale fault state), then the engine
-    steps one cycle.  Faults therefore take down the packets
-    queued in the failed router mid-stream, exactly as in
+    φ), then the engine steps one cycle.  The driver gets there one
+    fault epoch at a time: it fires the events due at the epoch's first
+    cycle, routes every arrival before the next event once, injects them
+    with their arrival cycles, and runs the engine up to that event.
+    Faults therefore take down the packets queued in the failed router
+    mid-stream, exactly as in
     :meth:`~repro.simulator.faults.ReconfigurationController.run_workload`.
+    Pairs the route hook refuses (the detour baseline's dead endpoints)
+    are charged to ``unreachable_pairs`` and counted as unadmitted.
     ``node_repair`` events (churn universes) ride the same clock: a
-    repair bumps the controller's ``routing_epoch`` like a fault does,
-    so the next segment is routed through the healed machine — under
+    repair starts a new fault epoch like a fault does, so its arrivals
+    are routed through the healed machine — under
     ``route_mode="table"`` every repair epoch compiles a fresh survivor
     table, one per distinct fault set.
     """
@@ -127,7 +130,7 @@ def run_stream(
         raise ParameterError("run_stream needs cycles >= 1")
     if not 0 <= warmup < cycles:
         raise ParameterError("run_stream needs 0 <= warmup < cycles")
-    sim = ctrl.sim
+    sim, events = ctrl.sim, ctrl.events
     target_n = ctrl.target.node_count
     if source.n != target_n:
         raise ParameterError(
@@ -136,112 +139,37 @@ def run_stream(
         )
 
     t0 = int(sim.cycle)
+    t_end = t0 + int(cycles)
     rel_times, pairs = source.schedule(int(cycles))
     times = rel_times + t0
-    events = ctrl.events
+    refused: list[np.ndarray] = []   # arrival cycles of refused pairs
 
-    unadmitted: list[np.ndarray] = []   # finalized (epoch-closed) chunks
-    _empty = np.zeros(0, dtype=_I64)
-
-    def route_segment(i0: int):
-        """Route pairs[i0:i1] under the current fault state, where i1 is
-        the first arrival at or after the next scheduled event: routes
-        depend only on the fault state and only events change it, so
-        every arrival is routed once.  Returns the kept packets'
-        injection cycles, their flattened routes, the arrival cycles of
-        refused pairs (detour baseline) and i1.  The refused times stay
-        *provisional* until their cycle passes, so only the driver knows
-        when a refusal is final and charges ``unreachable_pairs``."""
-        ne = events.peek_cycle()
-        i1 = times.size if ne is None else int(
-            np.searchsorted(times, ne, side="left")
-        )
-        seg = times[i0:i1]
-        flat, offsets, kept = ctrl._route(pairs[i0:i1])
-        if kept.size == seg.size:
-            return seg, flat, offsets, _empty, i1
-        keep_mask = np.zeros(seg.size, dtype=bool)
-        keep_mask[kept] = True
-        return seg[kept], flat, offsets, seg[~keep_mask], i1
-
-    def finalize_unadmitted(before: int) -> np.ndarray:
-        """Close out the current epoch's refusals with arrival cycles
-        strictly before ``before`` (re-routing covers the rest)."""
-        done = cur_un[cur_un < before]
-        if done.size:
-            unadmitted.append(done)
-            ctrl.unreachable_pairs += int(done.size)
-        return cur_un[cur_un >= before]
-
-    # fire events already due at the start cycle *before* the first
-    # routing pass — otherwise a cycle-0 fault (the common scheduled
-    # shape) would have the first segment routed on the pre-fault state
-    # only to be discarded and re-routed one line into the loop.
-    # Observationally identical: the reference order at t0 is still
-    # fire -> inject -> step.
-    ctrl.fire_due_events(t0)
-    ktimes, flat, offsets, cur_un, i1 = route_segment(0)
-    p = 0          # pointer into the routed segment (packets injected so far)
-    epoch = ctrl.routing_epoch
-    fast = hasattr(sim, "next_departure_cycle")
-    t_end = t0 + int(cycles)
-
-    t = t0
+    t, i = t0, 0
     while t < t_end:
-        # 1. fire fault events due at t; route the next segment when the
-        # epoch moved or the clock reached the routed segment's end
+        # one fault epoch: fire what is due now, then route, inject and
+        # run every arrival before the next event (or the horizon)
         ctrl.fire_due_events(t)
-        if ctrl.routing_epoch != epoch or (
-            i1 < times.size and times[i1] <= t
-        ):
-            epoch = ctrl.routing_epoch
-            # everything with an arrival cycle < t is already injected
-            # (or finally refused); the rest routes under the current
-            # fault state
-            cur_un = finalize_unadmitted(t)
-            ktimes, flat, offsets, cur_un, i1 = route_segment(
-                int(np.searchsorted(times, t, side="left"))
-            )
-            p = 0
-        # 2. inject arrivals due at t (a pre-routed contiguous slice)
-        if p < ktimes.size and ktimes[p] == t:
-            q = int(np.searchsorted(ktimes, t, side="right"))
-            lo, hi = int(offsets[p]), int(offsets[q])
-            sim.inject_routes(
-                flat[lo:hi], offsets[p: q + 1] - lo,
-                validate=ctrl._validate_routes,
-            )
-            p = q
-        # 3. advance the clock, never past the routed segment's end
-        if fast:
-            visit = t_end
-            if p < ktimes.size:
-                visit = min(visit, int(ktimes[p]))
-            if i1 < times.size:
-                visit = min(visit, int(times[i1]))
-            ne = events.peek_cycle()
-            if ne is not None:
-                visit = min(visit, ne)
-            while True:
-                b = sim.next_departure_cycle()
-                if b is None or b > visit:
-                    break
-                sim.cycle = b - 1
-                sim.step()
-            sim.cycle = visit
-            t = visit
-        else:
-            sim.step()
-            t += 1
+        due = events.peek_cycle()
+        stop = t_end if due is None else min(due, t_end)
+        j = int(np.searchsorted(times, stop, side="left"))
+        at = times[i:j]
+        flat, offsets, kept = ctrl._route(pairs[i:j])
+        if kept.size < at.size:
+            lost = np.ones(at.size, dtype=bool)
+            lost[kept] = False
+            refused.append(at[lost])
+            ctrl.unreachable_pairs += at.size - kept.size
+            at = at[kept]
+        sim.inject_routes(flat, offsets, validate=ctrl._validate_routes, at=at)
+        del flat, offsets, kept, at  # copied by the engine: free them for the run
+        sim.run(stop - sim.cycle, until=stop)
+        sim.cycle = stop  # the calendar may have emptied earlier
+        t, i = stop, j
 
-    # close the last epoch: every remaining refusal's cycle has passed
-    cur_un = finalize_unadmitted(t_end)
     return stream_summary(
         sim.packet_records(), start=t0, cycles=cycles, warmup=warmup,
         window=window,
-        unadmitted_times=(
-            np.concatenate(unadmitted) if unadmitted else None
-        ),
+        unadmitted_times=np.concatenate(refused) if refused else None,
     )
 
 

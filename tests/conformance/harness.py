@@ -19,8 +19,9 @@ implementation detail), it has to prove
 This module holds the checkers the suite's test files share, the two
 reference compilers the shipped rank kernel is checked against (the
 pure-dict :class:`DictGraph` and the frontier-at-a-time
-:func:`compile_routing_table_frontier`), and the per-cycle drain
-:func:`per_cycle_workload` that fault timing is checked against.  It is
+:func:`compile_routing_table_frontier`), and the per-cycle drivers
+:func:`per_cycle_workload` and :func:`per_cycle_stream` that fault timing
+and the stream drain are checked against.  It is
 imported as ``tests.conformance.harness`` (namespace package rooted at
 the repo checkout, the same idiom as ``tests.conftest``).
 """
@@ -31,6 +32,7 @@ import numpy as np
 
 from repro.graphs.properties import bfs_distances
 from repro.graphs.static_graph import StaticGraph
+from repro.simulator.metrics import stream_summary
 
 __all__ = [
     "DictGraph",
@@ -41,6 +43,7 @@ __all__ = [
     "assert_valid_survivor_routes",
     "hop_histogram",
     "per_cycle_workload",
+    "per_cycle_stream",
 ]
 
 
@@ -321,3 +324,36 @@ def per_cycle_workload(ctrl, batches, *, cycles_per_batch: int = 0) -> int:
             ctrl.fire_due_events()
     ctrl.fire_due_events()
     return refused
+
+
+def per_cycle_stream(ctrl, source, cycles: int, *, warmup: int = 0,
+                     window: int = 0):
+    """The open-loop witness: a controller's ``run_stream`` one cycle at
+    a time, with no timed injections and no bounded runs.
+
+    At each cycle of the horizon it fires the due events, routes that
+    cycle's arrivals through the controller's route hook, injects them
+    without ``at=`` and calls ``step()`` once: the reference order
+    (fire, inject, step).  Refused pairs are charged to
+    ``ctrl.unreachable_pairs`` and counted as unadmitted, as
+    ``run_stream`` does; records and logs land on ``ctrl``.  Returns the
+    run's :class:`~repro.simulator.metrics.StreamStats`.
+    """
+    sim = ctrl.sim
+    t0 = int(sim.cycle)
+    rel_times, pairs = source.schedule(int(cycles))
+    bounds = np.searchsorted(rel_times, np.arange(int(cycles) + 1))
+    refused: list[int] = []
+    for c in range(int(cycles)):
+        ctrl.fire_due_events(t0 + c)
+        lo, hi = int(bounds[c]), int(bounds[c + 1])
+        flat, offsets, kept = ctrl._route(pairs[lo:hi])
+        lost = hi - lo - kept.size
+        ctrl.unreachable_pairs += lost
+        refused += [t0 + c] * lost
+        sim.inject_routes(flat, offsets, validate=True)
+        sim.step()
+    return stream_summary(
+        sim.packet_records(), start=t0, cycles=cycles, warmup=warmup,
+        window=window, unadmitted_times=np.array(refused, dtype=np.int64),
+    )

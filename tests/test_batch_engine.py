@@ -377,11 +377,15 @@ class TestRunUntil:
 # TestRunUntilDifferential.  Injections aim a share of their packets at
 # one hot node so that queues back up before faults and repairs hit them;
 # raw injections walk random nodes with validate=False, so their
-# non-edge hops open overflow queues mid-run.
+# non-edge hops open overflow queues mid-run.  Timed injections (at=)
+# mix both kinds with single-node routes and spread their arrivals from
+# the clock (or the last pending arrival) over 1, 6 or 60 cycles; while
+# they are pending, untimed injections and fault operations are refused.
 _ops = st.lists(
     st.one_of(
         st.tuples(st.just("inject"), st.integers(0, 2**16), st.integers(1, 40)),
         st.tuples(st.just("inject_raw"), st.integers(0, 2**16), st.integers(1, 12)),
+        st.tuples(st.just("inject_at"), st.integers(0, 2**16), st.integers(1, 30)),
         st.tuples(st.just("step"), st.just(0), st.just(0)),
         st.tuples(st.just("disable_node"), st.integers(0, 7), st.just(0)),
         st.tuples(st.just("enable_node"), st.integers(0, 7), st.just(0)),
@@ -393,9 +397,10 @@ _ops = st.lists(
 
 
 class TestRunUntilDifferential:
-    """Random inject / step / fault / repair / ``run(until=c)``
-    sequences: both engines keep identical packet records and clocks
-    after every operation."""
+    """Random inject / timed inject / step / fault / repair /
+    ``run(until=c)`` sequences: both engines keep identical packet
+    records and clocks after every operation, and refuse the same
+    operations."""
 
     @staticmethod
     def _records(sim):
@@ -421,6 +426,43 @@ class TestRunUntilDifferential:
             routes.append(route)
         return routes
 
+    def _batch(self, kind, seed, count, dead, dead_links, floor):
+        """One injection op as ``(routes, validate, at)``."""
+        raw = kind == "inject_raw" or (kind == "inject_at" and seed % 2 == 1)
+        if raw:
+            routes = self._raw_routes(seed, count, dead, dead_links)
+        else:
+            pairs = hotspot_traffic(8, count, np.random.default_rng(seed),
+                                    hotspot=seed % 8, heat=0.6)
+            routes = [shift_route(int(s), int(d), 2, 3) for s, d in pairs]
+            routes = [
+                r for r in routes
+                if not dead.intersection(r)
+                and not dead_links.intersection(zip(r, r[1:]))
+            ]
+        if kind != "inject_at":
+            return routes, not raw, None
+        routes = [r[:1] if i % 3 == 0 else r for i, r in enumerate(routes)]
+        span = (1, 6, 60)[seed % 3]
+        rng = np.random.default_rng(seed + 1)
+        at = np.sort(floor + rng.integers(0, span, size=len(routes)))
+        return routes, not raw, at
+
+    @staticmethod
+    def _apply(engines, op) -> list | None:
+        """Apply ``op`` to both engines: both refuse it with
+        :class:`SimulationError` or neither does.  Returns ``None`` when
+        both refused, else the two engines' results."""
+        results, refused = [], set()
+        for sim in engines:
+            try:
+                results.append(op(sim))
+                refused.add(False)
+            except SimulationError:
+                refused.add(True)
+        assert len(refused) == 1
+        return None if refused.pop() else results
+
     @settings(max_examples=100, deadline=None)
     @given(ops=_ops, capacity=st.integers(1, 3))
     def test_engines_agree(self, ops, capacity):
@@ -428,54 +470,174 @@ class TestRunUntilDifferential:
         edges = [tuple(map(int, e)) for e in g.edges()]
         engines = (NetworkSimulator(g, capacity), BatchEngine(g, capacity))
         dead, dead_links = set(), set()
+        last = -1  # latest timed arrival; pending while ahead of the clock
         for kind, a, b in ops:
-            if kind == "inject":
-                pairs = hotspot_traffic(8, b, np.random.default_rng(a),
-                                        hotspot=a % 8, heat=0.6)
-                routes = [shift_route(int(s), int(d), 2, 3) for s, d in pairs]
-                routes = [
-                    r for r in routes
-                    if not dead.intersection(r)
-                    and not dead_links.intersection(zip(r, r[1:]))
-                ]
-                for sim in engines:
-                    sim.inject_routes(*pack_routes(routes))
-            elif kind == "inject_raw":
-                routes = self._raw_routes(a, b, dead, dead_links)
-                for sim in engines:
-                    sim.inject_routes(*pack_routes(routes), validate=False)
+            pending = last > engines[0].cycle
+            if kind.startswith("inject"):
+                routes, validate, at = self._batch(
+                    kind, a, b, dead, dead_links, max(engines[0].cycle, last)
+                )
+                injected = self._apply(engines, lambda sim: sim.inject_routes(
+                    *pack_routes(routes), validate=validate, at=at))
+                assert (injected is None) == (
+                    pending and at is None and bool(routes))
+                if at is not None and len(at):
+                    last = max(last, int(at[-1]))
             elif kind == "step":
                 for sim in engines:
                     sim.step()
             elif kind == "disable_node":
-                assert len({sim.disable_node(a) for sim in engines}) == 1
-                dead.add(a)
+                drops = self._apply(engines, lambda sim: sim.disable_node(a))
+                assert (drops is None) == pending
+                if drops is not None:
+                    assert drops[0] == drops[1]
+                    dead.add(a)
             elif kind == "enable_node":
                 if dead:
                     v = sorted(dead)[a % len(dead)]
-                    for sim in engines:
-                        sim.enable_node(v)
-                    dead.discard(v)
+                    revived = self._apply(engines, lambda sim: sim.enable_node(v))
+                    assert (revived is None) == pending
+                    if revived is not None:
+                        dead.discard(v)
             elif kind == "disable_link":
                 u, v = edges[a % len(edges)]
-                assert len({sim.disable_link(u, v) for sim in engines}) == 1
-                dead_links.update({(u, v), (v, u)})
+                drops = self._apply(engines, lambda sim: sim.disable_link(u, v))
+                assert (drops is None) == pending
+                if drops is not None:
+                    assert drops[0] == drops[1]
+                    dead_links.update({(u, v), (v, u)})
             else:
                 until = engines[0].cycle + a
-                raised = set()
-                for sim in engines:
-                    try:
-                        sim.run(b, until=until)
-                        raised.add(False)
-                    except SimulationError:
-                        raised.add(True)
-                assert len(raised) == 1
-                if raised == {True}:
+                if self._apply(engines, lambda sim: sim.run(b, until=until)) is None:
                     return  # both ran out of budget: clocks may differ
             assert self._records(engines[0]) == self._records(engines[1])
         for sim in engines:
             sim.run()
         assert self._records(engines[0]) == self._records(engines[1])
+
+
+def plain_records(sim):
+    """Clock plus every packet record, as plain lists."""
+    r = sim.packet_records()
+    return (sim.cycle, r.injected_at.tolist(), r.delivered_at.tolist(),
+            r.hops.tolist(), r.dropped.tolist())
+
+
+class TestTimedInjection:
+    """``inject_routes(..., at=...)`` on both engines: a pending arrival
+    joins behind its cycle's continuers, no coalesced window spans one,
+    and a refused call leaves no partial state."""
+
+    @pytest.mark.parametrize("engine", [NetworkSimulator, BatchEngine])
+    @pytest.mark.parametrize("capacity", [1, 2])
+    def test_arrival_joins_behind_the_cycles_continuers(self, engine, capacity):
+        # packet 0 crosses (0, 1) at cycle 1 and joins (1, 2) there; packet
+        # 1 arrives on (1, 2) at cycle 1 and queues behind it, exactly as
+        # if it were injected after the step to cycle 1
+        timed, stepped = engine(path(3), capacity), engine(path(3), capacity)
+        for sim in (timed, stepped):
+            sim.inject_route([0, 1, 2])
+        timed.inject_routes(*pack_routes([[1, 2]]), at=[1])
+        assert timed.in_flight == 1  # the arrival waits outside the queues
+        stepped.step()
+        stepped.inject_route([1, 2])
+        for sim in (timed, stepped):
+            sim.run()
+            records = sim.packet_records()
+            assert records.injected_at.tolist() == [0, 1]
+            assert records.delivered_at.tolist() == (
+                [2, 3] if capacity == 1 else [2, 2]
+            )
+
+    def test_window_never_spans_a_pending_arrival(self, monkeypatch):
+        g = debruijn(2, 5)
+        pairs = hotspot_traffic(32, 600, np.random.default_rng(2),
+                                hotspot=5, heat=0.9)
+        bulk = pack_routes([shift_route(int(s), int(d), 2, 5) for s, d in pairs])
+        # more hotspot traffic, arriving mid-drain and after it
+        late = [shift_route(s, 5, 2, 5) for s in (0, 9, 17, 30, 12)]
+        at = [150, 151, 260, 261, 900]
+        windows = []
+        real = BatchEngine._step_coalesced
+
+        def spy(self, stop, limit=64):
+            arrive = None if self._pending is None else int(self._pending[0, 0])
+            settled = real(self, stop, limit)
+            windows.append((arrive, stop, self.cycle, settled))
+            return settled
+
+        monkeypatch.setattr(BatchEngine, "_step_coalesced", spy)
+        timed, twin = BatchEngine(g), BatchEngine(g)
+        timed.inject_routes(*bulk)
+        timed.inject_routes(*pack_routes(late), at=at)
+        timed.run()
+        twin.inject_routes(*bulk)
+        for route, c in zip(late, at):
+            twin.run(until=c)
+            twin.cycle = c  # the twin drains before the last arrival
+            twin.inject_route(route)
+        twin.run()
+        assert plain_records(timed) == plain_records(twin)
+        spanned = [w for w in windows if w[0] is not None]
+        assert all(stop < arrive and clock < arrive
+                   for arrive, stop, clock, _ in spanned)
+        assert any(settled for *_, settled in spanned)
+
+    @pytest.mark.parametrize("engine", [NetworkSimulator, BatchEngine])
+    # the pending arrivals: two multi-hop routes, or one single-node
+    # route, which is delivered at once but still arrives at cycle 6
+    @pytest.mark.parametrize("timed", [
+        ([[2, 4], [4, 1]], [4, 6]),
+        ([[3]], [6]),
+    ], ids=["multi_hop", "single_node"])
+    @pytest.mark.parametrize("bad, match", [
+        ("unsorted", "must be sorted"),
+        ("before_clock", "before the clock"),
+        ("before_pending", "precedes the pending arrival"),
+        ("length", "1 arrival cycles for 2 routes"),
+        ("untimed", "precedes the pending arrival"),
+        ("disable_node", "while arrivals are pending"),
+        ("disable_link", "while arrivals are pending"),
+        ("enable_node", "while arrivals are pending"),
+    ])
+    def test_refusal_leaves_no_partial_state(self, engine, timed, bad, match):
+        def machine():
+            sim = engine(debruijn(2, 3))
+            sim.disable_node(7)  # a dead node for enable_node to revive
+            sim.inject_routes(*pack_routes([[0, 1, 2], [1, 2, 4]]))
+            sim.step()
+            sim.step()
+            routes, at = timed
+            sim.inject_routes(*pack_routes(routes), at=at)
+            return sim
+
+        sim, twin = machine(), machine()
+        routes = pack_routes([[0, 1], [1, 3]])
+        refused = {
+            "unsorted": lambda: sim.inject_routes(*routes, at=[8, 7]),
+            "before_clock": lambda: sim.inject_routes(*routes, at=[1, 9]),
+            "before_pending": lambda: sim.inject_routes(*routes, at=[5, 9]),
+            "length": lambda: sim.inject_routes(*routes, at=[9]),
+            "untimed": lambda: sim.inject_routes(*routes),
+            "disable_node": lambda: sim.disable_node(3),
+            "disable_link": lambda: sim.disable_link(0, 1),
+            "enable_node": lambda: sim.enable_node(7),
+        }[bad]
+        with pytest.raises(SimulationError, match=match):
+            refused()
+        for s in (sim, twin):
+            s.run()
+        assert plain_records(sim) == plain_records(twin)
+
+    def test_key_limit_counts_the_latest_arrival(self):
+        be = BatchEngine(path(3))
+        be.cycle = 2**31 - 10
+        with pytest.raises(SimulationError, match=r"2\*\*31 - 1"):
+            be.inject_routes(*pack_routes([[0, 1, 2]]), at=[2**31 - 3])
+        assert be.injected == 0 and be.in_flight == 0
+        be.inject_routes(*pack_routes([[0, 1, 2]]), at=[2**31 - 4])
+        be.run()
+        assert be.delivered_at.tolist() == [2**31 - 2]
 
 
 class TestCalendarKeyLimits:

@@ -173,6 +173,34 @@ class TestSaturate:
                      "--workers", "0"]) == 0
         assert "unadmitted" in capsys.readouterr().out
 
+    LADDER = {"experiment": {"m": 2, "h": 4, "k": 1, "loop": "stream",
+                             "cycles": 200, "warmup": 40}}
+
+    def test_check_single_reruns_the_ladder(self, capsys, tmp_path):
+        spec = _write_json(tmp_path, self.LADDER)
+        assert main(["run", spec, "--rates", "1,16", "--bisect", "1",
+                     "--workers", "2", "--check-single"]) == 0
+        assert ("single-process reference: identical stats: True"
+                in capsys.readouterr().out)
+
+    def test_check_single_mismatch_exits_nonzero(self, capsys, tmp_path,
+                                                 monkeypatch):
+        import repro.simulator.streaming as streaming
+
+        real = streaming.find_saturation
+
+        def skewed(base, rates, **kwargs):
+            # the inline reference runs another ladder: its stats differ
+            if kwargs.get("workers") == 0:
+                rates = [r + 0.5 for r in rates]
+            return real(base, rates, **kwargs)
+
+        monkeypatch.setattr(streaming, "find_saturation", skewed)
+        spec = _write_json(tmp_path, self.LADDER)
+        assert main(["run", spec, "--rates", "1,16", "--bisect", "1",
+                     "--workers", "0", "--check-single"]) == 1
+        assert "identical stats: False" in capsys.readouterr().out
+
     def test_bad_mhk(self, capsys, tmp_path):
         spec = _write_json(tmp_path, {"m": "two", "h": 4})
         assert main(["run", spec, "--rates", "1,4"]) == 1

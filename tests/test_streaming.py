@@ -16,9 +16,11 @@ from repro.simulator import (
     ReconfigurationController,
     TraceSource,
     find_saturation,
+    realize_fault_model,
     run_grid,
     run_stream,
 )
+from tests.conformance.harness import per_cycle_stream
 
 
 def _records(ctrl) -> PacketArrays:
@@ -104,6 +106,71 @@ class TestGoldenEquivalence:
         ctrl, stats = _stream("batch", ((60, 9),), rate=4.0)
         assert ctrl.fault_log == [(60, 9)]
         assert stats.totals.dropped == ctrl.lost_to_faults > 0
+
+
+def _churn():
+    """A realized churn universe: four fail/heal cycles over 240 cycles."""
+    return realize_fault_model(
+        {"name": "churn", "p": 0.9, "mean_downtime": 20, "rounds": 2,
+         "window": [0, 240]},
+        n=32, cycles=300, rng=np.random.default_rng([17, 0]),
+    )
+
+
+#: run_stream vs the per-cycle witness: (scenario, rate, options)
+_WITNESS_CASES = {
+    # faults at t0, on consecutive cycles, and past the horizon
+    "fault-timing": (lambda: FaultScenario([(0, 3), (70, 9), (71, 17),
+                                            (400, 5)]), 3.0, {}),
+    "churn-table": (_churn, 2.0, {"route_mode": "table"}),
+    "capacity-2": (lambda: FaultScenario([(40, 3), (120, 17)]), 6.0,
+                   {"capacity": 2}),
+    "warmup-window": (lambda: FaultScenario([(60, 9)], [(150, 9)]), 3.0,
+                      {"warmup": 50, "window": 40}),
+}
+
+
+class TestPerCycleWitness:
+    """The epoch drain (timed injection, ``run(until=<next event>)``)
+    matches ``per_cycle_stream``, which fires, routes, injects and steps
+    one cycle at a time: both controllers, both engines."""
+
+    @pytest.mark.parametrize("case", sorted(_WITNESS_CASES))
+    @pytest.mark.parametrize("engine", ["object", "batch"])
+    @pytest.mark.parametrize("controller", ["reconfig", "detour"])
+    def test_drain_matches_witness(self, controller, engine, case):
+        scenario, rate, opts = _WITNESS_CASES[case]
+        capacity = opts.get("capacity", 1)
+        runs = []
+        for drive in (run_stream, per_cycle_stream):
+            if controller == "detour":
+                ctrl = DetourController(
+                    2, 5, engine=engine, link_capacity=capacity,
+                    route_mode=opts.get("route_mode", "bfs"),
+                )
+            else:
+                ctrl = ReconfigurationController(
+                    2, 5, 3, engine=engine, link_capacity=capacity
+                )
+            ctrl.schedule(scenario())
+            stats = drive(ctrl, PoissonSource(32, rate, seed=3), cycles=300,
+                          warmup=opts.get("warmup", 0),
+                          window=opts.get("window", 0))
+            runs.append((ctrl, stats))
+        (a, sa), (b, sb) = runs
+        got, want = a.sim.packet_records(), b.sim.packet_records()
+        for name in ("injected_at", "delivered_at", "hops", "dropped"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+        assert a.sim.cycle == b.sim.cycle == 300
+        assert a.fault_log == b.fault_log != []
+        assert a.repair_log == b.repair_log
+        assert a.lost_to_faults == b.lost_to_faults
+        assert a.unreachable_pairs == b.unreachable_pairs
+        assert sa == sb
+        if case == "fault-timing":
+            assert a.fault_log == [(0, 3), (70, 9), (71, 17)]
+        if controller == "detour":
+            assert a.unreachable_pairs > 0
 
 
 class TestDetourTableCache:
@@ -196,8 +263,6 @@ class TestDetourTableCache:
         """A realized churn universe drives one compile per distinct
         consecutive fault set — never a redundant recompile, and the
         fired repair timeline matches the drawn schedule exactly."""
-        from repro.simulator import realize_fault_model
-
         calls = self._spy_compiles(monkeypatch)
         scenario = realize_fault_model(
             {"name": "churn", "p": 0.9, "mean_downtime": 20, "rounds": 2,
@@ -218,12 +283,10 @@ class TestDetourTableCache:
 
     @pytest.mark.parametrize("engine", ["object", "batch"])
     def test_churn_stream_routes_each_arrival_once(self, engine, monkeypatch):
-        """run_stream routes one segment between scheduled events at a
+        """run_stream routes one fault epoch between scheduled events at a
         time, so the pairs handed to the controller's route hook sum to
         the source's arrivals: no fault or repair epoch re-routes
         arrivals already routed."""
-        from repro.simulator import realize_fault_model
-
         routed: list[int] = []
         real = DetourController._route
 
@@ -242,7 +305,7 @@ class TestDetourTableCache:
         source = PoissonSource(32, 2.0, seed=3)
         run_stream(ctrl, source, cycles=300)
         arrivals = source.schedule(300)[0].size
-        assert len(routed) > 3  # one call per segment between events
+        assert len(routed) > 3  # one call per epoch between events
         assert sum(routed) == arrivals
 
     def test_object_batch_identical_under_repair(self):
