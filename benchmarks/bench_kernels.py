@@ -60,7 +60,8 @@ def test_kernel_simulator_throughput(benchmark, rng):
     def run():
         sim = NetworkSimulator(g)
         sim.inject(pairs, lambda s, d: shift_route(s, d, 2, 8))
-        return sim.run()
+        sim.run()
+        return sim.stats()
 
     stats = benchmark(run)
     assert stats.delivered == 1000

@@ -48,8 +48,8 @@ def main() -> int:
     for s, d in pairs:
         logical = shift_route(s, d, 2, h)
         sim.inject_route([int(phi0[v]) for v in logical])
-    stats = sim.run()
-    print(f"\nfault-free traffic: {stats}")
+    sim.run()
+    print(f"\nfault-free traffic: {sim.stats()}")
 
     # -- a node fault ---------------------------------------------------------
     fault = 4

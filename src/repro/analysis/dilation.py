@@ -15,9 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.debruijn import debruijn
-from repro.errors import RoutingError
-from repro.graphs.properties import bfs_distances
-from repro.routing.fault_routing import ReconfiguredRouter, detour_route
+from repro.graphs.properties import distance_matrix
+from repro.routing.fault_routing import ReconfiguredRouter, survivor_route_table
 
 __all__ = ["DilationProfile", "dilation_profile"]
 
@@ -83,27 +82,19 @@ def dilation_profile(h: int, k: int, faults: list[int]) -> tuple[DilationProfile
             rec_hist[dil] = rec_hist.get(dil, 0) + 1
     rec = DilationProfile("reconfigured B^k", rec_pairs, 0, rec_hist)
 
-    # (b) bare machine with detours (hop-optimal BFS both sides for a
-    # fair comparison: dilation vs fault-free BFS distance)
+    # (b) bare machine with detours (hop-optimal both sides for a fair
+    # comparison: dilation vs fault-free BFS distance), every pair's hop
+    # count read off one survivor table
     bare_faults = sorted({f for f in faults if f < n})
-    det_hist: dict[int, int] = {}
-    det_pairs = 0
-    unreachable = 0
-    base_dist = np.vstack([bfs_distances(target, s) for s in range(n)])
-    for s in range(n):
-        for d in range(n):
-            if s == d:
-                continue
-            det_pairs += 1
-            if s in bare_faults or d in bare_faults:
-                unreachable += 1
-                continue
-            try:
-                p = detour_route(target, bare_faults, s, d)
-            except RoutingError:
-                unreachable += 1
-                continue
-            dil = (len(p) - 1) - int(base_dist[s, d])
-            det_hist[dil] = det_hist.get(dil, 0) + 1
-    det = DilationProfile("bare dB + detours", det_pairs, unreachable, det_hist)
+    src, dst = np.divmod(np.arange(n * n), n)
+    off_diagonal = src != dst
+    src, dst = src[off_diagonal], dst[off_diagonal]
+    table = survivor_route_table(target, bare_faults)
+    _, offsets, kept = table.routes_batch_masked(src, dst)
+    dil = np.diff(offsets) - 1 - distance_matrix(target)[src[kept], dst[kept]]
+    values, counts = np.unique(dil, return_counts=True)
+    det_hist = dict(zip(values.tolist(), counts.tolist()))
+    det = DilationProfile(
+        "bare dB + detours", src.size, src.size - kept.size, det_hist
+    )
     return rec, det

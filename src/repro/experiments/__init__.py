@@ -16,11 +16,13 @@ simulation experiments:
   :mod:`repro.simulator.shard_driver`); accepts a grid or a sequence
   of specs.
 * The backend registries — :data:`ENGINES`, :data:`CONTROLLERS`,
-  :data:`SOURCES`, :data:`PATTERNS`, :data:`ROUTE_MODES`,
-  :data:`FAULT_MODELS` — where every name a spec can carry is
-  registered by decorator and validated at spec construction.  A new backend (an engine, an arrival process, a
-  routing mode) is one decorated factory; every spec, grid, CLI
-  ``choices=`` list and error message picks it up automatically.
+  :data:`SOURCES`, :data:`PATTERNS`, :data:`FAULT_MODELS` — where the
+  backend names a spec can carry are registered by decorator and
+  validated at spec construction.  A new backend (an engine, an arrival
+  process, a fault universe) is one decorated factory; every spec,
+  grid, CLI ``choices=`` list and error message picks it up
+  automatically.  :data:`ROUTE_MODES` lists the names the
+  ``route_mode`` field accepts, which select nothing.
 
 CLI: ``python -m repro run spec.json`` executes any spec or grid JSON;
 ``python -m repro serve`` accepts the same JSON over HTTP.
@@ -31,7 +33,6 @@ from repro.simulator.engines import ENGINES, make_engine
 from repro.simulator.faults import (
     CONTROLLERS,
     FAULT_MODELS,
-    ROUTE_MODES,
     realize_fault_model,
     validate_fault_model,
 )
@@ -39,6 +40,7 @@ from repro.simulator.sources import SOURCES, make_source
 from repro.simulator.traffic import PATTERNS, make_pattern
 from repro.experiments.spec import (
     LOOPS,
+    ROUTE_MODES,
     ExperimentGrid,
     ExperimentResult,
     ExperimentSpec,

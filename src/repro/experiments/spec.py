@@ -6,13 +6,12 @@ record that drives every kind of run.
 seeded arrival process at a target rate over a fixed horizon) — as one
 frozen dataclass, selected by ``loop="closed" | "stream"``, with
 
-* **registry-validated fields** — ``pattern``, ``source``, ``engine``,
-  ``controller`` and ``route_mode`` are checked against the live
-  registries (:data:`~repro.simulator.traffic.PATTERNS`,
+* **registry-validated fields** — ``pattern``, ``source``, ``engine``
+  and ``controller`` are checked against the live registries
+  (:data:`~repro.simulator.traffic.PATTERNS`,
   :data:`~repro.simulator.sources.SOURCES`,
   :data:`~repro.simulator.engines.ENGINES`,
-  :data:`~repro.simulator.faults.CONTROLLERS`,
-  :data:`~repro.simulator.faults.ROUTE_MODES`) at *construction* time,
+  :data:`~repro.simulator.faults.CONTROLLERS`) at *construction* time,
   so a typo raises a :class:`~repro.errors.ParameterError` (a
   ``ValueError`` naming the valid choices) in the process that typed
   it, never as a ``KeyError`` inside a worker;
@@ -65,7 +64,6 @@ from repro.errors import ParameterError
 from repro.simulator.engines import ENGINES
 from repro.simulator.faults import (
     CONTROLLERS,
-    ROUTE_MODES,
     FaultScenario,
     realize_fault_model,
     validate_fault_model,
@@ -76,6 +74,7 @@ from repro.simulator.traffic import PATTERNS, make_pattern
 
 __all__ = [
     "LOOPS",
+    "ROUTE_MODES",
     "ExperimentSpec",
     "ExperimentGrid",
     "ExperimentResult",
@@ -86,6 +85,13 @@ __all__ = [
 #: batches and drains them; ``"stream"`` offers open-loop arrivals per
 #: cycle from a seeded source.
 LOOPS = ("closed", "stream")
+
+#: The names the ``route_mode`` field accepts.  It selects nothing: the
+#: detour baseline has one router (one compiled survivor table per fault
+#: epoch), and the field stays so that existing spec files, digests,
+#: labels and bundle manifests keep their bytes.
+ROUTE_MODES = ("bfs", "table")
+
 
 def _spare_demand(faults, repairs) -> int:
     """Walk a fixed schedule in firing order (repairs before faults
@@ -146,9 +152,8 @@ class ExperimentSpec:
         ``"batch"``.  Parallelism comes from the grid, ``replicas`` and
         ``shards``, never from inside a cell.
     ``route_mode``
-        Detour routing backend, one of
-        :data:`~repro.simulator.faults.ROUTE_MODES`; ignored by
-        ``reconfig``.
+        One of :data:`ROUTE_MODES`, accepted input that selects nothing:
+        both controllers have one router each.
     ``faults``
         ``(cycle, node)`` pairs.  Both controllers fire them on exactly
         their cycle, in closed-loop and stream runs alike.  Deprecated
@@ -238,7 +243,11 @@ class ExperimentSpec:
             )
         PATTERNS.validate(self.pattern)
         CONTROLLERS.validate(self.controller)
-        ROUTE_MODES.validate(self.route_mode)
+        if self.route_mode not in ROUTE_MODES:
+            raise ParameterError(
+                f"unknown route_mode {self.route_mode!r}; valid choices: "
+                f"{', '.join(ROUTE_MODES)}"
+            )
         SOURCES.validate(self.source)
         ENGINES.validate(self.engine)
         if self.fault_model is not None:
@@ -343,7 +352,7 @@ class ExperimentSpec:
             parts.append(f"x{self.replicas}")
         if self.controller != "reconfig":
             parts.append(self.controller)
-            if self.route_mode != "bfs":
+            if self.route_mode != "bfs":  # selects nothing; labels keep it
                 parts.append(self.route_mode)
         return " ".join(parts)
 
@@ -494,7 +503,6 @@ class ExperimentSpec:
             self.m, self.h, self.k,
             engine=engine or self.engine,
             link_capacity=self.link_capacity,
-            route_mode=self.route_mode,
         )
         scenario = self.realize_faults()
         if scenario.node_faults or scenario.node_repairs:

@@ -2,11 +2,11 @@
 
 The simulation stack selects its backends by short strings — traffic
 ``pattern``, streaming ``source``, simulation ``engine``, fault
-``controller``, detour ``route_mode``.  Before this module, each string
-was dispatched by a hand-written ``if``-chain in a different file, and an
-unknown name surfaced wherever the chain happened to live — sometimes as
-a bare ``KeyError`` deep inside a worker process, long after the spec
-that carried the typo was accepted.
+``controller``, fault universe ``fault_model``.  Before this module, each
+string was dispatched by a hand-written ``if``-chain in a different
+file, and an unknown name surfaced wherever the chain happened to live —
+sometimes as a bare ``KeyError`` deep inside a worker process, long
+after the spec that carried the typo was accepted.
 
 A :class:`Registry` replaces each chain with one lookup table:
 
@@ -29,7 +29,7 @@ registry             registers                                  defined in
 ``SOURCES``          streaming-source factories                 ``repro.simulator.sources``
 ``ENGINES``          simulation-engine factories                ``repro.simulator.engines``
 ``CONTROLLERS``      fault-controller builders                  ``repro.simulator.faults``
-``ROUTE_MODES``      detour routing backends                    ``repro.simulator.faults``
+``FAULT_MODELS``     fault-universe generators                  ``repro.simulator.faults``
 ===================  =========================================  ==================
 
 :mod:`repro.experiments` re-exports all five and validates every

@@ -71,7 +71,7 @@ def registry_versions() -> dict:
         "fault_models": list(FAULT_MODELS.names()),
         "patterns": list(PATTERNS.names()),
         "reports": list(REPORTS.names()),
-        "route_modes": list(ROUTE_MODES.names()),
+        "route_modes": list(ROUTE_MODES),
         "sources": list(SOURCES.names()),
     }
 

@@ -20,7 +20,8 @@ directly (single paths as node lists, batches as flattened
   reconfigured lift (:class:`ReconfiguredRouter`,
   :func:`lifted_routes_batch`: route on the intact logical graph, lift
   through φ, zero dilation) vs the spare-less baseline
-  (:func:`detour_route`: BFS around faults in the survivor graph).
+  (:func:`survivor_route_table`: one compiled table per fault epoch that
+  routes around faults in the survivor graph).
 """
 
 from repro.routing.shift_register import (
@@ -45,9 +46,7 @@ from repro.routing.tables import (
 )
 from repro.routing.fault_routing import (
     ReconfiguredRouter,
-    detour_route,
     lifted_routes_batch,
-    survivor_graph,
     survivor_route_table,
 )
 
@@ -67,8 +66,6 @@ __all__ = [
     "compile_routing_table",
     "validate_routing_table",
     "ReconfiguredRouter",
-    "detour_route",
     "lifted_routes_batch",
-    "survivor_graph",
     "survivor_route_table",
 ]

@@ -9,10 +9,11 @@ degrade the performance"):
   routes) and the path is lifted through the reconfiguration map φ; every
   lifted hop is a physical edge of ``B^k_{m,h}`` by Theorem 1/2, so path
   lengths are *identical* to the fault-free machine.
-* :func:`detour_route` — the spare-less baseline: route around faults
-  inside the surviving subgraph of the bare target graph.  Paths stretch,
-  and with enough faults the survivor graph disconnects (Esfahanian–Hakimi
-  territory); the MOTIV bench quantifies the gap.
+* :func:`survivor_route_table` — the spare-less baseline: route around
+  faults inside the surviving subgraph of the bare target graph.  Paths
+  stretch, and with enough faults the survivor graph disconnects
+  (Esfahanian–Hakimi territory); the paper-figures ``motiv`` and ``dil``
+  tables quantify the gap.
 """
 
 from __future__ import annotations
@@ -24,18 +25,11 @@ from repro.core.fault_tolerant import ft_debruijn
 from repro.core.reconfiguration import Reconfigurator
 from repro.errors import RoutingError
 from repro.graphs.static_graph import StaticGraph
-from repro.routing.shift_register import (
-    route_hop_pairs,
-    shift_route,
-    shift_route_batch,
-)
-from repro.routing.shortest_path import bfs_parents, extract_path
+from repro.routing.shift_register import shift_route, shift_route_batch
 
 __all__ = [
     "ReconfiguredRouter",
-    "detour_route",
     "lifted_routes_batch",
-    "survivor_graph",
     "survivor_route_table",
 ]
 
@@ -97,40 +91,10 @@ class ReconfiguredRouter:
                 )
         return route
 
-    def physical_routes_batch(
-        self, srcs: np.ndarray, dsts: np.ndarray, *, validate: bool = False
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Lifted routes for a whole batch of logical pairs at once.
-
-        Returns ``(flat, offsets)`` arrays in the
-        :func:`repro.routing.shift_register.shift_route_batch` layout, with
-        every node already pushed through φ — ready for
-        :meth:`repro.simulator.batch_engine.BatchEngine.inject_routes`.
-        ``validate=True`` re-checks the Theorem 1/2 invariant (every lifted
-        hop is a physical edge) with one vectorized ``has_edges`` call.
-        """
-        flat, offsets = lifted_routes_batch(
-            self.m, self.h, self.reconfigurator.phi(), srcs, dsts
-        )
-        if validate and flat.size > 1:
-            a, b = route_hop_pairs(flat, offsets)
-            ok = self.ft.has_edges(a, b)
-            if not ok.all():
-                i = int(np.flatnonzero(~ok)[0])
-                raise RoutingError(
-                    f"lifted hop ({a[i]}, {b[i]}) missing — invariant violated"
-                )
-        return flat, offsets
-
     def route_length(self, src: int, dst: int) -> int:
         """Hops of the reconfigured route — equal to the fault-free length
         (reconfiguration costs zero dilation; contrast with detours)."""
         return len(self.physical_route(src, dst)) - 1
-
-
-def survivor_graph(g: StaticGraph, faults) -> tuple[StaticGraph, np.ndarray]:
-    """The induced subgraph on non-faulty nodes plus the kept-id array."""
-    return g.without_nodes(np.asarray(list(faults), dtype=np.int64))
 
 
 def survivor_route_table(g: StaticGraph, faults) -> "RouteTable":
@@ -143,40 +107,18 @@ def survivor_route_table(g: StaticGraph, faults) -> "RouteTable":
     disconnected endpoint simply yields the rank sentinel — including a
     faulty node's *diagonal*, so :meth:`RouteTable.reachable` refuses
     even the trivial self-route to a dead endpoint.  Routes are
-    hop-optimal in the survivor graph — the same lengths
-    :func:`detour_route`'s per-pair BFS produces, though tie-breaking
-    between equal-length paths may differ (the conformance suite pins
-    hop-count + validity equivalence, not path equality).
+    hop-optimal in the survivor graph, and each is the path a per-pair
+    BFS there returns (see :meth:`RouteTable.compile` for why the two
+    are the same; the conformance suite checks it route for route).
 
     This is the compile-once artifact
     :class:`repro.simulator.faults.DetourController` caches per fault
-    epoch when ``route_mode="table"`` — the cache keys on the frozen
-    fault set, so both fault *and* repair events (churn universes)
-    invalidate it and the next routed batch recompiles against the
-    current survivors.  It is :meth:`RouteTable.compile` with
-    ``faulty=faults``: no survivor graph or masked CSR is ever built.
+    epoch — the cache keys on the frozen fault set, so both fault *and*
+    repair events (churn universes) invalidate it and the next routed
+    batch recompiles against the current survivors.  It is
+    :meth:`RouteTable.compile` with ``faulty=faults``: no survivor graph
+    or masked CSR is ever built.
     """
     from repro.routing.tables import RouteTable
 
     return RouteTable.compile(g, faulty=faults)
-
-
-def detour_route(g: StaticGraph, faults, src: int, dst: int) -> list[int]:
-    """Hop-optimal route between two healthy nodes avoiding ``faults``
-    inside the bare graph ``g`` (original node ids).
-
-    Raises :class:`RoutingError` when an endpoint is faulty or the
-    survivors disconnect the pair — the failure mode spare-less machines
-    are exposed to.
-    """
-    fset = {int(v) for v in faults}
-    if src in fset or dst in fset:
-        raise RoutingError("endpoint is faulty")
-    sub, kept = survivor_graph(g, sorted(fset))
-    pos = {int(old): i for i, old in enumerate(kept)}
-    s, d = pos[int(src)], pos[int(dst)]
-    if s == d:
-        return [int(src)]
-    parent = bfs_parents(sub, s)
-    sub_path = extract_path(parent, s, d)
-    return [int(kept[v]) for v in sub_path]

@@ -17,31 +17,11 @@ from repro.errors import ParameterError
 __all__ = [
     "overlap_length",
     "overlap_length_batch",
-    "route_hop_pairs",
     "shift_route",
     "shift_route_batch",
     "route_length",
     "route_length_matrix",
 ]
-
-
-def route_hop_pairs(flat: np.ndarray, offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Consecutive intra-route hop pairs ``(a, b)`` of a flattened route
-    batch in the ``(flat, offsets)`` layout — the pairs that must be graph
-    edges.  Route boundaries contribute no pair.
-
-    >>> import numpy as np
-    >>> a, b = route_hop_pairs(np.array([0, 1, 2, 7, 3]), np.array([0, 3, 5]))
-    >>> list(zip(a.tolist(), b.tolist()))
-    [(0, 1), (1, 2), (7, 3)]
-    """
-    if flat.size <= 1:
-        empty = np.zeros(0, dtype=np.int64)
-        return empty, empty
-    is_last = np.zeros(flat.size, dtype=bool)
-    is_last[offsets[1:] - 1] = True
-    keep = ~is_last[:-1]
-    return flat[:-1][keep], flat[1:][keep]
 
 
 def overlap_length(x: int, y: int, m: int, h: int) -> int:

@@ -122,12 +122,14 @@ class RouteTable:
         Parent tie-breaking: the smallest hop-optimal neighbor id (lowest
         CSR rank) — the same rule as the frontier compiler and the dict
         reference in the conformance harness, so all three are
-        bit-identical; equal-length *paths* may still differ from the
-        scalar discovery-order BFS in
-        :func:`~repro.routing.shortest_path.bfs_parents`, which is why
-        the conformance suite (``tests/conformance/``) pins hop-count +
-        validity equivalence against that oracle and exact equality
-        among compilers.
+        bit-identical.  Walking the table from ``s`` to ``d`` takes the
+        lowest-rank hop one step closer at every node, so it builds the
+        shortest path whose rank sequence is lexicographically smallest.
+        A BFS from ``s`` that scans each row in CSR order
+        (:func:`~repro.routing.shortest_path.bfs_parents`) returns that
+        same path: it queues every level in that order, and a node's BFS
+        parent is its first predecessor in the queue.  The conformance
+        suite (``tests/conformance/``) checks the two route for route.
         """
         n = g.node_count
         alive = None

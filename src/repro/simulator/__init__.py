@@ -59,7 +59,6 @@ from repro.simulator.engines import ENGINES, make_engine
 from repro.simulator.faults import (
     CONTROLLERS,
     FAULT_MODELS,
-    ROUTE_MODES,
     DetourController,
     FaultScenario,
     ReconfigurationController,
@@ -129,7 +128,6 @@ __all__ = [
     "ENGINES",
     "CONTROLLERS",
     "FAULT_MODELS",
-    "ROUTE_MODES",
     "make_engine",
     "realize_fault_model",
     "validate_fault_model",

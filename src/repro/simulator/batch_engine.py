@@ -727,11 +727,12 @@ class BatchEngine:
         return last > first
 
     def run(self, max_cycles: int = 1_000_000, *,
-            until: int | None = None) -> RunStats:
+            until: int | None = None) -> None:
         """Step until all traffic drains (delivered or dropped), skipping
         straight over cycles where nothing is scheduled to move.
         Pending arrivals are traffic too: the run steps to each arrival
-        cycle, where they join.
+        cycle, where they join.  Returns nothing: a drain driver calls
+        ``run`` once per event, so the summary is left to :meth:`stats`.
 
         With ``until``, process exactly the departures and arrivals at
         cycles ``<= until``: the clock ends at ``until`` while traffic
@@ -756,7 +757,7 @@ class BatchEngine:
         """
         start = self.cycle
         if until is not None and until <= start:
-            return self.stats()
+            return
         limit = start + max_cycles
         stop = limit if until is None else min(until, limit)
         window_after = 32
@@ -800,7 +801,6 @@ class BatchEngine:
                     f"simulation did not drain within {max_cycles} cycles"
                 )
             self.cycle = until
-        return self.stats()
 
     # -- records ------------------------------------------------------------
 

@@ -187,8 +187,9 @@ class BusNetworkSimulator:
                 self._enqueue(pkt, hop)
         return delivered
 
-    def run(self, max_cycles: int = 1_000_000) -> RunStats:
-        """Step until all traffic drains."""
+    def run(self, max_cycles: int = 1_000_000) -> None:
+        """Step until all traffic drains; :meth:`stats` summarizes the
+        run."""
         start = self.cycle
         while self.in_flight:
             if self.cycle - start >= max_cycles:
@@ -196,7 +197,6 @@ class BusNetworkSimulator:
                     f"bus simulation did not drain within {max_cycles} cycles"
                 )
             self.step()
-        return self.stats()
 
     def stats(self) -> RunStats:
         return summarize(self.packets, self.cycle)

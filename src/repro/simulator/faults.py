@@ -69,15 +69,10 @@ import numpy as np
 from repro.core.debruijn import debruijn
 from repro.core.fault_tolerant import ft_debruijn
 from repro.core.reconfiguration import Reconfigurator
-from repro.errors import ParameterError, RoutingError, SimulationError
+from repro.errors import ParameterError, SimulationError
 from repro.registry import Registry
-from repro.routing.fault_routing import (
-    detour_route,
-    lifted_routes_batch,
-    survivor_route_table,
-)
+from repro.routing.fault_routing import lifted_routes_batch, survivor_route_table
 from repro.routing.shift_register import shift_route
-from repro.simulator.batch_engine import pack_routes
 from repro.simulator.engines import make_engine
 from repro.simulator.events import EventQueue
 from repro.simulator.metrics import RunStats
@@ -85,7 +80,6 @@ from repro.simulator.metrics import RunStats
 __all__ = [
     "CONTROLLERS",
     "FAULT_MODELS",
-    "ROUTE_MODES",
     "FaultScenario",
     "ReconfigurationController",
     "DetourController",
@@ -94,15 +88,11 @@ __all__ = [
 ]
 
 #: Registry of fault-controller builders with the uniform signature
-#: ``(m, h, k, *, engine, link_capacity, route_mode) -> controller``
+#: ``(m, h, k, *, engine, link_capacity) -> controller``
 #: — the experiment spec layer builds controllers through it, and a new
 #: strategy (a different spare layout, an adaptive router) registers here
 #: instead of growing another string switch.
 CONTROLLERS = Registry("controller")
-
-#: Registry of the detour baseline's routing backends:
-#: ``name -> (controller, pairs) -> (flat, offsets, kept)``.
-ROUTE_MODES = Registry("route_mode")
 
 #: Registry of fault-universe generators: ``name -> realize(params, *,
 #: n, cycles, rng, graph) -> FaultScenario``.  Each entry also carries a
@@ -613,20 +603,15 @@ class DetourController(_FaultController):
     hosted on dead processors simply cannot send or receive (counted in
     ``unreachable_pairs``) — the §I degradation mode.
 
-    Two routing backends produce those detours, selected by
-    ``route_mode``:
-
-    * ``"bfs"`` (default) — one Python BFS per (src, dst) pair in the
-      survivor graph (:func:`repro.routing.fault_routing.detour_route`),
-      the reference implementation.
-    * ``"table"`` — one compiled
-      :class:`~repro.routing.tables.RouteTable` per *fault epoch*
-      (:func:`repro.routing.fault_routing.survivor_route_table`), cached
-      on the frozen fault set and invalidated by every fault event;
-      whole batches extract vectorized.  Routes are hop-optimal like the
-      BFS ones, but equal-length tie-breaking may differ — the
-      conformance suite (``tests/conformance/``) proves hop-count +
-      validity equivalence and pins table-mode outputs with goldens.
+    The detours come from one compiled
+    :class:`~repro.routing.tables.RouteTable` per *fault epoch*
+    (:func:`repro.routing.fault_routing.survivor_route_table`), cached
+    on the frozen fault set and invalidated by every fault and repair
+    event; whole batches extract vectorized.  Each route is the shortest
+    survivor path whose CSR slot ranks are lexicographically smallest,
+    which is the path a per-pair BFS in the survivor graph returns: the
+    conformance suite (``tests/conformance/``) checks the two route for
+    route and pins the outputs with goldens.
 
     Faults arrive two ways: :meth:`fail_node` kills a node immediately,
     and :meth:`schedule` queues a :class:`FaultScenario` on the event
@@ -638,15 +623,14 @@ class DetourController(_FaultController):
     """
 
     def __init__(self, m: int, h: int, *, engine: str = "object",
-                 link_capacity: int = 1, route_mode: str = "bfs"):
+                 link_capacity: int = 1):
         self.m, self.h = int(m), int(h)
         self.target = debruijn(m, h)
-        self.route_mode = ROUTE_MODES.validate(route_mode)
         super().__init__(self.target, engine, link_capacity)
         self.faults: set[int] = set()
-        # route_mode="table" epoch cache: one compiled table per frozen
-        # fault set, invalidated by fail_node and repair_node (every
-        # fault and repair event funnels through them)
+        # epoch cache: one compiled table per frozen fault set,
+        # invalidated by fail_node and repair_node (every fault and
+        # repair event funnels through them)
         self._table = None
         self._table_faults: frozenset[int] | None = None
 
@@ -694,70 +678,37 @@ class DetourController(_FaultController):
         self, pairs: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Detour routes for a batch of (src, dst) pairs under the
-        current fault set, via the configured ``route_mode`` backend —
-        the controller's route hook.
+        current fault set — the controller's route hook.
 
         Returns ``(flat, offsets, kept)``: the engines' shared flattened
         route layout plus the indices of the pairs that are actually
-        routable.  Unreachable pairs (faulty endpoint or disconnected
-        survivors) are skipped, not counted: the workload drivers charge
-        them to ``unreachable_pairs`` — the closed loop at injection, the
-        stream once each refusal's arrival cycle has passed."""
+        routable.  The survivor table encodes endpoint liveness too (a
+        faulty node's diagonal holds the rank sentinel), so one masked
+        extraction decides admission and emits every route.  Unreachable
+        pairs (faulty endpoint or disconnected survivors) are skipped,
+        not counted: the workload drivers charge them to
+        ``unreachable_pairs`` — the closed loop at injection, the stream
+        once each refusal's arrival cycle has passed."""
         pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-        return ROUTE_MODES.get(self.route_mode)(self, pairs)
+        return self.survivor_table().routes_batch_masked(pairs[:, 0], pairs[:, 1])
 
     _route = detour_routes_batch
 
-    def _bfs_routes(self, pairs: np.ndarray):
-        """Reference backend: per-pair BFS in the survivor graph."""
-        faults = sorted(self.faults)
-        routes: list[list[int]] = []
-        kept: list[int] = []
-        for i, (s, d) in enumerate(pairs):
-            try:
-                routes.append(detour_route(self.target, faults, int(s), int(d)))
-                kept.append(i)
-            except RoutingError:
-                pass
-        flat, offsets = pack_routes(routes)
-        return flat, offsets, np.asarray(kept, dtype=np.int64)
-
-    def _table_routes(self, pairs: np.ndarray):
-        """Compiled backend: one cached table per epoch, vectorized
-        extraction.  The survivor table encodes endpoint liveness too
-        (a faulty node's diagonal holds the rank sentinel), so one
-        masked extraction decides admission and emits every route."""
-        rt = self.survivor_table()
-        if pairs.shape[0] == 0:
-            z = np.zeros(0, dtype=np.int64)
-            return z, np.zeros(1, dtype=np.int64), z
-        return rt.routes_batch_masked(pairs[:, 0], pairs[:, 1])
-
 
 # ---------------------------------------------------------------------------
-# registry entries: route modes and controller builders
+# registry entries: controller builders
 # ---------------------------------------------------------------------------
-
-ROUTE_MODES.register("bfs")(DetourController._bfs_routes)
-ROUTE_MODES.register("table")(DetourController._table_routes)
-
 
 @CONTROLLERS.register("reconfig")
-def _build_reconfig(m, h, k, *, engine="batch", link_capacity=1,
-                    route_mode="bfs"):
-    """The paper's machine: ``B^k_{m,h}`` + monotone remap (``route_mode``
-    does not apply — reconfigured routes are lifted shift-register paths)."""
+def _build_reconfig(m, h, k, *, engine="batch", link_capacity=1):
+    """The paper's machine: ``B^k_{m,h}`` + monotone remap."""
     return ReconfigurationController(
         m, h, k, engine=engine, link_capacity=link_capacity
     )
 
 
 @CONTROLLERS.register("detour")
-def _build_detour(m, h, k, *, engine="batch", link_capacity=1,
-                  route_mode="bfs"):
+def _build_detour(m, h, k, *, engine="batch", link_capacity=1):
     """The spare-less baseline on the bare target graph (``k`` does not
     apply — there are no spares to configure)."""
-    return DetourController(
-        m, h, engine=engine, link_capacity=link_capacity,
-        route_mode=route_mode,
-    )
+    return DetourController(m, h, engine=engine, link_capacity=link_capacity)

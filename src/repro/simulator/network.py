@@ -34,7 +34,7 @@ import numpy as np
 
 from repro.errors import SimulationError
 from repro.graphs.static_graph import StaticGraph
-from repro.simulator.batch_engine import validate_arrivals
+from repro.simulator.batch_engine import validate_arrivals, validate_injection
 from repro.simulator.metrics import PacketArrays, RunStats, summarize
 from repro.simulator.packets import Packet
 
@@ -171,19 +171,16 @@ class NetworkSimulator:
 
     # -- injection ------------------------------------------------------------
 
-    def _validate_route(self, route: list[int], validate: bool) -> None:
-        if len(route) < 1:
-            raise SimulationError("route must contain at least the source")
-        if validate:
-            for a, b in zip(route, route[1:]):
-                if not self.graph.has_edge(a, b):
-                    raise SimulationError(f"route hop ({a}, {b}) is not an edge")
-        for a, b in zip(route, route[1:]):
-            if (a, b) in self._dead_links:
-                raise SimulationError(f"route uses dead link ({a}, {b})")
-        for v in route:
-            if v in self._dead:
-                raise SimulationError(f"route passes dead node {v}")
+    def _fault_masks(self) -> tuple[np.ndarray, np.ndarray]:
+        """The fault state as :func:`validate_injection` reads it: a
+        dead-node mask and a dead-link mask over CSR slots."""
+        dead = np.zeros(self.graph.node_count, dtype=bool)
+        dead[list(self._dead)] = True
+        links = np.zeros(self.graph.col_indices.size, dtype=bool)
+        if self._dead_links:
+            us, vs = zip(*self._dead_links)
+            links[self.graph.directed_edge_slots(us, vs)] = True
+        return dead, links
 
     def _commit_route(self, route: list[int], at: int | None = None) -> Packet:
         arrive = self.cycle if at is None else at
@@ -206,10 +203,10 @@ class NetworkSimulator:
         dead-link checks always run.  A single-node route is a degenerate
         self-delivery at the current cycle.  Returns the live
         :class:`Packet` record."""
-        route = [int(v) for v in route]
-        self._validate_route(route, validate)
-        validate_arrivals(None, 1, cycle=self.cycle, pending=self._pending_until())
-        return self._commit_route(route)
+        flat = np.array([int(v) for v in route], dtype=np.int64)
+        return self.inject_routes(
+            flat, np.array([0, flat.size]), validate=validate
+        )[0]
 
     def inject(
         self,
@@ -232,23 +229,23 @@ class NetworkSimulator:
         layout shared with :class:`repro.simulator.batch_engine.BatchEngine`
         (see :func:`repro.simulator.batch_engine.pack_routes`).
 
-        Validation is all-or-nothing, matching the batch engine: the whole
-        batch is checked before the first packet is injected, so an invalid
-        route leaves no partial state behind.  ``at`` gives each packet an
-        arrival cycle, with the batch engine's rules: packets arriving
-        after the clock are pending, and :meth:`step` enqueues them at
-        their cycle behind that cycle's continuers."""
-        flat = np.asarray(flat, dtype=np.int64)
-        offsets = np.asarray(offsets, dtype=np.int64)
-        if offsets.size < 1 or offsets[0] != 0 or offsets[-1] != flat.size:
-            raise SimulationError("malformed (flat, offsets) route batch")
-        count = offsets.size - 1
-        routes = [
-            [int(v) for v in flat[offsets[i]: offsets[i + 1]]]
-            for i in range(count)
-        ]
-        for route in routes:
-            self._validate_route(route, validate)
+        Validation is all-or-nothing and the batch engine's own
+        (:func:`~repro.simulator.batch_engine.validate_injection`): the
+        whole batch is checked before the first packet is injected, so an
+        invalid route leaves no partial state behind and both engines
+        name the same offender.  ``at`` gives each packet an arrival
+        cycle, with the batch engine's rules: packets arriving after the
+        clock are pending, and :meth:`step` enqueues them at their cycle
+        behind that cycle's continuers."""
+        dead, dead_links = self._fault_masks()
+        flat, offsets, lens, _, _ = validate_injection(
+            self.graph, flat, offsets, validate=validate,
+            dead_mask=dead, dead_links=dead_links,
+        )
+        count = lens.size
+        bounds = offsets.tolist()
+        flat = flat.tolist()
+        routes = [flat[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
         at = validate_arrivals(
             at, count, cycle=self.cycle, pending=self._pending_until()
         )
@@ -305,11 +302,12 @@ class NetworkSimulator:
         return delivered
 
     def run(self, max_cycles: int = 1_000_000, *,
-            until: int | None = None) -> RunStats:
+            until: int | None = None) -> None:
         """Step until all traffic drains (delivered or dropped) or, with
         ``until``, while traffic is in flight or pending and
         ``cycle < until``.  Raises :class:`SimulationError` when traffic
-        is still in flight or pending after cycle ``start + max_cycles``."""
+        is still in flight or pending after cycle ``start + max_cycles``.
+        Returns nothing; :meth:`stats` summarizes the run."""
         start = self.cycle
         while (self.in_flight or self._pending) and (
             until is None or self.cycle < until
@@ -319,7 +317,6 @@ class NetworkSimulator:
                     f"simulation did not drain within {max_cycles} cycles"
                 )
             self.step()
-        return self.stats()
 
     def packet_records(self) -> PacketArrays:
         """Structure-of-arrays view of every packet injected so far (the

@@ -122,9 +122,9 @@ def run_stream(
     are charged to ``unreachable_pairs`` and counted as unadmitted.
     ``node_repair`` events (churn universes) ride the same clock: a
     repair starts a new fault epoch like a fault does, so its arrivals
-    are routed through the healed machine — under
-    ``route_mode="table"`` every repair epoch compiles a fresh survivor
-    table, one per distinct fault set.
+    are routed through the healed machine — on the detour baseline
+    every repair epoch compiles a fresh survivor table, one per
+    distinct fault set.
     """
     if cycles < 1:
         raise ParameterError("run_stream needs cycles >= 1")

@@ -1,24 +1,25 @@
 """Shared machinery for the routing conformance suite.
 
 The conformance regime (see ``tests/conformance/``) is how routing
-changes become landable in this repo: a candidate backend does **not**
-have to reproduce the reference's exact paths (BFS tie-breaking is an
-implementation detail), it has to prove
+changes become landable in this repo.  The detour baseline's one router
+(a compiled survivor table per fault epoch) has to prove
 
-1. **validity** — every emitted route is a real survivor-graph path:
+1. **identical routes** — for every pair it returns exactly the route
+   of the per-pair BFS witness (:func:`bfs_detour_routes`): the shortest
+   survivor path whose CSR slot ranks are lexicographically smallest,
+   and the same admitted pairs;
+2. **validity** — every emitted route is a real survivor-graph path:
    endpoints match the requested pair, every hop is an edge, no faulty
    node appears, no node repeats;
-2. **hop-optimality** — every route's length equals the survivor-graph
-   BFS distance, so the two backends are exchangeable for every
-   hop-derived statistic;
-3. **admission equivalence** — both backends admit exactly the same
-   pairs and charge the same ``unreachable_pairs``;
-4. **pinned outputs** — the candidate's own results are frozen in golden
-   files across every engine, so refactors cannot silently move it.
+3. **hop-optimality** — every route's length equals the survivor-graph
+   BFS distance of an independent implementation;
+4. **pinned outputs** — its results are frozen in golden files across
+   every engine, so refactors cannot silently move them.
 
-This module holds the checkers the suite's test files share, the two
-reference compilers the shipped rank kernel is checked against (the
-pure-dict :class:`DictGraph` and the frontier-at-a-time
+This module holds the checkers the suite's test files share, the BFS
+witness and :class:`WitnessDetourController` that routes through it,
+the two reference compilers the shipped rank kernel is checked against
+(the pure-dict :class:`DictGraph` and the frontier-at-a-time
 :func:`compile_routing_table_frontier`), and the per-cycle drivers
 :func:`per_cycle_workload` and :func:`per_cycle_stream` that fault timing
 and the stream drain are checked against.  It is
@@ -32,9 +33,14 @@ import numpy as np
 
 from repro.graphs.properties import bfs_distances
 from repro.graphs.static_graph import StaticGraph
+from repro.routing.shortest_path import bfs_parents, extract_path
+from repro.simulator.batch_engine import pack_routes
+from repro.simulator.faults import DetourController
 from repro.simulator.metrics import stream_summary
 
 __all__ = [
+    "bfs_detour_routes",
+    "WitnessDetourController",
     "DictGraph",
     "compile_routing_table_frontier",
     "mask_nodes_csr",
@@ -45,6 +51,46 @@ __all__ = [
     "per_cycle_workload",
     "per_cycle_stream",
 ]
+
+
+def bfs_detour_routes(g: StaticGraph, faults, pairs):
+    """The detour witness: one BFS per (src, dst) pair in the survivor
+    graph of ``g`` under ``faults``, in the route hook's
+    ``(flat, offsets, kept)`` layout (original node ids).
+
+    Each BFS scans its rows in CSR order
+    (:func:`repro.routing.shortest_path.bfs_parents`), so its tree path
+    is the shortest survivor path with the lexicographically smallest
+    rank sequence — the route the compiled survivor table must return.
+    A pair with a faulty endpoint or split by the faults is refused:
+    left out of ``kept``.
+    """
+    fset = sorted({int(v) for v in faults})
+    sub, kept_ids = g.without_nodes(np.asarray(fset, dtype=np.int64))
+    pos = {int(old): i for i, old in enumerate(kept_ids)}
+    routes: list[list[int]] = []
+    kept: list[int] = []
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    for i, (s, d) in enumerate(pairs.tolist()):
+        if s not in pos or d not in pos:
+            continue
+        parent = bfs_parents(sub, pos[s])
+        if parent[pos[d]] == -1:
+            continue
+        path = extract_path(parent, pos[s], pos[d])
+        routes.append([int(kept_ids[v]) for v in path])
+        kept.append(i)
+    flat, offsets = pack_routes(routes)
+    return flat, offsets, np.asarray(kept, dtype=np.int64)
+
+
+class WitnessDetourController(DetourController):
+    """A :class:`~repro.simulator.faults.DetourController` whose route
+    hook is :func:`bfs_detour_routes` instead of the survivor table: the
+    run a per-pair BFS router would produce, for whole-run comparisons."""
+
+    def _route(self, pairs):
+        return bfs_detour_routes(self.target, self.faults, pairs)
 
 
 class DictGraph:
@@ -254,8 +300,8 @@ def assert_valid_survivor_routes(
     its dst, avoid ``faults``, repeat no node, traverse only
     survivor-graph edges, and be exactly as long as the survivor-graph
     BFS distance.  Distances come from an independent implementation
-    (:func:`repro.graphs.properties.bfs_distances`), not from either
-    routing backend under test.
+    (:func:`repro.graphs.properties.bfs_distances`), not from the router
+    under test or the BFS witness.
     """
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     assert offsets.size - 1 == pairs.shape[0], "route count != kept pairs"

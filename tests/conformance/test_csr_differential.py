@@ -188,7 +188,8 @@ class TestCrossEngine:
         flat, offsets = rt.routes_batch(srcs, dsts)
         engine = make_engine(engine_name, g, 1)
         engine.inject_routes(flat, offsets)
-        stats = engine.run()
+        engine.run()
+        stats = engine.stats()
         # every pair is reachable on the intact machine: full delivery,
         # and mean hops equals the table's own route lengths
         assert stats.delivered == 64
@@ -214,7 +215,8 @@ class TestCrossEngine:
             for v in faults:
                 engine.disable_node(int(v))
             engine.inject_routes(flat, offsets)
-            stats = engine.run()
+            engine.run()
+            stats = engine.stats()
             results.append(
                 (stats.injected, stats.delivered, stats.dropped, stats.mean_hops)
             )

@@ -1,9 +1,10 @@
-"""Golden conformance: ``route_mode="table"`` outputs are *pinned*.
+"""Golden conformance: the detour router's outputs are *pinned*.
 
-The differential suite proves table mode equivalent to the BFS
-reference; this module freezes table mode against **itself** so future
-refactors (a faster compile, a different frontier order, a new engine)
-cannot silently move the outputs the repo publishes:
+The differential suite proves the router's routes equal to the per-pair
+BFS witness's; this module freezes its runs against **themselves** so
+future refactors (a faster compile, a different frontier order, a new
+engine) cannot silently move the outputs the repo publishes (the golden
+files keep the ``"route_mode": "table"`` label they were written with):
 
 * ``workload_table.json`` — closed-loop batches with faults at cycle 0:
   per-packet records and the drained :class:`RunStats` bit-identical on
@@ -70,14 +71,14 @@ def _workload_batches():
 
 
 def run_workload_case(engine: str, faults) -> tuple[DetourController, object]:
-    ctrl = DetourController(M, H, engine=engine, route_mode="table")
+    ctrl = DetourController(M, H, engine=engine)
     ctrl.schedule(FaultScenario([tuple(f) for f in faults]))
     stats = ctrl.run_workload([b.copy() for b in _workload_batches()])
     return ctrl, stats
 
 
 def run_stream_case(engine: str) -> tuple[DetourController, object]:
-    ctrl = DetourController(M, H, engine=engine, route_mode="table")
+    ctrl = DetourController(M, H, engine=engine)
     ctrl.schedule(FaultScenario([tuple(f) for f in STREAM_FAULTS]))
     src = PoissonSource(N, STREAM_RATE, seed=3)
     stats = run_stream(ctrl, src, cycles=240, warmup=40, window=40)
@@ -179,7 +180,7 @@ class TestWorkloadGoldens:
         ``fire_due_events()`` drain produces, not merely what the
         event-bounded drain produced when it was last regenerated."""
         golden = _load("workload_table_midrun.json")
-        ref = DetourController(M, H, engine=engine, route_mode="table")
+        ref = DetourController(M, H, engine=engine)
         ref.schedule(FaultScenario([tuple(f) for f in MIDRUN_FAULTS]))
         refused = per_cycle_workload(ref, _workload_batches())
         _assert_records_match(_records(ref), golden["records"])

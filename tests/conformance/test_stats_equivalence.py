@@ -1,17 +1,12 @@
-"""Cross-mode statistics equivalence: table mode is exchangeable with
-the BFS reference for every count- and hop-derived statistic.
+"""Whole-run equivalence: the detour router and the per-pair BFS witness
+drive the same run.
 
-What *is* guaranteed (and asserted here): identical admission decisions,
-identical delivered/dropped/injected counts, identical hop histograms —
-on every engine, closed-loop and streaming.
-
-What is deliberately **not** guaranteed: per-packet latencies and cycle
-counts.  The two backends may pick different equal-length paths, which
-contend for links differently; latency-bearing statistics are pinned
-per-mode by the goldens instead (``test_goldens.py``).  The one latency
-statement that *does* survive tie-breaking is asserted here: under
-``link_capacity`` high enough that no link ever queues, the latency
-multisets coincide too (latency == hops on an uncontended network).
+The compiled survivor table returns the BFS witness's routes
+(``test_differential.py`` checks them route for route), so a run routed
+through either one is the same run: identical per-packet records,
+:class:`~repro.simulator.metrics.RunStats`, refusal accounting and fault
+logs — on every engine, closed-loop and streaming, under contention
+and without it.
 """
 
 from __future__ import annotations
@@ -23,22 +18,24 @@ from repro.simulator import (
     DetourController,
     FaultScenario,
     PoissonSource,
-    ShardStats,
     make_pattern,
     run_stream,
 )
+from tests.conformance.harness import WitnessDetourController
 
 M, H, N = 2, 5, 32
 FAULTS = [3, 20]
 
 
-def _controller(mode, engine, capacity=1):
-    ctrl = DetourController(
-        M, H, engine=engine, route_mode=mode, link_capacity=capacity,
-    )
-    for v in FAULTS:
-        ctrl.fail_node(v)
-    return ctrl
+def _controllers(engine, faults=FAULTS, capacity=1):
+    """The router's controller and the witness's, same faults."""
+    out = []
+    for cls in (DetourController, WitnessDetourController):
+        ctrl = cls(M, H, engine=engine, link_capacity=capacity)
+        for v in faults:
+            ctrl.fail_node(v)
+        out.append(ctrl)
+    return out
 
 
 def _batches(packets=400, pattern="uniform", seed=5):
@@ -46,72 +43,57 @@ def _batches(packets=400, pattern="uniform", seed=5):
     return np.array_split(pairs, 4)
 
 
-def _shard_stats(ctrl) -> ShardStats:
-    return ShardStats.from_arrays(ctrl.sim.packet_records(), ctrl.sim.cycle)
+def _assert_same_run(a, b) -> None:
+    ra, rb = a.sim.packet_records(), b.sim.packet_records()
+    for name in ("injected_at", "delivered_at", "hops", "dropped"):
+        np.testing.assert_array_equal(getattr(ra, name), getattr(rb, name))
+    assert a.sim.stats() == b.sim.stats()
+    assert a.unreachable_pairs == b.unreachable_pairs
+    assert a.lost_to_faults == b.lost_to_faults
+    assert a.fault_log == b.fault_log
 
 
 class TestClosedLoopEquivalence:
     @pytest.mark.parametrize("engine", ["object", "batch"])
     @pytest.mark.parametrize("pattern", ["uniform", "hotspot", "descend"])
-    def test_counts_and_hop_histograms_match(self, engine, pattern):
-        results = {}
-        for mode in ("bfs", "table"):
-            ctrl = _controller(mode, engine)
-            stats = ctrl.run_workload(
-                [b.copy() for b in _batches(pattern=pattern)]
-            )
-            results[mode] = (ctrl, stats, _shard_stats(ctrl))
-        (cb, sb, hb), (ct, st_, ht) = results["bfs"], results["table"]
-        assert cb.unreachable_pairs == ct.unreachable_pairs
-        assert sb.injected == st_.injected
-        assert sb.delivered == st_.delivered
-        assert sb.dropped == st_.dropped
-        assert sb.mean_hops == st_.mean_hops
-        # the full delivered-hop multiset, not just its mean
-        assert np.array_equal(hb.hop_values, ht.hop_values)
-        assert np.array_equal(hb.hop_counts, ht.hop_counts)
+    def test_runs_match_witness(self, engine, pattern):
+        table, witness = _controllers(engine)
+        for ctrl in (table, witness):
+            ctrl.run_workload([b.copy() for b in _batches(pattern=pattern)])
+        _assert_same_run(table, witness)
+        assert table.unreachable_pairs > 0
 
-    def test_uncontended_latency_multisets_match(self):
+    def test_uncontended_runs_match_witness(self):
         """With capacity ample enough that no link queues, latency is
-        pure path length — so even the latency histograms coincide."""
-        results = {}
-        for mode in ("bfs", "table"):
-            ctrl = _controller(mode, "batch", capacity=400)
+        pure path length."""
+        table, witness = _controllers("batch", capacity=400)
+        for ctrl in (table, witness):
             ctrl.run_workload([b.copy() for b in _batches()])
-            results[mode] = _shard_stats(ctrl)
-        hb, ht = results["bfs"], results["table"]
-        assert np.array_equal(hb.lat_values, ht.lat_values)
-        assert np.array_equal(hb.lat_counts, ht.lat_counts)
+        _assert_same_run(table, witness)
 
-    def test_fault_free_modes_coincide_on_counts(self):
-        for engine in ("object", "batch"):
-            stats = {}
-            for mode in ("bfs", "table"):
-                ctrl = DetourController(M, H, engine=engine, route_mode=mode)
-                stats[mode] = ctrl.run_workload(
-                    [b.copy() for b in _batches(packets=200)]
-                )
-            assert stats["bfs"].delivered == stats["table"].delivered == 200
-            assert stats["bfs"].mean_hops == stats["table"].mean_hops
+    @pytest.mark.parametrize("engine", ["object", "batch"])
+    def test_fault_free_runs_match_witness(self, engine):
+        table, witness = _controllers(engine, faults=())
+        for ctrl in (table, witness):
+            ctrl.run_workload([b.copy() for b in _batches(packets=200)])
+        _assert_same_run(table, witness)
+        assert table.sim.stats().delivered == 200
 
 
 class TestStreamingEquivalence:
     @pytest.mark.parametrize("engine", ["object", "batch"])
-    def test_offered_and_refusals_match(self, engine):
-        """Open-loop: admission is a pure function of the fault epoch, so
-        offered load and refusal accounting match across modes even
-        though in-flight contention may differ at the horizon."""
-        results = {}
-        for mode in ("bfs", "table"):
-            ctrl = DetourController(M, H, engine=engine, route_mode=mode)
+    def test_stream_matches_witness(self, engine):
+        """Open-loop, with a fault epoch opening mid-stream: the same
+        records, refusals and :class:`StreamStats`."""
+        results = []
+        for ctrl in _controllers(engine, faults=()):
             ctrl.schedule(FaultScenario([(0, 3), (80, 9)]))
             stats = run_stream(
                 ctrl, PoissonSource(N, 3.0, seed=7), cycles=300, warmup=50
             )
-            results[mode] = (ctrl, stats)
-        (cb, sb), (ct, st_) = results["bfs"], results["table"]
-        assert cb.unreachable_pairs == ct.unreachable_pairs > 0
-        assert sb.offered == st_.offered
-        assert sb.unadmitted == st_.unadmitted
-        assert sb.totals.injected == st_.totals.injected
-        assert [n for _, n in cb.fault_log] == [n for _, n in ct.fault_log]
+            results.append((ctrl, stats))
+        (ct, st_), (cw, sw) = results
+        _assert_same_run(ct, cw)
+        assert st_ == sw
+        assert ct.unreachable_pairs > 0
+        assert ct.fault_log == [(0, 3), (80, 9)]

@@ -400,7 +400,7 @@ class TestRunUntilDifferential:
     """Random inject / timed inject / step / fault / repair /
     ``run(until=c)`` sequences: both engines keep identical packet
     records and clocks after every operation, and refuse the same
-    operations."""
+    operations with the same message."""
 
     @staticmethod
     def _records(sim):
@@ -450,18 +450,18 @@ class TestRunUntilDifferential:
 
     @staticmethod
     def _apply(engines, op) -> list | None:
-        """Apply ``op`` to both engines: both refuse it with
-        :class:`SimulationError` or neither does.  Returns ``None`` when
-        both refused, else the two engines' results."""
-        results, refused = [], set()
+        """Apply ``op`` to both engines: both refuse it with the same
+        :class:`SimulationError` message or neither does.  Returns
+        ``None`` when both refused, else the two engines' results."""
+        results, refusals = [], []
         for sim in engines:
             try:
                 results.append(op(sim))
-                refused.add(False)
-            except SimulationError:
-                refused.add(True)
-        assert len(refused) == 1
-        return None if refused.pop() else results
+            except SimulationError as exc:
+                refusals.append(str(exc))
+        assert len(refusals) in (0, len(engines)), refusals
+        assert len(set(refusals)) <= 1, refusals
+        return None if refusals else results
 
     @settings(max_examples=100, deadline=None)
     @given(ops=_ops, capacity=st.integers(1, 3))
@@ -718,6 +718,18 @@ class TestBatchEngineValidation:
         be = BatchEngine(path(3))
         with pytest.raises(SimulationError):
             be.inject_routes(np.array([0, 1]), np.array([0, 1]))  # bad tail
+
+    @pytest.mark.parametrize("engine", [NetworkSimulator, BatchEngine])
+    def test_engines_name_the_same_offender(self, engine):
+        """One validator for both engines: it checks the whole batch one
+        kind of fault at a time, so a non-edge in the second route is
+        named before a dead node in the first."""
+        sim = engine(debruijn(2, 3))
+        sim.disable_node(3)
+        with pytest.raises(SimulationError,
+                           match=r"^route hop \(0, 2\) is not an edge$"):
+            sim.inject_routes(*pack_routes([[0, 1, 3], [0, 2]]))
+        assert sim.packet_records().injected_at.size == 0
 
 
 class TestVectorizedSummarize:

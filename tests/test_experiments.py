@@ -73,7 +73,7 @@ class TestRegistry:
     def test_live_registries_contents(self):
         assert set(ENGINES.names()) == {"object", "batch"}
         assert set(CONTROLLERS.names()) == {"reconfig", "detour"}
-        assert set(ROUTE_MODES.names()) == {"bfs", "table"}
+        assert ROUTE_MODES == ("bfs", "table")
         assert {"poisson", "onoff", "deterministic"} <= set(SOURCES.names())
         assert {"uniform", "hotspot", "descend"} <= set(PATTERNS.names())
 
@@ -176,6 +176,21 @@ class TestSpecValidation:
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ParameterError, match="nope"):
             ExperimentSpec.from_dict({"m": 2, "h": 4, "nope": 1})
+
+    @pytest.mark.parametrize("loop", ["closed", "stream"])
+    def test_route_mode_selects_nothing(self, loop):
+        """Both accepted names run the one detour router: identical
+        results, while the spec and its label keep the name given."""
+        specs = [
+            ExperimentSpec(m=2, h=4, loop=loop, controller="detour",
+                           route_mode=mode, faults=((0, 3),), packets=200,
+                           rate=2.0, cycles=100, warmup=10)
+            for mode in ROUTE_MODES
+        ]
+        bfs, table = (spec.run() for spec in specs)
+        assert bfs.stats == table.stats
+        assert bfs.unreachable_pairs == table.unreachable_pairs > 0
+        assert specs[0].label != specs[1].label
 
 
 # ---------------------------------------------------------------------------

@@ -227,7 +227,7 @@ class TestEnableNode:
             sim.enable_node(3)
 
     def test_detour_repair_restores_routing(self):
-        ctrl = DetourController(2, 4, engine="batch", route_mode="table")
+        ctrl = DetourController(2, 4, engine="batch")
         ctrl.fail_node(3)
         pairs = np.array([[3, 5]], dtype=np.int64)
         _, _, kept = ctrl.detour_routes_batch(pairs)

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.core import debruijn
 from repro.errors import FaultSetError, RoutingError
-from repro.routing import ReconfiguredRouter, detour_route, survivor_graph
+from repro.routing import ReconfiguredRouter, survivor_route_table
 from repro.routing.shift_register import route_length
+from tests.conformance.harness import bfs_detour_routes
 
 
 class TestReconfiguredRouter:
@@ -54,24 +56,29 @@ class TestReconfiguredRouter:
 
 
 class TestDetourRoute:
+    """The detour baseline's one router (a survivor table per fault
+    epoch), checked against the per-pair BFS witness."""
+
     def test_no_faults_is_shortest(self):
         g = debruijn(2, 4)
-        p = detour_route(g, [], 0, 9)
+        p = survivor_route_table(g, []).route(0, 9)
         from repro.graphs.properties import bfs_distances
 
         assert len(p) - 1 == bfs_distances(g, 0)[9]
 
     def test_detour_avoids_faults(self):
         g = debruijn(2, 4)
-        p = detour_route(g, [2, 3], 0, 9)
+        p = survivor_route_table(g, [2, 3]).route(0, 9)
         assert 2 not in p and 3 not in p
+        flat, _, kept = bfs_detour_routes(g, [2, 3], [[0, 9]])
+        assert kept.tolist() == [0] and flat.tolist() == p
 
     def test_faulty_endpoint_rejected(self):
         g = debruijn(2, 3)
-        with pytest.raises(RoutingError):
-            detour_route(g, [5], 5, 0)
-        with pytest.raises(RoutingError):
-            detour_route(g, [0], 5, 0)
+        for faults in ([5], [0]):
+            with pytest.raises(RoutingError):
+                survivor_route_table(g, faults).route(5, 0)
+            assert bfs_detour_routes(g, faults, [[5, 0]])[2].size == 0
 
     def test_detours_stretch_paths(self):
         """Degradation: some pairs must take longer routes after faults
@@ -81,20 +88,15 @@ class TestDetourRoute:
 
         d0 = distance_matrix(g)
         faults = [1, 2]
-        stretched = 0
-        for s in range(16):
-            if s in faults:
-                continue
-            for t in range(16):
-                if t in faults or t == s:
-                    continue
-                try:
-                    p = detour_route(g, faults, s, t)
-                    if len(p) - 1 > d0[s, t]:
-                        stretched += 1
-                except RoutingError:
-                    stretched += 1
-        assert stretched > 0
+        src, dst = np.divmod(np.arange(256), 16)
+        live = ~np.isin(src, faults) & ~np.isin(dst, faults) & (src != dst)
+        src, dst = src[live], dst[live]
+        _, offsets, kept = survivor_route_table(g, faults).routes_batch_masked(
+            src, dst
+        )
+        refused = src.size - kept.size
+        longer = np.diff(offsets) - 1 > d0[src[kept], dst[kept]]
+        assert refused + int(longer.sum()) > 0
 
     def test_disconnection_detected(self):
         """Removing both neighbors of a degree-2 node isolates it."""
@@ -102,10 +104,13 @@ class TestDetourRoute:
         nbrs = [int(v) for v in g.neighbors(0)]
         assert len(nbrs) == 2
         with pytest.raises(RoutingError):
-            detour_route(g, nbrs, 0, 5)
+            survivor_route_table(g, nbrs).route(0, 5)
+        assert bfs_detour_routes(g, nbrs, [[0, 5]])[2].size == 0
 
     def test_survivor_graph(self):
+        """The witness's survivor graph: faulty nodes and their edges
+        gone, the rest relabeled in id order."""
         g = debruijn(2, 3)
-        sub, kept = survivor_graph(g, [0, 7])
+        sub, kept = g.without_nodes([0, 7])
         assert sub.node_count == 6
         assert 0 not in kept and 7 not in kept

@@ -49,7 +49,8 @@ class TestFullStack:
             [(int(s), int(d)) for s, d in traffic],
             router.physical_route,
         )
-        stats = sim.run()
+        sim.run()
+        stats = sim.stats()
         assert stats.delivered == traffic.shape[0]
         assert stats.dropped == 0
 

@@ -82,6 +82,7 @@ class TestEdgeFaultPipelineEndToEnd:
                     continue
                 logical = shift_route(s, d, 2, h)
                 sim.inject_route([int(phi[v]) for v in logical])
-        stats = sim.run()
+        sim.run()
+        stats = sim.stats()
         assert stats.dropped == 0
         assert stats.delivered == stats.injected

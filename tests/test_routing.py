@@ -231,18 +231,16 @@ class TestRouteTableBatch:
         assert a != c
         assert a != "not a table"
 
-    def test_survivor_graph_workflow(self):
-        """Compile once per fault epoch on the survivor graph — the shard
-        workers' detour-routing recipe."""
-        from repro.routing import survivor_graph
+    def test_survivor_table_workflow(self):
+        """Compile once per fault epoch in original node ids — the
+        detour baseline's routing recipe."""
+        from repro.routing import survivor_route_table
 
         g = debruijn(2, 4)
-        sub, kept = survivor_graph(g, [3, 7])
-        rt = RouteTable.compile(sub)
+        rt = survivor_route_table(g, [3, 7])
         flat, off = rt.routes_batch(np.array([0, 1]), np.array([9, 5]))
-        # routes live in survivor coordinates; map back and check edges
         for i in range(2):
-            route = kept[flat[off[i]: off[i + 1]]]
+            route = flat[off[i]: off[i + 1]]
             assert 3 not in route and 7 not in route
             for a, b in zip(route, route[1:]):
                 assert g.has_edge(int(a), int(b))

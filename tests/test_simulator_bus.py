@@ -112,5 +112,6 @@ class TestBusSimulator:
             for j in ((2 * i - 1) % n, (2 * i) % n, (2 * i + 1) % n, (2 * i + 2) % n):
                 if i != j:
                     sim.inject_route([i, j])
-        st = sim.run()
+        sim.run()
+        st = sim.stats()
         assert st.dropped == 0 and st.delivered == st.injected

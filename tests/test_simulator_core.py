@@ -87,7 +87,8 @@ class TestNetworkSimulator:
         g = path(2)
         sim = NetworkSimulator(g)
         pkt = sim.inject_route([0, 1])
-        stats = sim.run()
+        sim.run()
+        stats = sim.stats()
         assert pkt.latency == 1
         assert stats.delivered == 1
 
@@ -179,7 +180,8 @@ class TestNetworkSimulator:
         for _ in range(2):
             sim = NetworkSimulator(g)
             sim.inject(pairs, router)
-            runs.append(sim.run())
+            sim.run()
+            runs.append(sim.stats())
         assert runs[0] == runs[1]
 
     def test_stats_fields(self):
@@ -187,7 +189,8 @@ class TestNetworkSimulator:
         sim = NetworkSimulator(g)
         sim.inject_route([0, 1, 2])
         sim.inject_route([0, 1])
-        st = sim.run()
+        sim.run()
+        st = sim.stats()
         assert st.injected == 2 and st.delivered == 2 and st.dropped == 0
         assert st.max_latency >= st.mean_latency > 0
         assert st.throughput > 0

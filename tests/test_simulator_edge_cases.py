@@ -72,7 +72,8 @@ class TestNetworkEdgeCases:
 
     def test_run_on_empty_simulator(self):
         sim = NetworkSimulator(path(2))
-        st = sim.run()
+        sim.run()
+        st = sim.stats()
         assert st.injected == 0 and st.cycles == 0
 
     def test_isolated_node_graph(self):

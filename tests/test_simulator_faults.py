@@ -111,19 +111,11 @@ class TestDetourController:
         assert det.unreachable_pairs > 0
         assert st.delivered + det.unreachable_pairs == 200
 
-    def test_rejects_unknown_route_mode(self):
-        # registry lookups raise a ValueError subclass naming the choices
-        from repro.errors import ParameterError
-
-        with pytest.raises(ParameterError, match="route_mode.*bfs.*table"):
-            DetourController(2, 4, route_mode="warp")
-
-    @pytest.mark.parametrize("route_mode", ["bfs", "table"])
-    def test_scheduled_fault_fires_on_its_cycle(self, rng, route_mode):
+    def test_scheduled_fault_fires_on_its_cycle(self, rng):
         """The detour baseline's event clock: a fault due mid-drain
         fires on exactly its cycle, so later batches detour around it
         and traffic to it is refused."""
-        det = DetourController(2, 4, engine="batch", route_mode=route_mode)
+        det = DetourController(2, 4, engine="batch")
         det.schedule(FaultScenario([(1, 5)]))
         to_dead = np.array([[0, 5]] * 10, dtype=np.int64)
         det.run_workload([uniform_traffic(16, 40, rng), to_dead])
@@ -141,13 +133,12 @@ class TestDetourController:
         det.fail_node(5)  # both packets still sit in node 5's queue
         assert det.lost_to_faults == 2
 
-    @pytest.mark.parametrize("route_mode", ["bfs", "table"])
-    def test_rejected_fault_node_does_not_poison_state(self, route_mode):
+    def test_rejected_fault_node_does_not_poison_state(self):
         """An out-of-range node must be rejected *before* it enters the
         fault set — otherwise every later routing batch would raise."""
         from repro.errors import SimulationError
 
-        det = DetourController(2, 4, engine="batch", route_mode=route_mode)
+        det = DetourController(2, 4, engine="batch")
         with pytest.raises(SimulationError):
             det.fail_node(99)
         assert det.faults == set()
@@ -191,6 +182,52 @@ class TestControllerLifetime:
             assert [r() for r in refs] == [None, None]
         finally:
             gc.enable()
+
+
+class TestDrainSummaries:
+    """The drains build no summary they would throw away: engine ``run``
+    returns nothing, ``run_stream`` never calls ``stats()`` and
+    ``run_workload`` calls it once, for the summary it returns."""
+
+    @staticmethod
+    def _controller(controller, engine, monkeypatch):
+        if controller == "reconfig":
+            ctrl = ReconfigurationController(2, 4, 3, engine=engine)
+        else:
+            ctrl = DetourController(2, 4, engine=engine)
+        # faults mid-drain and mid-stream, so each drain runs in pieces
+        ctrl.schedule(FaultScenario([(2, 3), (5, 9), (40, 12)]))
+        calls: list[int] = []
+        real = type(ctrl.sim).stats
+
+        def spy(sim):
+            calls.append(sim.cycle)
+            return real(sim)
+
+        monkeypatch.setattr(type(ctrl.sim), "stats", spy)
+        return ctrl, calls
+
+    @pytest.mark.parametrize("engine", ["object", "batch"])
+    @pytest.mark.parametrize("controller", ["reconfig", "detour"])
+    def test_run_workload_summarizes_once(self, controller, engine,
+                                          monkeypatch, rng):
+        ctrl, calls = self._controller(controller, engine, monkeypatch)
+        st = ctrl.run_workload([uniform_traffic(16, 60, rng) for _ in range(2)])
+        assert len(ctrl.fault_log) == 2  # the drain stopped on both
+        assert calls == [ctrl.sim.cycle]
+        assert st.injected == 120 - ctrl.unreachable_pairs
+
+    @pytest.mark.parametrize("engine", ["object", "batch"])
+    @pytest.mark.parametrize("controller", ["reconfig", "detour"])
+    def test_run_stream_never_summarizes(self, controller, engine,
+                                         monkeypatch):
+        from repro.simulator import PoissonSource, run_stream
+
+        ctrl, calls = self._controller(controller, engine, monkeypatch)
+        stats = run_stream(ctrl, PoissonSource(16, 2.0, seed=3), cycles=80)
+        assert len(ctrl.fault_log) == 3
+        assert stats.offered > 0
+        assert calls == []
 
 
 class TestFaultScenario:

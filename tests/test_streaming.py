@@ -28,10 +28,9 @@ def _records(ctrl) -> PacketArrays:
 
 
 def _stream(engine, faults=(), *, controller="reconfig", rate=2.0,
-            cycles=300, warmup=50, window=50, capacity=1, route_mode="bfs"):
+            cycles=300, warmup=50, window=50, capacity=1):
     if controller == "detour":
-        ctrl = DetourController(2, 5, engine=engine, link_capacity=capacity,
-                                route_mode=route_mode)
+        ctrl = DetourController(2, 5, engine=engine, link_capacity=capacity)
         if faults:
             ctrl.schedule(FaultScenario(list(faults)))
     else:
@@ -70,26 +69,20 @@ class TestGoldenEquivalence:
         _, sb = _stream("batch", capacity=2, rate=6.0)
         assert so == sb
 
-    @pytest.mark.parametrize("route_mode", ["bfs", "table"])
-    def test_detour_streaming_identical(self, route_mode):
-        co, so = _stream("object", ((0, 3),), controller="detour", rate=1.0,
-                         route_mode=route_mode)
-        cb, sb = _stream("batch", ((0, 3),), controller="detour", rate=1.0,
-                         route_mode=route_mode)
+    def test_detour_streaming_identical(self):
+        co, so = _stream("object", ((0, 3),), controller="detour", rate=1.0)
+        cb, sb = _stream("batch", ((0, 3),), controller="detour", rate=1.0)
         assert so == sb
         assert co.unreachable_pairs == cb.unreachable_pairs > 0
         assert so.unadmitted == co.unreachable_pairs
 
-    @pytest.mark.parametrize("route_mode", ["bfs", "table"])
-    def test_detour_mid_stream_fault_identical(self, route_mode):
+    def test_detour_mid_stream_fault_identical(self):
         """A detour fault firing *mid-stream* opens a new routing epoch
-        (for route_mode="table": recompiles the survivor table) — both
-        engines must agree packet-for-packet through the transition."""
+        (it recompiles the survivor table) — both engines must agree
+        packet-for-packet through the transition."""
         faults = ((0, 3), (60, 9))
-        co, so = _stream("object", faults, controller="detour", rate=3.0,
-                         route_mode=route_mode)
-        cb, sb = _stream("batch", faults, controller="detour", rate=3.0,
-                         route_mode=route_mode)
+        co, so = _stream("object", faults, controller="detour", rate=3.0)
+        cb, sb = _stream("batch", faults, controller="detour", rate=3.0)
         po, pb = _records(co), _records(cb)
         assert np.array_equal(po.injected_at, pb.injected_at)
         assert np.array_equal(po.delivered_at, pb.delivered_at)
@@ -122,7 +115,7 @@ _WITNESS_CASES = {
     # faults at t0, on consecutive cycles, and past the horizon
     "fault-timing": (lambda: FaultScenario([(0, 3), (70, 9), (71, 17),
                                             (400, 5)]), 3.0, {}),
-    "churn-table": (_churn, 2.0, {"route_mode": "table"}),
+    "churn": (_churn, 2.0, {}),
     "capacity-2": (lambda: FaultScenario([(40, 3), (120, 17)]), 6.0,
                    {"capacity": 2}),
     "warmup-window": (lambda: FaultScenario([(60, 9)], [(150, 9)]), 3.0,
@@ -145,8 +138,7 @@ class TestPerCycleWitness:
         for drive in (run_stream, per_cycle_stream):
             if controller == "detour":
                 ctrl = DetourController(
-                    2, 5, engine=engine, link_capacity=capacity,
-                    route_mode=opts.get("route_mode", "bfs"),
+                    2, 5, engine=engine, link_capacity=capacity
                 )
             else:
                 ctrl = ReconfigurationController(
@@ -174,8 +166,8 @@ class TestPerCycleWitness:
 
 
 class TestDetourTableCache:
-    """route_mode="table" epoch cache: compile exactly once per frozen
-    fault set, recompile before the first arrival batch after a fault."""
+    """The detour epoch cache: compile exactly once per frozen fault set,
+    recompile before the first arrival batch after a fault."""
 
     def _spy_compiles(self, monkeypatch):
         import repro.simulator.faults as faults_mod
@@ -194,7 +186,7 @@ class TestDetourTableCache:
         from repro.simulator import make_pattern
 
         calls = self._spy_compiles(monkeypatch)
-        ctrl = DetourController(2, 5, engine="batch", route_mode="table")
+        ctrl = DetourController(2, 5, engine="batch")
         ctrl.fail_node(3)
         pairs = make_pattern(32, "uniform", 160, np.random.default_rng(1))
         ctrl.run_workload(list(np.array_split(pairs, 4)))
@@ -205,7 +197,7 @@ class TestDetourTableCache:
         self, monkeypatch
     ):
         calls = self._spy_compiles(monkeypatch)
-        ctrl = DetourController(2, 5, engine="batch", route_mode="table")
+        ctrl = DetourController(2, 5, engine="batch")
         ctrl.schedule(FaultScenario([(60, 9)]))
         run_stream(ctrl, PoissonSource(32, 2.0, seed=3), cycles=200)
         # epoch 0 (fault-free) + the post-fault epoch, nothing else —
@@ -222,23 +214,16 @@ class TestDetourTableCache:
         pass, so a cycle-0 scheduled fault costs one compile, not a
         discarded fault-free compile plus a recompile."""
         calls = self._spy_compiles(monkeypatch)
-        ctrl = DetourController(2, 5, engine="batch", route_mode="table")
+        ctrl = DetourController(2, 5, engine="batch")
         ctrl.schedule(FaultScenario([(0, 3)]))
         run_stream(ctrl, PoissonSource(32, 2.0, seed=3), cycles=100)
         assert calls == [frozenset({3})]
-
-    def test_bfs_mode_never_compiles(self, monkeypatch):
-        calls = self._spy_compiles(monkeypatch)
-        ctrl = DetourController(2, 5, engine="batch", route_mode="bfs")
-        ctrl.schedule(FaultScenario([(60, 9)]))
-        run_stream(ctrl, PoissonSource(32, 1.0, seed=3), cycles=100)
-        assert calls == []
 
     def test_repeated_fault_does_not_recompile(self, monkeypatch):
         """fail_node on an already-dead node bumps the epoch but leaves
         the frozen fault set unchanged — the cache key sees through it."""
         calls = self._spy_compiles(monkeypatch)
-        ctrl = DetourController(2, 4, engine="batch", route_mode="table")
+        ctrl = DetourController(2, 4, engine="batch")
         ctrl.fail_node(3)
         pairs = np.array([[0, 5], [1, 6]], dtype=np.int64)
         ctrl.detour_routes_batch(pairs)
@@ -251,7 +236,7 @@ class TestDetourTableCache:
         epoch, so the table recompiles against the healed survivor set —
         fault-free, post-fault, post-repair, one compile each."""
         calls = self._spy_compiles(monkeypatch)
-        ctrl = DetourController(2, 5, engine="batch", route_mode="table")
+        ctrl = DetourController(2, 5, engine="batch")
         ctrl.schedule(FaultScenario([(60, 9)], [(140, 9)]))
         run_stream(ctrl, PoissonSource(32, 2.0, seed=3), cycles=220)
         assert calls == [frozenset(), frozenset({9}), frozenset()]
@@ -270,7 +255,7 @@ class TestDetourTableCache:
             n=32, cycles=300, rng=np.random.default_rng([17, 0]),
         )
         assert scenario.node_faults and scenario.node_repairs
-        ctrl = DetourController(2, 5, engine="batch", route_mode="table")
+        ctrl = DetourController(2, 5, engine="batch")
         ctrl.schedule(scenario)
         run_stream(ctrl, PoissonSource(32, 2.0, seed=3), cycles=300)
         # every fault and repair fired at exactly its drawn cycle
@@ -300,7 +285,7 @@ class TestDetourTableCache:
              "window": [0, 240]},
             n=32, cycles=300, rng=np.random.default_rng([17, 0]),
         )
-        ctrl = DetourController(2, 5, engine=engine, route_mode="table")
+        ctrl = DetourController(2, 5, engine=engine)
         ctrl.schedule(scenario)
         source = PoissonSource(32, 2.0, seed=3)
         run_stream(ctrl, source, cycles=300)
@@ -313,7 +298,7 @@ class TestDetourTableCache:
         records and logs through a fail/heal cycle."""
         results = []
         for engine in ("object", "batch"):
-            ctrl = DetourController(2, 5, engine=engine, route_mode="table")
+            ctrl = DetourController(2, 5, engine=engine)
             ctrl.schedule(FaultScenario([(50, 9)], [(120, 9)]))
             stats = run_stream(ctrl, PoissonSource(32, 2.0, seed=3),
                                cycles=200)

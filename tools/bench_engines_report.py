@@ -3,7 +3,7 @@
 on a suite of workloads and write ``BENCH_engines.json`` at the repo root,
 so the perf trajectory is tracked from PR to PR.
 
-Two row kinds:
+Seven row kinds:
 
 * ``driver="engine"`` — each engine runs its *native pipeline*, exactly
   as a caller would drive it: the object engine routes per pair (scalar
@@ -24,15 +24,6 @@ Two row kinds:
   checks the merged aggregate is bit-identical.  The speedup scales with
   physical cores; single-core machines report ~1x or below (the workers
   column records what ran).
-* ``driver="detour"`` — the spare-less baseline's two routing backends
-  raced on one workload: per-pair Python BFS (``route_mode="bfs"``, the
-  reference) vs the compiled per-epoch ``RouteTable``
-  (``route_mode="table"``).  The generic (object, batch) columns hold
-  (bfs, table).  ``identical_stats`` here means the *conformance*
-  contract — equal admission/delivery/drop counts and equal hop
-  histograms — not bit-equal latencies (equal-length paths with
-  different tie-breaking contend differently; see
-  ``tests/conformance/``).
 * ``driver="pool"`` — the same scenario grid dispatched repeatedly,
   cold vs warm: the cold side builds an ephemeral worker pool per
   ``run_grid`` call (the historical spawn-per-sweep behavior), the warm
@@ -123,7 +114,6 @@ FULL_SUITE = [
     ("controller", "hotspot", 2, 8, 2, 20_000, [(5, 40)]),
     ("sweep", "uniform", 2, 9, 1, 40_000, [(0, 40)]),
     ("pool", "uniform", 2, 8, 1, 2_000, [(0, 40)]),
-    ("detour", "uniform", 2, 8, 1, 20_000, [3, 40]),
     ("montecarlo", "uniform", 2, 9, 1, 10_000, []),
     ("compile", "uniform", 2, 12, 1, 0, [3, 40]),
     ("csr", "uniform", 2, 14, 1, 0, []),
@@ -134,7 +124,6 @@ QUICK_SUITE = [
     ("controller", "hotspot", 2, 6, 1, 4_000, [(3, 9)]),
     ("sweep", "uniform", 2, 7, 1, 4_000, [(0, 9)]),
     ("pool", "uniform", 2, 6, 1, 600, [(0, 9)]),
-    ("detour", "uniform", 2, 6, 1, 3_000, [9]),
     ("montecarlo", "uniform", 2, 6, 1, 2_000, []),
     ("compile", "uniform", 2, 7, 1, 0, [9]),
     ("csr", "uniform", 2, 7, 1, 0, []),
@@ -158,7 +147,8 @@ def run_engine_row(pattern, m, h, k, packets, fault_nodes, seed=0):
     for s, d in pairs:
         logical = shift_route(int(s), int(d), m, h)
         sim.inject_route([int(phi[v]) for v in logical])
-    s_obj = sim.run()
+    sim.run()
+    s_obj = sim.stats()
     t_obj = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -167,7 +157,8 @@ def run_engine_row(pattern, m, h, k, packets, fault_nodes, seed=0):
         be.disable_node(int(node))
     flat, offsets = lifted_routes_batch(m, h, phi, pairs[:, 0], pairs[:, 1])
     be.inject_routes(flat, offsets)
-    s_bat = be.run()
+    be.run()
+    s_bat = be.stats()
     t_bat = time.perf_counter() - t0
 
     obj_delivered = np.array(
@@ -279,45 +270,6 @@ def run_pool_row(pattern, m, h, k, packets, faults, seed=0, workers=None,
     }
 
 
-def run_detour_row(pattern, m, h, k, packets, fault_nodes, seed=0):
-    """Race the detour baseline's BFS reference against the compiled
-    per-epoch route table on one workload (same engine, same traffic);
-    checks the conformance contract (counts + hop histograms), not
-    bit-equal latencies."""
-    from repro.simulator import DetourController
-    from repro.simulator.shard_driver import ShardStats
-
-    n = m ** h
-    pairs = make_pattern(n, pattern, packets, np.random.default_rng(seed))
-    times, stats, hists, unreachable = {}, {}, {}, {}
-    for mode in ("bfs", "table"):
-        ctrl = DetourController(m, h, engine="batch", route_mode=mode)
-        for node in fault_nodes:
-            ctrl.fail_node(int(node))
-        t0 = time.perf_counter()
-        stats[mode] = ctrl.run_workload([pairs.copy()])
-        times[mode] = time.perf_counter() - t0
-        hists[mode] = ShardStats.from_arrays(
-            ctrl.sim.packet_records(), ctrl.sim.cycle
-        )
-        unreachable[mode] = ctrl.unreachable_pairs
-    sb, st_ = stats["bfs"], stats["table"]
-    hb, ht = hists["bfs"], hists["table"]
-    identical = (
-        (sb.injected, sb.delivered, sb.dropped)
-        == (st_.injected, st_.delivered, st_.dropped)
-        and unreachable["bfs"] == unreachable["table"]
-        and np.array_equal(hb.hop_values, ht.hop_values)
-        and np.array_equal(hb.hop_counts, ht.hop_counts)
-    )
-    return times["bfs"], times["table"], st_, identical, int(pairs.shape[0]), {
-        "route_modes": ["bfs", "table"],
-        "unreachable_pairs": unreachable["table"],
-        "bfs_seconds": round(times["bfs"], 4),
-        "table_seconds": round(times["table"], 4),
-    }
-
-
 def run_montecarlo_row(pattern, m, h, k, packets, faults, seed=0,
                        workers=None, replicas=16):
     """Run one declarative Monte-Carlo cell — an ``iid`` fault universe
@@ -334,7 +286,7 @@ def run_montecarlo_row(pattern, m, h, k, packets, faults, seed=0,
     fault_model = {"name": "iid", "p": 0.9}
     spec = ExperimentSpec(
         m=m, h=h, k=k, pattern=pattern, packets=packets, seed=seed,
-        controller="detour", engine="batch", route_mode="table",
+        controller="detour", engine="batch",
         fault_model=fault_model, replicas=replicas,
     )
 
@@ -492,10 +444,6 @@ def run_config(driver, pattern, m, h, k, packets, faults, seed=0, workers=None):
         t_obj, t_bat, st, identical, count, extra = run_pool_row(
             pattern, m, h, k, packets, faults, seed, workers
         )
-    elif driver == "detour":
-        t_obj, t_bat, st, identical, count, extra = run_detour_row(
-            pattern, m, h, k, packets, faults, seed
-        )
     elif driver == "montecarlo":
         t_obj, t_bat, st, identical, count, extra = run_montecarlo_row(
             pattern, m, h, k, packets, faults, seed, workers
@@ -541,7 +489,6 @@ def main(argv=None) -> int:
         row = run_config(*cfg, workers=args.workers)
         rows.append(row)
         sides = {"sweep": ("single", "sharded"), "pool": ("cold", "warm"),
-                 "detour": ("bfs", "table"),
                  "montecarlo": ("sequential", "pool"),
                  "compile": ("frontier", "bitset"),
                  "csr": ("dict", "csr")}
