@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from repro.core import bus_ft_debruijn, debruijn
 from repro.core.buses import bus_debruijn
-from repro.simulator import BusNetworkSimulator, NetworkSimulator, uniform_traffic
-from repro.routing import shift_route
+from repro.simulator import BatchEngine, BusNetworkSimulator, uniform_traffic
+from repro.routing import shift_route, shift_route_batch
 
 from benchmarks.conftest import once
 
@@ -34,8 +34,8 @@ def test_busslow_uniform_traffic_bounded(benchmark, rng):
     router = lambda s, d: shift_route(s, d, 2, h)
 
     def run_both():
-        p2p = NetworkSimulator(debruijn(2, h))
-        p2p.inject(pairs, router)
+        p2p = BatchEngine(debruijn(2, h))
+        p2p.inject_routes(*shift_route_batch(pairs[:, 0], pairs[:, 1], 2, h))
         p2p.run()
         bus = BusNetworkSimulator(bus_debruijn(h))
         bus.inject(pairs, router)

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from repro.core import debruijn, ft_debruijn, rank_remap
 from repro.graphs import StaticGraph
-from repro.routing import RouteTable, shift_route
-from repro.simulator import NetworkSimulator, uniform_traffic
+from repro.routing import RouteTable, shift_route, shift_route_batch
+from repro.simulator import BatchEngine, uniform_traffic
 
 
 def test_kernel_csr_construction(benchmark, rng):
@@ -58,8 +58,8 @@ def test_kernel_simulator_throughput(benchmark, rng):
     pairs = uniform_traffic(256, 1000, rng)
 
     def run():
-        sim = NetworkSimulator(g)
-        sim.inject(pairs, lambda s, d: shift_route(s, d, 2, 8))
+        sim = BatchEngine(g)
+        sim.inject_routes(*shift_route_batch(pairs[:, 0], pairs[:, 1], 2, 8))
         sim.run()
         return sim.stats()
 

@@ -57,7 +57,7 @@ def test_per_batch_shards_match_sequential_engine(benchmark):
 
     def both():
         sharded = run_grid([sc], workers=2).results[0].run_stats
-        ctrl = ReconfigurationController(2, 7, 1, engine="batch")
+        ctrl = ReconfigurationController(2, 7, 1)
         pairs = make_pattern(128, "uniform", 20_000, np.random.default_rng(3))
         single = ctrl.run_workload(np.array_split(pairs, 4))
         return sharded, single

@@ -6,8 +6,7 @@ fault-free machine.  Demonstrating that at scale means draining hundreds
 of thousands of packets, which is what the vectorized ``BatchEngine`` is
 for.  This example pushes 200k uniform-traffic packets through a
 ``B^2_{2,9}`` machine that loses two processors mid-run, then checks the
-zero-dilation claim on the delivered traffic, and races the two engines
-on a smaller slice to show they agree packet-for-packet.
+zero-dilation claim on the delivered traffic.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ def main() -> None:
 
     # -- 200k packets, two mid-run faults, batch engine ---------------------
     pairs = make_pattern(n, "uniform", 200_000, rng)
-    ctrl = ReconfigurationController(m, h, k, engine="batch")
+    ctrl = ReconfigurationController(m, h, k)
     ctrl.schedule(FaultScenario([(40, 100), (80, 333)]))
     batches = np.array_split(pairs, 4)
     t0 = time.perf_counter()
@@ -45,29 +44,15 @@ def main() -> None:
 
     # -- zero dilation: post-fault hops match the fault-free machine --------
     probe = make_pattern(n, "uniform", 20_000, np.random.default_rng(7))
-    clean = ReconfigurationController(m, h, k, engine="batch")
+    clean = ReconfigurationController(m, h, k)
     s_clean = clean.run_workload([probe.copy()])
-    post = ReconfigurationController(m, h, k, engine="batch")
+    post = ReconfigurationController(m, h, k)
     post.rec.fail_node(100)
     post.rec.fail_node(333)
     s_post = post.run_workload([probe.copy()])
     print(f"\nzero dilation after reconfiguration: mean hops "
           f"{s_clean.mean_hops:.3f} (clean) vs {s_post.mean_hops:.3f} "
           f"(2 faults) — identical: {s_clean.mean_hops == s_post.mean_hops}")
-
-    # -- the two engines agree packet-for-packet ----------------------------
-    slice_pairs = probe[:5_000]
-    results = {}
-    for engine in ("object", "batch"):
-        c = ReconfigurationController(m, h, k, engine=engine)
-        c.schedule(FaultScenario([(10, 77)]))
-        t0 = time.perf_counter()
-        results[engine] = (c.run_workload([slice_pairs.copy()]),
-                           time.perf_counter() - t0)
-    (s_obj, t_obj), (s_bat, t_bat) = results["object"], results["batch"]
-    print("\nengine race on 5k packets with a mid-drain fault:")
-    print(f"  object {t_obj:6.3f} s   batch {t_bat:6.3f} s   "
-          f"speedup {t_obj / t_bat:.1f}x   identical stats: {s_obj == s_bat}")
 
 
 if __name__ == "__main__":

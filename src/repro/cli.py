@@ -8,8 +8,6 @@ Commands
              the dependability surface, with optional bundles
 ``route``         show a logical route and its lift under a fault set
 ``demo``          thirty-second tour: construct, fail, reconfigure, verify
-``bench-engines`` race the object vs. batch simulation engines on one
-                  workload and check they agree packet-for-packet
 ``run``           execute any experiment spec or grid JSON — closed-loop
                   workloads, open-loop streams, saturation ladders,
                   whole saturation surfaces, and Monte-Carlo replicated
@@ -180,59 +178,6 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench_engines(args: argparse.Namespace) -> int:
-    import time
-
-    from repro.simulator import (
-        FaultScenario,
-        ReconfigurationController,
-        make_pattern,
-    )
-
-    n = args.m ** args.h
-    pairs = make_pattern(
-        n, args.pattern, args.packets, np.random.default_rng(args.seed)
-    )
-    if args.batches > 1:
-        batches = np.array_split(pairs, args.batches)
-    else:
-        batches = [pairs]
-    faults = []
-    for spec in args.fault:
-        try:
-            cycle_s, node_s = spec.split(":")
-            faults.append((int(cycle_s), int(node_s)))
-        except ValueError:
-            print(f"error: --fault expects CYCLE:NODE, got {spec!r}", file=sys.stderr)
-            return 2
-
-    results = {}
-    for engine in ("object", "batch"):
-        ctrl = ReconfigurationController(
-            args.m, args.h, args.k, engine=engine, link_capacity=args.capacity
-        )
-        if faults:
-            ctrl.schedule(FaultScenario(list(faults)))
-        t0 = time.perf_counter()
-        stats = ctrl.run_workload(
-            [b.copy() for b in batches], cycles_per_batch=args.cycles_per_batch
-        )
-        results[engine] = (time.perf_counter() - t0, stats)
-
-    t_obj, s_obj = results["object"]
-    t_bat, s_bat = results["batch"]
-    identical = s_obj == s_bat
-    print(
-        f"workload: {args.pattern}, {pairs.shape[0]} packets on "
-        f"B^{args.k}_{{{args.m},{args.h}}}"
-        + (f", faults {faults}" if faults else "")
-    )
-    print(f"object engine: {t_obj:8.3f} s   {s_obj}")
-    print(f"batch  engine: {t_bat:8.3f} s   {s_bat}")
-    print(f"speedup: {t_obj / t_bat:.1f}x   identical stats: {identical}")
-    return 0 if identical else 1
-
-
 def _load_run_input(path: str):
     """Parse a ``repro run`` JSON file into a spec or grid.
 
@@ -277,7 +222,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     from repro.experiments import run_grid
     from repro.reports import format_table
     from repro.simulator.pool import WorkerPool
-    from repro.simulator.shard_driver import ShardStats
+    from repro.simulator.grid import ShardStats
     from repro.simulator.streaming import find_saturation
 
     _install_signal_handlers()
@@ -581,28 +526,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="retries for a cell whose worker process dies "
                     "(default: 2)")
     sv.set_defaults(func=_cmd_serve)
-
-    be = sub.add_parser(
-        "bench-engines",
-        help="race the object vs. batch simulation engines on one workload",
-    )
-    be.add_argument("--m", type=int, default=2)
-    be.add_argument("--h", type=int, default=8)
-    be.add_argument("--k", type=int, default=1)
-    # a live registry view: patterns registered after import (the
-    # documented extension path) must appear in choices= too
-    from repro.simulator.traffic import PATTERNS
-
-    be.add_argument("--pattern", choices=PATTERNS.names(), default="uniform")
-    be.add_argument("--packets", type=int, default=20_000)
-    be.add_argument("--batches", type=int, default=1,
-                    help="split the workload into this many injection batches")
-    be.add_argument("--capacity", type=int, default=1)
-    be.add_argument("--cycles-per-batch", type=int, default=0)
-    be.add_argument("--fault", action="append", default=[], metavar="CYCLE:NODE",
-                    help="schedule a node fault (repeatable)")
-    be.add_argument("--seed", type=int, default=0)
-    be.set_defaults(func=_cmd_bench_engines)
     return p
 
 

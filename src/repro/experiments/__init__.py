@@ -13,23 +13,22 @@ simulation experiments:
   stream grid to :func:`run_grid` executes a saturation *surface*
   (offered rate x machine size x fault count) as one sweep.
 * :func:`run_grid` — the multi-process executor (re-exported from
-  :mod:`repro.simulator.shard_driver`); accepts a grid or a sequence
+  :mod:`repro.simulator.grid`); accepts a grid or a sequence
   of specs.
-* The backend registries — :data:`ENGINES`, :data:`CONTROLLERS`,
-  :data:`SOURCES`, :data:`PATTERNS`, :data:`FAULT_MODELS` — where the
-  backend names a spec can carry are registered by decorator and
-  validated at spec construction.  A new backend (an engine, an arrival
-  process, a fault universe) is one decorated factory; every spec,
-  grid, CLI ``choices=`` list and error message picks it up
-  automatically.  :data:`ROUTE_MODES` lists the names the
-  ``route_mode`` field accepts, which select nothing.
+* The backend registries — :data:`CONTROLLERS`, :data:`SOURCES`,
+  :data:`PATTERNS`, :data:`FAULT_MODELS` — where the backend names a
+  spec can carry are registered by decorator and validated at spec
+  construction.  A new backend (an arrival process, a fault universe)
+  is one decorated factory; every spec, grid, CLI ``choices=`` list and
+  error message picks it up automatically.  :data:`ENGINES` and
+  :data:`ROUTE_MODES` list the names the ``engine`` and ``route_mode``
+  fields accept, which select nothing.
 
 CLI: ``python -m repro run spec.json`` executes any spec or grid JSON;
 ``python -m repro serve`` accepts the same JSON over HTTP.
 """
 
 from repro.registry import Registry
-from repro.simulator.engines import ENGINES, make_engine
 from repro.simulator.faults import (
     CONTROLLERS,
     FAULT_MODELS,
@@ -39,6 +38,7 @@ from repro.simulator.faults import (
 from repro.simulator.sources import SOURCES, make_source
 from repro.simulator.traffic import PATTERNS, make_pattern
 from repro.experiments.spec import (
+    ENGINES,
     LOOPS,
     ROUTE_MODES,
     ExperimentGrid,
@@ -46,7 +46,7 @@ from repro.experiments.spec import (
     ExperimentSpec,
     parse_run_payload,
 )
-from repro.simulator.shard_driver import GridResult, run_grid
+from repro.simulator.grid import GridResult, run_grid
 
 __all__ = [
     "Registry",
@@ -65,7 +65,6 @@ __all__ = [
     "GridResult",
     "run_grid",
     "parse_run_payload",
-    "make_engine",
     "make_source",
     "make_pattern",
 ]

@@ -6,15 +6,15 @@ record that drives every kind of run.
 seeded arrival process at a target rate over a fixed horizon) — as one
 frozen dataclass, selected by ``loop="closed" | "stream"``, with
 
-* **registry-validated fields** — ``pattern``, ``source``, ``engine``
-  and ``controller`` are checked against the live registries
+* **registry-validated fields** — ``pattern``, ``source`` and
+  ``controller`` are checked against the live registries
   (:data:`~repro.simulator.traffic.PATTERNS`,
   :data:`~repro.simulator.sources.SOURCES`,
-  :data:`~repro.simulator.engines.ENGINES`,
-  :data:`~repro.simulator.faults.CONTROLLERS`) at *construction* time,
-  so a typo raises a :class:`~repro.errors.ParameterError` (a
-  ``ValueError`` naming the valid choices) in the process that typed
-  it, never as a ``KeyError`` inside a worker;
+  :data:`~repro.simulator.faults.CONTROLLERS`), and ``engine`` against
+  :data:`ENGINES`, at *construction* time, so a typo raises a
+  :class:`~repro.errors.ParameterError` (a ``ValueError`` naming the
+  valid choices) in the process that typed it, never as a ``KeyError``
+  inside a worker;
 * **exact JSON round-trip** — :meth:`ExperimentSpec.to_json` /
   :meth:`ExperimentSpec.from_json` reproduce the spec field-for-field
   (ints stay ints, floats round-trip exactly), so one ``spec.json``
@@ -25,7 +25,7 @@ frozen dataclass, selected by ``loop="closed" | "stream"``, with
   replicas) and :meth:`ExperimentGrid.expand` yields concrete specs in
   a stable documented order; a saturation *surface* (offered rate x
   machine size x fault count) is one stream-loop grid handed to
-  :func:`repro.simulator.shard_driver.run_grid`;
+  :func:`repro.simulator.grid.run_grid`;
 * **declarative fault universes** — ``fault_model`` names a generator
   from :data:`~repro.simulator.faults.FAULT_MODELS` (``fixed``,
   ``iid``, ``burst``, ``churn``) instead of a literal schedule, and
@@ -33,12 +33,12 @@ frozen dataclass, selected by ``loop="closed" | "stream"``, with
   concrete :class:`~repro.simulator.faults.FaultScenario` is drawn from
   ``numpy.random.default_rng([seed, i])`` with traffic held fixed, so
   every cell is exactly reproducible and
-  :func:`~repro.simulator.shard_driver.run_grid` fans the realizations
+  :func:`~repro.simulator.grid.run_grid` fans the realizations
   across the warm worker pool.
 
 Running a spec (:meth:`ExperimentSpec.run`) returns an
 :class:`ExperimentResult`: closed-loop runs carry mergeable
-:class:`~repro.simulator.shard_driver.ShardStats`, stream runs carry
+:class:`~repro.simulator.grid.ShardStats`, stream runs carry
 :class:`~repro.simulator.metrics.StreamStats`.
 
 >>> spec = ExperimentSpec(m=2, h=4, k=1, loop="closed", packets=40)
@@ -61,19 +61,19 @@ import numpy as np
 
 from repro.core.debruijn import debruijn
 from repro.errors import ParameterError
-from repro.simulator.engines import ENGINES
 from repro.simulator.faults import (
     CONTROLLERS,
     FaultScenario,
     realize_fault_model,
     validate_fault_model,
 )
-from repro.simulator.shard_driver import ExperimentResult, ShardStats
+from repro.simulator.grid import ExperimentResult, ShardStats
 from repro.simulator.sources import SOURCES, TrafficSource, make_source
 from repro.simulator.traffic import PATTERNS, make_pattern
 
 __all__ = [
     "LOOPS",
+    "ENGINES",
     "ROUTE_MODES",
     "ExperimentSpec",
     "ExperimentGrid",
@@ -91,6 +91,12 @@ LOOPS = ("closed", "stream")
 #: epoch), and the field stays so that existing spec files, digests,
 #: labels and bundle manifests keep their bytes.
 ROUTE_MODES = ("bfs", "table")
+
+#: The names the ``engine`` field accepts: ``"batch"``, the one packet
+#: engine (:class:`~repro.simulator.batch_engine.BatchEngine`) every
+#: controller runs on.  The field selects nothing and stays so that
+#: existing spec files, digests and bundle manifests keep their bytes.
+ENGINES = ("batch",)
 
 
 def _spare_demand(faults, repairs) -> int:
@@ -148,9 +154,11 @@ class ExperimentSpec:
         :data:`~repro.simulator.faults.CONTROLLERS` (``reconfig`` — the
         paper's remap, or ``detour`` — the spare-less baseline).
     ``engine``
-        One of :data:`~repro.simulator.engines.ENGINES`: ``"object"`` or
-        ``"batch"``.  Parallelism comes from the grid, ``replicas`` and
-        ``shards``, never from inside a cell.
+        One of :data:`ENGINES`, whose one entry is ``"batch"``: accepted
+        input that selects nothing; any other name is refused at
+        construction.
+        Parallelism comes from the grid, ``replicas`` and ``shards``,
+        never from inside a cell.
     ``route_mode``
         One of :data:`ROUTE_MODES`, accepted input that selects nothing:
         both controllers have one router each.
@@ -249,7 +257,11 @@ class ExperimentSpec:
                 f"{', '.join(ROUTE_MODES)}"
             )
         SOURCES.validate(self.source)
-        ENGINES.validate(self.engine)
+        if self.engine not in ENGINES:
+            raise ParameterError(
+                f"unknown engine {self.engine!r}; valid choices: "
+                f"{', '.join(ENGINES)}"
+            )
         if self.fault_model is not None:
             if self.faults:
                 raise ParameterError(
@@ -460,7 +472,7 @@ class ExperimentSpec:
         """Replica ``replica``'s single-run spec: the probabilistic fault
         universe frozen into a ``fixed`` model (so the worker re-runs the
         exact drawn schedule), ``replicas`` collapsed to 1, traffic
-        untouched.  :func:`~repro.simulator.shard_driver.run_grid`
+        untouched.  :func:`~repro.simulator.grid.run_grid`
         expands replicated cells through this."""
         scenario = self.realize_faults(replica)
         model = {
@@ -495,14 +507,12 @@ class ExperimentSpec:
             mean_on=self.mean_on, mean_off=self.mean_off,
         )
 
-    def build_controller(self, engine: str | None = None):
+    def build_controller(self):
         """Fresh controller (via the :data:`CONTROLLERS` registry) with
         this spec's realized fault schedule (replica 0 for probabilistic
         universes) on its event clock."""
         ctrl = CONTROLLERS.get(self.controller)(
-            self.m, self.h, self.k,
-            engine=engine or self.engine,
-            link_capacity=self.link_capacity,
+            self.m, self.h, self.k, link_capacity=self.link_capacity,
         )
         scenario = self.realize_faults()
         if scenario.node_faults or scenario.node_repairs:
@@ -588,7 +598,7 @@ class ExperimentGrid:
     curve); it replaces the literal ``fault_sets`` axis and the two are
     mutually exclusive.  A stream grid with several sizes, rates and
     fault sets *is* a saturation surface, and
-    :func:`repro.simulator.shard_driver.run_grid` executes the whole
+    :func:`repro.simulator.grid.run_grid` executes the whole
     thing as one sweep.
 
     >>> grid = ExperimentGrid(mhk=[(2, 4, 1)], loop="stream",

@@ -29,12 +29,6 @@ from repro.graphs.isomorphism import (
     is_subgraph_embeddable,
     verify_embedding,
 )
-from repro.graphs.nx_bridge import (
-    from_networkx,
-    nx_is_subgraph_isomorphic,
-    nx_node_connectivity,
-    to_networkx,
-)
 
 __all__ = [
     "StaticGraph",
@@ -60,8 +54,4 @@ __all__ = [
     "find_embedding",
     "is_subgraph_embeddable",
     "verify_embedding",
-    "to_networkx",
-    "from_networkx",
-    "nx_node_connectivity",
-    "nx_is_subgraph_isomorphic",
 ]

@@ -3,8 +3,8 @@
 Vectorized BFS-based analyses used across tests, benches and the analysis
 layer: connectivity, distances, diameter, and degree statistics.  These run
 on :class:`~repro.graphs.static_graph.StaticGraph` without touching
-networkx (the bridge module cross-validates them against networkx in the
-test suite).
+networkx (the test suite's bridge, ``tests/nx_bridge.py``, cross-validates
+them against networkx).
 """
 
 from __future__ import annotations
@@ -152,8 +152,8 @@ def node_connectivity_lower_bound(g: StaticGraph, trials: int, rng: np.random.Ge
     Removes random sets of increasing size and reports the largest ``f``
     such that no sampled ``f``-subset disconnected the graph.  This is the
     Esfahanian–Hakimi-style question ("how many faults until disconnection")
-    answered experimentally; exact connectivity for small graphs is obtained
-    via the networkx bridge in the analysis layer.
+    answered experimentally; the test suite checks exact connectivity for
+    small graphs through its networkx bridge.
     """
     n = g.node_count
     if n <= 2:

@@ -1,8 +1,8 @@
 """Named-backend registries: register by decorator, validate early.
 
 The simulation stack selects its backends by short strings — traffic
-``pattern``, streaming ``source``, simulation ``engine``, fault
-``controller``, fault universe ``fault_model``.  Before this module, each
+``pattern``, streaming ``source``, fault ``controller``, fault universe
+``fault_model``.  Before this module, each
 string was dispatched by a hand-written ``if``-chain in a different
 file, and an unknown name surfaced wherever the chain happened to live —
 sometimes as a bare ``KeyError`` deep inside a worker process, long
@@ -10,7 +10,7 @@ after the spec that carried the typo was accepted.
 
 A :class:`Registry` replaces each chain with one lookup table:
 
-* **register by decorator** — ``@ENGINES.register("batch")`` above the
+* **register by decorator** — ``@PATTERNS.register("uniform")`` above the
   factory; the table states its own contents, and a new backend is one
   decorated function anywhere, not an edit to a dispatch chain;
 * **validate early** — :meth:`Registry.validate` is cheap enough to call
@@ -27,12 +27,11 @@ registry             registers                                  defined in
 ===================  =========================================  ==================
 ``PATTERNS``         traffic-pattern builders                   ``repro.simulator.traffic``
 ``SOURCES``          streaming-source factories                 ``repro.simulator.sources``
-``ENGINES``          simulation-engine factories                ``repro.simulator.engines``
 ``CONTROLLERS``      fault-controller builders                  ``repro.simulator.faults``
 ``FAULT_MODELS``     fault-universe generators                  ``repro.simulator.faults``
 ===================  =========================================  ==================
 
-:mod:`repro.experiments` re-exports all five and validates every
+:mod:`repro.experiments` re-exports all four and validates every
 :class:`~repro.experiments.ExperimentSpec` field against them.
 """
 
@@ -53,7 +52,7 @@ class Registry:
     Parameters
     ----------
     kind:
-        Human-readable noun for error messages (``"engine"``,
+        Human-readable noun for error messages (``"controller"``,
         ``"traffic pattern"`` ...).
 
     Insertion order is preserved — :meth:`names` is the canonical

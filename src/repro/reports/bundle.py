@@ -38,7 +38,7 @@ from repro.experiments import (
     ROUTE_MODES,
     SOURCES,
 )
-from repro.simulator.shard_driver import ExperimentResult, ShardStats
+from repro.simulator.grid import ExperimentResult, ShardStats
 
 __all__ = [
     "BundleWriter",
@@ -67,7 +67,7 @@ def registry_versions() -> dict:
 
     return {
         "controllers": list(CONTROLLERS.names()),
-        "engines": list(ENGINES.names()),
+        "engines": list(ENGINES),
         "fault_models": list(FAULT_MODELS.names()),
         "patterns": list(PATTERNS.names()),
         "reports": list(REPORTS.names()),
@@ -243,7 +243,7 @@ def write_run_bundle(results, out_dir: str, *, source: dict) -> dict:
     same manifest/hash machinery the report bundles use.
 
     ``results`` is the grid-ordered
-    :class:`~repro.simulator.shard_driver.ExperimentResult` sequence;
+    :class:`~repro.simulator.grid.ExperimentResult` sequence;
     ``source`` describes what was run (the parsed spec/grid payload) and
     lands verbatim in the manifest.  Cell ids are index + spec digest —
     deterministic for a fixed input file.

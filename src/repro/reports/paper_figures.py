@@ -53,11 +53,12 @@ from repro.core.debruijn import debruijn_directed_successors
 from repro.experiments import ExperimentSpec
 from repro.reports.plan import ReportTable
 from repro.simulator import (
+    BatchEngine,
     BusNetworkSimulator,
     DetourController,
     FaultScenario,
-    NetworkSimulator,
     ReconfigurationController,
+    pack_routes,
     uniform_traffic,
 )
 from repro.simulator.streaming import find_saturation
@@ -342,9 +343,8 @@ def _busslow():
         (x, (2 * x + r) % n) for x in range(n) for r in (0, 1)
         if (2 * x + r) % n != x
     ]
-    p2p = NetworkSimulator(g)
-    for s, d in pairs:
-        p2p.inject_route([s, d])
+    p2p = BatchEngine(g)
+    p2p.inject_routes(*pack_routes(pairs))  # each pair is a one-hop route
     p2p.run()
     p2p_cycles = p2p.stats().cycles
 
@@ -381,14 +381,14 @@ def _motiv():
     batches = [uniform_traffic(n, 300, rng) for _ in range(3)]
     offered = sum(len(b) for b in batches)
 
-    base = ReconfigurationController(m, h, k, engine="batch")
+    base = ReconfigurationController(m, h, k)
     s_base = base.run_workload([b.copy() for b in batches])
 
-    ft = ReconfigurationController(m, h, k, engine="batch")
+    ft = ReconfigurationController(m, h, k)
     ft.schedule(FaultScenario([(0, 7), (0, 19)]))
     s_ft = ft.run_workload([b.copy() for b in batches])
 
-    det = DetourController(m, h, engine="batch")
+    det = DetourController(m, h)
     det.fail_node(7)
     det.fail_node(19)
     s_det = det.run_workload([b.copy() for b in batches])

@@ -3,7 +3,7 @@
 A *report* is a named, parameterized recipe that turns experiment grids
 into publishable tables with provenance.  Entries live in the
 :data:`REPORTS` registry (the same decorator pattern as
-:data:`~repro.simulator.engines.ENGINES` and
+:data:`~repro.simulator.faults.CONTROLLERS` and
 :data:`~repro.simulator.faults.FAULT_MODELS`): a builder registered
 under the report's name receives ``quick=`` and returns a
 :class:`ReportPlan` — the full list of :class:`ReportCell`\\ s to
@@ -11,7 +11,7 @@ execute, the grids they came from, and the aggregation that reduces the
 per-cell results into :class:`ReportTable`\\ s plus a markdown summary.
 
 :func:`build_report` is the one executor: it expands the plan, sweeps
-every cell through :func:`~repro.simulator.shard_driver.run_grid` on
+every cell through :func:`~repro.simulator.grid.run_grid` on
 one warm pool, and returns a :class:`ReportRun` ready for
 :func:`~repro.reports.bundle.write_report_bundle`.
 
@@ -29,7 +29,7 @@ from typing import Callable, Mapping
 from repro.errors import ParameterError
 from repro.experiments import ExperimentGrid, ExperimentResult, ExperimentSpec
 from repro.registry import Registry
-from repro.simulator.shard_driver import run_grid
+from repro.simulator.grid import run_grid
 
 __all__ = [
     "REPORTS",

@@ -2,7 +2,7 @@
 
 The reducers here pool Monte-Carlo replicas and seed repetitions the
 only way that is exact: by merging the cells' sufficient statistics
-(:class:`~repro.simulator.shard_driver.ShardStats` histograms and
+(:class:`~repro.simulator.grid.ShardStats` histograms and
 counters) *before* computing any ratio or percentile.  Delivery gets a
 Wilson score interval (:func:`~repro.simulator.metrics.wilson_interval`)
 over the pooled trials, and latency percentiles come straight off the
@@ -23,7 +23,7 @@ from typing import Sequence
 
 from repro.errors import ParameterError
 from repro.simulator.metrics import hist_percentile, wilson_interval
-from repro.simulator.shard_driver import ExperimentResult, ShardStats
+from repro.simulator.grid import ExperimentResult, ShardStats
 
 __all__ = [
     "delivery_columns",

@@ -40,7 +40,7 @@ def lifted_routes_batch(
     """Shift-register routes for a batch of logical pairs, lifted through
     the reconfiguration map ``φ``: ``(flat, offsets)`` arrays in the
     :func:`repro.routing.shift_register.shift_route_batch` layout, ready
-    for ``inject_routes`` on either simulation engine."""
+    for :meth:`~repro.simulator.batch_engine.BatchEngine.inject_routes`."""
     flat, offsets = shift_route_batch(srcs, dsts, m, h)
     return phi[flat], offsets
 

@@ -229,9 +229,15 @@ class RouteTable:
         The follow is vectorized over the batch: one gather per hop
         level, so the work is O(batch x diameter) NumPy ops instead of a
         Python loop per pair.  Raises :class:`RoutingError` on an
-        endpoint out of range or on the first unreachable pair.
+        endpoint out of range or on the first unreachable pair, a
+        faulty node's self-pair included (its diagonal is the sentinel).
         """
-        return self._walk(*self._endpoints(srcs, dsts))
+        srcs, dsts = self._endpoints(srcs, dsts)
+        bad = np.flatnonzero(self.table[srcs, dsts] == self.sentinel)
+        if bad.size:
+            i = int(bad[0])
+            raise RoutingError(f"no route from {srcs[i]} to {dsts[i]}")
+        return self._walk(srcs, dsts)
 
     def reachable(self, srcs: np.ndarray, dsts: np.ndarray) -> np.ndarray:
         """Boolean mask: which (src, dst) pairs the table can route.

@@ -32,8 +32,8 @@ fail the job immediately — retrying a deterministic error is noise.
 
 Determinism contract: cells execute one at a time in grid order, and
 the per-cell results are merged exactly like
-:func:`~repro.simulator.shard_driver.run_grid` over the whole grid
-would — :class:`~repro.simulator.shard_driver.ShardStats` reduction is
+:func:`~repro.simulator.grid.run_grid` over the whole grid
+would — :class:`~repro.simulator.grid.ShardStats` reduction is
 exact and order-stable — so a job's stats are bit-identical to
 ``repro run`` on the same JSON.
 """
@@ -244,7 +244,7 @@ class JobRunner(threading.Thread):
                 self._run_job(job)
 
     def _run_job(self, job: Job) -> None:
-        from repro.simulator.shard_driver import run_grid
+        from repro.simulator.grid import run_grid
 
         for i, spec in enumerate(job.specs):
             if job.cancel_requested or self._stopping.is_set():

@@ -25,7 +25,7 @@ GET      ``/healthz``             pool size/spawns, queue depth, progress
 
 The result payload mirrors ``repro run --json`` field-for-field (rows +
 closed-loop aggregate) and additionally carries the merged
-:class:`~repro.simulator.shard_driver.ShardStats` in exact histogram
+:class:`~repro.simulator.grid.ShardStats` in exact histogram
 form — the stats are bit-identical to a CLI run of the same JSON, and
 only wall-clock fields differ between the two.
 """
@@ -55,7 +55,7 @@ def _grid_result(job, workers: int):
     """Rebuild a :class:`GridResult` from a job's per-cell results —
     the runner executed the same expanded cells in the same order, so
     rows and the exact closed-loop aggregate match ``repro run``."""
-    from repro.simulator.shard_driver import GridResult
+    from repro.simulator.grid import GridResult
 
     return GridResult(
         results=tuple(job.cell_results),
@@ -67,7 +67,7 @@ def _grid_result(job, workers: int):
 def _cell_line(job, index, pool) -> dict:
     """One NDJSON stream line: the cell's report row (identical to the
     ``repro run --json`` row), plus stream cells' window series."""
-    from repro.simulator.shard_driver import GridResult, ShardStats
+    from repro.simulator.grid import GridResult, ShardStats
 
     res = job.cell_results[index]
     row = GridResult(results=(res,), seconds=0.0, workers=0).rows()[0]
@@ -79,7 +79,7 @@ def _cell_line(job, index, pool) -> dict:
 
 def result_payload(job, workers: int) -> dict:
     """The terminal-job result document (``/jobs/<id>/result``)."""
-    from repro.simulator.shard_driver import ShardStats
+    from repro.simulator.grid import ShardStats
 
     grid = _grid_result(job, workers)
     payload = {

@@ -1,23 +1,21 @@
 """Cycle-accurate interconnect simulator: links, buses, traffic, faults.
 
-Two interchangeable engines implement the store-and-forward model:
-
-* :class:`NetworkSimulator` — the object engine: one Python
-  :class:`Packet` per message, one deque per link.  The semantic
-  reference; best for small workloads and debugging.
-* :class:`BatchEngine` — the vectorized structure-of-arrays engine:
-  routes flattened into NumPy arrays, departures scheduled exactly on a
-  calendar queue so each packet is touched only when it moves.  1–2
-  orders of magnitude faster on heavy traffic, golden-tested to match
-  the object engine packet-for-packet.
+One engine implements the point-to-point store-and-forward model:
+:class:`BatchEngine`, the vectorized structure-of-arrays engine.  Routes
+are flattened into NumPy arrays and departures are scheduled exactly on
+a calendar queue, so each packet is touched only when it moves.  The
+conformance suite holds it packet for packet to a per-packet object
+engine that lives in ``tests/conformance/`` as the witness.
+:class:`BusNetworkSimulator` runs the same packets on the paper's bus
+machine (§V), which has no batch twin.
 
 The fault controllers (:class:`ReconfigurationController`,
-:class:`DetourController`) accept ``engine="object" | "batch"``.  There
-is one layer of parallelism: :func:`run_grid` maps independent tasks —
-grid cells, Monte-Carlo replicas, and the per-batch ``shards`` of a
-closed-loop spec — over one :class:`WorkerPool` and merges closed-loop
-results exactly through :class:`ShardStats` (see
-:mod:`repro.simulator.shard_driver`).
+:class:`DetourController`) run on :class:`BatchEngine`.  There is one
+layer of parallelism: :func:`run_grid`
+maps independent tasks — grid cells, Monte-Carlo replicas, and the
+per-batch ``shards`` of a closed-loop spec — over one
+:class:`WorkerPool` and merges closed-loop results exactly through
+:class:`ShardStats` (see :mod:`repro.simulator.grid`).
 
 Two ways to load the machine:
 
@@ -41,7 +39,6 @@ from repro.simulator.metrics import (
     summarize_arrays,
     window_series,
 )
-from repro.simulator.network import NetworkSimulator
 from repro.simulator.batch_engine import BatchEngine, pack_routes
 from repro.simulator.bus_net import BusNetworkSimulator
 from repro.simulator.traffic import (
@@ -55,7 +52,6 @@ from repro.simulator.traffic import (
     transpose_traffic,
     uniform_traffic,
 )
-from repro.simulator.engines import ENGINES, make_engine
 from repro.simulator.faults import (
     CONTROLLERS,
     FAULT_MODELS,
@@ -66,7 +62,7 @@ from repro.simulator.faults import (
     validate_fault_model,
 )
 from repro.simulator.pool import WorkerPool
-from repro.simulator.shard_driver import (
+from repro.simulator.grid import (
     ExperimentResult,
     GridResult,
     ShardStats,
@@ -109,7 +105,6 @@ __all__ = [
     "RunStats",
     "summarize",
     "summarize_arrays",
-    "NetworkSimulator",
     "BatchEngine",
     "pack_routes",
     "BusNetworkSimulator",
@@ -125,10 +120,8 @@ __all__ = [
     "DetourController",
     "FaultScenario",
     "ReconfigurationController",
-    "ENGINES",
     "CONTROLLERS",
     "FAULT_MODELS",
-    "make_engine",
     "realize_fault_model",
     "validate_fault_model",
     "ExperimentResult",

@@ -1,26 +1,39 @@
 """Vectorized structure-of-arrays batch simulation engine.
 
-:class:`BatchEngine` simulates the exact store-and-forward model of
-:class:`repro.simulator.network.NetworkSimulator` — unit-time links, per
-directed link a FIFO queue served at ``link_capacity`` packets per cycle,
-source-routed packets, links served in sorted key order — but holds no
-per-packet Python objects.  All routes live flattened in one
-``(total_hops,)`` int64 array with per-packet offsets, and the engine is
-*event-driven*: it touches each packet only on the cycles where that
-packet actually moves, which makes draining millions of packets 1–2
-orders of magnitude faster than the object engine (see
-``benchmarks/bench_engines`` and ``tools/bench_engines_report.py``).
+:class:`BatchEngine` is the one engine of the cycle-accurate
+store-and-forward model (the unit-time assumptions behind the paper's
+§V slowdown remarks):
 
-Semantic equivalence
---------------------
-The engine is a drop-in twin: on the same (graph, injections, fault
-schedule) it produces *bit-identical* :class:`RunStats` and identical
-per-packet delivery cycles and drop decisions as ``NetworkSimulator``.
-This is enforced by the golden tests in ``tests/test_batch_engine.py``.
+* every directed link carries at most ``link_capacity`` packets per
+  cycle (default 1), FIFO per link;
+* a node may transmit on *all* of its outgoing links in the same cycle
+  — the "two different values ... from a single processor in unit time"
+  regime the paper contrasts buses against;
+* packets are source-routed: the full path is fixed at injection;
+* traversal of one link takes one cycle.
+
+Determinism: link queues are served in sorted ``u * n + v`` key order
+and FIFO within a queue, so a run is a pure function of (graph,
+injections, schedule).
+
+The engine holds no per-packet Python objects.  All routes live
+flattened in one ``(total_hops,)`` int64 array with per-packet offsets,
+and the engine is *event-driven*: it touches each packet only on the
+cycles where that packet actually moves, which makes draining millions
+of packets cheap.
+
+Semantic reference
+------------------
+The conformance witness ``tests/conformance/witness_engine.py`` runs the
+same model one Python object per packet and one deque per link, one
+cycle at a time.  On the same (graph, injections, fault schedule) the
+two produce *bit-identical* :class:`RunStats` and identical per-packet
+delivery cycles and drop decisions; ``tests/test_batch_engine.py`` and
+the conformance suite enforce it.
 
 How it works: departure slots are exact
 ---------------------------------------
-In the object engine a directed link's deque serves up to
+In the model a directed link's FIFO queue serves up to
 ``link_capacity`` packets per cycle, FIFO, and arrivals only ever append
 to the tail.  That makes every packet's departure cycle computable *at
 the moment it joins the queue*.  Counting a queue's service slots in
@@ -46,7 +59,7 @@ A packet's place in the calendar is one int64 key,
 ``depart << 32 | (rank * link_capacity + place)``: its departure cycle,
 its queue's service rank (the queue's position in ``u * n + v`` order)
 and its FIFO place among the queue's departures that cycle.  Ascending
-key order is therefore exactly the object engine's service order.  The
+key order is therefore exactly the model's service order.  The
 calendar is a few key-sorted *runs*; a :meth:`step` to cycle ``c``
 takes every run's prefix of keys departing at ``c``, processes the
 arrivals vectorized (the blocked mask decides drops, the route's end
@@ -62,13 +75,6 @@ and those due after the clock wait outside the calendar in a *pending*
 block.  The step to cycle ``c`` joins the arrivals due at ``c`` behind
 that cycle's continuers in the same :meth:`_join`, which is the order of
 injecting them at ``c`` after stepping there.
-
-When to use which engine
-------------------------
-Use ``NetworkSimulator`` for small workloads, debugging, or when you
-need per-:class:`Packet` objects; use ``BatchEngine`` whenever the
-packet count is large (≳ a few thousand).  The controllers in
-:mod:`repro.simulator.faults` switch via ``engine="object" | "batch"``.
 """
 
 from __future__ import annotations
@@ -315,7 +321,7 @@ class BatchEngine:
             if run.shape[1]:
                 runs.append(run)
         self._runs = runs
-        # a killed queue is empty, like the object engine's deleted deque:
+        # a killed queue is empty, like the witness engine's deleted deque:
         # a packet joining it after a repair must not wait behind the
         # schedule of packets that were dropped
         self._q_free[killed] = 0
@@ -397,10 +403,8 @@ class BatchEngine:
         ``flat``/``offsets`` use the :func:`pack_routes` layout: packet
         ``i``'s route is ``flat[offsets[i]:offsets[i + 1]]``.  Returns the
         array of assigned packet ids.  ``validate`` gates the edge-existence
-        check; dead-node and dead-link checks always run (matching
-        :meth:`NetworkSimulator.inject_route`).  Validation is
-        all-or-nothing: on error, no packet of the batch is injected
-        (``NetworkSimulator.inject_routes`` matches).
+        check; dead-node and dead-link checks always run.  Validation is
+        all-or-nothing: on error, no packet of the batch is injected.
 
         ``at`` gives each packet an arrival cycle (see
         :func:`validate_arrivals`: sorted, none before the clock or a
@@ -602,7 +606,7 @@ class BatchEngine:
     def _take(self, last: int) -> np.ndarray | None:
         """Remove every calendar entry departing at or before ``last``
         and return them as one ``(3, k)`` array in key order — the
-        object engine's service order: cycle, queue, FIFO."""
+        model's service order: cycle, queue, FIFO."""
         bound = (last << _LOW) | _LOW_MASK
         parts, keep = [], []
         for run in self._runs:
@@ -655,7 +659,7 @@ class BatchEngine:
 
         * every in-flight packet holds exactly one key, in exactly one
           run, and no key departs before the clock;
-        * ascending key order is the object engine's service order —
+        * ascending key order is the model's service order —
           cycle, then ``u * n + v`` queue key, then FIFO — so a step
           takes each run's due prefix and needs no sort beyond merging
           them;
@@ -742,7 +746,7 @@ class BatchEngine:
         event and keeps the kernels below for everything in between.
         :class:`SimulationError` is raised when the clock would have to
         pass cycle ``start + max_cycles`` with traffic still in flight or
-        pending — the condition the object engine's per-cycle loop
+        pending — the condition the witness engine's per-cycle loop
         raises under.
 
         After its first 32 steps (a shorter run never probes: the first

@@ -1,6 +1,7 @@
 """Cycle-accurate bus-architecture simulator (paper Section V).
 
-Same packet/route model as :class:`NetworkSimulator`, but transmission is
+Same packet/route model as the point-to-point
+:class:`~repro.simulator.batch_engine.BatchEngine`, but transmission is
 bus-mediated under the paper's *restricted usage*: a node only transmits
 on the bus it owns, and "only a single value can be transmitted over the
 bus in unit time".  Consequently a node that wants to send two different

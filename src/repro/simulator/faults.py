@@ -50,14 +50,13 @@ once with their cycles (``inject_routes(..., at=...)``).
 ``fault_log`` records the ``(cycle, node)`` pairs as they actually fired
 (``repair_log`` likewise for repairs), so tests can pin the timeline.
 
-Both controllers drive either simulation engine: ``engine="object"``
-(:class:`NetworkSimulator`, one Python object per packet) or
-``engine="batch"`` (:class:`BatchEngine`, vectorized structure-of-arrays
-— use it for heavy traffic).  The two are golden-tested semantic twins,
-mid-drain faults included.  Parallelism lives one level up: independent
-cells, replicas and per-batch ``shards`` of an
-:class:`~repro.experiments.ExperimentSpec` fan out through
-:func:`~repro.simulator.shard_driver.run_grid`.
+Both controllers drive the one packet engine,
+:class:`~repro.simulator.batch_engine.BatchEngine`; the conformance
+suite holds their runs, mid-drain faults included, packet for packet to
+the same controllers on the per-packet witness engine.  Parallelism
+lives one level up: independent cells, replicas and per-batch
+``shards`` of an :class:`~repro.experiments.ExperimentSpec` fan out
+through :func:`~repro.simulator.grid.run_grid`.
 """
 
 from __future__ import annotations
@@ -72,8 +71,7 @@ from repro.core.reconfiguration import Reconfigurator
 from repro.errors import ParameterError, SimulationError
 from repro.registry import Registry
 from repro.routing.fault_routing import lifted_routes_batch, survivor_route_table
-from repro.routing.shift_register import shift_route
-from repro.simulator.engines import make_engine
+from repro.simulator.batch_engine import BatchEngine
 from repro.simulator.events import EventQueue
 from repro.simulator.metrics import RunStats
 
@@ -88,7 +86,7 @@ __all__ = [
 ]
 
 #: Registry of fault-controller builders with the uniform signature
-#: ``(m, h, k, *, engine, link_capacity) -> controller``
+#: ``(m, h, k, *, link_capacity) -> controller``
 #: — the experiment spec layer builds controllers through it, and a new
 #: strategy (a different spare layout, an adaptive router) registers here
 #: instead of growing another string switch.
@@ -411,9 +409,9 @@ class _FaultController:
 
     A subclass sets ``target`` (the machine its (src, dst) pairs
     address), hands its physical graph to ``__init__`` (which builds the
-    engine, ``sim``) and supplies :meth:`fail_node` / :meth:`repair_node`
-    (a failure adds the packets it drops to ``lost_to_faults``), the
-    route hook ``_route(pairs) -> (flat,
+    :class:`BatchEngine`, ``sim``) and supplies :meth:`fail_node` /
+    :meth:`repair_node` (a failure adds the packets it drops to
+    ``lost_to_faults``), the route hook ``_route(pairs) -> (flat,
     offsets, kept)`` and whether the engine validates those routes
     (``_validate_routes``).  Everything else — scheduling, firing,
     the logs, refusal accounting, the closed-loop drain and the
@@ -422,9 +420,8 @@ class _FaultController:
 
     _validate_routes = False
 
-    def __init__(self, graph, engine: str, link_capacity: int):
-        self.engine = engine
-        self.sim = make_engine(engine, graph, link_capacity)
+    def __init__(self, graph, link_capacity: int):
+        self.sim = BatchEngine(graph, link_capacity)
         self.events = EventQueue()
         self.lost_to_faults = 0
         self.unreachable_pairs = 0
@@ -534,9 +531,6 @@ class ReconfigurationController(_FaultController):
     ----------
     m, h, k:
         Construction parameters of the underlying ``B^k_{m,h}``.
-    engine:
-        ``"object"`` (reference engine) or ``"batch"`` (vectorized; use
-        for heavy traffic).
     link_capacity:
         Packets one directed link may move per cycle.
     """
@@ -545,13 +539,12 @@ class ReconfigurationController(_FaultController):
     # injection: a lifted hop off the graph would break Theorems 1/2
     _validate_routes = True
 
-    def __init__(self, m: int, h: int, k: int, *, engine: str = "object",
-                 link_capacity: int = 1):
+    def __init__(self, m: int, h: int, k: int, *, link_capacity: int = 1):
         self.m, self.h, self.k = int(m), int(h), int(k)
         self.target = debruijn(m, h)
         self.ft = ft_debruijn(m, h, k)
         self.rec = Reconfigurator(self.ft.node_count, self.target.node_count)
-        super().__init__(self.ft, engine, link_capacity)
+        super().__init__(self.ft, link_capacity)
 
     # bound in each class's own namespace: perfbench/layers.py patches
     # these per class
@@ -575,16 +568,6 @@ class ReconfigurationController(_FaultController):
         node = int(node)
         self.rec.repair_node(node)
         self.sim.enable_node(node)
-
-    def physical_router(self):
-        """Current lifted router (closure over the live φ)."""
-        phi = self.rec.phi()
-
-        def route(src: int, dst: int) -> list[int]:
-            logical = shift_route(src, dst, self.m, self.h)
-            return [int(phi[v]) for v in logical]
-
-        return route
 
     def _route(self, pairs: np.ndarray):
         """Route hook: every logical pair's shift-register route lifted
@@ -622,11 +605,10 @@ class DetourController(_FaultController):
     routed see the new fault epoch.
     """
 
-    def __init__(self, m: int, h: int, *, engine: str = "object",
-                 link_capacity: int = 1):
+    def __init__(self, m: int, h: int, *, link_capacity: int = 1):
         self.m, self.h = int(m), int(h)
         self.target = debruijn(m, h)
-        super().__init__(self.target, engine, link_capacity)
+        super().__init__(self.target, link_capacity)
         self.faults: set[int] = set()
         # epoch cache: one compiled table per frozen fault set,
         # invalidated by fail_node and repair_node (every fault and
@@ -700,15 +682,13 @@ class DetourController(_FaultController):
 # ---------------------------------------------------------------------------
 
 @CONTROLLERS.register("reconfig")
-def _build_reconfig(m, h, k, *, engine="batch", link_capacity=1):
+def _build_reconfig(m, h, k, *, link_capacity=1):
     """The paper's machine: ``B^k_{m,h}`` + monotone remap."""
-    return ReconfigurationController(
-        m, h, k, engine=engine, link_capacity=link_capacity
-    )
+    return ReconfigurationController(m, h, k, link_capacity=link_capacity)
 
 
 @CONTROLLERS.register("detour")
-def _build_detour(m, h, k, *, engine="batch", link_capacity=1):
+def _build_detour(m, h, k, *, link_capacity=1):
     """The spare-less baseline on the bare target graph (``k`` does not
     apply — there are no spares to configure)."""
-    return DetourController(m, h, engine=engine, link_capacity=link_capacity)
+    return DetourController(m, h, link_capacity=link_capacity)

@@ -20,14 +20,14 @@ maps them over one :class:`~repro.simulator.pool.WorkerPool`:
   draining them sequentially in one engine (see :class:`ShardStats` for
   why the merge is exact).
 
-Every task runs a real ``engine="object"`` or ``engine="batch"``
-simulation, so faults fire at exactly the cycle they come due.
+Every task runs a real batch-engine simulation, so faults fire at
+exactly the cycle they come due.
 
 Results come back as :class:`ShardStats` — a mergeable, pickle-friendly
 twin of :class:`RunStats` that carries exact counts plus latency/hop
 histograms, so N tasks reduce to the same ``RunStats`` a single-process
 run would have produced (bit-identical floats included; the property
-tests in ``tests/test_shard_driver.py`` enforce this).
+tests in ``tests/test_grid.py`` enforce this).
 
 Entry points
 ------------

@@ -2,12 +2,14 @@
 
 Aggregation is fully vectorized.  Two record shapes feed it:
 
-* a ``list[Packet]`` from the object engine (:class:`NetworkSimulator`);
 * a :class:`PacketArrays` structure-of-arrays record from the vectorized
-  :class:`repro.simulator.batch_engine.BatchEngine`.
+  :class:`repro.simulator.batch_engine.BatchEngine`;
+* a ``list[Packet]`` from the bus engine
+  (:class:`repro.simulator.bus_net.BusNetworkSimulator`) and the
+  per-packet witness engine of the conformance suite.
 
-Both paths funnel into :func:`summarize_arrays`, so the two engines
-produce bit-identical :class:`RunStats` for identical runs (the golden
+Both paths funnel into :func:`summarize_arrays`, so identical runs give
+bit-identical :class:`RunStats` whichever shape recorded them (the golden
 equivalence tests rely on this).
 """
 
@@ -54,8 +56,8 @@ class PacketArrays:
 
     @classmethod
     def from_packets(cls, packets: "list[Packet]") -> "PacketArrays":
-        """Convert the object engine's per-packet records (the single
-        place the ``-1`` not-delivered sentinel convention lives)."""
+        """Convert per-:class:`Packet` records (the single place the
+        ``-1`` not-delivered sentinel convention lives)."""
         return cls(
             injected_at=np.array([p.injected_at for p in packets], dtype=np.int64),
             delivered_at=np.array(
@@ -127,9 +129,9 @@ def summarize_arrays(records: PacketArrays, cycles: int) -> RunStats:
 def summarize(packets: "list[Packet] | PacketArrays", cycles: int) -> RunStats:
     """Aggregate packet records into a :class:`RunStats`.
 
-    Accepts either the object engine's ``list[Packet]`` or the batch
-    engine's :class:`PacketArrays`; both reduce through the same
-    vectorized path.
+    Accepts either a ``list[Packet]`` or the batch engine's
+    :class:`PacketArrays`; both reduce through the same vectorized
+    path.
     """
     if isinstance(packets, PacketArrays):
         return summarize_arrays(packets, cycles)
@@ -179,7 +181,7 @@ def hist_percentile(
     """Percentile of a value histogram, identical to ``np.percentile``
     (linear interpolation) on the expanded sample.
 
-    Merged :class:`~repro.simulator.shard_driver.ShardStats` carry
+    Merged :class:`~repro.simulator.grid.ShardStats` carry
     latency/hop distributions as ``(values, counts)`` histograms; this
     reduces them without materializing the multi-million-entry sample a
     full dependability-surface cell would otherwise expand.

@@ -1,6 +1,6 @@
 """Persistent warm worker pool: the one layer of parallelism.
 
-:func:`~repro.simulator.shard_driver.run_grid` sends every kind of
+:func:`~repro.simulator.grid.run_grid` sends every kind of
 independent work through one :class:`WorkerPool` — spec cells,
 Monte-Carlo replicas and the per-batch ``shards`` of a closed-loop
 spec.  The pool keeps its workers *alive across map calls*:

@@ -15,9 +15,9 @@ Every source is an **arrival process**: it decides *when* packets enter
 the network and *which* ``(src, dst)`` pairs they carry.  A source is a
 pure function of its constructor arguments — :meth:`TrafficSource.schedule`
 returns the identical arrays every time it is called — so the same
-seeded source can drive the object engine and the batch engine and the
-two runs can be compared packet-for-packet (the streaming golden tests
-in ``tests/test_streaming.py`` do exactly that).
+seeded source can drive the batch engine and the conformance witness
+engine and the two runs can be compared packet-for-packet (the
+streaming golden tests in ``tests/test_streaming.py`` do exactly that).
 
 Sources
 -------

@@ -23,7 +23,7 @@ Entry points
     --rates ...``).
 
 A stream spec at many rates without the bisection is one
-:func:`~repro.simulator.shard_driver.run_grid` call over
+:func:`~repro.simulator.grid.run_grid` call over
 ``[spec.with_rate(r) for r in rates]``.
 
 How the hot path stays fast
@@ -31,12 +31,12 @@ How the hot path stays fast
 The source's arrival calendar is structure-of-arrays: one sorted
 ``times`` array plus one ``(total, 2)`` pairs array per horizon.  Routes
 depend only on the fault state, and only scheduled events change it, so
-the driver is the same drain as the closed loop's ``run_workload``, on
-one path for both engines.  Per fault epoch it routes the arrivals
-before the next scheduled event in one vectorized batch, injects them
-once with their arrival cycles (``inject_routes(..., at=times)``), lets
-``sim.run(until=<next event or horizon>)`` carry them in and move the
-traffic, and fires the event on its cycle.  Every arrival is routed and
+the driver is the same drain as the closed loop's ``run_workload``.
+Per fault epoch it routes the arrivals before the next scheduled event
+in one vectorized batch, injects them once with their arrival cycles
+(``inject_routes(..., at=times)``), lets ``sim.run(until=<next event or
+horizon>)`` carry them in and move the traffic, and fires the event on
+its cycle.  Every arrival is routed and
 validated exactly once, and no Python loop runs per cycle: the batch
 engine joins each cycle's arrivals in the step to that cycle and jumps
 the clock over idle ones.
@@ -44,8 +44,9 @@ the clock over idle ones.
 Exactness contract
 ------------------
 For the same controller parameters and the same seeded source, the
-object and batch engines produce bit-identical packet records —
-identical delivery cycles, drop decisions, and fault logs.  The
+batch engine and the conformance suite's per-packet witness engine
+produce bit-identical packet records — identical delivery cycles, drop
+decisions, and fault logs.  The
 per-cycle reference order is: **fire due events, inject due arrivals,
 step** — and the epoch drain is observationally identical to that
 loop: an arrival pending for cycle ``c`` joins its first queue behind
@@ -63,7 +64,7 @@ import numpy as np
 
 from repro.errors import ParameterError
 from repro.simulator.metrics import StreamStats, stream_summary
-from repro.simulator.shard_driver import ExperimentResult, run_grid
+from repro.simulator.grid import ExperimentResult, run_grid
 from repro.simulator.sources import TrafficSource
 
 __all__ = [

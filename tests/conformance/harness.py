@@ -1,7 +1,7 @@
-"""Shared machinery for the routing conformance suite.
+"""Shared machinery for the conformance suite: routing and engine witnesses.
 
-The conformance regime (see ``tests/conformance/``) is how routing
-changes become landable in this repo.  The detour baseline's one router
+The conformance regime (see ``tests/conformance/``) is how routing and
+engine changes become landable in this repo.  The detour baseline's one router
 (a compiled survivor table per fault epoch) has to prove
 
 1. **identical routes** — for every pair it returns exactly the route
@@ -15,6 +15,11 @@ changes become landable in this repo.  The detour baseline's one router
    BFS distance of an independent implementation;
 4. **pinned outputs** — its results are frozen in golden files across
    every engine, so refactors cannot silently move them.
+
+The shipped batch engine is held to a witness the same way: the
+per-packet :class:`NetworkSimulator` (``witness_engine.py``, re-exported
+here), which :func:`on_engine` swaps into any fault controller and
+:func:`witness_run` runs a closed-loop spec on.
 
 This module holds the checkers the suite's test files share, the BFS
 witness and :class:`WitnessDetourController` that routes through it,
@@ -36,9 +41,14 @@ from repro.graphs.static_graph import StaticGraph
 from repro.routing.shortest_path import bfs_parents, extract_path
 from repro.simulator.batch_engine import pack_routes
 from repro.simulator.faults import DetourController
+from repro.simulator.grid import ShardStats
 from repro.simulator.metrics import stream_summary
+from tests.conformance.witness_engine import NetworkSimulator
 
 __all__ = [
+    "NetworkSimulator",
+    "on_engine",
+    "witness_run",
     "bfs_detour_routes",
     "WitnessDetourController",
     "DictGraph",
@@ -51,6 +61,37 @@ __all__ = [
     "per_cycle_workload",
     "per_cycle_stream",
 ]
+
+
+def on_engine(ctrl, engine: str):
+    """``ctrl`` running on ``engine`` and returned: ``"batch"`` keeps the
+    shipped engine it was built with, ``"object"`` swaps in a fresh
+    witness :class:`NetworkSimulator` over the same graph with the same
+    link capacity.  Works on any fault controller,
+    :class:`WitnessDetourController` included.  Call it before the
+    controller's first use: the engine it replaces must hold nothing."""
+    if engine == "batch":
+        return ctrl
+    if engine != "object":
+        raise ValueError(f"unknown engine {engine!r}; use 'object' or 'batch'")
+    sim = ctrl.sim
+    assert sim.cycle == 0 and sim.injected == 0 and not sim.dead_nodes, (
+        "swap the witness engine in before the controller's first use"
+    )
+    ctrl.sim = NetworkSimulator(sim.graph, sim.link_capacity)
+    return ctrl
+
+
+def witness_run(spec):
+    """A single-replica closed-loop ``spec`` run as ``spec.run()`` runs
+    it, on the witness engine: ``(controller, stats)`` after the drain,
+    where ``stats`` is the :class:`ShardStats` (latency and hop
+    histograms included) ``spec.run().stats`` must equal."""
+    ctrl = on_engine(spec.build_controller(), "object")
+    ctrl.run_workload(spec.injection_batches(),
+                      cycles_per_batch=spec.cycles_per_batch,
+                      max_cycles=spec.max_cycles)
+    return ctrl, ShardStats.from_arrays(ctrl.sim.packet_records(), ctrl.sim.cycle)
 
 
 def bfs_detour_routes(g: StaticGraph, faults, pairs):

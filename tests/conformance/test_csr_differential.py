@@ -35,8 +35,12 @@ from repro.graphs.builders import (
 )
 from repro.graphs.static_graph import StaticGraph
 from repro.routing.tables import RouteTable, compile_routing_table
-from repro.simulator import make_engine
-from tests.conformance.harness import DictGraph, compile_routing_table_frontier
+from repro.simulator import BatchEngine
+from tests.conformance.harness import (
+    DictGraph,
+    NetworkSimulator,
+    compile_routing_table_frontier,
+)
 
 # every registered builder, at a conformance-sized parameterization
 BUILDERS = {
@@ -175,8 +179,9 @@ class TestRandomGraphs:
 class TestCrossEngine:
     """CSR-compiled tables drive both engines to identical stats."""
 
-    @pytest.mark.parametrize("engine_name", ["object", "batch"])
-    def test_full_delivery_and_table_hops(self, engine_name):
+    @pytest.mark.parametrize("engine_cls", [NetworkSimulator, BatchEngine],
+                             ids=["object", "batch"])
+    def test_full_delivery_and_table_hops(self, engine_cls):
         g = debruijn(2, 4)
         n = g.node_count
         ref = dict_twin(g)
@@ -186,7 +191,7 @@ class TestCrossEngine:
         srcs = rng.integers(0, n, 64).astype(np.int64)
         dsts = rng.integers(0, n, 64).astype(np.int64)
         flat, offsets = rt.routes_batch(srcs, dsts)
-        engine = make_engine(engine_name, g, 1)
+        engine = engine_cls(g, 1)
         engine.inject_routes(flat, offsets)
         engine.run()
         stats = engine.stats()
@@ -210,8 +215,8 @@ class TestCrossEngine:
         ok = rt.reachable(srcs, dsts)
         flat, offsets = rt.routes_batch(srcs[ok], dsts[ok])
         results = []
-        for engine_name in ("object", "batch"):
-            engine = make_engine(engine_name, g, 1)
+        for engine_cls in (NetworkSimulator, BatchEngine):
+            engine = engine_cls(g, 1)
             for v in faults:
                 engine.disable_node(int(v))
             engine.inject_routes(flat, offsets)

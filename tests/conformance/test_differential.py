@@ -30,7 +30,7 @@ SIZES = [(2, 3), (2, 4), (3, 3), (2, 5), (4, 3), (5, 2)]
 
 
 def _controller(m, h, fault_nodes):
-    ctrl = DetourController(m, h, engine="batch")
+    ctrl = DetourController(m, h)
     for v in fault_nodes:
         ctrl.fail_node(int(v))
     return ctrl
@@ -116,7 +116,7 @@ class TestDifferential:
         pairs = make_pattern(32, "uniform", 400, np.random.default_rng(5))
         runs = []
         for cls in (DetourController, WitnessDetourController):
-            ctrl = cls(2, 5, engine="batch")
+            ctrl = cls(2, 5)
             ctrl.fail_node(3)
             ctrl.fail_node(20)
             runs.append((ctrl, ctrl.run_workload([pairs.copy()])))

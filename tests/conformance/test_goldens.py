@@ -8,7 +8,7 @@ files keep the ``"route_mode": "table"`` label they were written with):
 
 * ``workload_table.json`` — closed-loop batches with faults at cycle 0:
   per-packet records and the drained :class:`RunStats` bit-identical on
-  ``engine="object"`` and ``engine="batch"``.
+  the batch engine and the per-packet witness engine (``"object"``).
 * ``workload_table_midrun.json`` — a fault that comes due *mid-drain*
   of the first batch: it fires on its cycle, takes the packets queued in
   the failed router down with it, and the later batches route on a
@@ -17,7 +17,7 @@ files keep the ``"route_mode": "table"`` label they were written with):
   (:func:`tests.conformance.harness.per_cycle_workload`).
 * ``stream_table.json`` — open-loop streaming with a *mid-stream* fault
   epoch: per-packet records, the fault log, and the refusal accounting
-  pinned bit-identically for both per-cycle engines.
+  pinned bit-identically for both engines.
 
 Regenerate (after an *intentional* change only) with::
 
@@ -41,7 +41,7 @@ from repro.simulator import (
     make_pattern,
     run_stream,
 )
-from tests.conformance.harness import per_cycle_workload
+from tests.conformance.harness import on_engine, per_cycle_workload
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "goldens"
 
@@ -71,14 +71,14 @@ def _workload_batches():
 
 
 def run_workload_case(engine: str, faults) -> tuple[DetourController, object]:
-    ctrl = DetourController(M, H, engine=engine)
+    ctrl = on_engine(DetourController(M, H), engine)
     ctrl.schedule(FaultScenario([tuple(f) for f in faults]))
     stats = ctrl.run_workload([b.copy() for b in _workload_batches()])
     return ctrl, stats
 
 
 def run_stream_case(engine: str) -> tuple[DetourController, object]:
-    ctrl = DetourController(M, H, engine=engine)
+    ctrl = on_engine(DetourController(M, H), engine)
     ctrl.schedule(FaultScenario([tuple(f) for f in STREAM_FAULTS]))
     src = PoissonSource(N, STREAM_RATE, seed=3)
     stats = run_stream(ctrl, src, cycles=240, warmup=40, window=40)
@@ -180,7 +180,7 @@ class TestWorkloadGoldens:
         ``fire_due_events()`` drain produces, not merely what the
         event-bounded drain produced when it was last regenerated."""
         golden = _load("workload_table_midrun.json")
-        ref = DetourController(M, H, engine=engine)
+        ref = on_engine(DetourController(M, H), engine)
         ref.schedule(FaultScenario([tuple(f) for f in MIDRUN_FAULTS]))
         refused = per_cycle_workload(ref, _workload_batches())
         _assert_records_match(_records(ref), golden["records"])

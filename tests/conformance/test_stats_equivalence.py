@@ -21,7 +21,7 @@ from repro.simulator import (
     make_pattern,
     run_stream,
 )
-from tests.conformance.harness import WitnessDetourController
+from tests.conformance.harness import WitnessDetourController, on_engine
 
 M, H, N = 2, 5, 32
 FAULTS = [3, 20]
@@ -31,7 +31,7 @@ def _controllers(engine, faults=FAULTS, capacity=1):
     """The router's controller and the witness's, same faults."""
     out = []
     for cls in (DetourController, WitnessDetourController):
-        ctrl = cls(M, H, engine=engine, link_capacity=capacity)
+        ctrl = on_engine(cls(M, H, link_capacity=capacity), engine)
         for v in faults:
             ctrl.fail_node(v)
         out.append(ctrl)

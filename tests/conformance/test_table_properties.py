@@ -1,6 +1,6 @@
 """Property tests for :class:`RouteTable` on arbitrary survivor graphs.
 
-Strengthens the ``tests/test_shard_driver.py`` property-test pattern for
+Strengthens the ``tests/test_grid.py`` property-test pattern for
 the routing layer: for *random* graphs (not just de Bruijn machines) and
 random fault sets, every route a compiled table emits is fault-free,
 loop-free, and exactly ``bfs_distances`` hops — and the disconnected

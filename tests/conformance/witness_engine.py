@@ -1,34 +1,25 @@
-"""Cycle-accurate store-and-forward network simulator.
+"""The witness engine: the store-and-forward model one packet at a time.
 
-Model (the unit-time assumptions behind the paper's §V slowdown remarks):
+:class:`NetworkSimulator` runs the model :mod:`repro.simulator.batch_engine`
+documents (unit-time links, ``link_capacity`` packets per directed link
+per cycle, FIFO per link, source routing, links served in sorted key
+order) with one Python :class:`~repro.simulator.packets.Packet` per
+message and one deque per link, advancing one cycle per :meth:`step`.
+It is too slow to ship, and simple enough to read line by line, so the
+test suite holds the shipped :class:`~repro.simulator.batch_engine.BatchEngine`
+to it: identical per-packet delivery cycles, drop decisions and
+:class:`~repro.simulator.metrics.RunStats` on the same (graph,
+injections, fault schedule).  Both engines share the injection
+validator (:func:`~repro.simulator.batch_engine.validate_injection`), so
+they refuse a bad batch naming the same offender.
 
-* every directed link carries at most ``link_capacity`` packets per cycle
-  (default 1);
-* a node may transmit on *all* of its outgoing links in the same cycle —
-  this is the "two different values ... from a single processor in unit
-  time" regime the paper contrasts buses against;
-* packets are source-routed: the full path is fixed at injection;
-* traversal of one link takes one cycle; queueing is FIFO per link.
-
-Determinism: link queues are served in sorted key order and FIFO within a
-queue, so a run is a pure function of (graph, injections, schedule).
-
-Two engines implement this model:
-
-* :class:`NetworkSimulator` (this module) — one Python object per packet,
-  one deque per link.  Best for small workloads, debugging, and as the
-  semantic reference.
-* :class:`repro.simulator.batch_engine.BatchEngine` — the same model in
-  structure-of-arrays form, event-driven (packets are touched only on
-  the cycles where they move) with vectorized NumPy arrivals.  Orders of
-  magnitude faster for heavy traffic; golden-tested to produce identical
-  per-packet delivery cycles and drop decisions.
+:func:`tests.conformance.harness.on_engine` swaps it into a fault
+controller.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Iterable
 
 import numpy as np
 
@@ -207,19 +198,6 @@ class NetworkSimulator:
         return self.inject_routes(
             flat, np.array([0, flat.size]), validate=validate
         )[0]
-
-    def inject(
-        self,
-        pairs: Iterable[tuple[int, int]] | np.ndarray,
-        router: Callable[[int, int], list[int]],
-        *,
-        validate: bool = True,
-    ) -> list[Packet]:
-        """Inject a batch of (src, dst) messages routed by ``router``."""
-        return [
-            self.inject_route(router(int(s), int(d)), validate=validate)
-            for s, d in pairs
-        ]
 
     def inject_routes(
         self, flat: np.ndarray, offsets: np.ndarray, *, validate: bool = True,

@@ -1,11 +1,13 @@
-"""Golden equivalence tests: ``BatchEngine`` is a drop-in semantic twin
-of ``NetworkSimulator``.
+"""Golden equivalence tests: ``BatchEngine`` against the per-packet
+witness engine (``NetworkSimulator`` in ``tests/conformance/``).
 
 Every test runs the same (graph, injections, fault schedule) through
 both engines and asserts *bit-identical* ``RunStats`` plus identical
 per-packet delivery cycles and drop decisions — across all seven traffic
 patterns, a small ``(m, h, k)`` grid, node and link faults, staggered
-injections, and link capacities.
+injections, and link capacities.  The ``"object"`` parameter is the
+witness, swapped into a controller by
+:func:`tests.conformance.harness.on_engine`.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from repro.simulator import (
     BatchEngine,
     DetourController,
     FaultScenario,
-    NetworkSimulator,
     PacketArrays,
     ReconfigurationController,
     hotspot_traffic,
@@ -34,11 +35,16 @@ from repro.simulator import (
     uniform_traffic,
 )
 from repro.simulator.traffic import PATTERN_NAMES
-from tests.conformance.harness import per_cycle_workload
+from tests.conformance.harness import (
+    NetworkSimulator,
+    on_engine,
+    per_cycle_workload,
+    witness_run,
+)
 
 
 def object_records(sim: NetworkSimulator) -> tuple[np.ndarray, np.ndarray]:
-    """(delivered_at, dropped) arrays in pid order from the object engine."""
+    """(delivered_at, dropped) arrays in pid order from the witness engine."""
     delivered = np.array(
         [-1 if p.delivered_at is None else p.delivered_at for p in sim.packets],
         dtype=np.int64,
@@ -68,9 +74,9 @@ class TestGoldenEquivalenceGrid:
         if pattern in ("bit-reversal", "descend") and n & (n - 1):
             pytest.skip("pattern needs a power-of-two node count")
         pairs = make_pattern(n, pattern, 200, np.random.default_rng(5))
-        a = ReconfigurationController(m, h, k, engine="object")
+        a = on_engine(ReconfigurationController(m, h, k), "object")
         sa = a.run_workload([pairs.copy()])
-        b = ReconfigurationController(m, h, k, engine="batch")
+        b = ReconfigurationController(m, h, k)
         sb = b.run_workload([pairs.copy()])
         assert sa == sb
         assert_twins(a.sim, b.sim)
@@ -82,16 +88,56 @@ class TestGoldenEquivalenceGrid:
         pairs = make_pattern(n, pattern, 150, np.random.default_rng(11))
         batches = [pairs[: len(pairs) // 2], pairs[len(pairs) // 2:]]
         scenario = FaultScenario([(2, 6), (8, 11)])
-        a = ReconfigurationController(m, h, k, engine="object")
+        a = on_engine(ReconfigurationController(m, h, k), "object")
         a.schedule(scenario)
         sa = a.run_workload([x.copy() for x in batches], cycles_per_batch=3)
-        b = ReconfigurationController(m, h, k, engine="batch")
+        b = ReconfigurationController(m, h, k)
         b.schedule(FaultScenario(list(scenario.node_faults)))
         sb = b.run_workload([x.copy() for x in batches], cycles_per_batch=3)
         assert sa == sb
         assert a.fault_log == b.fault_log
         assert a.lost_to_faults == b.lost_to_faults
         assert_twins(a.sim, b.sim)
+
+    # heavier single-batch workloads: (pattern, m, h, k, packets,
+    # (cycle, node) faults); each fault fires mid-drain and drops queued
+    # packets.  Hotspot is the long congested drain where the batch
+    # engine settles coalesced windows instead of stepping.
+    @pytest.mark.parametrize("capacity", [1, 2])
+    @pytest.mark.parametrize("pattern,m,h,k,packets,faults", [
+        pytest.param("uniform", 2, 7, 1, 5_000, [], id="uniform-B1_2_7"),
+        pytest.param("uniform", 2, 6, 1, 4_000, [(3, 9)], id="uniform-B1_2_6"),
+        pytest.param("hotspot", 2, 6, 1, 4_000, [(3, 9)], id="hotspot-B1_2_6"),
+        pytest.param("transpose", 2, 8, 2, 4_000, [(5, 40)], id="transpose-B2_2_8"),
+        pytest.param("descend", 2, 8, 2, 4_000, [(2, 40)], id="descend-B2_2_8"),
+    ])
+    def test_heavy_workload(self, pattern, m, h, k, packets, faults, capacity,
+                            monkeypatch):
+        pairs = make_pattern(m ** h, pattern, packets, np.random.default_rng(0))
+        windows = []
+        real = BatchEngine._step_coalesced
+
+        def spy(self, stop, limit=64):
+            settled = real(self, stop, limit)
+            windows.append(settled)
+            return settled
+
+        monkeypatch.setattr(BatchEngine, "_step_coalesced", spy)
+        runs = []
+        for engine in ("object", "batch"):
+            ctrl = on_engine(
+                ReconfigurationController(m, h, k, link_capacity=capacity), engine
+            )
+            ctrl.schedule(FaultScenario(faults))
+            runs.append((ctrl, ctrl.run_workload([pairs.copy()])))
+        (a, sa), (b, sb) = runs
+        assert sa == sb
+        assert_twins(a.sim, b.sim)
+        assert a.fault_log == b.fault_log == faults
+        assert a.lost_to_faults == b.lost_to_faults
+        assert (a.lost_to_faults > 0) == bool(faults)  # the fault bit
+        if pattern == "hotspot":
+            assert sum(windows) >= 1
 
 
 class TestControllerEventTiming:
@@ -109,8 +155,8 @@ class TestControllerEventTiming:
 
     def _make(self, engine):
         if self.controller == "reconfig":
-            return ReconfigurationController(2, 4, 2, engine=engine)
-        return DetourController(2, 4, engine=engine)
+            return on_engine(ReconfigurationController(2, 4, 2), engine)
+        return on_engine(DetourController(2, 4), engine)
 
     def _run(self, engine, scenario, **kwargs):
         ctrl = self._make(engine)
@@ -181,10 +227,17 @@ class TestControllerEventTiming:
                     controller=self.controller,
                     fault_model={"name": "fixed", "faults": [[3, 2]],
                                  "repairs": [[6, 2]]})
-        a = ExperimentSpec(engine="object", **spec).run()
-        b = ExperimentSpec(engine="batch", **spec).run()
-        assert a.stats == b.stats
+        spec = ExperimentSpec(**spec)
+        a, a_stats = witness_run(spec)
+        b = spec.run()
+        assert a_stats == b.stats
+        assert a.sim.stats() == b.run_stats
         assert a.lost_to_faults == b.lost_to_faults
+        c = spec.build_controller()
+        c.run_workload(spec.injection_batches())
+        assert_twins(a.sim, c.sim)
+        assert a.fault_log == c.fault_log
+        assert a.repair_log == c.repair_log
 
 
 class TestDetourEventTiming(TestControllerEventTiming):
@@ -765,24 +818,25 @@ class TestControllersOnBatchEngine:
         from repro.simulator import DetourController
 
         pairs = uniform_traffic(16, 150, np.random.default_rng(17))
-        a = DetourController(2, 4, engine="object")
+        a = on_engine(DetourController(2, 4), "object")
         a.fail_node(4)
         sa = a.run_workload([pairs.copy()])
-        b = DetourController(2, 4, engine="batch")
+        b = DetourController(2, 4)
         b.fail_node(4)
         sb = b.run_workload([pairs.copy()])
         assert sa == sb
         assert a.unreachable_pairs == b.unreachable_pairs
 
     def test_unknown_engine_rejected(self):
-        # registry lookups raise a ValueError subclass naming the choices
+        # the controllers always run the batch engine; a spec naming any
+        # other engine is refused with a ValueError naming the choice
         from repro.errors import ParameterError
 
         with pytest.raises(ParameterError, match="engine.*quantum"):
-            ReconfigurationController(2, 3, 1, engine="quantum")
+            ExperimentSpec(m=2, h=3, k=1, engine="quantum")
 
     def test_ft_full_delivery_after_fault_batch(self):
-        ctrl = ReconfigurationController(2, 4, 2, engine="batch")
+        ctrl = ReconfigurationController(2, 4, 2)
         ctrl.schedule(FaultScenario([(0, 3), (0, 11)]))
         batches = [uniform_traffic(16, 60, np.random.default_rng(1)) for _ in range(2)]
         st = ctrl.run_workload(batches)

@@ -72,15 +72,6 @@ class TestRoute:
         assert "[5, 9]" in out
 
 
-class TestBenchEngines:
-    def test_engines_agree_on_small_workload(self, capsys):
-        assert main(["bench-engines", "--h", "4", "--packets", "200",
-                     "--fault", "2:5"]) == 0
-        out = capsys.readouterr().out
-        assert "identical stats: True" in out
-        assert "speedup" in out
-
-
 def _write_json(tmp_path, payload, name="spec.json") -> str:
     path = tmp_path / name
     path.write_text(json.dumps(payload))

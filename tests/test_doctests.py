@@ -25,7 +25,7 @@ MODULE_NAMES = [
     "repro.routing.shift_register",
     "repro.routing.tables",
     "repro.simulator.events",
-    "repro.simulator.shard_driver",
+    "repro.simulator.grid",
     "repro.experiments.spec",
     "repro.registry",
     "repro.analysis.reliability",

@@ -38,6 +38,7 @@ from repro.experiments import (
     Registry,
     run_grid,
 )
+from tests.conformance.harness import witness_run
 
 EXAMPLES = pathlib.Path(__file__).parent.parent / "examples"
 
@@ -71,7 +72,7 @@ class TestRegistry:
             reg.register("a")(2)
 
     def test_live_registries_contents(self):
-        assert set(ENGINES.names()) == {"object", "batch"}
+        assert ENGINES == ("batch",)
         assert set(CONTROLLERS.names()) == {"reconfig", "detour"}
         assert ROUTE_MODES == ("bfs", "table")
         assert {"poisson", "onoff", "deterministic"} <= set(SOURCES.names())
@@ -86,7 +87,7 @@ class TestSpecValidation:
     @pytest.mark.parametrize("field,bad,choices_hint", [
         ("pattern", "rnig", "uniform"),
         ("controller", "psychic", "reconfig"),
-        ("engine", "warp", "object"),
+        ("engine", "warp", "batch"),
         ("route_mode", "teleport", "bfs"),
         ("source", "firehose", "poisson"),
     ])
@@ -105,11 +106,15 @@ class TestSpecValidation:
             ExperimentSpec(m=2, h=4, loop="moebius")
 
     def test_sharded_engine_not_a_cell_choice(self):
-        with pytest.raises(
-            ParameterError,
-            match="unknown engine 'sharded'; valid choices: object, batch",
-        ):
-            ExperimentSpec(m=2, h=4, engine="sharded")
+        """Neither removed engine is a cell choice: not the multi-process
+        ``sharded`` one, nor the per-packet ``object`` one (now the test
+        suite's witness engine)."""
+        for name in ("sharded", "object"):
+            with pytest.raises(
+                ParameterError,
+                match=f"^unknown engine '{name}'; valid choices: batch$",
+            ):
+                ExperimentSpec(m=2, h=4, engine=name)
 
     def test_spare_budget_checked(self):
         with pytest.raises(ParameterError, match="spares"):
@@ -148,13 +153,17 @@ class TestSpecValidation:
         spec.run()
 
     def test_closed_loop_constraints(self):
-        # idle gaps run on the detour baseline too, engine-independently
-        spec = dict(m=2, h=4, controller="detour", packets=120, batches=3,
-                    cycles_per_batch=3,
-                    fault_model={"name": "fixed", "faults": [[2, 5], [9, 11]]})
-        a = ExperimentSpec(engine="object", **spec).run()
-        b = ExperimentSpec(engine="batch", **spec).run()
-        assert a.stats == b.stats
+        # idle gaps run on the detour baseline too, engine-independently:
+        # the spec's run equals its controller on the witness engine
+        spec = ExperimentSpec(
+            m=2, h=4, controller="detour", packets=120, batches=3,
+            cycles_per_batch=3,
+            fault_model={"name": "fixed", "faults": [[2, 5], [9, 11]]},
+        )
+        a, a_stats = witness_run(spec)
+        b = spec.run()
+        assert a_stats == b.stats
+        assert a.sim.stats() == b.run_stats
         assert (a.lost_to_faults, a.unreachable_pairs) == \
                (b.lost_to_faults, b.unreachable_pairs)
         assert a.unreachable_pairs > 0
@@ -206,7 +215,7 @@ class TestJsonRoundTrip:
     @given(
         loop=st.sampled_from(["closed", "stream"]),
         controller=st.sampled_from(["reconfig", "detour"]),
-        engine=st.sampled_from(["object", "batch"]),
+        engine=st.sampled_from(ENGINES),
         route_mode=st.sampled_from(["bfs", "table"]),
         source=st.sampled_from(["poisson", "onoff", "deterministic"]),
         pattern=st.sampled_from(["uniform", "hotspot", "descend"]),
@@ -351,14 +360,14 @@ class TestLegacyEquivalence:
         assert sharded == single
 
         # a fixed fault at cycle 0: the four shards on a warm pool merge
-        # to what one engine="batch" controller reports after draining
+        # to what one controller reports after draining
         # every batch in sequence, inline
         faulted = replace(spec, fault_model={"name": "fixed",
                                              "faults": [[0, 7]]})
         with WorkerPool(workers=2) as pool:
             pooled = run_grid([faulted], pool=pool).results[0]
             assert pool.spawned == 2
-        ctrl = ReconfigurationController(2, 5, 1, engine="batch")
+        ctrl = ReconfigurationController(2, 5, 1)
         ctrl.schedule(FaultScenario([(0, 7)]))
         inline = ctrl.run_workload(faulted.injection_batches())
         assert ctrl.fault_log == [(0, 7)]
@@ -441,12 +450,14 @@ class TestRunCli:
         spec = self._write(tmp_path, {"m": 2, "h": 4, "engine": "warp"})
         assert main(["run", spec]) == 1
         err = capsys.readouterr().err
-        assert "warp" in err and "object" in err
-        # the removed multi-process engine is just another unknown name
-        spec = self._write(tmp_path, {"m": 2, "h": 4, "engine": "sharded"})
-        assert main(["run", spec]) == 1
-        assert ("unknown engine 'sharded'; valid choices: object, batch"
-                in capsys.readouterr().err)
+        assert "warp" in err and "batch" in err
+        # the removed engines are just other unknown names: one error line
+        for name in ("sharded", "object"):
+            spec = self._write(tmp_path, {"m": 2, "h": 4, "engine": name})
+            assert main(["run", spec]) == 1
+            assert capsys.readouterr().err == (
+                f"error: unknown engine '{name}'; valid choices: batch\n"
+            )
 
     def test_wrapper_form_rejects_sibling_keys(self, capsys, tmp_path):
         """Fields misplaced next to the {"grid"/"experiment": ...}
@@ -477,10 +488,10 @@ class TestRunCli:
         err = capsys.readouterr().err
         assert err.startswith("error: --rates ") and "'1,x'" in err
 
-    def test_registered_pattern_reaches_cli_choices(self, capsys):
+    def test_registered_pattern_reaches_cli_choices(self, capsys, tmp_path):
         """The documented extension recipe end-to-end: a pattern
         registered after import is accepted by spec validation AND by
-        the CLI's live choices= list (``bench-engines --pattern``)."""
+        the CLI, which validates names against the live registry."""
         from repro.simulator.traffic import PATTERNS
 
         if "test-ring" not in PATTERNS:
@@ -493,11 +504,12 @@ class TestRunCli:
 
         spec = ExperimentSpec(m=2, h=4, pattern="test-ring", packets=32)
         assert spec.run().run_stats.delivered == 32
-        assert main(["bench-engines", "--h", "4", "--packets", "32",
-                     "--pattern", "test-ring"]) == 0
+        path = self._write(tmp_path, {"m": 2, "h": 4, "pattern": "test-ring",
+                                      "packets": 32})
+        assert main(["run", path, "--workers", "0"]) == 0
         captured = capsys.readouterr()
-        assert "workload: test-ring, 32 packets" in captured.out
-        assert "test-ring" not in captured.err
+        assert "delivered=32/32" in captured.out
+        assert captured.err == ""
 
     def test_sample_spec_file_runs(self, capsys, tmp_path):
         """The checked-in examples/experiment_spec.json (the CI artifact)

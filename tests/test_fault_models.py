@@ -1,5 +1,5 @@
 """The declarative fault-universe API: FAULT_MODELS registry semantics,
-fixed-model/legacy-tuple bit-equivalence across engines, seeded replica
+fixed-model/legacy-tuple bit-equivalence on both engines, seeded replica
 determinism, repair (enable_node) paths, and the spec/grid plumbing."""
 
 import warnings
@@ -18,11 +18,11 @@ from repro.simulator import (
     BatchEngine,
     DetourController,
     FaultScenario,
-    NetworkSimulator,
     ReconfigurationController,
     realize_fault_model,
     validate_fault_model,
 )
+from tests.conformance.harness import NetworkSimulator, witness_run
 
 
 def _run_stats(ctrl, pairs, batches=2):
@@ -108,20 +108,24 @@ _fault_sets = st.lists(
 
 
 class TestFixedModelEquivalence:
-    """The `fixed` model is the legacy tuples, bit for bit, on every
-    engine — the back-compat contract of the redesign."""
+    """The `fixed` model is the legacy tuples, bit for bit, on the batch
+    engine and the witness engine — the back-compat contract of the
+    redesign."""
 
     @settings(max_examples=20, deadline=None)
     @given(faults=_fault_sets)
     def test_spec_runs_bit_identical(self, faults):
         base = dict(m=2, h=4, k=3, packets=120, batches=2, seed=1)
         model = {"name": "fixed", "faults": [list(p) for p in faults]}
-        for engine in ("object", "batch"):
-            legacy = ExperimentSpec(engine=engine, faults=faults, **base)
-            declared = ExperimentSpec(engine=engine, fault_model=model, **base)
-            rl, rd = legacy.run(), declared.run()
-            assert rl.stats == rd.stats
-            assert rl.lost_to_faults == rd.lost_to_faults
+        legacy = ExperimentSpec(faults=faults, **base)
+        declared = ExperimentSpec(fault_model=model, **base)
+        rl, rd = legacy.run(), declared.run()
+        assert rl.stats == rd.stats
+        assert rl.lost_to_faults == rd.lost_to_faults
+        for spec in (legacy, declared):
+            ctrl, stats = witness_run(spec)
+            assert stats == rl.stats
+            assert ctrl.lost_to_faults == rl.lost_to_faults
 
     def test_fixed_ignores_rng(self):
         model = {"name": "fixed", "faults": [[0, 1], [5, 2]]}
@@ -227,7 +231,7 @@ class TestEnableNode:
             sim.enable_node(3)
 
     def test_detour_repair_restores_routing(self):
-        ctrl = DetourController(2, 4, engine="batch")
+        ctrl = DetourController(2, 4)
         ctrl.fail_node(3)
         pairs = np.array([[3, 5]], dtype=np.int64)
         _, _, kept = ctrl.detour_routes_batch(pairs)
@@ -239,7 +243,7 @@ class TestEnableNode:
             ctrl.repair_node(3)
 
     def test_reconfig_repair_reclaims_spare(self):
-        ctrl = ReconfigurationController(2, 4, 1, engine="batch")
+        ctrl = ReconfigurationController(2, 4, 1)
         ctrl.schedule(FaultScenario([(0, 3), (10, 5)], [(5, 3)]))
         pairs = ExperimentSpec(m=2, h=4, k=1, packets=80, seed=0).traffic()
         stats = _run_stats(ctrl, pairs, batches=4)
@@ -309,7 +313,7 @@ class TestModelSemantics:
     def test_churn_runs_under_reconfig_within_budget(self):
         # a tiny universe whose realizations fit one spare: re-fail after
         # repair exercises the repair_node path end to end
-        ctrl = ReconfigurationController(2, 4, 1, engine="batch")
+        ctrl = ReconfigurationController(2, 4, 1)
         ctrl.schedule(FaultScenario([(0, 7), (40, 7)], [(20, 7)]))
         pairs = ExperimentSpec(m=2, h=4, k=1, packets=200, seed=3).traffic()
         stats = _run_stats(ctrl, pairs, batches=8)

@@ -4,12 +4,26 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import debruijn
+from repro.core.reconfiguration import Reconfigurator
 from repro.errors import FaultSetError, RoutingError
-from repro.routing import ReconfiguredRouter, survivor_route_table
+from repro.routing import (
+    ReconfiguredRouter,
+    lifted_routes_batch,
+    shift_route,
+    survivor_route_table,
+)
 from repro.routing.shift_register import route_length
 from tests.conformance.harness import bfs_detour_routes
+
+# every de Bruijn size the suite builds, up to 1,024 nodes
+LIFT_SIZES = (
+    [(2, h) for h in range(1, 11)] + [(3, h) for h in range(1, 7)]
+    + [(4, h) for h in range(1, 6)] + [(5, h) for h in range(1, 5)]
+)
 
 
 class TestReconfiguredRouter:
@@ -55,6 +69,36 @@ class TestReconfiguredRouter:
         assert 10 not in p and p[-1] == r.reconfigurator.phi()[26]
 
 
+class TestLiftedRoutes:
+    """The batch lift is the scalar spec, route for route: the
+    shift-register route of each logical pair mapped through φ."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_batch_lift_equals_scalar_lift(self, data):
+        m, h = data.draw(st.sampled_from(LIFT_SIZES))
+        n = m ** h
+        k = data.draw(st.integers(0, 3))
+        rec = Reconfigurator(n + k, n)
+        faults = data.draw(st.lists(st.integers(0, n + k - 1), max_size=k,
+                                    unique=True))
+        for v in faults:
+            rec.fail_node(v)
+        phi = rec.phi()
+        # (src, dst, self-pair?) rows: about half the pairs are src == src
+        rows = data.draw(st.lists(
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.booleans()),
+            min_size=1, max_size=100,
+        ))
+        pairs = [(s, s if same else d) for s, d, same in rows]
+        srcs, dsts = np.array(pairs, dtype=np.int64).T
+        flat, offsets = lifted_routes_batch(m, h, phi, srcs, dsts)
+        assert offsets.size == len(pairs) + 1
+        for i, (s, d) in enumerate(pairs):
+            want = [int(phi[v]) for v in shift_route(s, d, m, h)]
+            assert flat[offsets[i]:offsets[i + 1]].tolist() == want
+
+
 class TestDetourRoute:
     """The detour baseline's one router (a survivor table per fault
     epoch), checked against the per-pair BFS witness."""
@@ -79,6 +123,14 @@ class TestDetourRoute:
             with pytest.raises(RoutingError):
                 survivor_route_table(g, faults).route(5, 0)
             assert bfs_detour_routes(g, faults, [[5, 0]])[2].size == 0
+        # a dead node routes nowhere, not even to itself
+        rt = survivor_route_table(g, [5])
+        with pytest.raises(RoutingError, match="no route from 5 to 5"):
+            rt.route(5, 5)
+        with pytest.raises(RoutingError, match="no route from 5 to 5"):
+            rt.routes_batch([4, 5], [4, 5])
+        assert rt.route(4, 4) == [4]
+        assert bfs_detour_routes(g, [5], [[5, 5]])[2].size == 0
 
     def test_detours_stretch_paths(self):
         """Degradation: some pairs must take longer routes after faults

@@ -23,7 +23,6 @@ from repro.experiments import ExperimentGrid, ExperimentSpec
 from repro.routing import lifted_routes_batch
 from repro.simulator import (
     BatchEngine,
-    DetourController,
     FaultScenario,
     ReconfigurationController,
     ShardStats,
@@ -31,7 +30,7 @@ from repro.simulator import (
     pack_routes,
     run_grid,
 )
-from repro.simulator.shard_driver import WorkerPool
+from repro.simulator.grid import WorkerPool
 from repro.simulator.traffic import PATTERN_NAMES
 
 
@@ -247,7 +246,7 @@ class TestRunGrid:
         sc = ExperimentSpec(m=2, h=5, k=1, pattern="uniform", packets=600,
                             batches=4, shards=4, seed=2)
         sharded = run_grid([sc], workers=2).results[0].run_stats
-        ctrl = ReconfigurationController(2, 5, 1, engine="batch")
+        ctrl = ReconfigurationController(2, 5, 1)
         pairs = make_pattern(32, "uniform", 600, np.random.default_rng(2))
         single = ctrl.run_workload(np.array_split(pairs, 4))
         assert sharded == single
@@ -268,7 +267,7 @@ class TestRunGrid:
         sc = ExperimentSpec(m=2, h=4, k=2, pattern="uniform", packets=300,
                             faults=((2, 5), (6, 11)), seed=9)
         via_grid = run_grid([sc], workers=2).results[0].run_stats
-        ctrl = ReconfigurationController(2, 4, 2, engine="batch")
+        ctrl = ReconfigurationController(2, 4, 2)
         ctrl.schedule(FaultScenario([(2, 5), (6, 11)]))
         pairs = make_pattern(16, "uniform", 300, np.random.default_rng(9))
         assert via_grid == ctrl.run_workload([pairs])
@@ -296,18 +295,18 @@ class TestRunGrid:
 
 
 class TestShardedEngine:
-    """``engine="sharded"`` is gone: the registry refuses it like any
-    other unregistered name, before any worker is touched."""
+    """``engine="sharded"`` is gone: a spec or grid naming it is refused
+    like any other unknown engine, before any worker is touched."""
 
     def test_unknown_engine_rejected(self):
-        # registry lookups raise a ValueError subclass naming the choices
-        for name in ("warp", "sharded"):
+        # spec validation raises a ValueError subclass naming the choice
+        for name in ("warp", "sharded", "object"):
             for build in (
-                lambda: ReconfigurationController(2, 4, 1, engine=name),
-                lambda: DetourController(2, 4, engine=name),
+                lambda: ExperimentSpec(m=2, h=4, k=1, engine=name),
+                lambda: ExperimentGrid(mhk=((2, 4, 1),), engine=name).expand(),
             ):
                 with pytest.raises(ParameterError) as exc:
                     build()
                 assert str(exc.value) == (
-                    f"unknown engine {name!r}; valid choices: object, batch"
+                    f"unknown engine {name!r}; valid choices: batch"
                 )

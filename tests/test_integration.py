@@ -27,28 +27,31 @@ from repro.core import (
 from repro.graphs import is_connected, verify_embedding
 from repro.routing import ReconfiguredRouter, RouteTable
 from repro.simulator import (
+    BatchEngine,
     FaultScenario,
-    NetworkSimulator,
     ReconfigurationController,
+    pack_routes,
     permutation_traffic,
     uniform_traffic,
 )
+from tests.conformance.harness import NetworkSimulator
 
 
 class TestFullStack:
-    def test_construct_route_simulate_after_faults(self, rng):
+    @pytest.mark.parametrize("engine", [BatchEngine, NetworkSimulator],
+                             ids=["batch", "object"])
+    def test_construct_route_simulate_after_faults(self, engine, rng):
         """B^2_{2,5} -> fail 2 nodes -> lifted routing tables -> simulate
         a permutation -> everything delivered on healthy hardware."""
         m, h, k = 2, 5, 2
         router = ReconfiguredRouter(m, h, k)
         router.fail_node(7)
         router.fail_node(20)
-        sim = NetworkSimulator(router.ft)
+        sim = engine(router.ft)
         traffic = permutation_traffic(1 << h, rng)
-        sim.inject(
-            [(int(s), int(d)) for s, d in traffic],
-            router.physical_route,
-        )
+        sim.inject_routes(*pack_routes(
+            [router.physical_route(int(s), int(d)) for s, d in traffic]
+        ))
         sim.run()
         stats = sim.stats()
         assert stats.delivered == traffic.shape[0]

@@ -13,12 +13,12 @@ from repro.graphs import (
     find_embedding,
     hypercube,
     is_subgraph_embeddable,
-    nx_is_subgraph_isomorphic,
     path,
     verify_embedding,
 )
 
 from tests.conftest import random_graph
+from tests.nx_bridge import nx_is_subgraph_isomorphic
 
 
 class TestVerifyEmbedding:

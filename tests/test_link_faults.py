@@ -1,4 +1,5 @@
-"""Tests for simulator link faults + the §I edge-fault pipeline end-to-end."""
+"""Tests for simulator link faults + the §I edge-fault pipeline end-to-end,
+on the shipped batch engine and on the per-packet witness engine."""
 
 from __future__ import annotations
 
@@ -8,61 +9,65 @@ from repro.core import debruijn, ft_debruijn, reconfigure_with_edge_faults
 from repro.errors import SimulationError
 from repro.graphs import path
 from repro.routing.shift_register import shift_route
-from repro.simulator import NetworkSimulator
+from repro.simulator import BatchEngine
+from tests.conformance.harness import NetworkSimulator
+
+ENGINES = pytest.mark.parametrize("engine", [BatchEngine, NetworkSimulator],
+                                  ids=["batch", "object"])
 
 
+@ENGINES
 class TestLinkFaults:
-    def test_disable_link_drops_queued(self):
-        g = path(4)
-        sim = NetworkSimulator(g)
-        pkt = sim.inject_route([0, 1, 2, 3])
+    def test_disable_link_drops_queued(self, engine):
+        sim = engine(path(4))
+        sim.inject_route([0, 1, 2, 3])
         dropped = sim.disable_link(0, 1)
-        assert dropped == 1 and pkt.dropped
+        assert dropped == 1 and sim.packet_records().dropped.tolist() == [True]
 
-    def test_disable_link_is_undirected(self):
-        g = path(3)
-        sim = NetworkSimulator(g)
+    def test_disable_link_is_undirected(self, engine):
+        sim = engine(path(3))
         sim.disable_link(1, 0)
         with pytest.raises(SimulationError):
             sim.inject_route([0, 1, 2])
         with pytest.raises(SimulationError):
             sim.inject_route([2, 1, 0])
 
-    def test_packet_dropped_at_dead_link_mid_route(self):
-        g = path(4)
-        sim = NetworkSimulator(g)
-        pkt = sim.inject_route([0, 1, 2, 3])
+    def test_packet_dropped_at_dead_link_mid_route(self, engine):
+        sim = engine(path(4))
+        sim.inject_route([0, 1, 2, 3])
         sim.step()  # 0 -> 1 traversal queued/moved
         sim.disable_link(2, 3)
         sim.run()
-        assert pkt.dropped and pkt.delivered_at is None
+        records = sim.packet_records()
+        assert records.dropped.tolist() == [True]
+        assert records.delivered_at.tolist() == [-1]
 
-    def test_disable_link_requires_real_edge(self):
+    def test_disable_link_requires_real_edge(self, engine):
         """Typo'd fault scenarios must fail loudly, not pass untested."""
-        sim = NetworkSimulator(path(3))
+        sim = engine(path(3))
         with pytest.raises(SimulationError):
             sim.disable_link(0, 2)  # nodes exist, edge does not
         with pytest.raises(SimulationError):
             sim.disable_link(0, 7)  # endpoint out of range
 
-    def test_disable_node_requires_real_node(self):
-        sim = NetworkSimulator(path(3))
+    def test_disable_node_requires_real_node(self, engine):
+        sim = engine(path(3))
         with pytest.raises(SimulationError):
             sim.disable_node(3)
         with pytest.raises(SimulationError):
             sim.disable_node(-1)
 
-    def test_other_links_unaffected(self):
-        g = path(4)
-        sim = NetworkSimulator(g)
+    def test_other_links_unaffected(self, engine):
+        sim = engine(path(4))
         sim.disable_link(2, 3)
-        pkt = sim.inject_route([0, 1, 2])
+        sim.inject_route([0, 1, 2])
         sim.run()
-        assert pkt.latency == 2
+        assert sim.packet_records().delivered_at.tolist() == [2]
 
 
 class TestEdgeFaultPipelineEndToEnd:
-    def test_reconfigure_then_simulate(self):
+    @ENGINES
+    def test_reconfigure_then_simulate(self, engine):
         """Full §I edge-fault story: a link dies in B^k, the cover node is
         retired, and all traffic flows on the reconfigured machine without
         ever touching the dead link."""
@@ -73,7 +78,7 @@ class TestEdgeFaultPipelineEndToEnd:
         assert ft.has_edge(*dead)
         phi, eff = reconfigure_with_edge_faults(ft, target.node_count, [dead])
 
-        sim = NetworkSimulator(ft)
+        sim = engine(ft)
         sim.disable_link(*dead)
         n = target.node_count
         for s in range(n):

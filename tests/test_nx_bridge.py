@@ -6,15 +6,10 @@ import networkx as nx
 import pytest
 
 from repro.errors import GraphFormatError
-from repro.graphs import (
-    StaticGraph,
-    from_networkx,
-    hypercube,
-    nx_node_connectivity,
-    to_networkx,
-)
+from repro.graphs import StaticGraph, hypercube
 
 from tests.conftest import random_graph
+from tests.nx_bridge import from_networkx, nx_node_connectivity, to_networkx
 
 
 class TestRoundTrip:

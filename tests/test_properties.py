@@ -20,10 +20,10 @@ from repro.graphs import (
     is_connected,
     node_connectivity_lower_bound,
     path,
-    to_networkx,
 )
 
 from tests.conftest import random_graph
+from tests.nx_bridge import to_networkx
 
 
 class TestBFS:

@@ -8,6 +8,7 @@ for counterexamples over randomized parameters and fault sets.
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -26,8 +27,9 @@ from repro.core import (
     shuffle_exchange,
 )
 from repro.graphs import StaticGraph, verify_embedding
-from repro.routing import shift_route
-from repro.simulator import NetworkSimulator, uniform_traffic
+from repro.routing import shift_route, shift_route_batch
+from repro.simulator import BatchEngine, uniform_traffic
+from tests.conformance.harness import NetworkSimulator
 
 # strategies kept small: constructions are exercised at paper scale.
 small_m = st.integers(min_value=2, max_value=4)
@@ -138,16 +140,18 @@ class TestSequenceProperties:
 
 
 class TestSimulatorConservation:
+    @pytest.mark.parametrize("engine", [BatchEngine, NetworkSimulator],
+                             ids=["batch", "object"])
     @given(seed=st.integers(min_value=0, max_value=10**9))
     @settings(max_examples=15, deadline=None)
-    def test_packet_conservation(self, seed):
+    def test_packet_conservation(self, engine, seed):
         """injected == delivered + dropped + in_flight, always."""
         rng = np.random.default_rng(seed)
         h = 4
         g = debruijn(2, h)
-        sim = NetworkSimulator(g)
+        sim = engine(g)
         pairs = uniform_traffic(1 << h, 60, rng)
-        sim.inject(pairs, lambda s, d: shift_route(s, d, 2, h))
+        sim.inject_routes(*shift_route_batch(pairs[:, 0], pairs[:, 1], 2, h))
         for _ in range(int(rng.integers(0, 6))):
             sim.step()
         if rng.random() < 0.5:

@@ -27,7 +27,7 @@ import pytest
 
 from repro.experiments import parse_run_payload
 from repro.service import TERMINAL, ExperimentService, JobQueue
-from repro.simulator.shard_driver import ShardStats, _SpecTask, run_grid
+from repro.simulator.grid import ShardStats, _SpecTask, run_grid
 
 GRID = {
     "grid": {
@@ -88,12 +88,13 @@ class TestValidation:
         )
         assert code == 400
         assert "carrier-pigeon" in error and "uniform" in error
-        code, error = _request_error(
-            service.port, "/experiments",
-            json.dumps({"m": 2, "h": 4, "engine": "sharded"}).encode(),
-        )
-        assert code == 400
-        assert "unknown engine 'sharded'; valid choices: object, batch" in error
+        for name in ("sharded", "object"):
+            code, error = _request_error(
+                service.port, "/experiments",
+                json.dumps({"m": 2, "h": 4, "engine": name}).encode(),
+            )
+            assert code == 400
+            assert f"unknown engine '{name}'; valid choices: batch" in error
         # the door did its job before any worker was touched
         assert service.pool.spawned == 0
 

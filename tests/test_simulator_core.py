@@ -1,4 +1,4 @@
-"""Tests for the event queue, packets, and the point-to-point simulator."""
+"""Tests for the event queue, packets, and the point-to-point engines."""
 
 from __future__ import annotations
 
@@ -9,7 +9,8 @@ from repro.core import debruijn
 from repro.errors import SimulationError
 from repro.graphs import StaticGraph, cycle, path
 from repro.routing import RouteTable
-from repro.simulator import EventQueue, NetworkSimulator, Packet
+from repro.simulator import BatchEngine, EventQueue, Packet
+from tests.conformance.harness import NetworkSimulator
 
 
 class TestEventQueue:
@@ -82,111 +83,109 @@ class TestPacket:
         assert p.latency == 5
 
 
-class TestNetworkSimulator:
-    def test_single_hop_delivery(self):
-        g = path(2)
-        sim = NetworkSimulator(g)
-        pkt = sim.inject_route([0, 1])
-        sim.run()
-        stats = sim.stats()
-        assert pkt.latency == 1
-        assert stats.delivered == 1
+def _latencies(sim) -> list[int]:
+    """Per-packet latency in pid order, through the shared records."""
+    r = sim.packet_records()
+    return (r.delivered_at - r.injected_at).tolist()
 
-    def test_multi_hop_latency(self):
-        g = path(5)
-        sim = NetworkSimulator(g)
-        pkt = sim.inject_route([0, 1, 2, 3, 4])
-        sim.run()
-        assert pkt.latency == 4  # one cycle per link, no contention
 
-    def test_contention_serializes(self):
+@pytest.mark.parametrize("engine", [BatchEngine, NetworkSimulator],
+                         ids=["batch", "object"])
+class TestPointToPointEngine:
+    """The link model's unit behaviour, on the shipped batch engine and
+    on the per-packet witness engine."""
+
+    def test_single_hop_delivery(self, engine):
+        sim = engine(path(2))
+        sim.inject_route([0, 1])
+        sim.run()
+        assert _latencies(sim) == [1]
+        assert sim.stats().delivered == 1
+
+    def test_multi_hop_latency(self, engine):
+        sim = engine(path(5))
+        sim.inject_route([0, 1, 2, 3, 4])
+        sim.run()
+        assert _latencies(sim) == [4]  # one cycle per link, no contention
+
+    def test_contention_serializes(self, engine):
         """Two packets over the same link need two cycles."""
-        g = path(2)
-        sim = NetworkSimulator(g)
-        a = sim.inject_route([0, 1])
-        b = sim.inject_route([0, 1])
+        sim = engine(path(2))
+        sim.inject_route([0, 1])
+        sim.inject_route([0, 1])
         sim.run()
-        assert sorted([a.latency, b.latency]) == [1, 2]
+        assert sorted(_latencies(sim)) == [1, 2]
 
-    def test_link_capacity(self):
-        g = path(2)
-        sim = NetworkSimulator(g, link_capacity=2)
-        a = sim.inject_route([0, 1])
-        b = sim.inject_route([0, 1])
+    def test_link_capacity(self, engine):
+        sim = engine(path(2), link_capacity=2)
+        sim.inject_route([0, 1])
+        sim.inject_route([0, 1])
         sim.run()
-        assert a.latency == b.latency == 1
+        assert _latencies(sim) == [1, 1]
 
-    def test_distinct_links_parallel(self):
+    def test_distinct_links_parallel(self, engine):
         """A node may transmit on all its links in one cycle."""
-        g = StaticGraph(3, [(0, 1), (0, 2)])
-        sim = NetworkSimulator(g)
-        a = sim.inject_route([0, 1])
-        b = sim.inject_route([0, 2])
+        sim = engine(StaticGraph(3, [(0, 1), (0, 2)]))
+        sim.inject_route([0, 1])
+        sim.inject_route([0, 2])
         sim.run()
-        assert a.latency == 1 and b.latency == 1
+        assert _latencies(sim) == [1, 1]
 
-    def test_invalid_route_rejected(self):
-        g = path(3)
-        sim = NetworkSimulator(g)
+    def test_invalid_route_rejected(self, engine):
+        sim = engine(path(3))
         with pytest.raises(SimulationError):
             sim.inject_route([0, 2])
 
-    def test_empty_route_rejected(self):
-        sim = NetworkSimulator(path(2))
+    def test_empty_route_rejected(self, engine):
+        sim = engine(path(2))
         with pytest.raises(SimulationError):
             sim.inject_route([])
 
-    def test_self_delivery(self):
-        sim = NetworkSimulator(path(2))
-        pkt = sim.inject_route([1])
-        assert pkt.latency == 0
+    def test_self_delivery(self, engine):
+        sim = engine(path(2))
+        sim.inject_route([1])
+        assert _latencies(sim) == [0]
         assert sim.in_flight == 0
 
-    def test_capacity_validation(self):
+    def test_capacity_validation(self, engine):
         with pytest.raises(SimulationError):
-            NetworkSimulator(path(2), link_capacity=0)
+            engine(path(2), link_capacity=0)
 
-    def test_disable_node_drops_in_flight(self):
-        g = path(4)
-        sim = NetworkSimulator(g)
-        pkt = sim.inject_route([0, 1, 2, 3])
+    def test_disable_node_drops_in_flight(self, engine):
+        sim = engine(path(4))
+        sim.inject_route([0, 1, 2, 3])
         sim.step()
-        dropped = sim.disable_node(2)
-        assert dropped == 1
-        assert pkt.dropped
+        assert sim.disable_node(2) == 1
+        assert sim.packet_records().dropped.tolist() == [True]
 
-    def test_inject_into_dead_node_rejected(self):
-        g = path(3)
-        sim = NetworkSimulator(g)
+    def test_inject_into_dead_node_rejected(self, engine):
+        sim = engine(path(3))
         sim.disable_node(1)
         with pytest.raises(SimulationError):
             sim.inject_route([0, 1, 2])
 
-    def test_run_guard(self):
-        g = cycle(4)
-        sim = NetworkSimulator(g)
+    def test_run_guard(self, engine):
+        sim = engine(cycle(4))
         sim.inject_route([0, 1, 2])
         with pytest.raises(SimulationError):
             sim.run(max_cycles=0)
 
-    def test_determinism(self, rng):
+    def test_determinism(self, engine, rng):
         """Identical inputs give identical stats."""
         g = debruijn(2, 4)
-        router = RouteTable.compile(g).route
-        pairs = [(int(a), int(b)) for a, b in
-                 np.column_stack([rng.integers(0, 16, 50), rng.integers(0, 16, 50)])
-                 if a != b]
+        pairs = np.column_stack([rng.integers(0, 16, 50), rng.integers(0, 16, 50)])
+        pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+        routes = RouteTable.compile(g).routes_batch(pairs[:, 0], pairs[:, 1])
         runs = []
         for _ in range(2):
-            sim = NetworkSimulator(g)
-            sim.inject(pairs, router)
+            sim = engine(g)
+            sim.inject_routes(*routes)
             sim.run()
             runs.append(sim.stats())
         assert runs[0] == runs[1]
 
-    def test_stats_fields(self):
-        g = path(3)
-        sim = NetworkSimulator(g)
+    def test_stats_fields(self, engine):
+        sim = engine(path(3))
         sim.inject_route([0, 1, 2])
         sim.inject_route([0, 1])
         sim.run()

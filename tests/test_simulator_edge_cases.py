@@ -5,8 +5,9 @@ from __future__ import annotations
 import pytest
 
 from repro.graphs import BusHypergraph, StaticGraph, path
-from repro.simulator import BusNetworkSimulator, NetworkSimulator, summarize
+from repro.simulator import BatchEngine, BusNetworkSimulator, summarize
 from repro.simulator.packets import Packet
+from tests.conformance.harness import NetworkSimulator
 
 
 class TestBusEdgeCases:
@@ -55,32 +56,35 @@ class TestBusEdgeCases:
         assert x.latency == 1 and y.latency == 1  # different buses anyway
 
 
+@pytest.mark.parametrize("engine", [BatchEngine, NetworkSimulator],
+                         ids=["batch", "object"])
 class TestNetworkEdgeCases:
-    def test_zero_length_route_counts_delivered(self):
-        sim = NetworkSimulator(path(2))
+    def test_zero_length_route_counts_delivered(self, engine):
+        sim = engine(path(2))
         sim.inject_route([0])
         st = sim.stats()
         assert st.delivered == 1 and st.mean_latency == 0.0
 
-    def test_stats_while_in_flight(self):
-        sim = NetworkSimulator(path(3))
+    def test_stats_while_in_flight(self, engine):
+        sim = engine(path(3))
         sim.inject_route([0, 1, 2])
         sim.step()
         st = sim.stats()
         assert st.injected == 1 and st.delivered == 0
         assert sim.in_flight == 1
 
-    def test_run_on_empty_simulator(self):
-        sim = NetworkSimulator(path(2))
+    def test_run_on_empty_simulator(self, engine):
+        sim = engine(path(2))
         sim.run()
         st = sim.stats()
         assert st.injected == 0 and st.cycles == 0
 
-    def test_isolated_node_graph(self):
+    def test_isolated_node_graph(self, engine):
         g = StaticGraph(3, [(0, 1)])
-        sim = NetworkSimulator(g)
-        pkt = sim.inject_route([2])
-        assert pkt.latency == 0
+        sim = engine(g)
+        sim.inject_route([2])
+        records = sim.packet_records()
+        assert records.delivered_at.tolist() == records.injected_at.tolist() == [0]
 
 
 class TestStatsRendering:

@@ -14,6 +14,7 @@ from repro.simulator import (
     ReconfigurationController,
     uniform_traffic,
 )
+from tests.conformance.harness import on_engine
 
 
 class TestReconfigurationController:
@@ -35,10 +36,11 @@ class TestReconfigurationController:
         ctrl = ReconfigurationController(2, 4, 1)
         ctrl.schedule(FaultScenario([(0, 5)]))
         ctrl.events.run_handlers(0, {"node_fault": ctrl._on_fault})
-        router = ctrl.physical_router()
-        for s in range(16):
-            for d in (0, 7, 15):
-                assert 5 not in router(s, d)
+        pairs = np.array([(s, d) for s in range(16) for d in (0, 7, 15)])
+        flat, offsets, kept = ctrl._route(pairs)
+        assert kept.tolist() == list(range(len(pairs)))
+        assert offsets.size == len(pairs) + 1
+        assert 5 not in flat.tolist()
 
     def test_latency_identical_pre_and_post_fault(self, rng):
         """The zero-dilation claim at the system level: the same workload
@@ -115,7 +117,7 @@ class TestDetourController:
         """The detour baseline's event clock: a fault due mid-drain
         fires on exactly its cycle, so later batches detour around it
         and traffic to it is refused."""
-        det = DetourController(2, 4, engine="batch")
+        det = DetourController(2, 4)
         det.schedule(FaultScenario([(1, 5)]))
         to_dead = np.array([[0, 5]] * 10, dtype=np.int64)
         det.run_workload([uniform_traffic(16, 40, rng), to_dead])
@@ -125,7 +127,7 @@ class TestDetourController:
     def test_fail_node_counts_lost_packets(self):
         """Packets queued in a router when it dies are charged to
         lost_to_faults, mirroring the reconfiguration controller."""
-        det = DetourController(2, 4, engine="batch")
+        det = DetourController(2, 4)
         flat, offsets, _ = det.detour_routes_batch(
             np.array([[5, 0], [5, 2]], dtype=np.int64)
         )
@@ -138,7 +140,7 @@ class TestDetourController:
         fault set — otherwise every later routing batch would raise."""
         from repro.errors import SimulationError
 
-        det = DetourController(2, 4, engine="batch")
+        det = DetourController(2, 4)
         with pytest.raises(SimulationError):
             det.fail_node(99)
         assert det.faults == set()
@@ -163,8 +165,8 @@ class TestDetourController:
 
 class TestControllerLifetime:
     @pytest.mark.parametrize("make", [
-        lambda: ReconfigurationController(2, 4, 2, engine="batch"),
-        lambda: DetourController(2, 4, engine="batch"),
+        lambda: ReconfigurationController(2, 4, 2),
+        lambda: DetourController(2, 4),
     ], ids=["reconfig", "detour"])
     def test_finished_controller_freed_without_gc(self, make, rng):
         # reference counting alone must free a controller, its engine and
@@ -192,9 +194,9 @@ class TestDrainSummaries:
     @staticmethod
     def _controller(controller, engine, monkeypatch):
         if controller == "reconfig":
-            ctrl = ReconfigurationController(2, 4, 3, engine=engine)
+            ctrl = on_engine(ReconfigurationController(2, 4, 3), engine)
         else:
-            ctrl = DetourController(2, 4, engine=engine)
+            ctrl = on_engine(DetourController(2, 4), engine)
         # faults mid-drain and mid-stream, so each drain runs in pieces
         ctrl.schedule(FaultScenario([(2, 3), (5, 9), (40, 12)]))
         calls: list[int] = []

@@ -62,7 +62,7 @@ def test_reports_import_loads_no_analysis_layer():
 def test_module_walk_found_the_tree():
     """The walk really covers the package (guards against an empty
     parametrization silently passing)."""
-    assert "repro.simulator.shard_driver" in ALL_MODULES
+    assert "repro.simulator.grid" in ALL_MODULES
     assert "repro.routing.tables" in ALL_MODULES
     assert len(ALL_MODULES) >= 40
 
@@ -79,11 +79,11 @@ def _subcommands() -> list[str]:
 
 def test_expected_subcommands_present(capsys):
     subs = _subcommands()
-    for cmd in ("build", "verify", "report", "route", "demo",
-                "bench-engines", "run", "serve"):
+    for cmd in ("build", "verify", "report", "route", "demo", "run", "serve"):
         assert cmd in subs
-    # `run` is the one front door: the flag-driven commands are gone
-    for cmd in ("sweep", "saturate"):
+    # `run` is the one front door: the flag-driven commands are gone, and
+    # so is the engine race (one engine ships)
+    for cmd in ("sweep", "saturate", "bench-engines"):
         assert cmd not in subs
         with pytest.raises(SystemExit) as exc:
             main([cmd])

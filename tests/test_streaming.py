@@ -1,5 +1,5 @@
-"""Open-loop streaming: cross-engine goldens, window accounting,
-saturation detection."""
+"""Open-loop streaming: batch engine vs witness engine goldens, window
+accounting, saturation detection."""
 
 from __future__ import annotations
 
@@ -20,7 +20,7 @@ from repro.simulator import (
     run_grid,
     run_stream,
 )
-from tests.conformance.harness import per_cycle_stream
+from tests.conformance.harness import on_engine, per_cycle_stream
 
 
 def _records(ctrl) -> PacketArrays:
@@ -30,12 +30,12 @@ def _records(ctrl) -> PacketArrays:
 def _stream(engine, faults=(), *, controller="reconfig", rate=2.0,
             cycles=300, warmup=50, window=50, capacity=1):
     if controller == "detour":
-        ctrl = DetourController(2, 5, engine=engine, link_capacity=capacity)
+        ctrl = on_engine(DetourController(2, 5, link_capacity=capacity), engine)
         if faults:
             ctrl.schedule(FaultScenario(list(faults)))
     else:
-        ctrl = ReconfigurationController(
-            2, 5, 2, engine=engine, link_capacity=capacity
+        ctrl = on_engine(
+            ReconfigurationController(2, 5, 2, link_capacity=capacity), engine
         )
         if faults:
             ctrl.schedule(FaultScenario(list(faults)))
@@ -45,8 +45,8 @@ def _stream(engine, faults=(), *, controller="reconfig", rate=2.0,
 
 
 class TestGoldenEquivalence:
-    """Object and batch engines must agree packet-for-packet on the same
-    seeded streaming workload — the tentpole's exactness contract."""
+    """The batch engine and the per-packet witness engine must agree
+    packet-for-packet on the same seeded streaming workload."""
 
     @pytest.mark.parametrize("faults", [
         (), ((50, 9),), ((40, 3), (120, 17)),
@@ -137,12 +137,13 @@ class TestPerCycleWitness:
         runs = []
         for drive in (run_stream, per_cycle_stream):
             if controller == "detour":
-                ctrl = DetourController(
-                    2, 5, engine=engine, link_capacity=capacity
+                ctrl = on_engine(
+                    DetourController(2, 5, link_capacity=capacity), engine
                 )
             else:
-                ctrl = ReconfigurationController(
-                    2, 5, 3, engine=engine, link_capacity=capacity
+                ctrl = on_engine(
+                    ReconfigurationController(2, 5, 3, link_capacity=capacity),
+                    engine,
                 )
             ctrl.schedule(scenario())
             stats = drive(ctrl, PoissonSource(32, rate, seed=3), cycles=300,
@@ -186,7 +187,7 @@ class TestDetourTableCache:
         from repro.simulator import make_pattern
 
         calls = self._spy_compiles(monkeypatch)
-        ctrl = DetourController(2, 5, engine="batch")
+        ctrl = DetourController(2, 5)
         ctrl.fail_node(3)
         pairs = make_pattern(32, "uniform", 160, np.random.default_rng(1))
         ctrl.run_workload(list(np.array_split(pairs, 4)))
@@ -197,7 +198,7 @@ class TestDetourTableCache:
         self, monkeypatch
     ):
         calls = self._spy_compiles(monkeypatch)
-        ctrl = DetourController(2, 5, engine="batch")
+        ctrl = DetourController(2, 5)
         ctrl.schedule(FaultScenario([(60, 9)]))
         run_stream(ctrl, PoissonSource(32, 2.0, seed=3), cycles=200)
         # epoch 0 (fault-free) + the post-fault epoch, nothing else —
@@ -214,7 +215,7 @@ class TestDetourTableCache:
         pass, so a cycle-0 scheduled fault costs one compile, not a
         discarded fault-free compile plus a recompile."""
         calls = self._spy_compiles(monkeypatch)
-        ctrl = DetourController(2, 5, engine="batch")
+        ctrl = DetourController(2, 5)
         ctrl.schedule(FaultScenario([(0, 3)]))
         run_stream(ctrl, PoissonSource(32, 2.0, seed=3), cycles=100)
         assert calls == [frozenset({3})]
@@ -223,7 +224,7 @@ class TestDetourTableCache:
         """fail_node on an already-dead node bumps the epoch but leaves
         the frozen fault set unchanged — the cache key sees through it."""
         calls = self._spy_compiles(monkeypatch)
-        ctrl = DetourController(2, 4, engine="batch")
+        ctrl = DetourController(2, 4)
         ctrl.fail_node(3)
         pairs = np.array([[0, 5], [1, 6]], dtype=np.int64)
         ctrl.detour_routes_batch(pairs)
@@ -236,7 +237,7 @@ class TestDetourTableCache:
         epoch, so the table recompiles against the healed survivor set —
         fault-free, post-fault, post-repair, one compile each."""
         calls = self._spy_compiles(monkeypatch)
-        ctrl = DetourController(2, 5, engine="batch")
+        ctrl = DetourController(2, 5)
         ctrl.schedule(FaultScenario([(60, 9)], [(140, 9)]))
         run_stream(ctrl, PoissonSource(32, 2.0, seed=3), cycles=220)
         assert calls == [frozenset(), frozenset({9}), frozenset()]
@@ -255,7 +256,7 @@ class TestDetourTableCache:
             n=32, cycles=300, rng=np.random.default_rng([17, 0]),
         )
         assert scenario.node_faults and scenario.node_repairs
-        ctrl = DetourController(2, 5, engine="batch")
+        ctrl = DetourController(2, 5)
         ctrl.schedule(scenario)
         run_stream(ctrl, PoissonSource(32, 2.0, seed=3), cycles=300)
         # every fault and repair fired at exactly its drawn cycle
@@ -285,7 +286,7 @@ class TestDetourTableCache:
              "window": [0, 240]},
             n=32, cycles=300, rng=np.random.default_rng([17, 0]),
         )
-        ctrl = DetourController(2, 5, engine=engine)
+        ctrl = on_engine(DetourController(2, 5), engine)
         ctrl.schedule(scenario)
         source = PoissonSource(32, 2.0, seed=3)
         run_stream(ctrl, source, cycles=300)
@@ -298,7 +299,7 @@ class TestDetourTableCache:
         records and logs through a fail/heal cycle."""
         results = []
         for engine in ("object", "batch"):
-            ctrl = DetourController(2, 5, engine=engine)
+            ctrl = on_engine(DetourController(2, 5), engine)
             ctrl.schedule(FaultScenario([(50, 9)], [(120, 9)]))
             stats = run_stream(ctrl, PoissonSource(32, 2.0, seed=3),
                                cycles=200)
@@ -337,7 +338,7 @@ class TestWindowAccounting:
 
     def test_trace_source_exact_latency(self):
         """One lonely packet on an idle machine: latency == hops."""
-        ctrl = ReconfigurationController(2, 5, 1, engine="batch")
+        ctrl = ReconfigurationController(2, 5, 1)
         src = TraceSource(32, np.array([10]), np.array([[0, 31]]))
         stats = run_stream(ctrl, src, cycles=50)
         assert stats.delivered == 1
@@ -348,17 +349,17 @@ class TestWindowAccounting:
 class TestValidation:
     def test_sharded_engine_rejected(self):
         """The removed multi-process engine cannot reach run_stream: the
-        controller refuses the name at construction."""
+        spec refuses the name at construction."""
         with pytest.raises(ParameterError, match="unknown engine 'sharded'"):
-            ReconfigurationController(2, 5, 1, engine="sharded")
+            ExperimentSpec(m=2, h=5, k=1, loop="stream", engine="sharded")
 
     def test_source_size_mismatch(self):
-        ctrl = ReconfigurationController(2, 5, 1, engine="batch")
+        ctrl = ReconfigurationController(2, 5, 1)
         with pytest.raises(ParameterError, match="logical nodes"):
             run_stream(ctrl, PoissonSource(16, 1.0), cycles=10)
 
     def test_warmup_bounds(self):
-        ctrl = ReconfigurationController(2, 5, 1, engine="batch")
+        ctrl = ReconfigurationController(2, 5, 1)
         with pytest.raises(ParameterError):
             run_stream(ctrl, PoissonSource(32, 1.0), cycles=10, warmup=10)
 

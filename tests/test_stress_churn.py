@@ -4,6 +4,7 @@ checked at every step (failure-injection soak testing)."""
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
 from repro.algorithms import FaultTolerantMachine, bitonic_sort_on_debruijn
 from repro.core import debruijn, ft_debruijn
@@ -11,8 +12,9 @@ from repro.core.reconfiguration import Reconfigurator
 from repro.errors import FaultSetError
 from repro.graphs import is_connected, verify_embedding
 from repro.routing import ReconfiguredRouter
-from repro.simulator import NetworkSimulator, uniform_traffic
+from repro.simulator import BatchEngine, uniform_traffic
 from repro.routing.shift_register import shift_route
+from tests.conformance.harness import NetworkSimulator
 
 
 class TestReconfiguratorChurn:
@@ -98,14 +100,16 @@ class TestMachineChurnWithWorkloads:
 
 
 class TestSimulatorSoak:
-    def test_repeated_batches_with_midstream_faults(self, rng):
+    @pytest.mark.parametrize("engine", [BatchEngine, NetworkSimulator],
+                             ids=["batch", "object"])
+    def test_repeated_batches_with_midstream_faults(self, engine, rng):
         """Inject, fail, reconfigure, inject again — conservation and
         delivery hold across 10 rounds."""
         h, k = 4, 2
         ft = ft_debruijn(2, h, k)
         target_n = 1 << h
         rec = Reconfigurator(ft.node_count, target_n)
-        sim = NetworkSimulator(ft)
+        sim = engine(ft)
         total_expected = 0
         for round_no in range(10):
             if round_no in (3, 7) and len(rec.faults) < k:

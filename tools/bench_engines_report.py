@@ -1,26 +1,13 @@
 #!/usr/bin/env python
-"""Engine performance tracker: race ``NetworkSimulator`` vs ``BatchEngine``
-on a suite of workloads and write ``BENCH_engines.json`` at the repo root,
-so the perf trajectory is tracked from PR to PR.
+"""Bench tracker: time five workloads, each two ways, and write
+``BENCH_engines.json`` at the repo root, so the perf trajectory is
+tracked from PR to PR.
 
-Seven row kinds:
+Five row kinds:
 
-* ``driver="engine"`` — each engine runs its *native pipeline*, exactly
-  as a caller would drive it: the object engine routes per pair (scalar
-  ``shift_route`` lifted through φ, the pre-batch-engine workflow) and
-  injects packet by packet; the batch engine routes, lifts, and injects
-  whole arrays.  Static faults are applied before routing.  This is the
-  acceptance gate: the ≥ 100k-packet uniform row on ``B^1_{2,10}`` must
-  clear 10x with bit-identical stats and per-packet delivery cycles.
-* ``driver="controller"`` — both engines behind the same
-  ``ReconfigurationController`` with a mid-run fault schedule (routing
-  is shared and vectorized for both, so the ratio isolates pure
-  simulation speed under honest fault timing).  The controller drains
-  through ``run(until=<next event>)``; the hotspot row is the long,
-  congested drain where the batch engine's coalesced kernels pay.
 * ``driver="sweep"`` — a multi-scenario grid through the multi-process
   ``run_grid`` dispatch vs the same grid single-process: records the
-  wall-clock speedup of ``repro.simulator.shard_driver.run_grid`` and
+  wall-clock speedup of ``repro.simulator.grid.run_grid`` and
   checks the merged aggregate is bit-identical.  The speedup scales with
   physical cores; single-core machines report ~1x or below (the workers
   column records what ran).
@@ -64,8 +51,10 @@ Seven row kinds:
   on the same machine for the trajectory.
 
 The report exits nonzero — naming each offending workload on stderr —
-whenever any row disagrees across engines, so CI can use it as a
-cross-engine regression gate.
+whenever the two sides of any row disagree, so CI can use it as a
+regression gate.  The batch engine's equality with the per-packet
+witness engine is a tier-1 test (``tests/test_batch_engine.py``), not a
+row here.
 
 Usage::
 
@@ -87,31 +76,11 @@ _ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(_ROOT / "src"))
 sys.path.insert(1, str(_ROOT))  # the compile row's witness: tests.conformance
 
-from repro.core import ft_debruijn  # noqa: E402
-from repro.core.reconfiguration import Reconfigurator  # noqa: E402
-from repro.routing import lifted_routes_batch, shift_route  # noqa: E402
-from repro.simulator import (  # noqa: E402
-    BatchEngine,
-    FaultScenario,
-    NetworkSimulator,
-    ReconfigurationController,
-    make_pattern,
-)
-
 # (driver, pattern, m, h, k, packets, faults)
-#   engine rows:     faults = static dead physical nodes
-#   controller rows: faults = (cycle, node) mid-run schedule
-#   sweep rows:      faults = per-scenario (cycle, node) schedule; the grid
-#                    spans sizes x patterns x fault sets x seeds (see
-#                    run_sweep_row) and `packets` is the per-scenario load
+#   sweep rows: faults = per-scenario (cycle, node) schedule; the grid
+#               spans sizes x patterns x fault sets x seeds (see
+#               run_sweep_row) and `packets` is the per-scenario load
 FULL_SUITE = [
-    ("engine", "uniform", 2, 10, 1, 100_000, []),
-    ("engine", "uniform", 2, 8, 2, 20_000, [40]),
-    ("engine", "transpose", 2, 8, 1, 20_000, []),
-    ("engine", "hotspot", 2, 8, 1, 20_000, []),
-    ("engine", "descend", 2, 9, 1, 50_000, []),
-    ("controller", "uniform", 2, 8, 2, 20_000, [(5, 40)]),
-    ("controller", "hotspot", 2, 8, 2, 20_000, [(5, 40)]),
     ("sweep", "uniform", 2, 9, 1, 40_000, [(0, 40)]),
     ("pool", "uniform", 2, 8, 1, 2_000, [(0, 40)]),
     ("montecarlo", "uniform", 2, 9, 1, 10_000, []),
@@ -119,75 +88,12 @@ FULL_SUITE = [
     ("csr", "uniform", 2, 14, 1, 0, []),
 ]
 QUICK_SUITE = [
-    ("engine", "uniform", 2, 7, 1, 5_000, []),
-    ("controller", "uniform", 2, 6, 1, 4_000, [(3, 9)]),
-    ("controller", "hotspot", 2, 6, 1, 4_000, [(3, 9)]),
     ("sweep", "uniform", 2, 7, 1, 4_000, [(0, 9)]),
     ("pool", "uniform", 2, 6, 1, 600, [(0, 9)]),
     ("montecarlo", "uniform", 2, 6, 1, 2_000, []),
     ("compile", "uniform", 2, 7, 1, 0, [9]),
     ("csr", "uniform", 2, 7, 1, 0, []),
 ]
-
-
-def run_engine_row(pattern, m, h, k, packets, fault_nodes, seed=0):
-    """Race the two engines through their native pipelines."""
-    n = m ** h
-    pairs = make_pattern(n, pattern, packets, np.random.default_rng(seed))
-    ft = ft_debruijn(m, h, k)
-    rec = Reconfigurator(ft.node_count, n)
-    for node in fault_nodes:
-        rec.fail_node(int(node))
-    phi = rec.phi()
-
-    t0 = time.perf_counter()
-    sim = NetworkSimulator(ft)
-    for node in fault_nodes:
-        sim.disable_node(int(node))
-    for s, d in pairs:
-        logical = shift_route(int(s), int(d), m, h)
-        sim.inject_route([int(phi[v]) for v in logical])
-    sim.run()
-    s_obj = sim.stats()
-    t_obj = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    be = BatchEngine(ft)
-    for node in fault_nodes:
-        be.disable_node(int(node))
-    flat, offsets = lifted_routes_batch(m, h, phi, pairs[:, 0], pairs[:, 1])
-    be.inject_routes(flat, offsets)
-    be.run()
-    s_bat = be.stats()
-    t_bat = time.perf_counter() - t0
-
-    obj_delivered = np.array(
-        [-1 if p.delivered_at is None else p.delivered_at for p in sim.packets],
-        dtype=np.int64,
-    )
-    identical = (
-        s_obj == s_bat
-        and np.array_equal(obj_delivered, be.delivered_at)
-        and np.array_equal(
-            np.array([p.dropped for p in sim.packets]), be.dropped_mask
-        )
-    )
-    return t_obj, t_bat, s_bat, identical, int(pairs.shape[0])
-
-
-def run_controller_row(pattern, m, h, k, packets, faults, seed=0):
-    """Race the two engines behind the same mid-run fault controller."""
-    n = m ** h
-    pairs = make_pattern(n, pattern, packets, np.random.default_rng(seed))
-    times, stats = {}, {}
-    for engine in ("object", "batch"):
-        ctrl = ReconfigurationController(m, h, k, engine=engine)
-        ctrl.schedule(FaultScenario([tuple(f) for f in faults]))
-        t0 = time.perf_counter()
-        stats[engine] = ctrl.run_workload([pairs.copy()])
-        times[engine] = time.perf_counter() - t0
-    identical = stats["object"] == stats["batch"]
-    return times["object"], times["batch"], stats["batch"], identical, int(pairs.shape[0])
 
 
 def run_sweep_row(pattern, m, h, k, packets, faults, seed=0, workers=None):
@@ -278,7 +184,7 @@ def run_montecarlo_row(pattern, m, h, k, packets, faults, seed=0,
     statistics and the exact aggregate must be bit-identical."""
     from repro.experiments import ExperimentSpec
     from repro.simulator import WorkerPool
-    from repro.simulator.shard_driver import run_grid
+    from repro.simulator.grid import run_grid
 
     # force real processes, as in the pool row: replica fan-out on an
     # inline dispatch would not exercise cross-process determinism
@@ -427,16 +333,7 @@ def run_csr_row(pattern, m, h, k, packets, fault_nodes, seed=0, sources=32):
 
 
 def run_config(driver, pattern, m, h, k, packets, faults, seed=0, workers=None):
-    extra = {}
-    if driver == "engine":
-        t_obj, t_bat, st, identical, count = run_engine_row(
-            pattern, m, h, k, packets, faults, seed
-        )
-    elif driver == "controller":
-        t_obj, t_bat, st, identical, count = run_controller_row(
-            pattern, m, h, k, packets, faults, seed
-        )
-    elif driver == "sweep":
+    if driver == "sweep":
         t_obj, t_bat, st, identical, count, extra = run_sweep_row(
             pattern, m, h, k, packets, faults, seed, workers
         )
@@ -492,7 +389,7 @@ def main(argv=None) -> int:
                  "montecarlo": ("sequential", "pool"),
                  "compile": ("frontier", "bitset"),
                  "csr": ("dict", "csr")}
-        left, right = sides.get(row["driver"], ("object", "batch"))
+        left, right = sides[row["driver"]]
         print(
             f"{row['driver']:>10} {row['pattern']:>10} "
             f"B^{row['k']}_{{{row['m']},{row['h']}}} {row['packets']:>7} pkts  "
@@ -517,13 +414,13 @@ def main(argv=None) -> int:
     bad = [r for r in rows if not r["identical_stats"]]
     for r in bad:
         print(
-            f"ENGINE DISAGREEMENT: driver={r['driver']} pattern={r['pattern']} "
+            f"DISAGREEMENT: driver={r['driver']} pattern={r['pattern']} "
             f"B^{r['k']}_{{{r['m']},{r['h']}}} packets={r['packets']} "
             f"faults={r['faults']}",
             file=sys.stderr,
         )
     if bad:
-        print(f"{len(bad)} workload(s) disagree across engines", file=sys.stderr)
+        print(f"{len(bad)} workload(s) disagree across sides", file=sys.stderr)
     return 1 if bad else 0
 
 
