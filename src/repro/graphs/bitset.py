@@ -33,7 +33,19 @@ the unreachable sentinel is that dtype's max value: ``uint8`` for every
 de Bruijn and shuffle-exchange machine, ``uint16`` for a hub like
 ``star(300)``.  While the sweep runs, claims accumulate in
 ``ceil(log2 max_deg)`` bit-planes — never more bytes than the table
-itself — and are unpacked into the table in row blocks at the end.
+itself.  :func:`all_pairs_distances` records each pair's BFS level the
+same way, in ``ceil(log2 (diameter + 1))`` level planes.
+
+Decoding
+--------
+Bit-planes become entries in one place, :func:`_decode`, one byte lane
+at a time: lane ``i`` of an entry holds bits ``8i..8i+7`` of its value,
+so ``uint16`` hub tables and long distances take a second lane.  Each
+``reach`` byte (8 destinations) gathers from a 256-entry table a uint64
+that is 0xFF in the bytes of the destinations not reached, every lane of
+the all-ones sentinel; each plane byte ORs in a gathered uint64 that
+holds its 8 bits one per byte, shifted to the plane's bit.  Row blocks
+sized for L2 are written straight into the output.
 
 Tie-breaking contract
 ---------------------
@@ -52,13 +64,16 @@ __all__ = [
     "hop_rank_table",
 ]
 
-#: Unpacked bytes per row block when decoding bit-planes into a table.
-_DECODE_BLOCK_BYTES = 4 * 2**20
+#: The decode's byte lookups: byte ``j`` of ``_SPREAD[b]`` is bit ``j``
+#: of ``b``, and byte ``j`` of ``_CLEAR[b]`` is 0xFF where that bit is
+#: clear.
+_SPREAD = np.unpackbits(
+    np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little"
+).view(np.uint64)[:, 0]
+_CLEAR = (_SPREAD ^ np.uint64(0x0101010101010101)) * np.uint64(0xFF)
 
-
-def _unpack(bits: np.ndarray, n: int) -> np.ndarray:
-    """Bitset rows -> ``(rows, n)`` uint8 matrix of 0/1."""
-    return np.unpackbits(bits.view(np.uint8), axis=1, count=n, bitorder="little")
+#: Lane bytes decoded per row block: the block's scratch stays in L2.
+_ROW_BLOCK_BYTES = 2**18
 
 
 def _sweep(
@@ -117,6 +132,36 @@ def _sweep(
             on_level(level, newly)
 
 
+def _decode(planes, reach: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Fill ``out``, an ``(n, n)`` integer matrix, from bit-planes.
+
+    ``out[v, d]`` is the sum of ``(bit d of planes[p][v]) << p``, or
+    all-ones bits (the unsigned max, or ``-1``) where bit ``d`` of
+    ``reach[v]`` is clear.  Both inputs are bitset rows, ``(n,
+    ceil(n/64))`` uint64; see the module docstring for the lookups.
+    """
+    n = len(out)
+    nb = (n + 7) >> 3  # the bitset bytes that hold destinations
+    rows = max(1, _ROW_BLOCK_BYTES // max(n, 1))
+    lanes = out.view(np.uint8).reshape(n, n, out.itemsize)
+    lane_buf = np.empty((min(rows, n), nb), dtype=np.uint64)
+    bits_buf = np.empty_like(lane_buf)
+    for a in range(0, n, rows):
+        k = min(rows, n - a)
+        lane, bits = lane_buf[:k], bits_buf[:k]
+        for i in range(out.itemsize):
+            # byte indices are always in range: "wrap" only skips the check
+            np.take(_CLEAR, reach[a: a + k].view(np.uint8)[:, :nb], out=lane,
+                    mode="wrap")
+            for p, plane in enumerate(planes[8 * i: 8 * i + 8]):
+                np.take(_SPREAD, plane[a: a + k].view(np.uint8)[:, :nb],
+                        out=bits, mode="wrap")
+                bits <<= np.uint64(p)
+                lane |= bits
+            lanes[a: a + k, :, i] = lane.view(np.uint8)[:, :n]
+    return out
+
+
 def hop_rank_table(
     num_nodes: int,
     row_offsets: np.ndarray,
@@ -144,18 +189,7 @@ def hop_rank_table(
         (max(max_deg - 1, 0).bit_length(), n, (n + 63) >> 6), dtype=np.uint64
     )
     reach = _sweep(n, indptr, indices, alive, planes=planes)
-    table = np.empty((n, n), dtype=dtype)
-    sentinel = np.iinfo(dtype).max
-    rows = max(1, _DECODE_BLOCK_BYTES // max(n, 1))
-    buf = np.empty((min(rows, n), n), dtype=dtype)
-    for a in range(0, n, rows):
-        blk, part = table[a: a + rows], buf[: min(rows, n - a)]
-        blk[...] = 0
-        for p, plane in enumerate(planes):
-            np.left_shift(_unpack(plane[a: a + rows], n), p, out=part, dtype=dtype)
-            blk |= part
-        np.copyto(blk, sentinel, where=_unpack(reach[a: a + rows], n) == 0)
-    return table
+    return _decode(planes, reach, np.empty((n, n), dtype=dtype))
 
 
 def all_pairs_distances(
@@ -170,17 +204,21 @@ def all_pairs_distances(
     ``diameter`` sweeps of the whole reach matrix.
     """
     n = int(num_nodes)
-    dist = np.full((n, n), -1, dtype=np.int64)
-    np.fill_diagonal(dist, 0)
-    flat = dist.ravel()
+    levels: list[np.ndarray] = []  # plane b: the pairs whose level has bit b
 
     def record(level: int, newly: np.ndarray) -> None:
-        flat[np.flatnonzero(_unpack(newly, n).view(bool))] = level
+        if level.bit_length() > len(levels):
+            levels.append(np.zeros_like(newly))
+        for b, plane in enumerate(levels):
+            if level >> b & 1:
+                plane |= newly
 
-    _sweep(
+    reach = _sweep(
         n,
         np.ascontiguousarray(row_offsets, dtype=np.int64),
         np.ascontiguousarray(col_indices, dtype=np.int64),
         on_level=record,
     )
-    return dist
+    # the smallest signed dtype past every level: its all-ones is -1
+    dtype = np.min_scalar_type(-(1 << len(levels)))
+    return _decode(levels, reach, np.empty((n, n), dtype=dtype)).astype(np.int64)

@@ -649,9 +649,12 @@ class DetourController(_FaultController):
     def survivor_table(self):
         """The current fault epoch's compiled detour
         :class:`~repro.routing.tables.RouteTable` (original node ids),
-        compiled at most once per frozen fault set."""
+        compiled at most once per frozen fault set.  The stale epoch's
+        table is released before the next compiles, so a recompile never
+        holds two n² tables."""
         key = frozenset(self.faults)
         if self._table is None or self._table_faults != key:
+            self._table = None
             self._table = survivor_route_table(self.target, key)
             self._table_faults = key
         return self._table

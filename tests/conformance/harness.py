@@ -53,7 +53,6 @@ __all__ = [
     "WitnessDetourController",
     "DictGraph",
     "compile_routing_table_frontier",
-    "mask_nodes_csr",
     "survivor_on_full_node_set",
     "iter_routes",
     "assert_valid_survivor_routes",
@@ -236,40 +235,16 @@ class DictGraph:
         return table
 
 
-def mask_nodes_csr(
-    num_nodes: int,
-    row_offsets: np.ndarray,
-    col_indices: np.ndarray,
-    alive: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Drop every edge incident to a non-``alive`` node, keeping all rows.
-
-    Survivor-graph construction as pure array slicing: the node set (and
-    so the id space) is unchanged — dead nodes simply become isolated,
-    their neighbor slices empty.  Surviving slices keep their relative
-    order, so the result is again a canonical CSR pair.
-    """
-    n = int(num_nodes)
-    indptr = np.asarray(row_offsets, dtype=np.int64)
-    indices = np.asarray(col_indices, dtype=np.int64)
-    src = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
-    keep = alive[src] & alive[indices]
-    out_indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src[keep], minlength=n), out=out_indptr[1:])
-    return out_indptr, indices[keep]
-
-
 def compile_routing_table_frontier(g: StaticGraph) -> np.ndarray:
     """Next-hop table via one frontier-at-a-time reverse BFS per destination.
 
     The third witness the differential suite checks bit-for-bit against
-    :func:`repro.routing.tables.compile_routing_table`, and the reference
-    arm of the ``compile`` bench row.  Each BFS level is one vectorized
-    gather over the CSR arrays, with the first occurrence in gather
-    order claiming the parent — the frontier is sorted ascending, so
-    that is the smallest hop-optimal neighbor id, the *same* tie-break
-    as the bitset kernel.  Returns the decoded int64 view: ``-1``
-    unreachable, ``table[d, d] == d``.
+    :func:`repro.routing.tables.compile_routing_table`.  Each BFS level
+    is one vectorized gather over the CSR arrays, with the first
+    occurrence in gather order claiming the parent — the frontier is
+    sorted ascending, so that is the smallest hop-optimal neighbor id,
+    the *same* tie-break as the bitset kernel.  Returns the decoded int64
+    view: ``-1`` unreachable, ``table[d, d] == d``.
     """
     n = g.node_count
     table = np.full((n, n), -1, dtype=np.int64)

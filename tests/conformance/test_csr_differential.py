@@ -47,6 +47,8 @@ BUILDERS = {
     "hypercube": lambda: hypercube(4),
     "cycle": lambda: cycle(11),
     "path": lambda: path(9),
+    # diameter 299: nine level planes, two byte lanes of distance decode
+    "path_long": lambda: path(300),
     "complete": lambda: complete(8),
     "star": lambda: star(9),
     "star_wide": lambda: star(300),  # max degree 299: the uint16 rank path
@@ -57,6 +59,7 @@ BUILDERS = {
     "kautz": lambda: kautz(2, 3),
     "debruijn": lambda: debruijn(2, 4),
     "debruijn_m3": lambda: debruijn(3, 3),
+    "debruijn_h7": lambda: debruijn(2, 7),
     "debruijn_digit": lambda: debruijn_digit_definition(2, 4),
     "shuffle_exchange": lambda: shuffle_exchange(4),
     "ft_debruijn": lambda: ft_debruijn(2, 3, 2),
@@ -104,6 +107,13 @@ class TestBuilderPlanes:
         faults = rng.choice(g.node_count, size=min(3, g.node_count - 1), replace=False)
         table = compile_routing_table(g, faulty=faults)
         assert table.tolist() == ref.compile_table(faulty=faults)
+
+    @pytest.mark.parametrize("name", BUILDER_IDS)
+    def test_distances_match_dict_bfs(self, name):
+        g = BUILDERS[name]()
+        ref = dict_twin(g)
+        dist = bitset.all_pairs_distances(g.node_count, g.row_offsets, g.col_indices)
+        assert dist.tolist() == [ref.bfs_dist(s) for s in range(g.node_count)]
 
 
 @st.composite

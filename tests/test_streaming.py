@@ -220,6 +220,27 @@ class TestDetourTableCache:
         run_stream(ctrl, PoissonSource(32, 2.0, seed=3), cycles=100)
         assert calls == [frozenset({3})]
 
+    def test_stale_table_released_before_recompile(self, monkeypatch):
+        """A recompile never holds two n² tables: the stale epoch's rank
+        matrix is unreferenced by the time the next compile starts."""
+        import weakref
+
+        import repro.simulator.faults as faults_mod
+
+        ctrl = DetourController(2, 5)
+        stale = weakref.ref(ctrl.survivor_table().table)
+        alive_at_compile: list[bool] = []
+        real = faults_mod.survivor_route_table
+
+        def spy(g, fs):
+            alive_at_compile.append(stale() is not None)
+            return real(g, fs)
+
+        monkeypatch.setattr(faults_mod, "survivor_route_table", spy)
+        ctrl.fail_node(3)
+        ctrl.survivor_table()
+        assert alive_at_compile == [False]
+
     def test_repeated_fault_does_not_recompile(self, monkeypatch):
         """fail_node on an already-dead node bumps the epoch but leaves
         the frozen fault set unchanged — the cache key sees through it."""

@@ -1,9 +1,9 @@
 #!/usr/bin/env python
-"""Bench tracker: time five workloads, each two ways, and write
+"""Bench tracker: time four workloads, each two ways, and write
 ``BENCH_engines.json`` at the repo root, so the perf trajectory is
 tracked from PR to PR.
 
-Five row kinds:
+Four row kinds:
 
 * ``driver="sweep"`` — a multi-scenario grid through the multi-process
   ``run_grid`` dispatch vs the same grid single-process: records the
@@ -30,17 +30,6 @@ Five row kinds:
   the merged per-cell statistics *and* the exact aggregate — the proof
   that replica realization happens in the submitting process and is
   independent of where each task runs.
-* ``driver="compile"`` — the per-epoch survivor-table *compile* itself:
-  the frontier-at-a-time per-destination compiler (one BFS per
-  destination; it lives in ``tests/conformance/harness.py`` as the
-  differential suite's third witness) vs the shipped bit-parallel rank
-  kernel that advances all destinations at once
-  (``survivor_route_table``).  The generic columns hold (frontier,
-  bitset) seconds; because both implement the same smallest-neighbor
-  tie-break, ``identical_stats`` here is full **bit-equality** of the
-  frontier table and the rank table's decoded ``next_hops()`` (decoded
-  outside the timed span).  ``packets`` counts the reachable pairs;
-  the simulation columns are zero (no traffic runs).
 * ``driver="csr"`` — the CSR core's frontier-expansion primitive raced
   against its own dict-view fallback: BFS distance sweeps from a fixed
   source sample, once walking the lazily-built ``adjacency_dict()``
@@ -74,7 +63,6 @@ import numpy as np
 
 _ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(_ROOT / "src"))
-sys.path.insert(1, str(_ROOT))  # the compile row's witness: tests.conformance
 
 # (driver, pattern, m, h, k, packets, faults)
 #   sweep rows: faults = per-scenario (cycle, node) schedule; the grid
@@ -84,14 +72,12 @@ FULL_SUITE = [
     ("sweep", "uniform", 2, 9, 1, 40_000, [(0, 40)]),
     ("pool", "uniform", 2, 8, 1, 2_000, [(0, 40)]),
     ("montecarlo", "uniform", 2, 9, 1, 10_000, []),
-    ("compile", "uniform", 2, 12, 1, 0, [3, 40]),
     ("csr", "uniform", 2, 14, 1, 0, []),
 ]
 QUICK_SUITE = [
     ("sweep", "uniform", 2, 7, 1, 4_000, [(0, 9)]),
     ("pool", "uniform", 2, 6, 1, 600, [(0, 9)]),
     ("montecarlo", "uniform", 2, 6, 1, 2_000, []),
-    ("compile", "uniform", 2, 7, 1, 0, [9]),
     ("csr", "uniform", 2, 7, 1, 0, []),
 ]
 
@@ -222,59 +208,6 @@ def run_montecarlo_row(pattern, m, h, k, packets, faults, seed=0,
     }
 
 
-def run_compile_row(pattern, m, h, k, packets, fault_nodes, seed=0):
-    """Race the frontier-at-a-time per-destination compiler (the
-    conformance harness's third witness) against the shipped
-    bit-parallel rank kernel on one fault epoch.  Both implement the
-    smallest-hop-optimal-neighbor tie-break, so the check is full
-    bit-equality of the frontier table and the rank table's decoded
-    next hops (decoded outside the timed span)."""
-    from types import SimpleNamespace
-
-    from repro.core.debruijn import debruijn
-    from repro.graphs.static_graph import StaticGraph
-    from repro.routing.fault_routing import survivor_route_table
-    from repro.routing.tables import UNREACHABLE
-    from tests.conformance.harness import (
-        compile_routing_table_frontier,
-        mask_nodes_csr,
-    )
-
-    g = debruijn(m, h)
-    n = g.node_count
-    faults = sorted(int(v) for v in fault_nodes)
-    dead = np.array(faults, dtype=np.int64)
-
-    def frontier_compile():
-        # per-destination frontier BFS on the masked survivor CSR
-        alive = np.ones(n, dtype=bool)
-        alive[dead] = False
-        indptr, indices = mask_nodes_csr(n, g.row_offsets, g.col_indices, alive)
-        table = compile_routing_table_frontier(
-            StaticGraph.from_csr(n, indptr, indices)
-        )
-        table[dead, dead] = UNREACHABLE
-        return table
-
-    t0 = time.perf_counter()
-    frontier_table = frontier_compile()
-    t_frontier = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    rt = survivor_route_table(g, faults)
-    t_bitset = time.perf_counter() - t0
-
-    bitset_table = rt.next_hops()
-    identical = np.array_equal(frontier_table, bitset_table)
-    reachable = int(np.count_nonzero(bitset_table != UNREACHABLE))
-    st = SimpleNamespace(cycles=0, delivered=0, dropped=0)
-    return t_frontier, t_bitset, st, identical, reachable, {
-        "nodes": n,
-        "faults_applied": len(faults),
-        "frontier_seconds": round(t_frontier, 4),
-        "bitset_seconds": round(t_bitset, 4),
-    }
-
-
 def run_csr_row(pattern, m, h, k, packets, fault_nodes, seed=0, sources=32):
     """Race the dict-view fallback against the canonical CSR array path
     on the frontier-expansion primitive: BFS distance sweeps from a
@@ -345,10 +278,6 @@ def run_config(driver, pattern, m, h, k, packets, faults, seed=0, workers=None):
         t_obj, t_bat, st, identical, count, extra = run_montecarlo_row(
             pattern, m, h, k, packets, faults, seed, workers
         )
-    elif driver == "compile":
-        t_obj, t_bat, st, identical, count, extra = run_compile_row(
-            pattern, m, h, k, packets, faults, seed
-        )
     elif driver == "csr":
         t_obj, t_bat, st, identical, count, extra = run_csr_row(
             pattern, m, h, k, packets, faults, seed
@@ -387,7 +316,6 @@ def main(argv=None) -> int:
         rows.append(row)
         sides = {"sweep": ("single", "sharded"), "pool": ("cold", "warm"),
                  "montecarlo": ("sequential", "pool"),
-                 "compile": ("frontier", "bitset"),
                  "csr": ("dict", "csr")}
         left, right = sides[row["driver"]]
         print(
