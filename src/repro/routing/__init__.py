@@ -6,7 +6,7 @@ directly (single paths as node lists, batches as flattened
 
 * **shift-register** (:mod:`~repro.routing.shift_register`) — the
   analytic de Bruijn route: shift in the destination's digits, at most
-  ``h`` hops; scalar (:func:`shift_route`) and fully vectorized batch
+  ``h`` hops; scalar (:func:`shift_route`) and closed-form batch
   (:func:`shift_route_batch`) forms.
 * **BFS shortest paths** (:mod:`~repro.routing.shortest_path`) — exact
   hop-optimal paths and the parent trees tables compile from.
@@ -19,7 +19,8 @@ directly (single paths as node lists, batches as flattened
 * **fault routing** (:mod:`~repro.routing.fault_routing`) — the paper's
   reconfigured lift (:class:`ReconfiguredRouter`,
   :func:`lifted_routes_batch`: route on the intact logical graph, lift
-  through φ, zero dilation) vs the spare-less baseline
+  through φ, zero dilation, each hop's physical queue id read from
+  φ's edge map :func:`lift_slot_table`) vs the spare-less baseline
   (:func:`survivor_route_table`: one compiled table per fault epoch that
   routes around faults in the survivor graph).
 """
@@ -46,6 +47,7 @@ from repro.routing.tables import (
 )
 from repro.routing.fault_routing import (
     ReconfiguredRouter,
+    lift_slot_table,
     lifted_routes_batch,
     survivor_route_table,
 )
@@ -66,6 +68,7 @@ __all__ = [
     "compile_routing_table",
     "validate_routing_table",
     "ReconfiguredRouter",
+    "lift_slot_table",
     "lifted_routes_batch",
     "survivor_route_table",
 ]

@@ -25,24 +25,52 @@ from repro.core.fault_tolerant import ft_debruijn
 from repro.core.reconfiguration import Reconfigurator
 from repro.errors import RoutingError
 from repro.graphs.static_graph import StaticGraph
-from repro.routing.shift_register import shift_route, shift_route_batch
+from repro.routing.shift_register import shift_route, shift_windows_batch
 
 __all__ = [
     "ReconfiguredRouter",
+    "lift_slot_table",
     "lifted_routes_batch",
     "survivor_route_table",
 ]
 
 
+def lift_slot_table(graph: StaticGraph, m: int, phi: np.ndarray) -> np.ndarray:
+    """The lift as an edge map: entry ``u * m + d`` is the CSR slot in
+    ``graph`` (the physical ``B^k_{m,h}``) of the logical de Bruijn edge
+    ``u -> (m*u + d) mod n`` lifted through ``φ``, or ``-1`` where the
+    lift is no edge (a logical self-loop, which no shift route takes).
+
+    One :meth:`~repro.graphs.static_graph.StaticGraph.directed_edge_slots`
+    search over the ``n * m`` logical edges: built once per ``φ``, it
+    resolves every hop :func:`lifted_routes_batch` lifts by a gather."""
+    phi = np.asarray(phi, dtype=np.int64)
+    n = phi.size
+    heads = (m * np.arange(n, dtype=np.int64)[:, None] + np.arange(m)) % n
+    return graph.directed_edge_slots(np.repeat(phi, m), phi[heads.ravel()])
+
+
 def lifted_routes_batch(
-    m: int, h: int, phi: np.ndarray, srcs: np.ndarray, dsts: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+    m: int, h: int, phi: np.ndarray, srcs: np.ndarray, dsts: np.ndarray,
+    slots: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Shift-register routes for a batch of logical pairs, lifted through
-    the reconfiguration map ``φ``: ``(flat, offsets)`` arrays in the
-    :func:`repro.routing.shift_register.shift_route_batch` layout, ready
-    for :meth:`~repro.simulator.batch_engine.BatchEngine.inject_routes`."""
-    flat, offsets = shift_route_batch(srcs, dsts, m, h)
-    return phi[flat], offsets
+    the reconfiguration map ``φ``, with their queue ids.
+
+    Returns ``(flat, offsets, hop)``: ``(flat, offsets)`` in the
+    :func:`repro.routing.shift_register.shift_route_batch` layout, and
+    ``hop[i]`` the physical CSR slot of the hop leaving position ``i``
+    (``-1`` at each route's end), gathered from ``slots``, the
+    :func:`lift_slot_table` of ``φ``, at each position's logical edge
+    (its :func:`~repro.routing.shift_register.shift_windows_batch`
+    window).  Ready for
+    ``BatchEngine.inject_routes(flat, offsets, hop=hop)``, which checks
+    every slot against its hop."""
+    win, offsets = shift_windows_batch(srcs, dsts, m, h)
+    hop = slots[win]
+    hop[offsets[1:] - 1] = -1
+    win //= m  # the logical nodes
+    return phi[win], offsets, hop
 
 
 class ReconfiguredRouter:

@@ -50,10 +50,11 @@ under faults:
 
 Each hop's queue is resolved once, at injection: a per-hop array beside
 the routes holds the queue id of the hop leaving every route position
-(``-1`` at a route's end).  Graph edges use their CSR slot; rare non-edge
-hops injected with ``validate=False`` get overflow ids.  A per-queue
-*blocked* mask (dead endpoint or dead link) replaces any per-step fault
-search.
+(``-1`` at a route's end).  Graph edges use their CSR slot, which a
+router may supply (``hop=``, checked by one gather) or the engine finds
+by one search; rare non-edge hops injected with ``validate=False`` get
+overflow ids.  A per-queue *blocked* mask (dead endpoint or dead link)
+replaces any per-step fault search.
 
 A packet's place in the calendar is one int64 key,
 ``depart << 32 | (rank * link_capacity + place)``: its departure cycle,
@@ -148,20 +149,26 @@ def validate_injection(
     validate: bool,
     dead_mask: np.ndarray,
     dead_links: np.ndarray,
+    hop: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The engines' shared injection-time validation, fully vectorized.
 
     Normalizes the ``(flat, offsets)`` batch and applies exactly the
     checks :meth:`BatchEngine.inject_routes` documents: malformed batch,
-    empty routes, node range, edge existence (gated by ``validate``),
-    dead links (``dead_links`` is a mask over CSR slots), dead nodes —
-    raising :class:`SimulationError` on the first offender.  Returns
+    empty routes, node range, edge existence, dead links (``dead_links``
+    is a mask over CSR slots), dead nodes — raising
+    :class:`SimulationError` on the first offender.  Returns
     ``(flat, offsets, lens, hop, stray)``: ``hop[i]`` is the CSR slot of
-    the hop leaving position ``i`` (one search answers both the edge
-    check and the queue id), ``-1`` at each route's end and at non-edge
-    hops, whose positions ``stray`` lists (empty unless ``validate`` is
-    off).  Every engine funnels through here so a route is rejected
-    identically no matter which engine it was offered to.
+    the hop leaving position ``i``, ``-1`` at each route's end.
+
+    Without ``hop`` one search answers both the edge check and the queue
+    id; non-edge hops get ``-1`` too, their positions are listed in
+    ``stray``, and only ``validate`` makes them an error.  A supplied
+    ``hop`` (one slot per position, route ends ignored) is checked by one
+    gather instead: every slot must be in range and name its own hop
+    (``directed_edge_keys[hop[i]] == u * n + v``), ``validate`` or not,
+    so ``stray`` is empty.  Every engine funnels through here so a route
+    is rejected identically no matter which engine it was offered to.
     """
     flat = np.ascontiguousarray(np.asarray(flat, dtype=_I64).ravel())
     offsets = np.asarray(offsets, dtype=_I64).ravel()
@@ -173,15 +180,28 @@ def validate_injection(
     n = graph.node_count
     if flat.size and (flat.min() < 0 or flat.max() >= n):
         raise SimulationError("route node id out of range")
-    hop = np.full(flat.size, -1, dtype=_I64)
-    if flat.size > 1:
-        hop[:-1] = graph.directed_edge_slots(flat[:-1], flat[1:])
     ends = offsets[1:] - 1
-    hop[ends] = -1
-    miss = hop < 0
-    miss[ends] = False
-    stray = np.flatnonzero(miss)
-    if validate and stray.size:
+    supplied = hop is not None
+    if not supplied:
+        hop = np.full(flat.size, -1, dtype=_I64)
+        if flat.size > 1:
+            hop[:-1] = graph.directed_edge_slots(flat[:-1], flat[1:])
+        hop[ends] = -1
+        bad = hop < 0
+    else:
+        hop = np.array(hop, dtype=_I64).ravel()
+        if hop.size != flat.size:
+            raise SimulationError(
+                f"hop= holds {hop.size} slots for {flat.size} route positions"
+            )
+        hop[ends] = -1
+        keys = graph.directed_edge_keys
+        bad = (hop < 0) | (hop >= keys.size)
+        if keys.size:  # an edgeless graph has no slot to gather
+            bad[:-1] |= keys.take(hop[:-1], mode="clip") != flat[:-1] * n + flat[1:]
+    bad[ends] = False
+    stray = np.flatnonzero(bad)
+    if stray.size and (validate or supplied):
         i = int(stray[0])
         raise SimulationError(f"route hop ({flat[i]}, {flat[i + 1]}) is not an edge")
     if dead_links.any():
@@ -396,7 +416,7 @@ class BatchEngine:
 
     def inject_routes(
         self, flat: np.ndarray, offsets: np.ndarray, *, validate: bool = True,
-        at: np.ndarray | None = None,
+        at: np.ndarray | None = None, hop: np.ndarray | None = None,
     ) -> np.ndarray:
         """Inject a whole batch of packets at once.
 
@@ -405,6 +425,13 @@ class BatchEngine:
         array of assigned packet ids.  ``validate`` gates the edge-existence
         check; dead-node and dead-link checks always run.  Validation is
         all-or-nothing: on error, no packet of the batch is injected.
+
+        ``hop`` supplies each position's CSR slot (the queue id of the hop
+        leaving it; route ends are ignored), as
+        :func:`repro.routing.lifted_routes_batch` returns them.  The
+        slots are checked against their hops by one gather, and a wrong
+        one is refused even with ``validate=False``.  Without ``hop`` one
+        search over the CSR finds every hop's slot.
 
         ``at`` gives each packet an arrival cycle (see
         :func:`validate_arrivals`: sorted, none before the clock or a
@@ -425,7 +452,7 @@ class BatchEngine:
         """
         flat, offsets, lens, hop, stray = validate_injection(
             self.graph, flat, offsets, validate=validate,
-            dead_mask=self._dead, dead_links=self._link_dead,
+            dead_mask=self._dead, dead_links=self._link_dead, hop=hop,
         )
         count = lens.size
         at = validate_arrivals(

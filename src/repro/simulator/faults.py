@@ -70,7 +70,11 @@ from repro.core.fault_tolerant import ft_debruijn
 from repro.core.reconfiguration import Reconfigurator
 from repro.errors import ParameterError, SimulationError
 from repro.registry import Registry
-from repro.routing.fault_routing import lifted_routes_batch, survivor_route_table
+from repro.routing.fault_routing import (
+    lift_slot_table,
+    lifted_routes_batch,
+    survivor_route_table,
+)
 from repro.simulator.batch_engine import BatchEngine
 from repro.simulator.events import EventQueue
 from repro.simulator.metrics import RunStats
@@ -411,14 +415,14 @@ class _FaultController:
     address), hands its physical graph to ``__init__`` (which builds the
     :class:`BatchEngine`, ``sim``) and supplies :meth:`fail_node` /
     :meth:`repair_node` (a failure adds the packets it drops to
-    ``lost_to_faults``), the route hook ``_route(pairs) -> (flat,
-    offsets, kept)`` and whether the engine validates those routes
-    (``_validate_routes``).  Everything else — scheduling, firing,
-    the logs, refusal accounting, the closed-loop drain and the
-    open-loop stream — lives here once.
+    ``lost_to_faults``) and the route hook ``_route(pairs) -> (flat,
+    offsets, kept, hop)``, where ``hop`` holds each route position's CSR
+    slot or is ``None`` to let the engine search for them.  The engine
+    checks every hop either way, so a route off the graph is an error
+    from any router.  Everything else — scheduling, firing, the logs,
+    refusal accounting, the closed-loop drain and the open-loop stream —
+    lives here once.
     """
-
-    _validate_routes = False
 
     def __init__(self, graph, link_capacity: int):
         self.sim = BatchEngine(graph, link_capacity)
@@ -491,9 +495,9 @@ class _FaultController:
                 sim.cycle = end
             self.fire_due_events()
             pairs = np.asarray(batch, dtype=np.int64).reshape(-1, 2)
-            flat, offsets, kept = self._route(pairs)
+            flat, offsets, kept, hop = self._route(pairs)
             self.unreachable_pairs += pairs.shape[0] - kept.size
-            sim.inject_routes(flat, offsets, validate=self._validate_routes)
+            sim.inject_routes(flat, offsets, hop=hop)
             deadline = sim.cycle + max_cycles
             while sim.in_flight:
                 # drain up to the next event's cycle, then fire it there
@@ -535,16 +539,16 @@ class ReconfigurationController(_FaultController):
         Packets one directed link may move per cycle.
     """
 
-    # the lifted routes are checked against the physical graph at
-    # injection: a lifted hop off the graph would break Theorems 1/2
-    _validate_routes = True
-
     def __init__(self, m: int, h: int, k: int, *, link_capacity: int = 1):
         self.m, self.h, self.k = int(m), int(h), int(k)
         self.target = debruijn(m, h)
         self.ft = ft_debruijn(m, h, k)
         self.rec = Reconfigurator(self.ft.node_count, self.target.node_count)
         super().__init__(self.ft, link_capacity)
+        # the lift's edge map, rebuilt when the reconfigurator's cached
+        # φ array changes (once per fault or repair)
+        self._slots_phi: np.ndarray | None = None
+        self._slots: np.ndarray | None = None
 
     # bound in each class's own namespace: perfbench/layers.py patches
     # these per class
@@ -571,11 +575,18 @@ class ReconfigurationController(_FaultController):
 
     def _route(self, pairs: np.ndarray):
         """Route hook: every logical pair's shift-register route lifted
-        through the live φ — every pair is routable."""
-        flat, offsets = lifted_routes_batch(
-            self.m, self.h, self.rec.phi(), pairs[:, 0], pairs[:, 1]
+        through the live φ, with each hop's physical CSR slot gathered
+        from the φ's :func:`~repro.routing.fault_routing.lift_slot_table`
+        — every pair is routable.  The engine checks every slot against
+        its hop: a lifted hop off the graph would break Theorems 1/2."""
+        phi = self.rec.phi()
+        if phi is not self._slots_phi:
+            self._slots = lift_slot_table(self.ft, self.m, phi)
+            self._slots_phi = phi
+        flat, offsets, hop = lifted_routes_batch(
+            self.m, self.h, phi, pairs[:, 0], pairs[:, 1], self._slots
         )
-        return flat, offsets, np.arange(pairs.shape[0])
+        return flat, offsets, np.arange(pairs.shape[0]), hop
 
 
 class DetourController(_FaultController):
@@ -677,7 +688,10 @@ class DetourController(_FaultController):
         pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
         return self.survivor_table().routes_batch_masked(pairs[:, 0], pairs[:, 1])
 
-    _route = detour_routes_batch
+    def _route(self, pairs: np.ndarray):
+        """Route hook: :meth:`detour_routes_batch`, whose routes walk
+        CSR rows, so the engine's search finds every hop's slot."""
+        return (*self.detour_routes_batch(pairs), None)
 
 
 # ---------------------------------------------------------------------------

@@ -154,15 +154,15 @@ def run_stream(
         stop = t_end if due is None else min(due, t_end)
         j = int(np.searchsorted(times, stop, side="left"))
         at = times[i:j]
-        flat, offsets, kept = ctrl._route(pairs[i:j])
+        flat, offsets, kept, hop = ctrl._route(pairs[i:j])
         if kept.size < at.size:
             lost = np.ones(at.size, dtype=bool)
             lost[kept] = False
             refused.append(at[lost])
             ctrl.unreachable_pairs += at.size - kept.size
             at = at[kept]
-        sim.inject_routes(flat, offsets, validate=ctrl._validate_routes, at=at)
-        del flat, offsets, kept, at  # copied by the engine: free them for the run
+        sim.inject_routes(flat, offsets, at=at, hop=hop)
+        del flat, offsets, kept, at, hop  # copied by the engine: free them for the run
         sim.run(stop - sim.cycle, until=stop)
         sim.cycle = stop  # the calendar may have emptied earlier
         t, i = stop, j

@@ -130,7 +130,7 @@ class WitnessDetourController(DetourController):
     run a per-pair BFS router would produce, for whole-run comparisons."""
 
     def _route(self, pairs):
-        return bfs_detour_routes(self.target, self.faults, pairs)
+        return (*bfs_detour_routes(self.target, self.faults, pairs), None)
 
 
 class DictGraph:
@@ -362,13 +362,14 @@ def per_cycle_workload(ctrl, batches, *, cycles_per_batch: int = 0) -> int:
     clock jumps and no bounded runs.
 
     Before each batch it fires the due events, then routes the batch
-    through the controller's route hook and injects it.  It then calls
-    ``step()`` and ``fire_due_events()`` once per cycle until the batch
-    drains.  The idle gap of ``cycles_per_batch`` cycles before each
-    later batch is stepped the same way, one cycle at a time.  Records,
-    logs and ``lost_to_faults`` land on ``ctrl``.  Returns the number of
-    refused pairs, the count ``run_workload`` charges to
-    ``unreachable_pairs``.
+    through the controller's route hook and injects it with the hook's
+    slots (``hop=``; the witness engine asserts they equal its search).
+    It then calls ``step()`` and ``fire_due_events()`` once per cycle
+    until the batch drains.  The idle gap of ``cycles_per_batch`` cycles
+    before each later batch is stepped the same way, one cycle at a
+    time.  Records, logs and ``lost_to_faults`` land on ``ctrl``.
+    Returns the number of refused pairs, the count ``run_workload``
+    charges to ``unreachable_pairs``.
     """
     sim = ctrl.sim
     refused = 0
@@ -378,9 +379,9 @@ def per_cycle_workload(ctrl, batches, *, cycles_per_batch: int = 0) -> int:
             ctrl.fire_due_events()
         ctrl.fire_due_events()
         pairs = np.asarray(batch, dtype=np.int64).reshape(-1, 2)
-        flat, offsets, kept = ctrl._route(pairs)
+        flat, offsets, kept, hop = ctrl._route(pairs)
         refused += pairs.shape[0] - kept.size
-        sim.inject_routes(flat, offsets, validate=True)
+        sim.inject_routes(flat, offsets, hop=hop)
         while sim.in_flight:
             sim.step()
             ctrl.fire_due_events()
@@ -395,9 +396,9 @@ def per_cycle_stream(ctrl, source, cycles: int, *, warmup: int = 0,
 
     At each cycle of the horizon it fires the due events, routes that
     cycle's arrivals through the controller's route hook, injects them
-    without ``at=`` and calls ``step()`` once: the reference order
-    (fire, inject, step).  Refused pairs are charged to
-    ``ctrl.unreachable_pairs`` and counted as unadmitted, as
+    with the hook's slots and without ``at=``, and calls ``step()``
+    once: the reference order (fire, inject, step).  Refused pairs are
+    charged to ``ctrl.unreachable_pairs`` and counted as unadmitted, as
     ``run_stream`` does; records and logs land on ``ctrl``.  Returns the
     run's :class:`~repro.simulator.metrics.StreamStats`.
     """
@@ -409,11 +410,11 @@ def per_cycle_stream(ctrl, source, cycles: int, *, warmup: int = 0,
     for c in range(int(cycles)):
         ctrl.fire_due_events(t0 + c)
         lo, hi = int(bounds[c]), int(bounds[c + 1])
-        flat, offsets, kept = ctrl._route(pairs[lo:hi])
+        flat, offsets, kept, hop = ctrl._route(pairs[lo:hi])
         lost = hi - lo - kept.size
         ctrl.unreachable_pairs += lost
         refused += [t0 + c] * lost
-        sim.inject_routes(flat, offsets, validate=True)
+        sim.inject_routes(flat, offsets, hop=hop)
         sim.step()
     return stream_summary(
         sim.packet_records(), start=t0, cycles=cycles, warmup=warmup,

@@ -201,7 +201,7 @@ class NetworkSimulator:
 
     def inject_routes(
         self, flat: np.ndarray, offsets: np.ndarray, *, validate: bool = True,
-        at: np.ndarray | None = None,
+        at: np.ndarray | None = None, hop: np.ndarray | None = None,
     ) -> list[Packet]:
         """Inject a batch of packets in the flattened ``(flat, offsets)``
         layout shared with :class:`repro.simulator.batch_engine.BatchEngine`
@@ -214,12 +214,20 @@ class NetworkSimulator:
         name the same offender.  ``at`` gives each packet an arrival
         cycle, with the batch engine's rules: packets arriving after the
         clock are pending, and :meth:`step` enqueues them at their cycle
-        behind that cycle's continuers."""
+        behind that cycle's continuers.  Supplied ``hop`` slots pass the
+        same check and must equal the slots this engine's own search
+        finds; its queues stay keyed by ``(u, v)``."""
         dead, dead_links = self._fault_masks()
-        flat, offsets, lens, _, _ = validate_injection(
+        flat, offsets, lens, slots, _ = validate_injection(
             self.graph, flat, offsets, validate=validate,
-            dead_mask=dead, dead_links=dead_links,
+            dead_mask=dead, dead_links=dead_links, hop=hop,
         )
+        if hop is not None:
+            searched = validate_injection(
+                self.graph, flat, offsets, validate=True,
+                dead_mask=dead, dead_links=dead_links,
+            )[3]
+            assert np.array_equal(slots, searched), "supplied slots != searched"
         count = lens.size
         bounds = offsets.tolist()
         flat = flat.tolist()

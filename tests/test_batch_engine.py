@@ -371,6 +371,23 @@ class TestEngineDirectEquivalence:
         assert_twins(sim, be)
         assert be.delivered_at[0] == 0  # degenerate self-delivery at cycle 0
 
+    def test_supplied_slots_run_as_the_search(self):
+        """Routes injected with their slots (``hop=``, route ends
+        ignored) run exactly as the search's; the witness asserts the
+        slots equal its own search."""
+        g = debruijn(2, 5)
+        flat, offsets = pack_routes(self._routes(seed=5))
+        hop = np.append(g.directed_edge_slots(flat[:-1], flat[1:]), -1)
+        hop[offsets[1:] - 1] = 12345
+        sim, be, searched = NetworkSimulator(g), BatchEngine(g), BatchEngine(g)
+        sim.inject_routes(flat, offsets, hop=hop)
+        be.inject_routes(flat, offsets, hop=hop)
+        searched.inject_routes(flat, offsets)
+        for engine in (sim, be, searched):
+            engine.run()
+        assert_twins(sim, be)
+        assert plain_records(be) == plain_records(searched)
+
 
 class TestRunUntil:
     """``run(until=c)`` processes exactly the departures at cycles
@@ -652,6 +669,11 @@ class TestTimedInjection:
         ("disable_node", "while arrivals are pending"),
         ("disable_link", "while arrivals are pending"),
         ("enable_node", "while arrivals are pending"),
+        # supplied slots (hop=) for the routes [0, 1] and [1, 3]
+        ("hop_other_edge", r"route hop \(0, 1\) is not an edge"),
+        ("hop_out_of_range", r"route hop \(0, 1\) is not an edge"),
+        ("hop_end_inside", r"route hop \(1, 3\) is not an edge"),
+        ("hop_length", "hop= holds 3 slots for 4 route positions"),
     ])
     def test_refusal_leaves_no_partial_state(self, engine, timed, bad, match):
         def machine():
@@ -666,6 +688,12 @@ class TestTimedInjection:
 
         sim, twin = machine(), machine()
         routes = pack_routes([[0, 1], [1, 3]])
+        s01, s13 = sim.graph.directed_edge_slots([0, 1], [1, 3]).tolist()
+        edges = sim.graph.directed_edge_keys.size
+
+        def with_hop(hop):  # accepted with hop=[s01, -1, s13, -1]
+            return lambda: sim.inject_routes(*routes, at=[9, 9], hop=hop)
+
         refused = {
             "unsorted": lambda: sim.inject_routes(*routes, at=[8, 7]),
             "before_clock": lambda: sim.inject_routes(*routes, at=[1, 9]),
@@ -675,6 +703,10 @@ class TestTimedInjection:
             "disable_node": lambda: sim.disable_node(3),
             "disable_link": lambda: sim.disable_link(0, 1),
             "enable_node": lambda: sim.enable_node(7),
+            "hop_other_edge": with_hop([s13, -1, s13, -1]),
+            "hop_out_of_range": with_hop([edges, -1, s13, -1]),
+            "hop_end_inside": with_hop([s01, -1, -1, -1]),
+            "hop_length": with_hop([s01, -1, s13]),
         }[bad]
         with pytest.raises(SimulationError, match=match):
             refused()
@@ -776,13 +808,25 @@ class TestBatchEngineValidation:
     def test_engines_name_the_same_offender(self, engine):
         """One validator for both engines: it checks the whole batch one
         kind of fault at a time, so a non-edge in the second route is
-        named before a dead node in the first."""
+        named before a dead node in the first, whether the engine
+        searches for the slots or checks supplied ones (``hop=``; the
+        non-edge's slot can only be -1)."""
         sim = engine(debruijn(2, 3))
         sim.disable_node(3)
-        with pytest.raises(SimulationError,
-                           match=r"^route hop \(0, 2\) is not an edge$"):
-            sim.inject_routes(*pack_routes([[0, 1, 3], [0, 2]]))
+        flat, offsets = pack_routes([[0, 1, 3], [0, 2]])
+        hop = np.append(sim.graph.directed_edge_slots(flat[:-1], flat[1:]), -1)
+        for slots in (None, hop):
+            with pytest.raises(SimulationError,
+                               match=r"^route hop \(0, 2\) is not an edge$"):
+                sim.inject_routes(flat, offsets, hop=slots)
         assert sim.packet_records().injected_at.size == 0
+
+    @pytest.mark.parametrize("engine", [NetworkSimulator, BatchEngine])
+    def test_supplied_slot_on_an_edgeless_graph(self, engine):
+        sim = engine(StaticGraph(2, []))
+        with pytest.raises(SimulationError,
+                           match=r"^route hop \(0, 1\) is not an edge$"):
+            sim.inject_routes(np.array([0, 1]), np.array([0, 2]), hop=[0, -1])
 
 
 class TestVectorizedSummarize:

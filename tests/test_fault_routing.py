@@ -2,16 +2,19 @@
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import debruijn
+from repro.core import debruijn, ft_debruijn
 from repro.core.reconfiguration import Reconfigurator
 from repro.errors import FaultSetError, RoutingError
 from repro.routing import (
     ReconfiguredRouter,
+    lift_slot_table,
     lifted_routes_batch,
     shift_route,
     survivor_route_table,
@@ -69,9 +72,15 @@ class TestReconfiguredRouter:
         assert 10 not in p and p[-1] == r.reconfigurator.phi()[26]
 
 
+@functools.lru_cache(maxsize=None)
+def _ft(m, h, k):
+    return ft_debruijn(m, h, k)
+
+
 class TestLiftedRoutes:
     """The batch lift is the scalar spec, route for route: the
-    shift-register route of each logical pair mapped through φ."""
+    shift-register route of each logical pair mapped through φ, with
+    each hop's slot the one the physical graph's search finds."""
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
@@ -92,11 +101,21 @@ class TestLiftedRoutes:
         ))
         pairs = [(s, s if same else d) for s, d, same in rows]
         srcs, dsts = np.array(pairs, dtype=np.int64).T
-        flat, offsets = lifted_routes_batch(m, h, phi, srcs, dsts)
-        assert offsets.size == len(pairs) + 1
+        if h >= 3:
+            ft = _ft(m, h, k)
+            slots = lift_slot_table(ft, m, phi)
+        else:  # no B^k_{m,h} below h = 3: lift the nodes only
+            slots = np.full(n * m, -1, dtype=np.int64)
+        flat, offsets, hop = lifted_routes_batch(m, h, phi, srcs, dsts, slots)
+        assert offsets.size == len(pairs) + 1 and hop.size == flat.size
         for i, (s, d) in enumerate(pairs):
             want = [int(phi[v]) for v in shift_route(s, d, m, h)]
-            assert flat[offsets[i]:offsets[i + 1]].tolist() == want
+            route = flat[offsets[i]:offsets[i + 1]]
+            assert route.tolist() == want
+            if h >= 3:
+                searched = ft.directed_edge_slots(route[:-1], route[1:])
+                assert (searched >= 0).all()  # Theorems 1/2: every hop an edge
+                assert hop[offsets[i]:offsets[i + 1]].tolist() == [*searched.tolist(), -1]
 
 
 class TestDetourRoute:

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from repro.core import debruijn, ft_debruijn
 from repro.errors import ParameterError, SimulationError
 from repro.experiments import ExperimentGrid, ExperimentSpec
-from repro.routing import lifted_routes_batch
+from repro.routing import lift_slot_table, lifted_routes_batch
 from repro.simulator import (
     BatchEngine,
     FaultScenario,
@@ -34,18 +34,21 @@ from repro.simulator.grid import WorkerPool
 from repro.simulator.traffic import PATTERN_NAMES
 
 
-def _identity_phi(n_physical: int) -> np.ndarray:
-    return np.arange(n_physical, dtype=np.int64)
+def _identity_lift(ft, m, h, pairs):
+    """Shift-register routes for ``pairs`` lifted through the identity
+    (the fault-free φ): ``(flat, offsets, hop)``."""
+    phi = np.arange(m ** h, dtype=np.int64)
+    slots = lift_slot_table(ft, m, phi)
+    return lifted_routes_batch(m, h, phi, pairs[:, 0], pairs[:, 1], slots)
 
 
 def _route_batches(m, h, k, pairs, splits):
     """Shift-register routes for ``pairs`` lifted through the identity,
     split into ``len(splits)`` injection batches."""
     ft = ft_debruijn(m, h, k)
-    phi = _identity_phi(ft.node_count)
     batches = []
     for part in np.array_split(pairs, splits):
-        flat, off = lifted_routes_batch(m, h, phi, part[:, 0], part[:, 1])
+        flat, off, _ = _identity_lift(ft, m, h, part)
         batches.append((flat, off))
     return ft, batches
 
@@ -102,12 +105,11 @@ class TestShardStatsMerge:
         ft = ft_debruijn(m, h, k)
         dead = 5
         pairs = make_pattern(m ** h, "uniform", 200, np.random.default_rng(4))
-        phi = _identity_phi(ft.node_count)
         first, rest = pairs[:80], pairs[80:]
-        b0 = lifted_routes_batch(m, h, phi, first[:, 0], first[:, 1])
+        flat0, off0, hop0 = _identity_lift(ft, m, h, first)
         safe_batches = []
         for part in np.array_split(rest, 3):
-            flat, off = lifted_routes_batch(m, h, phi, part[:, 0], part[:, 1])
+            flat, off, _ = _identity_lift(ft, m, h, part)
             keep = [
                 i for i in range(off.size - 1)
                 if dead not in flat[off[i]: off[i + 1]]
@@ -117,7 +119,7 @@ class TestShardStatsMerge:
 
         # sequential reference: fault fires right after batch 0 injects
         ref = BatchEngine(ft)
-        ref.inject_routes(*b0)
+        ref.inject_routes(flat0, off0, hop=hop0)
         ref_dropped = ref.disable_node(dead)
         ref.run()
         for flat, off in safe_batches:
@@ -129,7 +131,7 @@ class TestShardStatsMerge:
         # the node already dead
         shards = []
         be = BatchEngine(ft)
-        be.inject_routes(*b0)
+        be.inject_routes(flat0, off0)
         assert be.disable_node(dead) == ref_dropped
         be.run()
         shards.append(ShardStats.from_arrays(be.packet_records(), be.cycle))

@@ -17,8 +17,10 @@ from repro.routing import (
     extract_path,
     overlap_length,
     route_length,
+    lifted_routes_batch,
     route_length_matrix,
     shift_route,
+    shift_route_batch,
     shortest_path,
     validate_routing_table,
 )
@@ -86,6 +88,35 @@ class TestShiftRegisterRouting:
         d = distance_matrix(debruijn(m, h))
         assert (rl >= d).all()
         assert rl.max() == h
+        n = m ** h
+        assert rl.tolist() == [
+            [route_length(x, y, m, h) for y in range(n)] for x in range(n)
+        ]
+
+    @pytest.mark.parametrize("m, h", [(2, 40), (2, 62), (3, 38), (5, 20)])
+    def test_batch_routes_exact_up_to_the_window_limit(self, m, h):
+        """With m**(h+1) <= 2**63 every (h+1)-digit window fits int64,
+        so the batch routes are the scalar spec's even where m * n
+        nears 2**63 (the closed form never builds x * m**(h-ℓ))."""
+        n = m ** h
+        rng = np.random.default_rng(h)
+        xs = rng.integers(0, n, 240, dtype=np.int64)
+        ys = rng.integers(0, n, 240, dtype=np.int64)
+        ys[::4] = xs[::4]  # self-pairs: ℓ = h
+        # y begins with x's last h - j digits: ℓ >= h - j
+        for j, rows in ((1, slice(1, None, 4)), (h // 2, slice(2, None, 4))):
+            ys[rows] = xs[rows] % m ** (h - j) * m ** j + ys[rows] % m ** j
+        flat, offsets = shift_route_batch(xs, ys, m, h)
+        for i, (x, y) in enumerate(zip(xs.tolist(), ys.tolist())):
+            assert flat[offsets[i]:offsets[i + 1]].tolist() == shift_route(x, y, m, h)
+
+    @pytest.mark.parametrize("m, h", [(3, 39), (2, 63)])
+    def test_batch_routes_refused_past_the_window_limit(self, m, h):
+        one = np.zeros(1, dtype=np.int64)
+        with pytest.raises(ParameterError, match=r"m\*\*\(h\+1\) <= 2\*\*63"):
+            shift_route_batch(one, one, m, h)
+        with pytest.raises(ParameterError, match=r"m\*\*\(h\+1\) <= 2\*\*63"):
+            lifted_routes_batch(m, h, one, one, one, one)
 
     def test_endpoint_validation(self):
         with pytest.raises(ParameterError):

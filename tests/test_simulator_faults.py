@@ -37,7 +37,7 @@ class TestReconfigurationController:
         ctrl.schedule(FaultScenario([(0, 5)]))
         ctrl.events.run_handlers(0, {"node_fault": ctrl._on_fault})
         pairs = np.array([(s, d) for s in range(16) for d in (0, 7, 15)])
-        flat, offsets, kept = ctrl._route(pairs)
+        flat, offsets, kept, hop = ctrl._route(pairs)
         assert kept.tolist() == list(range(len(pairs)))
         assert offsets.size == len(pairs) + 1
         assert 5 not in flat.tolist()
