@@ -14,6 +14,8 @@ are dropped per the paper's convention, and the resulting graphs are plain
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from repro.core.labels import from_digits, to_digits, validate_base, validate_h
@@ -45,6 +47,10 @@ def debruijn_directed_successors(m: int, h: int) -> np.ndarray:
     return x_func_array(xs, m, target_window(m).reshape(1, -1), n)
 
 
+#: Machines :func:`debruijn` keeps built in one process.
+_CACHE_SIZE = 8
+
+
 def debruijn(m: int, h: int) -> StaticGraph:
     """The base-``m`` ``h``-digit de Bruijn graph ``B_{m,h}`` via the
     affine definition (paper's preferred form).
@@ -52,11 +58,27 @@ def debruijn(m: int, h: int) -> StaticGraph:
     ``m^h`` nodes, degree at most ``2m``; self-loops (nodes
     ``c * (m^h - 1) / (m - 1)``) are dropped.
 
+    Built once per process: the graph comes from an LRU of the 8 most
+    recently used machines, keyed on ``(int(m), int(h))``, so every
+    caller in the process (each cell a pool worker runs) shares one
+    immutable :class:`StaticGraph` and the views built lazily on it.
+    Invalid parameters raise on every call.  One retained ``B_{m,h}``
+    holds ``8 (n + 1 + s)`` bytes of CSR arrays, with ``n = m^h`` nodes
+    and ``s <= 2mn`` directed slots, plus ``8 s`` bytes for each of
+    ``directed_edge_keys`` and ``edge_ids`` once built: about ``72 n``
+    bytes for ``m = 2`` with the edge keys an engine builds (144 KiB
+    for ``B_{2,11}``).
+
     >>> g = debruijn(2, 4)
     >>> g.node_count, g.max_degree()
     (16, 4)
     """
-    n = node_count(m, h)
+    return _build(validate_base(m), validate_h(h))
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _build(m: int, h: int) -> StaticGraph:
+    n = m ** h
     succ = debruijn_directed_successors(m, h)
     src = np.repeat(np.arange(n, dtype=np.int64), m)
     return StaticGraph(n, np.column_stack([src, succ.reshape(-1)]))

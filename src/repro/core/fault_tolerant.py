@@ -24,6 +24,8 @@ in :mod:`repro.core.reconfiguration` and is verified by
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from repro.core.labels import validate_base, validate_h
@@ -55,6 +57,10 @@ def ft_degree_bound(m: int, k: int) -> int:
     return 4 * (m - 1) * k + 2 * m
 
 
+#: Machines :func:`ft_debruijn` keeps built in one process.
+_CACHE_SIZE = 8
+
+
 def ft_debruijn(m: int, h: int, k: int) -> StaticGraph:
     """Construct ``B^k_{m,h}``.
 
@@ -62,17 +68,32 @@ def ft_debruijn(m: int, h: int, k: int) -> StaticGraph:
     offset window are generated in one broadcast; symmetrization and
     self-loop dropping are handled by :class:`StaticGraph`.
 
+    Built once per process: the graph comes from an LRU of the 8 most
+    recently used machines, keyed on ``(int(m), int(h), int(k))``, so
+    every caller in the process (each cell a pool worker runs) shares
+    one immutable :class:`StaticGraph` and the views built lazily on it.
+    Invalid parameters raise on every call.  One retained machine holds
+    ``8 (n + 1 + s)`` bytes of CSR arrays, with ``n = m^h + k`` nodes
+    and at most ``s <= (4(m-1)k + 2m) n`` directed slots, plus ``8 s``
+    bytes for each of ``directed_edge_keys`` and ``edge_ids`` once
+    built (``B^{16}_{2,6}`` with the edge keys an engine builds: 67 KiB).
+
     >>> g = ft_debruijn(2, 4, 1)       # the paper's Fig. 2 graph
     >>> g.node_count, g.max_degree() <= 8
     (17, True)
     """
+    ft_node_count(m, h, k)  # validate first: a refusal is never cached
+    return _build(int(m), int(h), int(k))
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _build(m: int, h: int, k: int) -> StaticGraph:
     n = ft_node_count(m, h, k)
     window = ft_window(m, k)
     xs = np.arange(n, dtype=np.int64).reshape(-1, 1)
     ys = x_func_array(xs, m, window.reshape(1, -1), n)
     src = np.repeat(np.arange(n, dtype=np.int64), window.size)
-    g = StaticGraph(n, np.column_stack([src, ys.reshape(-1)]))
-    return g
+    return StaticGraph(n, np.column_stack([src, ys.reshape(-1)]))
 
 
 def neighbor_blocks(m: int, h: int, k: int, x: int) -> dict[str, np.ndarray]:

@@ -131,6 +131,11 @@ class StaticGraph:
             self._indptr = np.zeros(n + 1, dtype=_INDEX_DTYPE)
             self._indices = np.empty(0, dtype=_INDEX_DTYPE)
             self._edge_count = 0
+        # the arrays are this graph's own: freeze them, so a graph shared
+        # by every holder (the builders' per-process caches) cannot be
+        # written through a view's base either
+        self._indptr.flags.writeable = False
+        self._indices.flags.writeable = False
         self._n = n
         self._init_caches()
 
@@ -241,6 +246,7 @@ class StaticGraph:
             hi = np.maximum(src, self._indices)
             und = lo * self._n + hi
             self._edge_ids = np.searchsorted(np.unique(und), und)
+            self._edge_ids.flags.writeable = False
         return self._readonly(self._edge_ids)
 
     @property
@@ -256,6 +262,7 @@ class StaticGraph:
                 np.arange(self._n, dtype=_INDEX_DTYPE), np.diff(self._indptr)
             )
             self._edge_keys = src * self._n + self._indices
+            self._edge_keys.flags.writeable = False
         return self._readonly(self._edge_keys)
 
     def neighbors(self, v: int) -> np.ndarray:
@@ -387,8 +394,12 @@ class StaticGraph:
 
         The dict is constructed once from the CSR arrays and cached —
         it is a *view* for debugging, golden tests and dict-era callers,
-        not a storage plane, so treat it as read-only (mutating it
-        corrupts only the cache, never the graph).
+        not a storage plane.  It is read-only: the builders
+        (:func:`~repro.core.debruijn.debruijn`,
+        :func:`~repro.core.fault_tolerant.ft_debruijn`) hand one cached
+        graph to every holder in the process, so a mutation would show
+        in every other holder's view, and would disagree with the CSR
+        arrays every hot path reads.
         """
         if self._adj is None:
             indptr, indices = self._indptr, self._indices

@@ -45,6 +45,11 @@ __all__ = ["ExperimentService", "serve"]
 
 _JOB_ROUTE = re.compile(r"^/jobs/([^/]+)(?:/(result|stream|cancel))?$")
 
+#: Largest ``POST /experiments`` body the service reads, in bytes.  A
+#: larger declared ``Content-Length`` is refused with 413 before any of
+#: the body is read.
+MAX_BODY_BYTES = 1 << 20
+
 
 def _expand(target, kind):
     """A submitted payload's flat cell list, grid order."""
@@ -258,6 +263,17 @@ class _Handler(BaseHTTPRequestHandler):
 
         try:
             length = int(self.headers.get("Content-Length") or 0)
+        except ValueError:
+            return self._error(400, "Content-Length must be an integer")
+        if length < 0:
+            return self._error(400, f"Content-Length must be >= 0, got {length}")
+        if length > MAX_BODY_BYTES:
+            # refused unread: the connection closes after the answer
+            return self._error(
+                413, f"request body of {length} bytes exceeds the limit of "
+                     f"{MAX_BODY_BYTES} bytes"
+            )
+        try:
             payload = json.loads(self.rfile.read(length) or b"null")
         except (ValueError, json.JSONDecodeError) as exc:
             return self._error(400, f"request body is not JSON: {exc}")

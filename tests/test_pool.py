@@ -10,16 +10,20 @@ Three load-bearing contracts:
 * **one contract inline and pooled** — results in task order and
   failures naming their task, whether ``map`` runs in-process or across
   workers; ``run_grid`` borrows a warm pool or opens its own.
+* **two messages per chunk** — a worker answers a chunk with one
+  ``claim`` and one ``fin`` that carries every task's outcome.
 """
 
 from __future__ import annotations
 
 import os
+import queue
 
 import pytest
 
 from repro.errors import SimulationError
 from repro.simulator import WorkerPool, run_grid
+from repro.simulator.pool import _pool_worker
 from repro.simulator.streaming import find_saturation
 
 
@@ -29,6 +33,18 @@ def _square(x):
 
 def _explode(x):
     raise ValueError("boom")
+
+
+def _refuse_two(x):
+    if x == 2:
+        raise ValueError("two is refused")
+    return 10 * x
+
+
+def _explode_odd(x):
+    if x % 2:
+        raise ValueError(f"odd {x}")
+    return x
 
 
 def _die_hard(x):
@@ -42,6 +58,47 @@ def _grid(cells: int = 4):
         mhk=[(2, 4, 1)], loop="closed", patterns=["uniform"],
         loads=[60], seeds=list(range(cells)),
     )
+
+
+# ---------------------------------------------------------------------------
+# the worker protocol
+# ---------------------------------------------------------------------------
+
+class TestWorkerProtocol:
+    def test_one_claim_and_one_fin_per_chunk(self):
+        """Driven in-process: a chunk of three tasks, the middle one
+        raising, then the sentinel.  The worker sends exactly one claim
+        and one fin, the fin lists every task in order, the failure
+        carries its type, message and traceback, and the task after it
+        still ran."""
+        task_q, result_q = queue.Queue(), queue.Queue()
+        task_q.put((7, 3, _refuse_two, [(4, 1), (5, 2), (6, 3)]))
+        task_q.put(None)
+        _pool_worker(0, task_q, result_q)
+        msgs = []
+        while not result_q.empty():
+            msgs.append(result_q.get_nowait())
+        assert [m[:4] for m in msgs] == [("claim", 7, 3, 0), ("fin", 7, 3, 0)]
+        outcomes = msgs[1][4]
+        assert [o[0] for o in outcomes] == [4, 5, 6]
+        assert outcomes[0] == (4, True, 10)
+        assert outcomes[2] == (6, True, 30)
+        idx, ok, payload = outcomes[1]
+        assert (idx, ok) == (5, False)
+        assert payload.startswith("ValueError: two is refused\n")
+        assert "Traceback (most recent call last)" in payload
+        assert "_refuse_two" in payload
+
+    def test_pooled_failure_names_the_lowest_task(self):
+        """Outcomes arrive per chunk in any order across workers, yet
+        the error names the first failing task, as inline does."""
+        with WorkerPool(workers=0) as inline:
+            with pytest.raises(SimulationError, match=r"failed on task 1 "):
+                inline.map(_explode_odd, list(range(8)))
+        with WorkerPool(workers=2, chunk_size=1) as pool:
+            with pytest.raises(SimulationError,
+                               match=r"failed on task 1 .*ValueError: odd 1"):
+                pool.map(_explode_odd, list(range(8)))
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ The load-bearing contracts:
 
 from __future__ import annotations
 
+import http.client
 import json
 import os
 import threading
@@ -27,6 +28,7 @@ import pytest
 
 from repro.experiments import parse_run_payload
 from repro.service import TERMINAL, ExperimentService, JobQueue
+from repro.service.server import MAX_BODY_BYTES
 from repro.simulator.grid import ShardStats, _SpecTask, run_grid
 
 GRID = {
@@ -126,6 +128,31 @@ class TestValidation:
         code, error = _request_error(service.port, "/experiments", b"not json")
         assert code == 400
         assert "not JSON" in error
+
+    @pytest.mark.parametrize("length, code, words", [
+        (MAX_BODY_BYTES + 1, 413, f"limit of {MAX_BODY_BYTES} bytes"),
+        (-1, 400, "Content-Length must be >= 0"),
+    ], ids=["oversized", "negative"])
+    def test_declared_length_refused_before_reading(self, service, length,
+                                                    code, words):
+        """A declared length over the limit (or below zero) is refused
+        without reading the body, so a tiny body sent with a huge or
+        negative length gets its answer instead of a hung handler, and
+        the service then runs a normal job."""
+        conn = http.client.HTTPConnection("127.0.0.1", service.port, timeout=10)
+        try:
+            conn.putrequest("POST", "/experiments")
+            conn.putheader("Content-Length", str(length))
+            conn.endheaders(b"{}")
+            resp = conn.getresponse()
+            assert resp.status == code
+            assert words in json.loads(resp.read())["error"]
+        finally:
+            conn.close()
+        status, body = _request(service.port, "/experiments", STREAM)
+        assert status == 202
+        lines = _stream_lines(service.port, body["job"]["id"])
+        assert lines[-1]["job"]["state"] == "done"
 
     def test_unknown_job_404(self, service):
         code, error = _request_error(
