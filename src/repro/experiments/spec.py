@@ -33,7 +33,8 @@ frozen dataclass, selected by ``loop="closed" | "stream"``, with
   concrete :class:`~repro.simulator.faults.FaultScenario` is drawn from
   ``numpy.random.default_rng([seed, i])`` with traffic held fixed, so
   every cell is exactly reproducible and
-  :func:`~repro.simulator.grid.run_grid` fans the realizations
+  :func:`~repro.simulator.grid.run_grid` fans the realizations, in
+  blocks drained on one engine each (:meth:`ExperimentSpec.replica_blocks`),
   across the warm worker pool.
 
 Running a spec (:meth:`ExperimentSpec.run`) returns an
@@ -60,6 +61,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from repro.core.debruijn import debruijn
+from repro.core.fault_tolerant import ft_debruijn
 from repro.errors import ParameterError
 from repro.simulator.faults import (
     CONTROLLERS,
@@ -67,7 +69,7 @@ from repro.simulator.faults import (
     realize_fault_model,
     validate_fault_model,
 )
-from repro.simulator.grid import ExperimentResult, ShardStats
+from repro.simulator.grid import ExperimentResult, ShardStats, run_block
 from repro.simulator.sources import SOURCES, TrafficSource, make_source
 from repro.simulator.traffic import PATTERNS, make_pattern
 
@@ -97,6 +99,15 @@ ROUTE_MODES = ("bfs", "table")
 #: controller runs on.  The field selects nothing and stays so that
 #: existing spec files, digests and bundle manifests keep their bytes.
 ENGINES = ("batch",)
+
+#: Largest ``R x (packets + directed links)`` one block of a replicated
+#: cell drains on one engine (see :meth:`ExperimentSpec.replica_blocks`).
+#: Every replicated cell below the FULL surface fits in one block (the
+#: QUICK surface's largest cell takes 22k, ``montecarlo-bundle``'s 72k),
+#: while a FULL replica of 250k packets or more is a block of one.  A
+#: budget on packets alone would tile a large machine thousands of times
+#: for a small-packet cell.
+_BLOCK_BUDGET = 1 << 18
 
 
 def _spare_demand(faults, repairs) -> int:
@@ -483,6 +494,34 @@ class ExperimentSpec:
             model["repairs"] = [[c, v] for c, v in scenario.node_repairs]
         return replace(self, faults=(), fault_model=model, replicas=1)
 
+    def replica_blocks(self) -> list[tuple["ExperimentSpec", ...]]:
+        """This replicated cell's realized replicas
+        (:meth:`realize_replica`, in index order) cut into *blocks*, each
+        drained on one engine by :func:`~repro.simulator.grid.run_block`.
+
+        A cell drains in blocks when it injects one batch and every
+        realized fault or repair fires at cycle 0 (the default closed
+        window of ``iid`` and ``burst``); a block then holds as many
+        replicas as fit :data:`_BLOCK_BUDGET` over ``packets`` plus the
+        controller's directed links.  Any other cell (``churn``, a
+        windowed model, several batches) and a replica too large to
+        share a block runs one replica per block, on the per-replica
+        path.  Realizing happens here, so a replica over the spare
+        budget raises :class:`ParameterError` before anything runs.
+        """
+        realized = [self.realize_replica(i) for i in range(self.replicas)]
+        at_zero = all(
+            c == 0
+            for rep in realized for pairs in rep._fixed_faults() for c, _ in pairs
+        )
+        if self.batches > 1 or not at_zero:
+            return [(rep,) for rep in realized]
+        machine = (ft_debruijn(self.m, self.h, self.k)
+                   if self.controller == "reconfig" else debruijn(self.m, self.h))
+        size = self.packets + 2 * machine.edge_count
+        per = max(1, _BLOCK_BUDGET // size)
+        return [tuple(realized[i: i + per]) for i in range(0, len(realized), per)]
+
     # -- construction of the moving parts -----------------------------------
 
     def traffic(self) -> np.ndarray:
@@ -540,9 +579,7 @@ class ExperimentSpec:
                 raise ParameterError(
                     "batch_slice applies to single-replica specs only"
                 )
-            first, *rest = (
-                self.realize_replica(i).run() for i in range(self.replicas)
-            )
+            first, *rest = (run_block(b) for b in self.replica_blocks())
             return replace(first.merged_with(rest), spec=self)
         return self._run_closed(batch_slice)
 

@@ -466,6 +466,27 @@ class StaticGraph:
             raise GraphFormatError("union: node counts differ")
         return StaticGraph(self._n, np.vstack([self.edges(), other.edges()]))
 
+    def block_union(self, copies: int) -> "StaticGraph":
+        """The block-diagonal union of ``copies`` disjoint copies of this
+        graph: copy ``r``'s node ``v`` is ``r * n + v`` and its CSR slot
+        ``s`` is ``r * len(col_indices) + s``.  Offsetting every copy
+        keeps each copy's rows sorted and puts all of copy ``r`` before
+        copy ``r + 1``, so slot order is still directed-key order and
+        each copy keeps its own slots' relative order.
+
+        >>> g = StaticGraph(3, [(0, 1), (1, 2)]).block_union(2)
+        >>> g.node_count, g.edge_count, g.neighbors(4).tolist()
+        (6, 4, [3, 5])
+        """
+        copies = int(copies)
+        n, slots = self._n, self._indices.size
+        shift = np.arange(copies, dtype=_INDEX_DTYPE)[:, None]
+        indptr = np.empty(copies * n + 1, dtype=_INDEX_DTYPE)
+        indptr[:-1] = (self._indptr[:-1] + shift * slots).ravel()
+        indptr[-1] = copies * slots
+        indices = (self._indices + shift * n).ravel()
+        return StaticGraph.from_csr(copies * n, indptr, indices)
+
     def is_edge_subset_of(self, other: "StaticGraph") -> bool:
         """Whether every edge of ``self`` is an edge of ``other``
         (identity node mapping)."""

@@ -219,7 +219,8 @@ class JobRunner(threading.Thread):
     """The scheduler loop: one thread, one warm pool, cells in order.
 
     Cells of one job run sequentially (each cell may still fan out over
-    every pool worker via shards/replicas), so the pool's capacity goes
+    every pool worker via shards or replica blocks, which ``run_grid``
+    cuts to at least one per worker), so the pool's capacity goes
     wholly to the highest-priority job and a cancellation frees it at
     the next cell boundary.
     """

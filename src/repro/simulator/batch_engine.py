@@ -352,15 +352,30 @@ class BatchEngine:
         """Mark a node dead mid-run; drop everything queued on its links.
         Returns the drop count.  Raises :class:`SimulationError` for a
         node id outside the graph or while arrivals are pending."""
-        v = int(v)
-        if not 0 <= v < self._n:
-            raise SimulationError(
-                f"cannot disable node {v}: not a node of the graph [0, {self._n})"
-            )
-        self._refuse_if_pending(f"disable node {v}")
-        self._dead[v] = True
+        return self.disable_nodes([v])
+
+    def disable_nodes(self, vs: Iterable[int]) -> int:
+        """:meth:`disable_node` for every node of ``vs`` at once: one
+        blocked-mask pass and one pass over the calendar, however many
+        nodes die.  Returns the total drop count, which equals the sum
+        of disabling them one at a time.  Raises as :meth:`disable_node`
+        does, naming the first offending node, before any node dies."""
+        vs = [int(v) for v in vs]
+        for v in vs:
+            if not 0 <= v < self._n:
+                raise SimulationError(
+                    f"cannot disable node {v}: not a node of the graph [0, {self._n})"
+                )
+        if not vs:
+            return 0
+        self._refuse_if_pending(
+            f"disable node {vs[0]}" if len(vs) == 1 else f"disable nodes {vs}"
+        )
+        hit = np.zeros(self._n, dtype=bool)
+        hit[vs] = True
+        self._dead |= hit
         u, w = self._reblock()
-        return self._drop_queues((u == v) | (w == v))
+        return self._drop_queues(hit[u] | hit[w])
 
     def enable_node(self, v: int) -> None:
         """Return a disabled node to service (a ``node_repair`` event):

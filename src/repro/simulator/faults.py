@@ -54,9 +54,12 @@ Both controllers drive the one packet engine,
 :class:`~repro.simulator.batch_engine.BatchEngine`; the conformance
 suite holds their runs, mid-drain faults included, packet for packet to
 the same controllers on the per-packet witness engine.  Parallelism
-lives one level up: independent cells, replicas and per-batch
+lives one level up: independent cells, replica blocks and per-batch
 ``shards`` of an :class:`~repro.experiments.ExperimentSpec` fan out
-through :func:`~repro.simulator.grid.run_grid`.
+through :func:`~repro.simulator.grid.run_grid`.  :func:`drain_block`
+runs one block: replica controllers whose faults all fire at cycle 0,
+drained side by side on one engine, each replica's records exactly its
+own ``run_workload``'s.
 """
 
 from __future__ import annotations
@@ -77,7 +80,7 @@ from repro.routing.fault_routing import (
 )
 from repro.simulator.batch_engine import BatchEngine
 from repro.simulator.events import EventQueue
-from repro.simulator.metrics import RunStats
+from repro.simulator.metrics import PacketArrays, RunStats
 
 __all__ = [
     "CONTROLLERS",
@@ -85,6 +88,7 @@ __all__ = [
     "FaultScenario",
     "ReconfigurationController",
     "DetourController",
+    "drain_block",
     "realize_fault_model",
     "validate_fault_model",
 ]
@@ -520,6 +524,69 @@ class _FaultController:
         from repro.simulator.streaming import run_stream
 
         return run_stream(self, source, **kwargs)
+
+
+def drain_block(controllers, pairs: np.ndarray, *,
+                max_cycles: int = 1_000_000) -> list[tuple[PacketArrays, int]]:
+    """Drain one closed-loop batch of ``pairs`` on every controller of
+    ``controllers`` as one *block*: ``R`` copies of the machine joined
+    into one block-diagonal graph
+    (:meth:`~repro.graphs.static_graph.StaticGraph.block_union`) and
+    drained on one :class:`BatchEngine`.  Returns each controller's
+    ``(packet records, cycles)``, bit-identical to its own
+    :meth:`~_FaultController.run_workload` over ``[pairs]``.
+
+    Every controller must be fresh, of one kind and machine, with every
+    scheduled event due at cycle 0.  Each fires its events in its own
+    order (so φ and any
+    :class:`~repro.core.reconfiguration.FaultSetError` are its own) and
+    routes ``pairs`` through its own route hook, charging refusals to
+    its ``unreachable_pairs``; the block then shifts replica ``r``'s
+    nodes by ``r * n`` and its CSR slots by ``r * s``.  Replicas share
+    no queue, and each one's joiners reach the union's service order in
+    their solo order, so every departure is its solo departure.  With
+    every fault fired before injection no packet can drop, so a
+    replica's solo clock ends on its last delivery (0 without one):
+    that is its ``cycles``.
+    """
+    graph = controllers[0].sim.graph
+    n, s = graph.node_count, graph.directed_edge_keys.size
+    flats, lens, hops, dead = [], [], [], []
+    for r, ctrl in enumerate(controllers):
+        ctrl.fire_due_events()
+        if ctrl.events.peek_cycle() is not None:
+            raise SimulationError(
+                "a block drain needs every scheduled event at cycle 0"
+            )
+        # a machine-death outcome would enter here per replica: a dead
+        # replica injects nothing into its block
+        flat, offsets, kept, hop = ctrl._route(pairs)
+        ctrl.unreachable_pairs += pairs.shape[0] - kept.size
+        flats.append(flat + r * n)
+        lens.append(np.diff(offsets))
+        hops.append(None if hop is None else hop + r * s)
+        dead.extend(v + r * n for v in sorted(ctrl.sim.dead_nodes))
+    sim = BatchEngine(graph.block_union(len(controllers)),
+                      controllers[0].sim.link_capacity)
+    sim.disable_nodes(dead)
+    offsets = np.zeros(sum(x.size for x in lens) + 1, dtype=np.int64)
+    np.cumsum(np.concatenate(lens), out=offsets[1:])
+    sim.inject_routes(
+        np.concatenate(flats), offsets,
+        hop=None if any(h is None for h in hops) else np.concatenate(hops),
+    )
+    sim.run(max_cycles)
+    rec = sim.packet_records()
+    out, lo = [], 0
+    for part in lens:
+        hi = lo + part.size
+        records = PacketArrays(
+            injected_at=rec.injected_at[lo:hi], delivered_at=rec.delivered_at[lo:hi],
+            hops=rec.hops[lo:hi], dropped=rec.dropped[lo:hi],
+        )
+        out.append((records, int(records.delivered_at.max(initial=0))))
+        lo = hi
+    return out
 
 
 class ReconfigurationController(_FaultController):

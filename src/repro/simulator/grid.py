@@ -11,8 +11,16 @@ maps them over one :class:`~repro.simulator.pool.WorkerPool`:
   and seed replicas) is an independent simulation — closed-loop drains
   and open-loop streams alike, so a saturation surface (rate x size x
   faults) runs as one sweep;
-* **per replica** — a Monte-Carlo cell's ``replicas`` are realized in
-  the submitting process and run as one task each;
+* **per replica block** — a Monte-Carlo cell's ``replicas`` are
+  realized in the submitting process and cut into blocks
+  (:meth:`~repro.experiments.ExperimentSpec.replica_blocks`), one task
+  each.  A cell with one injection batch and every fault at cycle 0
+  drains a whole block on one engine, its replicas side by side in one
+  block-diagonal graph, so a replica's short drain no longer pays the
+  engine's fixed per-cycle cost alone; every other cell, and a replica
+  too large to share, is a block of one.  A map with fewer tasks than
+  pool workers cuts its blocks finer, down to one replica each, until
+  every worker has one, so a lone replicated cell still fans out;
 * **per batch** — a closed-loop spec's ``shards`` split its injection
   batches into tasks.  The engines fully drain between batches, so
   batch ``i + 1`` starts on an empty network, and simulating each batch
@@ -62,6 +70,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from repro.errors import ParameterError
+from repro.simulator.faults import drain_block
 from repro.simulator.metrics import PacketArrays, RunStats
 from repro.simulator.pool import WorkerPool
 
@@ -70,6 +79,7 @@ __all__ = [
     "ExperimentResult",
     "GridResult",
     "WorkerPool",
+    "run_block",
     "run_grid",
 ]
 
@@ -376,7 +386,41 @@ class _SpecTask:
         return self.spec.run(batch_slice=sl)
 
 
-def _run_spec_task(task: _SpecTask) -> ExperimentResult:
+def run_block(block) -> ExperimentResult:
+    """Run one block of realized replica specs (see
+    :meth:`~repro.experiments.ExperimentSpec.replica_blocks`) and return
+    their merged result, equal to merging each replica's own ``run()``.
+    A block of one is that ``run()``; a larger block builds every
+    replica's controller and drains them together with
+    :func:`~repro.simulator.faults.drain_block`."""
+    if len(block) == 1:
+        return block[0].run()
+    first = block[0]
+    ctrls = [rep.build_controller() for rep in block]
+    t0 = time.perf_counter()
+    drained = drain_block(ctrls, first.traffic(), max_cycles=first.max_cycles)
+    seconds = time.perf_counter() - t0
+    return ExperimentResult(
+        spec=first,
+        stats=ShardStats.merge(ShardStats.from_arrays(*d) for d in drained),
+        seconds=seconds,
+        lost_to_faults=sum(c.lost_to_faults for c in ctrls),
+        unreachable_pairs=sum(c.unreachable_pairs for c in ctrls),
+    )
+
+
+@dataclass(frozen=True)
+class _BlockTask:
+    """One unit of pool work: a block of a replicated cell's realized
+    replicas, run by :func:`run_block`."""
+
+    block: tuple            # realized single-replica ExperimentSpecs
+
+    def run(self) -> ExperimentResult:
+        return run_block(self.block)
+
+
+def _run_spec_task(task: "_SpecTask | _BlockTask") -> ExperimentResult:
     return task.run()
 
 
@@ -396,20 +440,23 @@ def _as_specs(grid) -> list:
     return specs
 
 
-def _expand_tasks(specs: Sequence) -> tuple[list[_SpecTask], list[int]]:
+def _expand_tasks(specs: Sequence, workers: int = 1) -> tuple[list, list[int]]:
     """Flatten specs into pool tasks; ``owner[i]`` maps task ``i`` back
-    to its spec index (batch-shards and Monte-Carlo replicas of one spec
-    share an owner).  Replicated cells are realized *here*, in the
-    submitting process, so each replica's fault schedule is drawn once
-    from ``rng([seed, replica])`` and every worker runs a frozen
-    ``fixed`` schedule — pool and sequential execution see bit-identical
-    realizations."""
-    tasks: list[_SpecTask] = []
+    to its spec index (batch-shards and replica blocks of one spec share
+    an owner).  Replicated cells are realized *here*, in the submitting
+    process, and cut into blocks by
+    :meth:`~repro.experiments.ExperimentSpec.replica_blocks`, the helper
+    ``ExperimentSpec.run`` uses: each replica's fault schedule is drawn
+    once from ``rng([seed, replica])``, every worker runs frozen
+    ``fixed`` schedules, and pool and sequential execution see
+    bit-identical realizations.  With fewer tasks than ``workers`` the
+    blocks are cut finer (:func:`_spread_blocks`)."""
+    tasks: list = []
     owners: list[int] = []
     for si, sp in enumerate(specs):
         if sp.replicas > 1:
-            for i in range(sp.replicas):
-                tasks.append(_SpecTask(sp.realize_replica(i)))
+            for block in sp.replica_blocks():
+                tasks.append(_BlockTask(block))
                 owners.append(si)
             continue
         if sp.loop != "closed" or sp.shards <= 1:
@@ -422,7 +469,36 @@ def _expand_tasks(specs: Sequence) -> tuple[list[_SpecTask], list[int]]:
                 continue
             tasks.append(_SpecTask(sp, (int(a), int(b))))
             owners.append(si)
-    return tasks, owners
+    return _spread_blocks(tasks, owners, workers)
+
+
+def _spread_blocks(tasks: list, owners: list[int],
+                   workers: int) -> tuple[list, list[int]]:
+    """Cut replica blocks finer while the map has fewer tasks than
+    ``workers``: each step gives one more part to the block with the
+    most replicas per part, until every worker has a task or every
+    block is down to one replica; a block's parts are its consecutive
+    replicas.  A block is one task, so without this a lone replicated
+    cell would drain on one worker (or inline: a one-task map runs in
+    the caller) while the rest of the pool idles.  Every replica's
+    stats are exact in any block, so the cut never moves a result."""
+    size = [len(t.block) if isinstance(t, _BlockTask) else 1 for t in tasks]
+    parts = [1] * len(tasks)
+    while sum(parts) < workers:
+        i = max(range(len(tasks)), key=lambda j: size[j] / parts[j], default=None)
+        if i is None or parts[i] == size[i]:
+            break
+        parts[i] += 1
+    out: list = []
+    out_owners: list[int] = []
+    for task, owner, n, p in zip(tasks, owners, size, parts):
+        if p == 1:
+            out.append(task)
+        else:
+            cuts = np.linspace(0, n, p + 1).astype(int)
+            out += [_BlockTask(task.block[a:b]) for a, b in zip(cuts[:-1], cuts[1:])]
+        out_owners += [owner] * p
+    return out, out_owners
 
 
 @dataclass(frozen=True)
@@ -505,9 +581,10 @@ def run_grid(
     that lives for this call only.
     """
     specs = _as_specs(grid)
-    tasks, owners = _expand_tasks(specs)
     ephemeral = pool is None
+    # constructing a pool starts no process: the first map does
     runner = WorkerPool(workers=workers, chunk_size=chunk_size) if ephemeral else pool
+    tasks, owners = _expand_tasks(specs, runner.target_workers)
     t0 = time.perf_counter()
     # an ephemeral pool closes on exit (force-closing on an interrupt);
     # a borrowed one stays open for the caller

@@ -1,9 +1,10 @@
 """Persistent warm worker pool: the one layer of parallelism.
 
 :func:`~repro.simulator.grid.run_grid` sends every kind of
-independent work through one :class:`WorkerPool` — spec cells,
-Monte-Carlo replicas and the per-batch ``shards`` of a closed-loop
-spec.  The pool keeps its workers *alive across map calls*:
+independent work through one :class:`WorkerPool` — spec cells, blocks
+of a Monte-Carlo cell's replicas (drained together on one engine) and
+the per-batch ``shards`` of a closed-loop spec.  The pool keeps its
+workers *alive across map calls*:
 
 * **long-lived workers** — processes start once (lazily, up to the
   pool's target), then sit on the shared task queue; a second ``map``
@@ -19,6 +20,10 @@ spec.  The pool keeps its workers *alive across map calls*:
   grid of 384 millisecond-scale cells in 2.2 s with about 470 voluntary
   context switches, against 1.1-1.3 s and 6-7 switches with a message
   per chunk, about what the same cells take inline (2-core Xeon VM);
+* **results pickled per task** — a worker pickles each result as its
+  task finishes, so a result that cannot be pickled is that task's
+  failure, named like any other, instead of a ``fin`` the queue's
+  feeder thread silently drops;
 * **generations** — each ``map`` call is a tagged generation, so
   leftovers of an aborted call (a failed task, a killed worker) are
   recognized and dropped instead of corrupting the next call;
@@ -46,6 +51,7 @@ task-queue lock) are accepted as out of scope.
 from __future__ import annotations
 
 import os
+import pickle
 import queue as _queue
 import traceback
 import weakref
@@ -82,12 +88,18 @@ def _pool_worker(worker_seq: int, task_q, result_q) -> None:
     until the ``None`` sentinel.  Each chunk sends exactly two messages:
     ``("claim", gen, chunk_id, worker_seq)`` *before* it runs, and
     ``("fin", gen, chunk_id, worker_seq, outcomes)`` after, where
-    ``outcomes`` lists ``(idx, ok, result-or-traceback)`` for every task
-    in chunk order.  The claim lets the parent tell a worker that died
-    mid-chunk (tasks lost → error) from one that died idle (replace and
-    continue).  A task exception becomes its ``ok=False`` entry and the
-    chunk's later tasks still run; KeyboardInterrupt/SystemExit
-    propagate so Ctrl-C actually stops the worker.
+    ``outcomes`` lists ``(idx, ok, pickled-result-or-traceback)`` for
+    every task in chunk order.  The claim lets the parent tell a worker
+    that died mid-chunk (tasks lost → error) from one that died idle
+    (replace and continue).  A task exception becomes its ``ok=False``
+    entry and the chunk's later tasks still run; KeyboardInterrupt/
+    SystemExit propagate so Ctrl-C actually stops the worker.
+
+    Each result is pickled right after its task runs, so a result that
+    cannot be pickled fails *its* task with the pickling traceback.
+    Left to the queue, the pickling error would surface in the queue's
+    feeder thread, which drops the whole ``fin``: no worker dies, and
+    the parent would wait for that chunk forever.
     """
     while True:
         try:
@@ -101,7 +113,9 @@ def _pool_worker(worker_seq: int, task_q, result_q) -> None:
         outcomes = []
         for idx, task in items:
             try:
-                outcomes.append((idx, True, func(task)))
+                outcomes.append(
+                    (idx, True, pickle.dumps(func(task), pickle.HIGHEST_PROTOCOL))
+                )
             except Exception as exc:
                 outcomes.append(
                     (idx, False,
@@ -136,10 +150,10 @@ class WorkerPool:
     Protocol: the parent puts ``(gen, chunk_id, func, [(idx, task),
     ...])`` chunks on the task queue; a worker answers each with a
     ``claim`` message before running it and one ``fin`` message after,
-    which carries ``(idx, ok, result-or-traceback)`` for every task of
-    the chunk in order.  ``map`` records a chunk's outcomes when its
-    ``fin`` arrives; the module docstring says why results travel once
-    per chunk.
+    which carries ``(idx, ok, pickled-result-or-traceback)`` for every
+    task of the chunk in order.  ``map`` records a chunk's outcomes
+    when its ``fin`` arrives; the module docstring says why results
+    travel once per chunk.
 
     Parameters
     ----------
@@ -325,7 +339,7 @@ class WorkerPool:
             finished.add(msg[2])
             for idx, ok, payload in msg[4]:
                 if ok:
-                    results[idx] = payload
+                    results[idx] = pickle.loads(payload)
                 elif failure is None or idx < failure[0]:
                     failure = (idx, payload)
                 received[idx] = True

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import debruijn
@@ -451,6 +451,8 @@ class TestRunUntil:
 # mix both kinds with single-node routes and spread their arrivals from
 # the clock (or the last pending arrival) over 1, 6 or 60 cycles; while
 # they are pending, untimed injections and fault operations are refused.
+# disable_nodes kills 1-3 nodes in one batch-engine call and one
+# disable_node call each on the witness.
 _ops = st.lists(
     st.one_of(
         st.tuples(st.just("inject"), st.integers(0, 2**16), st.integers(1, 40)),
@@ -458,6 +460,8 @@ _ops = st.lists(
         st.tuples(st.just("inject_at"), st.integers(0, 2**16), st.integers(1, 30)),
         st.tuples(st.just("step"), st.just(0), st.just(0)),
         st.tuples(st.just("disable_node"), st.integers(0, 7), st.just(0)),
+        st.tuples(st.just("disable_nodes"),
+                  st.lists(st.integers(0, 7), min_size=1, max_size=3), st.just(0)),
         st.tuples(st.just("enable_node"), st.integers(0, 7), st.just(0)),
         st.tuples(st.just("disable_link"), st.integers(0, 10**6), st.just(0)),
         st.tuples(st.just("run"), st.integers(-2, 16), st.integers(0, 40)),
@@ -535,6 +539,8 @@ class TestRunUntilDifferential:
 
     @settings(max_examples=100, deadline=None)
     @given(ops=_ops, capacity=st.integers(1, 3))
+    # packets queued on the second node's links when both die at once
+    @example(ops=[("inject", 0, 7), ("disable_nodes", [0, 1], 0)], capacity=1)
     def test_engines_agree(self, ops, capacity):
         g = debruijn(2, 3)
         edges = [tuple(map(int, e)) for e in g.edges()]
@@ -562,6 +568,21 @@ class TestRunUntilDifferential:
                 if drops is not None:
                     assert drops[0] == drops[1]
                     dead.add(a)
+            elif kind == "disable_nodes":
+                drops, refusals = [], []
+                for sim in engines:
+                    try:
+                        drops.append(
+                            sim.disable_nodes(a) if isinstance(sim, BatchEngine)
+                            else sum(sim.disable_node(v) for v in a)
+                        )
+                    except SimulationError as exc:
+                        refusals.append(str(exc))
+                assert len(refusals) == (2 if pending else 0), refusals
+                assert all("while arrivals are pending" in r for r in refusals)
+                if drops:
+                    assert drops[0] == drops[1]
+                    dead.update(a)
             elif kind == "enable_node":
                 if dead:
                     v = sorted(dead)[a % len(dead)]
@@ -776,6 +797,22 @@ class TestBatchEngineValidation:
         be.disable_node(1)
         with pytest.raises(SimulationError):
             be.inject_route([0, 1, 2])
+
+    def test_disable_nodes_refuses_before_any_node_dies(self):
+        be = BatchEngine(path(4))
+        be.inject_routes(*pack_routes([[0, 1, 2, 3], [3, 2]]))
+        with pytest.raises(SimulationError, match="cannot disable node 7: not a node"):
+            be.disable_nodes([1, 7])
+        assert be.dead_nodes == frozenset() and be.in_flight == 2
+        assert be.disable_nodes([]) == 0
+        # one call drops what the single calls drop together
+        assert be.disable_nodes([3, 1, 3]) == 2
+        assert be.dead_nodes == {1, 3} and be.in_flight == 0
+        be = BatchEngine(path(4))
+        be.inject_routes(*pack_routes([[0, 1]]), at=[5])
+        with pytest.raises(SimulationError,
+                           match=r"cannot disable nodes \[1, 2\] while arrivals"):
+            be.disable_nodes([1, 2])
 
     def test_disable_link_requires_real_edge(self):
         be = BatchEngine(path(3))

@@ -11,6 +11,7 @@ shards through ``run_grid``) builds on that.
 from __future__ import annotations
 
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from hypothesis import strategies as st
 from repro.core import debruijn, ft_debruijn
 from repro.errors import ParameterError, SimulationError
 from repro.experiments import ExperimentGrid, ExperimentSpec
+from repro.experiments.spec import _BLOCK_BUDGET
 from repro.routing import lift_slot_table, lifted_routes_batch
 from repro.simulator import (
     BatchEngine,
@@ -30,7 +32,8 @@ from repro.simulator import (
     pack_routes,
     run_grid,
 )
-from repro.simulator.grid import WorkerPool
+from repro.simulator.faults import drain_block
+from repro.simulator.grid import WorkerPool, _expand_tasks
 from repro.simulator.traffic import PATTERN_NAMES
 
 
@@ -312,3 +315,223 @@ class TestShardedEngine:
                 assert str(exc.value) == (
                     f"unknown engine {name!r}; valid choices: batch"
                 )
+
+
+# ---------------------------------------------------------------------------
+# replica blocks: a replicated cell's replicas drained on one engine
+# ---------------------------------------------------------------------------
+
+_BLOCK_MODELS = (
+    {"name": "iid", "p": 1.0},
+    {"name": "iid", "p": 0.9},
+    {"name": "iid", "p": 0.8},
+    {"name": "burst", "radius": 1},
+)
+
+
+def _fitting(**kw) -> ExperimentSpec:
+    """The spec at the first seed whose realized replicas all fit the
+    spare budget.  A draw past it is refused at realization by design,
+    so a reconfiguration cell at high intensity needs such a seed; the
+    detour baseline (no spares) takes seed 0."""
+    for seed in range(200):
+        spec = ExperimentSpec(seed=seed, **kw)
+        try:
+            spec.replica_blocks()
+        except ParameterError:
+            continue
+        return spec
+    raise AssertionError(f"no seed below 200 fits the spare budget: {kw}")
+
+
+def _solo(spec):
+    """Every replica of ``spec`` run on its own, in index order."""
+    return [spec.realize_replica(i).run() for i in range(spec.replicas)]
+
+
+def _block_outcomes(block):
+    """Each replica of a block drained together, as ``(stats,
+    lost_to_faults, unreachable_pairs)`` per replica."""
+    ctrls = [rep.build_controller() for rep in block]
+    first = block[0]
+    drained = drain_block(ctrls, first.traffic(), max_cycles=first.max_cycles)
+    return [
+        (ShardStats.from_arrays(records, cycles), c.lost_to_faults,
+         c.unreachable_pairs)
+        for c, (records, cycles) in zip(ctrls, drained, strict=True)
+    ]
+
+
+def _outcome(result):
+    return (result.stats, result.lost_to_faults, result.unreachable_pairs)
+
+
+def _assert_one_block_matches_solo(spec):
+    """``spec``'s replicas form one block, each replica of which, and
+    the merged cell, equal the replicas' solo runs."""
+    blocks = spec.replica_blocks()
+    assert [len(b) for b in blocks] == [spec.replicas]
+    assert list(blocks[0]) == [
+        spec.realize_replica(i) for i in range(spec.replicas)
+    ]
+    solo = _solo(spec)
+    if spec.replicas > 1:
+        assert _block_outcomes(blocks[0]) == [_outcome(w) for w in solo]
+    merged = spec.run()
+    assert merged.spec == spec
+    assert merged.stats == ShardStats.merge(w.stats for w in solo)
+
+
+class TestReplicaBlocks:
+    """Replicas drained as one block keep every replica's solo stats,
+    ``lost_to_faults`` and ``unreachable_pairs`` exactly, one replica at
+    a time; cells out of scope keep one task per replica."""
+
+    @pytest.mark.parametrize("controller", ["reconfig", "detour"])
+    @pytest.mark.parametrize("m,h,k", [(2, 4, 4), (2, 5, 12), (2, 6, 16), (3, 3, 8)])
+    def test_each_replica_matches_its_solo_run(self, controller, m, h, k):
+        models = _BLOCK_MODELS
+        if controller == "reconfig" and k == 4:
+            # B_{2,4}'s radius-1 balls hold up to 5 nodes, past 4 spares
+            models = models[:3] + ({"name": "burst", "radius": 0},)
+        cases = [(model, 1, r) for model in models for r in (1, 2, 16)]
+        cases += [(model, 2, 16) for model in models]
+        for model, capacity, replicas in cases:
+            _assert_one_block_matches_solo(_fitting(
+                m=m, h=h, k=k, controller=controller, fault_model=model,
+                link_capacity=capacity, replicas=replicas, packets=256,
+            ))
+
+    @pytest.mark.parametrize("controller", ["reconfig", "detour"])
+    def test_long_drains_match_their_solo_runs(self, controller, monkeypatch):
+        """At ``examples/iid_dependability.json``'s size (``B_{2,6}``,
+        2000 packets, R=16) a replica drains for 30-120 cycles, past the
+        32 plain steps after which the engine probes coalesced windows;
+        in a block a window is cut by every replica's next event at
+        once.  Hotspot traffic makes the block take some windows."""
+        taken = []      # (engine nodes, window taken) per probe
+        probe = BatchEngine._step_coalesced
+
+        def counted(self, *args, **kwargs):
+            took = probe(self, *args, **kwargs)
+            taken.append((self.graph.node_count, took))
+            return took
+
+        monkeypatch.setattr(BatchEngine, "_step_coalesced", counted)
+        cases = [(model, "uniform", 1) for model in _BLOCK_MODELS]
+        cases += [({"name": "iid", "p": 0.9}, "hotspot", c) for c in (1, 2)]
+        for model, pattern, capacity in cases:
+            _assert_one_block_matches_solo(_fitting(
+                m=2, h=6, k=16, controller=controller, fault_model=model,
+                pattern=pattern, link_capacity=capacity, replicas=16,
+                packets=2000,
+            ))
+        # a union of 16 machines of 64 nodes (80 with reconfig's spares)
+        assert any(took for nodes, took in taken if nodes >= 16 * 64)
+
+    def test_faults_reach_the_block(self):
+        """The drain really runs each replica's own faults: detour pairs
+        touching a replica's dead nodes are refused, differently in
+        different replicas."""
+        spec = _fitting(m=2, h=5, k=12, controller="detour",
+                        fault_model={"name": "iid", "p": 0.8},
+                        replicas=16, packets=256)
+        unreachable = [o[2] for o in _block_outcomes(spec.replica_blocks()[0])]
+        assert sum(unreachable) > 0 and len(set(unreachable)) > 1
+
+    def test_block_cell_is_one_task(self):
+        spec = ExperimentSpec(m=2, h=6, k=16, fault_model={"name": "iid", "p": 0.9},
+                              replicas=16, packets=256, seed=3)
+        tasks, owners = _expand_tasks([spec])
+        assert owners == [0]
+        assert [t.block for t in tasks] == [
+            tuple(spec.realize_replica(i) for i in range(16))
+        ]
+
+    def test_few_blocks_spread_over_the_workers(self):
+        """A map with fewer tasks than workers cuts its blocks into
+        consecutive parts until every worker has a task or every block
+        is one replica, so a lone replicated cell still crosses the
+        pool, with every replica's stats unchanged."""
+        spec = ExperimentSpec(m=2, h=6, k=16, fault_model={"name": "iid", "p": 0.9},
+                              replicas=16, packets=256, seed=3)
+        replicas = tuple(spec.realize_replica(i) for i in range(16))
+        for workers, sizes in [(1, [16]), (2, [8, 8]), (3, [5, 5, 6]),
+                               (64, [1] * 16)]:
+            tasks, owners = _expand_tasks([spec], workers)
+            assert [len(t.block) for t in tasks] == sizes
+            assert sum((t.block for t in tasks), ()) == replicas
+            assert owners == [0] * len(sizes)
+        plain = ExperimentSpec(m=2, h=5, k=12, packets=64)
+        tasks, owners = _expand_tasks([plain, spec], 4)
+        assert owners == [0, 1, 1, 1]
+        assert [len(t.block) for t in tasks[1:]] == [5, 5, 6]
+        pooled = run_grid([spec], workers=2)
+        assert pooled.workers == 2
+        assert pooled.results[0].stats == ShardStats.merge(w.stats for w in _solo(spec))
+
+    @pytest.mark.parametrize("model,batches", [
+        ({"name": "churn", "p": 0.9, "mean_downtime": 5}, 1),
+        ({"name": "iid", "p": 0.9, "window": [0, 20]}, 1),
+        ({"name": "iid", "p": 0.9}, 3),
+    ], ids=["churn", "windowed", "batches3"])
+    @pytest.mark.parametrize("controller", ["reconfig", "detour"])
+    def test_out_of_scope_cells_keep_a_task_per_replica(self, model, batches,
+                                                        controller):
+        spec = _fitting(m=2, h=5, k=12, controller=controller, fault_model=model,
+                        batches=batches, replicas=4, packets=256)
+        tasks, owners = _expand_tasks([spec])
+        assert [t.block for t in tasks] == [
+            (spec.realize_replica(i),) for i in range(4)
+        ]
+        assert owners == [0, 0, 0, 0]
+        solo = _solo(spec)
+        assert spec.run().stats == ShardStats.merge(w.stats for w in solo)
+        pooled = run_grid([spec], workers=2).results[0]
+        assert pooled.stats == ShardStats.merge(w.stats for w in solo)
+
+    def test_block_budget_cuts_large_replicas(self):
+        """A replica too large to share the budget is a block of one and
+        runs the per-replica path; smaller ones fill blocks in order."""
+        links = 2 * ft_debruijn(2, 6, 20).edge_count
+        full = ExperimentSpec(m=2, h=6, k=20, fault_model={"name": "iid", "p": 1.0},
+                              replicas=3, packets=250_000)
+        assert 250_000 + links <= _BLOCK_BUDGET < 2 * (250_000 + links)
+        assert [len(b) for b in full.replica_blocks()] == [1, 1, 1]
+        per = _BLOCK_BUDGET // (100_000 + links)
+        half = replace(full, packets=100_000, replicas=per + 1)
+        assert [len(b) for b in half.replica_blocks()] == [per, 1]
+
+    def test_over_budget_replica_refused_before_any_worker(self):
+        spec = ExperimentSpec(m=2, h=5, k=1, fault_model={"name": "iid", "p": 0.5},
+                              replicas=16, packets=64, seed=0)
+        message = (r"scenario schedules \d+ concurrently faulty nodes but "
+                   r"B\^1_\{2,5\} has only 1 spares")
+        for run in (lambda: _expand_tasks([spec]), spec.run,
+                    lambda: run_grid([spec, spec], workers=2)):
+            with pytest.raises(ParameterError, match=message):
+                run()
+
+    def test_pooled_blocks_match_inline(self):
+        cells = [
+            _fitting(m=2, h=5, k=12, controller=c,
+                     fault_model={"name": "iid", "p": 0.9},
+                     replicas=8, packets=256)
+            for c in ("reconfig", "detour")
+        ]
+        pooled = run_grid(cells, workers=2)
+        for cell, res in zip(cells, pooled.results):
+            solo = _solo(cell)
+            assert res.spec == cell
+            assert res.stats == ShardStats.merge(w.stats for w in solo)
+            assert res.unreachable_pairs == sum(w.unreachable_pairs for w in solo)
+
+    def test_drain_block_refuses_a_later_event(self):
+        ctrls = []
+        for cycle in (0, 5):
+            ctrl = ReconfigurationController(2, 4, 2)
+            ctrl.schedule(FaultScenario([(cycle, 3)]))
+            ctrls.append(ctrl)
+        pairs = make_pattern(16, "uniform", 40, np.random.default_rng(0))
+        with pytest.raises(SimulationError, match="every scheduled event at cycle 0"):
+            drain_block(ctrls, pairs)

@@ -17,7 +17,9 @@ Three load-bearing contracts:
 from __future__ import annotations
 
 import os
+import pickle
 import queue
+import threading
 
 import pytest
 
@@ -33,6 +35,10 @@ def _square(x):
 
 def _explode(x):
     raise ValueError("boom")
+
+
+def _lambda_for_three(x):
+    return (lambda: x) if x == 3 else x
 
 
 def _refuse_two(x):
@@ -81,13 +87,41 @@ class TestWorkerProtocol:
         assert [m[:4] for m in msgs] == [("claim", 7, 3, 0), ("fin", 7, 3, 0)]
         outcomes = msgs[1][4]
         assert [o[0] for o in outcomes] == [4, 5, 6]
-        assert outcomes[0] == (4, True, 10)
-        assert outcomes[2] == (6, True, 30)
+        # results travel pickled, each as its task finished
+        assert outcomes[0][:2] == (4, True)
+        assert pickle.loads(outcomes[0][2]) == 10
+        assert outcomes[2][:2] == (6, True)
+        assert pickle.loads(outcomes[2][2]) == 30
         idx, ok, payload = outcomes[1]
         assert (idx, ok) == (5, False)
         assert payload.startswith("ValueError: two is refused\n")
         assert "Traceback (most recent call last)" in payload
         assert "_refuse_two" in payload
+
+    def test_unpicklable_result_fails_its_task(self):
+        """A result the queue cannot pickle is a named task failure
+        within a bounded wait, not a map that waits forever on a ``fin``
+        the queue's feeder thread dropped."""
+        pool = WorkerPool(workers=2, chunk_size=2)
+        outcome = {}
+
+        def run_map():
+            try:
+                outcome["result"] = pool.map(_lambda_for_three, list(range(6)))
+            except Exception as exc:  # noqa: BLE001 - checked below
+                outcome["error"] = exc
+
+        runner = threading.Thread(target=run_map, daemon=True)
+        runner.start()
+        runner.join(timeout=60)
+        hung = runner.is_alive()
+        pool.close(force=hung)
+        assert not hung, "map still waiting after 60 s"
+        error = outcome.get("error")
+        assert isinstance(error, SimulationError), outcome
+        message = str(error)
+        assert "failed on task 3 " in message
+        assert "pickle" in message.lower()
 
     def test_pooled_failure_names_the_lowest_task(self):
         """Outcomes arrive per chunk in any order across workers, yet

@@ -171,6 +171,23 @@ class TestDerivedGraphs:
         u = a.union(b)
         assert u.edge_count == 2
 
+    @pytest.mark.parametrize("copies", [1, 2, 5])
+    def test_block_union(self, petersen, copies):
+        """Copies are disjoint and offset; the CSR is canonical; copy
+        ``r``'s slot ``s`` is union slot ``r * len(col_indices) + s``."""
+        g = petersen
+        u = g.block_union(copies)
+        n, s = g.node_count, g.col_indices.size
+        edges = g.edges()
+        expect = StaticGraph(copies * n, np.vstack([edges + r * n for r in range(copies)]))
+        assert u == expect
+        StaticGraph.from_csr(u.node_count, u.row_offsets, u.col_indices, validate=True)
+        keys = g.directed_edge_keys
+        src, dst = np.divmod(keys, n)
+        for r in range(copies):
+            slots = u.directed_edge_slots(src + r * n, dst + r * n)
+            assert slots.tolist() == list(range(r * s, (r + 1) * s))
+
     def test_union_size_mismatch(self, triangle, square):
         with pytest.raises(GraphFormatError):
             triangle.union(square)

@@ -24,12 +24,14 @@ Four row kinds:
 * ``driver="montecarlo"`` — one declarative Monte-Carlo cell (an
   ``ExperimentSpec`` with an ``iid`` fault universe and ``replicas``
   seeded realizations) executed twice: sequentially inline
-  (``workers=0``) vs fanned replica-per-task across a warm
-  :class:`~repro.simulator.pool.WorkerPool`.  The generic columns hold
-  (sequential, pool) seconds; ``identical_stats`` is bit-equality of
-  the merged per-cell statistics *and* the exact aggregate — the proof
-  that replica realization happens in the submitting process and is
-  independent of where each task runs.
+  (``workers=0``, the replicas drained as one block) vs across a warm
+  :class:`~repro.simulator.pool.WorkerPool`, where ``run_grid`` cuts
+  that block into one per worker.  The generic columns hold
+  (sequential, pool) seconds, and ``workers`` the processes the pool
+  map used; ``identical_stats`` is bit-equality of the merged per-cell
+  statistics *and* the exact aggregate — the proof that replica
+  realization happens in the submitting process and is independent of
+  where, and in which block, each replica runs.
 * ``driver="csr"`` — the CSR core's frontier-expansion primitive raced
   against its own dict-view fallback: BFS distance sweeps from a fixed
   source sample, once walking the lazily-built ``adjacency_dict()``
@@ -165,15 +167,15 @@ def run_pool_row(pattern, m, h, k, packets, faults, seed=0, workers=None,
 def run_montecarlo_row(pattern, m, h, k, packets, faults, seed=0,
                        workers=None, replicas=16):
     """Run one declarative Monte-Carlo cell — an ``iid`` fault universe
-    with ``replicas`` seeded realizations — sequentially inline vs
-    fanned replica-per-task across a warm pool; the merged per-cell
+    with ``replicas`` seeded realizations — inline as one replica block
+    vs across a warm pool, one block per worker; the merged per-cell
     statistics and the exact aggregate must be bit-identical."""
     from repro.experiments import ExperimentSpec
     from repro.simulator import WorkerPool
     from repro.simulator.grid import run_grid
 
-    # force real processes, as in the pool row: replica fan-out on an
-    # inline dispatch would not exercise cross-process determinism
+    # force real processes, as in the pool row: a lone cell's block is
+    # cut into one per worker, so the pool side crosses processes
     workers = 2 if workers is None else max(2, workers)
     fault_model = {"name": "iid", "p": 0.9}
     spec = ExperimentSpec(
@@ -202,7 +204,7 @@ def run_montecarlo_row(pattern, m, h, k, packets, faults, seed=0,
     return t_seq, t_pool, agg, identical, agg.injected, {
         "fault_model": fault_model,
         "replicas": replicas,
-        "workers": workers,
+        "workers": par.workers,
         "sequential_seconds": round(t_seq, 4),
         "pool_seconds": round(t_pool, 4),
     }
