@@ -90,7 +90,7 @@ def dilation_profile(h: int, k: int, faults: list[int]) -> tuple[DilationProfile
     off_diagonal = src != dst
     src, dst = src[off_diagonal], dst[off_diagonal]
     table = survivor_route_table(target, bare_faults)
-    _, offsets, kept = table.routes_batch_masked(src, dst)
+    _, offsets, kept, _ = table.routes_batch_masked(src, dst)
     dil = np.diff(offsets) - 1 - distance_matrix(target)[src[kept], dst[kept]]
     values, counts = np.unique(dil, return_counts=True)
     det_hist = dict(zip(values.tolist(), counts.tolist()))

@@ -14,10 +14,12 @@ encode is hop-optimal; the simulator executes them directly.
 The table is a *pickle-safe* batch artifact (pure NumPy data) that
 extracts whole route batches vectorized with
 :meth:`RouteTable.routes_batch` — the format the simulation engines
-inject directly.  :meth:`RouteTable.next_hops` decodes the classic
-``(n, n)`` int64 view, with :data:`UNREACHABLE` for disconnected pairs
-and the node itself on the diagonal; :func:`compile_routing_table`
-returns that view and :func:`validate_routing_table` checks it.
+inject directly; :meth:`RouteTable.routes_batch_masked` adds each hop's
+CSR slot, the engine's queue id.  :meth:`RouteTable.next_hops` decodes
+the classic ``(n, n)`` int64 view, with :data:`UNREACHABLE` for
+disconnected pairs and the node itself on the diagonal;
+:func:`compile_routing_table` returns that view and
+:func:`validate_routing_table` checks it.
 """
 
 from __future__ import annotations
@@ -254,21 +256,30 @@ class RouteTable:
 
     def routes_batch_masked(
         self, srcs: np.ndarray, dsts: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Like :meth:`routes_batch`, but unreachable pairs are skipped
         instead of raising.
 
-        Returns ``(flat, offsets, kept)``: routes for the reachable pairs
-        in the engines' shared layout plus the (sorted) indices of the
-        input pairs that were routable — the same contract
+        Returns ``(flat, offsets, kept, hop)``: routes for the reachable
+        pairs in the engines' shared layout, the (sorted) indices of the
+        input pairs that were routable, and each route position's CSR
+        slot (``-1`` at each route's end) — the route-hook tuple
         :meth:`repro.simulator.faults.DetourController.detour_routes_batch`
-        exposes, so callers can charge the dropped pairs to their
-        offered-but-unadmitted accounting.
+        hands the engine, whose drivers charge the dropped pairs to their
+        offered-but-unadmitted accounting.  The slot of the hop leaving
+        ``u`` toward ``d`` is ``row_offsets[u] + table[u, d]``, so one
+        rank gather over the finished routes finds them all.
         """
         srcs, dsts = self._endpoints(srcs, dsts)
         kept = np.flatnonzero(self.table[srcs, dsts] != self.sentinel)
-        flat, offsets = self._walk(srcs[kept], dsts[kept])
-        return flat, offsets, kept
+        dsts = dsts[kept]
+        flat, offsets = self._walk(srcs[kept], dsts)
+        at = flat * self.node_count  # each position's (u, dst) entry
+        at += np.repeat(dsts, np.diff(offsets))
+        hop = self.row_offsets.take(flat)
+        hop += self.table.ravel().take(at)
+        hop[offsets[1:] - 1] = -1
+        return flat, offsets, kept, hop
 
 
 def compile_routing_table(g: StaticGraph, *, faulty=None) -> np.ndarray:

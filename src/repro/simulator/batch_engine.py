@@ -50,16 +50,16 @@ under faults:
 
 Each hop's queue is resolved once, at injection: a per-hop array beside
 the routes holds the queue id of the hop leaving every route position
-(``-1`` at a route's end).  Graph edges use their CSR slot, which a
-router may supply (``hop=``, checked by one gather) or the engine finds
-by one search; rare non-edge hops injected with ``validate=False`` get
-overflow ids.  A per-queue *blocked* mask (dead endpoint or dead link)
+(``-1`` at a route's end).  Every queue is a directed link, and its id
+is the link's CSR slot, which a router supplies (``hop=``, checked by
+one gather) or the engine finds by one search; a hop that is not a link
+is refused.  A per-queue *blocked* mask (dead endpoint or dead link)
 replaces any per-step fault search.
 
 A packet's place in the calendar is one int64 key,
-``depart << 32 | (rank * link_capacity + place)``: its departure cycle,
-its queue's service rank (the queue's position in ``u * n + v`` order)
-and its FIFO place among the queue's departures that cycle.  Ascending
+``depart << 32 | (slot * link_capacity + place)``: its departure cycle,
+its queue's CSR slot (the queue's position in ``u * n + v`` order) and
+its FIFO place among the queue's departures that cycle.  Ascending
 key order is therefore exactly the model's service order.  The
 calendar is a few key-sorted *runs*; a :meth:`step` to cycle ``c``
 takes every run's prefix of keys departing at ``c``, processes the
@@ -92,7 +92,7 @@ __all__ = ["BatchEngine", "pack_routes", "validate_arrivals", "validate_injectio
 
 _I64 = np.int64
 # calendar key split: departure cycle in the high bits, service slot
-# ``rank * link_capacity + place`` in the low 32
+# ``queue * link_capacity + place`` in the low 32
 _LOW = 32
 _LOW_MASK = (1 << _LOW) - 1
 _MAX_SLOTS = 1 << _LOW          # queues x link_capacity must fit the low bits
@@ -146,11 +146,10 @@ def validate_injection(
     flat: np.ndarray,
     offsets: np.ndarray,
     *,
-    validate: bool,
     dead_mask: np.ndarray,
     dead_links: np.ndarray,
     hop: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The engines' shared injection-time validation, fully vectorized.
 
     Normalizes the ``(flat, offsets)`` batch and applies exactly the
@@ -158,17 +157,16 @@ def validate_injection(
     empty routes, node range, edge existence, dead links (``dead_links``
     is a mask over CSR slots), dead nodes — raising
     :class:`SimulationError` on the first offender.  Returns
-    ``(flat, offsets, lens, hop, stray)``: ``hop[i]`` is the CSR slot of
-    the hop leaving position ``i``, ``-1`` at each route's end.
+    ``(flat, offsets, lens, hop)``: ``hop[i]`` is the CSR slot of the hop
+    leaving position ``i``, ``-1`` at each route's end.
 
-    Without ``hop`` one search answers both the edge check and the queue
-    id; non-edge hops get ``-1`` too, their positions are listed in
-    ``stray``, and only ``validate`` makes them an error.  A supplied
-    ``hop`` (one slot per position, route ends ignored) is checked by one
-    gather instead: every slot must be in range and name its own hop
-    (``directed_edge_keys[hop[i]] == u * n + v``), ``validate`` or not,
-    so ``stray`` is empty.  Every engine funnels through here so a route
-    is rejected identically no matter which engine it was offered to.
+    A supplied ``hop`` (one slot per position, route ends ignored) is
+    checked by one gather: every slot must be in range and name its own
+    hop (``directed_edge_keys[hop[i]] == u * n + v``).  Without ``hop``
+    one search answers both the edge check and the slot.  Either way a
+    hop that is not an edge is refused.  Every engine funnels through
+    here so a route is rejected identically no matter which engine it
+    was offered to.
     """
     flat = np.ascontiguousarray(np.asarray(flat, dtype=_I64).ravel())
     offsets = np.asarray(offsets, dtype=_I64).ravel()
@@ -181,28 +179,28 @@ def validate_injection(
     if flat.size and (flat.min() < 0 or flat.max() >= n):
         raise SimulationError("route node id out of range")
     ends = offsets[1:] - 1
-    supplied = hop is not None
-    if not supplied:
+    if hop is None:
         hop = np.full(flat.size, -1, dtype=_I64)
         if flat.size > 1:
             hop[:-1] = graph.directed_edge_slots(flat[:-1], flat[1:])
         hop[ends] = -1
         bad = hop < 0
     else:
-        hop = np.array(hop, dtype=_I64).ravel()
+        hop = np.asarray(hop, dtype=_I64).ravel()
         if hop.size != flat.size:
             raise SimulationError(
                 f"hop= holds {hop.size} slots for {flat.size} route positions"
             )
-        hop[ends] = -1
+        if (hop[ends] != -1).any():  # ends are ignored: mark them on a copy
+            hop = hop.copy()
+            hop[ends] = -1
         keys = graph.directed_edge_keys
         bad = (hop < 0) | (hop >= keys.size)
         if keys.size:  # an edgeless graph has no slot to gather
             bad[:-1] |= keys.take(hop[:-1], mode="clip") != flat[:-1] * n + flat[1:]
     bad[ends] = False
-    stray = np.flatnonzero(bad)
-    if stray.size and (validate or supplied):
-        i = int(stray[0])
+    if bad.any():
+        i = int(np.flatnonzero(bad)[0])
         raise SimulationError(f"route hop ({flat[i]}, {flat[i + 1]}) is not an edge")
     if dead_links.any():
         dead_link = (hop >= 0) & dead_links[np.maximum(hop, 0)]
@@ -212,7 +210,7 @@ def validate_injection(
     if flat.size and dead_mask[flat].any():
         v = int(flat[np.flatnonzero(dead_mask[flat])[0]])
         raise SimulationError(f"route passes dead node {v}")
-    return flat, offsets, lens, hop, stray
+    return flat, offsets, lens, hop
 
 
 def pack_routes(routes: Iterable[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
@@ -257,14 +255,14 @@ class BatchEngine:
         self._injected_at = np.zeros(0, dtype=_I64)
         self._delivered_at = np.zeros(0, dtype=_I64)  # -1 == not delivered
         self._dropped = np.zeros(0, dtype=bool)
-        # queue registry: ids below the edge count are CSR slots (whose
-        # order is the u*n + v key order); overflow ids for non-edge hops
-        # follow in creation order, and _rank then maps ids to key order
-        self._qkey = graph.directed_edge_keys
-        self._extra_ids: dict[int, int] = {}
-        self._rank: np.ndarray | None = None          # None: ids are ranks
-        n_queues = self._qkey.size
-        self._check_slots(n_queues)
+        # one queue per directed link, its id the CSR slot: id order is
+        # the u*n + v key order the calendar serves queues in
+        n_queues = graph.directed_edge_keys.size
+        if n_queues * self.link_capacity > _MAX_SLOTS:
+            raise SimulationError(
+                f"{n_queues} queues x link_capacity {self.link_capacity} "
+                f"exceed the calendar key's limit of 2**{_LOW} service slots"
+            )
         # per-queue service schedule: the next free slot, counted in
         # 1/link_capacity cycles (slot s departs at cycle s // capacity)
         self._q_free = np.zeros(n_queues, dtype=_I64)
@@ -283,14 +281,6 @@ class BatchEngine:
         self._pending: np.ndarray | None = None
         # latest timed arrival cycle, single-node routes included
         self._last_arrival = -1
-
-    def _check_slots(self, n_queues: int) -> None:
-        """Refuse more queue slots than the calendar key's low bits hold."""
-        if n_queues * self.link_capacity > _MAX_SLOTS:
-            raise SimulationError(
-                f"{n_queues} queues x link_capacity {self.link_capacity} "
-                f"exceed the calendar key's limit of 2**{_LOW} service slots"
-            )
 
     # -- configuration ------------------------------------------------------
 
@@ -320,7 +310,7 @@ class BatchEngine:
     def _reblock(self) -> tuple[np.ndarray, np.ndarray]:
         """Recompute the blocked mask (dead endpoint or dead link) from
         the fault state; returns the queues' endpoint arrays."""
-        u, w = np.divmod(self._qkey, self._n)
+        u, w = np.divmod(self.graph.directed_edge_keys, self._n)
         self._blocked[:-1] = self._dead[u] | self._dead[w] | self._link_dead
         return u, w
 
@@ -417,36 +407,31 @@ class BatchEngine:
 
     # -- injection ----------------------------------------------------------
 
-    def inject_route(self, route: Sequence[int], *, validate: bool = True) -> int:
+    def inject_route(self, route: Sequence[int]) -> int:
         """Inject one packet with an explicit physical route; returns its
         packet id.  (Convenience wrapper — the fast path is
         :meth:`inject_routes`.)"""
         arr = np.array([int(v) for v in route], dtype=_I64)
-        if arr.size < 1:
-            raise SimulationError("route must contain at least the source")
-        pids = self.inject_routes(
-            arr, np.array([0, arr.size], dtype=_I64), validate=validate
-        )
-        return int(pids[0])
+        return int(self.inject_routes(arr, np.array([0, arr.size]))[0])
 
     def inject_routes(
-        self, flat: np.ndarray, offsets: np.ndarray, *, validate: bool = True,
+        self, flat: np.ndarray, offsets: np.ndarray, *,
         at: np.ndarray | None = None, hop: np.ndarray | None = None,
     ) -> np.ndarray:
         """Inject a whole batch of packets at once.
 
         ``flat``/``offsets`` use the :func:`pack_routes` layout: packet
         ``i``'s route is ``flat[offsets[i]:offsets[i + 1]]``.  Returns the
-        array of assigned packet ids.  ``validate`` gates the edge-existence
-        check; dead-node and dead-link checks always run.  Validation is
-        all-or-nothing: on error, no packet of the batch is injected.
+        array of assigned packet ids.  Every hop must be an edge of the
+        graph, and no route may touch a dead node or a dead link.
+        Validation is all-or-nothing: on error, no packet of the batch is
+        injected.
 
         ``hop`` supplies each position's CSR slot (the queue id of the hop
-        leaving it; route ends are ignored), as
-        :func:`repro.routing.lifted_routes_batch` returns them.  The
-        slots are checked against their hops by one gather, and a wrong
-        one is refused even with ``validate=False``.  Without ``hop`` one
-        search over the CSR finds every hop's slot.
+        leaving it; route ends are ignored), as both controllers' route
+        hooks return them.  The slots are checked against their hops by
+        one gather.  Without ``hop`` one search over the CSR finds every
+        hop's slot.
 
         ``at`` gives each packet an arrival cycle (see
         :func:`validate_arrivals`: sorted, none before the clock or a
@@ -465,8 +450,8 @@ class BatchEngine:
         could push one past the calendar key's latest cycle is refused
         with :class:`SimulationError`.
         """
-        flat, offsets, lens, hop, stray = validate_injection(
-            self.graph, flat, offsets, validate=validate,
+        flat, offsets, lens, hop = validate_injection(
+            self.graph, flat, offsets,
             dead_mask=self._dead, dead_links=self._link_dead, hop=hop,
         )
         count = lens.size
@@ -482,8 +467,6 @@ class BatchEngine:
                 f"the calendar key: arrivals until cycle {latest} with "
                 f"{self._flat_len + flat.size} route positions"
             )
-        if stray.size:
-            hop[stray] = self._overflow_ids(flat[stray] * self._n + flat[stray + 1])
         if at is not None:
             self._last_arrival = latest
 
@@ -541,36 +524,6 @@ class BatchEngine:
 
     # -- queue schedule ------------------------------------------------------
 
-    def _overflow_ids(self, keys: np.ndarray) -> np.ndarray:
-        """Stable queue ids for non-edge hops (only reachable via
-        ``validate=False``), keyed by ``u * n + v``.  New queues take
-        service ranks in key order among all queues, so creating one
-        rekeys the calendar; the rank map is monotone, which keeps every
-        run sorted."""
-        keys = keys.tolist()
-        fresh = [k for k in dict.fromkeys(keys) if k not in self._extra_ids]
-        if fresh:
-            base = self._qkey.size
-            n_queues = base + len(fresh)
-            self._check_slots(n_queues)
-            self._extra_ids.update(zip(fresh, range(base, n_queues)))
-            grow = np.zeros(len(fresh), dtype=_I64)
-            self._qkey = np.concatenate([self._qkey, np.array(fresh, dtype=_I64)])
-            self._q_free = np.concatenate([self._q_free, grow])
-            self._link_dead = np.concatenate([self._link_dead, grow.astype(bool)])
-            self._blocked = np.ones(n_queues + 1, dtype=bool)
-            self._reblock()
-            old = np.arange(base, dtype=_I64) if self._rank is None else self._rank
-            self._rank = np.empty(n_queues, dtype=_I64)
-            self._rank[np.argsort(self._qkey, kind="stable")] = np.arange(n_queues)
-            remap = np.empty(base, dtype=_I64)
-            remap[old] = self._rank[:base]
-            cap = self.link_capacity
-            for run in self._runs:
-                rank, place = np.divmod(run[0] & _LOW_MASK, cap)
-                run[0] = (run[0] & ~_LOW_MASK) | (remap[rank] * cap + place)
-        return np.array([self._extra_ids[k] for k in keys], dtype=_I64)
-
     def _join(self, moved: np.ndarray, q: np.ndarray) -> None:
         """Enqueue packets on queues ``q`` at the current cycle.
         ``moved`` is a ``(3, k)`` array whose pid/ptr rows list them in
@@ -592,9 +545,8 @@ class BatchEngine:
         cap = self.link_capacity
         base = np.maximum((self.cycle + 1) * cap, self._q_free[eid])
         self._q_free[eid] = base + np.bincount(group)
-        rank = eid if self._rank is None else self._rank[eid]
         depart, place = np.divmod((base - starts)[group] + idx, cap)
-        key = (depart << _LOW) + (rank * cap)[group] + place
+        key = (depart << _LOW) + (eid * cap)[group] + place
         korder = np.argsort(key)
         run = moved.take(order[korder], axis=1)
         run[0] = key[korder]

@@ -421,11 +421,11 @@ class _FaultController:
     :meth:`repair_node` (a failure adds the packets it drops to
     ``lost_to_faults``) and the route hook ``_route(pairs) -> (flat,
     offsets, kept, hop)``, where ``hop`` holds each route position's CSR
-    slot or is ``None`` to let the engine search for them.  The engine
-    checks every hop either way, so a route off the graph is an error
-    from any router.  Everything else — scheduling, firing, the logs,
-    refusal accounting, the closed-loop drain and the open-loop stream —
-    lives here once.
+    slot, the engine's queue id (``-1`` at route ends).  The engine
+    checks every slot against its hop, so a route off the graph is an
+    error from any router.  Everything else — scheduling, firing, the
+    logs, refusal accounting, the closed-loop drain and the open-loop
+    stream — lives here once.
     """
 
     def __init__(self, graph, link_capacity: int):
@@ -564,17 +564,14 @@ def drain_block(controllers, pairs: np.ndarray, *,
         ctrl.unreachable_pairs += pairs.shape[0] - kept.size
         flats.append(flat + r * n)
         lens.append(np.diff(offsets))
-        hops.append(None if hop is None else hop + r * s)
+        hops.append(hop + r * s)  # shifted route ends: the engine ignores them
         dead.extend(v + r * n for v in sorted(ctrl.sim.dead_nodes))
     sim = BatchEngine(graph.block_union(len(controllers)),
                       controllers[0].sim.link_capacity)
     sim.disable_nodes(dead)
     offsets = np.zeros(sum(x.size for x in lens) + 1, dtype=np.int64)
     np.cumsum(np.concatenate(lens), out=offsets[1:])
-    sim.inject_routes(
-        np.concatenate(flats), offsets,
-        hop=None if any(h is None for h in hops) else np.concatenate(hops),
-    )
+    sim.inject_routes(np.concatenate(flats), offsets, hop=np.concatenate(hops))
     sim.run(max_cycles)
     rec = sim.packet_records()
     out, lo = [], 0
@@ -739,14 +736,17 @@ class DetourController(_FaultController):
 
     def detour_routes_batch(
         self, pairs: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Detour routes for a batch of (src, dst) pairs under the
         current fault set — the controller's route hook.
 
-        Returns ``(flat, offsets, kept)``: the engines' shared flattened
-        route layout plus the indices of the pairs that are actually
-        routable.  The survivor table encodes endpoint liveness too (a
-        faulty node's diagonal holds the rank sentinel), so one masked
+        Returns ``(flat, offsets, kept, hop)``: the engines' shared
+        flattened route layout, the indices of the pairs that are
+        actually routable, and each route position's CSR slot (``-1`` at
+        route ends), gathered from the table's ranks
+        (:meth:`~repro.routing.tables.RouteTable.routes_batch_masked`).
+        The survivor table encodes endpoint liveness too (a faulty
+        node's diagonal holds the rank sentinel), so one masked
         extraction decides admission and emits every route.  Unreachable
         pairs (faulty endpoint or disconnected survivors) are skipped,
         not counted: the workload drivers charge them to
@@ -755,10 +755,7 @@ class DetourController(_FaultController):
         pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
         return self.survivor_table().routes_batch_masked(pairs[:, 0], pairs[:, 1])
 
-    def _route(self, pairs: np.ndarray):
-        """Route hook: :meth:`detour_routes_batch`, whose routes walk
-        CSR rows, so the engine's search finds every hop's slot."""
-        return (*self.detour_routes_batch(pairs), None)
+    _route = detour_routes_batch
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,8 @@ here), which :func:`on_engine` swaps into any fault controller and
 :func:`witness_run` runs a closed-loop spec on.
 
 This module holds the checkers the suite's test files share, the BFS
-witness and :class:`WitnessDetourController` that routes through it,
+witness, the slot witness :func:`searched_slots` and
+:class:`WitnessDetourController` that routes through both,
 the two reference compilers the shipped rank kernel is checked against
 (the pure-dict :class:`DictGraph` and the frontier-at-a-time
 :func:`compile_routing_table_frontier`), and the per-cycle drivers
@@ -50,6 +51,7 @@ __all__ = [
     "on_engine",
     "witness_run",
     "bfs_detour_routes",
+    "searched_slots",
     "WitnessDetourController",
     "DictGraph",
     "compile_routing_table_frontier",
@@ -124,13 +126,25 @@ def bfs_detour_routes(g: StaticGraph, faults, pairs):
     return flat, offsets, np.asarray(kept, dtype=np.int64)
 
 
+def searched_slots(g: StaticGraph, flat: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """The slot witness for a route batch: each position's CSR slot as
+    one ``g.directed_edge_slots`` search finds it, ``-1`` at each
+    route's end — what a route hook's ``hop`` must equal."""
+    hop = np.full(flat.size, -1, dtype=np.int64)
+    hop[:-1] = g.directed_edge_slots(flat[:-1], flat[1:])
+    hop[offsets[1:] - 1] = -1
+    return hop
+
+
 class WitnessDetourController(DetourController):
     """A :class:`~repro.simulator.faults.DetourController` whose route
-    hook is :func:`bfs_detour_routes` instead of the survivor table: the
-    run a per-pair BFS router would produce, for whole-run comparisons."""
+    hook is :func:`bfs_detour_routes` instead of the survivor table, its
+    slots from :func:`searched_slots`: the run a per-pair BFS router
+    would produce, for whole-run comparisons."""
 
     def _route(self, pairs):
-        return (*bfs_detour_routes(self.target, self.faults, pairs), None)
+        flat, offsets, kept = bfs_detour_routes(self.target, self.faults, pairs)
+        return flat, offsets, kept, searched_slots(self.target, flat, offsets)
 
 
 class DictGraph:

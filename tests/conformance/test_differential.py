@@ -9,6 +9,9 @@ contract the router lands under: the two return the same
 ``(flat, offsets, kept)`` route for route — both take the shortest
 survivor path whose CSR slot ranks are lexicographically smallest — and
 every emitted route is independently verified valid and hop-optimal.
+The hook's fourth value, each position's CSR slot gathered from the
+table's ranks, must equal one ``directed_edge_slots`` search over the
+same routes (:func:`tests.conformance.harness.searched_slots`).
 """
 
 from __future__ import annotations
@@ -18,11 +21,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.graphs.builders import star
+from repro.routing import survivor_route_table
 from repro.simulator import DetourController
 from tests.conformance.harness import (
     WitnessDetourController,
     assert_valid_survivor_routes,
     bfs_detour_routes,
+    searched_slots,
 )
 
 # (5, 2) has degree-9 rows, whose slot ranks need four bit-planes
@@ -36,13 +42,22 @@ def _controller(m, h, fault_nodes):
     return ctrl
 
 
+def _assert_slots(g, flat, offsets, hop):
+    """A route hook's ``hop`` equals the search's slots over its own
+    routes, ``-1`` at route ends."""
+    assert hop.dtype == np.int64
+    np.testing.assert_array_equal(hop, searched_slots(g, flat, offsets))
+
+
 def _assert_witness_routes(ctrl, pairs):
     """The route hook's ``(flat, offsets, kept)`` equals the per-pair
-    BFS witness's; returns the hook's output."""
+    BFS witness's, and its ``hop`` the search's slots; returns the
+    hook's output."""
     got = ctrl.detour_routes_batch(pairs.copy())
     want = bfs_detour_routes(ctrl.target, ctrl.faults, pairs)
     for name, a, b in zip(("flat", "offsets", "kept"), got, want):
         np.testing.assert_array_equal(a, b, err_msg=name)
+    _assert_slots(ctrl.target, *got[:2], got[3])
     return got
 
 
@@ -79,7 +94,7 @@ class TestDifferential:
         ctrl = _controller(m, h, faults)
 
         # identical routes, hence identical admission and hop counts
-        flat, offsets, kept = _assert_witness_routes(ctrl, pairs)
+        flat, offsets, kept, _ = _assert_witness_routes(ctrl, pairs)
         assert _charged(ctrl, pairs) == pairs.shape[0] - kept.size
 
         # valid, hop-optimal survivor-graph routes (the oracle recomputes
@@ -102,7 +117,7 @@ class TestDifferential:
             [rng.integers(0, n, 60), rng.integers(0, n, 60)]
         ).astype(np.int64)
         ctrl = _controller(m, h, faults)
-        flat, offsets, kept = _assert_witness_routes(ctrl, pairs)
+        flat, offsets, kept, _ = _assert_witness_routes(ctrl, pairs)
         assert _charged(ctrl, pairs) == pairs.shape[0] - kept.size
         assert_valid_survivor_routes(
             flat, offsets, pairs[kept], ctrl.target, faults
@@ -123,3 +138,53 @@ class TestDifferential:
         (ct, st_), (cw, sw) = runs
         assert st_ == sw
         assert ct.unreachable_pairs == cw.unreachable_pairs > 0
+
+
+class TestSlotParity:
+    """``routes_batch_masked``'s ``hop`` (one rank gather over the
+    finished routes) equals one ``directed_edge_slots`` search over the
+    same routes, ``-1`` at route ends, on every pair of each machine,
+    on the ``uint16`` rank path and on degenerate batches."""
+
+    @staticmethod
+    def _all_pairs(n):
+        srcs, dsts = np.divmod(np.arange(n * n, dtype=np.int64), n)
+        return srcs, dsts
+
+    @pytest.mark.parametrize("m,h", SIZES)
+    @pytest.mark.parametrize("faults", [(), (1,), "half"],
+                             ids=["fault_free", "one_fault", "disconnecting"])
+    def test_every_pair(self, m, h, faults):
+        n = m ** h
+        if faults == "half":
+            faults = np.random.default_rng(n).choice(n, size=n // 2, replace=False)
+        ctrl = _controller(m, h, faults)
+        srcs, dsts = self._all_pairs(n)
+        flat, offsets, kept, hop = ctrl.detour_routes_batch(
+            np.column_stack([srcs, dsts])
+        )
+        assert kept.size and offsets.size == kept.size + 1
+        _assert_slots(ctrl.target, flat, offsets, hop)
+
+    def test_uint16_hub_table(self):
+        g = star(300)  # the hub's ranks reach 298: the uint16 rank path
+        table = survivor_route_table(g, [7])
+        assert table.table.dtype == np.uint16
+        srcs, dsts = self._all_pairs(g.node_count)
+        flat, offsets, kept, hop = table.routes_batch_masked(srcs, dsts)
+        assert hop.max() > np.iinfo(np.uint8).max
+        _assert_slots(g, flat, offsets, hop)
+
+    @pytest.mark.parametrize("srcs, dsts, routes", [
+        ([], [], 0),                     # empty batch
+        ([3, 0, 3, 5], [1, 3, 3, 3], 0),  # every pair touches dead node 3
+        ([0, 6, 2, 3], [0, 6, 2, 3], 3),  # self-pairs; 3 is dead
+    ], ids=["empty", "all_refused", "self_pairs"])
+    def test_degenerate_batches(self, srcs, dsts, routes):
+        ctrl = _controller(2, 3, [3])
+        flat, offsets, kept, hop = ctrl.detour_routes_batch(
+            np.column_stack([srcs, dsts]).astype(np.int64)
+        )
+        assert kept.size == routes and offsets.size == routes + 1
+        _assert_slots(ctrl.target, flat, offsets, hop)
+        assert (hop == -1).all()  # no route here leaves its source

@@ -44,7 +44,7 @@ class TestTableRoutesProperty:
 
         srcs = rng.integers(0, n, 50)
         dsts = rng.integers(0, n, 50)
-        flat, offsets, kept = rt.routes_batch_masked(srcs, dsts)
+        flat, offsets, kept, _ = rt.routes_batch_masked(srcs, dsts)
 
         # kept pairs: valid hop-optimal survivor routes
         pairs = np.column_stack([srcs[kept], dsts[kept]])
@@ -107,7 +107,7 @@ class TestDisconnectedSentinel:
         dsts = np.array([2, 5, 5])
         with pytest.raises(RoutingError, match="no route"):
             rt.routes_batch(srcs, dsts)
-        flat, offsets, kept = rt.routes_batch_masked(srcs, dsts)
+        flat, offsets, kept, _ = rt.routes_batch_masked(srcs, dsts)
         assert kept.tolist() == [0, 2]
         assert flat.tolist() == [0, 1, 2, 4, 5]
         assert offsets.tolist() == [0, 3, 5]

@@ -186,21 +186,18 @@ class NetworkSimulator:
             self._enqueue(pkt, 0)
         return pkt
 
-    def inject_route(self, route: list[int], *, validate: bool = True) -> Packet:
+    def inject_route(self, route: list[int]) -> Packet:
         """Inject one packet with an explicit physical route (a node
         list; ``route[0]`` is the source, ``route[-1]`` the destination).
 
-        ``validate`` gates the edge-existence check; dead-node and
-        dead-link checks always run.  A single-node route is a degenerate
-        self-delivery at the current cycle.  Returns the live
-        :class:`Packet` record."""
+        Every hop must be an edge, and the route may touch no dead node
+        or dead link.  A single-node route is a degenerate self-delivery
+        at the current cycle.  Returns the live :class:`Packet` record."""
         flat = np.array([int(v) for v in route], dtype=np.int64)
-        return self.inject_routes(
-            flat, np.array([0, flat.size]), validate=validate
-        )[0]
+        return self.inject_routes(flat, np.array([0, flat.size]))[0]
 
     def inject_routes(
-        self, flat: np.ndarray, offsets: np.ndarray, *, validate: bool = True,
+        self, flat: np.ndarray, offsets: np.ndarray, *,
         at: np.ndarray | None = None, hop: np.ndarray | None = None,
     ) -> list[Packet]:
         """Inject a batch of packets in the flattened ``(flat, offsets)``
@@ -218,13 +215,13 @@ class NetworkSimulator:
         same check and must equal the slots this engine's own search
         finds; its queues stay keyed by ``(u, v)``."""
         dead, dead_links = self._fault_masks()
-        flat, offsets, lens, slots, _ = validate_injection(
-            self.graph, flat, offsets, validate=validate,
+        flat, offsets, lens, slots = validate_injection(
+            self.graph, flat, offsets,
             dead_mask=dead, dead_links=dead_links, hop=hop,
         )
         if hop is not None:
             searched = validate_injection(
-                self.graph, flat, offsets, validate=True,
+                self.graph, flat, offsets,
                 dead_mask=dead, dead_links=dead_links,
             )[3]
             assert np.array_equal(slots, searched), "supplied slots != searched"

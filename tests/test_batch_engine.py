@@ -39,6 +39,7 @@ from tests.conformance.harness import (
     NetworkSimulator,
     on_engine,
     per_cycle_workload,
+    searched_slots,
     witness_run,
 )
 
@@ -373,8 +374,8 @@ class TestEngineDirectEquivalence:
 
     def test_supplied_slots_run_as_the_search(self):
         """Routes injected with their slots (``hop=``, route ends
-        ignored) run exactly as the search's; the witness asserts the
-        slots equal its own search."""
+        ignored and left as the caller wrote them) run exactly as the
+        search's; the witness asserts the slots equal its own search."""
         g = debruijn(2, 5)
         flat, offsets = pack_routes(self._routes(seed=5))
         hop = np.append(g.directed_edge_slots(flat[:-1], flat[1:]), -1)
@@ -382,6 +383,7 @@ class TestEngineDirectEquivalence:
         sim, be, searched = NetworkSimulator(g), BatchEngine(g), BatchEngine(g)
         sim.inject_routes(flat, offsets, hop=hop)
         be.inject_routes(flat, offsets, hop=hop)
+        assert (hop[offsets[1:] - 1] == 12345).all()
         searched.inject_routes(flat, offsets)
         for engine in (sim, be, searched):
             engine.run()
@@ -446,17 +448,20 @@ class TestRunUntil:
 # one engine operation: (kind, a, b) on the 8 nodes of B_{2,3}; see
 # TestRunUntilDifferential.  Injections aim a share of their packets at
 # one hot node so that queues back up before faults and repairs hit them;
-# raw injections walk random nodes with validate=False, so their
-# non-edge hops open overflow queues mid-run.  Timed injections (at=)
-# mix both kinds with single-node routes and spread their arrivals from
-# the clock (or the last pending arrival) over 1, 6 or 60 cycles; while
-# they are pending, untimed injections and fault operations are refused.
-# disable_nodes kills 1-3 nodes in one batch-engine call and one
-# disable_node call each on the witness.
+# raw injections walk random edges in either direction, so they reach
+# queues no shift route uses.  A stray injection adds one hop that is not
+# an edge to a batch of raw walks, searched or with supplied slots: both
+# engines refuse the batch naming that hop and change nothing.  Timed
+# injections (at=) mix shift and raw routes with single-node routes and
+# spread their arrivals from the clock (or the last pending arrival) over
+# 1, 6 or 60 cycles; while they are pending, untimed injections and fault
+# operations are refused.  disable_nodes kills 1-3 nodes in one
+# batch-engine call and one disable_node call each on the witness.
 _ops = st.lists(
     st.one_of(
         st.tuples(st.just("inject"), st.integers(0, 2**16), st.integers(1, 40)),
         st.tuples(st.just("inject_raw"), st.integers(0, 2**16), st.integers(1, 12)),
+        st.tuples(st.just("inject_stray"), st.integers(0, 2**16), st.integers(0, 8)),
         st.tuples(st.just("inject_at"), st.integers(0, 2**16), st.integers(1, 30)),
         st.tuples(st.just("step"), st.just(0), st.just(0)),
         st.tuples(st.just("disable_node"), st.integers(0, 7), st.just(0)),
@@ -483,28 +488,46 @@ class TestRunUntilDifferential:
                 r.delivered_at.tolist(), r.dropped.tolist())
 
     @staticmethod
-    def _raw_routes(seed, count, dead, dead_links):
-        """Random walks of distinct consecutive nodes that avoid dead
-        nodes and dead links; most of their hops are not edges."""
+    def _raw_routes(g, seed, count, dead, dead_links):
+        """Random walks along edges of ``g`` that avoid dead nodes and
+        dead links, taking any live next hop."""
         rng = np.random.default_rng(seed)
-        live = [v for v in range(8) if v not in dead]
+        live = [v for v in range(g.node_count) if v not in dead]
         routes = []
         for _ in range(count if live else 0):
             route = [int(rng.choice(live))]
             for _ in range(int(rng.integers(1, 6))):
-                nxt = [v for v in live
-                       if v != route[-1] and (route[-1], v) not in dead_links]
+                nxt = [int(v) for v in g.neighbors(route[-1])
+                       if v not in dead and (route[-1], v) not in dead_links]
                 if not nxt:
                     break
                 route.append(int(rng.choice(nxt)))
             routes.append(route)
         return routes
 
-    def _batch(self, kind, seed, count, dead, dead_links, floor):
-        """One injection op as ``(routes, validate, at)``."""
+    def _stray(self, g, seed, count, dead, dead_links):
+        """A batch of raw walks plus one route whose last hop is not an
+        edge, as ``(flat, offsets, hop, message)``: ``hop`` is ``None``
+        or the search's slots (``-1`` on the stray hop), and ``message``
+        the refusal naming that hop."""
+        rng = np.random.default_rng(seed)
+        routes = self._raw_routes(g, seed, count + 1, dead, dead_links)
+        if not routes:  # every node dead: walk from a dead node
+            routes = [[int(rng.integers(g.node_count))]]
+        i = int(rng.integers(len(routes)))
+        u = routes[i][-1]
+        v = int(rng.choice([w for w in range(g.node_count)
+                            if not g.has_edge(u, w)]))
+        routes[i] = routes[i] + [v]
+        flat, offsets = pack_routes(routes)
+        hop = searched_slots(g, flat, offsets) if seed % 2 else None
+        return flat, offsets, hop, f"route hop ({u}, {v}) is not an edge"
+
+    def _batch(self, g, kind, seed, count, dead, dead_links, floor):
+        """One injection op as ``(routes, at)``."""
         raw = kind == "inject_raw" or (kind == "inject_at" and seed % 2 == 1)
         if raw:
-            routes = self._raw_routes(seed, count, dead, dead_links)
+            routes = self._raw_routes(g, seed, count, dead, dead_links)
         else:
             pairs = hotspot_traffic(8, count, np.random.default_rng(seed),
                                     hotspot=seed % 8, heat=0.6)
@@ -515,12 +538,12 @@ class TestRunUntilDifferential:
                 and not dead_links.intersection(zip(r, r[1:]))
             ]
         if kind != "inject_at":
-            return routes, not raw, None
+            return routes, None
         routes = [r[:1] if i % 3 == 0 else r for i, r in enumerate(routes)]
         span = (1, 6, 60)[seed % 3]
         rng = np.random.default_rng(seed + 1)
         at = np.sort(floor + rng.integers(0, span, size=len(routes)))
-        return routes, not raw, at
+        return routes, at
 
     @staticmethod
     def _apply(engines, op) -> list | None:
@@ -549,12 +572,22 @@ class TestRunUntilDifferential:
         last = -1  # latest timed arrival; pending while ahead of the clock
         for kind, a, b in ops:
             pending = last > engines[0].cycle
-            if kind.startswith("inject"):
-                routes, validate, at = self._batch(
-                    kind, a, b, dead, dead_links, max(engines[0].cycle, last)
+            if kind == "inject_stray":
+                flat, offsets, hop, message = self._stray(
+                    g, a, b, dead, dead_links
+                )
+                before = [self._records(sim) for sim in engines]
+                for sim in engines:
+                    with pytest.raises(SimulationError) as refused:
+                        sim.inject_routes(flat, offsets, hop=hop)
+                    assert str(refused.value) == message
+                assert [self._records(sim) for sim in engines] == before
+            elif kind.startswith("inject"):
+                routes, at = self._batch(
+                    g, kind, a, b, dead, dead_links, max(engines[0].cycle, last)
                 )
                 injected = self._apply(engines, lambda sim: sim.inject_routes(
-                    *pack_routes(routes), validate=validate, at=at))
+                    *pack_routes(routes), at=at))
                 assert (injected is None) == (
                     pending and at is None and bool(routes))
                 if at is not None and len(at):
@@ -754,12 +787,6 @@ class TestCalendarKeyLimits:
         with pytest.raises(SimulationError, match=r"2\*\*32 service slots"):
             BatchEngine(path(3), link_capacity=2**31)
         BatchEngine(path(3), link_capacity=2**30)  # exactly 2**32 fits
-
-    def test_overflow_queue_past_the_slot_limit_refused(self):
-        be = BatchEngine(path(3), link_capacity=2**30)
-        with pytest.raises(SimulationError, match=r"5 queues .* 2\*\*32"):
-            be.inject_route([0, 2], validate=False)  # a fifth queue
-        assert be.injected == 0 and be.in_flight == 0
 
     def test_departure_past_the_cycle_limit_refused(self):
         be = BatchEngine(path(3))

@@ -234,10 +234,10 @@ class TestEnableNode:
         ctrl = DetourController(2, 4)
         ctrl.fail_node(3)
         pairs = np.array([[3, 5]], dtype=np.int64)
-        _, _, kept = ctrl.detour_routes_batch(pairs)
+        _, _, kept, _ = ctrl.detour_routes_batch(pairs)
         assert kept.size == 0  # dead endpoint refused
         ctrl.repair_node(3)
-        _, _, kept = ctrl.detour_routes_batch(pairs)
+        _, _, kept, _ = ctrl.detour_routes_batch(pairs)
         assert kept.size == 1  # healed endpoint routes again
         with pytest.raises(SimulationError, match="not faulty"):
             ctrl.repair_node(3)

@@ -162,7 +162,7 @@ class TestDetourRoute:
         src, dst = np.divmod(np.arange(256), 16)
         live = ~np.isin(src, faults) & ~np.isin(dst, faults) & (src != dst)
         src, dst = src[live], dst[live]
-        _, offsets, kept = survivor_route_table(g, faults).routes_batch_masked(
+        _, offsets, kept, _ = survivor_route_table(g, faults).routes_batch_masked(
             src, dst
         )
         refused = src.size - kept.size

@@ -128,10 +128,10 @@ class TestDetourController:
         """Packets queued in a router when it dies are charged to
         lost_to_faults, mirroring the reconfiguration controller."""
         det = DetourController(2, 4)
-        flat, offsets, _ = det.detour_routes_batch(
+        flat, offsets, _, hop = det.detour_routes_batch(
             np.array([[5, 0], [5, 2]], dtype=np.int64)
         )
-        det.sim.inject_routes(flat, offsets, validate=False)
+        det.sim.inject_routes(flat, offsets, hop=hop)
         det.fail_node(5)  # both packets still sit in node 5's queue
         assert det.lost_to_faults == 2
 
@@ -145,7 +145,7 @@ class TestDetourController:
             det.fail_node(99)
         assert det.faults == set()
         pairs = np.array([[0, 7]], dtype=np.int64)
-        _, _, kept = det.detour_routes_batch(pairs)
+        _, _, kept, _ = det.detour_routes_batch(pairs)
         assert kept.tolist() == [0]  # routing still works
 
     def test_detour_vs_reconfig_comparison(self, rng):
