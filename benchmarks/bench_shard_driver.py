@@ -1,6 +1,6 @@
 """Bench SHARD DRIVER: the multi-process scenario sweep vs single-process.
 
-Two claims are measured: the shard reducer is *exact* (merged aggregate
+Two claims are measured: the ``ShardStats`` reducer is *exact* (merged aggregate
 ``RunStats`` bit-identical to the inline run, every scenario, every
 worker count) and the pool turns idle cores into wall-clock speedup
 (recorded in ``BENCH_engines.json`` as the ``driver="sweep"`` rows; on a
@@ -12,16 +12,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.experiments import ExperimentGrid, ExperimentSpec
-from repro.simulator import (
-    ReconfigurationController,
-    ShardStats,
-    WorkerPool,
-    make_pattern,
-    run_grid,
-)
+from repro.experiments import ExperimentGrid
+from repro.simulator import ShardStats, WorkerPool, run_grid
 
 from benchmarks.conftest import once
+
+
+#: The sweeps' fault axis: the fault-free machine, and one fault at
+#: cycle 0.
+_FAULT_MODELS = [{"name": "fixed", "faults": []},
+                 {"name": "fixed", "faults": [[0, 20]]}]
 
 
 def _grid() -> ExperimentGrid:
@@ -29,7 +29,7 @@ def _grid() -> ExperimentGrid:
         mhk=[(2, 7, 1), (2, 8, 1)],
         patterns=["uniform", "hotspot"],
         loads=[8_000],
-        fault_sets=[(), ((0, 20),)],
+        fault_models=_FAULT_MODELS,
         seeds=[0],
     )
 
@@ -49,24 +49,6 @@ def test_sweep_merge_is_exact(benchmark):
     assert len(sharded.results) == len(grid) == 8
 
 
-def test_per_batch_shards_match_sequential_engine(benchmark):
-    """A scenario split over 4 batch-shards merges to the bit-identical
-    RunStats of one BatchEngine draining the batches sequentially."""
-    sc = ExperimentSpec(m=2, h=7, k=1, pattern="uniform", packets=20_000,
-                        batches=4, shards=4, seed=3)
-
-    def both():
-        sharded = run_grid([sc], workers=2).results[0].run_stats
-        ctrl = ReconfigurationController(2, 7, 1)
-        pairs = make_pattern(128, "uniform", 20_000, np.random.default_rng(3))
-        single = ctrl.run_workload(np.array_split(pairs, 4))
-        return sharded, single
-
-    sharded, single = once(benchmark, both)
-    assert sharded == single
-    assert sharded.delivered == 20_000
-
-
 def test_warm_pool_reuses_workers_across_sweeps(benchmark):
     """One persistent WorkerPool rides three back-to-back sweeps: every
     repeat's statistics are bit-identical to the cold (ephemeral-pool)
@@ -75,7 +57,7 @@ def test_warm_pool_reuses_workers_across_sweeps(benchmark):
         mhk=[(2, 7, 1)],
         patterns=["uniform", "hotspot"],
         loads=[4_000],
-        fault_sets=[(), ((0, 20),)],
+        fault_models=_FAULT_MODELS,
         seeds=[0],
     )
 

@@ -25,7 +25,7 @@ from repro.experiments import ExperimentSpec  # noqa: E402
 from repro.simulator import find_saturation  # noqa: E402
 
 M, H, K = 2, 5, 1
-FAULT = ((0, 9),)
+FAULT = {"name": "fixed", "faults": [[0, 9]]}
 RATES = [2, 4, 8, 12, 16]
 
 machines = {
@@ -33,11 +33,12 @@ machines = {
         m=M, h=H, k=K, loop="stream", cycles=600, warmup=100
     ),
     "FT 1 fault (reconfig)": ExperimentSpec(
-        m=M, h=H, k=K, loop="stream", cycles=600, warmup=100, faults=FAULT
+        m=M, h=H, k=K, loop="stream", cycles=600, warmup=100,
+        fault_model=FAULT,
     ),
     "bare 1 fault (detours)": ExperimentSpec(
-        m=M, h=H, k=K, loop="stream", cycles=600, warmup=100, faults=FAULT,
-        controller="detour",
+        m=M, h=H, k=K, loop="stream", cycles=600, warmup=100,
+        fault_model=FAULT, controller="detour",
     ),
 }
 

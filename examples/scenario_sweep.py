@@ -5,7 +5,7 @@ latency degrade as faults accumulate, across machine sizes and traffic
 patterns?  Answering it means running a *grid* of independent
 experiments — exactly what ``ExperimentGrid`` + ``run_grid`` are for.
 Every cell runs a full ``BatchEngine`` simulation in a worker process;
-the shard reducer merges the per-cell statistics into one exact
+the exact ``ShardStats`` reducer merges the per-cell statistics into one
 aggregate.
 
 Equivalent CLI invocation: save ``grid.to_dict()`` under a ``"grid"``
@@ -33,10 +33,10 @@ def main() -> None:
         mhk=[(2, 6, 2), (2, 7, 2)],  # k=2 spares cover the two-fault cell
         patterns=["uniform", "hotspot"],
         loads=[2000],
-        fault_sets=[
-            (),                      # healthy machine
-            ((0, 9),),               # one fault before traffic
-            ((0, 9), (40, 21)),      # plus one firing mid-run at cycle 40
+        fault_models=[
+            {"name": "fixed", "faults": []},                  # healthy machine
+            {"name": "fixed", "faults": [[0, 9]]},            # one fault before traffic
+            {"name": "fixed", "faults": [[0, 9], [40, 21]]},  # plus one at cycle 40
         ],
         seeds=[0, 1],
     )
@@ -44,14 +44,15 @@ def main() -> None:
     print(f"sweeping {len(grid)} experiments on {workers} worker(s)...")
     result = run_grid(grid, workers=workers)
 
-    header = f"{'scenario':<38} {'delivered':>9} {'dropped':>7} " \
-             f"{'lat':>7} {'p95':>6}"
+    header = f"{'scenario':<46} {'faults':>6} {'delivered':>9} " \
+             f"{'dropped':>7} {'lat':>7} {'p95':>6}"
     print(header)
     print("-" * len(header))
     for r in result.results:
         s = r.run_stats
-        print(f"{r.spec.label:<38} {s.delivered:>9} {s.dropped:>7} "
-              f"{s.mean_latency:>7.2f} {s.p95_latency:>6.1f}")
+        faults = len(r.spec.fault_model["faults"])
+        print(f"{r.spec.label:<46} {faults:>6} {s.delivered:>9} "
+              f"{s.dropped:>7} {s.mean_latency:>7.2f} {s.p95_latency:>6.1f}")
 
     agg = result.aggregate_stats
     print(f"\naggregate: {agg}")

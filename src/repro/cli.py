@@ -217,6 +217,7 @@ def _install_signal_handlers() -> None:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    import dataclasses
     import json
 
     from repro.experiments import run_grid
@@ -355,16 +356,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             "rows": rows,
         }
         if closed:
-            agg = result.aggregate_stats
-            payload["aggregate"] = {
-                "cycles": agg.cycles, "injected": agg.injected,
-                "delivered": agg.delivered, "dropped": agg.dropped,
-                "mean_latency": agg.mean_latency,
-                "p95_latency": agg.p95_latency,
-                "max_latency": agg.max_latency,
-                "mean_hops": agg.mean_hops,
-                "throughput": agg.throughput,
-            }
+            payload["aggregate"] = dataclasses.asdict(result.aggregate_stats)
         with open(args.json, "w") as fh:
             json.dump(payload, fh, indent=2)
             fh.write("\n")

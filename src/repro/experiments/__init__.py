@@ -9,7 +9,7 @@ simulation experiments:
   or an open-loop stream (seeded arrivals at a target rate), selected by
   ``loop="closed" | "stream"``.
 * :class:`ExperimentGrid` — a declarative sweep (sizes x patterns x
-  loads/rates x fault sets x seeds) that expands to specs; handing a
+  loads/rates x fault models x seeds) that expands to specs; handing a
   stream grid to :func:`run_grid` executes a saturation *surface*
   (offered rate x machine size x fault count) as one sweep.
 * :func:`run_grid` — the multi-process executor (re-exported from
@@ -20,9 +20,8 @@ simulation experiments:
   spec can carry are registered by decorator and validated at spec
   construction.  A new backend (an arrival process, a fault universe)
   is one decorated factory; every spec, grid, CLI ``choices=`` list and
-  error message picks it up automatically.  :data:`ENGINES` and
-  :data:`ROUTE_MODES` list the names the ``engine`` and ``route_mode``
-  fields accept, which select nothing.
+  error message picks it up automatically.  :data:`ROUTE_MODES` lists
+  the names the ``route_mode`` field accepts, which select nothing.
 
 CLI: ``python -m repro run spec.json`` executes any spec or grid JSON;
 ``python -m repro serve`` accepts the same JSON over HTTP.
@@ -38,7 +37,6 @@ from repro.simulator.faults import (
 from repro.simulator.sources import SOURCES, make_source
 from repro.simulator.traffic import PATTERNS, make_pattern
 from repro.experiments.spec import (
-    ENGINES,
     LOOPS,
     ROUTE_MODES,
     ExperimentGrid,
@@ -50,7 +48,6 @@ from repro.simulator.grid import GridResult, run_grid
 
 __all__ = [
     "Registry",
-    "ENGINES",
     "CONTROLLERS",
     "FAULT_MODELS",
     "SOURCES",

@@ -10,8 +10,8 @@ frozen dataclass, selected by ``loop="closed" | "stream"``, with
   ``controller`` are checked against the live registries
   (:data:`~repro.simulator.traffic.PATTERNS`,
   :data:`~repro.simulator.sources.SOURCES`,
-  :data:`~repro.simulator.faults.CONTROLLERS`), and ``engine`` against
-  :data:`ENGINES`, at *construction* time, so a typo raises a
+  :data:`~repro.simulator.faults.CONTROLLERS`) at *construction*
+  time, so a typo raises a
   :class:`~repro.errors.ParameterError` (a ``ValueError`` naming the
   valid choices) in the process that typed it, never as a ``KeyError``
   inside a worker;
@@ -21,14 +21,14 @@ frozen dataclass, selected by ``loop="closed" | "stream"``, with
   file *is* the experiment and published results can state precisely
   what produced them;
 * **grid expansion** — :class:`ExperimentGrid` declares a sweep (sizes
-  x patterns x loads *or* rates x fault sets *or* fault models x seed
-  replicas) and :meth:`ExperimentGrid.expand` yields concrete specs in
-  a stable documented order; a saturation *surface* (offered rate x
-  machine size x fault count) is one stream-loop grid handed to
+  x patterns x loads *or* rates x fault models x seed replicas) and
+  :meth:`ExperimentGrid.expand` yields concrete specs in a stable
+  documented order; a saturation *surface* (offered rate x machine
+  size x fault count) is one stream-loop grid handed to
   :func:`repro.simulator.grid.run_grid`;
 * **declarative fault universes** — ``fault_model`` names a generator
-  from :data:`~repro.simulator.faults.FAULT_MODELS` (``fixed``,
-  ``iid``, ``burst``, ``churn``) instead of a literal schedule, and
+  from :data:`~repro.simulator.faults.FAULT_MODELS` (``fixed`` for a
+  literal schedule; ``iid``, ``burst``, ``churn``), and
   ``replicas`` asks for Monte-Carlo repetition: replica ``i``'s
   concrete :class:`~repro.simulator.faults.FaultScenario` is drawn from
   ``numpy.random.default_rng([seed, i])`` with traffic held fixed, so
@@ -55,7 +55,6 @@ import hashlib
 import itertools
 import json
 import time
-import warnings
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -69,13 +68,12 @@ from repro.simulator.faults import (
     realize_fault_model,
     validate_fault_model,
 )
-from repro.simulator.grid import ExperimentResult, ShardStats, run_block
+from repro.simulator.grid import ExperimentResult, ShardStats, run_grid
 from repro.simulator.sources import SOURCES, TrafficSource, make_source
 from repro.simulator.traffic import PATTERNS, make_pattern
 
 __all__ = [
     "LOOPS",
-    "ENGINES",
     "ROUTE_MODES",
     "ExperimentSpec",
     "ExperimentGrid",
@@ -90,15 +88,23 @@ LOOPS = ("closed", "stream")
 
 #: The names the ``route_mode`` field accepts.  It selects nothing: the
 #: detour baseline has one router (one compiled survivor table per fault
-#: epoch), and the field stays so that existing spec files, digests,
-#: labels and bundle manifests keep their bytes.
+#: epoch).  The field stays only because the benchmark's workloads
+#: (``perfbench/workloads.py``) still pass ``route_mode="table"``; it
+#: goes in the change that next edits that file.
 ROUTE_MODES = ("bfs", "table")
 
-#: The names the ``engine`` field accepts: ``"batch"``, the one packet
-#: engine (:class:`~repro.simulator.batch_engine.BatchEngine`) every
-#: controller runs on.  The field selects nothing and stays so that
-#: existing spec files, digests and bundle manifests keep their bytes.
-ENGINES = ("batch",)
+#: Keys the spec format no longer has, each with what replaces it.
+#: ``from_dict`` refuses them by name, so an old spec file fails with
+#: the fix in its message (one ``error:`` line at the CLI, HTTP 400 at
+#: the service) instead of a bare unknown-key error.
+_REMOVED_KEYS = {
+    "engine": "drop it; every cell runs on the one batch engine",
+    "faults": 'use fault_model={"name": "fixed", "faults": [[cycle, node], ...]}',
+    "fault_sets": ('use fault_models=[{"name": "fixed", "faults": '
+                   "[[cycle, node], ...]}, ...]"),
+    "shards": ("drop it; cells and replica blocks are the units of "
+               "parallelism"),
+}
 
 #: Largest ``R x (packets + directed links)`` one block of a replicated
 #: cell drains on one engine (see :meth:`ExperimentSpec.replica_blocks`).
@@ -143,6 +149,24 @@ def _spare_demand(faults, repairs) -> int:
     return peak
 
 
+def _check_keys(cls, spec: dict, removed: tuple[str, ...]) -> None:
+    """Strict key check for ``cls.from_dict``: a removed key raises
+    naming its replacement, any other unknown key raises naming it, so
+    a typo'd field cannot silently fall back to a default."""
+    for key in removed:
+        if key in spec:
+            raise ParameterError(
+                f"{cls.__name__} key {key!r} was removed: {_REMOVED_KEYS[key]}"
+            )
+    known = {f.name for f in fields(cls)}
+    unknown = set(spec) - known
+    if unknown:
+        raise ParameterError(
+            f"unknown {cls.__name__} keys: {sorted(unknown)}; "
+            f"valid keys: {sorted(known)}"
+        )
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     """One self-contained experiment: everything a worker process needs
@@ -164,31 +188,24 @@ class ExperimentSpec:
         Fault strategy, one of
         :data:`~repro.simulator.faults.CONTROLLERS` (``reconfig`` — the
         paper's remap, or ``detour`` — the spare-less baseline).
-    ``engine``
-        One of :data:`ENGINES`, whose one entry is ``"batch"``: accepted
-        input that selects nothing; any other name is refused at
-        construction.
-        Parallelism comes from the grid, ``replicas`` and ``shards``,
-        never from inside a cell.
     ``route_mode``
         One of :data:`ROUTE_MODES`, accepted input that selects nothing:
-        both controllers have one router each.
-    ``faults``
-        ``(cycle, node)`` pairs.  Both controllers fire them on exactly
-        their cycle, in closed-loop and stream runs alike.  Deprecated
-        in serialized specs — prefer ``fault_model={"name": "fixed",
-        "faults": [...]}``, which is bit-identical; passing both raises.
+        both controllers have one router each.  It stays only while the
+        benchmark's workloads still pass it (see :data:`ROUTE_MODES`).
     ``fault_model``
-        A declarative fault universe: ``{"name": ..., **params}`` with
-        the name one of :data:`~repro.simulator.faults.FAULT_MODELS`
-        (``fixed``, ``iid``, ``burst``, ``churn``), validated and
-        canonicalized at construction; a ``fixed`` schedule that repairs
-        a live node or fails a dead one is refused there.  Probabilistic
-        models are *realized* into a concrete schedule per replica from
-        ``rng([seed, replica_index])``; stream specs default the arrival
-        window to ``[0, cycles)``, closed specs to ``[0, 1)`` (every
-        fault at cycle 0 — the static random-fault universe of the
-        dependability literature) unless the model names a ``window``.
+        A fault universe: ``{"name": ..., **params}`` with the name one
+        of :data:`~repro.simulator.faults.FAULT_MODELS` (``fixed``,
+        ``iid``, ``burst``, ``churn``), validated and canonicalized at
+        construction; ``None`` (the default) is fault-free.  A ``fixed``
+        model's ``(cycle, node)`` pairs fire on exactly their cycle in
+        closed-loop and stream runs alike, and a ``fixed`` schedule that
+        repairs a live node or fails a dead one is refused here.
+        Probabilistic models are *realized* into a concrete schedule
+        per replica from ``rng([seed, replica_index])``; stream specs
+        default the arrival window to ``[0, cycles)``, closed specs to
+        ``[0, 1)`` (every fault at cycle 0 — the static random-fault
+        universe of the dependability literature) unless the model
+        names a ``window``.
     ``replicas``
         Monte-Carlo repetition count (closed loop only — stream stats
         do not merge; sweep the grid ``seeds`` axis instead).  Traffic
@@ -198,9 +215,9 @@ class ExperimentSpec:
 
     Closed-loop fields
     ------------------
-    ``packets, batches, cycles_per_batch, shards, max_cycles`` — the
-    workload size, its injection batching, idle gaps between batches,
-    per-batch sharding across pool tasks, and the drain watchdog.
+    ``packets, batches, cycles_per_batch, max_cycles`` — the workload
+    size, its injection batching, idle gaps between batches, and the
+    drain watchdog.
 
     Stream fields
     -------------
@@ -212,8 +229,7 @@ class ExperimentSpec:
 
     Every field is validated in ``__post_init__`` — registry names
     against the live registries, cross-field constraints (spare budget,
-    shard preconditions, warmup bounds) — so an invalid spec never
-    reaches a worker.
+    warmup bounds) — so an invalid spec never reaches a worker.
     """
 
     m: int
@@ -222,9 +238,7 @@ class ExperimentSpec:
     loop: str = "closed"
     pattern: str = "uniform"
     controller: str = "reconfig"
-    engine: str = "batch"
     route_mode: str = "bfs"
-    faults: tuple[tuple[int, int], ...] = ()
     fault_model: dict | None = None
     replicas: int = 1
     seed: int = 0
@@ -233,7 +247,6 @@ class ExperimentSpec:
     packets: int = 1000
     batches: int = 1
     cycles_per_batch: int = 0
-    shards: int = 1
     max_cycles: int = 1_000_000
     # stream fields
     source: str = "poisson"
@@ -246,15 +259,12 @@ class ExperimentSpec:
 
     def __post_init__(self):
         ints = ("m", "h", "k", "replicas", "seed", "link_capacity", "packets",
-                "batches", "cycles_per_batch", "shards", "max_cycles",
-                "cycles", "warmup", "window")
+                "batches", "cycles_per_batch", "max_cycles", "cycles",
+                "warmup", "window")
         for name in ints:
             object.__setattr__(self, name, int(getattr(self, name)))
         for name in ("rate", "mean_on", "mean_off"):
             object.__setattr__(self, name, float(getattr(self, name)))
-        object.__setattr__(
-            self, "faults", tuple((int(c), int(v)) for c, v in self.faults)
-        )
         if self.loop not in LOOPS:
             raise ParameterError(
                 f"unknown loop kind {self.loop!r}; valid choices: "
@@ -268,34 +278,18 @@ class ExperimentSpec:
                 f"{', '.join(ROUTE_MODES)}"
             )
         SOURCES.validate(self.source)
-        if self.engine not in ENGINES:
-            raise ParameterError(
-                f"unknown engine {self.engine!r}; valid choices: "
-                f"{', '.join(ENGINES)}"
-            )
         if self.fault_model is not None:
-            if self.faults:
-                raise ParameterError(
-                    "pass either faults= (legacy literal pairs) or "
-                    "fault_model=, not both"
-                )
             object.__setattr__(
                 self, "fault_model", validate_fault_model(self.fault_model)
             )
         if self.replicas < 1:
             raise ParameterError(f"replicas must be >= 1, got {self.replicas}")
-        if self.replicas > 1:
-            if self.loop != "closed":
-                raise ParameterError(
-                    "replicas > 1 needs loop='closed' (stream statistics "
-                    "do not merge exactly; Monte-Carlo a stream run over "
-                    "the grid seeds axis instead)"
-                )
-            if self.shards > 1:
-                raise ParameterError(
-                    "replicas > 1 and shards > 1 do not compose; replica "
-                    "fan-out already parallelizes the cell"
-                )
+        if self.replicas > 1 and self.loop != "closed":
+            raise ParameterError(
+                "replicas > 1 needs loop='closed' (stream statistics "
+                "do not merge exactly; Monte-Carlo a stream run over "
+                "the grid seeds axis instead)"
+            )
         known = self._fixed_faults()
         demand = 0 if known is None else _spare_demand(*known)
         if self.controller == "reconfig" and demand > self.k:
@@ -309,49 +303,13 @@ class ExperimentSpec:
                 f"{self.k} spares"
             )
         if self.loop == "closed":
-            self._validate_closed()
+            if self.batches < 1:
+                raise ParameterError("batches must be >= 1")
         else:
-            self._validate_stream()
-
-    def _validate_closed(self) -> None:
-        if self.batches < 1 or self.shards < 1:
-            raise ParameterError("batches and shards must be >= 1")
-        if self.shards > 1:
-            if self.batches < self.shards:
-                raise ParameterError(
-                    f"shards={self.shards} needs batches >= shards "
-                    f"(got batches={self.batches})"
-                )
-            if self.cycles_per_batch:
-                raise ParameterError(
-                    "per-batch sharding requires cycles_per_batch == 0 "
-                    "(idle gaps couple the batches)"
-                )
-            known = self._fixed_faults()
-            if known is None:
-                raise ParameterError(
-                    "per-batch sharding requires a statically-known fault "
-                    "schedule (fault_model 'fixed' or legacy faults=); "
-                    "probabilistic universes parallelize via replicas "
-                    "with shards=1"
-                )
-            fault_pairs, repair_pairs = known
-            if any(c != 0 for c, _ in fault_pairs) or repair_pairs:
-                raise ParameterError(
-                    "per-batch sharding requires every fault at cycle 0 "
-                    "and no repairs (mid-run events couple the batches)"
-                )
-
-    def _validate_stream(self) -> None:
-        if not self.rate > 0:
-            raise ParameterError("rate must be > 0")
-        if not 0 <= self.warmup < self.cycles:
-            raise ParameterError("need 0 <= warmup < cycles")
-        if self.shards != 1:
-            raise ParameterError(
-                "stream specs cannot batch-shard (arrivals interleave); "
-                "parallelism comes from the grid axes"
-            )
+            if not self.rate > 0:
+                raise ParameterError("rate must be > 0")
+            if not 0 <= self.warmup < self.cycles:
+                raise ParameterError("need 0 <= warmup < cycles")
 
     # -- identity -----------------------------------------------------------
 
@@ -367,9 +325,7 @@ class ExperimentSpec:
             parts.append(self.pattern)
             parts.append(f"{self.packets}pkt")
             parts.append(f"seed{self.seed}")
-        if self.faults:
-            parts.append(f"{len(self.faults)}flt")
-        elif self.fault_model is not None:
+        if self.fault_model is not None:
             parts.append(f"{self.fault_model['name']}-faults")
         if self.replicas > 1:
             parts.append(f"x{self.replicas}")
@@ -386,36 +342,15 @@ class ExperimentSpec:
     # -- serialization ------------------------------------------------------
 
     def to_dict(self) -> dict:
-        """JSON-friendly form: every field, tuples as lists."""
-        out = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.name == "faults":
-                value = [list(p) for p in value]
-            out[f.name] = value
-        return out
+        """JSON-friendly form: every field (a ``fault_model`` is already
+        canonical JSON)."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_dict(cls, spec: dict) -> "ExperimentSpec":
-        """Rebuild from :meth:`to_dict` output (strict: unknown keys
-        raise, naming them, so a typo'd field cannot silently fall back
-        to a default).  A non-empty legacy ``faults`` key warns: the
-        ``fixed`` fault model is its bit-identical replacement."""
-        known = {f.name for f in fields(cls)}
-        unknown = set(spec) - known
-        if unknown:
-            raise ParameterError(
-                f"unknown ExperimentSpec keys: {sorted(unknown)}; "
-                f"valid keys: {sorted(known)}"
-            )
-        if spec.get("faults"):
-            warnings.warn(
-                "the 'faults' spec key is deprecated; use fault_model="
-                '{"name": "fixed", "faults": [[cycle, node], ...]} '
-                "(bit-identical)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
+        """Rebuild from :meth:`to_dict` output (strict: an unknown or
+        removed key raises, naming it — see :func:`_check_keys`)."""
+        _check_keys(cls, spec, ("engine", "faults", "shards"))
         return cls(**spec)
 
     def to_json(self, *, indent: int | None = None) -> str:
@@ -435,24 +370,11 @@ class ExperimentSpec:
 
     # -- fault universes -----------------------------------------------------
 
-    def _effective_fault_model(self) -> dict | None:
-        """The declarative fault universe this spec runs under: its
-        ``fault_model`` verbatim, or the legacy ``faults`` tuples wrapped
-        as the equivalent ``fixed`` model (``None`` when fault-free)."""
-        if self.fault_model is not None:
-            return self.fault_model
-        if self.faults:
-            return {
-                "name": "fixed",
-                "faults": [[c, v] for c, v in self.faults],
-            }
-        return None
-
     def _fixed_faults(self):
         """``(fault_pairs, repair_pairs)`` when the schedule is statically
-        known (legacy tuples or the ``fixed`` model), else ``None`` —
+        known (fault-free or the ``fixed`` model), else ``None`` —
         probabilistic universes are only knowable per realized replica."""
-        model = self._effective_fault_model()
+        model = self.fault_model
         if model is None:
             return [], []
         if model["name"] != "fixed":
@@ -468,11 +390,10 @@ class ExperimentSpec:
         ``rng([seed, replica])``, so realizations reproduce anywhere.
         Stream specs default probabilistic arrival windows to
         ``[0, cycles)``; closed specs to ``[0, 1)`` (faults at cycle 0)."""
-        model = self._effective_fault_model()
-        if model is None:
+        if self.fault_model is None:
             return FaultScenario()
         return realize_fault_model(
-            model,
+            self.fault_model,
             n=self.m ** self.h,
             cycles=self.cycles if self.loop == "stream" else 1,
             rng=np.random.default_rng([self.seed, int(replica)]),
@@ -492,7 +413,7 @@ class ExperimentSpec:
         }
         if scenario.node_repairs:
             model["repairs"] = [[c, v] for c, v in scenario.node_repairs]
-        return replace(self, faults=(), fault_model=model, replicas=1)
+        return replace(self, fault_model=model, replicas=1)
 
     def replica_blocks(self) -> list[tuple["ExperimentSpec", ...]]:
         """This replicated cell's realized replicas
@@ -560,33 +481,21 @@ class ExperimentSpec:
 
     # -- execution ----------------------------------------------------------
 
-    def run(self, batch_slice: slice | None = None) -> "ExperimentResult":
-        """Execute in the current process (workers call this).
+    def run(self) -> "ExperimentResult":
+        """Execute in the current process: the one result of
+        ``run_grid([self], workers=0)``, so a replicated cell run here and
+        one run through a grid share one expansion into replica blocks
+        and one merge."""
+        return run_grid([self], workers=0).results[0]
 
-        ``batch_slice`` selects a contiguous run of closed-loop
-        injection batches — the per-batch sharding unit; ``None`` runs
-        everything.  Stream specs reject it (arrivals interleave, there
-        is nothing batch-shaped to slice).
-        """
-        if self.loop == "stream":
-            if batch_slice is not None:
-                raise ParameterError(
-                    "batch_slice applies to closed-loop specs only"
-                )
-            return self._run_stream()
-        if self.replicas > 1:
-            if batch_slice is not None:
-                raise ParameterError(
-                    "batch_slice applies to single-replica specs only"
-                )
-            first, *rest = (run_block(b) for b in self.replica_blocks())
-            return replace(first.merged_with(rest), spec=self)
-        return self._run_closed(batch_slice)
+    def _run(self) -> "ExperimentResult":
+        """Run this single-replica spec: the leaf that every pool task
+        ends in (:func:`~repro.simulator.grid.run_block` on a block of
+        one)."""
+        return self._run_stream() if self.loop == "stream" else self._run_closed()
 
-    def _run_closed(self, batch_slice: slice | None) -> "ExperimentResult":
+    def _run_closed(self) -> "ExperimentResult":
         batches = self.injection_batches()
-        if batch_slice is not None:
-            batches = batches[batch_slice]
         ctrl = self.build_controller()
         t0 = time.perf_counter()
         ctrl.run_workload(batches, cycles_per_batch=self.cycles_per_batch,
@@ -627,42 +536,45 @@ class ExperimentGrid:
     order.
 
     Axes (in product order): ``mhk`` x ``patterns`` x (``loads`` for
-    closed loops / ``rates`` for stream loops) x (``fault_sets`` *or*
-    ``fault_models``) x ``seeds``.  Every other field — including
-    ``replicas``, the per-cell Monte-Carlo count — is a scalar applied
-    to each cell.  ``fault_models`` sweeps declarative fault universes
-    (e.g. several ``iid`` survival probabilities — a dependability
-    curve); it replaces the literal ``fault_sets`` axis and the two are
-    mutually exclusive.  A stream grid with several sizes, rates and
-    fault sets *is* a saturation surface, and
+    closed loops / ``rates`` for stream loops) x ``fault_models`` x
+    ``seeds``.  Every other field — including ``replicas``, the
+    per-cell Monte-Carlo count — is a scalar applied to each cell.
+    ``fault_models`` sweeps fault universes: literal ``fixed`` sets (the
+    paper's worst-case faults) or, say, several ``iid`` survival
+    probabilities (a dependability curve); left empty, every cell is
+    fault-free.  A stream grid with several sizes, rates and fault sets
+    *is* a saturation surface, and
     :func:`repro.simulator.grid.run_grid` executes the whole
     thing as one sweep.
 
     >>> grid = ExperimentGrid(mhk=[(2, 4, 1)], loop="stream",
-    ...                       rates=[1.0, 4.0], fault_sets=[(), ((0, 3),)])
+    ...                       rates=[1.0, 4.0],
+    ...                       fault_models=[{"name": "fixed", "faults": []},
+    ...                                     {"name": "fixed", "faults": [[0, 3]]}])
     >>> len(grid)
     4
     >>> [s.rate for s in grid.expand()]
     [1.0, 1.0, 4.0, 4.0]
     """
 
+    #: The product axes; every other field is a per-cell scalar that
+    #: :meth:`expand` copies onto each :class:`ExperimentSpec`.
+    _AXES = ("mhk", "patterns", "loads", "rates", "fault_models", "seeds")
+
     mhk: tuple[tuple[int, int, int], ...]
     loop: str = "closed"
     patterns: tuple[str, ...] = ("uniform",)
     loads: tuple[int, ...] = (1000,)
     rates: tuple[float, ...] = ()
-    fault_sets: tuple[tuple[tuple[int, int], ...], ...] = ((),)
     fault_models: tuple[dict, ...] = ()
     replicas: int = 1
     seeds: tuple[int, ...] = (0,)
     controller: str = "reconfig"
-    engine: str = "batch"
     route_mode: str = "bfs"
     link_capacity: int = 1
     # closed-loop scalars
     batches: int = 1
     cycles_per_batch: int = 0
-    shards: int = 1
     max_cycles: int = 1_000_000
     # stream scalars
     source: str = "poisson"
@@ -681,23 +593,11 @@ class ExperimentGrid:
         object.__setattr__(self, "rates", tuple(float(r) for r in self.rates))
         object.__setattr__(
             self,
-            "fault_sets",
-            tuple(
-                tuple((int(c), int(v)) for c, v in fs) for fs in self.fault_sets
-            ),
-        )
-        object.__setattr__(
-            self,
             "fault_models",
             tuple(validate_fault_model(mdl) for mdl in self.fault_models),
         )
         object.__setattr__(self, "replicas", int(self.replicas))
         object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
-        if self.fault_models and any(fs for fs in self.fault_sets):
-            raise ParameterError(
-                "fault_models and fault_sets are the same axis (declarative "
-                "vs literal) — sweep one or the other, not both"
-            )
         if not self.mhk:
             raise ParameterError("ExperimentGrid needs at least one (m, h, k)")
         if self.loop not in LOOPS:
@@ -721,12 +621,10 @@ class ExperimentGrid:
     def _varying(self) -> tuple:
         return self.rates if self.loop == "stream" else self.loads
 
-    def _fault_axis(self) -> list[dict]:
-        """The fault axis as per-cell spec kwargs: declarative models
-        when ``fault_models`` is set, literal pair sets otherwise."""
-        if self.fault_models:
-            return [{"fault_model": mdl} for mdl in self.fault_models]
-        return [{"faults": fs} for fs in self.fault_sets]
+    def _fault_axis(self) -> tuple:
+        """Each cell's ``fault_model``: the swept models, or ``None``
+        (fault-free) when there are none."""
+        return self.fault_models or (None,)
 
     def __len__(self) -> int:
         return (
@@ -737,26 +635,12 @@ class ExperimentGrid:
     def expand(self) -> list[ExperimentSpec]:
         """The grid's concrete :class:`ExperimentSpec` cells, in the
         documented product order (seeds vary fastest, sizes slowest)."""
-        shared = dict(
-            loop=self.loop,
-            controller=self.controller,
-            engine=self.engine,
-            route_mode=self.route_mode,
-            replicas=self.replicas,
-            link_capacity=self.link_capacity,
-            batches=self.batches,
-            cycles_per_batch=self.cycles_per_batch,
-            shards=self.shards,
-            max_cycles=self.max_cycles,
-            source=self.source,
-            cycles=self.cycles,
-            warmup=self.warmup,
-            window=self.window,
-            mean_on=self.mean_on,
-            mean_off=self.mean_off,
-        )
+        shared = {
+            f.name: getattr(self, f.name)
+            for f in fields(self) if f.name not in self._AXES
+        }
         out = []
-        for (m, h, k), pattern, var, fault_kw, seed in itertools.product(
+        for (m, h, k), pattern, var, model, seed in itertools.product(
             self.mhk, self.patterns, self._varying(), self._fault_axis(),
             self.seeds,
         ):
@@ -764,7 +648,7 @@ class ExperimentGrid:
             out.append(
                 ExperimentSpec(
                     m=m, h=h, k=k, pattern=pattern, seed=seed,
-                    **fault_kw, **load, **shared,
+                    fault_model=model, **load, **shared,
                 )
             )
         return out
@@ -777,8 +661,6 @@ class ExperimentGrid:
             value = getattr(self, f.name)
             if f.name == "mhk":
                 value = [list(t) for t in value]
-            elif f.name == "fault_sets":
-                value = [[list(p) for p in fs] for fs in value]
             elif isinstance(value, tuple):
                 value = list(value)
             out[f.name] = value
@@ -786,13 +668,9 @@ class ExperimentGrid:
 
     @classmethod
     def from_dict(cls, spec: dict) -> "ExperimentGrid":
-        known = {f.name for f in fields(cls)}
-        unknown = set(spec) - known
-        if unknown:
-            raise ParameterError(
-                f"unknown ExperimentGrid keys: {sorted(unknown)}; "
-                f"valid keys: {sorted(known)}"
-            )
+        """Rebuild from :meth:`to_dict` output (strict, like
+        :meth:`ExperimentSpec.from_dict`)."""
+        _check_keys(cls, spec, ("engine", "fault_sets", "shards"))
         return cls(**spec)
 
     def to_json(self, *, indent: int | None = None) -> str:
@@ -821,10 +699,11 @@ def parse_run_payload(payload, *, origin: str = "request"):
     /experiments``): both validate against the backend registries at
     construction time and reject a malformed payload with the exact
     :class:`~repro.errors.ParameterError` message before any worker is
-    touched.  A value the field coercion cannot take (``"m": "two"``, a
-    fault pair with one element) is refused the same way.  ``origin``
-    names the payload in error messages (the file path, or the request
-    route).
+    touched.  A value the field coercion cannot take (``"m": "two"``)
+    is refused the same way, and so is a key the format no longer has
+    (:data:`_REMOVED_KEYS`), with a message naming what replaces it.
+    ``origin`` names the payload in error messages (the file path, or
+    the request route).
     """
     if not isinstance(payload, dict):
         raise ParameterError(f"{origin}: expected a JSON object")
@@ -847,6 +726,6 @@ def parse_run_payload(payload, *, origin: str = "request"):
     except ParameterError:
         raise
     except (TypeError, ValueError) as exc:
-        # field coercion (int("two"), unpacking a one-element fault
-        # pair) raises plain TypeError/ValueError
+        # field coercion (int("two"), unpacking a short mhk triple)
+        # raises plain TypeError/ValueError
         raise ParameterError(f"{origin}: malformed field value: {exc}") from None

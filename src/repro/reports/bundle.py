@@ -25,6 +25,7 @@ alone, with stdlib only.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -32,7 +33,6 @@ import os
 from repro.errors import ParameterError
 from repro.experiments import (
     CONTROLLERS,
-    ENGINES,
     FAULT_MODELS,
     PATTERNS,
     ROUTE_MODES,
@@ -67,7 +67,6 @@ def registry_versions() -> dict:
 
     return {
         "controllers": list(CONTROLLERS.names()),
-        "engines": list(ENGINES),
         "fault_models": list(FAULT_MODELS.names()),
         "patterns": list(PATTERNS.names()),
         "reports": list(REPORTS.names()),
@@ -99,18 +98,7 @@ def cell_payload(
         "unreachable_pairs": int(result.unreachable_pairs),
     }
     if isinstance(stats, ShardStats):
-        rs = stats.to_run_stats()
-        payload["run_stats"] = {
-            "cycles": rs.cycles,
-            "injected": rs.injected,
-            "delivered": rs.delivered,
-            "dropped": rs.dropped,
-            "mean_latency": rs.mean_latency,
-            "p95_latency": rs.p95_latency,
-            "max_latency": rs.max_latency,
-            "mean_hops": rs.mean_hops,
-            "throughput": rs.throughput,
-        }
+        payload["run_stats"] = dataclasses.asdict(stats.to_run_stats())
     return payload
 
 

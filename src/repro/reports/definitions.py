@@ -24,8 +24,6 @@ parameterization, so the grids double as the manifest's provenance.
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 
 from repro.experiments import ExperimentGrid
@@ -68,39 +66,31 @@ def _surface_grids(quick: bool) -> dict:
         fault_models=tuple({"name": "iid", "p": p} for p in ps),
         replicas=replicas,
         seeds=seeds,
-        engine="batch",
     )
-    # route_mode selects nothing; the grids keep the names they were
-    # built with so that spec digests and cell ids keep their bytes
     return {
-        "reconfig": ExperimentGrid(
-            controller="reconfig", route_mode="bfs", **shared
-        ),
-        "detour": ExperimentGrid(
-            controller="detour", route_mode="table", **shared
-        ),
+        "reconfig": ExperimentGrid(controller="reconfig", **shared),
+        "detour": ExperimentGrid(controller="detour", **shared),
     }
 
 
+def _fault_coord(model: dict) -> tuple[str, object]:
+    """A cell's fault coordinate: survival probability ``p`` for an
+    ``iid`` universe, else the fault count ``f`` of its fixed set."""
+    if model["name"] == "iid":
+        return "p", model["p"]
+    return "f", len(model["faults"])
+
+
 def _grid_cells(group: str, grid: ExperimentGrid) -> list[ReportCell]:
-    """One :class:`ReportCell` per grid cell, coordinates matching the
-    grid's documented expansion order (seeds fastest, sizes slowest)."""
-    if grid.fault_models:
-        fault_axis = [
-            ("p", model["p"]) for model in grid.fault_models
-        ]
-    else:
-        fault_axis = [("f", len(fs)) for fs in grid.fault_sets]
+    """One :class:`ReportCell` per grid cell, in the grid's documented
+    expansion order (seeds fastest, sizes slowest), placed by its spec's
+    own coordinates."""
     cells = []
-    for spec, ((m, h, k), pattern, load, fault, seed) in zip(
-        grid.expand(),
-        itertools.product(
-            grid.mhk, grid.patterns, grid.loads, fault_axis, grid.seeds
-        ),
-    ):
+    for spec in grid.expand():
+        axis, value = _fault_coord(spec.fault_model)
         coords = {
-            "m": m, "h": h, "k": k, fault[0]: fault[1],
-            "load": load, "seed": seed,
+            "m": spec.m, "h": spec.h, "k": spec.k, axis: value,
+            "load": spec.packets, "seed": spec.seed,
         }
         cells.append(ReportCell.make(group, coords, spec))
     return cells
@@ -222,15 +212,15 @@ def dependability_surface(*, quick: bool = False) -> ReportPlan:
     )
 
 
-def _paper_fault_sets(h: int) -> tuple:
-    """Fault sets of size 0, 1, 2 on ``B^2_{2,h}``: the faulted nodes
-    are a fixed seeded draw (``rng([1992, h])``), so the tables name the
-    same nodes forever."""
+def _paper_fault_models(h: int) -> tuple:
+    """``fixed`` fault sets of size 0, 1, 2 on ``B^2_{2,h}``, all at
+    cycle 0: the faulted nodes are a fixed seeded draw
+    (``rng([1992, h])``), so the tables name the same nodes forever."""
     n = 2 ** h
     rng = np.random.default_rng([1992, h])
-    nodes = rng.choice(n, size=2, replace=False)
-    a, b = int(nodes[0]), int(nodes[1])
-    return ((), ((0, a),), ((0, a), (0, b)))
+    a, b = (int(v) for v in rng.choice(n, size=2, replace=False))
+    return tuple({"name": "fixed", "faults": faults}
+                 for faults in ([], [[0, a]], [[0, a], [0, b]]))
 
 
 def _aggregate_paper(plan, results):
@@ -271,10 +261,9 @@ def paper_tables(*, quick: bool = False) -> ReportPlan:
             mhk=((2, h, 2),),
             patterns=("uniform",),
             loads=loads,
-            fault_sets=_paper_fault_sets(h),
+            fault_models=_paper_fault_models(h),
             seeds=seeds,
             controller="reconfig",
-            engine="batch",
         )
         group = f"fixed-h{h}"
         grids[group] = grid

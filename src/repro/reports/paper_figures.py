@@ -558,11 +558,12 @@ def _sat():
     golden equivalence contract."""
     rates = [4, 8, 12, 14]
     common = dict(m=2, h=5, k=1, loop="stream", cycles=500, warmup=100, seed=0)
+    fault = {"name": "fixed", "faults": [[0, 9]]}
     machines = [
         ("FT, no faults", ExperimentSpec(**common)),
-        ("FT, 1 fault + reconfig", ExperimentSpec(**common, faults=((0, 9),))),
+        ("FT, 1 fault + reconfig", ExperimentSpec(**common, fault_model=fault)),
         ("bare dB, 1 fault, detours",
-         ExperimentSpec(**common, faults=((0, 9),), controller="detour")),
+         ExperimentSpec(**common, fault_model=fault, controller="detour")),
     ]
     rows, summary = [], []
     for label, base in machines:

@@ -70,25 +70,17 @@ def pooled_delivery(results: Sequence[ExperimentResult]) -> dict:
             )
     merged = results[0].merged_with(results[1:])
     stats = merged.stats
+    run_stats = stats.to_run_stats()
     offered = stats.injected + merged.unreachable_pairs
     delivered = stats.delivered
     lo, hi = wilson_interval(delivered, offered)
-    if delivered:
-        mean_latency = (
-            int((stats.lat_values * stats.lat_counts).sum()) / delivered
-        )
-        mean_hops = (
-            int((stats.hop_values * stats.hop_counts).sum()) / delivered
-        )
-    else:
-        mean_latency = mean_hops = 0.0
     return {
         "offered": int(offered),
         "delivered": int(delivered),
         "delivery": round(delivered / offered, 6) if offered else 1.0,
         "ci_lo": round(lo, 6),
         "ci_hi": round(hi, 6),
-        "mean_latency": round(mean_latency, 4),
+        "mean_latency": round(run_stats.mean_latency, 4),
         "p50_latency": round(
             hist_percentile(stats.lat_values, stats.lat_counts, 50), 4
         ),
@@ -98,7 +90,7 @@ def pooled_delivery(results: Sequence[ExperimentResult]) -> dict:
         "p99_latency": round(
             hist_percentile(stats.lat_values, stats.lat_counts, 99), 4
         ),
-        "mean_hops": round(mean_hops, 4),
+        "mean_hops": round(run_stats.mean_hops, 4),
         "lost_to_faults": int(merged.lost_to_faults),
         "unreachable_pairs": int(merged.unreachable_pairs),
     }

@@ -218,9 +218,9 @@ class JobQueue:
 class JobRunner(threading.Thread):
     """The scheduler loop: one thread, one warm pool, cells in order.
 
-    Cells of one job run sequentially (each cell may still fan out over
-    every pool worker via shards or replica blocks, which ``run_grid``
-    cuts to at least one per worker), so the pool's capacity goes
+    Cells of one job run sequentially (a replicated cell may still fan
+    out over every pool worker via its replica blocks, which
+    ``run_grid`` cuts to at least one per worker), so the pool's capacity goes
     wholly to the highest-priority job and a cancellation frees it at
     the next cell boundary.
     """

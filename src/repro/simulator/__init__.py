@@ -12,9 +12,8 @@ machine (§V), which has no batch twin.
 The fault controllers (:class:`ReconfigurationController`,
 :class:`DetourController`) run on :class:`BatchEngine`.  There is one
 layer of parallelism: :func:`run_grid`
-maps independent tasks — grid cells, Monte-Carlo replicas, and the
-per-batch ``shards`` of a closed-loop spec — over one
-:class:`WorkerPool` and merges closed-loop results exactly through
+maps independent tasks — grid cells and blocks of Monte-Carlo
+replicas — over one :class:`WorkerPool` and merges closed-loop results exactly through
 :class:`ShardStats` (see :mod:`repro.simulator.grid`).
 
 Two ways to load the machine:

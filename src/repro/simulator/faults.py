@@ -14,8 +14,8 @@ Concrete schedules are one *realization* of a **fault universe**: the
 draw a :class:`FaultScenario` from an RNG.  Four models ship:
 
 * ``fixed`` — wraps a literal ``(cycle, node)`` schedule (plus optional
-  repairs); realizes to exactly those events, bit-identical to the
-  legacy ``faults=`` tuples.
+  repairs); realizes to exactly those events, the paper's worst-case
+  fault sets.
 * ``iid`` — the random node fault model of the dependability
   literature: every node fails independently with probability
   ``1 - p`` (``p`` is the survival probability), each failure's arrival
@@ -54,9 +54,9 @@ Both controllers drive the one packet engine,
 :class:`~repro.simulator.batch_engine.BatchEngine`; the conformance
 suite holds their runs, mid-drain faults included, packet for packet to
 the same controllers on the per-packet witness engine.  Parallelism
-lives one level up: independent cells, replica blocks and per-batch
-``shards`` of an :class:`~repro.experiments.ExperimentSpec` fan out
-through :func:`~repro.simulator.grid.run_grid`.  :func:`drain_block`
+lives one level up: independent cells and the replica blocks of an
+:class:`~repro.experiments.ExperimentSpec` fan out through
+:func:`~repro.simulator.grid.run_grid`.  :func:`drain_block`
 runs one block: replica controllers whose faults all fire at cycle 0,
 drained side by side on one engine, each replica's records exactly its
 own ``run_workload``'s.
@@ -276,9 +276,7 @@ def _norm_fixed(params: dict) -> dict:
 @_normalizes(_norm_fixed)
 def _realize_fixed(params, *, n, cycles, rng, graph=None) -> FaultScenario:
     """A literal schedule: realizes to exactly the given ``faults`` (and
-    optional ``repairs``) pairs, independent of the RNG — the registry
-    form of the legacy ``faults=`` tuples, bit-identical by the fixed-
-    model conformance tests."""
+    optional ``repairs``) pairs, independent of the RNG."""
     return FaultScenario(
         [(int(c), int(v)) for c, v in params["faults"]],
         [(int(c), int(v)) for c, v in params.get("repairs", [])],

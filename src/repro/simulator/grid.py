@@ -3,14 +3,16 @@
 The reliability claims of the paper only become measurable at scale —
 millions of packets across many fault scenarios.  :func:`run_grid` is
 the one dispatch path: it flattens a grid into independent tasks and
-maps them over one :class:`~repro.simulator.pool.WorkerPool`:
+maps them over one :class:`~repro.simulator.pool.WorkerPool`.  Every
+task is one *block* of single-replica specs, run by :func:`run_block`:
 
 * **per experiment** — every cell of an
   :class:`~repro.experiments.ExperimentGrid` (a declarative sweep over
-  ``(m, h, k)``, fault sets, traffic patterns, loads *or* offered rates,
-  and seed replicas) is an independent simulation — closed-loop drains
-  and open-loop streams alike, so a saturation surface (rate x size x
-  faults) runs as one sweep;
+  ``(m, h, k)``, fault models, traffic patterns, loads *or* offered
+  rates, and seed replicas) is an independent simulation — closed-loop
+  drains and open-loop streams alike, so a saturation surface (rate x
+  size x faults) runs as one sweep.  A cell without replicas is a block
+  of one;
 * **per replica block** — a Monte-Carlo cell's ``replicas`` are
   realized in the submitting process and cut into blocks
   (:meth:`~repro.experiments.ExperimentSpec.replica_blocks`), one task
@@ -20,16 +22,13 @@ maps them over one :class:`~repro.simulator.pool.WorkerPool`:
   engine's fixed per-cycle cost alone; every other cell, and a replica
   too large to share, is a block of one.  A map with fewer tasks than
   pool workers cuts its blocks finer, down to one replica each, until
-  every worker has one, so a lone replicated cell still fans out;
-* **per batch** — a closed-loop spec's ``shards`` split its injection
-  batches into tasks.  The engines fully drain between batches, so
-  batch ``i + 1`` starts on an empty network, and simulating each batch
-  in a fresh engine and merging the records is *bit-identical* to
-  draining them sequentially in one engine (see :class:`ShardStats` for
-  why the merge is exact).
+  every worker has one, so a lone replicated cell still fans out.
 
-Every task runs a real batch-engine simulation, so faults fire at
-exactly the cycle they come due.
+:meth:`ExperimentSpec.run() <repro.experiments.ExperimentSpec.run>` is
+``run_grid([spec], workers=0)``, so a cell run directly and one run in
+a sweep share this expansion and its merge.  Every task runs a real
+batch-engine simulation, so faults fire at exactly the cycle they come
+due.
 
 Results come back as :class:`ShardStats` — a mergeable, pickle-friendly
 twin of :class:`RunStats` that carries exact counts plus latency/hop
@@ -71,7 +70,7 @@ import numpy as np
 
 from repro.errors import ParameterError
 from repro.simulator.faults import drain_block
-from repro.simulator.metrics import PacketArrays, RunStats
+from repro.simulator.metrics import PacketArrays, RunStats, hist_percentile
 from repro.simulator.pool import WorkerPool
 
 __all__ = [
@@ -107,9 +106,9 @@ class ShardStats:
       float64 summation whose partial sums are all integers; every one is
       exact below 2**53, so ``float(sum) / n`` lands on the identical
       float regardless of packet order;
-    * ``p95`` — the histogram *is* the sorted multiset, so expanding it
-      with ``np.repeat`` and calling ``np.percentile`` replays the exact
-      computation;
+    * ``p95`` — the histogram *is* the sorted multiset, and
+      :func:`~repro.simulator.metrics.hist_percentile` reads
+      ``np.percentile``'s exact result off it without expanding it;
     * ``max`` — the last histogram bin.
 
     All fields are plain ints and small int64 arrays, so the record
@@ -239,9 +238,7 @@ class ShardStats:
         if delivered:
             lat_sum = int(np.dot(self.lat_values, self.lat_counts))
             hop_sum = int(np.dot(self.hop_values, self.hop_counts))
-            # the sorted multiset replayed: identical partition + lerp
-            lat = np.repeat(self.lat_values, self.lat_counts)
-            p95 = float(np.percentile(lat, 95))
+            p95 = hist_percentile(self.lat_values, self.lat_counts, 95)
             mean_latency = lat_sum / delivered
             mean_hops = hop_sum / delivered
             max_latency = int(self.lat_values[-1])
@@ -268,10 +265,10 @@ class ShardStats:
 @dataclass(frozen=True)
 class ExperimentResult:
     """One executed :class:`~repro.experiments.ExperimentSpec`'s outcome
-    (or one closed-loop batch-shard of it).
+    (or one replica block of it).
 
     ``stats`` is loop-shaped: closed-loop runs carry mergeable
-    :class:`ShardStats` (so shards of one spec reduce exactly — see
+    :class:`ShardStats` (so the blocks of one cell reduce exactly — see
     :meth:`merged_with`), stream runs carry
     :class:`~repro.simulator.metrics.StreamStats`.
     """
@@ -300,10 +297,10 @@ class ExperimentResult:
         return self.stats.delivery_ratio >= threshold
 
     def merged_with(self, others: Sequence["ExperimentResult"]) -> "ExperimentResult":
-        """Fold closed-loop shard results of the *same* spec into one
+        """Fold closed-loop block results of the *same* cell into one
         record (exact — see :class:`ShardStats`).  With nothing to fold
-        the record passes through unchanged (stream results are never
-        sharded, so they only ever take this path)."""
+        the record passes through unchanged (a stream cell is always one
+        block, so it only ever takes this path)."""
         if not others:
             return self
         parts = [self, *others]
@@ -318,22 +315,17 @@ class ExperimentResult:
     def row(self) -> dict:
         """JSON-friendly summary row, loop-shaped: sweep columns (led by
         the ``"scenario"`` cell label) for closed loops, saturation-curve
-        columns for stream points.  Declarative cells add
-        ``fault_model`` (and ``replicas`` when > 1) columns; literal-fault
-        cells' rows are unchanged."""
+        columns for stream points.  Cells with a fault model add a
+        ``fault_model`` column (and ``replicas`` when > 1)."""
         if isinstance(self.stats, ShardStats):
             sc, st = self.spec, self.run_stats
             return {
                 "scenario": sc.label,
                 "m": sc.m, "h": sc.h, "k": sc.k,
                 "pattern": sc.pattern, "packets": sc.packets,
-                "faults": [list(f) for f in sc.faults],
-                # fault-model columns appear only on declarative cells, so
-                # legacy sweep rows stay byte-identical
                 **_fault_model_columns(sc),
                 "seed": sc.seed,
                 "controller": sc.controller,
-                "engine": sc.engine,
                 "route_mode": sc.route_mode,
                 "cycles": st.cycles,
                 "delivered": st.delivered,
@@ -359,8 +351,8 @@ class ExperimentResult:
 
 
 def _fault_model_columns(spec) -> dict:
-    """Extra row columns for declarative fault universes — empty for
-    legacy literal-fault specs, keeping their published rows stable."""
+    """Row columns for a cell's fault model and replica count — empty
+    for a fault-free single-replica cell."""
     out: dict = {}
     if spec.fault_model is not None:
         out["fault_model"] = dict(spec.fault_model)
@@ -373,28 +365,15 @@ def _fault_model_columns(spec) -> dict:
 # grid execution
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _SpecTask:
-    """One unit of pool work: an experiment spec, or one closed-loop
-    batch-shard of it."""
-
-    spec: "object"          # ExperimentSpec
-    batch_slice: tuple[int, int] | None = None
-
-    def run(self) -> ExperimentResult:
-        sl = slice(*self.batch_slice) if self.batch_slice else None
-        return self.spec.run(batch_slice=sl)
-
-
 def run_block(block) -> ExperimentResult:
-    """Run one block of realized replica specs (see
-    :meth:`~repro.experiments.ExperimentSpec.replica_blocks`) and return
-    their merged result, equal to merging each replica's own ``run()``.
-    A block of one is that ``run()``; a larger block builds every
-    replica's controller and drains them together with
+    """Run one block of single-replica specs (a plain cell, or realized
+    replicas from :meth:`~repro.experiments.ExperimentSpec.replica_blocks`)
+    and return their merged result, equal to merging each replica's own
+    ``run()``.  A block of one runs its spec alone; a larger block builds
+    every replica's controller and drains them together with
     :func:`~repro.simulator.faults.drain_block`."""
     if len(block) == 1:
-        return block[0].run()
+        return block[0]._run()
     first = block[0]
     ctrls = [rep.build_controller() for rep in block]
     t0 = time.perf_counter()
@@ -411,16 +390,16 @@ def run_block(block) -> ExperimentResult:
 
 @dataclass(frozen=True)
 class _BlockTask:
-    """One unit of pool work: a block of a replicated cell's realized
-    replicas, run by :func:`run_block`."""
+    """One unit of pool work: a block of single-replica specs (a plain
+    cell is a block of one), run by :func:`run_block`."""
 
-    block: tuple            # realized single-replica ExperimentSpecs
+    block: tuple            # single-replica ExperimentSpecs
 
     def run(self) -> ExperimentResult:
         return run_block(self.block)
 
 
-def _run_spec_task(task: "_SpecTask | _BlockTask") -> ExperimentResult:
+def _run_task(task: _BlockTask) -> ExperimentResult:
     return task.run()
 
 
@@ -441,34 +420,22 @@ def _as_specs(grid) -> list:
 
 
 def _expand_tasks(specs: Sequence, workers: int = 1) -> tuple[list, list[int]]:
-    """Flatten specs into pool tasks; ``owner[i]`` maps task ``i`` back
-    to its spec index (batch-shards and replica blocks of one spec share
-    an owner).  Replicated cells are realized *here*, in the submitting
-    process, and cut into blocks by
-    :meth:`~repro.experiments.ExperimentSpec.replica_blocks`, the helper
-    ``ExperimentSpec.run`` uses: each replica's fault schedule is drawn
-    once from ``rng([seed, replica])``, every worker runs frozen
-    ``fixed`` schedules, and pool and sequential execution see
-    bit-identical realizations.  With fewer tasks than ``workers`` the
-    blocks are cut finer (:func:`_spread_blocks`)."""
+    """Flatten specs into block tasks; ``owner[i]`` maps task ``i``
+    back to its spec index (the replica blocks of one cell share an
+    owner).  A cell without replicas is a block of one.  Replicated
+    cells are realized *here*, in the submitting process, and cut into
+    blocks by :meth:`~repro.experiments.ExperimentSpec.replica_blocks`:
+    each replica's fault schedule is drawn once from
+    ``rng([seed, replica])``, every worker runs frozen ``fixed``
+    schedules, and pool and inline execution see bit-identical
+    realizations.  With fewer tasks than ``workers`` the blocks are cut
+    finer (:func:`_spread_blocks`)."""
     tasks: list = []
     owners: list[int] = []
     for si, sp in enumerate(specs):
-        if sp.replicas > 1:
-            for block in sp.replica_blocks():
-                tasks.append(_BlockTask(block))
-                owners.append(si)
-            continue
-        if sp.loop != "closed" or sp.shards <= 1:
-            tasks.append(_SpecTask(sp))
-            owners.append(si)
-            continue
-        bounds = np.linspace(0, sp.batches, sp.shards + 1).astype(int)
-        for a, b in zip(bounds[:-1], bounds[1:]):
-            if a == b:
-                continue
-            tasks.append(_SpecTask(sp, (int(a), int(b))))
-            owners.append(si)
+        blocks = sp.replica_blocks() if sp.replicas > 1 else [(sp,)]
+        tasks += [_BlockTask(block) for block in blocks]
+        owners += [si] * len(blocks)
     return _spread_blocks(tasks, owners, workers)
 
 
@@ -482,7 +449,7 @@ def _spread_blocks(tasks: list, owners: list[int],
     cell would drain on one worker (or inline: a one-task map runs in
     the caller) while the rest of the pool idles.  Every replica's
     stats are exact in any block, so the cut never moves a result."""
-    size = [len(t.block) if isinstance(t, _BlockTask) else 1 for t in tasks]
+    size = [len(t.block) for t in tasks]
     parts = [1] * len(tasks)
     while sum(parts) < workers:
         i = max(range(len(tasks)), key=lambda j: size[j] / parts[j], default=None)
@@ -542,11 +509,9 @@ class GridResult:
                     "scenario": sc.label,
                     "m": sc.m, "h": sc.h, "k": sc.k,
                     "pattern": sc.pattern, "source": sc.source,
-                    "faults": [list(f) for f in sc.faults],
                     **_fault_model_columns(sc),
                     "seed": sc.seed,
                     "controller": sc.controller,
-                    "engine": sc.engine,
                     "route_mode": sc.route_mode,
                     **row,
                 }
@@ -561,14 +526,15 @@ def run_grid(
     chunk_size: int | None = None,
     pool: WorkerPool | None = None,
 ) -> GridResult:
-    """Sweep an experiment grid across a worker pool and reduce the
-    shards.
+    """Sweep an experiment grid across a worker pool and reduce each
+    cell's blocks.
 
     ``grid`` may be an :class:`~repro.experiments.ExperimentGrid` or
     any sequence of :class:`~repro.experiments.ExperimentSpec` cells;
     anything else raises :class:`~repro.errors.ParameterError` before a
-    worker is touched.  Closed-loop and stream cells mix freely — a stream grid over rates x sizes x
-    fault sets *is* a saturation surface executed as one sweep.
+    worker is touched.  Closed-loop and stream cells mix freely — a
+    stream grid over rates x sizes x fault models *is* a saturation
+    surface executed as one sweep.
 
     The per-spec results come back in grid order regardless of which
     worker finished first, and the merged closed-loop aggregate is
@@ -589,7 +555,7 @@ def run_grid(
     # an ephemeral pool closes on exit (force-closing on an interrupt);
     # a borrowed one stays open for the caller
     with runner if ephemeral else nullcontext():
-        raw = runner.map(_run_spec_task, tasks)
+        raw = runner.map(_run_task, tasks)
     seconds = time.perf_counter() - t0
 
     by_owner: dict[int, list[ExperimentResult]] = {}

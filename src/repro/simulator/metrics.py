@@ -209,7 +209,11 @@ def hist_percentile(
     cum = np.cumsum(counts)
     lo_val = float(values[np.searchsorted(cum, lo_rank, side="right")])
     hi_val = float(values[np.searchsorted(cum, hi_rank, side="right")])
-    return lo_val + (pos - lo_rank) * (hi_val - lo_val)
+    # numpy's two-sided lerp: from the nearer end, so the last bit agrees
+    t = pos - lo_rank
+    if t >= 0.5:
+        return hi_val - (hi_val - lo_val) * (1 - t)
+    return lo_val + (hi_val - lo_val) * t
 
 
 # ---------------------------------------------------------------------------

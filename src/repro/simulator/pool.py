@@ -1,10 +1,9 @@
 """Persistent warm worker pool: the one layer of parallelism.
 
 :func:`~repro.simulator.grid.run_grid` sends every kind of
-independent work through one :class:`WorkerPool` — spec cells, blocks
-of a Monte-Carlo cell's replicas (drained together on one engine) and
-the per-batch ``shards`` of a closed-loop spec.  The pool keeps its
-workers *alive across map calls*:
+independent work through one :class:`WorkerPool` — spec cells and
+blocks of a Monte-Carlo cell's replicas (drained together on one
+engine).  The pool keeps its workers *alive across map calls*:
 
 * **long-lived workers** — processes start once (lazily, up to the
   pool's target), then sit on the shared task queue; a second ``map``

@@ -937,11 +937,12 @@ class TestControllersOnBatchEngine:
 
     def test_unknown_engine_rejected(self):
         # the controllers always run the batch engine; a spec naming any
-        # other engine is refused with a ValueError naming the choice
+        # engine is refused with a ValueError naming the removed key
         from repro.errors import ParameterError
 
-        with pytest.raises(ParameterError, match="engine.*quantum"):
-            ExperimentSpec(m=2, h=3, k=1, engine="quantum")
+        with pytest.raises(ParameterError, match="'engine' was removed"):
+            ExperimentSpec.from_dict({"m": 2, "h": 3, "k": 1,
+                                      "engine": "quantum"})
 
     def test_ft_full_delivery_after_fault_batch(self):
         ctrl = ReconfigurationController(2, 4, 2)

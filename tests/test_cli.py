@@ -90,7 +90,9 @@ def _refused(capsys) -> str:
 SWEEP_GRID = {"grid": {
     "mhk": [[2, 4, 1], [2, 5, 1]], "loop": "closed",
     "patterns": ["uniform"], "loads": [150],
-    "fault_sets": [[], [[0, 3]]], "seeds": [0, 1],
+    "fault_models": [{"name": "fixed", "faults": []},
+                     {"name": "fixed", "faults": [[0, 3]]}],
+    "seeds": [0, 1],
 }}
 
 
@@ -109,9 +111,10 @@ class TestSweep:
         assert len(payload["rows"]) == 8
         assert payload["aggregate"]["injected"] == 8 * 150
         # published curves must record what produced them
-        assert payload["grid"]["engine"] == "batch"
+        assert payload["grid"]["fault_models"] == \
+            SWEEP_GRID["grid"]["fault_models"]
         assert payload["workers"] == 0
-        assert all(r["engine"] == "batch" for r in payload["rows"])
+        assert all(r["controller"] == "reconfig" for r in payload["rows"])
 
     def test_sweep_multiprocess(self, capsys, tmp_path):
         spec = _write_json(tmp_path, SWEEP_GRID)
@@ -126,9 +129,11 @@ class TestSweep:
         assert f"{spec}: malformed field value" in _refused(capsys)
 
     def test_sweep_bad_fault_set(self, capsys, tmp_path):
-        spec = _write_json(tmp_path, {"m": 2, "h": 4, "faults": [[0]]})
+        spec = _write_json(tmp_path, {"m": 2, "h": 4, "fault_model": {
+            "name": "fixed", "faults": [[0]]}})
         assert main(["run", spec]) == 1
-        assert f"{spec}: malformed field value" in _refused(capsys)
+        assert "faults must be a list of [cycle, node] pairs" in \
+            _refused(capsys)
 
 
 class TestSaturate:
@@ -147,7 +152,7 @@ class TestSaturate:
                          "--workers", "0", "--json", str(out)]) == 0
             assert "saturation ~" in capsys.readouterr().out
             payload = json.loads(out.read_text())
-            assert payload["experiment"]["engine"] == "batch"
+            assert payload["experiment"]["controller"] == "reconfig"
             assert payload["workers"] == 0
             assert payload["bracketed"]
             rates = [p["rate"] for p in payload["points"]]

@@ -6,8 +6,8 @@ The load-bearing claims:
 
 * ``ExperimentSpec`` JSON round-trips *exactly* (spec -> json -> spec
   equality, every field);
-* pooled, sharded and inline execution of the same specs produce
-  bit-identical ``RunStats``/``StreamStats``;
+* pooled and inline execution of the same specs produce bit-identical
+  ``RunStats``/``StreamStats``;
 * registry lookups fail at spec construction with a ``ValueError``
   subclass naming the bad value and the valid choices — never a
   ``KeyError`` inside a worker;
@@ -29,7 +29,6 @@ from repro.cli import main
 from repro.errors import ParameterError
 from repro.experiments import (
     CONTROLLERS,
-    ENGINES,
     PATTERNS,
     ROUTE_MODES,
     SOURCES,
@@ -41,6 +40,12 @@ from repro.experiments import (
 from tests.conformance.harness import witness_run
 
 EXAMPLES = pathlib.Path(__file__).parent.parent / "examples"
+
+
+def _fixed_models(*fault_sets) -> list[dict]:
+    """A fault axis of ``fixed`` models, one per ``[[cycle, node], ...]``
+    set."""
+    return [{"name": "fixed", "faults": faults} for faults in fault_sets]
 
 
 # ---------------------------------------------------------------------------
@@ -72,7 +77,6 @@ class TestRegistry:
             reg.register("a")(2)
 
     def test_live_registries_contents(self):
-        assert ENGINES == ("batch",)
         assert set(CONTROLLERS.names()) == {"reconfig", "detour"}
         assert ROUTE_MODES == ("bfs", "table")
         assert {"poisson", "onoff", "deterministic"} <= set(SOURCES.names())
@@ -87,7 +91,6 @@ class TestSpecValidation:
     @pytest.mark.parametrize("field,bad,choices_hint", [
         ("pattern", "rnig", "uniform"),
         ("controller", "psychic", "reconfig"),
-        ("engine", "warp", "batch"),
         ("route_mode", "teleport", "bfs"),
         ("source", "firehose", "poisson"),
     ])
@@ -105,20 +108,10 @@ class TestSpecValidation:
         with pytest.raises(ParameterError, match="loop"):
             ExperimentSpec(m=2, h=4, loop="moebius")
 
-    def test_sharded_engine_not_a_cell_choice(self):
-        """Neither removed engine is a cell choice: not the multi-process
-        ``sharded`` one, nor the per-packet ``object`` one (now the test
-        suite's witness engine)."""
-        for name in ("sharded", "object"):
-            with pytest.raises(
-                ParameterError,
-                match=f"^unknown engine '{name}'; valid choices: batch$",
-            ):
-                ExperimentSpec(m=2, h=4, engine=name)
-
     def test_spare_budget_checked(self):
         with pytest.raises(ParameterError, match="spares"):
-            ExperimentSpec(m=2, h=4, k=1, faults=((0, 1), (0, 2)))
+            ExperimentSpec(m=2, h=4, k=1, fault_model={
+                "name": "fixed", "faults": [[0, 1], [0, 2]]})
 
     @pytest.mark.parametrize("loop", ["closed", "stream"])
     @pytest.mark.parametrize("controller", ["reconfig", "detour"])
@@ -167,20 +160,14 @@ class TestSpecValidation:
         assert (a.lost_to_faults, a.unreachable_pairs) == \
                (b.lost_to_faults, b.unreachable_pairs)
         assert a.unreachable_pairs > 0
-        with pytest.raises(ParameterError, match="shards"):
-            ExperimentSpec(m=2, h=4, shards=3, batches=2)
-        with pytest.raises(ParameterError, match="cycles_per_batch"):
-            ExperimentSpec(m=2, h=4, shards=2, batches=2, cycles_per_batch=5)
-        with pytest.raises(ParameterError, match="cycle 0"):
-            ExperimentSpec(m=2, h=4, shards=2, batches=2, faults=((4, 1),))
+        with pytest.raises(ParameterError, match="batches"):
+            ExperimentSpec(m=2, h=4, batches=0)
 
     def test_stream_constraints(self):
         with pytest.raises(ParameterError, match="rate"):
             ExperimentSpec(m=2, h=4, loop="stream", rate=0)
         with pytest.raises(ParameterError, match="warmup"):
             ExperimentSpec(m=2, h=4, loop="stream", warmup=50, cycles=50)
-        with pytest.raises(ParameterError, match="shard"):
-            ExperimentSpec(m=2, h=4, loop="stream", shards=2, batches=2)
 
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ParameterError, match="nope"):
@@ -192,8 +179,9 @@ class TestSpecValidation:
         results, while the spec and its label keep the name given."""
         specs = [
             ExperimentSpec(m=2, h=4, loop=loop, controller="detour",
-                           route_mode=mode, faults=((0, 3),), packets=200,
-                           rate=2.0, cycles=100, warmup=10)
+                           route_mode=mode, packets=200, rate=2.0,
+                           cycles=100, warmup=10,
+                           fault_model={"name": "fixed", "faults": [[0, 3]]})
             for mode in ROUTE_MODES
         ]
         bfs, table = (spec.run() for spec in specs)
@@ -215,7 +203,6 @@ class TestJsonRoundTrip:
     @given(
         loop=st.sampled_from(["closed", "stream"]),
         controller=st.sampled_from(["reconfig", "detour"]),
-        engine=st.sampled_from(ENGINES),
         route_mode=st.sampled_from(["bfs", "table"]),
         source=st.sampled_from(["poisson", "onoff", "deterministic"]),
         pattern=st.sampled_from(["uniform", "hotspot", "descend"]),
@@ -227,28 +214,29 @@ class TestJsonRoundTrip:
         n_faults=st.integers(min_value=0, max_value=2),
         link_capacity=st.integers(min_value=1, max_value=4),
     )
-    def test_round_trip_property(self, loop, controller, engine, route_mode,
+    def test_round_trip_property(self, loop, controller, route_mode,
                                  source, pattern, k, seed, packets, rate,
                                  n_faults, link_capacity):
         """spec -> to_json -> from_json is the identity, exactly —
         ints stay ints, floats round-trip bit-for-bit."""
-        faults = tuple((7 * i, 3 + i) for i in range(n_faults))
+        faults = [[7 * i, 3 + i] for i in range(n_faults)]
         spec = ExperimentSpec(
             m=2, h=5, k=k, loop=loop, pattern=pattern,
-            controller=controller, engine=engine, route_mode=route_mode,
-            faults=faults, seed=seed, link_capacity=link_capacity,
-            packets=packets, source=source, rate=rate,
+            controller=controller, route_mode=route_mode,
+            fault_model={"name": "fixed", "faults": faults}, seed=seed,
+            link_capacity=link_capacity, packets=packets, source=source,
+            rate=rate,
         )
         back = ExperimentSpec.from_json(spec.to_json())
         assert back == spec
         assert back.rate == spec.rate  # float equality, not approx
         # and the dict form is genuinely JSON-typed
-        assert json.loads(spec.to_json())["faults"] == [list(f) for f in faults]
+        assert json.loads(spec.to_json())["fault_model"]["faults"] == faults
 
     def test_grid_round_trip(self):
         grid = ExperimentGrid(
             mhk=[(2, 4, 1), (2, 5, 2)], loop="stream",
-            rates=[0.5, 2.0], fault_sets=[(), ((0, 3),)],
+            rates=[0.5, 2.0], fault_models=_fixed_models([], [[0, 3]]),
             seeds=[0, 1], cycles=300, warmup=50,
         )
         assert ExperimentGrid.from_json(grid.to_json()) == grid
@@ -266,7 +254,8 @@ class TestExperimentGrid:
     def test_closed_expansion_order_and_size(self):
         grid = ExperimentGrid(
             mhk=[(2, 4, 1), (2, 5, 1)], patterns=["uniform", "hotspot"],
-            loads=[10, 20], fault_sets=[(), ((0, 1),)], seeds=[0, 1, 2],
+            loads=[10, 20], fault_models=_fixed_models([], [[0, 1]]),
+            seeds=[0, 1, 2],
         )
         cells = grid.expand()
         assert len(cells) == len(grid) == 2 * 2 * 2 * 2 * 3
@@ -277,7 +266,7 @@ class TestExperimentGrid:
     def test_stream_grid_sweeps_rates(self):
         grid = ExperimentGrid(
             mhk=[(2, 4, 1)], loop="stream", rates=[1.0, 4.0],
-            fault_sets=[(), ((0, 3),)], cycles=200, warmup=20,
+            fault_models=_fixed_models([], [[0, 3]]), cycles=200, warmup=20,
         )
         cells = grid.expand()
         # rates are the third axis: fault sets and seeds vary faster
@@ -327,7 +316,7 @@ class TestLegacyEquivalence:
         spec.run()."""
         grid = ExperimentGrid(
             mhk=[(2, 4, 1), (2, 5, 1)], loop="stream",
-            rates=[1.0, 16.0], fault_sets=[(), ((0, 5),)],
+            rates=[1.0, 16.0], fault_models=_fixed_models([], [[0, 5]]),
             cycles=150, warmup=30,
         )
         pooled = run_grid(grid, workers=2)
@@ -343,7 +332,7 @@ class TestLegacyEquivalence:
         assert any(r["delivery_ratio"] < 0.9 for r in rows)
         assert any(r["delivery_ratio"] > 0.9 for r in rows)
 
-    def test_per_batch_sharding_still_exact(self):
+    def test_pooled_batches_match_sequential_drain(self):
         from dataclasses import replace
 
         from repro.simulator import (
@@ -352,27 +341,23 @@ class TestLegacyEquivalence:
             WorkerPool,
         )
 
-        spec = ExperimentSpec(m=2, h=5, k=1, packets=600, batches=4,
-                             shards=4, seed=2)
-        sharded = run_grid([spec], workers=2).results[0].run_stats
-        single = run_grid([replace(spec, shards=1)],
-                          workers=0).results[0].run_stats
-        assert sharded == single
-
-        # a fixed fault at cycle 0: the four shards on a warm pool merge
-        # to what one controller reports after draining
-        # every batch in sequence, inline
+        spec = ExperimentSpec(m=2, h=5, k=1, packets=600, batches=4, seed=2)
+        # a fixed fault at cycle 0: two four-batch cells on a warm
+        # two-worker pool report what one controller reports after
+        # draining every batch in sequence, inline
         faulted = replace(spec, fault_model={"name": "fixed",
                                              "faults": [[0, 7]]})
         with WorkerPool(workers=2) as pool:
-            pooled = run_grid([faulted], pool=pool).results[0]
+            pooled = run_grid([spec, faulted], pool=pool).results
             assert pool.spawned == 2
+        single = run_grid([spec, faulted], workers=0).results
+        assert [r.run_stats for r in pooled] == [r.run_stats for r in single]
         ctrl = ReconfigurationController(2, 5, 1)
         ctrl.schedule(FaultScenario([(0, 7)]))
         inline = ctrl.run_workload(faulted.injection_batches())
         assert ctrl.fault_log == [(0, 7)]
-        assert pooled.run_stats == inline
-        assert pooled.lost_to_faults == ctrl.lost_to_faults
+        assert pooled[1].run_stats == inline
+        assert pooled[1].lost_to_faults == ctrl.lost_to_faults
 
     def test_mixed_loop_grid_runs(self):
         closed = ExperimentSpec(m=2, h=4, packets=100)
@@ -396,8 +381,10 @@ class TestRunCli:
         return str(path)
 
     def test_closed_spec(self, capsys, tmp_path):
-        spec = self._write(tmp_path, {"m": 2, "h": 4, "packets": 120,
-                                      "faults": [[0, 3]]})
+        spec = self._write(tmp_path, {
+            "m": 2, "h": 4, "packets": 120,
+            "fault_model": {"name": "fixed", "faults": [[0, 3]]},
+        })
         out = tmp_path / "out.json"
         assert main(["run", spec, "--workers", "0", "--json", str(out)]) == 0
         text = capsys.readouterr().out
@@ -405,7 +392,7 @@ class TestRunCli:
         payload = json.loads(out.read_text())
         assert payload["kind"] == "experiment"
         assert payload["aggregate"]["injected"] == 120
-        assert payload["rows"][0]["scenario"].endswith("1flt")
+        assert payload["rows"][0]["scenario"].endswith("fixed-faults")
 
     def test_stream_spec_with_rates_ladder(self, capsys, tmp_path):
         spec = self._write(tmp_path, {"experiment": {
@@ -423,7 +410,8 @@ class TestRunCli:
     def test_grid_surface(self, capsys, tmp_path):
         spec = self._write(tmp_path, {"grid": {
             "mhk": [[2, 4, 1]], "loop": "stream", "rates": [1.0, 16.0],
-            "fault_sets": [[], [[0, 5]]], "cycles": 150, "warmup": 30,
+            "fault_models": _fixed_models([], [[0, 5]]), "cycles": 150,
+            "warmup": 30,
         }})
         out = tmp_path / "surface.json"
         assert main(["run", spec, "--workers", "0", "--check-single",
@@ -447,17 +435,31 @@ class TestRunCli:
         assert "patern" in capsys.readouterr().err
 
     def test_bad_backend_name_fails_fast(self, capsys, tmp_path):
-        spec = self._write(tmp_path, {"m": 2, "h": 4, "engine": "warp"})
+        spec = self._write(tmp_path, {"m": 2, "h": 4, "controller": "warp"})
         assert main(["run", spec]) == 1
         err = capsys.readouterr().err
-        assert "warp" in err and "batch" in err
-        # the removed engines are just other unknown names: one error line
-        for name in ("sharded", "object"):
-            spec = self._write(tmp_path, {"m": 2, "h": 4, "engine": name})
-            assert main(["run", spec]) == 1
-            assert capsys.readouterr().err == (
-                f"error: unknown engine '{name}'; valid choices: batch\n"
-            )
+        assert "warp" in err and "reconfig" in err
+
+    @pytest.mark.parametrize("wrapper,key,value,hint", [
+        ("experiment", "engine", "batch", "batch engine"),
+        ("experiment", "faults", [[0, 3]], "fault_model="),
+        ("experiment", "shards", 1, "replica blocks"),
+        ("grid", "engine", "batch", "batch engine"),
+        ("grid", "fault_sets", [[], [[0, 3]]], "fault_models="),
+        ("grid", "shards", 1, "replica blocks"),
+    ])
+    def test_removed_key_refused(self, capsys, tmp_path, wrapper, key,
+                                 value, hint):
+        """A spec file naming a removed key fails with one ``error:``
+        line naming the key and its replacement, even at the value
+        the old default had."""
+        fields = {"m": 2, "h": 4} if wrapper == "experiment" else {
+            "mhk": [[2, 4, 1]]}
+        spec = self._write(tmp_path, {wrapper: {**fields, key: value}})
+        assert main(["run", spec]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"key {key!r} was removed" in err and hint in err
 
     def test_wrapper_form_rejects_sibling_keys(self, capsys, tmp_path):
         """Fields misplaced next to the {"grid"/"experiment": ...}

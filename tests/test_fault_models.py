@@ -1,8 +1,7 @@
 """The declarative fault-universe API: FAULT_MODELS registry semantics,
-fixed-model/legacy-tuple bit-equivalence on both engines, seeded replica
-determinism, repair (enable_node) paths, and the spec/grid plumbing."""
-
-import warnings
+fixed-model bit-equivalence on both engines, seeded replica
+determinism, repair (enable_node) paths, and the spec/grid plumbing
+(including the refusal of removed keys)."""
 
 import numpy as np
 import pytest
@@ -91,13 +90,6 @@ class TestParamValidation:
         with pytest.raises(ParameterError, match="0 < p <= 1"):
             ExperimentSpec(m=2, h=4, k=1, fault_model={"name": "iid", "p": 2})
 
-    def test_both_fault_fields_rejected(self):
-        with pytest.raises(ParameterError, match="not both"):
-            ExperimentSpec(
-                m=2, h=4, k=1, faults=((0, 1),),
-                fault_model={"name": "fixed", "faults": []},
-            )
-
 
 # hypothesis strategy: up to 3 distinct faulty nodes of B_{2,4}'s 16,
 # each failing at a small cycle
@@ -108,24 +100,20 @@ _fault_sets = st.lists(
 
 
 class TestFixedModelEquivalence:
-    """The `fixed` model is the legacy tuples, bit for bit, on the batch
-    engine and the witness engine — the back-compat contract of the
-    redesign."""
+    """A `fixed` schedule runs bit for bit alike on the batch engine and
+    the witness engine."""
 
     @settings(max_examples=20, deadline=None)
     @given(faults=_fault_sets)
     def test_spec_runs_bit_identical(self, faults):
-        base = dict(m=2, h=4, k=3, packets=120, batches=2, seed=1)
-        model = {"name": "fixed", "faults": [list(p) for p in faults]}
-        legacy = ExperimentSpec(faults=faults, **base)
-        declared = ExperimentSpec(fault_model=model, **base)
-        rl, rd = legacy.run(), declared.run()
-        assert rl.stats == rd.stats
-        assert rl.lost_to_faults == rd.lost_to_faults
-        for spec in (legacy, declared):
-            ctrl, stats = witness_run(spec)
-            assert stats == rl.stats
-            assert ctrl.lost_to_faults == rl.lost_to_faults
+        spec = ExperimentSpec(
+            m=2, h=4, k=3, packets=120, batches=2, seed=1,
+            fault_model={"name": "fixed", "faults": [list(p) for p in faults]},
+        )
+        res = spec.run()
+        ctrl, stats = witness_run(spec)
+        assert stats == res.stats
+        assert ctrl.lost_to_faults == res.lost_to_faults
 
     def test_fixed_ignores_rng(self):
         model = {"name": "fixed", "faults": [[0, 1], [5, 2]]}
@@ -139,7 +127,7 @@ class TestFixedModelEquivalence:
 class TestReplicaDeterminism:
     SPEC = ExperimentSpec(
         m=2, h=5, k=1, controller="detour", route_mode="table",
-        engine="batch", packets=300, replicas=6, seed=11,
+        packets=300, replicas=6, seed=11,
         fault_model={"name": "iid", "p": 0.9},
     )
 
@@ -329,24 +317,29 @@ class TestSerialization:
         )
         assert ExperimentSpec.from_json(spec.to_json()) == spec
 
-    def test_legacy_faults_key_warns_in_from_dict(self):
-        with pytest.warns(DeprecationWarning, match="fault_model"):
-            ExperimentSpec.from_dict(dict(m=2, h=4, k=2, faults=[[0, 1]]))
-
-    def test_clean_specs_do_not_warn(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            ExperimentSpec.from_dict(
-                dict(m=2, h=4, k=1, fault_model={"name": "iid", "p": 0.9})
-            )
-            ExperimentSpec.from_dict(dict(m=2, h=4, k=1, faults=[]))
-
-    def test_constructor_does_not_warn(self):
-        # only the serialized form is deprecated; in-process legacy
-        # tuples stay silent (the shims construct specs with them)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            ExperimentSpec(m=2, h=4, k=2, faults=((0, 1),))
+    @pytest.mark.parametrize("cls,fields,key,value,replacement", [
+        (ExperimentSpec, {"m": 2, "h": 4}, "engine", "batch", "batch engine"),
+        (ExperimentSpec, {"m": 2, "h": 4}, "faults", [[0, 1]],
+         'fault_model={"name": "fixed"'),
+        (ExperimentSpec, {"m": 2, "h": 4}, "faults", [],
+         'fault_model={"name": "fixed"'),
+        (ExperimentSpec, {"m": 2, "h": 4}, "shards", 1, "replica blocks"),
+        (ExperimentGrid, {"mhk": [[2, 4, 1]]}, "engine", "batch",
+         "batch engine"),
+        (ExperimentGrid, {"mhk": [[2, 4, 1]]}, "fault_sets", [[[0, 1]]],
+         'fault_models=[{"name": "fixed"'),
+        (ExperimentGrid, {"mhk": [[2, 4, 1]]}, "shards", 1, "replica blocks"),
+    ])
+    def test_removed_key_refused_naming_replacement(
+        self, cls, fields, key, value, replacement
+    ):
+        """``from_dict`` refuses each removed key, at any value, with a
+        message naming the key and what replaces it."""
+        with pytest.raises(ParameterError) as info:
+            cls.from_dict({**fields, key: value})
+        message = str(info.value)
+        assert message.startswith(f"{cls.__name__} key {key!r} was removed: ")
+        assert replacement in message
 
 
 class TestGridAxis:
@@ -360,13 +353,10 @@ class TestGridAxis:
         assert len(grid) == len(cells) == 2
         assert [c.fault_model["p"] for c in cells] == [0.95, 0.9]
         assert all(c.replicas == 4 for c in cells)
+        # without the axis every cell is fault-free
+        bare = ExperimentGrid(mhk=[(2, 4, 1)], seeds=[0, 1]).expand()
+        assert [c.fault_model for c in bare] == [None, None]
 
-    def test_axes_mutually_exclusive(self):
-        with pytest.raises(ParameterError, match="same axis"):
-            ExperimentGrid(
-                mhk=[(2, 4, 1)], fault_sets=[((0, 1),)],
-                fault_models=({"name": "iid", "p": 0.9},),
-            )
 
     def test_grid_round_trips(self):
         grid = ExperimentGrid(

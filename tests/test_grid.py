@@ -4,8 +4,8 @@ The load-bearing property: merged ``ShardStats`` from N shards is
 *bit-identical* to a single-process ``BatchEngine`` run draining the
 concatenated workload batch by batch — across traffic patterns, fault
 scenarios, link capacities and arbitrary shard splits (hypothesis
-explores the split space).  Everything else (grid expansion, per-batch
-shards through ``run_grid``) builds on that.
+explores the split space).  Everything else (grid expansion, replica
+blocks through ``run_grid``) builds on that.
 """
 
 from __future__ import annotations
@@ -237,7 +237,8 @@ class TestRunGrid:
             mhk=[(2, 4, 1), (2, 5, 1)],
             patterns=["uniform"],
             loads=[150],
-            fault_sets=[(), ((0, 4),)],
+            fault_models=[{"name": "fixed", "faults": []},
+                          {"name": "fixed", "faults": [[0, 4]]}],
             seeds=[0, 1],
         )
         inline = run_grid(grid, workers=0)
@@ -247,18 +248,22 @@ class TestRunGrid:
             assert a.run_stats == b.run_stats
             assert a.spec == b.spec
 
-    def test_per_batch_shards_match_single_process(self):
-        sc = ExperimentSpec(m=2, h=5, k=1, pattern="uniform", packets=600,
-                            batches=4, shards=4, seed=2)
-        sharded = run_grid([sc], workers=2).results[0].run_stats
-        ctrl = ReconfigurationController(2, 5, 1)
-        pairs = make_pattern(32, "uniform", 600, np.random.default_rng(2))
-        single = ctrl.run_workload(np.array_split(pairs, 4))
-        assert sharded == single
+    def test_multi_batch_cells_match_single_process(self):
+        """Four-batch cells on two workers each report what one
+        controller draining the batches in sequence reports."""
+        cells = [ExperimentSpec(m=2, h=5, k=1, pattern="uniform", packets=600,
+                                batches=4, seed=seed) for seed in (2, 3)]
+        pooled = run_grid(cells, workers=2)
+        assert pooled.workers == 2
+        for seed, res in zip((2, 3), pooled.results):
+            ctrl = ReconfigurationController(2, 5, 1)
+            pairs = make_pattern(32, "uniform", 600, np.random.default_rng(seed))
+            assert res.run_stats == ctrl.run_workload(np.array_split(pairs, 4))
 
     def test_detour_scenarios(self):
         grid = ExperimentGrid(
-            mhk=[(2, 4, 1)], loads=[100], fault_sets=[((0, 3),)],
+            mhk=[(2, 4, 1)], loads=[100],
+            fault_models=[{"name": "fixed", "faults": [[0, 3]]}],
             controller="detour", seeds=[0],
         )
         res = run_grid(grid, workers=0)
@@ -267,10 +272,13 @@ class TestRunGrid:
         assert st_.injected + res.results[0].unreachable_pairs == 100
 
     def test_mid_run_faults_run_on_honest_timeline(self):
-        """Grid cells run engine='batch' inside the worker, so mid-run
-        faults keep exact timing — equal to a direct controller run."""
+        """Grid cells run on the batch engine inside the worker, so
+        mid-run faults keep exact timing — equal to a direct controller
+        run."""
         sc = ExperimentSpec(m=2, h=4, k=2, pattern="uniform", packets=300,
-                            faults=((2, 5), (6, 11)), seed=9)
+                            fault_model={"name": "fixed",
+                                         "faults": [[2, 5], [6, 11]]},
+                            seed=9)
         via_grid = run_grid([sc], workers=2).results[0].run_stats
         ctrl = ReconfigurationController(2, 4, 2)
         ctrl.schedule(FaultScenario([(2, 5), (6, 11)]))
@@ -300,21 +308,23 @@ class TestRunGrid:
 
 
 class TestShardedEngine:
-    """``engine="sharded"`` is gone: a spec or grid naming it is refused
-    like any other unknown engine, before any worker is touched."""
+    """The ``engine`` field is gone with the ``sharded`` and ``object``
+    engines: a spec or grid naming any engine is refused before any
+    worker is touched."""
 
     def test_unknown_engine_rejected(self):
-        # spec validation raises a ValueError subclass naming the choice
-        for name in ("warp", "sharded", "object"):
-            for build in (
-                lambda: ExperimentSpec(m=2, h=4, k=1, engine=name),
-                lambda: ExperimentGrid(mhk=((2, 4, 1),), engine=name).expand(),
-            ):
+        # from_dict raises a ValueError subclass naming the removed key;
+        # the constructors have no such keyword at all
+        for name in ("warp", "sharded", "object", "batch"):
+            for cls, fields in ((ExperimentSpec, {"m": 2, "h": 4, "k": 1}),
+                                (ExperimentGrid, {"mhk": [[2, 4, 1]]})):
                 with pytest.raises(ParameterError) as exc:
-                    build()
-                assert str(exc.value) == (
-                    f"unknown engine {name!r}; valid choices: batch"
+                    cls.from_dict({**fields, "engine": name})
+                assert str(exc.value).startswith(
+                    f"{cls.__name__} key 'engine' was removed: "
                 )
+                with pytest.raises(TypeError, match="engine"):
+                    cls(**fields, engine=name)
 
 
 # ---------------------------------------------------------------------------
@@ -465,6 +475,7 @@ class TestReplicaBlocks:
         plain = ExperimentSpec(m=2, h=5, k=12, packets=64)
         tasks, owners = _expand_tasks([plain, spec], 4)
         assert owners == [0, 1, 1, 1]
+        assert tasks[0].block == (plain,)  # a plain cell is a block of one
         assert [len(t.block) for t in tasks[1:]] == [5, 5, 6]
         pooled = run_grid([spec], workers=2)
         assert pooled.workers == 2

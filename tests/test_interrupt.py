@@ -138,11 +138,12 @@ class TestCliInterrupt:
         try:
             banner = p.stdout.readline()
             port = int(re.search(r":(\d+)", banner).group(1))
-            # a service cell runs alone, so it must shard to occupy the
-            # pool's worker processes (single-task maps run inline)
-            sharded = {"m": 2, "h": 7, "k": 1, "packets": 20000,
-                       "shards": 8, "batches": 8}
-            body = json.dumps(sharded).encode()
+            # a service cell runs alone, so it must fan out to occupy
+            # the pool's worker processes (single-task maps run inline):
+            # eight multi-batch replicas are eight block tasks
+            replicated = {"m": 2, "h": 7, "k": 1, "packets": 2500,
+                          "batches": 2, "replicas": 8}
+            body = json.dumps(replicated).encode()
             req = urllib.request.Request(
                 f"http://127.0.0.1:{port}/experiments", data=body)
             with urllib.request.urlopen(req, timeout=10) as resp:

@@ -97,19 +97,22 @@ class TestWilsonInterval:
 
 class TestHistPercentile:
     def test_matches_numpy_on_random_histograms(self):
+        """Equal to the last bit: a one-sided lerp misses numpy's
+        result on a few of these histograms (850.2 against
+        850.1999999999999)."""
         rng = np.random.default_rng(7)
-        for _ in range(50):
-            sample = rng.integers(0, 40, size=int(rng.integers(1, 200)))
+        for _ in range(1000):
+            sample = rng.integers(0, 2000, size=int(rng.integers(1, 300)))
             values, counts = np.unique(sample, return_counts=True)
-            for q in (0, 12.5, 50, 95, 99, 100):
-                assert hist_percentile(values, counts, q) == pytest.approx(
-                    float(np.percentile(sample, q)), abs=1e-12
+            for q in (0, 12.5, 37.5, 50, 75, 90, 95, 99, 100):
+                assert hist_percentile(values, counts, q) == float(
+                    np.percentile(sample, q)
                 )
 
     def test_unsorted_input_and_zero_counts(self):
         # unsorted values with interleaved zero-count bins reduce the same
-        assert hist_percentile([9, 2, 5], [1, 0, 3], 50) == pytest.approx(
-            float(np.percentile([5, 5, 5, 9], 50))
+        assert hist_percentile([9, 2, 5], [1, 0, 3], 50) == float(
+            np.percentile([5, 5, 5, 9], 50)
         )
 
     def test_empty_histogram(self):
@@ -167,14 +170,16 @@ def _tiny_report(*, quick: bool = False) -> ReportPlan:
     grid = ExperimentGrid(
         mhk=((2, 4, 2),),
         loads=(60,),
-        fault_sets=((), ((0, 3),)),
+        fault_models=({"name": "fixed", "faults": []},
+                      {"name": "fixed", "faults": [[0, 3]]}),
         seeds=(0, 1),
         controller="reconfig",
-        engine="batch",
     )
     cells = [
         ReportCell.make(
-            "tiny", {"f": len(spec.faults), "seed": spec.seed}, spec
+            "tiny",
+            {"f": len(spec.fault_model["faults"]), "seed": spec.seed},
+            spec,
         )
         for spec in grid.expand()
     ]

@@ -29,7 +29,7 @@ import pytest
 from repro.experiments import parse_run_payload
 from repro.service import TERMINAL, ExperimentService, JobQueue
 from repro.service.server import MAX_BODY_BYTES
-from repro.simulator.grid import ShardStats, _SpecTask, run_grid
+from repro.simulator.grid import ShardStats, _BlockTask, run_grid
 
 GRID = {
     "grid": {
@@ -90,21 +90,31 @@ class TestValidation:
         )
         assert code == 400
         assert "carrier-pigeon" in error and "uniform" in error
-        for name in ("sharded", "object"):
-            code, error = _request_error(
-                service.port, "/experiments",
-                json.dumps({"m": 2, "h": 4, "engine": name}).encode(),
-            )
-            assert code == 400
-            assert f"unknown engine '{name}'; valid choices: batch" in error
         # the door did its job before any worker was touched
+        assert service.pool.spawned == 0
+
+    @pytest.mark.parametrize("body,key,replacement", [
+        ({"m": 2, "h": 4, "engine": "batch"}, "engine", "batch engine"),
+        ({"m": 2, "h": 4, "faults": [[0, 3]]}, "faults", "fault_model="),
+        ({"m": 2, "h": 4, "shards": 1}, "shards", "replica blocks"),
+        ({"grid": {"mhk": [[2, 4, 1]], "fault_sets": [[]]}}, "fault_sets",
+         "fault_models="),
+    ], ids=["engine", "faults", "shards", "fault_sets"])
+    def test_removed_key_rejected(self, service, body, key, replacement):
+        """A removed key is a 400 naming the key and its replacement,
+        before any worker is touched."""
+        code, error = _request_error(
+            service.port, "/experiments", json.dumps(body).encode()
+        )
+        assert code == 400
+        assert f"key {key!r} was removed" in error and replacement in error
         assert service.pool.spawned == 0
 
     @pytest.mark.parametrize("body", [
         {"m": "two", "h": 4},
         {"grid": {"mhk": ["nope"]}},
-        {"m": 2, "h": 4, "faults": [[0]]},
-    ], ids=["non-int-m", "short-mhk", "short-fault-pair"])
+        {"grid": {"mhk": [[2, 4, 1]], "loads": ["many"]}},
+    ], ids=["non-int-m", "short-mhk", "non-int-load"])
     def test_malformed_values_rejected(self, service, body):
         """A value field coercion cannot take is a 400 naming the
         route, not a dropped connection."""
@@ -225,8 +235,9 @@ class TestRetry:
         """Acceptance: kill the pool's workers while a job's cell is in
         flight; the job still completes — with a retry count > 0 — and
         its stats are identical to an undisturbed run."""
-        spec = {"m": 2, "h": 6, "k": 1, "packets": 4000, "shards": 8,
-                "batches": 8}
+        # eight four-batch replicas: one block task each, over both workers
+        spec = {"m": 2, "h": 6, "k": 1, "packets": 4000, "batches": 4,
+                "replicas": 8}
         # the first task any pool worker starts marks itself in flight
         # and hangs until killed, so the kill provably lands mid-chunk
         # however fast the job is; every later task (the retried attempt
@@ -234,7 +245,7 @@ class TestRetry:
         # they inherit the patch.
         marker = tmp_path / "in-flight"
         parent = os.getpid()
-        real_run = _SpecTask.run
+        real_run = _BlockTask.run
 
         def run_or_hang(task):
             if os.getpid() != parent:
@@ -246,7 +257,7 @@ class TestRetry:
                     time.sleep(600)
             return real_run(task)
 
-        monkeypatch.setattr(_SpecTask, "run", run_or_hang)
+        monkeypatch.setattr(_BlockTask, "run", run_or_hang)
         with ExperimentService(workers=2, max_retries=3) as svc:
             status, body = _request(svc.port, "/experiments", spec)
             job_id = body["job"]["id"]

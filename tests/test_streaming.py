@@ -369,10 +369,12 @@ class TestWindowAccounting:
 
 class TestValidation:
     def test_sharded_engine_rejected(self):
-        """The removed multi-process engine cannot reach run_stream: the
-        spec refuses the name at construction."""
-        with pytest.raises(ParameterError, match="unknown engine 'sharded'"):
-            ExperimentSpec(m=2, h=5, k=1, loop="stream", engine="sharded")
+        """The removed multi-process engine cannot reach run_stream: a
+        stream spec naming any engine is refused at the door."""
+        with pytest.raises(ParameterError, match="key 'engine' was removed"):
+            ExperimentSpec.from_dict(
+                {"m": 2, "h": 5, "k": 1, "loop": "stream", "engine": "sharded"}
+            )
 
     def test_source_size_mismatch(self):
         ctrl = ReconfigurationController(2, 5, 1)
@@ -386,19 +388,18 @@ class TestValidation:
 
     def test_scenario_validates(self):
         with pytest.raises(ParameterError):
-            ExperimentSpec(m=2, h=4, k=1, loop="stream",
-                           faults=((0, 1), (0, 2)))
+            ExperimentSpec(m=2, h=4, k=1, loop="stream", fault_model={
+                "name": "fixed", "faults": [[0, 1], [0, 2]]})
         with pytest.raises(ParameterError):
             ExperimentSpec(m=2, h=4, loop="stream", source="nope")
-        with pytest.raises(ParameterError):
-            ExperimentSpec(m=2, h=4, loop="stream", engine="sharded")
 
 
 class TestSaturation:
     """Saturation-curve smoke test on a tiny machine with one fault."""
 
     BASE = ExperimentSpec(m=2, h=4, k=1, loop="stream", cycles=400,
-                          warmup=80, faults=((0, 5),), seed=0)
+                          warmup=80, seed=0,
+                          fault_model={"name": "fixed", "faults": [[0, 5]]})
 
     def _ladder(self, rates, workers):
         specs = [self.BASE.with_rate(r) for r in rates]

@@ -84,6 +84,13 @@ QUICK_SUITE = [
 ]
 
 
+def _fixed_models(faults) -> list[dict]:
+    """The fault axis of the sweep and pool rows: the fault-free machine
+    and the row's fixed ``(cycle, node)`` set."""
+    return [{"name": "fixed", "faults": []},
+            {"name": "fixed", "faults": [list(f) for f in faults]}]
+
+
 def run_sweep_row(pattern, m, h, k, packets, faults, seed=0, workers=None):
     """Race the multi-process ``run_grid`` sweep against a single-process
     run of the same scenario grid; the merged aggregates must be
@@ -94,7 +101,7 @@ def run_sweep_row(pattern, m, h, k, packets, faults, seed=0, workers=None):
         mhk=[(m, h, k), (m, h - 1, k)],
         patterns=[pattern, "hotspot"],
         loads=[packets],
-        fault_sets=[(), tuple(tuple(f) for f in faults)],
+        fault_models=_fixed_models(faults),
         seeds=[seed],
     )
     sharded = run_grid(grid, workers=workers)
@@ -132,7 +139,7 @@ def run_pool_row(pattern, m, h, k, packets, faults, seed=0, workers=None,
         mhk=[(m, h, k)],
         patterns=[pattern],
         loads=[packets],
-        fault_sets=[(), tuple(tuple(f) for f in faults)],
+        fault_models=_fixed_models(faults),
         seeds=[seed, seed + 1],
     )
 
@@ -180,7 +187,7 @@ def run_montecarlo_row(pattern, m, h, k, packets, faults, seed=0,
     fault_model = {"name": "iid", "p": 0.9}
     spec = ExperimentSpec(
         m=m, h=h, k=k, pattern=pattern, packets=packets, seed=seed,
-        controller="detour", engine="batch",
+        controller="detour",
         fault_model=fault_model, replicas=replicas,
     )
 
