@@ -122,8 +122,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
             raise ParameterError(f"report {name!r} is named twice")
 
     _install_signal_handlers()
-    with WorkerPool(workers=args.workers,
-                    chunk_size=args.chunk_size) as report_pool:
+    with WorkerPool(workers=args.workers) as report_pool:
         for name in args.names:
             run = build_report(name, quick=args.quick, pool=report_pool)
             print(f"{run.plan.title}")
@@ -245,8 +244,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         # open-loop saturation ladder: sweep the rates in parallel, then
         # bracket + bisect the saturation point; one warm pool serves
         # the whole ladder
-        with WorkerPool(workers=args.workers,
-                        chunk_size=args.chunk_size) as run_pool:
+        with WorkerPool(workers=args.workers) as run_pool:
             res = find_saturation(
                 target, rates, bisect=args.bisect, threshold=args.threshold,
                 pool=run_pool,
@@ -306,8 +304,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     specs = [target] if kind == "experiment" else target
     if kind == "grid":
         print(f"experiment grid: {len(target)} cells (loop={target.loop})")
-    with WorkerPool(workers=args.workers,
-                    chunk_size=args.chunk_size) as run_pool:
+    with WorkerPool(workers=args.workers) as run_pool:
         result = run_grid(specs, pool=run_pool)
     rows = result.rows()
     closed = [r for r in result.results if isinstance(r.stats, ShardStats)]
@@ -369,7 +366,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     _install_signal_handlers()
     return serve(host=args.host, port=args.port, workers=args.workers,
-                 chunk_size=args.chunk_size, max_retries=args.max_retries)
+                 max_retries=args.max_retries)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -423,8 +420,6 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--workers", type=int, default=None,
                    help="worker processes (default: one per CPU core; "
                    "0 = run inline)")
-    r.add_argument("--chunk-size", type=int, default=None,
-                   help="tasks per work-stealing chunk (default: auto)")
     r.add_argument("--list", action="store_true",
                    help="list registered report names, then exit")
     r.set_defaults(func=_cmd_report)
@@ -478,8 +473,6 @@ def build_parser() -> argparse.ArgumentParser:
     rn.add_argument("--workers", type=int, default=None,
                     help="worker processes (default: one per CPU core; "
                     "0 = run inline)")
-    rn.add_argument("--chunk-size", type=int, default=None,
-                    help="tasks per work-stealing chunk (default: auto)")
     rn.add_argument("--check-single", action="store_true",
                     help="also run single-process and verify every "
                     "cell's stats (with --rates: every ladder and "
@@ -512,8 +505,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="bind port (default: 8642; 0 = ephemeral)")
     sv.add_argument("--workers", type=int, default=None,
                     help="worker processes (default: one per CPU core)")
-    sv.add_argument("--chunk-size", type=int, default=None,
-                    help="tasks per work-stealing chunk (default: auto)")
     sv.add_argument("--max-retries", type=int, default=2,
                     help="retries for a cell whose worker process dies "
                     "(default: 2)")

@@ -116,22 +116,18 @@ _REMOVED_KEYS = {
 _BLOCK_BUDGET = 1 << 18
 
 
-def _spare_demand(faults, repairs) -> int:
-    """Walk a fixed schedule in firing order (repairs before faults
-    within a cycle, matching :meth:`FaultScenario.schedule_into`) and
-    return the peak number of *concurrently* faulty nodes — the spare
-    budget a ``reconfig`` run needs; repairs return spares to the pool.
-    A repair of a node that is not faulty at its cycle, or a fault of a
-    node that already is, raises :class:`ParameterError`: neither
-    controller can run that schedule."""
-    events = sorted(
-        [(int(c), 0, int(v)) for c, v in repairs]
-        + [(int(c), 1, int(v)) for c, v in faults]
-    )
+def _spare_demand(scenario: FaultScenario) -> int:
+    """Walk a schedule in the controllers' firing order
+    (:meth:`FaultScenario.events`: repairs before faults within a cycle)
+    and return the peak number of *concurrently* faulty nodes — the
+    spare budget a ``reconfig`` run needs; repairs return spares to the
+    pool.  A repair of a node that is not faulty at its cycle, or a
+    fault of a node that already is, raises :class:`ParameterError`:
+    neither controller can run that schedule."""
     live: set[int] = set()
     peak = 0
-    for cycle, kind, v in events:
-        if kind == 0:
+    for cycle, is_fault, v in scenario.events():
+        if not is_fault:
             if v not in live:
                 raise ParameterError(
                     f"scenario repairs node {v} at cycle {cycle}, but it "
@@ -291,7 +287,7 @@ class ExperimentSpec:
                 "the grid seeds axis instead)"
             )
         known = self._fixed_faults()
-        demand = 0 if known is None else _spare_demand(*known)
+        demand = 0 if known is None else _spare_demand(known)
         if self.controller == "reconfig" and demand > self.k:
             # fail at spec time with a readable message instead of a
             # FaultSetError traceback out of a worker process mid-sweep
@@ -370,16 +366,16 @@ class ExperimentSpec:
 
     # -- fault universes -----------------------------------------------------
 
-    def _fixed_faults(self):
-        """``(fault_pairs, repair_pairs)`` when the schedule is statically
-        known (fault-free or the ``fixed`` model), else ``None`` —
-        probabilistic universes are only knowable per realized replica."""
+    def _fixed_faults(self) -> FaultScenario | None:
+        """The schedule when it is statically known (fault-free or the
+        ``fixed`` model), else ``None`` — probabilistic universes are only
+        knowable per realized replica."""
         model = self.fault_model
         if model is None:
-            return [], []
+            return FaultScenario()
         if model["name"] != "fixed":
             return None
-        return (
+        return FaultScenario(
             [(int(c), int(v)) for c, v in model["faults"]],
             [(int(c), int(v)) for c, v in model.get("repairs", [])],
         )
@@ -431,10 +427,7 @@ class ExperimentSpec:
         budget raises :class:`ParameterError` before anything runs.
         """
         realized = [self.realize_replica(i) for i in range(self.replicas)]
-        at_zero = all(
-            c == 0
-            for rep in realized for pairs in rep._fixed_faults() for c, _ in pairs
-        )
+        at_zero = all(c == 0 for rep in realized for c, _, _ in rep._fixed_faults().events())
         if self.batches > 1 or not at_zero:
             return [(rep,) for rep in realized]
         machine = (ft_debruijn(self.m, self.h, self.k)
@@ -470,13 +463,11 @@ class ExperimentSpec:
     def build_controller(self):
         """Fresh controller (via the :data:`CONTROLLERS` registry) with
         this spec's realized fault schedule (replica 0 for probabilistic
-        universes) on its event clock."""
+        universes) on its fault clock."""
         ctrl = CONTROLLERS.get(self.controller)(
             self.m, self.h, self.k, link_capacity=self.link_capacity,
         )
-        scenario = self.realize_faults()
-        if scenario.node_faults or scenario.node_repairs:
-            ctrl.schedule(scenario)
+        ctrl.schedule(self.realize_faults())
         return ctrl
 
     # -- execution ----------------------------------------------------------

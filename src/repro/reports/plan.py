@@ -153,22 +153,19 @@ def build_report(
     quick: bool = False,
     pool=None,
     workers: int | None = None,
-    chunk_size: int | None = None,
 ) -> ReportRun:
     """Build a registered report end-to-end: resolve the plan, sweep
     every cell across one warm pool, aggregate into tables.
 
     ``pool`` borrows a caller-owned
-    :class:`~repro.simulator.pool.WorkerPool`; otherwise ``workers``/
-    ``chunk_size`` size a sweep-local one (``workers=0`` runs inline —
-    the reference path the determinism tests pin against).
+    :class:`~repro.simulator.pool.WorkerPool`; otherwise ``workers``
+    sizes a sweep-local one (``workers=0`` runs inline — the reference
+    path the determinism tests pin against).
     """
     builder = REPORTS.get(name)
     plan = builder(quick=quick)
     specs = [cell.spec for cell in plan.cells]
-    grid_result = run_grid(
-        specs, pool=pool, workers=workers, chunk_size=chunk_size
-    )
+    grid_result = run_grid(specs, pool=pool, workers=workers)
     results: dict[str, ExperimentResult] = {
         cell.cell_id: res
         for cell, res in zip(plan.cells, grid_result.results)

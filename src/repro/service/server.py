@@ -127,12 +127,12 @@ class ExperimentService:
     """
 
     def __init__(self, *, host: str = "127.0.0.1", port: int = 0,
-                 workers: int | None = None, chunk_size: int | None = None,
-                 max_retries: int = 2, backoff_base: float = 0.25):
+                 workers: int | None = None, max_retries: int = 2,
+                 backoff_base: float = 0.25):
         from repro.simulator.pool import WorkerPool
 
         self.queue = JobQueue()
-        self.pool = WorkerPool(workers=workers, chunk_size=chunk_size)
+        self.pool = WorkerPool(workers=workers)
         self.runner = JobRunner(self.queue, self.pool,
                                 max_retries=max_retries,
                                 backoff_base=backoff_base)
@@ -332,13 +332,11 @@ class _Handler(BaseHTTPRequestHandler):
 
 
 def serve(*, host: str = "127.0.0.1", port: int = 8642,
-          workers: int | None = None, chunk_size: int | None = None,
-          max_retries: int = 2) -> int:
+          workers: int | None = None, max_retries: int = 2) -> int:
     """Run the service until interrupted (the ``repro serve`` body)."""
     import sys
 
     with ExperimentService(host=host, port=port, workers=workers,
-                           chunk_size=chunk_size,
                            max_retries=max_retries) as svc:
         print(f"repro serve: listening on http://{host}:{svc.port} "
               f"(pool target {svc.pool.target_workers} workers)")

@@ -26,7 +26,6 @@ Two ways to load the machine:
   throughput, backlog growth, and the saturation point.
 """
 
-from repro.simulator.events import Event, EventQueue
 from repro.simulator.packets import Packet
 from repro.simulator.metrics import (
     PacketArrays,
@@ -97,8 +96,6 @@ __all__ = [
     "run_stream",
     "stream_summary",
     "window_series",
-    "Event",
-    "EventQueue",
     "Packet",
     "PacketArrays",
     "RunStats",

@@ -266,6 +266,10 @@ class BatchEngine:
         # per-queue service schedule: the next free slot, counted in
         # 1/link_capacity cycles (slot s departs at cycle s // capacity)
         self._q_free = np.zeros(n_queues, dtype=_I64)
+        # each queue's endpoints, so the blocked mask is two gathers
+        self._q_src = np.repeat(np.arange(self._n, dtype=_I64),
+                                np.diff(graph.row_offsets))
+        self._q_dst = graph.col_indices
         # fault state; _blocked has one extra True entry, so hop -1 (a
         # route's end) never continues
         self._dead = np.zeros(self._n, dtype=bool)
@@ -307,12 +311,10 @@ class BatchEngine:
                 f"{until})"
             )
 
-    def _reblock(self) -> tuple[np.ndarray, np.ndarray]:
+    def _reblock(self) -> None:
         """Recompute the blocked mask (dead endpoint or dead link) from
-        the fault state; returns the queues' endpoint arrays."""
-        u, w = np.divmod(self.graph.directed_edge_keys, self._n)
-        self._blocked[:-1] = self._dead[u] | self._dead[w] | self._link_dead
-        return u, w
+        the fault state."""
+        self._blocked[:-1] = self._dead[self._q_src] | self._dead[self._q_dst] | self._link_dead
 
     def _drop_queues(self, killed: np.ndarray) -> int:
         """Drop every scheduled packet whose *current* queue is marked in
@@ -364,8 +366,8 @@ class BatchEngine:
         hit = np.zeros(self._n, dtype=bool)
         hit[vs] = True
         self._dead |= hit
-        u, w = self._reblock()
-        return self._drop_queues(hit[u] | hit[w])
+        self._reblock()
+        return self._drop_queues(hit[self._q_src] | hit[self._q_dst])
 
     def enable_node(self, v: int) -> None:
         """Return a disabled node to service (a ``node_repair`` event):

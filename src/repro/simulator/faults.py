@@ -37,7 +37,7 @@ both, deriving each Monte-Carlo replica's RNG from
 ``(spec.seed, replica_index)`` so every realization is reproducible.
 
 Fault timing is honest, and the same for both controllers: they share
-one event clock and one pair of workload drivers, so every scheduled
+one fault clock and one pair of workload drivers, so every scheduled
 event fires at exactly the cycle it comes due — including in the middle
 of draining a batch, where a failing node takes its queued packets down
 with it (the dynamic-dependability regime).  The drivers do not advance
@@ -64,6 +64,7 @@ own ``run_workload``'s.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -79,7 +80,6 @@ from repro.routing.fault_routing import (
     survivor_route_table,
 )
 from repro.simulator.batch_engine import BatchEngine
-from repro.simulator.events import EventQueue
 from repro.simulator.metrics import PacketArrays, RunStats
 
 __all__ = [
@@ -120,21 +120,21 @@ class FaultScenario:
     node_faults: list[tuple[int, int]] = field(default_factory=list)
     node_repairs: list[tuple[int, int]] = field(default_factory=list)
 
-    def schedule_into(self, q: EventQueue) -> None:
-        """Push every fault onto an event queue as a ``"node_fault"``
-        event and every repair as a ``"node_repair"`` event.  Within a
-        cycle, repairs fire before faults (so a churn realization can
-        repair a node and re-fail it on the same cycle) and each kind
-        keeps its list order — pure-fault scenarios schedule exactly as
-        they always did."""
-        events = [
-            (int(c), 0, "node_repair", int(v)) for c, v in self.node_repairs
-        ] + [
-            (int(c), 1, "node_fault", int(v)) for c, v in self.node_faults
-        ]
-        events.sort(key=lambda e: (e[0], e[1]))  # stable within (cycle, kind)
-        for cycle, _, kind, node in events:
-            q.schedule(cycle, kind, node)
+    def events(self) -> list[tuple[int, bool, int]]:
+        """The schedule in firing order: ``(cycle, is_fault, node)``
+        sorted by cycle.  Within a cycle, repairs fire before faults (so
+        a churn realization can repair a node and re-fail it on the same
+        cycle) and each kind keeps its list order.  The controllers fire
+        events in this order, and the spec layer's spare-budget walk
+        reads it.
+
+        >>> FaultScenario([(5, 3), (2, 1)], [(5, 1)]).events()
+        [(2, True, 1), (5, False, 1), (5, True, 3)]
+        """
+        events = [(int(c), False, int(v)) for c, v in self.node_repairs]
+        events += [(int(c), True, int(v)) for c, v in self.node_faults]
+        events.sort(key=lambda e: e[:2])  # stable: list order within a kind
+        return events
 
     @property
     def fault_count(self) -> int:
@@ -411,7 +411,7 @@ def _realize_churn(params, *, n, cycles, rng, graph=None) -> FaultScenario:
 
 
 class _FaultController:
-    """The event clock and the workload drivers both controllers share.
+    """The fault clock and the workload drivers both controllers share.
 
     A subclass sets ``target`` (the machine its (src, dst) pairs
     address), hands its physical graph to ``__init__`` (which builds the
@@ -428,16 +428,30 @@ class _FaultController:
 
     def __init__(self, graph, link_capacity: int):
         self.sim = BatchEngine(graph, link_capacity)
-        self.events = EventQueue()
+        self._pending: deque[tuple[int, bool, int]] = deque()
+        self._fired_at = 0  # the cycle events last fired at
         self.lost_to_faults = 0
         self.unreachable_pairs = 0
         self.fault_log: list[tuple[int, int]] = []
         self.repair_log: list[tuple[int, int]] = []
 
     def schedule(self, scenario: FaultScenario) -> None:
-        """Add a :class:`FaultScenario`'s events to the controller's queue
-        (cumulative: scheduling twice fires every event twice)."""
-        scenario.schedule_into(self.events)
+        """Add a :class:`FaultScenario`'s events to the schedule
+        (cumulative: scheduling twice fires every event twice).  The
+        merge is stable by cycle, so within a cycle the events of earlier
+        schedules fire first.  An event before the cycle events last
+        fired at raises :class:`SimulationError`."""
+        events = scenario.events()
+        if events and events[0][0] < self._fired_at:
+            raise SimulationError(
+                f"cannot schedule an event at cycle {events[0][0]}: events "
+                f"already fired at cycle {self._fired_at}"
+            )
+        self._pending = deque(sorted([*self._pending, *events], key=lambda e: e[0]))
+
+    def next_event_cycle(self) -> int | None:
+        """Cycle of the next scheduled event, or ``None``."""
+        return self._pending[0][0] if self._pending else None
 
     def fire_due_events(self, cycle: int | None = None) -> int:
         """Fire every scheduled event due at or before ``cycle`` (default:
@@ -445,23 +459,29 @@ class _FaultController:
         workload drivers — :meth:`run_workload` and
         :func:`repro.simulator.streaming.run_stream` — stop the clock on
         each event's cycle and call this there, so faults land exactly
-        on time."""
+        on time.  A cycle before the last one fired at raises
+        :class:`SimulationError`.  Each event leaves the schedule before
+        it fires, so one that raises (a
+        :class:`~repro.core.reconfiguration.FaultSetError` past the spare
+        budget) is consumed all the same."""
         due = self.sim.cycle if cycle is None else int(cycle)
-        # built per call: a map of bound methods kept on self would be a
-        # reference cycle, leaving a finished controller (and its
-        # engine's per-packet arrays) to the cyclic collector
-        handlers = {"node_fault": self._on_fault, "node_repair": self._on_repair}
-        return self.events.run_handlers(due, handlers)
-
-    def _on_fault(self, ev) -> None:
-        node = int(ev.payload)
-        self.fail_node(node)
-        self.fault_log.append((self.sim.cycle, node))
-
-    def _on_repair(self, ev) -> None:
-        node = int(ev.payload)
-        self.repair_node(node)
-        self.repair_log.append((self.sim.cycle, node))
+        if due < self._fired_at:
+            raise SimulationError(
+                f"cannot fire events at cycle {due}: events already fired "
+                f"at cycle {self._fired_at}"
+            )
+        self._fired_at = due
+        pending, fired = self._pending, 0
+        while pending and pending[0][0] <= due:
+            _, is_fault, node = pending.popleft()
+            if is_fault:
+                self.fail_node(node)
+                self.fault_log.append((self.sim.cycle, node))
+            else:
+                self.repair_node(node)
+                self.repair_log.append((self.sim.cycle, node))
+            fired += 1
+        return fired
 
     def run_workload(self, batches: list[np.ndarray], *, cycles_per_batch: int = 0,
                      max_cycles: int = 1_000_000) -> RunStats:
@@ -485,13 +505,13 @@ class _FaultController:
         whole drain; ``max_cycles`` bounds each batch's drain as a
         per-cycle loop would.
         """
-        sim, events = self.sim, self.events
+        sim = self.sim
         for i, batch in enumerate(batches):
             if i and cycles_per_batch:
                 # nothing is in flight in the gap: jump the clock to each
                 # event due inside it, then to the gap's end
                 end = sim.cycle + cycles_per_batch
-                while (due := events.peek_cycle()) is not None and due <= end:
+                while (due := self.next_event_cycle()) is not None and due <= end:
                     sim.cycle = due
                     self.fire_due_events()
                 sim.cycle = end
@@ -504,7 +524,7 @@ class _FaultController:
             while sim.in_flight:
                 # drain up to the next event's cycle, then fire it there
                 try:
-                    sim.run(deadline - sim.cycle, until=events.peek_cycle())
+                    sim.run(deadline - sim.cycle, until=self.next_event_cycle())
                 except SimulationError:  # report the caller's budget
                     raise SimulationError(
                         f"simulation did not drain within {max_cycles} cycles"
@@ -552,7 +572,7 @@ def drain_block(controllers, pairs: np.ndarray, *,
     flats, lens, hops, dead = [], [], [], []
     for r, ctrl in enumerate(controllers):
         ctrl.fire_due_events()
-        if ctrl.events.peek_cycle() is not None:
+        if ctrl.next_event_cycle() is not None:
             raise SimulationError(
                 "a block drain needs every scheduled event at cycle 0"
             )
@@ -670,7 +690,7 @@ class DetourController(_FaultController):
     route and pins the outputs with goldens.
 
     Faults arrive two ways: :meth:`fail_node` kills a node immediately,
-    and :meth:`schedule` queues a :class:`FaultScenario` on the event
+    and :meth:`schedule` queues a :class:`FaultScenario` on the fault
     clock both controllers share, so the workload drivers fire each
     event on exactly its cycle — mid-drain and inside idle gaps in
     :meth:`run_workload`, mid-stream in

@@ -391,12 +391,21 @@ def run_block(block) -> ExperimentResult:
 @dataclass(frozen=True)
 class _BlockTask:
     """One unit of pool work: a block of single-replica specs (a plain
-    cell is a block of one), run by :func:`run_block`."""
+    cell is a block of one), run by :func:`run_block`.  Its repr, which
+    a failure message carries, is the cell's label and the block's
+    replica range."""
 
     block: tuple            # single-replica ExperimentSpecs
+    cell: str               # the label of the cell the block belongs to
+    first: int              # the cell's replica index of block[0]
 
     def run(self) -> ExperimentResult:
         return run_block(self.block)
+
+    def __repr__(self) -> str:
+        last = self.first + len(self.block) - 1
+        span = f"replicas {self.first}-{last}" if last > self.first else f"replica {last}"
+        return f"{self.cell}, {span}"
 
 
 def _run_task(task: _BlockTask) -> ExperimentResult:
@@ -434,7 +443,8 @@ def _expand_tasks(specs: Sequence, workers: int = 1) -> tuple[list, list[int]]:
     owners: list[int] = []
     for si, sp in enumerate(specs):
         blocks = sp.replica_blocks() if sp.replicas > 1 else [(sp,)]
-        tasks += [_BlockTask(block) for block in blocks]
+        starts = np.cumsum([0] + [len(b) for b in blocks[:-1]])
+        tasks += [_BlockTask(b, sp.label, int(i)) for b, i in zip(blocks, starts)]
         owners += [si] * len(blocks)
     return _spread_blocks(tasks, owners, workers)
 
@@ -463,7 +473,8 @@ def _spread_blocks(tasks: list, owners: list[int],
             out.append(task)
         else:
             cuts = np.linspace(0, n, p + 1).astype(int)
-            out += [_BlockTask(task.block[a:b]) for a, b in zip(cuts[:-1], cuts[1:])]
+            out += [_BlockTask(task.block[a:b], task.cell, task.first + int(a))
+                    for a, b in zip(cuts[:-1], cuts[1:])]
         out_owners += [owner] * p
     return out, out_owners
 
@@ -523,7 +534,6 @@ def run_grid(
     grid,
     *,
     workers: int | None = None,
-    chunk_size: int | None = None,
     pool: WorkerPool | None = None,
 ) -> GridResult:
     """Sweep an experiment grid across a worker pool and reduce each
@@ -543,13 +553,13 @@ def run_grid(
 
     ``pool`` borrows a warm :class:`~repro.simulator.pool.WorkerPool`
     for the sweep and never closes it (the caller keeps lifecycle);
-    without one, ``workers`` and ``chunk_size`` size an ephemeral pool
-    that lives for this call only.
+    without one, ``workers`` sizes an ephemeral pool that lives for this
+    call only.
     """
     specs = _as_specs(grid)
     ephemeral = pool is None
     # constructing a pool starts no process: the first map does
-    runner = WorkerPool(workers=workers, chunk_size=chunk_size) if ephemeral else pool
+    runner = WorkerPool(workers=workers) if ephemeral else pool
     tasks, owners = _expand_tasks(specs, runner.target_workers)
     t0 = time.perf_counter()
     # an ephemeral pool closes on exit (force-closing on an interrupt);

@@ -70,7 +70,7 @@ def _map_inline(func: Callable, tasks: Sequence) -> list:
             results.append(func(task))
         except Exception as exc:
             raise SimulationError(
-                f"shard worker failed on task {idx} ({task!r}): "
+                f"failed on task {idx} ({task!r}): "
                 f"{type(exc).__name__}: {exc}"
             ) from exc
     return results
@@ -348,12 +348,12 @@ class WorkerPool:
         if failure is not None:
             idx, message = failure
             raise SimulationError(
-                f"shard worker failed on task {idx} ({tasks[idx]!r}): {message}"
+                f"failed on task {idx} ({tasks[idx]!r}): {message}"
             )
         if died:
             lost = [i for i, got in enumerate(received) if not got]
             raise WorkerDiedError(
-                f"shard worker process(es) died without reporting "
+                "worker process(es) died without reporting "
                 f"(killed or crashed hard); {len(lost)} task(s) lost, "
                 f"first: {tasks[lost[0]]!r}"
             )

@@ -131,7 +131,7 @@ def run_stream(
         raise ParameterError("run_stream needs cycles >= 1")
     if not 0 <= warmup < cycles:
         raise ParameterError("run_stream needs 0 <= warmup < cycles")
-    sim, events = ctrl.sim, ctrl.events
+    sim = ctrl.sim
     target_n = ctrl.target.node_count
     if source.n != target_n:
         raise ParameterError(
@@ -150,7 +150,7 @@ def run_stream(
         # one fault epoch: fire what is due now, then route, inject and
         # run every arrival before the next event (or the horizon)
         ctrl.fire_due_events(t)
-        due = events.peek_cycle()
+        due = ctrl.next_event_cycle()
         stop = t_end if due is None else min(due, t_end)
         j = int(np.searchsorted(times, stop, side="left"))
         at = times[i:j]
@@ -256,9 +256,10 @@ def find_saturation(
     Phase 2 brackets the ladder's *first* threshold crossing (see
     :func:`_bracket_first_crossing`) and bisects it ``bisect`` times
     (sequential — each probe informs the next).  A point is *stable*
-    when its measurement-window delivery ratio is at least
-    ``threshold``; past saturation the open-loop backlog grows without
-    bound and the ratio collapses, so the indicator is sharp.
+    when delivered/offered over its measurement window is at or above
+    ``threshold``.  The ratio need not collapse past saturation (when
+    only the packets crossing the hottest links back up, it stays high),
+    so a rung whose backlog grows can still pass.
 
     Returns a :class:`SaturationResult`; all evaluated points (ladder +
     bisection probes) appear in ``points``.

@@ -5,32 +5,26 @@ from __future__ import annotations
 
 import doctest
 import importlib
+import pkgutil
 
 import pytest
 
-# note: several submodule names (debruijn, shuffle_exchange, ...) are
-# shadowed by same-named functions re-exported from repro.core, so the
-# modules must be resolved via importlib, not attribute access.
-MODULE_NAMES = [
-    "repro.core.labels",
-    "repro.core.xfunc",
-    "repro.core.debruijn",
-    "repro.core.fault_tolerant",
-    "repro.core.reconfiguration",
-    "repro.core.shuffle_exchange",
-    "repro.core.buses",
-    "repro.core.sequences",
-    "repro.core.edge_faults",
-    "repro.graphs.static_graph",
-    "repro.routing.shift_register",
-    "repro.routing.tables",
-    "repro.simulator.events",
-    "repro.simulator.grid",
-    "repro.experiments.spec",
-    "repro.registry",
-    "repro.analysis.reliability",
+import repro
+
+# every module of the package that holds at least one example, found by
+# walking it, so a new or deleted module needs no edit here.
+# ``repro.__main__`` is skipped: importing it runs the CLI.  Modules are
+# resolved via importlib, not attribute access: several submodule names
+# (debruijn, shuffle_exchange, ...) are shadowed by same-named functions
+# re-exported from repro.core.
+_FINDER = doctest.DocTestFinder()
+MODULES = [
+    module
+    for info in pkgutil.walk_packages(repro.__path__, "repro.")
+    if info.name != "repro.__main__"
+    for module in [importlib.import_module(info.name)]
+    if any(test.examples for test in _FINDER.find(module))
 ]
-MODULES = [importlib.import_module(name) for name in MODULE_NAMES]
 
 
 @pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)
@@ -40,7 +34,5 @@ def test_module_doctests(module):
 
 
 def test_package_doctest():
-    import repro
-
     result = doctest.testmod(repro, verbose=False)
     assert result.failed == 0

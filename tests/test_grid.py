@@ -306,6 +306,23 @@ class TestRunGrid:
         with pytest.raises(ParameterError, match="ExperimentSpec cells"):
             run_grid([_ConvertsToSpec()], workers=0)
 
+    def test_failure_names_the_cell(self):
+        """A failed task is named by its cell's label and replica range,
+        not by the repr of every spec in its block."""
+        spec = ExperimentSpec(m=2, h=4, k=1, packets=200, max_cycles=3)
+        with pytest.raises(SimulationError) as info:
+            spec.run()
+        message = str(info.value)
+        assert len(message) < 200
+        assert f"({spec.label}, replica 0)" in message
+        assert "did not drain within 3 cycles" in message
+        cell = ExperimentSpec(m=2, h=6, k=16, fault_model={"name": "iid", "p": 0.9},
+                              replicas=16, packets=256, seed=3)
+        tasks, _ = _expand_tasks([cell], 2)
+        assert [repr(t) for t in tasks] == [
+            f"{cell.label}, replicas 0-7", f"{cell.label}, replicas 8-15",
+        ]
+
 
 class TestShardedEngine:
     """The ``engine`` field is gone with the ``sharded`` and ``object``

@@ -1,4 +1,4 @@
-"""Tests for the event queue, packets, and the point-to-point engines."""
+"""Tests for packets and the point-to-point engines."""
 
 from __future__ import annotations
 
@@ -9,69 +9,8 @@ from repro.core import debruijn
 from repro.errors import SimulationError
 from repro.graphs import StaticGraph, cycle, path
 from repro.routing import RouteTable
-from repro.simulator import BatchEngine, EventQueue, Packet
+from repro.simulator import BatchEngine, Packet
 from tests.conformance.harness import NetworkSimulator
-
-
-class TestEventQueue:
-    def test_ordering(self):
-        q = EventQueue()
-        q.schedule(5, "a")
-        q.schedule(2, "b")
-        q.schedule(5, "c")
-        seen = []
-        q.run_handlers(10, dict.fromkeys("abc", seen.append))
-        assert [e.kind for e in seen] == ["b", "a", "c"]  # stable within cycle
-
-    def test_drain_partial(self):
-        q = EventQueue()
-        q.schedule(1, "x")
-        q.schedule(9, "y")
-        seen = []
-        assert q.run_handlers(5, dict.fromkeys("xy", seen.append)) == 1
-        assert [e.kind for e in seen] == ["x"]
-        assert len(q) == 1
-        assert q.peek_cycle() == 9
-
-    def test_past_scheduling_rejected(self):
-        q = EventQueue()
-        q.run_handlers(10, {})
-        with pytest.raises(SimulationError):
-            q.schedule(5, "late")
-
-    def test_backwards_drain_rejected(self):
-        q = EventQueue()
-        q.run_handlers(10, {})
-        with pytest.raises(SimulationError):
-            q.run_handlers(3, {})
-
-    def test_run_handlers(self):
-        q = EventQueue()
-        seen = []
-        q.schedule(1, "f", 42)
-        n = q.run_handlers(5, {"f": lambda ev: seen.append(ev.payload)})
-        assert n == 1 and seen == [42]
-
-    def test_unknown_kind(self):
-        q = EventQueue()
-        q.schedule(1, "weird")
-        with pytest.raises(SimulationError):
-            q.run_handlers(5, {})
-
-    def test_unknown_kind_keeps_event(self):
-        """A failed dispatch must not lose the event nor half-drain the
-        queue: peek-then-pop leaves everything in place for a retry."""
-        q = EventQueue()
-        q.schedule(1, "weird", payload="precious")
-        q.schedule(2, "also-queued")
-        with pytest.raises(SimulationError):
-            q.run_handlers(5, {"also-queued": lambda ev: None})
-        assert len(q) == 2  # nothing was popped
-        seen = []
-        handlers = {"weird": lambda ev: seen.append(ev.payload),
-                    "also-queued": lambda ev: None}
-        assert q.run_handlers(5, handlers) == 2  # retry succeeds in order
-        assert seen == ["precious"]
 
 
 class TestPacket:

@@ -8,6 +8,7 @@ import weakref
 import numpy as np
 import pytest
 
+from repro.errors import FaultSetError, SimulationError
 from repro.simulator import (
     DetourController,
     FaultScenario,
@@ -35,7 +36,7 @@ class TestReconfigurationController:
     def test_router_avoids_faults(self, rng):
         ctrl = ReconfigurationController(2, 4, 1)
         ctrl.schedule(FaultScenario([(0, 5)]))
-        ctrl.events.run_handlers(0, {"node_fault": ctrl._on_fault})
+        ctrl.fire_due_events(0)
         pairs = np.array([(s, d) for s in range(16) for d in (0, 7, 15)])
         flat, offsets, kept, hop = ctrl._route(pairs)
         assert kept.tolist() == list(range(len(pairs)))
@@ -138,8 +139,6 @@ class TestDetourController:
     def test_rejected_fault_node_does_not_poison_state(self):
         """An out-of-range node must be rejected *before* it enters the
         fault set — otherwise every later routing batch would raise."""
-        from repro.errors import SimulationError
-
         det = DetourController(2, 4)
         with pytest.raises(SimulationError):
             det.fail_node(99)
@@ -161,6 +160,80 @@ class TestDetourController:
         assert s_ft.delivered == 150
         assert s_bare.delivered < 150
         assert bare.unreachable_pairs == 150 - s_bare.delivered
+
+
+class TestFaultClock:
+    """The controllers' fault clock: ``schedule`` merges
+    :meth:`FaultScenario.events` by cycle and ``fire_due_events``
+    consumes it from the front, on both engines."""
+
+    @staticmethod
+    def _ctrl(controller, engine):
+        if controller == "reconfig":
+            return on_engine(ReconfigurationController(2, 4, 3), engine)
+        return on_engine(DetourController(2, 4), engine)
+
+    @pytest.mark.parametrize("engine", ["object", "batch"])
+    @pytest.mark.parametrize("controller", ["reconfig", "detour"])
+    def test_firing_order(self, controller, engine):
+        """Within a cycle an earlier schedule's events fire first (node 3
+        fails before the later schedule repairs it); within one schedule
+        repairs fire before faults (node 1 heals, then fails again)."""
+        ctrl = self._ctrl(controller, engine)
+        ctrl.schedule(FaultScenario([(5, 3), (2, 1)]))
+        ctrl.schedule(FaultScenario([(5, 1), (5, 9)], [(5, 3), (5, 1)]))
+        fired = []
+        for c in range(8):
+            ctrl.sim.cycle = c
+            fired.append(ctrl.fire_due_events())
+        assert fired == [0, 0, 1, 0, 0, 5, 0, 0]
+        assert ctrl.fault_log == [(2, 1), (5, 3), (5, 1), (5, 9)]
+        assert ctrl.repair_log == [(5, 3), (5, 1)]
+        assert ctrl.sim.dead_nodes == {1, 9}
+
+    @pytest.mark.parametrize("engine", ["object", "batch"])
+    @pytest.mark.parametrize("controller", ["reconfig", "detour"])
+    def test_partial_firing(self, controller, engine):
+        ctrl = self._ctrl(controller, engine)
+        ctrl.schedule(FaultScenario([(9, 4), (1, 2)]))
+        assert ctrl.next_event_cycle() == 1
+        assert ctrl.fire_due_events(5) == 1
+        assert ctrl.next_event_cycle() == 9
+        assert ctrl.fire_due_events(9) == 1
+        assert ctrl.next_event_cycle() is None
+        assert [v for _, v in ctrl.fault_log] == [2, 4]
+
+    @pytest.mark.parametrize("engine", ["object", "batch"])
+    @pytest.mark.parametrize("controller", ["reconfig", "detour"])
+    def test_past_schedule_rejected(self, controller, engine):
+        ctrl = self._ctrl(controller, engine)
+        ctrl.fire_due_events(10)
+        with pytest.raises(SimulationError, match="cannot schedule"):
+            ctrl.schedule(FaultScenario([(12, 3), (5, 6)]))
+        assert ctrl.next_event_cycle() is None  # nothing of it was queued
+        ctrl.schedule(FaultScenario([(10, 6)]))  # the last fired cycle is fine
+        assert ctrl.fire_due_events(10) == 1
+
+    @pytest.mark.parametrize("engine", ["object", "batch"])
+    @pytest.mark.parametrize("controller", ["reconfig", "detour"])
+    def test_backwards_firing_rejected(self, controller, engine):
+        ctrl = self._ctrl(controller, engine)
+        ctrl.schedule(FaultScenario([(5, 6)]))
+        ctrl.fire_due_events(10)
+        with pytest.raises(SimulationError, match="cannot fire"):
+            ctrl.fire_due_events(3)
+        assert [v for _, v in ctrl.fault_log] == [6]
+
+    @pytest.mark.parametrize("engine", ["object", "batch"])
+    def test_refused_event_is_consumed(self, engine):
+        """An event leaves the schedule before it fires, so one past the
+        spare budget raises once and is gone, not retried."""
+        ctrl = on_engine(ReconfigurationController(2, 3, 1), engine)
+        ctrl.schedule(FaultScenario([(0, 1), (0, 2), (4, 5)]))
+        with pytest.raises(FaultSetError):
+            ctrl.fire_due_events(0)
+        assert ctrl.fault_log == [(0, 1)]
+        assert ctrl.next_event_cycle() == 4
 
 
 class TestControllerLifetime:
@@ -233,14 +306,14 @@ class TestDrainSummaries:
 
 
 class TestFaultScenario:
-    def test_schedule_into(self):
-        from repro.simulator import EventQueue
-
-        q = EventQueue()
-        FaultScenario([(3, 1), (7, 2)]).schedule_into(q)
-        evs = []
-        q.run_handlers(10, {"node_fault": evs.append})
-        assert [(e.cycle, e.payload) for e in evs] == [(3, 1), (7, 2)]
+    def test_events(self):
+        """The one firing order: by cycle, repairs before faults within a
+        cycle, list order (not node order) within each kind."""
+        sc = FaultScenario([(7, 2), (3, 4), (3, 1)], [(3, 9), (0, 2)])
+        assert sc.events() == [
+            (0, False, 2), (3, False, 9), (3, True, 4), (3, True, 1), (7, True, 2),
+        ]
+        assert FaultScenario().events() == []
 
     def test_fault_count(self):
         assert FaultScenario([(0, 1)]).fault_count == 1
