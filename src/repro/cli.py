@@ -216,13 +216,11 @@ def _install_signal_handlers() -> None:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    import dataclasses
     import json
 
     from repro.experiments import run_grid
     from repro.reports import format_table
     from repro.simulator.pool import WorkerPool
-    from repro.simulator.grid import ShardStats
     from repro.simulator.streaming import find_saturation
 
     _install_signal_handlers()
@@ -306,14 +304,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(f"experiment grid: {len(target)} cells (loop={target.loop})")
     with WorkerPool(workers=args.workers) as run_pool:
         result = run_grid(specs, pool=run_pool)
-    rows = result.rows()
-    closed = [r for r in result.results if isinstance(r.stats, ShardStats)]
-    streamed = [r for r in result.results if not isinstance(r.stats, ShardStats)]
+    closed = [r.row() for r in result.results if r.closed]
+    streamed = [r.row() for r in result.results if not r.closed]
     if closed:
         display = [
             {k: r[k] for k in ("scenario", "cycles", "delivered", "dropped",
                                "mean_latency", "p95_latency", "seconds")}
-            for r in rows if "throughput" in r
+            for r in closed
         ]
         print(format_table(display))
         agg = result.aggregate_stats
@@ -323,7 +320,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             {k: r[k] for k in ("scenario", "rate", "offered_rate",
                                "delivered_rate", "delivery_ratio", "backlog",
                                "seconds")}
-            for r in rows if "delivery_ratio" in r
+            for r in streamed
         ]
         print(format_table(display))
     print(f"wall clock: {result.seconds:.3f} s on {result.workers} worker(s)")
@@ -345,15 +342,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         )
         print(f"wrote per-cell artifacts: {args.out}")
     if args.json:
-        payload = {
-            "kind": kind,
-            kind: target.to_dict(),
-            "workers": result.workers,
-            "seconds": round(result.seconds, 4),
-            "rows": rows,
-        }
-        if closed:
-            payload["aggregate"] = dataclasses.asdict(result.aggregate_stats)
+        payload = {"kind": kind, kind: target.to_dict(), **result.to_dict()}
         with open(args.json, "w") as fh:
             json.dump(payload, fh, indent=2)
             fh.write("\n")
@@ -478,8 +467,9 @@ def build_parser() -> argparse.ArgumentParser:
                     "cell's stats (with --rates: every ladder and "
                     "bisection point's) are bit-identical")
     rn.add_argument("--json", default=None, metavar="PATH",
-                    help="write rows + aggregate (or the saturation "
-                    "curve) as JSON")
+                    help="write the run document (rows, aggregate, "
+                    "shard_stats, streams) or the saturation curve as "
+                    "JSON")
     rn.add_argument("--out", default=None, metavar="DIR",
                     help="write per-cell raw artifacts + manifest.json "
                     "into DIR via the reports bundle writer (must be "

@@ -38,7 +38,7 @@ from repro.experiments import (
     ROUTE_MODES,
     SOURCES,
 )
-from repro.simulator.grid import ExperimentResult, ShardStats
+from repro.simulator.grid import ExperimentResult
 
 __all__ = [
     "BundleWriter",
@@ -85,7 +85,6 @@ def cell_payload(
     """One cell's raw artifact: the exact spec and exact statistics —
     and deliberately *not* the wall-clock ``seconds`` field, which would
     break byte-identical regeneration."""
-    stats = result.stats
     payload = {
         "cell_id": cell_id,
         "group": group,
@@ -93,12 +92,12 @@ def cell_payload(
         "spec": result.spec.to_dict(),
         "spec_digest": result.spec.digest(),
         "loop": result.spec.loop,
-        "stats": stats.to_dict(),
+        "stats": result.stats.to_dict(),
         "lost_to_faults": int(result.lost_to_faults),
         "unreachable_pairs": int(result.unreachable_pairs),
     }
-    if isinstance(stats, ShardStats):
-        payload["run_stats"] = dataclasses.asdict(stats.to_run_stats())
+    if result.closed:
+        payload["run_stats"] = dataclasses.asdict(result.run_stats)
     return payload
 
 

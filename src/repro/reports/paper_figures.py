@@ -569,7 +569,7 @@ def _sat():
     for label, base in machines:
         res = find_saturation(base, rates, bisect=3, workers=0)
         for p in res.points:
-            point = p.row()
+            point = p.measures()
             rows.append({"machine": label, **{
                 k: point[k] for k in ("rate", "offered_rate", "delivered_rate",
                                       "delivery_ratio", "backlog")

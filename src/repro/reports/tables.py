@@ -23,7 +23,7 @@ from typing import Sequence
 
 from repro.errors import ParameterError
 from repro.simulator.metrics import hist_percentile, wilson_interval
-from repro.simulator.grid import ExperimentResult, ShardStats
+from repro.simulator.grid import ExperimentResult
 
 __all__ = [
     "delivery_columns",
@@ -63,11 +63,8 @@ def pooled_delivery(results: Sequence[ExperimentResult]) -> dict:
     results = list(results)
     if not results:
         raise ParameterError("pooled_delivery needs at least one result")
-    for r in results:
-        if not isinstance(r.stats, ShardStats):
-            raise ParameterError(
-                "pooled_delivery reduces closed-loop cells only"
-            )
+    if not all(r.closed for r in results):
+        raise ParameterError("pooled_delivery reduces closed-loop cells only")
     merged = results[0].merged_with(results[1:])
     stats = merged.stats
     run_stats = stats.to_run_stats()

@@ -23,12 +23,13 @@ A cell runs as ``run_grid([spec], pool=...)``.  When a worker process
 dies mid-cell, the pool's claim-accounting/stall-quiescence machinery
 (see :mod:`repro.simulator.pool`) surfaces
 :class:`~repro.errors.WorkerDiedError`; the runner retries the cell with
-exponential backoff up to ``max_retries`` times (the pool respawns
-workers on the next map).  A job that exhausts its retries is the
-dead-job case: it fails with an error naming the cell, and the pool is
-free for the next job.  Ordinary :class:`~repro.errors.ReproError`
-failures (an undeliverable workload, a simulation protocol violation)
-fail the job immediately — retrying a deterministic error is noise.
+exponential backoff from :data:`BACKOFF_BASE` seconds, up to
+``max_retries`` times (the pool respawns workers on the next map).  A
+job that exhausts its retries is the dead-job case: it fails with an
+error naming the cell, and the pool is free for the next job.
+Ordinary :class:`~repro.errors.ReproError` failures (an undeliverable
+workload, a simulation protocol violation) fail the job immediately —
+retrying a deterministic error is noise.
 
 Determinism contract: cells execute one at a time in grid order, and
 the per-cell results are merged exactly like
@@ -57,6 +58,10 @@ CANCELLED = "cancelled"
 
 STATES = (QUEUED, RUNNING, DONE, FAILED, CANCELLED)
 TERMINAL = frozenset({DONE, FAILED, CANCELLED})
+
+#: Seconds before a dead-worker cell's first retry; each further retry
+#: of the same cell waits twice as long.
+BACKOFF_BASE = 0.25
 
 
 class Job:
@@ -225,13 +230,11 @@ class JobRunner(threading.Thread):
     the next cell boundary.
     """
 
-    def __init__(self, queue: JobQueue, pool, *, max_retries: int = 2,
-                 backoff_base: float = 0.25):
+    def __init__(self, queue: JobQueue, pool, *, max_retries: int = 2):
         super().__init__(name="repro-job-runner", daemon=True)
         self.queue = queue
         self.pool = pool
         self.max_retries = int(max_retries)
-        self.backoff_base = float(backoff_base)
         # NB: not `_stop` — threading.Thread.join() calls self._stop()
         self._stopping = threading.Event()
 
@@ -269,7 +272,7 @@ class JobRunner(threading.Thread):
                         return
                     # the pool respawns workers on the next map; back off
                     # so a crash loop (bad node, OOM storm) does not spin
-                    time.sleep(self.backoff_base * 2 ** (attempt - 1))
+                    time.sleep(BACKOFF_BASE * 2 ** (attempt - 1))
                 except ReproError as exc:
                     self.queue.finish(
                         job, FAILED,

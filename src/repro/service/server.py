@@ -23,11 +23,11 @@ POST     ``/jobs/<id>/cancel``    cancel (queued: now; running: next cell)
 GET      ``/healthz``             pool size/spawns, queue depth, progress
 =======  =======================  =========================================
 
-The result payload mirrors ``repro run --json`` field-for-field (rows +
-closed-loop aggregate) and additionally carries the merged
-:class:`~repro.simulator.grid.ShardStats` in exact histogram
-form — the stats are bit-identical to a CLI run of the same JSON, and
-only wall-clock fields differ between the two.
+The result payload is the ``repro run --json`` document
+(:meth:`~repro.simulator.grid.GridResult.to_dict` after ``kind`` and the
+echoed spec or grid) plus the ``job`` summary — the stats are
+bit-identical to a CLI run of the same JSON, and only ``job``,
+``workers`` and the wall-clock ``seconds`` differ between the two.
 """
 
 from __future__ import annotations
@@ -56,66 +56,29 @@ def _expand(target, kind):
     return target.expand() if kind == "grid" else [target]
 
 
-def _grid_result(job, workers: int):
-    """Rebuild a :class:`GridResult` from a job's per-cell results —
-    the runner executed the same expanded cells in the same order, so
-    rows and the exact closed-loop aggregate match ``repro run``."""
-    from repro.simulator.grid import GridResult
-
-    return GridResult(
-        results=tuple(job.cell_results),
-        seconds=sum(job.cell_seconds),
-        workers=workers,
-    )
-
-
-def _cell_line(job, index, pool) -> dict:
+def _cell_line(job, index) -> dict:
     """One NDJSON stream line: the cell's report row (identical to the
     ``repro run --json`` row), plus stream cells' window series."""
-    from repro.simulator.grid import GridResult, ShardStats
-
     res = job.cell_results[index]
-    row = GridResult(results=(res,), seconds=0.0, workers=0).rows()[0]
-    line = {"job": job.id, "cell": index, "row": row}
-    if not isinstance(res.stats, ShardStats):
+    line = {"job": job.id, "cell": index, "row": res.row()}
+    if not res.closed:
         line["stream"] = res.stats.to_dict()
     return line
 
 
 def result_payload(job, workers: int) -> dict:
-    """The terminal-job result document (``/jobs/<id>/result``)."""
-    from repro.simulator.grid import ShardStats
+    """The terminal-job result document (``/jobs/<id>/result``): the
+    ``repro run --json`` document of the job's cells, which the runner
+    executed in grid order, led by the ``job`` summary."""
+    from repro.simulator.grid import GridResult
 
-    grid = _grid_result(job, workers)
-    payload = {
+    grid = GridResult(tuple(job.cell_results), sum(job.cell_seconds), workers)
+    return {
         "job": job.summary(),
         "kind": job.kind,
         job.kind: job.target.to_dict(),
-        "workers": workers,
-        "seconds": round(grid.seconds, 4),
-        "rows": grid.rows(),
+        **grid.to_dict(),
     }
-    closed = [r for r in grid.results if isinstance(r.stats, ShardStats)]
-    if closed:
-        agg = grid.aggregate_stats
-        payload["aggregate"] = {
-            "cycles": agg.cycles, "injected": agg.injected,
-            "delivered": agg.delivered, "dropped": agg.dropped,
-            "mean_latency": agg.mean_latency,
-            "p95_latency": agg.p95_latency,
-            "max_latency": agg.max_latency,
-            "mean_hops": agg.mean_hops,
-            "throughput": agg.throughput,
-        }
-        payload["shard_stats"] = grid.aggregate.to_dict()
-    streams = {
-        str(i): r.stats.to_dict()
-        for i, r in enumerate(grid.results)
-        if not isinstance(r.stats, ShardStats)
-    }
-    if streams:
-        payload["streams"] = streams
-    return payload
 
 
 class ExperimentService:
@@ -127,15 +90,12 @@ class ExperimentService:
     """
 
     def __init__(self, *, host: str = "127.0.0.1", port: int = 0,
-                 workers: int | None = None, max_retries: int = 2,
-                 backoff_base: float = 0.25):
+                 workers: int | None = None, max_retries: int = 2):
         from repro.simulator.pool import WorkerPool
 
         self.queue = JobQueue()
         self.pool = WorkerPool(workers=workers)
-        self.runner = JobRunner(self.queue, self.pool,
-                                max_retries=max_retries,
-                                backoff_base=backoff_base)
+        self.runner = JobRunner(self.queue, self.pool, max_retries=max_retries)
         service = self
 
         class Handler(_Handler):
@@ -320,7 +280,7 @@ class _Handler(BaseHTTPRequestHandler):
         sent = 0
         while True:
             while sent < job.cells_done:
-                line = _cell_line(job, sent, self.svc.pool)
+                line = _cell_line(job, sent)
                 self.wfile.write(json.dumps(line).encode() + b"\n")
                 self.wfile.flush()
                 sent += 1

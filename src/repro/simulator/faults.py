@@ -73,6 +73,7 @@ from repro.core.debruijn import debruijn
 from repro.core.fault_tolerant import ft_debruijn
 from repro.core.reconfiguration import Reconfigurator
 from repro.errors import ParameterError, SimulationError
+from repro.graphs.properties import bfs_distances
 from repro.registry import Registry
 from repro.routing.fault_routing import (
     lift_slot_table,
@@ -337,19 +338,9 @@ def _realize_burst(params, *, n, cycles, rng, graph=None) -> FaultScenario:
         )
     g = graph() if callable(graph) else graph
     lo, hi = params.get("window", (0, max(1, int(cycles))))
-    center = int(rng.integers(n))
-    region, frontier = {center}, [center]
-    for _ in range(params["radius"]):
-        nxt = []
-        for u in frontier:
-            for w in g.neighbors(u):
-                w = int(w)
-                if w not in region:
-                    region.add(w)
-                    nxt.append(w)
-        frontier = nxt
-    nodes = sorted(region)
-    arrive = rng.integers(lo, hi, size=len(nodes))
+    dist = bfs_distances(g, int(rng.integers(n)))
+    nodes = np.flatnonzero((dist >= 0) & (dist <= params["radius"]))
+    arrive = rng.integers(lo, hi, size=nodes.size)
     return FaultScenario(
         sorted((int(c), int(v)) for c, v in zip(arrive, nodes))
     )
@@ -453,18 +444,18 @@ class _FaultController:
         """Cycle of the next scheduled event, or ``None``."""
         return self._pending[0][0] if self._pending else None
 
-    def fire_due_events(self, cycle: int | None = None) -> int:
-        """Fire every scheduled event due at or before ``cycle`` (default:
-        the simulator's current cycle); returns the count fired.  The
-        workload drivers — :meth:`run_workload` and
+    def fire_due_events(self) -> int:
+        """Fire every scheduled event due at or before the simulator's
+        current cycle, and log it at that cycle; returns the count fired.
+        The workload drivers — :meth:`run_workload` and
         :func:`repro.simulator.streaming.run_stream` — stop the clock on
         each event's cycle and call this there, so faults land exactly
-        on time.  A cycle before the last one fired at raises
-        :class:`SimulationError`.  Each event leaves the schedule before
-        it fires, so one that raises (a
+        on time.  A clock moved back before the cycle events last fired
+        at raises :class:`SimulationError`.  Each event leaves the
+        schedule before it fires, so one that raises (a
         :class:`~repro.core.reconfiguration.FaultSetError` past the spare
         budget) is consumed all the same."""
-        due = self.sim.cycle if cycle is None else int(cycle)
+        due = int(self.sim.cycle)
         if due < self._fired_at:
             raise SimulationError(
                 f"cannot fire events at cycle {due}: events already fired "
@@ -476,10 +467,10 @@ class _FaultController:
             _, is_fault, node = pending.popleft()
             if is_fault:
                 self.fail_node(node)
-                self.fault_log.append((self.sim.cycle, node))
+                self.fault_log.append((due, node))
             else:
                 self.repair_node(node)
-                self.repair_log.append((self.sim.cycle, node))
+                self.repair_log.append((due, node))
             fired += 1
         return fired
 

@@ -48,7 +48,8 @@ Entry points
                            :mod:`repro.simulator.pool`)
 :class:`ShardStats`        the mergeable statistics record
 :class:`ExperimentResult`  one executed spec's outcome
-:class:`GridResult`        a sweep's per-spec results and aggregate
+:class:`GridResult`        a sweep's per-spec results, aggregate and run
+                           document (:meth:`GridResult.to_dict`)
 
 Picking a worker count
 ----------------------
@@ -63,7 +64,7 @@ from __future__ import annotations
 
 import time
 from contextlib import nullcontext
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -127,13 +128,9 @@ class ShardStats:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ShardStats):
             return NotImplemented
-        return (
-            (self.cycles, self.injected, self.delivered, self.dropped)
-            == (other.cycles, other.injected, other.delivered, other.dropped)
-            and np.array_equal(self.lat_values, other.lat_values)
-            and np.array_equal(self.lat_counts, other.lat_counts)
-            and np.array_equal(self.hop_values, other.hop_values)
-            and np.array_equal(self.hop_counts, other.hop_counts)
+        return all(
+            np.array_equal(getattr(self, f.name), getattr(other, f.name))
+            for f in fields(self)
         )
 
     @classmethod
@@ -158,7 +155,7 @@ class ShardStats:
     @classmethod
     def empty(cls) -> "ShardStats":
         z = np.zeros(0, dtype=_I64)
-        return cls(0, 0, 0, 0, z, z, z, z)
+        return cls(**{f.name: z if _is_hist(f) else 0 for f in fields(cls)})
 
     @staticmethod
     def _merge_hist(
@@ -201,33 +198,23 @@ class ShardStats:
 
     def to_dict(self) -> dict:
         """JSON-friendly form of the exact sufficient statistics: plain
-        ints plus histogram lists.  :meth:`from_dict` round-trips
-        bit-for-bit, so a merged record served over HTTP reconstructs
-        the identical :class:`RunStats` on the client side."""
-        return {
-            "cycles": self.cycles,
-            "injected": self.injected,
-            "delivered": self.delivered,
-            "dropped": self.dropped,
-            "lat_values": self.lat_values.tolist(),
-            "lat_counts": self.lat_counts.tolist(),
-            "hop_values": self.hop_values.tolist(),
-            "hop_counts": self.hop_counts.tolist(),
-        }
+        ints plus histogram lists, one key per field.  :meth:`from_dict`
+        round-trips bit-for-bit, so a merged record served over HTTP
+        reconstructs the identical :class:`RunStats` on the client side."""
+        out = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            out[f.name] = value.tolist() if _is_hist(f) else value
+        return out
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ShardStats":
         """Inverse of :meth:`to_dict` (exact)."""
-        return cls(
-            cycles=int(payload["cycles"]),
-            injected=int(payload["injected"]),
-            delivered=int(payload["delivered"]),
-            dropped=int(payload["dropped"]),
-            lat_values=np.asarray(payload["lat_values"], dtype=_I64),
-            lat_counts=np.asarray(payload["lat_counts"], dtype=_I64),
-            hop_values=np.asarray(payload["hop_values"], dtype=_I64),
-            hop_counts=np.asarray(payload["hop_counts"], dtype=_I64),
-        )
+        return cls(**{
+            f.name: (np.asarray(payload[f.name], dtype=_I64) if _is_hist(f)
+                     else int(payload[f.name]))
+            for f in fields(cls)
+        })
 
     def to_run_stats(self, cycles: int | None = None) -> RunStats:
         """The :class:`RunStats` a single-process run would have produced
@@ -258,6 +245,12 @@ class ShardStats:
         )
 
 
+def _is_hist(f) -> bool:
+    """Is a :class:`ShardStats` field a histogram array (the rest are
+    integer counters)?"""
+    return f.type == "np.ndarray"
+
+
 # ---------------------------------------------------------------------------
 # experiment results
 # ---------------------------------------------------------------------------
@@ -267,10 +260,10 @@ class ExperimentResult:
     """One executed :class:`~repro.experiments.ExperimentSpec`'s outcome
     (or one replica block of it).
 
-    ``stats`` is loop-shaped: closed-loop runs carry mergeable
-    :class:`ShardStats` (so the blocks of one cell reduce exactly — see
-    :meth:`merged_with`), stream runs carry
-    :class:`~repro.simulator.metrics.StreamStats`.
+    ``stats`` is loop-shaped, and :attr:`closed` says which loop ran:
+    closed-loop runs carry mergeable :class:`ShardStats` (so the blocks
+    of one cell reduce exactly — see :meth:`merged_with`), stream runs
+    carry :class:`~repro.simulator.metrics.StreamStats`.
     """
 
     spec: "object"          # ExperimentSpec (kept untyped: layering)
@@ -280,11 +273,17 @@ class ExperimentResult:
     unreachable_pairs: int = 0
 
     @property
+    def closed(self) -> bool:
+        """A closed-loop drain (mergeable :class:`ShardStats`), not an
+        open-loop stream point."""
+        return isinstance(self.stats, ShardStats)
+
+    @property
     def run_stats(self) -> RunStats:
         """Closed-loop :class:`~repro.simulator.metrics.RunStats` (the
         single-process numbers, bit-identical by the :class:`ShardStats`
         contract)."""
-        if not isinstance(self.stats, ShardStats):
+        if not self.closed:
             raise ParameterError(
                 "run_stats applies to closed-loop results; stream results "
                 "carry StreamStats in .stats"
@@ -312,21 +311,14 @@ class ExperimentResult:
             unreachable_pairs=sum(p.unreachable_pairs for p in parts),
         )
 
-    def row(self) -> dict:
-        """JSON-friendly summary row, loop-shaped: sweep columns (led by
-        the ``"scenario"`` cell label) for closed loops, saturation-curve
-        columns for stream points.  Cells with a fault model add a
-        ``fault_model`` column (and ``replicas`` when > 1)."""
-        if isinstance(self.stats, ShardStats):
-            sc, st = self.spec, self.run_stats
+    def measures(self) -> dict:
+        """The loop's measurement columns: drain columns for a closed
+        loop, saturation-curve columns for a stream point (a
+        :meth:`~repro.simulator.streaming.SaturationResult.curve` row);
+        both end with the wall-clock ``seconds``."""
+        if self.closed:
+            st = self.run_stats
             return {
-                "scenario": sc.label,
-                "m": sc.m, "h": sc.h, "k": sc.k,
-                "pattern": sc.pattern, "packets": sc.packets,
-                **_fault_model_columns(sc),
-                "seed": sc.seed,
-                "controller": sc.controller,
-                "route_mode": sc.route_mode,
                 "cycles": st.cycles,
                 "delivered": st.delivered,
                 "dropped": st.dropped,
@@ -347,6 +339,24 @@ class ExperimentResult:
             "dropped": s.dropped,
             "unadmitted": s.unadmitted,
             "seconds": round(self.seconds, 4),
+        }
+
+    def row(self) -> dict:
+        """JSON-friendly summary row: the cell's identity (led by the
+        ``"scenario"`` label; ``packets`` for a closed loop, ``source``
+        for a stream), then :meth:`measures`.  Cells with a fault model
+        add a ``fault_model`` column (and ``replicas`` when > 1)."""
+        sc = self.spec
+        return {
+            "scenario": sc.label,
+            "m": sc.m, "h": sc.h, "k": sc.k,
+            "pattern": sc.pattern,
+            **({"packets": sc.packets} if self.closed else {"source": sc.source}),
+            **_fault_model_columns(sc),
+            "seed": sc.seed,
+            "controller": sc.controller,
+            "route_mode": sc.route_mode,
+            **self.measures(),
         }
 
 
@@ -495,9 +505,7 @@ class GridResult:
         :class:`~repro.simulator.metrics.StreamStats`, whose open-loop
         rates do not reduce across different offered loads, so they are
         reported per point in :meth:`rows` instead."""
-        return ShardStats.merge(
-            r.stats for r in self.results if isinstance(r.stats, ShardStats)
-        )
+        return ShardStats.merge(r.stats for r in self.results if r.closed)
 
     @property
     def aggregate_stats(self) -> RunStats:
@@ -507,27 +515,35 @@ class GridResult:
         return self.aggregate.to_run_stats()
 
     def rows(self) -> list[dict]:
-        """JSON-friendly per-spec rows (reporting/CI artifacts).
-        Closed-loop rows are :meth:`ExperimentResult.row` verbatim;
-        stream rows prepend the cell identity to the saturation-curve
-        columns."""
-        out = []
-        for r in self.results:
-            row = r.row()
-            if not isinstance(r.stats, ShardStats):
-                sc = r.spec
-                row = {
-                    "scenario": sc.label,
-                    "m": sc.m, "h": sc.h, "k": sc.k,
-                    "pattern": sc.pattern, "source": sc.source,
-                    **_fault_model_columns(sc),
-                    "seed": sc.seed,
-                    "controller": sc.controller,
-                    "route_mode": sc.route_mode,
-                    **row,
-                }
-            out.append(row)
-        return out
+        """JSON-friendly per-spec rows (reporting/CI artifacts), one
+        :meth:`ExperimentResult.row` per cell."""
+        return [r.row() for r in self.results]
+
+    def to_dict(self) -> dict:
+        """The run document: ``workers``, ``seconds`` and :meth:`rows`;
+        with any closed-loop cell, the exact ``aggregate`` (the
+        :class:`RunStats` fields) and its mergeable ``shard_stats``
+        (:meth:`ShardStats.to_dict`); with any stream cell, ``streams``,
+        each stream cell's full ``StreamStats`` keyed by its grid index.
+        ``repro run --json`` writes it after ``kind`` and the echoed
+        spec or grid, and the service's ``/jobs/<id>/result`` after
+        ``job`` as well."""
+        doc = {
+            "workers": self.workers,
+            "seconds": round(self.seconds, 4),
+            "rows": self.rows(),
+        }
+        if any(r.closed for r in self.results):
+            agg = self.aggregate
+            doc["aggregate"] = asdict(agg.to_run_stats())
+            doc["shard_stats"] = agg.to_dict()
+        streams = {
+            str(i): r.stats.to_dict()
+            for i, r in enumerate(self.results) if not r.closed
+        }
+        if streams:
+            doc["streams"] = streams
+        return doc
 
 
 def run_grid(

@@ -15,7 +15,7 @@ equivalence tests rely on this).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -403,28 +403,15 @@ class StreamStats:
         return self.delivered / self.offered if self.offered else 1.0
 
     def to_dict(self) -> dict:
-        """JSON-friendly form for the experiment service: scalars as-is,
-        ``totals`` expanded, ``windows`` via
-        :meth:`WindowSeries.to_dict` (``null`` when not windowed)."""
-        from dataclasses import asdict
-
-        return {
-            "cycles": self.cycles,
-            "warmup": self.warmup,
-            "offered": self.offered,
-            "delivered": self.delivered,
-            "dropped": self.dropped,
-            "unadmitted": self.unadmitted,
-            "offered_rate": self.offered_rate,
-            "delivered_rate": self.delivered_rate,
-            "delivery_ratio": self.delivery_ratio,
-            "mean_latency": self.mean_latency,
-            "p95_latency": self.p95_latency,
-            "final_occupancy": self.final_occupancy,
-            "peak_occupancy": self.peak_occupancy,
-            "totals": asdict(self.totals),
-            "windows": None if self.windows is None else self.windows.to_dict(),
-        }
+        """JSON-friendly form for the experiment service: one key per
+        field, scalars as-is, ``totals`` expanded, ``windows`` via
+        :meth:`WindowSeries.to_dict` (``null`` when not windowed), plus
+        the derived ``delivery_ratio``."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["totals"] = asdict(self.totals)
+        out["windows"] = None if self.windows is None else self.windows.to_dict()
+        out["delivery_ratio"] = self.delivery_ratio
+        return out
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return (

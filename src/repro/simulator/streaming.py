@@ -145,11 +145,11 @@ def run_stream(
     times = rel_times + t0
     refused: list[np.ndarray] = []   # arrival cycles of refused pairs
 
-    t, i = t0, 0
-    while t < t_end:
+    i = 0
+    while sim.cycle < t_end:
         # one fault epoch: fire what is due now, then route, inject and
         # run every arrival before the next event (or the horizon)
-        ctrl.fire_due_events(t)
+        ctrl.fire_due_events()
         due = ctrl.next_event_cycle()
         stop = t_end if due is None else min(due, t_end)
         j = int(np.searchsorted(times, stop, side="left"))
@@ -165,7 +165,7 @@ def run_stream(
         del flat, offsets, kept, at, hop  # copied by the engine: free them for the run
         sim.run(stop - sim.cycle, until=stop)
         sim.cycle = stop  # the calendar may have emptied earlier
-        t, i = stop, j
+        i = j
 
     return stream_summary(
         sim.packet_records(), start=t0, cycles=cycles, warmup=warmup,
@@ -206,8 +206,9 @@ class SaturationResult:
     workers: int = 0
 
     def curve(self) -> list[dict]:
-        """The offered-load vs delivered-throughput curve as rows."""
-        return [p.row() for p in self.points]
+        """The offered-load vs delivered-throughput curve as rows: each
+        point's :meth:`~repro.simulator.grid.ExperimentResult.measures`."""
+        return [p.measures() for p in self.points]
 
 
 def _bracket_first_crossing(

@@ -422,7 +422,7 @@ def per_cycle_stream(ctrl, source, cycles: int, *, warmup: int = 0,
     bounds = np.searchsorted(rel_times, np.arange(int(cycles) + 1))
     refused: list[int] = []
     for c in range(int(cycles)):
-        ctrl.fire_due_events(t0 + c)
+        ctrl.fire_due_events()  # the clock is t0 + c: step() moves it one cycle
         lo, hi = int(bounds[c]), int(bounds[c + 1])
         flat, offsets, kept, hop = ctrl._route(pairs[lo:hi])
         lost = hi - lo - kept.size

@@ -3,6 +3,7 @@ fixed-model bit-equivalence on both engines, seeded replica
 determinism, repair (enable_node) paths, and the spec/grid plumbing
 (including the refusal of removed keys)."""
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,6 +23,7 @@ from repro.simulator import (
     validate_fault_model,
 )
 from tests.conformance.harness import NetworkSimulator, witness_run
+from tests.nx_bridge import to_networkx
 
 
 def _run_stats(ctrl, pairs, batches=2):
@@ -258,16 +260,20 @@ class TestModelSemantics:
         )
         assert sc.node_faults and all(10 <= c < 20 for c, _ in sc.node_faults)
 
-    def test_burst_is_a_radius_ball(self):
+    @pytest.mark.parametrize("seed", [0, 3, 11, 42])
+    @pytest.mark.parametrize("radius", [0, 1, 2, 3])
+    def test_burst_is_a_radius_ball(self, radius, seed):
+        """A burst fails exactly the hop ball of ``radius`` around the
+        center it draws first, held to networkx's BFS as the witness."""
         g = debruijn(2, 5)
-        sc = realize_fault_model({"name": "burst", "radius": 1}, n=32,
-                                 cycles=1, rng=np.random.default_rng(3),
+        sc = realize_fault_model({"name": "burst", "radius": radius}, n=32,
+                                 cycles=1, rng=np.random.default_rng(seed),
                                  graph=g)
-        nodes = {v for _, v in sc.node_faults}
-        # some center's closed 1-neighborhood
-        assert any(
-            nodes == {c} | {int(w) for w in g.neighbors(c)} for c in nodes
+        center = int(np.random.default_rng(seed).integers(32))
+        ball = nx.single_source_shortest_path_length(
+            to_networkx(g), center, cutoff=radius
         )
+        assert [v for _, v in sc.node_faults] == sorted(ball)
 
     def test_burst_radius_zero_is_one_node(self):
         sc = realize_fault_model({"name": "burst", "radius": 0}, n=32,

@@ -46,11 +46,33 @@ STREAM = {
     "cycles": 200, "warmup": 40, "source": "poisson",
 }
 
+STREAM_GRID = {
+    "grid": {
+        "mhk": [[2, 4, 1]],
+        "loop": "stream",
+        "rates": [0.05, 0.5],
+        "fault_models": [{"name": "fixed", "faults": []},
+                         {"name": "fixed", "faults": [[50, 3]]}],
+        "cycles": 200,
+        "warmup": 40,
+        "window": 50,
+    }
+}
+
 
 def _strip(row: dict) -> dict:
     """Drop wall-clock columns: the only legal difference between an
     HTTP run and a CLI run of the same JSON."""
     return {k: v for k, v in row.items() if k != "seconds"}
+
+
+def _document(doc: dict) -> dict:
+    """A run document without what may differ between the service and
+    ``repro run --json``: the ``job`` summary, ``workers`` and every
+    wall-clock ``seconds``."""
+    out = {k: v for k, v in doc.items() if k not in ("job", "workers", "seconds")}
+    out["rows"] = [_strip(r) for r in doc["rows"]]
+    return out
 
 
 def _request(port: int, path: str, payload=None, timeout: float = 30.0):
@@ -227,6 +249,37 @@ class TestLifecycle:
         assert health["pool"]["target_workers"] == 2
         assert health["pool"]["closed"] is False
         assert "queue_depth" in health and "jobs_by_state" in health
+
+
+class TestOneDocument:
+    @pytest.mark.parametrize("payload", [GRID, STREAM_GRID],
+                             ids=["closed", "stream"])
+    def test_result_is_the_cli_json_document(self, service, tmp_path,
+                                             capsys, payload):
+        """``/jobs/<id>/result`` is the ``repro run --json`` document of
+        the same JSON plus ``job``: every other key, ``shard_stats`` and
+        ``streams`` included, holds the same value once ``workers`` and
+        the wall-clock ``seconds`` are left out."""
+        from repro.cli import main
+
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(payload))
+        out = tmp_path / "run.json"
+        assert main(["run", str(spec), "--workers", "0",
+                     "--json", str(out)]) == 0
+        capsys.readouterr()
+        cli = json.loads(out.read_text())
+
+        status, body = _request(service.port, "/experiments", payload)
+        job_id = body["job"]["id"]
+        assert _stream_lines(service.port, job_id)[-1]["job"]["state"] == "done"
+        status, http = _request(service.port, f"/jobs/{job_id}/result")
+        assert status == 200
+
+        assert set(http) - set(cli) == {"job"}
+        closed = payload["grid"]["loop"] == "closed"
+        assert ("shard_stats" in cli) == closed and ("streams" in cli) != closed
+        assert _document(http) == _document(cli)
 
 
 class TestRetry:

@@ -36,7 +36,7 @@ class TestReconfigurationController:
     def test_router_avoids_faults(self, rng):
         ctrl = ReconfigurationController(2, 4, 1)
         ctrl.schedule(FaultScenario([(0, 5)]))
-        ctrl.fire_due_events(0)
+        ctrl.fire_due_events()
         pairs = np.array([(s, d) for s in range(16) for d in (0, 7, 15)])
         flat, offsets, kept, hop = ctrl._route(pairs)
         assert kept.tolist() == list(range(len(pairs)))
@@ -197,32 +197,38 @@ class TestFaultClock:
         ctrl = self._ctrl(controller, engine)
         ctrl.schedule(FaultScenario([(9, 4), (1, 2)]))
         assert ctrl.next_event_cycle() == 1
-        assert ctrl.fire_due_events(5) == 1
+        ctrl.sim.cycle = 5
+        assert ctrl.fire_due_events() == 1
         assert ctrl.next_event_cycle() == 9
-        assert ctrl.fire_due_events(9) == 1
+        ctrl.sim.cycle = 9
+        assert ctrl.fire_due_events() == 1
         assert ctrl.next_event_cycle() is None
-        assert [v for _, v in ctrl.fault_log] == [2, 4]
+        # an event fires, and is logged, at the clock it was fired on
+        assert ctrl.fault_log == [(5, 2), (9, 4)]
 
     @pytest.mark.parametrize("engine", ["object", "batch"])
     @pytest.mark.parametrize("controller", ["reconfig", "detour"])
     def test_past_schedule_rejected(self, controller, engine):
         ctrl = self._ctrl(controller, engine)
-        ctrl.fire_due_events(10)
+        ctrl.sim.cycle = 10
+        ctrl.fire_due_events()
         with pytest.raises(SimulationError, match="cannot schedule"):
             ctrl.schedule(FaultScenario([(12, 3), (5, 6)]))
         assert ctrl.next_event_cycle() is None  # nothing of it was queued
         ctrl.schedule(FaultScenario([(10, 6)]))  # the last fired cycle is fine
-        assert ctrl.fire_due_events(10) == 1
+        assert ctrl.fire_due_events() == 1
 
     @pytest.mark.parametrize("engine", ["object", "batch"])
     @pytest.mark.parametrize("controller", ["reconfig", "detour"])
     def test_backwards_firing_rejected(self, controller, engine):
         ctrl = self._ctrl(controller, engine)
         ctrl.schedule(FaultScenario([(5, 6)]))
-        ctrl.fire_due_events(10)
+        ctrl.sim.cycle = 10
+        ctrl.fire_due_events()
+        ctrl.sim.cycle = 3
         with pytest.raises(SimulationError, match="cannot fire"):
-            ctrl.fire_due_events(3)
-        assert [v for _, v in ctrl.fault_log] == [6]
+            ctrl.fire_due_events()
+        assert ctrl.fault_log == [(10, 6)]
 
     @pytest.mark.parametrize("engine", ["object", "batch"])
     def test_refused_event_is_consumed(self, engine):
@@ -231,7 +237,7 @@ class TestFaultClock:
         ctrl = on_engine(ReconfigurationController(2, 3, 1), engine)
         ctrl.schedule(FaultScenario([(0, 1), (0, 2), (4, 5)]))
         with pytest.raises(FaultSetError):
-            ctrl.fire_due_events(0)
+            ctrl.fire_due_events()
         assert ctrl.fault_log == [(0, 1)]
         assert ctrl.next_event_cycle() == 4
 

@@ -3,10 +3,13 @@
 the sample spec over HTTP, and diff the result against ``repro run``
 on the same JSON.
 
-The contract being gated is the tentpole one: an HTTP-submitted spec
-produces rows bit-identical to the CLI front door — wall-clock fields
-(``seconds``) are the only permitted difference.  Exits nonzero naming
-the first divergent row otherwise.
+The contract being gated: ``/jobs/<id>/result`` is the ``repro run
+--json`` document of the same JSON plus the ``job`` summary.  Every
+other key (``rows``, ``aggregate``, ``shard_stats``, ``streams`` and the
+echoed spec or grid) must be bit-identical; ``workers`` (the service's
+pool size against the workers the CLI's map used) and the wall-clock
+``seconds`` fields are the only permitted differences.  Exits nonzero
+naming the first divergent row or key otherwise.
 
 Usage::
 
@@ -31,6 +34,14 @@ REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 def _strip(row: dict) -> dict:
     return {k: v for k, v in row.items() if k != "seconds"}
+
+
+def _document(doc: dict) -> dict:
+    """The run document without ``job``, ``workers`` and every
+    wall-clock ``seconds``."""
+    out = {k: v for k, v in doc.items() if k not in ("job", "workers", "seconds")}
+    out["rows"] = [_strip(r) for r in doc.get("rows", [])]
+    return out
 
 
 def _request(port: int, path: str, payload=None, timeout: float = 60.0):
@@ -103,8 +114,12 @@ def main(argv: list[str] | None = None) -> int:
     with open(artifact) as fh:
         reference = json.load(fh)
 
-    http_rows = [_strip(r) for r in result["rows"]]
-    cli_rows = [_strip(r) for r in reference["rows"]]
+    http_doc, cli_doc = _document(result), _document(reference)
+    if set(http_doc) != set(cli_doc):
+        print(f"keys differ: HTTP {sorted(http_doc)} vs CLI {sorted(cli_doc)}",
+              file=sys.stderr)
+        return 1
+    http_rows, cli_rows = http_doc.pop("rows"), cli_doc.pop("rows")
     if len(http_rows) != len(cli_rows):
         print(f"row count differs: HTTP {len(http_rows)} vs "
               f"CLI {len(cli_rows)}", file=sys.stderr)
@@ -114,13 +129,15 @@ def main(argv: list[str] | None = None) -> int:
             print(f"row {i} differs:\n  HTTP: {a}\n  CLI:  {b}",
                   file=sys.stderr)
             return 1
-    if result.get("aggregate") != reference.get("aggregate"):
-        print("aggregate differs:", file=sys.stderr)
-        print(f"  HTTP: {result.get('aggregate')}", file=sys.stderr)
-        print(f"  CLI:  {reference.get('aggregate')}", file=sys.stderr)
-        return 1
-    print(f"service smoke OK: {len(http_rows)} rows bit-identical "
-          f"to `repro run` (seconds excluded)")
+    for key in sorted(http_doc):
+        if http_doc[key] != cli_doc[key]:
+            print(f"{key} differs:", file=sys.stderr)
+            print(f"  HTTP: {http_doc[key]}", file=sys.stderr)
+            print(f"  CLI:  {cli_doc[key]}", file=sys.stderr)
+            return 1
+    print(f"service smoke OK: {len(http_rows)} rows and "
+          f"{', '.join(sorted(http_doc))} bit-identical to `repro run` "
+          f"(job, workers and seconds excluded)")
     return 0
 
 
