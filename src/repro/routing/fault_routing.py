@@ -43,11 +43,17 @@ def lift_slot_table(graph: StaticGraph, m: int, phi: np.ndarray) -> np.ndarray:
 
     One :meth:`~repro.graphs.static_graph.StaticGraph.directed_edge_slots`
     search over the ``n * m`` logical edges: built once per ``φ``, it
-    resolves every hop :func:`lifted_routes_batch` lifts by a gather."""
+    resolves every hop :func:`lifted_routes_batch` lifts by a gather.
+    A stack of ``R`` maps, ``phi`` of shape ``(R, n)``, gives the
+    ``(R, n * m)`` tables of all of them from one search: with row ``r``
+    shifted into copy ``r`` of a
+    :meth:`~repro.graphs.static_graph.StaticGraph.block_union`, that is
+    every replica's table in the union's slots."""
     phi = np.asarray(phi, dtype=np.int64)
-    n = phi.size
-    heads = (m * np.arange(n, dtype=np.int64)[:, None] + np.arange(m)) % n
-    return graph.directed_edge_slots(np.repeat(phi, m), phi[heads.ravel()])
+    n = phi.shape[-1]
+    heads = ((m * np.arange(n, dtype=np.int64)[:, None] + np.arange(m)) % n).ravel()
+    slots = graph.directed_edge_slots(np.repeat(phi, m, axis=-1), phi.take(heads, axis=-1))
+    return slots.reshape(phi.shape[:-1] + (n * m,))
 
 
 def lifted_routes_batch(
@@ -65,12 +71,17 @@ def lifted_routes_batch(
     (its :func:`~repro.routing.shift_register.shift_windows_batch`
     window).  Ready for
     ``BatchEngine.inject_routes(flat, offsets, hop=hop)``, which checks
-    every slot against its hop."""
+    every slot against its hop.
+
+    A stack of maps (``phi`` of shape ``(R, n)``, ``slots`` their
+    ``(R, n * m)`` tables) lifts the same pairs through each of them
+    from one window pass: ``flat`` and ``hop`` are then ``(R, L)``, row
+    ``r`` the lift through ``phi[r]``, and ``offsets`` is every row's."""
     win, offsets = shift_windows_batch(srcs, dsts, m, h)
-    hop = slots[win]
-    hop[offsets[1:] - 1] = -1
+    hop = slots.take(win, axis=-1)
+    hop.T[offsets[1:] - 1] = -1  # route ends: the last axis, of one map or a stack
     win //= m  # the logical nodes
-    return phi[win], offsets, hop
+    return phi.take(win, axis=-1), offsets, hop
 
 
 class ReconfiguredRouter:

@@ -58,8 +58,9 @@ lives one level up: independent cells and the replica blocks of an
 :class:`~repro.experiments.ExperimentSpec` fan out through
 :func:`~repro.simulator.grid.run_grid`.  :func:`drain_block`
 runs one block: replica controllers whose faults all fire at cycle 0,
-drained side by side on one engine, each replica's records exactly its
-own ``run_workload``'s.
+routed once for the whole block (one lift, or one survivor table per
+distinct fault set) and drained side by side on one engine, each
+replica's records exactly its own ``run_workload``'s.
 """
 
 from __future__ import annotations
@@ -405,26 +406,64 @@ class _FaultController:
     """The fault clock and the workload drivers both controllers share.
 
     A subclass sets ``target`` (the machine its (src, dst) pairs
-    address), hands its physical graph to ``__init__`` (which builds the
-    :class:`BatchEngine`, ``sim``) and supplies :meth:`fail_node` /
+    address), hands its physical graph to ``__init__`` (the
+    :class:`BatchEngine` over it, ``sim``, is built on first use) and
+    supplies ``faults`` (the nodes down now), :meth:`fail_node` /
     :meth:`repair_node` (a failure adds the packets it drops to
-    ``lost_to_faults``) and the route hook ``_route(pairs) -> (flat,
+    ``lost_to_faults``), the route hook ``_route(pairs) -> (flat,
     offsets, kept, hop)``, where ``hop`` holds each route position's CSR
-    slot, the engine's queue id (``-1`` at route ends).  The engine
-    checks every slot against its hop, so a route off the graph is an
-    error from any router.  Everything else — scheduling, firing, the
-    logs, refusal accounting, the closed-loop drain and the open-loop
-    stream — lives here once.
+    slot, the engine's queue id (``-1`` at route ends), and its block
+    form ``_block_routes`` (see :func:`drain_block`).  The engine checks
+    every slot against its hop, so a route off the graph is an error
+    from any router.  Everything else — scheduling, firing, the logs,
+    refusal accounting, the closed-loop drain and the open-loop stream —
+    lives here once.
     """
 
     def __init__(self, graph, link_capacity: int):
-        self.sim = BatchEngine(graph, link_capacity)
+        self.graph = graph
+        self.link_capacity = int(link_capacity)
+        self._sim: BatchEngine | None = None
         self._pending: deque[tuple[int, bool, int]] = deque()
         self._fired_at = 0  # the cycle events last fired at
         self.lost_to_faults = 0
         self.unreachable_pairs = 0
         self.fault_log: list[tuple[int, int]] = []
         self.repair_log: list[tuple[int, int]] = []
+
+    @property
+    def sim(self) -> BatchEngine:
+        """The controller's packet engine, built on first use with every
+        node failed so far (:attr:`faults`) already down.  A fault fired
+        before then drops nothing, since no packet exists yet, so a block
+        drain (:func:`drain_block`) fires each replica's cycle-0 events
+        without ever building the replica's own engine."""
+        if self._sim is None:
+            sim = BatchEngine(self.graph, self.link_capacity)
+            sim.disable_nodes(sorted(self.faults))
+            self._sim = sim
+        return self._sim
+
+    @sim.setter
+    def sim(self, engine) -> None:
+        self._sim = engine
+
+    def _disable(self, node: int) -> int:
+        """Take ``node`` down on the engine and return the packets it
+        drops; before the engine is built only the id is checked."""
+        if self._sim is not None:
+            return self._sim.disable_node(node)
+        if not 0 <= node < self.graph.node_count:
+            raise SimulationError(
+                f"cannot disable node {node}: not a node of the graph "
+                f"[0, {self.graph.node_count})"
+            )
+        return 0
+
+    def _enable(self, node: int) -> None:
+        """Bring ``node`` back on the engine, if it is built yet."""
+        if self._sim is not None:
+            self._sim.enable_node(node)
 
     def schedule(self, scenario: FaultScenario) -> None:
         """Add a :class:`FaultScenario`'s events to the schedule
@@ -454,8 +493,9 @@ class _FaultController:
         at raises :class:`SimulationError`.  Each event leaves the
         schedule before it fires, so one that raises (a
         :class:`~repro.core.reconfiguration.FaultSetError` past the spare
-        budget) is consumed all the same."""
-        due = int(self.sim.cycle)
+        budget) is consumed all the same.  Before the engine is built its
+        clock reads 0."""
+        due = 0 if self._sim is None else int(self._sim.cycle)
         if due < self._fired_at:
             raise SimulationError(
                 f"cannot fire events at cycle {due}: events already fired "
@@ -546,53 +586,74 @@ def drain_block(controllers, pairs: np.ndarray, *,
     :meth:`~_FaultController.run_workload` over ``[pairs]``.
 
     Every controller must be fresh, of one kind and machine, with every
-    scheduled event due at cycle 0.  Each fires its events in its own
-    order (so φ and any
-    :class:`~repro.core.reconfiguration.FaultSetError` are its own) and
-    routes ``pairs`` through its own route hook, charging refusals to
-    its ``unreachable_pairs``; the block then shifts replica ``r``'s
-    nodes by ``r * n`` and its CSR slots by ``r * s``.  Replicas share
-    no queue, and each one's joiners reach the union's service order in
+    scheduled event due at cycle 0.  Each fires its events through its
+    own :meth:`~_FaultController.fire_due_events`, in its own order (so
+    φ, ``fault_log`` and any
+    :class:`~repro.core.reconfiguration.FaultSetError` are its own), and
+    builds no engine of its own: no packet exists yet, so a fault drops
+    nothing.  What is the same for every replica is then done once for
+    the block by the controllers' ``_block_routes``: the reconfiguration
+    arm lifts ``pairs`` through every replica's φ from one window pass
+    and one slot search over the union; the detour arm compiles and
+    extracts one survivor table per distinct fault set and drops it
+    once its routes are out.  Each replica's refusals are charged to its
+    ``unreachable_pairs``, and replica ``r``'s nodes sit at ``r * n``
+    and its CSR slots at ``r * s`` in the union, whose one engine
+    disables every replica's dead nodes in one call.  Replicas share no
+    queue, and each one's joiners reach the union's service order in
     their solo order, so every departure is its solo departure.  With
     every fault fired before injection no packet can drop, so a
     replica's solo clock ends on its last delivery (0 without one):
     that is its ``cycles``.
     """
-    graph = controllers[0].sim.graph
-    n, s = graph.node_count, graph.directed_edge_keys.size
-    flats, lens, hops, dead = [], [], [], []
-    for r, ctrl in enumerate(controllers):
+    records, ends, cycles = _drain_union(controllers, pairs, max_cycles)
+    return [
+        (PacketArrays(
+            injected_at=records.injected_at[lo:hi],
+            delivered_at=records.delivered_at[lo:hi],
+            hops=records.hops[lo:hi], dropped=records.dropped[lo:hi],
+        ), c)
+        for lo, hi, c in zip(ends[:-1], ends[1:], cycles)
+    ]
+
+
+def _drain_union(controllers, pairs: np.ndarray,
+                 max_cycles: int) -> tuple[PacketArrays, np.ndarray, list[int]]:
+    """:func:`drain_block` before the split: the union engine's packet
+    records (replica ``r``'s are rows ``ends[r]:ends[r + 1]``), ``ends``
+    and each replica's ``cycles``, so a caller that wants only the
+    block's totals reduces them once."""
+    first = controllers[0]
+    for ctrl in controllers:
         ctrl.fire_due_events()
         if ctrl.next_event_cycle() is not None:
             raise SimulationError(
                 "a block drain needs every scheduled event at cycle 0"
             )
+    n = first.graph.node_count
+    union = first.graph.block_union(len(controllers))
+    routes = first._block_routes(controllers, pairs, union)
+    flats, lens, hops, dead = [], [], [], []
+    for r, (ctrl, (flat, offsets, kept, hop)) in enumerate(zip(controllers, routes)):
         # a machine-death outcome would enter here per replica: a dead
         # replica injects nothing into its block
-        flat, offsets, kept, hop = ctrl._route(pairs)
         ctrl.unreachable_pairs += pairs.shape[0] - kept.size
-        flats.append(flat + r * n)
+        flats.append(flat)
         lens.append(np.diff(offsets))
-        hops.append(hop + r * s)  # shifted route ends: the engine ignores them
-        dead.extend(v + r * n for v in sorted(ctrl.sim.dead_nodes))
-    sim = BatchEngine(graph.block_union(len(controllers)),
-                      controllers[0].sim.link_capacity)
+        hops.append(hop)
+        dead.extend(v + r * n for v in ctrl.faults)
+    sim = BatchEngine(union, first.link_capacity)
     sim.disable_nodes(dead)
-    offsets = np.zeros(sum(x.size for x in lens) + 1, dtype=np.int64)
+    ends = np.zeros(len(lens) + 1, dtype=np.int64)
+    np.cumsum([x.size for x in lens], out=ends[1:])
+    offsets = np.zeros(ends[-1] + 1, dtype=np.int64)
     np.cumsum(np.concatenate(lens), out=offsets[1:])
     sim.inject_routes(np.concatenate(flats), offsets, hop=np.concatenate(hops))
     sim.run(max_cycles)
-    rec = sim.packet_records()
-    out, lo = [], 0
-    for part in lens:
-        hi = lo + part.size
-        records = PacketArrays(
-            injected_at=rec.injected_at[lo:hi], delivered_at=rec.delivered_at[lo:hi],
-            hops=rec.hops[lo:hi], dropped=rec.dropped[lo:hi],
-        )
-        out.append((records, int(records.delivered_at.max(initial=0))))
-        lo = hi
-    return out
+    records = sim.packet_records()
+    cycles = [int(records.delivered_at[lo:hi].max(initial=0))
+              for lo, hi in zip(ends[:-1], ends[1:])]
+    return records, ends, cycles
 
 
 class ReconfigurationController(_FaultController):
@@ -628,6 +689,11 @@ class ReconfigurationController(_FaultController):
     fire_due_events = _FaultController.fire_due_events
     run_workload = _FaultController.run_workload
 
+    @property
+    def faults(self) -> tuple[int, ...]:
+        """The physical nodes down now (the reconfigurator's fault set)."""
+        return self.rec.faults
+
     def fail_node(self, node: int) -> None:
         """Kill a physical processor: the reconfigurator remaps its
         logical node onto a spare (raising
@@ -636,7 +702,7 @@ class ReconfigurationController(_FaultController):
         (counted in ``lost_to_faults``)."""
         node = int(node)
         self.rec.fail_node(node)
-        self.lost_to_faults += self.sim.disable_node(node)
+        self.lost_to_faults += self._disable(node)
 
     def repair_node(self, node: int) -> None:
         """A repaired node rejoins service: the reconfigurator reclaims
@@ -644,7 +710,7 @@ class ReconfigurationController(_FaultController):
         injections re-lift through the new φ."""
         node = int(node)
         self.rec.repair_node(node)
-        self.sim.enable_node(node)
+        self._enable(node)
 
     def _route(self, pairs: np.ndarray):
         """Route hook: every logical pair's shift-register route lifted
@@ -660,6 +726,24 @@ class ReconfigurationController(_FaultController):
             self.m, self.h, phi, pairs[:, 0], pairs[:, 1], self._slots
         )
         return flat, offsets, np.arange(pairs.shape[0]), hop
+
+    @staticmethod
+    def _block_routes(controllers, pairs: np.ndarray, union):
+        """:meth:`_route` for every controller of a block at once, in the
+        nodes and slots of ``union``: each φ shifted into its copy, one
+        :func:`~repro.routing.fault_routing.lift_slot_table` search over
+        the union for all of them, and one lift of the shared ``pairs``
+        through the stack.  Returns each controller's ``(flat, offsets,
+        kept, hop)``."""
+        first = controllers[0]
+        shift = first.graph.node_count * np.arange(len(controllers))[:, None]
+        phis = np.stack([c.rec.phi() for c in controllers]) + shift
+        slots = lift_slot_table(union, first.m, phis)
+        flat, offsets, hop = lifted_routes_batch(
+            first.m, first.h, phis, pairs[:, 0], pairs[:, 1], slots
+        )
+        kept = np.arange(pairs.shape[0])
+        return [(flat[r], offsets, kept, hop[r]) for r in range(len(controllers))]
 
 
 class DetourController(_FaultController):
@@ -715,7 +799,7 @@ class DetourController(_FaultController):
             raise SimulationError(
                 f"cannot repair node {node}: it is not faulty"
             )
-        self.sim.enable_node(node)
+        self._enable(node)
         self.faults.discard(node)
 
     def fail_node(self, node: int) -> None:
@@ -727,7 +811,7 @@ class DetourController(_FaultController):
         leak into ``faults``, where it would poison every later routing
         batch."""
         node = int(node)
-        self.lost_to_faults += self.sim.disable_node(node)
+        self.lost_to_faults += self._disable(node)
         self.faults.add(node)
 
     def survivor_table(self):
@@ -735,7 +819,9 @@ class DetourController(_FaultController):
         :class:`~repro.routing.tables.RouteTable` (original node ids),
         compiled at most once per frozen fault set.  The stale epoch's
         table is released before the next compiles, so a recompile never
-        holds two n² tables."""
+        holds two n² tables.  A block drain does not come here: it
+        compiles once per distinct fault set over the whole block and
+        keeps no table (:meth:`_block_routes`)."""
         key = frozenset(self.faults)
         if self._table is None or self._table_faults != key:
             self._table = None
@@ -765,6 +851,30 @@ class DetourController(_FaultController):
         return self.survivor_table().routes_batch_masked(pairs[:, 0], pairs[:, 1])
 
     _route = detour_routes_batch
+
+    @staticmethod
+    def _block_routes(controllers, pairs: np.ndarray, union):
+        """:meth:`detour_routes_batch` for every controller of a block,
+        in the nodes and slots of ``union``: the controllers are grouped
+        by fault set, each distinct set's survivor table is compiled and
+        extracted once and dropped as soon as its routes are out, and
+        every controller with that set takes those routes shifted into
+        its copy.  Returns each controller's ``(flat, offsets, kept,
+        hop)``."""
+        first = controllers[0]
+        n, s = first.graph.node_count, first.graph.directed_edge_keys.size
+        groups: dict[frozenset[int], list[int]] = {}
+        for r, ctrl in enumerate(controllers):
+            groups.setdefault(frozenset(ctrl.faults), []).append(r)
+        routes = [None] * len(controllers)
+        for key, members in groups.items():
+            flat, offsets, kept, hop = survivor_route_table(
+                first.target, key
+            ).routes_batch_masked(pairs[:, 0], pairs[:, 1])
+            for r in members:
+                # shifted route ends stay route ends: the engine ignores them
+                routes[r] = (flat + r * n, offsets, kept, hop + r * s)
+        return routes
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,8 @@ task is one *block* of single-replica specs, run by :func:`run_block`:
   each.  A cell with one injection batch and every fault at cycle 0
   drains a whole block on one engine, its replicas side by side in one
   block-diagonal graph, so a replica's short drain no longer pays the
-  engine's fixed per-cycle cost alone; every other cell, and a replica
+  engine's fixed per-cycle cost alone, and routes and reduces once per
+  block rather than once per replica; every other cell, and a replica
   too large to share, is a block of one.  A map with fewer tasks than
   pool workers cuts its blocks finer, down to one replica each, until
   every worker has one, so a lone replicated cell still fans out.
@@ -70,7 +71,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from repro.errors import ParameterError
-from repro.simulator.faults import drain_block
+from repro.simulator.faults import _drain_union
 from repro.simulator.metrics import PacketArrays, RunStats, hist_percentile
 from repro.simulator.pool import WorkerPool
 
@@ -379,19 +380,24 @@ def run_block(block) -> ExperimentResult:
     """Run one block of single-replica specs (a plain cell, or realized
     replicas from :meth:`~repro.experiments.ExperimentSpec.replica_blocks`)
     and return their merged result, equal to merging each replica's own
-    ``run()``.  A block of one runs its spec alone; a larger block builds
-    every replica's controller and drains them together with
-    :func:`~repro.simulator.faults.drain_block`."""
+    ``run()``.  A block of one runs its spec alone.  A larger block
+    builds every replica's controller, whose cycle-0 events fire on it
+    while it builds no engine, and drains them together as
+    :func:`~repro.simulator.faults.drain_block` does: one lift, or one
+    survivor table per distinct fault set, and one engine for the whole
+    block.  Its stats are one :meth:`ShardStats.from_arrays` over the
+    union's records, ``cycles`` the sum of each replica's last delivery,
+    which is exactly the merge of the replicas' own stats."""
     if len(block) == 1:
         return block[0]._run()
     first = block[0]
     ctrls = [rep.build_controller() for rep in block]
     t0 = time.perf_counter()
-    drained = drain_block(ctrls, first.traffic(), max_cycles=first.max_cycles)
+    records, _, cycles = _drain_union(ctrls, first.traffic(), first.max_cycles)
     seconds = time.perf_counter() - t0
     return ExperimentResult(
         spec=first,
-        stats=ShardStats.merge(ShardStats.from_arrays(*d) for d in drained),
+        stats=ShardStats.from_arrays(records, sum(cycles)),
         seconds=seconds,
         lost_to_faults=sum(c.lost_to_faults for c in ctrls),
         unreachable_pairs=sum(c.unreachable_pairs for c in ctrls),

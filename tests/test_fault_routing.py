@@ -118,6 +118,40 @@ class TestLiftedRoutes:
                 assert hop[offsets[i]:offsets[i + 1]].tolist() == [*searched.tolist(), -1]
 
 
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_stacked_lift_equals_each_lift(self, data):
+        """A stack of maps shifted into the copies of a block union lifts
+        like each map alone on the machine, shifted into its copy: one
+        slot search and one window pass for the whole stack."""
+        m, h = data.draw(st.sampled_from([s for s in LIFT_SIZES if s[1] >= 3]))
+        n, k = m ** h, data.draw(st.integers(0, 3))
+        ft = _ft(m, h, k)
+        phis = []
+        for _ in range(data.draw(st.integers(1, 4))):
+            rec = Reconfigurator(n + k, n)
+            for v in data.draw(st.lists(st.integers(0, n + k - 1), max_size=k,
+                                        unique=True)):
+                rec.fail_node(v)
+            phis.append(rec.phi())
+        pairs = data.draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                             st.integers(0, n - 1)),
+                                   min_size=1, max_size=60))
+        srcs, dsts = np.array(pairs, dtype=np.int64).T
+        copies = len(phis)
+        shifted = np.stack(phis) + (n + k) * np.arange(copies)[:, None]
+        slots = lift_slot_table(ft.block_union(copies), m, shifted)
+        flat, offsets, hop = lifted_routes_batch(m, h, shifted, srcs, dsts, slots)
+        s = ft.directed_edge_keys.size
+        for r, phi in enumerate(phis):
+            own = lift_slot_table(ft, m, phi)
+            assert slots[r].tolist() == np.where(own >= 0, own + r * s, -1).tolist()
+            f1, o1, h1 = lifted_routes_batch(m, h, phi, srcs, dsts, own)
+            assert offsets.tolist() == o1.tolist()
+            assert flat[r].tolist() == (f1 + r * (n + k)).tolist()
+            assert hop[r].tolist() == np.where(h1 >= 0, h1 + r * s, -1).tolist()
+
+
 class TestDetourRoute:
     """The detour baseline's one router (a survivor table per fault
     epoch), checked against the per-pair BFS witness."""

@@ -11,6 +11,8 @@ blocks through ``run_grid``) builds on that.
 from __future__ import annotations
 
 import os
+import weakref
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -32,8 +34,10 @@ from repro.simulator import (
     pack_routes,
     run_grid,
 )
+import repro.routing.fault_routing as fault_routing_mod
+import repro.simulator.faults as faults_mod
 from repro.simulator.faults import drain_block
-from repro.simulator.grid import WorkerPool, _expand_tasks
+from repro.simulator.grid import WorkerPool, _expand_tasks, run_block
 from repro.simulator.traffic import PATTERN_NAMES
 
 
@@ -393,6 +397,68 @@ def _outcome(result):
     return (result.stats, result.lost_to_faults, result.unreachable_pairs)
 
 
+def _fault_sets(block) -> list[frozenset]:
+    """Each realized replica's cycle-0 fault set, in block order."""
+    return [frozenset(v for _, v in rep._fixed_faults().node_faults)
+            for rep in block]
+
+
+def _mixed_detour_block(p: float):
+    """The first detour ``B_{2,5}`` cell (``iid`` at ``p``, R=16) whose
+    one block mixes a fault-free replica, a fault set two replicas share
+    and sets of their own."""
+    for seed in range(400):
+        spec = ExperimentSpec(m=2, h=5, k=12, controller="detour",
+                              fault_model={"name": "iid", "p": p},
+                              replicas=16, packets=256, seed=seed)
+        [block] = spec.replica_blocks()
+        counts = Counter(_fault_sets(block))
+        if counts[frozenset()] and any(c > 1 for f, c in counts.items() if f):
+            return block
+    raise AssertionError(f"no seed below 400 mixes fault sets at p={p}")
+
+
+@st.composite
+def _fixed_blocks(draw):
+    """A block of 1-8 realized single-replica specs on ``B^2_{2,4}`` or
+    ``B_{2,4}`` (``k`` 2 or 0) with ``fixed`` cycle-0 schedules: the
+    replicas pick from a few drawn fault sets plus the empty one, so
+    repeated and fault-free replicas come up on purpose.  A
+    reconfiguration set names at most ``k`` of the ``16 + k`` physical
+    nodes; a detour set up to 4 of the 16."""
+    controller = draw(st.sampled_from(["reconfig", "detour"]))
+    k = draw(st.sampled_from([0, 2]))
+    nodes, most = (16 + k, k) if controller == "reconfig" else (16, 4)
+    sets = draw(st.lists(st.frozensets(st.integers(0, nodes - 1), max_size=most),
+                         max_size=3))
+    sets = [frozenset(), *sets]
+    picks = draw(st.lists(st.integers(0, len(sets) - 1), min_size=1, max_size=8))
+    base = ExperimentSpec(
+        m=2, h=4, k=k, controller=controller,
+        link_capacity=draw(st.sampled_from([1, 2])),
+        pattern=draw(st.sampled_from(["uniform", "hotspot"])),
+        packets=draw(st.integers(1, 120)), seed=draw(st.integers(0, 2**16)),
+    )
+    return tuple(
+        replace(base, fault_model={"name": "fixed",
+                                   "faults": [[0, v] for v in sorted(sets[i])]})
+        for i in picks
+    )
+
+
+def _counting(monkeypatch, owner, name):
+    """Replace ``owner.name`` with a wrapper that counts its calls."""
+    real = getattr(owner, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
 def _assert_one_block_matches_solo(spec):
     """``spec``'s replicas form one block, each replica of which, and
     the merged cell, equal the replicas' solo runs."""
@@ -553,6 +619,83 @@ class TestReplicaBlocks:
             assert res.spec == cell
             assert res.stats == ShardStats.merge(w.stats for w in solo)
             assert res.unreachable_pairs == sum(w.unreachable_pairs for w in solo)
+
+    @pytest.mark.parametrize("p", [0.9, 0.95])
+    def test_one_compile_per_distinct_fault_set(self, p, monkeypatch):
+        """A detour block compiles one survivor table per distinct fault
+        set (fault-free and shared sets once each), holds at most one at
+        a time, and every replica still gets its solo outcome."""
+        block = _mixed_detour_block(p)
+        solo = [_outcome(rep.run()) for rep in block]
+        live = []      # a weak reference to every table compiled so far
+        held = []      # per compile: how many earlier tables were alive
+        real = faults_mod.survivor_route_table
+
+        def spy(g, faults):
+            held.append(sum(ref() is not None for ref in live))
+            table = real(g, faults)
+            live.append(weakref.ref(table))
+            return table
+
+        monkeypatch.setattr(faults_mod, "survivor_route_table", spy)
+        assert _block_outcomes(block) == solo
+        distinct = len(set(_fault_sets(block)))
+        assert len(live) == distinct < len(block)
+        assert not any(held), "a survivor table outlived its routes"
+        live.clear()
+        held.clear()
+        assert run_block(block).stats == ShardStats.merge(o[0] for o in solo)
+        assert len(live) == distinct and not any(held)
+
+    @pytest.mark.parametrize("controller", ["reconfig", "detour"])
+    def test_a_block_builds_one_engine(self, controller, monkeypatch):
+        """Only the union engine is built: the replicas' controllers fire
+        their cycle-0 faults without an engine of their own."""
+        spec = _fitting(m=2, h=5, k=12, controller=controller,
+                        fault_model={"name": "iid", "p": 0.9},
+                        replicas=16, packets=256)
+        [block] = spec.replica_blocks()
+        solo = [_outcome(rep.run()) for rep in block]
+        machine, kind = ((ft_debruijn(2, 5, 12), ReconfigurationController)
+                         if controller == "reconfig"
+                         else (debruijn(2, 5), faults_mod.DetourController))
+        built = _counting(monkeypatch, BatchEngine, "__init__")
+        fired = _counting(monkeypatch, kind, "fire_due_events")
+        assert _block_outcomes(block) == solo
+        assert [args[1].node_count for args in built] == [16 * machine.node_count]
+        assert len(fired) == 16
+        built.clear()
+        assert run_block(block).stats == ShardStats.merge(o[0] for o in solo)
+        assert len(built) == 1
+
+    def test_a_reconfig_block_lifts_once(self, monkeypatch):
+        """The reconfiguration arm computes the shared pairs' windows once
+        and lifts them through every replica's φ."""
+        spec = _fitting(m=2, h=5, k=12, controller="reconfig",
+                        fault_model={"name": "iid", "p": 0.9},
+                        replicas=16, packets=256)
+        [block] = spec.replica_blocks()
+        solo = [_outcome(rep.run()) for rep in block]
+        windows = _counting(monkeypatch, fault_routing_mod, "shift_windows_batch")
+        assert _block_outcomes(block) == solo
+        assert len(windows) == 1
+        windows.clear()
+        assert run_block(block).stats == ShardStats.merge(o[0] for o in solo)
+        assert len(windows) == 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(block=_fixed_blocks())
+    def test_random_blocks_match_their_solo_runs(self, block):
+        """Any block of ``fixed`` cycle-0 replicas, shared and fault-free
+        sets included, gives every replica its solo ``(stats,
+        lost_to_faults, unreachable_pairs)``, and the block's one reduce
+        is the merge of the solo stats."""
+        solo = [rep.run() for rep in block]
+        assert _block_outcomes(block) == [_outcome(w) for w in solo]
+        res = run_block(block)
+        assert res.stats == ShardStats.merge(w.stats for w in solo)
+        assert res.lost_to_faults == sum(w.lost_to_faults for w in solo)
+        assert res.unreachable_pairs == sum(w.unreachable_pairs for w in solo)
 
     def test_drain_block_refuses_a_later_event(self):
         ctrls = []
