@@ -64,6 +64,7 @@ from repro.core.fault_tolerant import ft_debruijn
 from repro.errors import ParameterError
 from repro.simulator.faults import (
     CONTROLLERS,
+    FAULT_MODELS,
     FaultScenario,
     realize_fault_model,
     validate_fault_model,
@@ -87,8 +88,8 @@ __all__ = [
 LOOPS = ("closed", "stream")
 
 #: The names the ``route_mode`` field accepts.  It selects nothing: the
-#: detour baseline has one router (one compiled survivor table per fault
-#: epoch).  The field stays only because the benchmark's workloads
+#: detour baseline has one router (a survivor table compiled for each
+#: routed batch).  The field stays only because the benchmark's workloads
 #: (``perfbench/workloads.py``) still pass ``route_mode="table"``; it
 #: goes in the change that next edits that file.
 ROUTE_MODES = ("bfs", "table")
@@ -368,26 +369,29 @@ class ExperimentSpec:
 
     def _fixed_faults(self) -> FaultScenario | None:
         """The schedule when it is statically known (fault-free or the
-        ``fixed`` model), else ``None`` — probabilistic universes are only
+        ``fixed`` model, converted by its registry entry, which draws
+        nothing), else ``None`` — probabilistic universes are only
         knowable per realized replica."""
         model = self.fault_model
         if model is None:
             return FaultScenario()
         if model["name"] != "fixed":
             return None
-        return FaultScenario(
-            [(int(c), int(v)) for c, v in model["faults"]],
-            [(int(c), int(v)) for c, v in model.get("repairs", [])],
-        )
+        return FAULT_MODELS.get("fixed")(model, n=self.m ** self.h, cycles=0, rng=None)
 
     def realize_faults(self, replica: int = 0) -> FaultScenario:
-        """Draw this spec's concrete fault schedule for one Monte-Carlo
-        replica — a pure function of ``(spec, replica)`` via
-        ``rng([seed, replica])``, so realizations reproduce anywhere.
-        Stream specs default probabilistic arrival windows to
-        ``[0, cycles)``; closed specs to ``[0, 1)`` (faults at cycle 0)."""
-        if self.fault_model is None:
-            return FaultScenario()
+        """This spec's concrete fault schedule for one Monte-Carlo
+        replica.  A static schedule (fault-free or ``fixed``, as every
+        realized replica is) is :meth:`_fixed_faults`, validated once
+        at construction; a probabilistic universe is drawn by
+        :func:`~repro.simulator.faults.realize_fault_model` — a pure
+        function of ``(spec, replica)`` via ``rng([seed, replica])``, so
+        realizations reproduce anywhere.  Stream specs default
+        probabilistic arrival windows to ``[0, cycles)``; closed specs
+        to ``[0, 1)`` (faults at cycle 0)."""
+        known = self._fixed_faults()
+        if known is not None:
+            return known
         return realize_fault_model(
             self.fault_model,
             n=self.m ** self.h,

@@ -13,7 +13,7 @@ directly (single paths as node lists, batches as flattened
 * **compiled tables** (:mod:`~repro.routing.tables`) — pickle-safe
   all-pairs next-hop tables (:class:`RouteTable`) that store each hop
   as a ``uint8`` CSR slot rank (``n**2`` bytes on every de Bruijn and
-  shuffle-exchange machine): compile once per fault epoch, extract
+  shuffle-exchange machine): compile once per fault set, extract
   whole batches vectorized; :meth:`RouteTable.next_hops` decodes the
   int64 node-id view.
 * **fault routing** (:mod:`~repro.routing.fault_routing`) — the paper's
@@ -21,7 +21,7 @@ directly (single paths as node lists, batches as flattened
   :func:`lifted_routes_batch`: route on the intact logical graph, lift
   through φ, zero dilation, each hop's physical queue id read from
   φ's edge map :func:`lift_slot_table`) vs the spare-less baseline
-  (:func:`survivor_route_table`: one compiled table per fault epoch that
+  (:func:`survivor_route_table`: a table compiled per routed batch that
   routes around faults in the survivor graph).
 """
 

@@ -42,13 +42,13 @@ def lift_slot_table(graph: StaticGraph, m: int, phi: np.ndarray) -> np.ndarray:
     lift is no edge (a logical self-loop, which no shift route takes).
 
     One :meth:`~repro.graphs.static_graph.StaticGraph.directed_edge_slots`
-    search over the ``n * m`` logical edges: built once per ``φ``, it
+    search over the ``n * m`` logical edges: built per routed batch, it
     resolves every hop :func:`lifted_routes_batch` lifts by a gather.
     A stack of ``R`` maps, ``phi`` of shape ``(R, n)``, gives the
-    ``(R, n * m)`` tables of all of them from one search: with row ``r``
+    ``(R, n * m)`` tables of all of them from one search; with row ``r``
     shifted into copy ``r`` of a
-    :meth:`~repro.graphs.static_graph.StaticGraph.block_union`, that is
-    every replica's table in the union's slots."""
+    :meth:`~repro.graphs.static_graph.StaticGraph.block_union`, the
+    tables are in the union's slots."""
     phi = np.asarray(phi, dtype=np.int64)
     n = phi.shape[-1]
     heads = ((m * np.arange(n, dtype=np.int64)[:, None] + np.arange(m)) % n).ravel()
@@ -150,11 +150,9 @@ def survivor_route_table(g: StaticGraph, faults) -> "RouteTable":
     BFS there returns (see :meth:`RouteTable.compile` for why the two
     are the same; the conformance suite checks it route for route).
 
-    This is the compile-once artifact
-    :class:`repro.simulator.faults.DetourController` caches per fault
-    epoch — the cache keys on the frozen fault set, so both fault *and*
-    repair events (churn universes) invalidate it and the next routed
-    batch recompiles against the current survivors.  It is
+    :class:`repro.simulator.faults.DetourController` compiles one for
+    each routed batch, against the survivors of the moment (a block,
+    one per distinct fault set), and keeps none.  It is
     :meth:`RouteTable.compile` with ``faulty=faults``: no survivor graph
     or masked CSR is ever built.
     """

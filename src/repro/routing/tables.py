@@ -263,8 +263,8 @@ class RouteTable:
         Returns ``(flat, offsets, kept, hop)``: routes for the reachable
         pairs in the engines' shared layout, the (sorted) indices of the
         input pairs that were routable, and each route position's CSR
-        slot (``-1`` at each route's end) — the route-hook tuple
-        :meth:`repro.simulator.faults.DetourController.detour_routes_batch`
+        slot (``-1`` at each route's end) — the route-hook tuple the
+        detour baseline (:class:`repro.simulator.faults.DetourController`)
         hands the engine, whose drivers charge the dropped pairs to their
         offered-but-unadmitted accounting.  The slot of the hop leaving
         ``u`` toward ``d`` is ``row_offsets[u] + table[u, d]``, so one

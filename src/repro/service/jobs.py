@@ -85,6 +85,7 @@ class Job:
         self.cancel_requested = False
         self.cell_results: list = []  # ExperimentResult per finished cell
         self.cell_seconds: list = []  # wall clock per finished cell
+        self.cell_workers: list = []  # workers each finished cell's map used
         self.submitted_at = time.time()
         self.started_at: float | None = None
         self.finished_at: float | None = None
@@ -191,10 +192,12 @@ class JobQueue:
 
     # -- runner-side transitions (queue owns the lock/condition) ------------
 
-    def add_cell_result(self, job: Job, result, seconds: float) -> None:
+    def add_cell_result(self, job: Job, cell, seconds: float) -> None:
+        """Record a finished cell from its one-cell ``GridResult``."""
         with self.cond:
-            job.cell_results.append(result)
+            job.cell_results.append(cell.results[0])
             job.cell_seconds.append(seconds)
+            job.cell_workers.append(cell.workers)
             self.cond.notify_all()
 
     def finish(self, job: Job, state: str, error: str | None = None) -> None:
@@ -279,7 +282,5 @@ class JobRunner(threading.Thread):
                         f"cell {i} ({spec.label}): {type(exc).__name__}: {exc}",
                     )
                     return
-            self.queue.add_cell_result(
-                job, cell.results[0], time.perf_counter() - t0
-            )
+            self.queue.add_cell_result(job, cell, time.perf_counter() - t0)
         self.queue.finish(job, CANCELLED if job.cancel_requested else DONE)

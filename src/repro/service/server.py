@@ -26,8 +26,10 @@ GET      ``/healthz``             pool size/spawns, queue depth, progress
 The result payload is the ``repro run --json`` document
 (:meth:`~repro.simulator.grid.GridResult.to_dict` after ``kind`` and the
 echoed spec or grid) plus the ``job`` summary — the stats are
-bit-identical to a CLI run of the same JSON, and only ``job``,
-``workers`` and the wall-clock ``seconds`` differ between the two.
+bit-identical to a CLI run of the same JSON, and only ``job`` and the
+wall-clock ``seconds`` differ between the two, plus ``workers`` for a
+grid: the service maps one cell at a time and reports the most workers
+a cell's map used, the CLI those of its one map over every cell.
 """
 
 from __future__ import annotations
@@ -66,13 +68,15 @@ def _cell_line(job, index) -> dict:
     return line
 
 
-def result_payload(job, workers: int) -> dict:
+def result_payload(job) -> dict:
     """The terminal-job result document (``/jobs/<id>/result``): the
     ``repro run --json`` document of the job's cells, which the runner
-    executed in grid order, led by the ``job`` summary."""
+    executed in grid order, led by the ``job`` summary; ``workers`` is
+    the most any cell's map used."""
     from repro.simulator.grid import GridResult
 
-    grid = GridResult(tuple(job.cell_results), sum(job.cell_seconds), workers)
+    grid = GridResult(tuple(job.cell_results), sum(job.cell_seconds),
+                      max(job.cell_workers, default=0))
     return {
         "job": job.summary(),
         "kind": job.kind,
@@ -268,7 +272,7 @@ class _Handler(BaseHTTPRequestHandler):
             )
         if job.state != "done":
             return self._json(200, {"job": job.summary()})
-        self._json(200, result_payload(job, self.svc.pool.target_workers))
+        self._json(200, result_payload(job))
 
     def _stream(self, job) -> None:
         """NDJSON: emit each finished cell as soon as it lands, then one

@@ -40,7 +40,6 @@ from repro.simulator.metrics import (
 from repro.simulator.batch_engine import BatchEngine, pack_routes
 from repro.simulator.bus_net import BusNetworkSimulator
 from repro.simulator.traffic import (
-    PATTERN_NAMES,
     make_pattern,
     all_to_all_traffic,
     bit_reversal_traffic,
@@ -67,7 +66,6 @@ from repro.simulator.grid import (
     run_grid,
 )
 from repro.simulator.sources import (
-    SOURCE_NAMES,
     DeterministicSource,
     OnOffSource,
     PoissonSource,
@@ -82,7 +80,6 @@ from repro.simulator.streaming import (
 )
 
 __all__ = [
-    "SOURCE_NAMES",
     "DeterministicSource",
     "OnOffSource",
     "PoissonSource",
@@ -104,7 +101,6 @@ __all__ = [
     "BatchEngine",
     "pack_routes",
     "BusNetworkSimulator",
-    "PATTERN_NAMES",
     "make_pattern",
     "all_to_all_traffic",
     "bit_reversal_traffic",

@@ -27,7 +27,7 @@ draw a :class:`FaultScenario` from an RNG.  Four models ship:
   ``iid`` and return to service after a geometric downtime
   (``node_repair`` events), over one or more rounds — so the same node
   can fail, heal, and fail again, exercising the repair path and the
-  per-epoch detour-table invalidation hard.
+  detour baseline's per-epoch table compile hard.
 
 Use :func:`validate_fault_model` to canonicalize a model mapping (raises
 :class:`~repro.errors.ParameterError` on unknown names or bad
@@ -56,11 +56,14 @@ suite holds their runs, mid-drain faults included, packet for packet to
 the same controllers on the per-packet witness engine.  Parallelism
 lives one level up: independent cells and the replica blocks of an
 :class:`~repro.experiments.ExperimentSpec` fan out through
-:func:`~repro.simulator.grid.run_grid`.  :func:`drain_block`
-runs one block: replica controllers whose faults all fire at cycle 0,
-routed once for the whole block (one lift, or one survivor table per
-distinct fault set) and drained side by side on one engine, each
-replica's records exactly its own ``run_workload``'s.
+:func:`~repro.simulator.grid.run_grid`.  Each controller class has one
+router, its block hook ``_block_routes``: a solo run calls it on a block
+of one, and :func:`drain_block` on a block of replica controllers whose
+faults all fire at cycle 0 (one lift through every φ, or one survivor
+table per distinct fault set).  The drain alone joins the replicas into
+one union machine, drains them side by side on one engine and returns
+the union's records, each replica's rows exactly its own
+``run_workload``'s.
 """
 
 from __future__ import annotations
@@ -410,14 +413,17 @@ class _FaultController:
     :class:`BatchEngine` over it, ``sim``, is built on first use) and
     supplies ``faults`` (the nodes down now), :meth:`fail_node` /
     :meth:`repair_node` (a failure adds the packets it drops to
-    ``lost_to_faults``), the route hook ``_route(pairs) -> (flat,
-    offsets, kept, hop)``, where ``hop`` holds each route position's CSR
-    slot, the engine's queue id (``-1`` at route ends), and its block
-    form ``_block_routes`` (see :func:`drain_block`).  The engine checks
-    every slot against its hop, so a route off the graph is an error
-    from any router.  Everything else — scheduling, firing, the logs,
-    refusal accounting, the closed-loop drain and the open-loop stream —
-    lives here once.
+    ``lost_to_faults``) and its one router, the static block hook
+    ``_block_routes(controllers, pairs)``, which returns each
+    controller's ``(flat, offsets, kept, hop)`` for ``pairs`` in the
+    machine's own node and slot ids: ``hop`` holds each route
+    position's CSR slot, the engine's queue id (``-1`` at route ends),
+    and ``kept`` the indices of the pairs routed.  A solo run routes
+    through :meth:`_route`, the hook on a block of one.  The engine
+    checks every slot against its hop, so a route off the graph is an
+    error from any router.  Everything else — scheduling, firing, the
+    logs, refusal accounting, the closed-loop drain and the open-loop
+    stream — lives here once.
     """
 
     def __init__(self, graph, link_capacity: int):
@@ -514,6 +520,11 @@ class _FaultController:
             fired += 1
         return fired
 
+    def _route(self, pairs: np.ndarray):
+        """Route ``pairs`` alone: the class's block hook on a block of
+        one, whose arrays go to the engine as they are."""
+        return self._block_routes([self], pairs)[0]
+
     def run_workload(self, batches: list[np.ndarray], *, cycles_per_batch: int = 0,
                      max_cycles: int = 1_000_000) -> RunStats:
         """Route and inject each batch of (src, dst) pairs, draining
@@ -564,26 +575,18 @@ class _FaultController:
         self.fire_due_events()
         return sim.stats()
 
-    def run_stream(self, source, **kwargs):
-        """Drive this controller open-loop from a
-        :class:`repro.simulator.sources.TrafficSource` — see
-        :func:`repro.simulator.streaming.run_stream` for the keyword
-        arguments (``cycles``, ``warmup``, ``window``) and the returned
-        :class:`repro.simulator.metrics.StreamStats`."""
-        from repro.simulator.streaming import run_stream
 
-        return run_stream(self, source, **kwargs)
-
-
-def drain_block(controllers, pairs: np.ndarray, *,
-                max_cycles: int = 1_000_000) -> list[tuple[PacketArrays, int]]:
+def drain_block(controllers, pairs: np.ndarray, *, max_cycles: int = 1_000_000
+                ) -> tuple[PacketArrays, np.ndarray, list[int]]:
     """Drain one closed-loop batch of ``pairs`` on every controller of
     ``controllers`` as one *block*: ``R`` copies of the machine joined
     into one block-diagonal graph
     (:meth:`~repro.graphs.static_graph.StaticGraph.block_union`) and
-    drained on one :class:`BatchEngine`.  Returns each controller's
-    ``(packet records, cycles)``, bit-identical to its own
-    :meth:`~_FaultController.run_workload` over ``[pairs]``.
+    drained on one :class:`BatchEngine`.  Returns ``(records, ends,
+    cycles)``: the union engine's packet records, whose rows
+    ``ends[r]:ends[r + 1]`` are replica ``r``'s, and each replica's
+    ``cycles``.  Replica ``r``'s rows and cycles are bit-identical to
+    its own :meth:`~_FaultController.run_workload` over ``[pairs]``.
 
     Every controller must be fresh, of one kind and machine, with every
     scheduled event due at cycle 0.  Each fires its events through its
@@ -591,38 +594,22 @@ def drain_block(controllers, pairs: np.ndarray, *,
     φ, ``fault_log`` and any
     :class:`~repro.core.reconfiguration.FaultSetError` are its own), and
     builds no engine of its own: no packet exists yet, so a fault drops
-    nothing.  What is the same for every replica is then done once for
-    the block by the controllers' ``_block_routes``: the reconfiguration
-    arm lifts ``pairs`` through every replica's φ from one window pass
-    and one slot search over the union; the detour arm compiles and
-    extracts one survivor table per distinct fault set and drops it
-    once its routes are out.  Each replica's refusals are charged to its
-    ``unreachable_pairs``, and replica ``r``'s nodes sit at ``r * n``
-    and its CSR slots at ``r * s`` in the union, whose one engine
-    disables every replica's dead nodes in one call.  Replicas share no
-    queue, and each one's joiners reach the union's service order in
-    their solo order, so every departure is its solo departure.  With
-    every fault fired before injection no packet can drop, so a
-    replica's solo clock ends on its last delivery (0 without one):
-    that is its ``cycles``.
+    nothing.  The controllers' route hook ``_block_routes`` routes the
+    whole block in one call, in the machine's own ids, doing once what
+    is the same for every replica: the reconfiguration arm lifts
+    ``pairs`` through the stack of φs from one window pass and one slot
+    search; the detour arm compiles and extracts one survivor table per
+    distinct fault set and drops it once its routes are out.  Each
+    replica's refusals are charged to its ``unreachable_pairs``.  Only
+    here do routes meet the union: replica ``r``'s nodes shift by
+    ``r * n`` and its CSR slots by ``r * s`` as they are concatenated,
+    and the union's one engine disables every replica's dead nodes in
+    one call.  Replicas share no queue, and each one's joiners reach
+    the union's service order in their solo order, so every departure
+    is its solo departure.  With every fault fired before injection no
+    packet can drop, so a replica's solo clock ends on its last
+    delivery (0 without one): that is its ``cycles``.
     """
-    records, ends, cycles = _drain_union(controllers, pairs, max_cycles)
-    return [
-        (PacketArrays(
-            injected_at=records.injected_at[lo:hi],
-            delivered_at=records.delivered_at[lo:hi],
-            hops=records.hops[lo:hi], dropped=records.dropped[lo:hi],
-        ), c)
-        for lo, hi, c in zip(ends[:-1], ends[1:], cycles)
-    ]
-
-
-def _drain_union(controllers, pairs: np.ndarray,
-                 max_cycles: int) -> tuple[PacketArrays, np.ndarray, list[int]]:
-    """:func:`drain_block` before the split: the union engine's packet
-    records (replica ``r``'s are rows ``ends[r]:ends[r + 1]``), ``ends``
-    and each replica's ``cycles``, so a caller that wants only the
-    block's totals reduces them once."""
     first = controllers[0]
     for ctrl in controllers:
         ctrl.fire_due_events()
@@ -630,25 +617,28 @@ def _drain_union(controllers, pairs: np.ndarray,
             raise SimulationError(
                 "a block drain needs every scheduled event at cycle 0"
             )
-    n = first.graph.node_count
-    union = first.graph.block_union(len(controllers))
-    routes = first._block_routes(controllers, pairs, union)
-    flats, lens, hops, dead = [], [], [], []
-    for r, (ctrl, (flat, offsets, kept, hop)) in enumerate(zip(controllers, routes)):
+    n, s = first.graph.node_count, first.graph.directed_edge_keys.size
+    routes = first._block_routes(controllers, pairs)
+    flat = np.empty(sum(route[0].size for route in routes), dtype=np.int64)
+    hop = np.empty_like(flat)
+    lens, dead, at = [], [], 0
+    for r, (ctrl, (f, offsets, kept, h)) in enumerate(zip(controllers, routes)):
         # a machine-death outcome would enter here per replica: a dead
         # replica injects nothing into its block
         ctrl.unreachable_pairs += pairs.shape[0] - kept.size
-        flats.append(flat)
+        np.add(f, r * n, out=flat[at: at + f.size])
+        np.add(h, r * s, out=hop[at: at + f.size])
+        at += f.size
         lens.append(np.diff(offsets))
-        hops.append(hop)
         dead.extend(v + r * n for v in ctrl.faults)
-    sim = BatchEngine(union, first.link_capacity)
-    sim.disable_nodes(dead)
     ends = np.zeros(len(lens) + 1, dtype=np.int64)
     np.cumsum([x.size for x in lens], out=ends[1:])
     offsets = np.zeros(ends[-1] + 1, dtype=np.int64)
     np.cumsum(np.concatenate(lens), out=offsets[1:])
-    sim.inject_routes(np.concatenate(flats), offsets, hop=np.concatenate(hops))
+    hop[offsets[1:] - 1] = -1  # the shift moved the route ends
+    sim = BatchEngine(first.graph.block_union(len(controllers)), first.link_capacity)
+    sim.disable_nodes(dead)
+    sim.inject_routes(flat, offsets, hop=hop)
     sim.run(max_cycles)
     records = sim.packet_records()
     cycles = [int(records.delivered_at[lo:hi].max(initial=0))
@@ -679,10 +669,6 @@ class ReconfigurationController(_FaultController):
         self.ft = ft_debruijn(m, h, k)
         self.rec = Reconfigurator(self.ft.node_count, self.target.node_count)
         super().__init__(self.ft, link_capacity)
-        # the lift's edge map, rebuilt when the reconfigurator's cached
-        # φ array changes (once per fault or repair)
-        self._slots_phi: np.ndarray | None = None
-        self._slots: np.ndarray | None = None
 
     # bound in each class's own namespace: perfbench/layers.py patches
     # these per class
@@ -712,33 +698,21 @@ class ReconfigurationController(_FaultController):
         self.rec.repair_node(node)
         self._enable(node)
 
-    def _route(self, pairs: np.ndarray):
-        """Route hook: every logical pair's shift-register route lifted
-        through the live φ, with each hop's physical CSR slot gathered
-        from the φ's :func:`~repro.routing.fault_routing.lift_slot_table`
-        — every pair is routable.  The engine checks every slot against
-        its hop: a lifted hop off the graph would break Theorems 1/2."""
-        phi = self.rec.phi()
-        if phi is not self._slots_phi:
-            self._slots = lift_slot_table(self.ft, self.m, phi)
-            self._slots_phi = phi
-        flat, offsets, hop = lifted_routes_batch(
-            self.m, self.h, phi, pairs[:, 0], pairs[:, 1], self._slots
-        )
-        return flat, offsets, np.arange(pairs.shape[0]), hop
-
     @staticmethod
-    def _block_routes(controllers, pairs: np.ndarray, union):
-        """:meth:`_route` for every controller of a block at once, in the
-        nodes and slots of ``union``: each φ shifted into its copy, one
-        :func:`~repro.routing.fault_routing.lift_slot_table` search over
-        the union for all of them, and one lift of the shared ``pairs``
-        through the stack.  Returns each controller's ``(flat, offsets,
-        kept, hop)``."""
+    def _block_routes(controllers, pairs: np.ndarray):
+        """The route hook: every logical pair's shift-register route
+        lifted through each controller's live φ, with each hop's
+        physical CSR slot — every pair is routable.  One
+        :func:`~repro.routing.fault_routing.lift_slot_table` search finds
+        the slots of the whole stack of φs, and one
+        :func:`~repro.routing.fault_routing.lifted_routes_batch` lifts
+        the shared ``pairs`` through all of them from one window pass.
+        Returns each controller's ``(flat, offsets, kept, hop)``, rows of
+        the stacked lift.  The engine checks every slot against its hop:
+        a lifted hop off the graph would break Theorems 1/2."""
         first = controllers[0]
-        shift = first.graph.node_count * np.arange(len(controllers))[:, None]
-        phis = np.stack([c.rec.phi() for c in controllers]) + shift
-        slots = lift_slot_table(union, first.m, phis)
+        phis = np.stack([c.rec.phi() for c in controllers])
+        slots = lift_slot_table(first.ft, first.m, phis)
         flat, offsets, hop = lifted_routes_batch(
             first.m, first.h, phis, pairs[:, 0], pairs[:, 1], slots
         )
@@ -754,11 +728,10 @@ class DetourController(_FaultController):
     hosted on dead processors simply cannot send or receive (counted in
     ``unreachable_pairs``) — the §I degradation mode.
 
-    The detours come from one compiled
-    :class:`~repro.routing.tables.RouteTable` per *fault epoch*
-    (:func:`repro.routing.fault_routing.survivor_route_table`), cached
-    on the frozen fault set and invalidated by every fault and repair
-    event; whole batches extract vectorized.  Each route is the shortest
+    Each routed batch compiles a :class:`~repro.routing.tables.RouteTable`
+    of the current fault set
+    (:func:`repro.routing.fault_routing.survivor_route_table`), extracts
+    its routes vectorized and drops the table.  Each route is the shortest
     survivor path whose CSR slot ranks are lexicographically smallest,
     which is the path a per-pair BFS in the survivor graph returns: the
     conformance suite (``tests/conformance/``) checks the two route for
@@ -778,11 +751,6 @@ class DetourController(_FaultController):
         self.target = debruijn(m, h)
         super().__init__(self.target, link_capacity)
         self.faults: set[int] = set()
-        # epoch cache: one compiled table per frozen fault set,
-        # invalidated by fail_node and repair_node (every fault and
-        # repair event funnels through them)
-        self._table = None
-        self._table_faults: frozenset[int] | None = None
 
     # bound in each class's own namespace: perfbench/layers.py patches
     # these per class
@@ -792,8 +760,7 @@ class DetourController(_FaultController):
     def repair_node(self, node: int) -> None:
         """Return a failed node to service: survivors stop detouring
         around it and it can send/receive again from the next routed
-        batch on.  The compiled-table cache (keyed on the frozen fault
-        set) recompiles on next use."""
+        batch on."""
         node = int(node)
         if node not in self.faults:
             raise SimulationError(
@@ -805,7 +772,7 @@ class DetourController(_FaultController):
     def fail_node(self, node: int) -> None:
         """Kill a physical node: survivors detour around it from now on;
         packets already queued on its links drop (counted in
-        ``lost_to_faults``).  Invalidates the compiled-table cache.
+        ``lost_to_faults``).
 
         The engine validates the node id first — a rejected id must not
         leak into ``faults``, where it would poison every later routing
@@ -814,67 +781,29 @@ class DetourController(_FaultController):
         self.lost_to_faults += self._disable(node)
         self.faults.add(node)
 
-    def survivor_table(self):
-        """The current fault epoch's compiled detour
-        :class:`~repro.routing.tables.RouteTable` (original node ids),
-        compiled at most once per frozen fault set.  The stale epoch's
-        table is released before the next compiles, so a recompile never
-        holds two n² tables.  A block drain does not come here: it
-        compiles once per distinct fault set over the whole block and
-        keeps no table (:meth:`_block_routes`)."""
-        key = frozenset(self.faults)
-        if self._table is None or self._table_faults != key:
-            self._table = None
-            self._table = survivor_route_table(self.target, key)
-            self._table_faults = key
-        return self._table
-
-    def detour_routes_batch(
-        self, pairs: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Detour routes for a batch of (src, dst) pairs under the
-        current fault set — the controller's route hook.
-
-        Returns ``(flat, offsets, kept, hop)``: the engines' shared
-        flattened route layout, the indices of the pairs that are
-        actually routable, and each route position's CSR slot (``-1`` at
-        route ends), gathered from the table's ranks
-        (:meth:`~repro.routing.tables.RouteTable.routes_batch_masked`).
-        The survivor table encodes endpoint liveness too (a faulty
-        node's diagonal holds the rank sentinel), so one masked
-        extraction decides admission and emits every route.  Unreachable
-        pairs (faulty endpoint or disconnected survivors) are skipped,
-        not counted: the workload drivers charge them to
+    @staticmethod
+    def _block_routes(controllers, pairs: np.ndarray):
+        """The route hook: detour routes for ``pairs`` under each
+        controller's current fault set.  The controllers are grouped by
+        fault set, and each distinct set's survivor table is compiled
+        and extracted once
+        (:meth:`~repro.routing.tables.RouteTable.routes_batch_masked`)
+        and dropped as soon as its routes are out; every controller with
+        that set takes those routes.  Returns each controller's ``(flat,
+        offsets, kept, hop)``: ``kept`` the indices of the pairs that
+        are routable.  The survivor table encodes endpoint liveness too
+        (a faulty node's diagonal holds the rank sentinel), so one
+        masked extraction decides admission and emits every route.
+        Unreachable pairs (faulty endpoint or disconnected survivors)
+        are skipped, not counted: the drivers charge them to
         ``unreachable_pairs`` — the closed loop at injection, the stream
         once each refusal's arrival cycle has passed."""
-        pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-        return self.survivor_table().routes_batch_masked(pairs[:, 0], pairs[:, 1])
-
-    _route = detour_routes_batch
-
-    @staticmethod
-    def _block_routes(controllers, pairs: np.ndarray, union):
-        """:meth:`detour_routes_batch` for every controller of a block,
-        in the nodes and slots of ``union``: the controllers are grouped
-        by fault set, each distinct set's survivor table is compiled and
-        extracted once and dropped as soon as its routes are out, and
-        every controller with that set takes those routes shifted into
-        its copy.  Returns each controller's ``(flat, offsets, kept,
-        hop)``."""
-        first = controllers[0]
-        n, s = first.graph.node_count, first.graph.directed_edge_keys.size
-        groups: dict[frozenset[int], list[int]] = {}
-        for r, ctrl in enumerate(controllers):
-            groups.setdefault(frozenset(ctrl.faults), []).append(r)
-        routes = [None] * len(controllers)
-        for key, members in groups.items():
-            flat, offsets, kept, hop = survivor_route_table(
-                first.target, key
+        routes = {}
+        for key in dict.fromkeys(frozenset(c.faults) for c in controllers):
+            routes[key] = survivor_route_table(
+                controllers[0].target, key
             ).routes_batch_masked(pairs[:, 0], pairs[:, 1])
-            for r in members:
-                # shifted route ends stay route ends: the engine ignores them
-                routes[r] = (flat + r * n, offsets, kept, hop + r * s)
-        return routes
+        return [routes[frozenset(c.faults)] for c in controllers]
 
 
 # ---------------------------------------------------------------------------

@@ -71,7 +71,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from repro.errors import ParameterError
-from repro.simulator.faults import _drain_union
+from repro.simulator.faults import drain_block
 from repro.simulator.metrics import PacketArrays, RunStats, hist_percentile
 from repro.simulator.pool import WorkerPool
 
@@ -382,8 +382,8 @@ def run_block(block) -> ExperimentResult:
     and return their merged result, equal to merging each replica's own
     ``run()``.  A block of one runs its spec alone.  A larger block
     builds every replica's controller, whose cycle-0 events fire on it
-    while it builds no engine, and drains them together as
-    :func:`~repro.simulator.faults.drain_block` does: one lift, or one
+    while it builds no engine, and drains them together through
+    :func:`~repro.simulator.faults.drain_block`: one lift, or one
     survivor table per distinct fault set, and one engine for the whole
     block.  Its stats are one :meth:`ShardStats.from_arrays` over the
     union's records, ``cycles`` the sum of each replica's last delivery,
@@ -393,7 +393,8 @@ def run_block(block) -> ExperimentResult:
     first = block[0]
     ctrls = [rep.build_controller() for rep in block]
     t0 = time.perf_counter()
-    records, _, cycles = _drain_union(ctrls, first.traffic(), first.max_cycles)
+    records, _, cycles = drain_block(ctrls, first.traffic(),
+                                     max_cycles=first.max_cycles)
     seconds = time.perf_counter() - t0
     return ExperimentResult(
         spec=first,

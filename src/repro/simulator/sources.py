@@ -58,7 +58,6 @@ from repro.simulator.traffic import PATTERNS, make_pattern
 
 __all__ = [
     "SOURCES",
-    "SOURCE_NAMES",
     "TrafficSource",
     "PoissonSource",
     "OnOffSource",
@@ -110,7 +109,7 @@ class TrafficSource(ABC):
         ``[0, n)`` (logical coordinates, like every traffic pattern).
     pattern:
         Destination pattern name, one of
-        :data:`repro.simulator.traffic.PATTERN_NAMES`.
+        :data:`repro.simulator.traffic.PATTERNS`.
     seed:
         Seed for the private :class:`numpy.random.Generator`.  Two
         sources with equal constructor arguments are interchangeable:
@@ -386,13 +385,6 @@ def _s_deterministic(n, rate, *, pattern="uniform", seed=0, mean_on=20.0,
     return DeterministicSource(n, rate, pattern=pattern, seed=seed)
 
 
-#: Import-time snapshot of the registered source names, kept for
-#: compatibility.  The registry is the source of truth: anything that
-#: must see sources registered *after* import (CLI ``choices=`` lists,
-#: error messages) calls ``SOURCES.names()`` at use time instead.
-SOURCE_NAMES = SOURCES.names()
-
-
 def make_source(
     kind: str,
     n: int,
@@ -403,7 +395,7 @@ def make_source(
     mean_on: float = 20.0,
     mean_off: float = 20.0,
 ) -> TrafficSource:
-    """Build a source by name (one of :data:`SOURCE_NAMES`) at a target
+    """Build a source by name (one of :data:`SOURCES`) at a target
     *mean* offered load of ``rate`` packets per cycle.
 
     For ``"onoff"`` the on-state rate is scaled up so the long-run mean

@@ -13,8 +13,7 @@ Entry points
 ------------
 :func:`run_stream`
     Drive one fault controller open-loop from a seeded source for a
-    fixed horizon, with warmup/measurement-window accounting.  Also
-    reachable as ``controller.run_stream(source, ...)``.
+    fixed horizon, with warmup/measurement-window accounting.
 :func:`find_saturation`
     Sweep a rate ladder of one stream
     :class:`~repro.experiments.ExperimentSpec`, bracket the saturation
@@ -124,8 +123,8 @@ def run_stream(
     ``node_repair`` events (churn universes) ride the same clock: a
     repair starts a new fault epoch like a fault does, so its arrivals
     are routed through the healed machine — on the detour baseline
-    every repair epoch compiles a fresh survivor table, one per
-    distinct fault set.
+    every fault epoch's arrivals are routed through a survivor table
+    compiled for them and dropped before the engine runs.
     """
     if cycles < 1:
         raise ParameterError("run_stream needs cycles >= 1")

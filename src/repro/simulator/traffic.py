@@ -26,7 +26,6 @@ from repro.registry import Registry
 
 __all__ = [
     "PATTERNS",
-    "PATTERN_NAMES",
     "make_pattern",
     "uniform_traffic",
     "transpose_traffic",
@@ -180,17 +179,10 @@ def _p_descend(n, msgs, rng):
     return _tiled(descend_superstep_traffic(n), msgs)
 
 
-#: Import-time snapshot of the registered pattern names, kept for
-#: compatibility.  The registry is the source of truth: anything that
-#: must see patterns registered *after* import (CLI ``choices=`` lists,
-#: error messages) calls ``PATTERNS.names()`` at use time instead.
-PATTERN_NAMES = PATTERNS.names()
-
-
 def make_pattern(
     n: int, name: str, msgs: int = 0, rng: np.random.Generator | None = None
 ) -> np.ndarray:
-    """Build any registered traffic pattern (one of :data:`PATTERN_NAMES`).
+    """Build any registered traffic pattern (one of :data:`PATTERNS`).
 
     Random patterns (``uniform``, ``hotspot``) draw exactly ``msgs``
     messages from ``rng``.  Deterministic patterns are tiled/trimmed to

@@ -2,7 +2,7 @@
 
 Hypothesis drives random fault sets x batches on every machine size in
 ``SIZES`` through :class:`~repro.simulator.faults.DetourController`'s
-route hook (one compiled survivor table per fault epoch) and the
+route hook (a survivor table compiled per routed batch) and the
 harness's per-pair BFS witness
 (:func:`tests.conformance.harness.bfs_detour_routes`), and asserts the
 contract the router lands under: the two return the same
@@ -53,7 +53,7 @@ def _assert_witness_routes(ctrl, pairs):
     """The route hook's ``(flat, offsets, kept)`` equals the per-pair
     BFS witness's, and its ``hop`` the search's slots; returns the
     hook's output."""
-    got = ctrl.detour_routes_batch(pairs.copy())
+    got = ctrl._route(pairs.copy())
     want = bfs_detour_routes(ctrl.target, ctrl.faults, pairs)
     for name, a, b in zip(("flat", "offsets", "kept"), got, want):
         np.testing.assert_array_equal(a, b, err_msg=name)
@@ -160,7 +160,7 @@ class TestSlotParity:
             faults = np.random.default_rng(n).choice(n, size=n // 2, replace=False)
         ctrl = _controller(m, h, faults)
         srcs, dsts = self._all_pairs(n)
-        flat, offsets, kept, hop = ctrl.detour_routes_batch(
+        flat, offsets, kept, hop = ctrl._route(
             np.column_stack([srcs, dsts])
         )
         assert kept.size and offsets.size == kept.size + 1
@@ -182,7 +182,7 @@ class TestSlotParity:
     ], ids=["empty", "all_refused", "self_pairs"])
     def test_degenerate_batches(self, srcs, dsts, routes):
         ctrl = _controller(2, 3, [3])
-        flat, offsets, kept, hop = ctrl.detour_routes_batch(
+        flat, offsets, kept, hop = ctrl._route(
             np.column_stack([srcs, dsts]).astype(np.int64)
         )
         assert kept.size == routes and offsets.size == routes + 1

@@ -34,7 +34,7 @@ from repro.simulator import (
     summarize,
     uniform_traffic,
 )
-from repro.simulator.traffic import PATTERN_NAMES
+from repro.simulator.traffic import PATTERNS
 from tests.conformance.harness import (
     NetworkSimulator,
     on_engine,
@@ -66,7 +66,7 @@ def assert_twins(sim: NetworkSimulator, be: BatchEngine) -> None:
 class TestGoldenEquivalenceGrid:
     """All seven patterns, with and without faults, over an (m, h, k) grid."""
 
-    @pytest.mark.parametrize("pattern", PATTERN_NAMES)
+    @pytest.mark.parametrize("pattern", PATTERNS.names())
     @pytest.mark.parametrize("m,h,k", [(2, 3, 1), (2, 4, 2), (3, 3, 1)])
     def test_pattern_no_faults(self, pattern, m, h, k):
         n = m ** h
@@ -82,7 +82,7 @@ class TestGoldenEquivalenceGrid:
         assert sa == sb
         assert_twins(a.sim, b.sim)
 
-    @pytest.mark.parametrize("pattern", PATTERN_NAMES)
+    @pytest.mark.parametrize("pattern", PATTERNS.names())
     def test_pattern_with_mid_run_node_faults(self, pattern):
         m, h, k = 2, 4, 2
         n = m ** h

@@ -150,6 +150,30 @@ class TestReplicaDeterminism:
         # realizing the realized spec is a fixed point
         assert rep.realize_replica(0) == rep
 
+    def test_each_replica_is_drawn_once(self, monkeypatch):
+        """``replica_blocks`` draws each replica's schedule once, and the
+        worker side of a block (``build_controller`` on each realized
+        replica) reads the frozen ``fixed`` schedule without drawing or
+        validating it again."""
+        import repro.experiments.spec as spec_mod
+
+        draws = []
+        real = spec_mod.realize_fault_model
+
+        def counted(*args, **kwargs):
+            draws.append(kwargs["rng"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(spec_mod, "realize_fault_model", counted)
+        blocks = self.SPEC.replica_blocks()
+        assert len(draws) == self.SPEC.replicas
+        draws.clear()
+        ctrls = [rep.build_controller() for block in blocks for rep in block]
+        assert len(ctrls) == self.SPEC.replicas and draws == []
+        for i, ctrl in enumerate(ctrls):
+            ctrl.fire_due_events()  # the closed iid window: every fault at cycle 0
+            assert ctrl.fault_log == [(0, v) for _, v in self.SPEC.realize_faults(i).node_faults]
+
     def test_traffic_held_fixed_across_replicas(self):
         a = self.SPEC.realize_replica(0).traffic()
         b = self.SPEC.realize_replica(5).traffic()
@@ -224,10 +248,10 @@ class TestEnableNode:
         ctrl = DetourController(2, 4)
         ctrl.fail_node(3)
         pairs = np.array([[3, 5]], dtype=np.int64)
-        _, _, kept, _ = ctrl.detour_routes_batch(pairs)
+        _, _, kept, _ = ctrl._route(pairs)
         assert kept.size == 0  # dead endpoint refused
         ctrl.repair_node(3)
-        _, _, kept, _ = ctrl.detour_routes_batch(pairs)
+        _, _, kept, _ = ctrl._route(pairs)
         assert kept.size == 1  # healed endpoint routes again
         with pytest.raises(SimulationError, match="not faulty"):
             ctrl.repair_node(3)

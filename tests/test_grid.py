@@ -28,6 +28,7 @@ from repro.routing import lift_slot_table, lifted_routes_batch
 from repro.simulator import (
     BatchEngine,
     FaultScenario,
+    PacketArrays,
     ReconfigurationController,
     ShardStats,
     make_pattern,
@@ -38,7 +39,7 @@ import repro.routing.fault_routing as fault_routing_mod
 import repro.simulator.faults as faults_mod
 from repro.simulator.faults import drain_block
 from repro.simulator.grid import WorkerPool, _expand_tasks, run_block
-from repro.simulator.traffic import PATTERN_NAMES
+from repro.simulator.traffic import PATTERNS
 
 
 def _identity_lift(ft, m, h, pairs):
@@ -85,7 +86,7 @@ def _merged_shards(graph, batches, capacity=1):
 class TestShardStatsMerge:
     """The reducer is exact: merge(N shards) == sequential single engine."""
 
-    @pytest.mark.parametrize("pattern", PATTERN_NAMES)
+    @pytest.mark.parametrize("pattern", PATTERNS.names())
     def test_merge_matches_sequential_all_patterns(self, pattern):
         m, h, k = 2, 4, 1
         pairs = make_pattern(m ** h, pattern, 120, np.random.default_rng(3))
@@ -382,14 +383,18 @@ def _solo(spec):
 
 def _block_outcomes(block):
     """Each replica of a block drained together, as ``(stats,
-    lost_to_faults, unreachable_pairs)`` per replica."""
+    lost_to_faults, unreachable_pairs)`` per replica: its rows of the
+    union's records and its cycles."""
     ctrls = [rep.build_controller() for rep in block]
     first = block[0]
-    drained = drain_block(ctrls, first.traffic(), max_cycles=first.max_cycles)
+    records, ends, cycles = drain_block(ctrls, first.traffic(),
+                                        max_cycles=first.max_cycles)
+    rows = [PacketArrays(records.injected_at[lo:hi], records.delivered_at[lo:hi],
+                         records.hops[lo:hi], records.dropped[lo:hi])
+            for lo, hi in zip(ends[:-1], ends[1:])]
     return [
-        (ShardStats.from_arrays(records, cycles), c.lost_to_faults,
-         c.unreachable_pairs)
-        for c, (records, cycles) in zip(ctrls, drained, strict=True)
+        (ShardStats.from_arrays(r, c), ctrl.lost_to_faults, ctrl.unreachable_pairs)
+        for ctrl, r, c in zip(ctrls, rows, cycles, strict=True)
     ]
 
 

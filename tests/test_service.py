@@ -281,6 +281,31 @@ class TestOneDocument:
         assert ("shard_stats" in cli) == closed and ("streams" in cli) != closed
         assert _document(http) == _document(cli)
 
+    @pytest.mark.parametrize("payload,workers", [
+        ({"m": 2, "h": 4, "k": 1, "packets": 200}, 1),
+        ({"m": 2, "h": 5, "k": 1, "controller": "detour", "packets": 256,
+          "fault_model": {"name": "iid", "p": 0.9}, "replicas": 16}, 2),
+    ], ids=["plain", "replicated"])
+    def test_one_cell_reports_the_workers_its_map_used(self, service, tmp_path,
+                                                       capsys, payload, workers):
+        """A one-cell job's ``workers`` is what its map used, as ``repro
+        run --workers 2`` reports on the same file: a plain cell is one
+        inline task, while a replicated cell's blocks are cut across
+        both workers."""
+        from repro.cli import main
+
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(payload))
+        out = tmp_path / "run.json"
+        assert main(["run", str(spec), "--workers", "2", "--json", str(out)]) == 0
+        capsys.readouterr()
+        status, body = _request(service.port, "/experiments", payload)
+        job_id = body["job"]["id"]
+        assert _stream_lines(service.port, job_id)[-1]["job"]["state"] == "done"
+        status, http = _request(service.port, f"/jobs/{job_id}/result")
+        assert status == 200
+        assert http["workers"] == json.loads(out.read_text())["workers"] == workers
+
 
 class TestRetry:
     def test_worker_killed_mid_job_completes_via_retry(self, tmp_path,

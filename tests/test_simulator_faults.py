@@ -129,7 +129,7 @@ class TestDetourController:
         """Packets queued in a router when it dies are charged to
         lost_to_faults, mirroring the reconfiguration controller."""
         det = DetourController(2, 4)
-        flat, offsets, _, hop = det.detour_routes_batch(
+        flat, offsets, _, hop = det._route(
             np.array([[5, 0], [5, 2]], dtype=np.int64)
         )
         det.sim.inject_routes(flat, offsets, hop=hop)
@@ -144,7 +144,7 @@ class TestDetourController:
             det.fail_node(99)
         assert det.faults == set()
         pairs = np.array([[0, 7]], dtype=np.int64)
-        _, _, kept, _ = det.detour_routes_batch(pairs)
+        _, _, kept, _ = det._route(pairs)
         assert kept.tolist() == [0]  # routing still works
 
     def test_detour_vs_reconfig_comparison(self, rng):
@@ -309,6 +309,34 @@ class TestDrainSummaries:
         assert len(ctrl.fault_log) == 3
         assert stats.offered > 0
         assert calls == []
+
+
+class TestOneRouteHook:
+    """A controller routing alone calls its class's block hook, the one
+    router each controller has, on a block of one: itself."""
+
+    @pytest.mark.parametrize("kind", [ReconfigurationController, DetourController])
+    @pytest.mark.parametrize("drive", ["run_workload", "run_stream"])
+    def test_solo_runs_route_as_a_block_of_one(self, kind, drive, monkeypatch, rng):
+        from repro.simulator import PoissonSource, run_stream
+
+        blocks: list[list] = []
+        real = kind._block_routes
+
+        def spy(controllers, pairs):
+            blocks.append(list(controllers))
+            return real(controllers, pairs)
+
+        monkeypatch.setattr(kind, "_block_routes", staticmethod(spy))
+        ctrl = kind(2, 4, 3) if kind is ReconfigurationController else kind(2, 4)
+        ctrl.schedule(FaultScenario([(0, 3), (5, 9)]))
+        if drive == "run_workload":  # one route call per batch
+            ctrl.run_workload([uniform_traffic(16, 60, rng) for _ in range(2)])
+        else:  # one route call per fault epoch: [0, 5) and [5, 40)
+            run_stream(ctrl, PoissonSource(16, 2.0, seed=3), cycles=40)
+        assert ctrl.fault_log == [(0, 3), (5, 9)]
+        assert [len(b) for b in blocks] == [1, 1]
+        assert all(b[0] is ctrl for b in blocks)
 
 
 class TestFaultScenario:

@@ -7,17 +7,17 @@ import pytest
 
 from repro.errors import ParameterError
 from repro.simulator import (
-    SOURCE_NAMES,
     DeterministicSource,
     OnOffSource,
     PoissonSource,
     TraceSource,
     make_source,
 )
+from repro.simulator.sources import SOURCES
 
 
 class TestSeededDeterminism:
-    @pytest.mark.parametrize("kind", SOURCE_NAMES)
+    @pytest.mark.parametrize("kind", SOURCES.names())
     def test_schedule_is_pure(self, kind):
         """Two calls (and two equal sources) return identical calendars."""
         a = make_source(kind, 64, 1.5, seed=11)
@@ -34,7 +34,7 @@ class TestSeededDeterminism:
         t2, _ = make_source(kind, 64, 2.0, seed=1).schedule(200)
         assert not (t1.size == t2.size and np.array_equal(t1, t2))
 
-    @pytest.mark.parametrize("kind", SOURCE_NAMES)
+    @pytest.mark.parametrize("kind", SOURCES.names())
     def test_calendar_shape(self, kind):
         times, pairs = make_source(kind, 32, 1.0, seed=3).schedule(250)
         assert times.ndim == 1 and pairs.shape == (times.size, 2)

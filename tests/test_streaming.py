@@ -167,8 +167,10 @@ class TestPerCycleWitness:
 
 
 class TestDetourTableCache:
-    """The detour epoch cache: compile exactly once per frozen fault set,
-    recompile before the first arrival batch after a fault."""
+    """The detour router has no table cache: it compiles one survivor
+    table per routed batch, against the fault set of the moment, and
+    keeps none.  A fault epoch of a stream is one routed batch, so a
+    fault recompiles before the first arrivals after it."""
 
     def _spy_compiles(self, monkeypatch):
         import repro.simulator.faults as faults_mod
@@ -183,7 +185,7 @@ class TestDetourTableCache:
         monkeypatch.setattr(faults_mod, "survivor_route_table", spy)
         return calls
 
-    def test_one_compile_per_epoch_closed_loop(self, monkeypatch):
+    def test_one_compile_per_routed_batch_closed_loop(self, monkeypatch):
         from repro.simulator import make_pattern
 
         calls = self._spy_compiles(monkeypatch)
@@ -191,8 +193,8 @@ class TestDetourTableCache:
         ctrl.fail_node(3)
         pairs = make_pattern(32, "uniform", 160, np.random.default_rng(1))
         ctrl.run_workload(list(np.array_split(pairs, 4)))
-        # four batches, one fault epoch -> exactly one compile
-        assert calls == [frozenset({3})]
+        # four batches in one fault epoch -> one compile per batch
+        assert calls == [frozenset({3})] * 4
 
     def test_mid_stream_fault_recompiles_before_next_arrivals(
         self, monkeypatch
@@ -220,38 +222,45 @@ class TestDetourTableCache:
         run_stream(ctrl, PoissonSource(32, 2.0, seed=3), cycles=100)
         assert calls == [frozenset({3})]
 
-    def test_stale_table_released_before_recompile(self, monkeypatch):
-        """A recompile never holds two n² tables: the stale epoch's rank
-        matrix is unreferenced by the time the next compile starts."""
+    def test_no_table_outlives_its_routes(self, monkeypatch):
+        """The solo path keeps no survivor table: each one is dead as
+        soon as the route call that compiled it returns, and none is
+        alive while the engine runs a stream's epoch."""
         import weakref
 
         import repro.simulator.faults as faults_mod
+        from repro.simulator.batch_engine import BatchEngine
 
-        ctrl = DetourController(2, 5)
-        stale = weakref.ref(ctrl.survivor_table().table)
-        alive_at_compile: list[bool] = []
+        tables: list[weakref.ref] = []
         real = faults_mod.survivor_route_table
 
         def spy(g, fs):
-            alive_at_compile.append(stale() is not None)
-            return real(g, fs)
+            table = real(g, fs)
+            tables.append(weakref.ref(table.table))
+            return table
 
         monkeypatch.setattr(faults_mod, "survivor_route_table", spy)
-        ctrl.fail_node(3)
-        ctrl.survivor_table()
-        assert alive_at_compile == [False]
-
-    def test_repeated_fault_does_not_recompile(self, monkeypatch):
-        """fail_node on an already-dead node bumps the epoch but leaves
-        the frozen fault set unchanged — the cache key sees through it."""
-        calls = self._spy_compiles(monkeypatch)
-        ctrl = DetourController(2, 4)
-        ctrl.fail_node(3)
+        ctrl = DetourController(2, 5)
         pairs = np.array([[0, 5], [1, 6]], dtype=np.int64)
-        ctrl.detour_routes_batch(pairs)
-        ctrl.fail_node(3)  # same node again
-        ctrl.detour_routes_batch(pairs)
-        assert calls == [frozenset({3})]
+        ctrl._route(pairs)
+        ctrl.fail_node(3)
+        ctrl._route(pairs)
+        assert len(tables) == 2
+        assert [ref() is None for ref in tables] == [True, True]
+
+        held: list[int] = []    # per engine run: tables still alive
+        run = BatchEngine.run
+
+        def counted(sim, *args, **kwargs):
+            held.append(sum(ref() is not None for ref in tables))
+            return run(sim, *args, **kwargs)
+
+        monkeypatch.setattr(BatchEngine, "run", counted)
+        ctrl = DetourController(2, 5)
+        ctrl.schedule(FaultScenario([(60, 9)], [(140, 9)]))
+        run_stream(ctrl, PoissonSource(32, 2.0, seed=3), cycles=220)
+        assert len(tables) == 5 and len(held) == 3
+        assert not any(held), "a survivor table outlived its routes"
 
     def test_repair_epoch_recompiles_table(self, monkeypatch):
         """Churn golden: a mid-stream node_repair reopens a routing

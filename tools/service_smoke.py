@@ -6,9 +6,10 @@ on the same JSON.
 The contract being gated: ``/jobs/<id>/result`` is the ``repro run
 --json`` document of the same JSON plus the ``job`` summary.  Every
 other key (``rows``, ``aggregate``, ``shard_stats``, ``streams`` and the
-echoed spec or grid) must be bit-identical; ``workers`` (the service's
-pool size against the workers the CLI's map used) and the wall-clock
-``seconds`` fields are the only permitted differences.  Exits nonzero
+echoed spec or grid) must be bit-identical; ``workers`` (for a grid,
+the most workers one of the service's one-cell maps used against the
+workers the CLI's one map used) and the wall-clock ``seconds`` fields
+are the only permitted differences.  Exits nonzero
 naming the first divergent row or key otherwise.
 
 Usage::
