@@ -17,7 +17,7 @@ makes that executable:
   costs a constant factor — the classic results, here verified hop by hop.
 
 Every round's messages are recorded as physical ``(src, dst)`` pairs so
-tests and benches can assert that *only physical edges* of the hosting
+tests can assert that *only physical edges* of the hosting
 graph (plain ``B_{2,h}``, or the survivors of ``B^k_{2,h}`` through φ)
 are ever used — including after faults.
 """

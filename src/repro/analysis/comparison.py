@@ -23,7 +23,7 @@ from repro.core.fault_tolerant import ft_debruijn, ft_degree_bound
 __all__ = ["ComparisonRow", "comparison_base2", "comparison_basem", "se_comparison"]
 
 #: S–P graphs beyond this size are reported from formulas only (the row
-#: is marked ``measured=False``) to keep benches laptop-friendly.
+#: is marked ``measured=False``) to keep the tables laptop-friendly.
 _SP_MEASURE_LIMIT = 300_000
 
 

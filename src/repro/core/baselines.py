@@ -56,8 +56,8 @@ def sp_node_count(m: int, h: int, k: int) -> int:
 def sp_reported_degree(m: int, k: int) -> int:
     """The degree figure the paper's introduction quotes for S–P:
     ``2mk + 2`` (``4k + 2`` when ``m = 2``).  The constructed graph
-    ``B_{m(k+1),h}`` has worst-case degree ``2m(k+1)``; benches report the
-    measured value next to this quoted one."""
+    ``B_{m(k+1),h}`` has worst-case degree ``2m(k+1)``; the comparison
+    tables report the measured value next to this quoted one."""
     return 2 * m * k + 2
 
 

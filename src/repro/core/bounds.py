@@ -3,7 +3,7 @@
 This module is the single source of truth for the numbers the paper's
 introduction and corollaries quote; tests assert that *measured* values
 from the actual constructions match or respect these formulas, and the
-comparison benches print both side by side.
+comparison tables (``tab1``, ``tab2``) print both side by side.
 """
 
 from __future__ import annotations

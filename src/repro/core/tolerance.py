@@ -248,8 +248,8 @@ def max_tolerated_faults(
     monotone remap (exhaustive; used by the window-tightness ablation).
 
     Note this measures the *constructive* tolerance of φ.  A graph might in
-    principle tolerate more via some other embedding; the ablation bench
-    cross-checks small cases with the full subgraph-isomorphism search.
+    principle tolerate more via some other embedding; the tests
+    cross-check small cases with the full subgraph-isomorphism search.
     """
     spare = ft.node_count - target.node_count
     cap = spare if k_cap is None else min(spare, k_cap)

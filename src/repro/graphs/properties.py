@@ -1,6 +1,6 @@
 """Structural graph property computations.
 
-Vectorized BFS-based analyses used across tests, benches and the analysis
+Vectorized BFS-based analyses used across the tests and the analysis
 layer: connectivity, distances, diameter, and degree statistics.  These run
 on :class:`~repro.graphs.static_graph.StaticGraph` without touching
 networkx (the test suite's bridge, ``tests/nx_bridge.py``, cross-validates

@@ -24,15 +24,13 @@ The canonical storage is three flat int64 arrays (the Seastar
   canonical ``(min, max)`` endpoint pair in lexicographic order, so
   ``edges()[edge_ids[s]]`` is the undirected edge slot ``s`` encodes and
   the two mirrored slots of an edge carry the same id.  Built lazily —
-  derived views (``adjacency_dict``, the ``has_edges`` key array) follow
-  the same lazy-cache pattern.
+  the ``has_edges`` key array (``directed_edge_keys``) follows the same
+  lazy-cache pattern.
 
 Everything else is derived: ``degrees() == diff(row_offsets)``,
-``edge_count == len(col_indices) // 2``.  The per-node dict
-adjacency survives only as the lazily-built :meth:`adjacency_dict`
-compatibility view; every hot path (frontier gathers, routing-table
-compiles, the batch engine's queue registry) consumes the flat arrays
-directly.
+``edge_count == len(col_indices) // 2``.  There is no per-node dict
+adjacency: every consumer (frontier gathers, routing-table compiles,
+the batch engine's queue registry) reads the flat arrays directly.
 
 Conventions
 -----------
@@ -45,7 +43,7 @@ Conventions
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -96,7 +94,7 @@ class StaticGraph:
 
     __slots__ = (
         "_n", "_indptr", "_indices", "_edge_count", "_hash", "_edge_keys",
-        "_edge_ids", "_adj",
+        "_edge_ids",
     )
 
     def __init__(self, num_nodes: int, edges: Iterable | np.ndarray = ()):
@@ -143,7 +141,6 @@ class StaticGraph:
         self._hash: int | None = None
         self._edge_keys: np.ndarray | None = None
         self._edge_ids: np.ndarray | None = None
-        self._adj: dict[int, list[int]] | None = None
 
     @classmethod
     def from_csr(
@@ -389,26 +386,6 @@ class StaticGraph:
         for u, v in self.edges():
             yield int(u), int(v)
 
-    def adjacency_dict(self) -> dict[int, list[int]]:
-        """Per-node dict adjacency as a lazily-built compatibility view.
-
-        The dict is constructed once from the CSR arrays and cached —
-        it is a *view* for debugging, golden tests and dict-era callers,
-        not a storage plane.  It is read-only: the builders
-        (:func:`~repro.core.debruijn.debruijn`,
-        :func:`~repro.core.fault_tolerant.ft_debruijn`) hand one cached
-        graph to every holder in the process, so a mutation would show
-        in every other holder's view, and would disagree with the CSR
-        arrays every hot path reads.
-        """
-        if self._adj is None:
-            indptr, indices = self._indptr, self._indices
-            self._adj = {
-                v: indices[indptr[v]: indptr[v + 1]].tolist()
-                for v in range(self._n)
-            }
-        return self._adj
-
     # -- derived graphs ----------------------------------------------------
 
     def induced_subgraph(
@@ -506,7 +483,6 @@ class StaticGraph:
         state["_hash"] = None
         state["_edge_keys"] = None
         state["_edge_ids"] = None
-        state["_adj"] = None
         return (None, state)
 
     def __setstate__(self, state):
@@ -540,15 +516,3 @@ class StaticGraph:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"StaticGraph(n={self._n}, m={self._edge_count}, max_deg={self.max_degree()})"
-
-    @classmethod
-    def from_adjacency(
-        cls, adj: Mapping[int, Iterable[int]], num_nodes: int | None = None
-    ) -> "StaticGraph":
-        """Build from an adjacency mapping ``{u: [v, ...]}``."""
-        edges = [(u, v) for u, vs in adj.items() for v in vs]
-        if num_nodes is None:
-            num_nodes = 0
-            for u, vs in adj.items():
-                num_nodes = max(num_nodes, u + 1, *[v + 1 for v in vs] or [0])
-        return cls(num_nodes, edges)

@@ -83,19 +83,6 @@ class RunStats:
     mean_hops: float
     throughput: float  # delivered packets per cycle
 
-    def slowdown_vs(self, baseline: "RunStats") -> float:
-        """Latency slowdown factor relative to a baseline run (the §V
-        bus-vs-point-to-point comparison)."""
-        if baseline.mean_latency == 0:
-            return float("inf") if self.mean_latency > 0 else 1.0
-        return self.mean_latency / baseline.mean_latency
-
-    def completion_slowdown_vs(self, baseline: "RunStats") -> float:
-        """Makespan ratio (total cycles to drain the same workload)."""
-        if baseline.cycles == 0:
-            return float("inf") if self.cycles > 0 else 1.0
-        return self.cycles / baseline.cycles
-
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"RunStats(cycles={self.cycles}, delivered={self.delivered}/"

@@ -171,7 +171,7 @@ class WorkerPool:
                  chunk_size: int | None = None):
         self.workers = workers
         self.chunk_size = chunk_size
-        self.spawned = 0          # total processes ever launched (tests/benches)
+        self.spawned = 0          # total processes ever launched (tests, perfbench)
         self._procs: list = []    # mutated in place: the finalizer sees updates
         self._ctx = None
         self._task_q = None

@@ -71,6 +71,17 @@ class TestCollectives:
         out, trace = allreduce(vals, backend=backend)
         assert out == [sum(vals)] * 16
 
+    def test_allreduce_round_counts(self):
+        """Allreduce is an ascend: h rounds on the hypercube, within a
+        constant factor (at most 4h) on de Bruijn, h=7."""
+        h = 7
+        vals = list(range(1 << h))
+        hout, htr = allreduce(vals, backend="hypercube")
+        dout, dtr = allreduce(vals, backend="debruijn")
+        assert hout == dout == [sum(vals)] * (1 << h)
+        assert htr.round_count == h
+        assert dtr.round_count <= 4 * h
+
     def test_allreduce_custom_combine(self):
         vals = [3, 1, 4, 1, 5, 9, 2, 6]
         out, _ = allreduce(vals, combine=max)

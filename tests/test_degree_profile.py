@@ -51,10 +51,12 @@ class TestFrontier:
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_frontier_exists_for_base2(self, k):
         h = bound_attainment_frontier(2, k, h_max=8)
-        assert h is not None
+        assert h is not None and h >= 4
         # and is genuinely the first tight h
-        if h > 3:
-            assert not degree_profile(2, h - 1, k).tight
+        assert not degree_profile(2, h - 1, k).tight
+
+    def test_base3_k1_frontier(self):
+        assert bound_attainment_frontier(3, 1, h_max=6) == 4
 
     def test_frontier_none_when_out_of_range(self):
         # k=4 needs larger h than 3 to pay degree 20

@@ -53,8 +53,8 @@ class TestDegrees:
 
     def test_corollary2_bound_tight_somewhere(self):
         # Cor. 2: degree at most 8 for k=1; the bound is attained for h>=4.
-        g = ft_debruijn(2, 4, 1)
-        assert g.max_degree() == 8
+        for h in (4, 5, 6, 7):
+            assert ft_debruijn(2, h, 1).max_degree() == 8
 
     def test_degree_bound_validation(self):
         with pytest.raises(ParameterError):

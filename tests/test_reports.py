@@ -2,8 +2,7 @@
 histogram percentiles, report plans, and — the load-bearing contract —
 bundle determinism: the same report built twice is byte-identical,
 every manifest link resolves, every artifact hash matches, and no
-wall-clock stamp appears anywhere (extending the shape test idea from
-``tests/test_bench_artifact.py`` to a whole directory tree)."""
+wall-clock stamp appears anywhere in the tree."""
 
 from __future__ import annotations
 

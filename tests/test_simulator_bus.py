@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import bus_debruijn, bus_ft_debruijn
+from repro.core import bus_debruijn, bus_ft_debruijn, debruijn
 from repro.errors import SimulationError
 from repro.graphs import BusHypergraph
-from repro.simulator import BusNetworkSimulator
+from repro.routing import shift_route, shift_route_batch
+from repro.simulator import BatchEngine, BusNetworkSimulator, uniform_traffic
 
 
 @pytest.fixture
@@ -115,3 +116,18 @@ class TestBusSimulator:
         sim.run()
         st = sim.stats()
         assert st.dropped == 0 and st.delivered == st.injected
+
+    def test_uniform_traffic_slowdown_bounded(self, rng):
+        """§V under uniform random traffic: the bus machine drains the
+        same shift routes as point-to-point B_{2,h} in at most a small
+        constant times the cycles, and never in fewer."""
+        h = 4
+        pairs = uniform_traffic(1 << h, 100, rng)
+        p2p = BatchEngine(debruijn(2, h))
+        p2p.inject_routes(*shift_route_batch(pairs[:, 0], pairs[:, 1], 2, h))
+        p2p.run()
+        bus = BusNetworkSimulator(bus_debruijn(h))
+        bus.inject(pairs, lambda s, d: shift_route(s, d, 2, h))
+        bus.run()
+        assert bus.stats().delivered == p2p.stats().delivered == 100
+        assert 1.0 <= bus.stats().cycles / p2p.stats().cycles <= 4.0

@@ -147,6 +147,19 @@ class TestDetourController:
         _, _, kept, _ = det._route(pairs)
         assert kept.tolist() == [0]  # routing still works
 
+    def test_loss_grows_with_fault_count(self):
+        """The bare machine loses more pairs with every fault: the
+        same traffic on B_{2,5} with one, two and three dead nodes."""
+        lost = []
+        for faults in ([5], [5, 9], [5, 9, 22]):
+            det = DetourController(2, 5)
+            for f in faults:
+                det.fail_node(f)
+            det.run_workload([uniform_traffic(32, 300, np.random.default_rng(1))])
+            lost.append(det.unreachable_pairs)
+        assert lost[0] > 0
+        assert lost == sorted(lost)
+
     def test_detour_vs_reconfig_comparison(self, rng):
         """The MOTIV experiment in miniature: the FT machine delivers
         everything, the bare machine cannot."""

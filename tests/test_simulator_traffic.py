@@ -97,18 +97,3 @@ class TestMetrics:
         assert st.max_latency == 8
         assert st.mean_hops == 1.5
         assert st.throughput == pytest.approx(0.2)
-
-    def test_slowdown(self):
-        a = Packet(0, [0, 1], 0, delivered_at=2)
-        base = summarize([a], 4)
-        b = Packet(0, [0, 1], 0, delivered_at=4)
-        slow = summarize([b], 8)
-        assert slow.slowdown_vs(base) == pytest.approx(2.0)
-        assert slow.completion_slowdown_vs(base) == pytest.approx(2.0)
-
-    def test_slowdown_degenerate(self):
-        empty = summarize([], 0)
-        a = Packet(0, [0, 1], 0, delivered_at=2)
-        nonzero = summarize([a], 4)
-        assert nonzero.slowdown_vs(empty) == float("inf")
-        assert empty.slowdown_vs(nonzero) == 0.0

@@ -60,15 +60,6 @@ class TestConstruction:
         with pytest.raises(GraphFormatError):
             StaticGraph(3, np.array([[0, 1, 2]]))
 
-    def test_from_adjacency(self):
-        g = StaticGraph.from_adjacency({0: [1, 2], 1: [2]})
-        assert g.node_count == 3
-        assert g.edge_count == 3
-
-    def test_from_adjacency_explicit_n(self):
-        g = StaticGraph.from_adjacency({0: [1]}, num_nodes=5)
-        assert g.node_count == 5
-
 
 class TestQueries:
     def test_neighbors_sorted(self, petersen):
@@ -117,9 +108,6 @@ class TestQueries:
 
     def test_iter_edges(self, triangle):
         assert sorted(triangle.iter_edges()) == [(0, 1), (0, 2), (1, 2)]
-
-    def test_adjacency_dict(self, triangle):
-        assert triangle.adjacency_dict() == {0: [1, 2], 1: [0, 2], 2: [0, 1]}
 
     def test_degree_sum_is_twice_edges(self, rng):
         g = random_graph(40, 0.15, rng)
@@ -246,14 +234,12 @@ class TestCsrPlanes:
         assert g.col_indices.size == 0
         assert g.edge_ids.size == 0
         assert g.directed_edge_keys.size == 0
-        assert g.adjacency_dict() == {}
 
     def test_single_node_planes(self):
         g = StaticGraph(1)
         assert g.row_offsets.tolist() == [0, 0]
         assert g.col_indices.size == 0
         assert g.neighbors(0).size == 0
-        assert g.adjacency_dict() == {0: []}
 
     def test_self_loops_dropped_debruijn_fixed_points(self):
         # de Bruijn fixed points (all-zeros / all-ones strings) emit
@@ -329,12 +315,6 @@ class TestCsrPlanes:
         with pytest.raises(GraphFormatError):
             g.neighbors_batch(np.array([3]))
 
-    def test_adjacency_dict_is_cached_view(self):
-        g = StaticGraph(3, [(0, 1), (1, 2)])
-        d1 = g.adjacency_dict()
-        assert d1 == {0: [1], 1: [0, 2], 2: [1]}
-        assert g.adjacency_dict() is d1  # built once, cached
-
     def test_directed_edge_slots(self):
         g = StaticGraph(4, [(0, 1), (1, 2), (2, 3)])
         us = np.array([0, 1, 2, 3, 0])
@@ -379,8 +359,8 @@ class TestCsrPlanes:
 
         g = StaticGraph(4, [(0, 1), (1, 2), (2, 3)])
         g.edge_ids  # populate caches
-        g.adjacency_dict()
+        g.directed_edge_keys
         h = pickle.loads(pickle.dumps(g))
         assert h == g
         assert h.edge_ids.tolist() == g.edge_ids.tolist()
-        assert h.adjacency_dict() == g.adjacency_dict()
+        assert h.directed_edge_keys.tolist() == g.directed_edge_keys.tolist()

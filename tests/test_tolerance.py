@@ -23,7 +23,9 @@ from repro.graphs import StaticGraph, cycle
 class TestTheorem1:
     """Theorem 1: B^k_{2,h} is (k, B_{2,h})-tolerant."""
 
-    @pytest.mark.parametrize("h,k", [(3, 0), (3, 1), (3, 2), (3, 3), (4, 1), (4, 2)])
+    @pytest.mark.parametrize(
+        "h,k", [(3, 0), (3, 1), (3, 2), (3, 3), (4, 1), (4, 2), (4, 3)]
+    )
     def test_exhaustive(self, h, k):
         rep = exhaustive_tolerance_check(ft_debruijn(2, h, k), debruijn(2, h), k)
         assert rep.ok and rep.exhaustive
