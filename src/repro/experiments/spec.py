@@ -51,6 +51,7 @@ True
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import itertools
 import json
@@ -288,17 +289,8 @@ class ExperimentSpec:
                 "the grid seeds axis instead)"
             )
         known = self._fixed_faults()
-        demand = 0 if known is None else _spare_demand(known)
-        if self.controller == "reconfig" and demand > self.k:
-            # fail at spec time with a readable message instead of a
-            # FaultSetError traceback out of a worker process mid-sweep
-            # (probabilistic models re-check here when each replica is
-            # realized into a fixed schedule)
-            raise ParameterError(
-                f"scenario schedules {demand} concurrently faulty "
-                f"nodes but B^{self.k}_{{{self.m},{self.h}}} has only "
-                f"{self.k} spares"
-            )
+        if known is not None:
+            self._check_schedule(known)
         if self.loop == "closed":
             if self.batches < 1:
                 raise ParameterError("batches must be >= 1")
@@ -367,6 +359,21 @@ class ExperimentSpec:
 
     # -- fault universes -----------------------------------------------------
 
+    def _check_schedule(self, scenario: FaultScenario) -> None:
+        """Refuse a schedule neither controller can run
+        (:func:`_spare_demand`), or one that needs more concurrent spares
+        than a ``reconfig`` machine has: at spec time, with a readable
+        message, instead of a FaultSetError traceback out of a worker
+        process mid-sweep.  Probabilistic models are checked here when
+        each replica is realized (:meth:`realize_replica`)."""
+        demand = _spare_demand(scenario)
+        if self.controller == "reconfig" and demand > self.k:
+            raise ParameterError(
+                f"scenario schedules {demand} concurrently faulty "
+                f"nodes but B^{self.k}_{{{self.m},{self.h}}} has only "
+                f"{self.k} spares"
+            )
+
     def _fixed_faults(self) -> FaultScenario | None:
         """The schedule when it is statically known (fault-free or the
         ``fixed`` model, converted by its registry entry, which draws
@@ -405,15 +412,27 @@ class ExperimentSpec:
         universe frozen into a ``fixed`` model (so the worker re-runs the
         exact drawn schedule), ``replicas`` collapsed to 1, traffic
         untouched.  :func:`~repro.simulator.grid.run_grid`
-        expands replicated cells through this."""
+        expands replicated cells through this.
+
+        Every other field was validated when this spec was built, so the
+        replica is a copy with the two fields set, not a second full
+        validation; only the drawn schedule is checked
+        (:meth:`_check_schedule`).  The model is written in the
+        canonical form :func:`~repro.simulator.faults.validate_fault_model`
+        returns, so the replica equals, and hashes as, the spec built
+        from its fields."""
         scenario = self.realize_faults(replica)
+        self._check_schedule(scenario)
         model = {
             "name": "fixed",
-            "faults": [[c, v] for c, v in scenario.node_faults],
+            "faults": [[int(c), int(v)] for c, v in scenario.node_faults],
         }
         if scenario.node_repairs:
-            model["repairs"] = [[c, v] for c, v in scenario.node_repairs]
-        return replace(self, fault_model=model, replicas=1)
+            model["repairs"] = [[int(c), int(v)] for c, v in scenario.node_repairs]
+        rep = copy.copy(self)
+        object.__setattr__(rep, "fault_model", model)
+        object.__setattr__(rep, "replicas", 1)
+        return rep
 
     def replica_blocks(self) -> list[tuple["ExperimentSpec", ...]]:
         """This replicated cell's realized replicas
@@ -431,7 +450,9 @@ class ExperimentSpec:
         budget raises :class:`ParameterError` before anything runs.
         """
         realized = [self.realize_replica(i) for i in range(self.replicas)]
-        at_zero = all(c == 0 for rep in realized for c, _, _ in rep._fixed_faults().events())
+        at_zero = all(c == 0 for rep in realized
+                      for key in ("faults", "repairs")
+                      for c, _ in rep.fault_model.get(key, ()))
         if self.batches > 1 or not at_zero:
             return [(rep,) for rep in realized]
         machine = (ft_debruijn(self.m, self.h, self.k)

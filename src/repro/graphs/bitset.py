@@ -19,7 +19,10 @@ of degree ~n, like ``star(n)``, pays ``n`` full gathers per level.
 Survivor graphs need no masked CSR.  A node outside the ``alive`` mask
 gets no seed bit, and every slot that touches it gathers an all-zero pad
 row, so it neither reaches nor is reached, and ranks keep indexing the
-unmasked rows.
+unmasked rows.  A *stack* of ``R`` masks sweeps in the same lockstep:
+mask ``r``'s trees are reach rows ``r*n .. r*n + n - 1``, its slots
+gather only rows of its own block, and every block shares the one pad
+row, so one sweep over ``R*n`` rows serves ``R`` fault sets.
 
 Everything in this module is pure NumPy over ``(num_nodes, row_offsets,
 col_indices)`` triples — the canonical :class:`~repro.graphs.static_graph.
@@ -33,8 +36,11 @@ the unreachable sentinel is that dtype's max value: ``uint8`` for every
 de Bruijn and shuffle-exchange machine, ``uint16`` for a hub like
 ``star(300)``.  While the sweep runs, claims accumulate in
 ``ceil(log2 max_deg)`` bit-planes — never more bytes than the table
-itself.  :func:`all_pairs_distances` records each pair's BFS level the
-same way, in ``ceil(log2 (diameter + 1))`` level planes.
+itself.  Given ``(R, n)`` alive masks it fills the ``(R, n, n)`` tables
+of all of them from one sweep and one decode; one mask is the ``R = 1``
+case of the same code, so a stack costs the per-call overhead once.
+:func:`all_pairs_distances` records each pair's BFS level the same way,
+in ``ceil(log2 (diameter + 1))`` level planes.
 
 Decoding
 --------
@@ -85,9 +91,11 @@ def _sweep(
     planes=(),
     on_level=None,
 ) -> np.ndarray:
-    """Advance all ``n`` BFS trees in lockstep; return the final reach
-    bitsets, ``(n, ceil(n/64))`` uint64.
+    """Advance all ``n`` BFS trees of each of ``R`` masks in lockstep;
+    return the final reach bitsets, ``(R*n, ceil(n/64))`` uint64.
 
+    ``alive`` is ``None`` (one unmasked graph, ``R = 1``) or an ``(R,
+    n)`` stack of masks; mask ``r``'s row ``v`` is reach row ``r*n + v``.
     Each level, rank ``r`` gathers the neighbors' *previous-level* reach
     rows and claims every bit no lower rank (and no earlier level) has
     claimed, so each reachable ``(v, d)`` pair is claimed exactly once,
@@ -99,17 +107,21 @@ def _sweep(
     W = (n + 63) >> 6
     deg = np.diff(row_offsets)
     src = np.repeat(np.arange(n), deg)
-    cols = col_indices
+    R = 1 if alive is None else len(alive)
+    N = R * n
+    base = n * np.arange(R)[:, None]  # each mask's first reach row
+    cols = col_indices + base
     if alive is not None:
-        cols = np.where(alive[src] & alive[cols], cols, n)
-    nbr = np.full((int(deg.max(initial=0)), n), n, dtype=np.intp)
-    nbr[np.arange(src.size) - row_offsets[src], src] = cols
+        cols[~(alive[:, src] & alive[:, col_indices])] = N
+    nbr = np.full((int(deg.max(initial=0)), N), N, dtype=np.intp)
+    nbr[np.arange(src.size) - row_offsets[src], src + base] = cols
 
-    reach = np.zeros((n + 1, W), dtype=np.uint64)  # row n: the zero pad
-    seeds = np.arange(n) if alive is None else np.flatnonzero(alive)
-    reach[seeds, seeds >> 6] = np.uint64(1) << (seeds & 63).astype(np.uint64)
-    unseen = ~reach[:n]
-    claim = np.empty((n, W), dtype=np.uint64)
+    reach = np.zeros((N + 1, W), dtype=np.uint64)  # row N: the zero pad
+    seeds = np.arange(N) if alive is None else np.flatnonzero(alive)
+    dest = seeds % n
+    reach[seeds, dest >> 6] = np.uint64(1) << (dest & 63).astype(np.uint64)
+    unseen = ~reach[:N]
+    claim = np.empty((N, W), dtype=np.uint64)
     rank_planes = [
         [plane for b, plane in enumerate(planes) if r >> b & 1]
         for r in range(len(nbr))
@@ -124,30 +136,31 @@ def _sweep(
             for plane in targets:
                 plane |= claim
         newly = np.invert(unseen, out=claim)
-        newly ^= reach[:n]
+        newly ^= reach[:N]
         if not newly.any():
-            return reach[:n]
-        reach[:n] |= newly
+            return reach[:N]
+        reach[:N] |= newly
         if on_level is not None:
             on_level(level, newly)
 
 
 def _decode(planes, reach: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Fill ``out``, an ``(n, n)`` integer matrix, from bit-planes.
+    """Fill ``out``, an ``(N, n)`` integer matrix, from bit-planes.
 
     ``out[v, d]`` is the sum of ``(bit d of planes[p][v]) << p``, or
     all-ones bits (the unsigned max, or ``-1``) where bit ``d`` of
-    ``reach[v]`` is clear.  Both inputs are bitset rows, ``(n,
-    ceil(n/64))`` uint64; see the module docstring for the lookups.
+    ``reach[v]`` is clear.  Both inputs are bitset rows, ``(N,
+    ceil(n/64))`` uint64 (a stack's ``R*n`` rows decode as one matrix);
+    see the module docstring for the lookups.
     """
-    n = len(out)
+    N, n = out.shape
     nb = (n + 7) >> 3  # the bitset bytes that hold destinations
     rows = max(1, _ROW_BLOCK_BYTES // max(n, 1))
-    lanes = out.view(np.uint8).reshape(n, n, out.itemsize)
-    lane_buf = np.empty((min(rows, n), nb), dtype=np.uint64)
+    lanes = out.view(np.uint8).reshape(N, n, out.itemsize)
+    lane_buf = np.empty((min(rows, N), nb), dtype=np.uint64)
     bits_buf = np.empty_like(lane_buf)
-    for a in range(0, n, rows):
-        k = min(rows, n - a)
+    for a in range(0, N, rows):
+        k = min(rows, N - a)
         lane, bits = lane_buf[:k], bits_buf[:k]
         for i in range(out.itemsize):
             # byte indices are always in range: "wrap" only skips the check
@@ -179,17 +192,29 @@ def hop_rank_table(
     unreachable pairs, including every row, column and diagonal entry
     of a node outside ``alive``.  Ties go to the lowest rank (the
     smallest neighbor id); see the module docstring for the dtype rule.
+
+    A stack of masks, ``alive`` of shape ``(R, n)``, returns the ``(R,
+    n, n)`` tables, ``T[r]`` the table of ``alive[r]``, from one sweep
+    over ``R*n`` reach rows.
     """
     n = int(num_nodes)
     indptr = np.ascontiguousarray(row_offsets, dtype=np.int64)
     indices = np.ascontiguousarray(col_indices, dtype=np.int64)
     max_deg = int(np.diff(indptr).max(initial=0))
     dtype = np.min_scalar_type(max_deg + 1)
+    shape = (n, n)
+    if alive is not None:
+        alive = np.asarray(alive, dtype=bool)
+        shape = alive.shape[:-1] + shape
+        alive = alive.reshape(-1, n)
+    rows = n if alive is None else alive.size
     planes = np.zeros(
-        (max(max_deg - 1, 0).bit_length(), n, (n + 63) >> 6), dtype=np.uint64
+        (max(max_deg - 1, 0).bit_length(), rows, (n + 63) >> 6), dtype=np.uint64
     )
     reach = _sweep(n, indptr, indices, alive, planes=planes)
-    return _decode(planes, reach, np.empty((n, n), dtype=dtype))
+    out = np.empty(shape, dtype=dtype)
+    _decode(planes, reach, out.reshape(rows, n))
+    return out
 
 
 def all_pairs_distances(

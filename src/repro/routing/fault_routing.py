@@ -138,7 +138,10 @@ class ReconfiguredRouter:
 
 def survivor_route_table(g: StaticGraph, faults) -> "RouteTable":
     """Compile a detour :class:`~repro.routing.tables.RouteTable` for the
-    survivor graph of ``g`` under ``faults``, in *original* node ids.
+    survivor graph of ``g`` under ``faults`` (one fault set, an iterable
+    of node ids), in *original* node ids.  A sequence of ``R`` fault sets
+    compiles the ``(R, n, n)`` stack of their tables in one sweep, each
+    layer bit-identical to its set's own table.
 
     The table keeps all ``n`` rows/columns (so batch extraction needs no
     id remapping) and its ranks index ``g``'s own CSR rows, but it is
@@ -151,8 +154,10 @@ def survivor_route_table(g: StaticGraph, faults) -> "RouteTable":
     are the same; the conformance suite checks it route for route).
 
     :class:`repro.simulator.faults.DetourController` compiles one for
-    each routed batch, against the survivors of the moment (a block,
-    one per distinct fault set), and keeps none.  It is
+    each routed batch, against the survivors of the moment, and keeps
+    none; a replica block compiles the stack of its distinct fault sets
+    and walks every set's pairs through it at once
+    (:meth:`RouteTable.routes_batch_masked` with ``which``).  It is
     :meth:`RouteTable.compile` with ``faulty=faults``: no survivor graph
     or masked CSR is ever built.
     """

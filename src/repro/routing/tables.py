@@ -15,15 +15,19 @@ The table is a *pickle-safe* batch artifact (pure NumPy data) that
 extracts whole route batches vectorized with
 :meth:`RouteTable.routes_batch` — the format the simulation engines
 inject directly; :meth:`RouteTable.routes_batch_masked` adds each hop's
-CSR slot, the engine's queue id.  :meth:`RouteTable.next_hops` decodes
-the classic ``(n, n)`` int64 view, with :data:`UNREACHABLE` for
-disconnected pairs and the node itself on the diagonal;
-:func:`compile_routing_table` returns that view and
+CSR slot, the engine's queue id.  One compile can also hold a *stack*
+of survivor tables, ``(R, n, n)``, one per fault set, from one sweep;
+:meth:`RouteTable.routes_batch_masked` then walks each pair through the
+table its ``which`` index names, every pair of the stack in one pass.
+:meth:`RouteTable.next_hops` decodes the classic ``(n, n)`` int64 view,
+with :data:`UNREACHABLE` for disconnected pairs and the node itself on
+the diagonal; :func:`compile_routing_table` returns that view and
 :func:`validate_routing_table` checks it.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,12 +55,28 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     return v
 
 
+def _alive_masks(n: int, faulty) -> np.ndarray:
+    """``faulty`` as alive masks: ``(n,)`` for one fault set (an
+    iterable of node ids), ``(R, n)`` for a sequence of ``R`` sets."""
+    sets = list(faulty)
+    stacked = any(isinstance(fs, Iterable) for fs in sets)
+    alive = np.ones((len(sets) if stacked else 1, n), dtype=bool)
+    for mask, fs in zip(alive, sets if stacked else [sets]):
+        dead = np.fromiter((int(v) for v in fs), dtype=np.int64)
+        if dead.size and (dead.min() < 0 or dead.max() >= n):
+            bad = dead.min() if dead.min() < 0 else dead.max()
+            raise RoutingError(f"fault node {bad} out of range [0, {n})")
+        mask[dead] = False
+    return alive if stacked else alive[0]
+
+
 @dataclass(frozen=True, eq=False)
 class RouteTable:
     """A compiled rank table as a pickle-safe batch-routing artifact.
 
-    Holds the ``(n, n)`` rank matrix ``table`` and the read-only CSR
-    planes ``row_offsets``/``col_indices`` it decodes through — no graph
+    Holds the ``(n, n)`` rank matrix ``table`` (or an ``(R, n, n)``
+    stack of them over one graph) and the read-only CSR planes
+    ``row_offsets``/``col_indices`` it decodes through — no graph
     object, no closures — so it crosses process boundaries by value.
     Unreachable pairs hold :attr:`sentinel`: the batch extractors either
     raise (:meth:`routes_batch`) or skip-and-report
@@ -76,12 +96,15 @@ class RouteTable:
 
     def __post_init__(self):
         t = np.asarray(self.table)
-        if t.ndim != 2 or t.shape[0] != t.shape[1]:
-            raise RoutingError(f"route table must be square, got {t.shape}")
+        if t.ndim not in (2, 3) or t.shape[-2] != t.shape[-1]:
+            raise RoutingError(
+                f"route table must be square or a stack of square tables, "
+                f"got {t.shape}"
+            )
         if t.dtype.kind != "u":
             raise RoutingError(f"route table must hold unsigned ranks, got {t.dtype}")
         indptr = _readonly(self.row_offsets)
-        if indptr.shape != (t.shape[0] + 1,):
+        if indptr.shape != (t.shape[-1] + 1,):
             raise RoutingError(
                 f"row_offsets of length {indptr.size} do not fit a {t.shape} table"
             )
@@ -119,7 +142,9 @@ class RouteTable:
         no id remapping is needed downstream and ranks still index
         ``g``'s rows.  A faulty node's row, column and diagonal are all
         the sentinel, so a dead endpoint never admits even the trivial
-        self-route.
+        self-route.  A sequence of ``R`` fault sets compiles their ``(R,
+        n, n)`` stack from one sweep, layer ``r`` bit-identical to the
+        table of ``faulty[r]`` alone.
 
         Parent tie-breaking: the smallest hop-optimal neighbor id (lowest
         CSR rank) — the same rule as the frontier compiler and the dict
@@ -134,22 +159,14 @@ class RouteTable:
         suite (``tests/conformance/``) checks the two route for route.
         """
         n = g.node_count
-        alive = None
-        if faulty is not None:
-            dead = np.unique(np.fromiter((int(v) for v in faulty), dtype=np.int64))
-            if dead.size:
-                if dead[0] < 0 or dead[-1] >= n:
-                    bad = dead[0] if dead[0] < 0 else dead[-1]
-                    raise RoutingError(f"fault node {bad} out of range [0, {n})")
-                alive = np.ones(n, dtype=bool)
-                alive[dead] = False
+        alive = None if faulty is None else _alive_masks(n, faulty)
         table = hop_rank_table(n, g.row_offsets, g.col_indices, alive)
         return cls(table, g.row_offsets, g.col_indices)
 
     @property
     def node_count(self) -> int:
         """Nodes the table routes over (its square dimension)."""
-        return int(self.table.shape[0])
+        return int(self.table.shape[-1])
 
     @property
     def sentinel(self) -> int:
@@ -160,7 +177,10 @@ class RouteTable:
         """Decode the ``(n, n)`` int64 next-hop view: ``[v, d]`` is the
         neighbor ``v`` forwards to, ``[d, d] == d`` for a live ``d``, and
         :data:`UNREACHABLE` marks unreachable pairs (dead diagonals
-        included).  This is the format the conformance witnesses emit."""
+        included).  This is the format the conformance witnesses emit.
+        It decodes one table, not a stack."""
+        if self.table.ndim != 2:
+            raise RoutingError("next_hops decodes one table, not a stack")
         n = self.node_count
         hop = self.table != self.sentinel
         live = np.flatnonzero(np.diagonal(hop))
@@ -171,7 +191,11 @@ class RouteTable:
         out[live, live] = live
         return out
 
-    def _endpoints(self, srcs, dsts) -> tuple[np.ndarray, np.ndarray]:
+    def _endpoints(self, srcs, dsts, which=None):
+        """The checked endpoints and each pair's key: entry ``(u, d)`` of
+        the table pair ``i`` walks is ``table.ravel()[u * n + key[i]]``,
+        so ``key`` is ``dsts`` for one table and ``which * n**2 + dsts``
+        on a stack."""
         srcs = np.asarray(srcs, dtype=np.int64).ravel()
         dsts = np.asarray(dsts, dtype=np.int64).ravel()
         if srcs.shape != dsts.shape:
@@ -181,22 +205,36 @@ class RouteTable:
             min(srcs.min(), dsts.min()) < 0 or max(srcs.max(), dsts.max()) >= n
         ):
             raise RoutingError(f"endpoint out of range [0, {n}) for the routing table")
-        return srcs, dsts
+        if which is None:
+            if self.table.ndim == 3:
+                raise RoutingError("a stack of tables needs each pair's table index")
+            return srcs, dsts, dsts
+        which = np.asarray(which, dtype=np.int64).ravel()
+        stack = self.table.shape[0] if self.table.ndim == 3 else 1
+        if which.shape != srcs.shape:
+            raise RoutingError("which must name one table per pair")
+        if which.size and (which.min() < 0 or which.max() >= stack):
+            raise RoutingError(f"table index out of range [0, {stack})")
+        return srcs, dsts, which * n * n + dsts
 
-    def _walk(self, srcs: np.ndarray, dsts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Follow the ranks for in-range pairs, one gather per hop level."""
+    def _walk(self, srcs: np.ndarray, dsts: np.ndarray,
+              keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Follow the ranks for in-range pairs, one gather per hop level
+        (pair ``i`` reads its table through ``keys[i]``, see
+        :meth:`_endpoints`)."""
+        ranks, n = self.table.ravel(), self.node_count
         count = srcs.size
         if count == 0:
             return np.zeros(0, dtype=np.int64), np.zeros(1, dtype=np.int64)
         levels = [srcs]
         cur = srcs
         active = cur != dsts
-        for _ in range(self.node_count):
+        for _ in range(n):
             if not active.any():
                 break
             idx = np.flatnonzero(active)
             at = cur[idx]
-            rank = self.table[at, dsts[idx]]
+            rank = ranks.take(at * n + keys[idx])
             dead_end = rank == self.sentinel
             if dead_end.any():
                 i = int(idx[np.flatnonzero(dead_end)[0]])
@@ -234,12 +272,12 @@ class RouteTable:
         endpoint out of range or on the first unreachable pair, a
         faulty node's self-pair included (its diagonal is the sentinel).
         """
-        srcs, dsts = self._endpoints(srcs, dsts)
+        srcs, dsts, _ = self._endpoints(srcs, dsts)
         bad = np.flatnonzero(self.table[srcs, dsts] == self.sentinel)
         if bad.size:
             i = int(bad[0])
             raise RoutingError(f"no route from {srcs[i]} to {dsts[i]}")
-        return self._walk(srcs, dsts)
+        return self._walk(srcs, dsts, dsts)
 
     def reachable(self, srcs: np.ndarray, dsts: np.ndarray) -> np.ndarray:
         """Boolean mask: which (src, dst) pairs the table can route.
@@ -251,11 +289,11 @@ class RouteTable:
         faulty nodes' diagonals so a dead endpoint never admits even the
         trivial route.
         """
-        srcs, dsts = self._endpoints(srcs, dsts)
+        srcs, dsts, _ = self._endpoints(srcs, dsts)
         return self.table[srcs, dsts] != self.sentinel
 
     def routes_batch_masked(
-        self, srcs: np.ndarray, dsts: np.ndarray
+        self, srcs: np.ndarray, dsts: np.ndarray, which: np.ndarray | None = None
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Like :meth:`routes_batch`, but unreachable pairs are skipped
         instead of raising.
@@ -269,15 +307,21 @@ class RouteTable:
         offered-but-unadmitted accounting.  The slot of the hop leaving
         ``u`` toward ``d`` is ``row_offsets[u] + table[u, d]``, so one
         rank gather over the finished routes finds them all.
+
+        On a stack, ``which[i]`` names the table pair ``i`` walks (it is
+        required there, and ``kept`` indexes the whole batch), so the
+        pairs of every table route in one pass; each table's routes are
+        exactly its own table's.
         """
-        srcs, dsts = self._endpoints(srcs, dsts)
-        kept = np.flatnonzero(self.table[srcs, dsts] != self.sentinel)
-        dsts = dsts[kept]
-        flat, offsets = self._walk(srcs[kept], dsts)
-        at = flat * self.node_count  # each position's (u, dst) entry
-        at += np.repeat(dsts, np.diff(offsets))
+        srcs, dsts, keys = self._endpoints(srcs, dsts, which)
+        ranks, n = self.table.ravel(), self.node_count
+        kept = np.flatnonzero(ranks.take(srcs * n + keys) != self.sentinel)
+        keys = keys[kept]
+        flat, offsets = self._walk(srcs[kept], dsts[kept], keys)
+        at = flat * n  # each position's (u, dst) entry
+        at += np.repeat(keys, np.diff(offsets))
         hop = self.row_offsets.take(flat)
-        hop += self.table.ravel().take(at)
+        hop += ranks.take(at)
         hop[offsets[1:] - 1] = -1
         return flat, offsets, kept, hop
 

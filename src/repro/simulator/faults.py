@@ -59,11 +59,11 @@ lives one level up: independent cells and the replica blocks of an
 :func:`~repro.simulator.grid.run_grid`.  Each controller class has one
 router, its block hook ``_block_routes``: a solo run calls it on a block
 of one, and :func:`drain_block` on a block of replica controllers whose
-faults all fire at cycle 0 (one lift through every φ, or one survivor
-table per distinct fault set).  The drain alone joins the replicas into
-one union machine, drains them side by side on one engine and returns
-the union's records, each replica's rows exactly its own
-``run_workload``'s.
+faults all fire at cycle 0 (one lift through every φ, or one stacked
+survivor-table compile and one walk for all the distinct fault sets).
+The drain alone joins the replicas into one union machine, drains them
+side by side on one engine and returns the union's records, each
+replica's rows exactly its own ``run_workload``'s.
 """
 
 from __future__ import annotations
@@ -113,6 +113,13 @@ CONTROLLERS = Registry("controller")
 #: layer calls it at construction, so a typo'd model never reaches a
 #: worker.  Registering a new universe is one decorated function.
 FAULT_MODELS = Registry("fault model")
+
+#: Largest bytes of survivor tables one stacked compile holds: a detour
+#: block's distinct fault sets compile and route in stacks of at most
+#: this many table bytes (a table larger than this compiles alone), so a
+#: block holds at most max(one table, this) of tables at a time, plus
+#: the sweep's workspace.
+_STACK_BUDGET = 1 << 20
 
 
 @dataclass
@@ -598,8 +605,9 @@ def drain_block(controllers, pairs: np.ndarray, *, max_cycles: int = 1_000_000
     whole block in one call, in the machine's own ids, doing once what
     is the same for every replica: the reconfiguration arm lifts
     ``pairs`` through the stack of φs from one window pass and one slot
-    search; the detour arm compiles and extracts one survivor table per
-    distinct fault set and drops it once its routes are out.  Each
+    search; the detour arm compiles the survivor tables of every
+    distinct fault set in one stacked sweep, routes all of them in one
+    walk and drops the stack once its routes are out.  Each
     replica's refusals are charged to its ``unreachable_pairs``.  Only
     here do routes meet the union: replica ``r``'s nodes shift by
     ``r * n`` and its CSR slots by ``r * s`` as they are concatenated,
@@ -785,24 +793,45 @@ class DetourController(_FaultController):
     def _block_routes(controllers, pairs: np.ndarray):
         """The route hook: detour routes for ``pairs`` under each
         controller's current fault set.  The controllers are grouped by
-        fault set, and each distinct set's survivor table is compiled
-        and extracted once
-        (:meth:`~repro.routing.tables.RouteTable.routes_batch_masked`)
-        and dropped as soon as its routes are out; every controller with
-        that set takes those routes.  Returns each controller's ``(flat,
-        offsets, kept, hop)``: ``kept`` the indices of the pairs that
-        are routable.  The survivor table encodes endpoint liveness too
-        (a faulty node's diagonal holds the rank sentinel), so one
-        masked extraction decides admission and emits every route.
-        Unreachable pairs (faulty endpoint or disconnected survivors)
-        are skipped, not counted: the drivers charge them to
+        fault set, and the distinct sets' survivor tables are compiled as
+        one stack (:func:`~repro.routing.fault_routing.survivor_route_table`
+        on the list of sets, one sweep) and every set's copy of ``pairs``
+        is extracted from it in one walk
+        (:meth:`~repro.routing.tables.RouteTable.routes_batch_masked`
+        with each pair's table index); the stack is dropped as soon as
+        its routes are out, and every controller with a set takes that
+        set's routes.  A block whose sets' tables pass
+        :data:`_STACK_BUDGET` bytes compiles them in several stacks, one
+        after another; a stack of one set is its own ``(n, n)`` table,
+        the compile a solo run makes.  Returns each controller's
+        ``(flat, offsets, kept, hop)``: ``kept`` the indices of the
+        pairs that are routable.  The survivor table encodes endpoint
+        liveness too (a faulty node's diagonal holds the rank sentinel),
+        so one masked extraction decides admission and emits every
+        route.  Unreachable pairs (faulty endpoint or disconnected
+        survivors) are skipped, not counted: the drivers charge them to
         ``unreachable_pairs`` — the closed loop at injection, the stream
         once each refusal's arrival cycle has passed."""
-        routes = {}
-        for key in dict.fromkeys(frozenset(c.faults) for c in controllers):
-            routes[key] = survivor_route_table(
-                controllers[0].target, key
-            ).routes_batch_masked(pairs[:, 0], pairs[:, 1])
+        g = controllers[0].target
+        sets = list(dict.fromkeys(frozenset(c.faults) for c in controllers))
+        table_bytes = g.node_count ** 2 * np.min_scalar_type(g.max_degree() + 1).itemsize
+        per = max(1, _STACK_BUDGET // table_bytes)
+        count, routes = pairs.shape[0], {}
+        for lo in range(0, len(sets), per):
+            stack = sets[lo: lo + per]
+            R = len(stack)
+            one = R == 1  # one set's own (n, n) table, as a solo run compiles
+            flat, offsets, kept, hop = survivor_route_table(
+                g, stack[0] if one else stack
+            ).routes_batch_masked(np.tile(pairs[:, 0], R), np.tile(pairs[:, 1], R),
+                                  None if one else np.arange(R).repeat(count))
+            # set r's pairs are r * count + i: its kept routes are cut[r]:cut[r + 1]
+            cut = np.searchsorted(kept, count * np.arange(R + 1))
+            ends = offsets[cut]
+            for r, key in enumerate(stack):
+                a, b = cut[r], cut[r + 1]
+                routes[key] = (flat[ends[r]: ends[r + 1]], offsets[a: b + 1] - ends[r],
+                               kept[a: b] - r * count, hop[ends[r]: ends[r + 1]])
         return [routes[frozenset(c.faults)] for c in controllers]
 
 

@@ -384,10 +384,11 @@ def run_block(block) -> ExperimentResult:
     builds every replica's controller, whose cycle-0 events fire on it
     while it builds no engine, and drains them together through
     :func:`~repro.simulator.faults.drain_block`: one lift, or one
-    survivor table per distinct fault set, and one engine for the whole
-    block.  Its stats are one :meth:`ShardStats.from_arrays` over the
-    union's records, ``cycles`` the sum of each replica's last delivery,
-    which is exactly the merge of the replicas' own stats."""
+    stacked compile of the distinct fault sets' survivor tables and one
+    walk, and one engine for the whole block.  Its stats are one
+    :meth:`ShardStats.from_arrays` over the union's records, ``cycles``
+    the sum of each replica's last delivery, which is exactly the merge
+    of the replicas' own stats."""
     if len(block) == 1:
         return block[0]._run()
     first = block[0]

@@ -47,6 +47,7 @@ from repro.simulator.metrics import stream_summary
 from tests.conformance.witness_engine import NetworkSimulator
 
 __all__ = [
+    "SIZES",
     "NetworkSimulator",
     "on_engine",
     "witness_run",
@@ -62,6 +63,10 @@ __all__ = [
     "per_cycle_workload",
     "per_cycle_stream",
 ]
+
+#: The ``(m, h)`` de Bruijn machines the detour router is checked on;
+#: (5, 2) has degree-9 rows, whose slot ranks need four bit-planes.
+SIZES = [(2, 3), (2, 4), (3, 3), (2, 5), (4, 3), (5, 2)]
 
 
 def on_engine(ctrl, engine: str):

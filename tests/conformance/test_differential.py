@@ -25,14 +25,12 @@ from repro.graphs.builders import star
 from repro.routing import survivor_route_table
 from repro.simulator import DetourController
 from tests.conformance.harness import (
+    SIZES,
     WitnessDetourController,
     assert_valid_survivor_routes,
     bfs_detour_routes,
     searched_slots,
 )
-
-# (5, 2) has degree-9 rows, whose slot ranks need four bit-planes
-SIZES = [(2, 3), (2, 4), (3, 3), (2, 5), (4, 3), (5, 2)]
 
 
 def _controller(m, h, fault_nodes):

@@ -150,6 +150,53 @@ class TestReplicaDeterminism:
         # realizing the realized spec is a fixed point
         assert rep.realize_replica(0) == rep
 
+    @pytest.mark.parametrize("cell", [
+        SPEC,
+        ExperimentSpec(m=2, h=5, k=12, packets=64, replicas=4, seed=3,
+                       fault_model={"name": "iid", "p": 0.8, "window": [0, 40]}),
+        ExperimentSpec(m=2, h=5, k=8, controller="detour", packets=64,
+                       replicas=4, seed=2, fault_model={"name": "burst", "radius": 1}),
+        ExperimentSpec(m=2, h=5, k=8, packets=64, replicas=4, seed=5,
+                       fault_model={"name": "churn", "p": 0.9, "rounds": 2,
+                                    "window": [0, 60]}),
+        ExperimentSpec(m=2, h=4, k=2, packets=64, replicas=3,
+                       fault_model={"name": "fixed", "faults": [[0, 3], [5, 7]],
+                                    "repairs": [[9, 3]]}),
+        ExperimentSpec(m=2, h=4, k=2, packets=64, replicas=2),
+    ], ids=["iid", "iid-window", "burst", "churn", "fixed", "fault-free"])
+    def test_realized_replica_equals_the_validated_construction(self, cell):
+        """A realized replica is its cell with the drawn schedule frozen
+        in, built without validating every field a second time: it
+        equals, field for field and by digest, the spec
+        ``dataclasses.replace`` builds from the same schedule (which
+        re-runs every check)."""
+        from dataclasses import replace
+
+        for i in range(cell.replicas):
+            drawn = cell.realize_faults(i)
+            model = {"name": "fixed", "faults": [list(e) for e in drawn.node_faults]}
+            if drawn.node_repairs:
+                model["repairs"] = [list(e) for e in drawn.node_repairs]
+            want = replace(cell, fault_model=model, replicas=1)
+            rep = cell.realize_replica(i)
+            assert rep == want and rep.digest() == want.digest()
+            assert rep.to_json() == want.to_json()
+
+    def test_realized_replica_keeps_the_spare_refusal(self):
+        """The drawn schedule is still checked against the spare budget,
+        with the message a spec built from it raises."""
+        from dataclasses import replace
+
+        cell = ExperimentSpec(m=2, h=5, k=1, packets=64, replicas=2,
+                              fault_model={"name": "iid", "p": 0.5})
+        drawn = cell.realize_faults(0)
+        model = {"name": "fixed", "faults": [list(e) for e in drawn.node_faults]}
+        with pytest.raises(ParameterError, match="spares") as built:
+            replace(cell, fault_model=model, replicas=1)
+        with pytest.raises(ParameterError, match="spares") as realized:
+            cell.realize_replica(0)
+        assert str(realized.value) == str(built.value)
+
     def test_each_replica_is_drawn_once(self, monkeypatch):
         """``replica_blocks`` draws each replica's schedule once, and the
         worker side of a block (``build_controller`` on each realized

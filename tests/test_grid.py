@@ -625,32 +625,57 @@ class TestReplicaBlocks:
             assert res.stats == ShardStats.merge(w.stats for w in solo)
             assert res.unreachable_pairs == sum(w.unreachable_pairs for w in solo)
 
+    @pytest.mark.parametrize("budget", [None, 3 * 32 ** 2, 1],
+                             ids=["one-stack", "stacks-of-3", "one-table-each"])
     @pytest.mark.parametrize("p", [0.9, 0.95])
-    def test_one_compile_per_distinct_fault_set(self, p, monkeypatch):
-        """A detour block compiles one survivor table per distinct fault
-        set (fault-free and shared sets once each), holds at most one at
-        a time, and every replica still gets its solo outcome."""
+    def test_one_stacked_compile_per_block(self, p, budget, monkeypatch):
+        """A detour block compiles the survivor tables of all its distinct
+        fault sets (fault-free and shared sets once each) in one stacked
+        compile, or one per stack that fits the table-byte budget (a
+        table over the budget compiles alone), never holds more than
+        max(one table, budget) bytes of tables, keeps none of them past
+        the route hook, and every replica still gets its solo outcome."""
         block = _mixed_detour_block(p)
         solo = [_outcome(rep.run()) for rep in block]
+        if budget is not None:
+            monkeypatch.setattr(faults_mod, "_STACK_BUDGET", budget)
+        budget = faults_mod._STACK_BUDGET
+        stacks = []    # per compile: the fault sets it covers
         live = []      # a weak reference to every table compiled so far
-        held = []      # per compile: how many earlier tables were alive
+        held = []      # per route-hook call: tables still alive after it
         real = faults_mod.survivor_route_table
 
         def spy(g, faults):
-            held.append(sum(ref() is not None for ref in live))
             table = real(g, faults)
-            live.append(weakref.ref(table))
+            stacked = table.table.ndim == 3
+            stacks.append([frozenset(fs) for fs in faults] if stacked
+                          else [frozenset(faults)])
+            assert table.table.nbytes <= max(g.node_count ** 2, budget)
+            live.append(weakref.ref(table.table))
             return table
 
+        hook = faults_mod.DetourController._block_routes
+
+        def routed(controllers, pairs):
+            routes = hook(controllers, pairs)
+            held.append(sum(ref() is not None for ref in live))
+            return routes
+
         monkeypatch.setattr(faults_mod, "survivor_route_table", spy)
-        assert _block_outcomes(block) == solo
-        distinct = len(set(_fault_sets(block)))
-        assert len(live) == distinct < len(block)
-        assert not any(held), "a survivor table outlived its routes"
-        live.clear()
-        held.clear()
-        assert run_block(block).stats == ShardStats.merge(o[0] for o in solo)
-        assert len(live) == distinct and not any(held)
+        monkeypatch.setattr(faults_mod.DetourController, "_block_routes",
+                            staticmethod(routed))
+        distinct = Counter(set(_fault_sets(block)))  # each distinct set once
+        assert len(distinct) < len(block)
+        per = max(1, budget // 32 ** 2)
+        for drain, want in ((lambda: _block_outcomes(block), solo),
+                            (lambda: run_block(block).stats,
+                             ShardStats.merge(o[0] for o in solo))):
+            stacks.clear()
+            held.clear()
+            assert drain() == want
+            assert len(stacks) == -(-len(distinct) // per)
+            assert Counter(fs for stack in stacks for fs in stack) == distinct
+            assert held == [0], "a survivor table outlived the route hook"
 
     @pytest.mark.parametrize("controller", ["reconfig", "detour"])
     def test_a_block_builds_one_engine(self, controller, monkeypatch):
