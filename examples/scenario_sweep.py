@@ -49,12 +49,12 @@ def main() -> None:
     print(header)
     print("-" * len(header))
     for r in result.results:
-        s = r.run_stats
+        s = r.stats
         faults = len(r.spec.fault_model["faults"])
         print(f"{r.spec.label:<46} {faults:>6} {s.delivered:>9} "
               f"{s.dropped:>7} {s.mean_latency:>7.2f} {s.p95_latency:>6.1f}")
 
-    agg = result.aggregate_stats
+    agg = result.aggregate
     print(f"\naggregate: {agg}")
     print(f"wall clock {result.seconds:.2f} s; conservation holds: "
           f"{agg.delivered + agg.dropped == agg.injected}")
@@ -62,7 +62,7 @@ def main() -> None:
     # the reducer is exact: an inline re-run merges to the identical stats
     inline = run_grid(grid, workers=0)
     print(f"bit-identical to single-process: "
-          f"{inline.aggregate_stats == agg}")
+          f"{inline.aggregate == agg}")
 
 
 if __name__ == "__main__":

@@ -216,8 +216,6 @@ def _install_signal_handlers() -> None:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    import json
-
     from repro.experiments import run_grid
     from repro.reports import format_table
     from repro.simulator.pool import WorkerPool
@@ -258,46 +256,16 @@ def _cmd_run(args: argparse.Namespace) -> int:
             bound = "lower" if res.stable_rate else "upper"
             print(f"saturation not bracketed by the rate ladder; "
                   f"{bound} bound ~ {res.saturation_rate:.3f} pkt/cycle")
-        check_failed = False
-        if args.check_single:
-            single = find_saturation(
+        echo = {"experiment": target.to_dict(), "rates": rates}
+        return _finish_run(
+            args, res.points,
+            lambda: find_saturation(
                 target, rates, bisect=args.bisect, threshold=args.threshold,
                 workers=0,
-            )
-            identical = len(single.points) == len(res.points) and all(
-                a.stats == b.stats for a, b in zip(res.points, single.points)
-            )
-            check_failed = not identical
-            print(f"single-process reference: identical stats: {identical}")
-        if args.out:
-            from repro.reports import write_run_bundle
-
-            write_run_bundle(
-                res.points, args.out,
-                source={"kind": "saturation", "experiment": target.to_dict(),
-                        "rates": rates},
-            )
-            print(f"wrote per-cell artifacts: {args.out}")
-        if args.json:
-            payload = {
-                "experiment": target.to_dict(),
-                "rates": rates,
-                "workers": res.workers,
-                "threshold": res.threshold,
-                "saturation_rate": res.saturation_rate,
-                "stable_rate": res.stable_rate,
-                "unstable_rate": (
-                    None if res.unstable_rate == float("inf")
-                    else res.unstable_rate
-                ),
-                "bracketed": res.bracketed,
-                "points": res.curve(),
-            }
-            with open(args.json, "w") as fh:
-                json.dump(payload, fh, indent=2)
-                fh.write("\n")
-            print(f"wrote {args.json}")
-        return 1 if check_failed else 0
+            ).points,
+            source={"kind": "saturation", **echo},
+            doc={**echo, **res.to_dict()},
+        )
 
     specs = [target] if kind == "experiment" else target
     if kind == "grid":
@@ -313,8 +281,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
             for r in closed
         ]
         print(format_table(display))
-        agg = result.aggregate_stats
-        print(f"\naggregate over {len(closed)} closed-loop cell(s): {agg}")
+        print(f"\naggregate over {len(closed)} closed-loop cell(s): "
+              f"{result.aggregate}")
     if streamed:
         display = [
             {k: r[k] for k in ("scenario", "rate", "offered_rate",
@@ -324,27 +292,40 @@ def _cmd_run(args: argparse.Namespace) -> int:
         ]
         print(format_table(display))
     print(f"wall clock: {result.seconds:.3f} s on {result.workers} worker(s)")
+    echo = {"kind": kind, kind: target.to_dict()}
+    return _finish_run(
+        args, result.results,
+        lambda: run_grid(specs, workers=0).results,
+        source=echo,
+        doc={**echo, **result.to_dict()},
+    )
+
+
+def _finish_run(args: argparse.Namespace, results, rerun, *, source: dict,
+                doc: dict) -> int:
+    """The output tail of ``repro run``, one for a grid and a saturation
+    ladder: ``--check-single`` holds ``results`` to ``rerun()``, the same
+    run in a single process; ``--out`` writes them as a bundle stamped
+    with ``source``; ``--json`` writes the run document ``doc``.  Exits
+    1 when the check finds a difference."""
+    import json
 
     check_failed = False
     if args.check_single:
-        single = run_grid(specs, workers=0)
-        identical = all(
-            a.stats == b.stats for a, b in zip(result.results, single.results)
+        single = rerun()
+        identical = len(single) == len(results) and all(
+            a.stats == b.stats for a, b in zip(results, single)
         )
         check_failed = not identical
         print(f"single-process reference: identical stats: {identical}")
     if args.out:
         from repro.reports import write_run_bundle
 
-        write_run_bundle(
-            result.results, args.out,
-            source={"kind": kind, kind: target.to_dict()},
-        )
+        write_run_bundle(results, args.out, source=source)
         print(f"wrote per-cell artifacts: {args.out}")
     if args.json:
-        payload = {"kind": kind, kind: target.to_dict(), **result.to_dict()}
         with open(args.json, "w") as fh:
-            json.dump(payload, fh, indent=2)
+            json.dump(doc, fh, indent=2)
             fh.write("\n")
         print(f"wrote {args.json}")
     return 1 if check_failed else 0

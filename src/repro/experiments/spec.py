@@ -39,7 +39,7 @@ frozen dataclass, selected by ``loop="closed" | "stream"``, with
 
 Running a spec (:meth:`ExperimentSpec.run`) returns an
 :class:`ExperimentResult`: closed-loop runs carry mergeable
-:class:`~repro.simulator.grid.ShardStats`, stream runs carry
+:class:`~repro.simulator.metrics.ShardStats`, stream runs carry
 :class:`~repro.simulator.metrics.StreamStats`.
 
 >>> spec = ExperimentSpec(m=2, h=4, k=1, loop="closed", packets=40)
@@ -70,7 +70,7 @@ from repro.simulator.faults import (
     realize_fault_model,
     validate_fault_model,
 )
-from repro.simulator.grid import ExperimentResult, ShardStats, run_grid
+from repro.simulator.grid import ExperimentResult, run_grid
 from repro.simulator.sources import SOURCES, TrafficSource, make_source
 from repro.simulator.traffic import PATTERNS, make_pattern
 
@@ -514,14 +514,12 @@ class ExperimentSpec:
         batches = self.injection_batches()
         ctrl = self.build_controller()
         t0 = time.perf_counter()
-        ctrl.run_workload(batches, cycles_per_batch=self.cycles_per_batch,
-                          max_cycles=self.max_cycles)
-        seconds = time.perf_counter() - t0
-        stats = ShardStats.from_arrays(ctrl.sim.packet_records(), ctrl.sim.cycle)
+        stats = ctrl.run_workload(batches, cycles_per_batch=self.cycles_per_batch,
+                                  max_cycles=self.max_cycles)
         return ExperimentResult(
             spec=self,
             stats=stats,
-            seconds=seconds,
+            seconds=time.perf_counter() - t0,
             lost_to_faults=ctrl.lost_to_faults,
             unreachable_pairs=ctrl.unreachable_pairs,
         )

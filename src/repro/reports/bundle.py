@@ -25,7 +25,6 @@ alone, with stdlib only.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import os
@@ -97,7 +96,7 @@ def cell_payload(
         "unreachable_pairs": int(result.unreachable_pairs),
     }
     if result.closed:
-        payload["run_stats"] = dataclasses.asdict(result.run_stats)
+        payload["run_stats"] = result.stats.summary()
     return payload
 
 

@@ -2,7 +2,7 @@
 
 The reducers here pool Monte-Carlo replicas and seed repetitions the
 only way that is exact: by merging the cells' sufficient statistics
-(:class:`~repro.simulator.grid.ShardStats` histograms and
+(:class:`~repro.simulator.metrics.ShardStats` histograms and
 counters) *before* computing any ratio or percentile.  Delivery gets a
 Wilson score interval (:func:`~repro.simulator.metrics.wilson_interval`)
 over the pooled trials, and latency percentiles come straight off the
@@ -67,7 +67,6 @@ def pooled_delivery(results: Sequence[ExperimentResult]) -> dict:
         raise ParameterError("pooled_delivery reduces closed-loop cells only")
     merged = results[0].merged_with(results[1:])
     stats = merged.stats
-    run_stats = stats.to_run_stats()
     offered = stats.injected + merged.unreachable_pairs
     delivered = stats.delivered
     lo, hi = wilson_interval(delivered, offered)
@@ -77,7 +76,7 @@ def pooled_delivery(results: Sequence[ExperimentResult]) -> dict:
         "delivery": round(delivered / offered, 6) if offered else 1.0,
         "ci_lo": round(lo, 6),
         "ci_hi": round(hi, 6),
-        "mean_latency": round(run_stats.mean_latency, 4),
+        "mean_latency": round(stats.mean_latency, 4),
         "p50_latency": round(
             hist_percentile(stats.lat_values, stats.lat_counts, 50), 4
         ),
@@ -87,7 +86,7 @@ def pooled_delivery(results: Sequence[ExperimentResult]) -> dict:
         "p99_latency": round(
             hist_percentile(stats.lat_values, stats.lat_counts, 99), 4
         ),
-        "mean_hops": round(run_stats.mean_hops, 4),
+        "mean_hops": round(stats.mean_hops, 4),
         "lost_to_faults": int(merged.lost_to_faults),
         "unreachable_pairs": int(merged.unreachable_pairs),
     }

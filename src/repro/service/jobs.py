@@ -34,7 +34,7 @@ retrying a deterministic error is noise.
 Determinism contract: cells execute one at a time in grid order, and
 the per-cell results are merged exactly like
 :func:`~repro.simulator.grid.run_grid` over the whole grid
-would — :class:`~repro.simulator.grid.ShardStats` reduction is
+would — :class:`~repro.simulator.metrics.ShardStats` reduction is
 exact and order-stable — so a job's stats are bit-identical to
 ``repro run`` on the same JSON.
 """

@@ -14,7 +14,8 @@ The fault controllers (:class:`ReconfigurationController`,
 layer of parallelism: :func:`run_grid`
 maps independent tasks — grid cells and blocks of Monte-Carlo
 replicas — over one :class:`WorkerPool` and merges closed-loop results exactly through
-:class:`ShardStats` (see :mod:`repro.simulator.grid`).
+:class:`ShardStats`, the one statistics type of a drain (see
+:mod:`repro.simulator.metrics` and :mod:`repro.simulator.grid`).
 
 Two ways to load the machine:
 
@@ -29,12 +30,10 @@ Two ways to load the machine:
 from repro.simulator.packets import Packet
 from repro.simulator.metrics import (
     PacketArrays,
-    RunStats,
+    ShardStats,
     StreamStats,
     WindowSeries,
     stream_summary,
-    summarize,
-    summarize_arrays,
     window_series,
 )
 from repro.simulator.batch_engine import BatchEngine, pack_routes
@@ -62,7 +61,6 @@ from repro.simulator.pool import WorkerPool
 from repro.simulator.grid import (
     ExperimentResult,
     GridResult,
-    ShardStats,
     run_grid,
 )
 from repro.simulator.sources import (
@@ -95,9 +93,6 @@ __all__ = [
     "window_series",
     "Packet",
     "PacketArrays",
-    "RunStats",
-    "summarize",
-    "summarize_arrays",
     "BatchEngine",
     "pack_routes",
     "BusNetworkSimulator",

@@ -27,9 +27,9 @@ Semantic reference
 The conformance witness ``tests/conformance/witness_engine.py`` runs the
 same model one Python object per packet and one deque per link, one
 cycle at a time.  On the same (graph, injections, fault schedule) the
-two produce *bit-identical* :class:`RunStats` and identical per-packet
-delivery cycles and drop decisions; ``tests/test_batch_engine.py`` and
-the conformance suite enforce it.
+two produce identical per-packet delivery cycles and drop decisions,
+hence *equal* :class:`~repro.simulator.metrics.ShardStats`;
+``tests/test_batch_engine.py`` and the conformance suite enforce it.
 
 How it works: departure slots are exact
 ---------------------------------------
@@ -86,7 +86,7 @@ import numpy as np
 
 from repro.errors import SimulationError
 from repro.graphs.static_graph import StaticGraph
-from repro.simulator.metrics import PacketArrays, RunStats, summarize_arrays
+from repro.simulator.metrics import PacketArrays, ShardStats
 
 __all__ = ["BatchEngine", "pack_routes", "validate_arrivals", "validate_injection"]
 
@@ -830,6 +830,6 @@ class BatchEngine:
             dropped=self._dropped[:n].copy(),
         )
 
-    def stats(self) -> RunStats:
+    def stats(self) -> ShardStats:
         """Aggregate statistics over everything injected so far."""
-        return summarize_arrays(self.packet_records(), self.cycle)
+        return ShardStats.from_arrays(self.packet_records(), self.cycle)

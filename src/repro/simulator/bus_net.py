@@ -20,7 +20,7 @@ import numpy as np
 
 from repro.errors import SimulationError
 from repro.graphs.hypergraph import BusHypergraph
-from repro.simulator.metrics import RunStats, summarize
+from repro.simulator.metrics import PacketArrays, ShardStats
 from repro.simulator.packets import Packet
 
 __all__ = ["BusNetworkSimulator"]
@@ -199,5 +199,7 @@ class BusNetworkSimulator:
                 )
             self.step()
 
-    def stats(self) -> RunStats:
-        return summarize(self.packets, self.cycle)
+    def stats(self) -> ShardStats:
+        return ShardStats.from_arrays(
+            PacketArrays.from_packets(self.packets), self.cycle
+        )

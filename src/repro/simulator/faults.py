@@ -85,7 +85,7 @@ from repro.routing.fault_routing import (
     survivor_route_table,
 )
 from repro.simulator.batch_engine import BatchEngine
-from repro.simulator.metrics import PacketArrays, RunStats
+from repro.simulator.metrics import PacketArrays, ShardStats
 
 __all__ = [
     "CONTROLLERS",
@@ -533,7 +533,7 @@ class _FaultController:
         return self._block_routes([self], pairs)[0]
 
     def run_workload(self, batches: list[np.ndarray], *, cycles_per_batch: int = 0,
-                     max_cycles: int = 1_000_000) -> RunStats:
+                     max_cycles: int = 1_000_000) -> ShardStats:
         """Route and inject each batch of (src, dst) pairs, draining
         between batches and firing each scheduled event at exactly the
         cycle it comes due — before the injection it precedes, or
@@ -552,7 +552,8 @@ class _FaultController:
         once per event that falls inside it, plus once for the rest, so
         the batch engine's calendar jumps and coalesced windows serve the
         whole drain; ``max_cycles`` bounds each batch's drain as a
-        per-cycle loop would.
+        per-cycle loop would.  Returns the engine's :class:`ShardStats`
+        over everything injected, reduced once.
         """
         sim = self.sim
         for i, batch in enumerate(batches):

@@ -31,11 +31,12 @@ a sweep share this expansion and its merge.  Every task runs a real
 batch-engine simulation, so faults fire at exactly the cycle they come
 due.
 
-Results come back as :class:`ShardStats` — a mergeable, pickle-friendly
-twin of :class:`RunStats` that carries exact counts plus latency/hop
-histograms, so N tasks reduce to the same ``RunStats`` a single-process
-run would have produced (bit-identical floats included; the property
-tests in ``tests/test_grid.py`` enforce this).
+Closed-loop results come back as
+:class:`~repro.simulator.metrics.ShardStats`, the one statistics type of
+a drain: exact counts plus latency/hop histograms, so N tasks merge to
+the same record a single-process run would have produced (bit-identical
+floats included; the property tests in ``tests/test_grid.py`` enforce
+this).
 
 Entry points
 ------------
@@ -47,7 +48,6 @@ Entry points
 :class:`WorkerPool`        the persistent chunked work-stealing pool
                            (re-exported from
                            :mod:`repro.simulator.pool`)
-:class:`ShardStats`        the mergeable statistics record
 :class:`ExperimentResult`  one executed spec's outcome
 :class:`GridResult`        a sweep's per-spec results, aggregate and run
                            document (:meth:`GridResult.to_dict`)
@@ -65,191 +65,23 @@ from __future__ import annotations
 
 import time
 from contextlib import nullcontext
-from dataclasses import asdict, dataclass, fields, replace
-from typing import Iterable, Sequence
+from dataclasses import dataclass, replace
+from typing import Sequence
 
 import numpy as np
 
 from repro.errors import ParameterError
 from repro.simulator.faults import drain_block
-from repro.simulator.metrics import PacketArrays, RunStats, hist_percentile
+from repro.simulator.metrics import ShardStats
 from repro.simulator.pool import WorkerPool
 
 __all__ = [
-    "ShardStats",
     "ExperimentResult",
     "GridResult",
     "WorkerPool",
     "run_block",
     "run_grid",
 ]
-
-_I64 = np.int64
-
-
-# ---------------------------------------------------------------------------
-# mergeable statistics
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True, eq=False)
-class ShardStats:
-    """Mergeable simulation statistics: the associative half of
-    :class:`RunStats`.
-
-    ``RunStats`` itself cannot be merged (means and percentiles are not
-    associative), so shards return *exact sufficient statistics* instead:
-    plain counters plus latency and hop histograms over the delivered
-    packets.  Merging is exact, and :meth:`to_run_stats` reproduces the
-    single-process ``RunStats`` bit-for-bit:
-
-    * integer counters add;
-    * histograms add (``np.unique`` values with int64 counts);
-    * ``mean`` — ``np.mean`` over int64 latencies performs pairwise
-      float64 summation whose partial sums are all integers; every one is
-      exact below 2**53, so ``float(sum) / n`` lands on the identical
-      float regardless of packet order;
-    * ``p95`` — the histogram *is* the sorted multiset, and
-      :func:`~repro.simulator.metrics.hist_percentile` reads
-      ``np.percentile``'s exact result off it without expanding it;
-    * ``max`` — the last histogram bin.
-
-    All fields are plain ints and small int64 arrays, so the record
-    pickles compactly across process boundaries.
-    """
-
-    cycles: int
-    injected: int
-    delivered: int
-    dropped: int
-    lat_values: np.ndarray    # unique latencies of delivered packets, sorted
-    lat_counts: np.ndarray    # multiplicity per latency value
-    hop_values: np.ndarray    # unique hop counts of delivered packets, sorted
-    hop_counts: np.ndarray
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ShardStats):
-            return NotImplemented
-        return all(
-            np.array_equal(getattr(self, f.name), getattr(other, f.name))
-            for f in fields(self)
-        )
-
-    @classmethod
-    def from_arrays(cls, records: PacketArrays, cycles: int) -> "ShardStats":
-        """Reduce one shard's :class:`PacketArrays` to mergeable form."""
-        ok = records.delivered_at >= 0
-        lat = (records.delivered_at[ok] - records.injected_at[ok]).astype(_I64)
-        hops = records.hops[ok].astype(_I64)
-        lat_values, lat_counts = np.unique(lat, return_counts=True)
-        hop_values, hop_counts = np.unique(hops, return_counts=True)
-        return cls(
-            cycles=int(cycles),
-            injected=int(records.injected_at.shape[0]),
-            delivered=int(lat.size),
-            dropped=int(np.count_nonzero(records.dropped)),
-            lat_values=lat_values,
-            lat_counts=lat_counts.astype(_I64),
-            hop_values=hop_values,
-            hop_counts=hop_counts.astype(_I64),
-        )
-
-    @classmethod
-    def empty(cls) -> "ShardStats":
-        z = np.zeros(0, dtype=_I64)
-        return cls(**{f.name: z if _is_hist(f) else 0 for f in fields(cls)})
-
-    @staticmethod
-    def _merge_hist(
-        values: Sequence[np.ndarray], counts: Sequence[np.ndarray]
-    ) -> tuple[np.ndarray, np.ndarray]:
-        v = np.concatenate(values)
-        c = np.concatenate(counts)
-        uv, inv = np.unique(v, return_inverse=True)
-        uc = np.zeros(uv.size, dtype=_I64)
-        np.add.at(uc, inv, c)
-        return uv, uc
-
-    @classmethod
-    def merge(cls, shards: Iterable["ShardStats"]) -> "ShardStats":
-        """Exact vectorized reduction of any number of shards.
-
-        Cycle counts *add*: shard ``i + 1`` logically starts on the cycle
-        shard ``i`` drained (the sequential-drain timeline), which is what
-        a single engine draining the concatenated workload reports.
-        """
-        shards = list(shards)
-        if not shards:
-            return cls.empty()
-        lat_values, lat_counts = cls._merge_hist(
-            [s.lat_values for s in shards], [s.lat_counts for s in shards]
-        )
-        hop_values, hop_counts = cls._merge_hist(
-            [s.hop_values for s in shards], [s.hop_counts for s in shards]
-        )
-        return cls(
-            cycles=sum(s.cycles for s in shards),
-            injected=sum(s.injected for s in shards),
-            delivered=sum(s.delivered for s in shards),
-            dropped=sum(s.dropped for s in shards),
-            lat_values=lat_values,
-            lat_counts=lat_counts,
-            hop_values=hop_values,
-            hop_counts=hop_counts,
-        )
-
-    def to_dict(self) -> dict:
-        """JSON-friendly form of the exact sufficient statistics: plain
-        ints plus histogram lists, one key per field.  :meth:`from_dict`
-        round-trips bit-for-bit, so a merged record served over HTTP
-        reconstructs the identical :class:`RunStats` on the client side."""
-        out = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            out[f.name] = value.tolist() if _is_hist(f) else value
-        return out
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "ShardStats":
-        """Inverse of :meth:`to_dict` (exact)."""
-        return cls(**{
-            f.name: (np.asarray(payload[f.name], dtype=_I64) if _is_hist(f)
-                     else int(payload[f.name]))
-            for f in fields(cls)
-        })
-
-    def to_run_stats(self, cycles: int | None = None) -> RunStats:
-        """The :class:`RunStats` a single-process run would have produced
-        (``cycles`` overrides the summed drain timeline when the caller
-        tracked idle cycles separately)."""
-        cycles = self.cycles if cycles is None else int(cycles)
-        delivered = self.delivered
-        if delivered:
-            lat_sum = int(np.dot(self.lat_values, self.lat_counts))
-            hop_sum = int(np.dot(self.hop_values, self.hop_counts))
-            p95 = hist_percentile(self.lat_values, self.lat_counts, 95)
-            mean_latency = lat_sum / delivered
-            mean_hops = hop_sum / delivered
-            max_latency = int(self.lat_values[-1])
-        else:
-            p95 = mean_latency = mean_hops = 0.0
-            max_latency = 0
-        return RunStats(
-            cycles=cycles,
-            injected=self.injected,
-            delivered=delivered,
-            dropped=self.dropped,
-            mean_latency=mean_latency,
-            p95_latency=p95,
-            max_latency=max_latency,
-            mean_hops=mean_hops,
-            throughput=delivered / cycles if cycles else 0.0,
-        )
-
-
-def _is_hist(f) -> bool:
-    """Is a :class:`ShardStats` field a histogram array (the rest are
-    integer counters)?"""
-    return f.type == "np.ndarray"
 
 
 # ---------------------------------------------------------------------------
@@ -279,18 +111,6 @@ class ExperimentResult:
         open-loop stream point."""
         return isinstance(self.stats, ShardStats)
 
-    @property
-    def run_stats(self) -> RunStats:
-        """Closed-loop :class:`~repro.simulator.metrics.RunStats` (the
-        single-process numbers, bit-identical by the :class:`ShardStats`
-        contract)."""
-        if not self.closed:
-            raise ParameterError(
-                "run_stats applies to closed-loop results; stream results "
-                "carry StreamStats in .stats"
-            )
-        return self.stats.to_run_stats()
-
     def stable(self, threshold: float) -> bool:
         """Stream loop: is the point below saturation? — delivered keeps
         up with offered (``delivery_ratio >= threshold``)."""
@@ -318,7 +138,7 @@ class ExperimentResult:
         :meth:`~repro.simulator.streaming.SaturationResult.curve` row);
         both end with the wall-clock ``seconds``."""
         if self.closed:
-            st = self.run_stats
+            st = self.stats
             return {
                 "cycles": st.cycles,
                 "delivered": st.delivered,
@@ -515,13 +335,6 @@ class GridResult:
         reported per point in :meth:`rows` instead."""
         return ShardStats.merge(r.stats for r in self.results if r.closed)
 
-    @property
-    def aggregate_stats(self) -> RunStats:
-        """The :class:`RunStats` a single process running the whole grid
-        sequentially would have produced — bit-identical by the
-        :class:`ShardStats` contract."""
-        return self.aggregate.to_run_stats()
-
     def rows(self) -> list[dict]:
         """JSON-friendly per-spec rows (reporting/CI artifacts), one
         :meth:`ExperimentResult.row` per cell."""
@@ -529,8 +342,8 @@ class GridResult:
 
     def to_dict(self) -> dict:
         """The run document: ``workers``, ``seconds`` and :meth:`rows`;
-        with any closed-loop cell, the exact ``aggregate`` (the
-        :class:`RunStats` fields) and its mergeable ``shard_stats``
+        with any closed-loop cell, the exact ``aggregate``
+        (:meth:`ShardStats.summary`) and its mergeable ``shard_stats``
         (:meth:`ShardStats.to_dict`); with any stream cell, ``streams``,
         each stream cell's full ``StreamStats`` keyed by its grid index.
         ``repro run --json`` writes it after ``kind`` and the echoed
@@ -543,7 +356,7 @@ class GridResult:
         }
         if any(r.closed for r in self.results):
             agg = self.aggregate
-            doc["aggregate"] = asdict(agg.to_run_stats())
+            doc["aggregate"] = agg.summary()
             doc["shard_stats"] = agg.to_dict()
         streams = {
             str(i): r.stats.to_dict()

@@ -6,16 +6,20 @@ Aggregation is fully vectorized.  Two record shapes feed it:
   :class:`repro.simulator.batch_engine.BatchEngine`;
 * a ``list[Packet]`` from the bus engine
   (:class:`repro.simulator.bus_net.BusNetworkSimulator`) and the
-  per-packet witness engine of the conformance suite.
+  per-packet witness engine of the conformance suite, converted by
+  :meth:`PacketArrays.from_packets`.
 
-Both paths funnel into :func:`summarize_arrays`, so identical runs give
-bit-identical :class:`RunStats` whichever shape recorded them (the golden
-equivalence tests rely on this).
+A drain's statistics are one :class:`ShardStats`, reduced by
+:meth:`ShardStats.from_arrays`, so identical runs give bit-identical
+statistics whichever shape recorded them (the golden equivalence tests
+rely on this), and the records of many drains merge exactly
+(:meth:`ShardStats.merge`).
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -23,16 +27,16 @@ from repro.simulator.packets import Packet
 
 __all__ = [
     "PacketArrays",
-    "RunStats",
+    "ShardStats",
     "StreamStats",
     "WindowSeries",
     "hist_percentile",
-    "summarize",
-    "summarize_arrays",
     "wilson_interval",
     "window_series",
     "stream_summary",
 ]
+
+_I64 = np.int64
 
 
 @dataclass(frozen=True)
@@ -69,60 +73,171 @@ class PacketArrays:
         )
 
 
-@dataclass(frozen=True)
-class RunStats:
-    """Summary of one simulation run."""
+@dataclass(frozen=True, eq=False)
+class ShardStats:
+    """The statistics of a drain: exact counters plus latency and hop
+    histograms over the delivered packets.
+
+    Means and percentiles are not associative, so the record keeps
+    *exact sufficient statistics* instead, and reads every summary
+    number off them.  Merging is exact, so any split of a workload's
+    records merges to the record of the whole, bit for bit:
+
+    * integer counters add;
+    * histograms add (``np.unique`` values with int64 counts);
+    * ``mean`` — ``np.mean`` over int64 latencies performs pairwise
+      float64 summation whose partial sums are all integers; every one is
+      exact below 2**53, so ``sum / n`` lands on the identical float
+      regardless of packet order;
+    * ``p95`` — the histogram *is* the sorted multiset, and
+      :func:`hist_percentile` reads ``np.percentile``'s exact result off
+      it without expanding it;
+    * ``max`` — the last histogram bin.
+
+    All fields are plain ints and small int64 arrays, so the record
+    pickles compactly across process boundaries.
+    """
 
     cycles: int
     injected: int
     delivered: int
     dropped: int
-    mean_latency: float
-    p95_latency: float
-    max_latency: int
-    mean_hops: float
-    throughput: float  # delivered packets per cycle
+    lat_values: np.ndarray    # unique latencies of delivered packets, sorted
+    lat_counts: np.ndarray    # multiplicity per latency value
+    hop_values: np.ndarray    # unique hop counts of delivered packets, sorted
+    hop_counts: np.ndarray
 
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ShardStats):
+            return NotImplemented
+        return all(
+            np.array_equal(getattr(self, f.name), getattr(other, f.name))
+            for f in fields(self)
+        )
+
+    @classmethod
+    def from_arrays(cls, records: PacketArrays, cycles: int) -> "ShardStats":
+        """Reduce a drain's :class:`PacketArrays` over ``cycles``."""
+        ok = records.delivered_at >= 0
+        lat = (records.delivered_at[ok] - records.injected_at[ok]).astype(_I64)
+        hops = records.hops[ok].astype(_I64)
+        lat_values, lat_counts = np.unique(lat, return_counts=True)
+        hop_values, hop_counts = np.unique(hops, return_counts=True)
+        return cls(
+            cycles=int(cycles),
+            injected=int(records.injected_at.shape[0]),
+            delivered=int(lat.size),
+            dropped=int(np.count_nonzero(records.dropped)),
+            lat_values=lat_values,
+            lat_counts=lat_counts.astype(_I64),
+            hop_values=hop_values,
+            hop_counts=hop_counts.astype(_I64),
+        )
+
+    @classmethod
+    def empty(cls) -> "ShardStats":
+        z = np.zeros(0, dtype=_I64)
+        return cls(**{f.name: z if _is_hist(f) else 0 for f in fields(cls)})
+
+    @staticmethod
+    def _merge_hist(
+        values: Sequence[np.ndarray], counts: Sequence[np.ndarray]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        uv, inv = np.unique(np.concatenate(values), return_inverse=True)
+        uc = np.zeros(uv.size, dtype=_I64)
+        np.add.at(uc, inv, np.concatenate(counts))
+        return uv, uc
+
+    @classmethod
+    def merge(cls, shards: Iterable["ShardStats"]) -> "ShardStats":
+        """Exact vectorized reduction of any number of shards.
+
+        Cycle counts *add*: shard ``i + 1`` logically starts on the cycle
+        shard ``i`` drained (the sequential-drain timeline), which is what
+        a single engine draining the concatenated workload reports.
+        """
+        shards = list(shards)
+        if not shards:
+            return cls.empty()
+        out = {f.name: sum(getattr(s, f.name) for s in shards)
+               for f in fields(cls) if not _is_hist(f)}
+        for h in ("lat", "hop"):
+            out[f"{h}_values"], out[f"{h}_counts"] = cls._merge_hist(
+                [getattr(s, f"{h}_values") for s in shards],
+                [getattr(s, f"{h}_counts") for s in shards],
+            )
+        return cls(**out)
+
+    def _mean(self, values: np.ndarray, counts: np.ndarray) -> float:
+        if not self.delivered:
+            return 0.0
+        return int(np.dot(values, counts)) / self.delivered
+
+    @property
+    def mean_latency(self) -> float:
+        return self._mean(self.lat_values, self.lat_counts)
+
+    @property
+    def p95_latency(self) -> float:
+        return hist_percentile(self.lat_values, self.lat_counts, 95)
+
+    @property
+    def max_latency(self) -> int:
+        return int(self.lat_values[-1]) if self.delivered else 0
+
+    @property
+    def mean_hops(self) -> float:
+        return self._mean(self.hop_values, self.hop_counts)
+
+    @property
+    def throughput(self) -> float:
+        """Delivered packets per cycle."""
+        return self.delivered / self.cycles if self.cycles else 0.0
+
+    def summary(self) -> dict:
+        """The summary numbers, one key each: the run document's
+        ``aggregate``, a bundle cell's ``run_stats`` and a stream's
+        ``totals``."""
+        return {name: getattr(self, name) for name in _SUMMARY}
+
+    def to_dict(self) -> dict:
+        """JSON-friendly form of the exact sufficient statistics: plain
+        ints plus histogram lists, one key per field.  :meth:`from_dict`
+        round-trips bit-for-bit, so a merged record served over HTTP
+        reconstructs the identical summary on the client side."""
+        out = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            out[f.name] = value.tolist() if _is_hist(f) else value
+        return out
+
+    @classmethod
+    def from_dict(cls, payload: dict) -> "ShardStats":
+        """Inverse of :meth:`to_dict` (exact)."""
+        return cls(**{
+            f.name: (np.asarray(payload[f.name], dtype=_I64) if _is_hist(f)
+                     else int(payload[f.name]))
+            for f in fields(cls)
+        })
+
+    def __str__(self) -> str:
         return (
-            f"RunStats(cycles={self.cycles}, delivered={self.delivered}/"
+            f"ShardStats(cycles={self.cycles}, delivered={self.delivered}/"
             f"{self.injected}, dropped={self.dropped}, "
             f"lat~{self.mean_latency:.2f} (p95={self.p95_latency:.1f}), "
             f"thr={self.throughput:.3f}/cy)"
         )
 
 
-def summarize_arrays(records: PacketArrays, cycles: int) -> RunStats:
-    """Aggregate a :class:`PacketArrays` record into a :class:`RunStats`."""
-    injected = int(records.injected_at.shape[0])
-    ok = records.delivered_at >= 0
-    lat = (records.delivered_at[ok] - records.injected_at[ok]).astype(np.int64)
-    hops = records.hops[ok].astype(np.int64)
-    delivered = int(lat.size)
-    dropped = int(np.count_nonzero(records.dropped))
-    return RunStats(
-        cycles=int(cycles),
-        injected=injected,
-        delivered=delivered,
-        dropped=dropped,
-        mean_latency=float(lat.mean()) if delivered else 0.0,
-        p95_latency=float(np.percentile(lat, 95)) if delivered else 0.0,
-        max_latency=int(lat.max()) if delivered else 0,
-        mean_hops=float(hops.mean()) if delivered else 0.0,
-        throughput=delivered / cycles if cycles else 0.0,
-    )
+#: The keys of :meth:`ShardStats.summary`, in document order.
+_SUMMARY = ("cycles", "injected", "delivered", "dropped", "mean_latency",
+            "p95_latency", "max_latency", "mean_hops", "throughput")
 
 
-def summarize(packets: "list[Packet] | PacketArrays", cycles: int) -> RunStats:
-    """Aggregate packet records into a :class:`RunStats`.
-
-    Accepts either a ``list[Packet]`` or the batch engine's
-    :class:`PacketArrays`; both reduce through the same vectorized
-    path.
-    """
-    if isinstance(packets, PacketArrays):
-        return summarize_arrays(packets, cycles)
-    return summarize_arrays(PacketArrays.from_packets(packets), cycles)
+def _is_hist(f) -> bool:
+    """Is a :class:`ShardStats` field a histogram array (the rest are
+    integer counters)?"""
+    return f.type == "np.ndarray"
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +283,7 @@ def hist_percentile(
     """Percentile of a value histogram, identical to ``np.percentile``
     (linear interpolation) on the expanded sample.
 
-    Merged :class:`~repro.simulator.grid.ShardStats` carry
+    Merged :class:`ShardStats` carry
     latency/hop distributions as ``(values, counts)`` histograms; this
     reduces them without materializing the multi-million-entry sample a
     full dependability-surface cell would otherwise expand.
@@ -332,8 +447,8 @@ def window_series(
 class StreamStats:
     """Summary of one open-loop streaming run.
 
-    Unlike :class:`RunStats` (which describes a fully drained batch),
-    a streaming run stops at a fixed horizon with traffic still in
+    Unlike a closed loop's :class:`ShardStats` (which describes a fully
+    drained batch), a streaming run stops at a fixed horizon with traffic still in
     flight, and the first ``warmup`` cycles are excluded from the
     measured rates so transients do not bias the steady-state numbers.
 
@@ -364,8 +479,9 @@ class StreamStats:
         The per-window series (``None`` when no windowing was
         requested); covers admitted packets only.
     ``totals``
-        Whole-run :class:`RunStats` over everything injected, warmup
-        included (undelivered packets count as not delivered).
+        Whole-run :class:`ShardStats` over everything injected, warmup
+        included (undelivered packets count as not delivered), reduced
+        over the horizon's end cycle.
     """
 
     cycles: int
@@ -380,7 +496,7 @@ class StreamStats:
     p95_latency: float
     final_occupancy: int
     peak_occupancy: int
-    totals: RunStats
+    totals: ShardStats
     windows: WindowSeries | None = None
 
     @property
@@ -391,11 +507,12 @@ class StreamStats:
 
     def to_dict(self) -> dict:
         """JSON-friendly form for the experiment service: one key per
-        field, scalars as-is, ``totals`` expanded, ``windows`` via
+        field, scalars as-is, ``totals`` as its
+        :meth:`ShardStats.summary`, ``windows`` via
         :meth:`WindowSeries.to_dict` (``null`` when not windowed), plus
         the derived ``delivery_ratio``."""
         out = {f.name: getattr(self, f.name) for f in fields(self)}
-        out["totals"] = asdict(self.totals)
+        out["totals"] = self.totals.summary()
         out["windows"] = None if self.windows is None else self.windows.to_dict()
         out["delivery_ratio"] = self.delivery_ratio
         return out
@@ -482,6 +599,6 @@ def stream_summary(
         p95_latency=float(np.percentile(lat, 95)) if lat.size else 0.0,
         final_occupancy=final_occupancy,
         peak_occupancy=peak_occupancy,
-        totals=summarize_arrays(records, end),
+        totals=ShardStats.from_arrays(records, end),
         windows=windows,
     )

@@ -209,6 +209,25 @@ class SaturationResult:
         point's :meth:`~repro.simulator.grid.ExperimentResult.measures`."""
         return [p.measures() for p in self.points]
 
+    def to_dict(self) -> dict:
+        """The ladder document: ``workers``, ``threshold``, the bracket
+        (``unstable_rate`` is ``None`` when unbracketed above),
+        ``bracketed`` and the :meth:`curve` as ``points``.  ``repro run
+        --rates --json`` writes it after the echoed ``experiment`` and
+        ``rates``, as :meth:`~repro.simulator.grid.GridResult.to_dict`
+        follows a grid's."""
+        return {
+            "workers": self.workers,
+            "threshold": self.threshold,
+            "saturation_rate": self.saturation_rate,
+            "stable_rate": self.stable_rate,
+            "unstable_rate": (
+                None if self.unstable_rate == float("inf") else self.unstable_rate
+            ),
+            "bracketed": self.bracketed,
+            "points": self.curve(),
+        }
+
 
 def _bracket_first_crossing(
     ladder: Sequence[ExperimentResult], threshold: float

@@ -42,7 +42,6 @@ from repro.graphs.static_graph import StaticGraph
 from repro.routing.shortest_path import bfs_parents, extract_path
 from repro.simulator.batch_engine import pack_routes
 from repro.simulator.faults import DetourController
-from repro.simulator.grid import ShardStats
 from repro.simulator.metrics import stream_summary
 from tests.conformance.witness_engine import NetworkSimulator
 
@@ -91,13 +90,14 @@ def on_engine(ctrl, engine: str):
 def witness_run(spec):
     """A single-replica closed-loop ``spec`` run as ``spec.run()`` runs
     it, on the witness engine: ``(controller, stats)`` after the drain,
-    where ``stats`` is the :class:`ShardStats` (latency and hop
-    histograms included) ``spec.run().stats`` must equal."""
+    where ``stats`` is the :class:`~repro.simulator.metrics.ShardStats`
+    (latency and hop histograms included) ``spec.run().stats`` must
+    equal."""
     ctrl = on_engine(spec.build_controller(), "object")
-    ctrl.run_workload(spec.injection_batches(),
-                      cycles_per_batch=spec.cycles_per_batch,
-                      max_cycles=spec.max_cycles)
-    return ctrl, ShardStats.from_arrays(ctrl.sim.packet_records(), ctrl.sim.cycle)
+    stats = ctrl.run_workload(spec.injection_batches(),
+                              cycles_per_batch=spec.cycles_per_batch,
+                              max_cycles=spec.max_cycles)
+    return ctrl, stats
 
 
 def bfs_detour_routes(g: StaticGraph, faults, pairs):

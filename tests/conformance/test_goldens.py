@@ -7,7 +7,8 @@ engine) cannot silently move the outputs the repo publishes (the golden
 files keep the ``"route_mode": "table"`` label they were written with):
 
 * ``workload_table.json`` — closed-loop batches with faults at cycle 0:
-  per-packet records and the drained :class:`RunStats` bit-identical on
+  per-packet records and the drained statistics' summary
+  (:meth:`~repro.simulator.metrics.ShardStats.summary`) bit-identical on
   the batch engine and the per-packet witness engine (``"object"``).
 * ``workload_table_midrun.json`` — a fault that comes due *mid-drain*
   of the first batch: it fires on its cycle, takes the packets queued in
@@ -26,7 +27,6 @@ Regenerate (after an *intentional* change only) with::
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import pathlib
 
@@ -92,7 +92,7 @@ def _workload_golden(faults) -> dict:
         "route_mode": "table",
         "faults": [list(f) for f in faults],
         "records": _records_payload(_records(ctrl)),
-        "run_stats": dataclasses.asdict(stats),
+        "run_stats": stats.summary(),
         "unreachable_pairs": ctrl.unreachable_pairs,
         "fault_log": [list(f) for f in ctrl.fault_log],
     }
@@ -155,7 +155,7 @@ class TestWorkloadGoldens:
     def test_run_stats_pinned_all_engines(self, engine):
         golden = _load("workload_table.json")
         ctrl, stats = run_workload_case(engine, WORKLOAD_FAULTS)
-        assert dataclasses.asdict(stats) == golden["run_stats"]
+        assert stats.summary() == golden["run_stats"]
         assert ctrl.unreachable_pairs == golden["unreachable_pairs"]
 
     @pytest.mark.parametrize("engine", ["object", "batch"])
@@ -166,7 +166,7 @@ class TestWorkloadGoldens:
         golden = _load("workload_table_midrun.json")
         ctrl, stats = run_workload_case(engine, MIDRUN_FAULTS)
         _assert_records_match(_records(ctrl), golden["records"])
-        assert dataclasses.asdict(stats) == golden["run_stats"]
+        assert stats.summary() == golden["run_stats"]
         assert ctrl.unreachable_pairs == golden["unreachable_pairs"]
         # both faults fired on their scheduled cycles, the second one
         # mid-drain, where it dropped queued packets
@@ -184,7 +184,7 @@ class TestWorkloadGoldens:
         ref.schedule(FaultScenario([tuple(f) for f in MIDRUN_FAULTS]))
         refused = per_cycle_workload(ref, _workload_batches())
         _assert_records_match(_records(ref), golden["records"])
-        assert dataclasses.asdict(ref.sim.stats()) == golden["run_stats"]
+        assert ref.sim.stats().summary() == golden["run_stats"]
         assert refused == golden["unreachable_pairs"]
         assert [list(f) for f in ref.fault_log] == golden["fault_log"]
 

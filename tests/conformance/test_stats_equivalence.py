@@ -4,7 +4,7 @@ drive the same run.
 The compiled survivor table returns the BFS witness's routes
 (``test_differential.py`` checks them route for route), so a run routed
 through either one is the same run: identical per-packet records,
-:class:`~repro.simulator.metrics.RunStats`, refusal accounting and fault
+:class:`~repro.simulator.metrics.ShardStats`, refusal accounting and fault
 logs — on every engine, closed-loop and streaming, under contention
 and without it.
 """

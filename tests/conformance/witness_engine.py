@@ -8,7 +8,7 @@ message and one deque per link, advancing one cycle per :meth:`step`.
 It is too slow to ship, and simple enough to read line by line, so the
 test suite holds the shipped :class:`~repro.simulator.batch_engine.BatchEngine`
 to it: identical per-packet delivery cycles, drop decisions and
-:class:`~repro.simulator.metrics.RunStats` on the same (graph,
+:class:`~repro.simulator.metrics.ShardStats` on the same (graph,
 injections, fault schedule).  Both engines share the injection
 validator (:func:`~repro.simulator.batch_engine.validate_injection`), so
 they refuse a bad batch naming the same offender.
@@ -26,7 +26,7 @@ import numpy as np
 from repro.errors import SimulationError
 from repro.graphs.static_graph import StaticGraph
 from repro.simulator.batch_engine import validate_arrivals, validate_injection
-from repro.simulator.metrics import PacketArrays, RunStats, summarize
+from repro.simulator.metrics import PacketArrays, ShardStats
 from repro.simulator.packets import Packet
 
 __all__ = ["NetworkSimulator"]
@@ -306,6 +306,6 @@ class NetworkSimulator:
         same accessor :meth:`BatchEngine.packet_records` offers)."""
         return PacketArrays.from_packets(self.packets)
 
-    def stats(self) -> RunStats:
+    def stats(self) -> ShardStats:
         """Aggregate statistics over everything injected so far."""
-        return summarize(self.packets, self.cycle)
+        return ShardStats.from_arrays(self.packet_records(), self.cycle)

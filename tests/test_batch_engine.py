@@ -2,7 +2,7 @@
 witness engine (``NetworkSimulator`` in ``tests/conformance/``).
 
 Every test runs the same (graph, injections, fault schedule) through
-both engines and asserts *bit-identical* ``RunStats`` plus identical
+both engines and asserts equal ``ShardStats`` plus identical
 per-packet delivery cycles and drop decisions — across all seven traffic
 patterns, a small ``(m, h, k)`` grid, node and link faults, staggered
 injections, and link capacities.  The ``"object"`` parameter is the
@@ -28,10 +28,10 @@ from repro.simulator import (
     FaultScenario,
     PacketArrays,
     ReconfigurationController,
+    ShardStats,
     hotspot_traffic,
     make_pattern,
     pack_routes,
-    summarize,
     uniform_traffic,
 )
 from repro.simulator.traffic import PATTERNS
@@ -232,7 +232,6 @@ class TestControllerEventTiming:
         a, a_stats = witness_run(spec)
         b = spec.run()
         assert a_stats == b.stats
-        assert a.sim.stats() == b.run_stats
         assert a.lost_to_faults == b.lost_to_faults
         c = spec.build_controller()
         c.run_workload(spec.injection_batches())
@@ -909,7 +908,7 @@ class TestVectorizedSummarize:
             hops=np.array([3, 1], dtype=np.int64),
             dropped=np.array([False, False]),
         )
-        assert summarize(records, sim.cycle) == sim.stats()
+        assert ShardStats.from_arrays(records, sim.cycle) == sim.stats()
 
     def test_mismatched_shapes_rejected(self):
         with pytest.raises(ValueError):

@@ -179,6 +179,21 @@ class TestSaturate:
         assert ("single-process reference: identical stats: True"
                 in capsys.readouterr().out)
 
+    def test_unbracketed_document(self, tmp_path):
+        """An all-stable ladder brackets nothing: the document keeps its
+        key order and writes ``unstable_rate`` as ``null``."""
+        spec = _write_json(tmp_path, self.LADDER)
+        out = tmp_path / "low.json"
+        assert main(["run", spec, "--rates", "0.5,1", "--workers", "0",
+                     "--json", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        assert list(payload) == [
+            "experiment", "rates", "workers", "threshold", "saturation_rate",
+            "stable_rate", "unstable_rate", "bracketed", "points",
+        ]
+        assert payload["unstable_rate"] is None and not payload["bracketed"]
+        assert payload["saturation_rate"] == payload["stable_rate"] == 1.0
+
     def test_check_single_mismatch_exits_nonzero(self, capsys, tmp_path,
                                                  monkeypatch):
         import repro.simulator.streaming as streaming

@@ -7,7 +7,7 @@ The load-bearing claims:
 * ``ExperimentSpec`` JSON round-trips *exactly* (spec -> json -> spec
   equality, every field);
 * pooled and inline execution of the same specs produce bit-identical
-  ``RunStats``/``StreamStats``;
+  ``ShardStats``/``StreamStats``;
 * registry lookups fail at spec construction with a ``ValueError``
   subclass naming the bad value and the valid choices — never a
   ``KeyError`` inside a worker;
@@ -156,7 +156,6 @@ class TestSpecValidation:
         a, a_stats = witness_run(spec)
         b = spec.run()
         assert a_stats == b.stats
-        assert a.sim.stats() == b.run_stats
         assert (a.lost_to_faults, a.unreachable_pairs) == \
                (b.lost_to_faults, b.unreachable_pairs)
         assert a.unreachable_pairs > 0
@@ -351,12 +350,12 @@ class TestLegacyEquivalence:
             pooled = run_grid([spec, faulted], pool=pool).results
             assert pool.spawned == 2
         single = run_grid([spec, faulted], workers=0).results
-        assert [r.run_stats for r in pooled] == [r.run_stats for r in single]
+        assert [r.stats for r in pooled] == [r.stats for r in single]
         ctrl = ReconfigurationController(2, 5, 1)
         ctrl.schedule(FaultScenario([(0, 7)]))
         inline = ctrl.run_workload(faulted.injection_batches())
         assert ctrl.fault_log == [(0, 7)]
-        assert pooled[1].run_stats == inline
+        assert pooled[1].stats == inline
         assert pooled[1].lost_to_faults == ctrl.lost_to_faults
 
     def test_mixed_loop_grid_runs(self):
@@ -364,10 +363,10 @@ class TestLegacyEquivalence:
         stream = ExperimentSpec(m=2, h=4, loop="stream", rate=1.0,
                                 cycles=100, warmup=10)
         res = run_grid([closed, stream], workers=0)
-        assert res.results[0].run_stats.injected == 100
+        assert res.results[0].stats.injected == 100
         assert res.results[1].stats.offered > 0
         # aggregate covers only the closed cell
-        assert res.aggregate_stats.injected == 100
+        assert res.aggregate.injected == 100
 
 
 # ---------------------------------------------------------------------------
@@ -505,7 +504,7 @@ class TestRunCli:
                 return np.tile(base, (reps, 1))[: msgs or n]
 
         spec = ExperimentSpec(m=2, h=4, pattern="test-ring", packets=32)
-        assert spec.run().run_stats.delivered == 32
+        assert spec.run().stats.delivered == 32
         path = self._write(tmp_path, {"m": 2, "h": 4, "pattern": "test-ring",
                                       "packets": 32})
         assert main(["run", path, "--workers", "0"]) == 0

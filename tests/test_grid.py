@@ -10,6 +10,7 @@ blocks through ``run_grid``) builds on that.
 
 from __future__ import annotations
 
+import json
 import os
 import weakref
 from collections import Counter
@@ -93,7 +94,7 @@ class TestShardStatsMerge:
         ft, batches = _route_batches(m, h, k, pairs, 3)
         ref = _sequential_reference(ft, batches)
         merged = _merged_shards(ft, batches)
-        assert merged.to_run_stats() == ref.stats()
+        assert merged == ref.stats()
 
     @pytest.mark.parametrize("capacity", [1, 2, 3])
     def test_merge_matches_sequential_capacities(self, capacity):
@@ -102,7 +103,7 @@ class TestShardStatsMerge:
         ft, batches = _route_batches(m, h, k, pairs, 4)
         ref = _sequential_reference(ft, batches, capacity)
         merged = _merged_shards(ft, batches, capacity)
-        assert merged.to_run_stats() == ref.stats()
+        assert merged == ref.stats()
 
     def test_merge_matches_sequential_with_fault_drops(self):
         """A fault firing after shard 1's injection drops its queued
@@ -152,7 +153,7 @@ class TestShardStatsMerge:
             shards.append(ShardStats.from_arrays(be.packet_records(), be.cycle))
 
         merged = ShardStats.merge(shards)
-        assert merged.to_run_stats() == ref.stats()
+        assert merged == ref.stats()
         # the fault actually bit: queue drops plus en-route arrivals at the
         # dead node
         assert merged.dropped >= ref_dropped > 0
@@ -171,13 +172,13 @@ class TestShardStatsMerge:
         ft, batches = _route_batches(m, h, k, pairs, n_shards)
         ref = _sequential_reference(ft, batches, capacity)
         merged = _merged_shards(ft, batches, capacity)
-        assert merged.to_run_stats() == ref.stats()
+        assert merged == ref.stats()
 
     def test_merge_empty_and_identities(self):
         empty = ShardStats.empty()
         assert ShardStats.merge([]) == empty
-        assert empty.to_run_stats().injected == 0
-        assert empty.to_run_stats().mean_latency == 0.0
+        assert empty.injected == 0
+        assert empty.mean_latency == 0.0
         one = ShardStats(
             cycles=5, injected=2, delivered=1, dropped=1,
             lat_values=np.array([3], dtype=np.int64),
@@ -186,7 +187,7 @@ class TestShardStatsMerge:
             hop_counts=np.array([1], dtype=np.int64),
         )
         merged = ShardStats.merge([one])
-        assert merged.to_run_stats() == one.to_run_stats()
+        assert merged == one
 
     def test_merge_all_dropped(self):
         g = debruijn(2, 3)
@@ -196,7 +197,85 @@ class TestShardStatsMerge:
             be.inject_route([0, 2])  # routes through a dead node refuse
         s = ShardStats.from_arrays(be.packet_records(), be.cycle)
         assert s.injected == s.delivered == 0
-        assert ShardStats.merge([s, s]).to_run_stats().throughput == 0.0
+        assert ShardStats.merge([s, s]).throughput == 0.0
+
+
+@st.composite
+def _drain_records(draw):
+    """Random drain records: each packet delivered, in flight
+    (``delivered_at == -1``) or dropped, with latencies that repeat (a
+    small range) or spread (a wide one)."""
+    n = draw(st.integers(min_value=0, max_value=40))
+
+    def column(values):
+        return np.array(draw(st.lists(values, min_size=n, max_size=n)),
+                        dtype=np.int64)
+
+    fate = column(st.integers(min_value=0, max_value=2))  # delivered, in flight, dropped
+    injected = column(st.integers(min_value=0, max_value=1000))
+    lat = column(st.one_of(st.integers(min_value=0, max_value=8),
+                           st.integers(min_value=0, max_value=2**20)))
+    return PacketArrays(
+        injected_at=injected,
+        delivered_at=np.where(fate == 0, injected + lat, -1),
+        hops=column(st.integers(min_value=0, max_value=64)),
+        dropped=fate == 2,
+    )
+
+
+class TestShardStatsSummary:
+    """The summary numbers, computed independently: ``np.mean`` and
+    ``np.percentile`` over the raw delivered sample, against what
+    :class:`ShardStats` reads off its histograms."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(rec=_drain_records(),
+           cycles=st.one_of(st.just(0), st.integers(min_value=1, max_value=10**6)),
+           data=st.data())
+    def test_summary_is_the_raw_sample_reduction(self, rec, cycles, data):
+        ok = rec.delivered_at >= 0
+        lat = rec.delivered_at[ok] - rec.injected_at[ok]
+        hops = rec.hops[ok]
+        n = int(lat.size)
+        expected = {
+            "cycles": cycles,
+            "injected": int(rec.injected_at.size),
+            "delivered": n,
+            "dropped": int(np.count_nonzero(rec.dropped)),
+            "mean_latency": float(np.mean(lat)) if n else 0.0,
+            "p95_latency": float(np.percentile(lat, 95)) if n else 0.0,
+            "max_latency": int(lat.max()) if n else 0,
+            "mean_hops": float(np.mean(hops)) if n else 0.0,
+            "throughput": n / cycles if cycles else 0.0,
+        }
+        whole = ShardStats.from_arrays(rec, cycles)
+        # the JSON text pins keys, their order, int/float types and
+        # every float to the bit (repr round-trips)
+        assert json.dumps(whole.summary()) == json.dumps(expected)
+
+        # any split of the records over any split of the cycles merges
+        # back to the whole
+        k = data.draw(st.integers(min_value=1, max_value=4))
+        part = np.array(data.draw(st.lists(
+            st.integers(min_value=0, max_value=k - 1),
+            min_size=rec.injected_at.size, max_size=rec.injected_at.size,
+        )), dtype=np.int64)
+        cuts = sorted(data.draw(st.lists(
+            st.integers(min_value=0, max_value=cycles),
+            min_size=k - 1, max_size=k - 1,
+        )))
+        spans = np.diff([0, *cuts, cycles])
+        shards = [
+            ShardStats.from_arrays(
+                PacketArrays(rec.injected_at[part == i], rec.delivered_at[part == i],
+                             rec.hops[part == i], rec.dropped[part == i]),
+                int(spans[i]),
+            )
+            for i in range(k)
+        ]
+        merged = ShardStats.merge(shards)
+        assert merged == whole
+        assert json.dumps(merged.summary()) == json.dumps(expected)
 
 
 class TestShardDriver:
@@ -248,9 +327,9 @@ class TestRunGrid:
         )
         inline = run_grid(grid, workers=0)
         pooled = run_grid(grid, workers=2)
-        assert inline.aggregate_stats == pooled.aggregate_stats
+        assert inline.aggregate == pooled.aggregate
         for a, b in zip(inline.results, pooled.results):
-            assert a.run_stats == b.run_stats
+            assert a.stats == b.stats
             assert a.spec == b.spec
 
     def test_multi_batch_cells_match_single_process(self):
@@ -263,7 +342,7 @@ class TestRunGrid:
         for seed, res in zip((2, 3), pooled.results):
             ctrl = ReconfigurationController(2, 5, 1)
             pairs = make_pattern(32, "uniform", 600, np.random.default_rng(seed))
-            assert res.run_stats == ctrl.run_workload(np.array_split(pairs, 4))
+            assert res.stats == ctrl.run_workload(np.array_split(pairs, 4))
 
     def test_detour_scenarios(self):
         grid = ExperimentGrid(
@@ -272,7 +351,7 @@ class TestRunGrid:
             controller="detour", seeds=[0],
         )
         res = run_grid(grid, workers=0)
-        st_ = res.results[0].run_stats
+        st_ = res.results[0].stats
         assert st_.delivered + st_.dropped == st_.injected
         assert st_.injected + res.results[0].unreachable_pairs == 100
 
@@ -284,15 +363,13 @@ class TestRunGrid:
                             fault_model={"name": "fixed",
                                          "faults": [[2, 5], [6, 11]]},
                             seed=9)
-        via_grid = run_grid([sc], workers=2).results[0].run_stats
+        via_grid = run_grid([sc], workers=2).results[0].stats
         ctrl = ReconfigurationController(2, 4, 2)
         ctrl.schedule(FaultScenario([(2, 5), (6, 11)]))
         pairs = make_pattern(16, "uniform", 300, np.random.default_rng(9))
         assert via_grid == ctrl.run_workload([pairs])
 
     def test_rows_are_json_friendly(self):
-        import json
-
         res = run_grid(ExperimentGrid(mhk=[(2, 4, 1)], loads=[50]), workers=0)
         text = json.dumps(res.rows())
         assert "B^1_{2,4}" in text
@@ -327,6 +404,31 @@ class TestRunGrid:
         assert [repr(t) for t in tasks] == [
             f"{cell.label}, replicas 0-7", f"{cell.label}, replicas 8-15",
         ]
+
+
+class TestSoloCellReducesOnce:
+    """A solo closed-loop cell copies the engine's packet records once
+    and reduces them once: the :class:`ShardStats` that
+    ``run_workload`` returns is the result's ``stats``."""
+
+    @pytest.mark.parametrize("spec", [
+        ExperimentSpec(m=2, h=4, k=1, packets=200, seed=1),
+        ExperimentSpec(m=2, h=4, k=2, packets=300, batches=3, seed=4,
+                       fault_model={"name": "fixed", "faults": [[3, 5]]}),
+    ], ids=["one-batch", "three-batches-mid-drain-fault"])
+    def test_one_copy_one_reduction(self, spec, monkeypatch):
+        ctrl = spec.build_controller()
+        direct = ctrl.run_workload(spec.injection_batches(),
+                                   cycles_per_batch=spec.cycles_per_batch,
+                                   max_cycles=spec.max_cycles)
+        if spec.fault_model is not None:
+            # the fault fired on its cycle inside the first drain
+            assert ctrl.fault_log == [(3, 5)] and ctrl.lost_to_faults > 0
+        copies = _counting(monkeypatch, BatchEngine, "packet_records")
+        reductions = _counting(monkeypatch, ShardStats, "from_arrays")
+        res = spec.run()
+        assert (len(copies), len(reductions)) == (1, 1)
+        assert res.stats == direct
 
 
 class TestShardedEngine:

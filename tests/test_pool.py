@@ -251,4 +251,4 @@ class TestWorkerPool:
         assert [r.stats for r in pooled.results] == [
             r.stats for r in inline.results
         ]
-        assert pooled.aggregate_stats == inline.aggregate_stats
+        assert pooled.aggregate == inline.aggregate

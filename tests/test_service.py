@@ -29,7 +29,8 @@ import pytest
 from repro.experiments import parse_run_payload
 from repro.service import TERMINAL, ExperimentService, JobQueue
 from repro.service.server import MAX_BODY_BYTES
-from repro.simulator.grid import ShardStats, _BlockTask, run_grid
+from repro.simulator.grid import _BlockTask, run_grid
+from repro.simulator.metrics import ShardStats
 
 GRID = {
     "grid": {
@@ -220,7 +221,7 @@ class TestLifecycle:
                [_strip(r) for r in direct.rows()]
         # the merged sufficient statistics round-trip exactly
         assert ShardStats.from_dict(result["shard_stats"]) == direct.aggregate
-        agg = direct.aggregate_stats
+        agg = direct.aggregate
         assert result["aggregate"]["delivered"] == agg.delivered
         assert result["aggregate"]["mean_latency"] == agg.mean_latency
         assert result["grid"] == target.to_dict()

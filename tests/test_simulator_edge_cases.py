@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.graphs import BusHypergraph, StaticGraph, path
-from repro.simulator import BatchEngine, BusNetworkSimulator, summarize
+from repro.simulator import BatchEngine, BusNetworkSimulator, PacketArrays, ShardStats
 from repro.simulator.packets import Packet
 from tests.conformance.harness import NetworkSimulator
 
@@ -87,13 +87,17 @@ class TestNetworkEdgeCases:
         assert records.delivered_at.tolist() == records.injected_at.tolist() == [0]
 
 
+def _summarize(packets, cycles):
+    return ShardStats.from_arrays(PacketArrays.from_packets(packets), cycles)
+
+
 class TestStatsRendering:
-    def test_runstats_str(self):
+    def test_stats_str(self):
         p = Packet(0, [0, 1], 0, delivered_at=3)
-        st = summarize([p], 5)
+        st = _summarize([p], 5)
         text = str(st)
         assert "delivered=1/1" in text and "cycles=5" in text
 
-    def test_runstats_equality(self):
+    def test_stats_equality(self):
         p = Packet(0, [0, 1], 0, delivered_at=3)
-        assert summarize([p], 5) == summarize([p], 5)
+        assert _summarize([p], 5) == _summarize([p], 5)

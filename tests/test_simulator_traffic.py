@@ -8,12 +8,13 @@ import pytest
 from repro.errors import ParameterError
 from repro.simulator import (
     Packet,
+    PacketArrays,
+    ShardStats,
     all_to_all_traffic,
     bit_reversal_traffic,
     descend_superstep_traffic,
     hotspot_traffic,
     permutation_traffic,
-    summarize,
     transpose_traffic,
     uniform_traffic,
 )
@@ -81,9 +82,13 @@ class TestTrafficPatterns:
         assert (0, 0) not in pairs
 
 
+def _summarize(packets, cycles):
+    return ShardStats.from_arrays(PacketArrays.from_packets(packets), cycles)
+
+
 class TestMetrics:
     def test_summarize_empty(self):
-        st = summarize([], 10)
+        st = _summarize([], 10)
         assert st.delivered == 0 and st.mean_latency == 0.0
 
     def test_summarize_mixed(self):
@@ -91,7 +96,7 @@ class TestMetrics:
         b = Packet(1, [0, 1, 2], 0, delivered_at=8)
         c = Packet(2, [0, 1], 0)
         c.dropped = True
-        st = summarize([a, b, c], 10)
+        st = _summarize([a, b, c], 10)
         assert st.injected == 3 and st.delivered == 2 and st.dropped == 1
         assert st.mean_latency == 6.0
         assert st.max_latency == 8
